@@ -1,8 +1,9 @@
 //! Microbenchmarks of the compute substrate: dense and quantized matrix
 //! products (optimised kernels side-by-side with the pre-optimisation naive
-//! references), KV-cache metadata operations and full tiny-model decode
-//! steps.  These are not paper figures; they document the cost of the
-//! building blocks the real-execution path uses.
+//! references), KV-cache metadata operations, full tiny-model decode steps
+//! and the real drafter's cold/warm draft cost.  These are not paper
+//! figures; they document the cost of the building blocks the
+//! real-execution path uses.
 //!
 //! Three kernel flavours appear per shape where they exist:
 //!
@@ -31,11 +32,13 @@
 //! Benchmark names are `<op> <shape>` with shapes written `m x k x n`.
 
 use criterion::{BatchSize, BenchReport, Criterion};
-use pi_model::{Batch, KvCache, Model, ModelConfig};
+use pi_model::{Batch, KvCache, Model, ModelConfig, Token};
+use pi_spec::{Drafter, RealDrafter};
 use pi_tensor::{ops, QuantKind, QuantizedMatrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::pool;
+use std::sync::Arc;
 
 /// Where the machine-readable results go: the workspace root, next to the
 /// figures the other benches produce.
@@ -174,6 +177,47 @@ fn bench_tiny_model_decode(c: &mut Criterion) {
     });
 }
 
+/// `RealDrafter::draft` of four tokens behind 128 and 512 tokens of context,
+/// on a draft model of the wall-clock benchmark's shape (2 layers, d_model
+/// 256).  `cold` builds a new drafter per iteration, so every call evaluates
+/// its whole context — what each call cost before the drafter kept its KV
+/// cache across calls.  `warm` keeps one drafter and extends the hypothesis
+/// by the drafter's own proposal each iteration, the way continuous
+/// speculation calls it, cutting back to the base context every 16
+/// iterations the way an invalidation does.
+fn bench_draft4(c: &mut Criterion) {
+    const KV_CAPACITY: usize = 2048;
+    let cfg = ModelConfig {
+        d_model: 256,
+        n_heads: 8,
+        n_kv_heads: 8,
+        d_ff: 704,
+        max_seq_len: KV_CAPACITY,
+        ..ModelConfig::tiny_llama(258, 2)
+    };
+    let model = Arc::new(Model::random(cfg, 3));
+    for ctx in [128usize, 512] {
+        let context: Vec<Token> = (0..ctx as Token).map(|i| (i * 7 + 3) % 258).collect();
+        c.bench_function(&format!("draft4_cold ctx{ctx}"), |b| {
+            b.iter(|| {
+                RealDrafter::new(Arc::clone(&model), KV_CAPACITY).draft(&context, &[], 4, 0.0)
+            })
+        });
+        let mut drafter = RealDrafter::new(Arc::clone(&model), KV_CAPACITY);
+        let mut hypothesis = context.clone();
+        c.bench_function(&format!("draft4_warm ctx{ctx}"), |b| {
+            b.iter(|| {
+                if hypothesis.len() >= ctx + 64 {
+                    hypothesis.truncate(ctx);
+                }
+                let (chain, _) = drafter.draft(&hypothesis, &[], 4, 0.0);
+                hypothesis.extend(chain.iter().map(|&(token, _)| token));
+                chain
+            })
+        });
+    }
+}
+
 /// The shapes re-timed at each sweep thread count: the ones big enough to
 /// cross the serial-dispatch threshold and actually fan out on the pool.
 /// These use the dispatch entry points (`ops::matmul_t` and
@@ -256,6 +300,23 @@ fn assert_no_regression(reports: &[BenchReport]) {
         naive / blocked,
         q_ref / q_fused
     );
+    // A drafter that keeps its KV cache pays for the new tokens only, so
+    // four times the context may cost its attention share more, never the
+    // 4-5x of re-evaluating the context on every call.
+    let warm128 = min_ns("draft4_warm ctx128");
+    let warm512 = min_ns("draft4_warm ctx512");
+    assert!(
+        warm512 <= 2.0 * warm128,
+        "drafter regression: a warm draft behind 512 tokens of context (min \
+         {warm512:.0} ns) costs more than twice one behind 128 (min {warm128:.0} ns) \
+         — the draft KV cache is being re-filled per call"
+    );
+    println!(
+        "draft gate ok: warm ctx512 / ctx128 {:.2}x, cold / warm {:.1}x at ctx128, {:.1}x at ctx512",
+        warm512 / warm128,
+        min_ns("draft4_cold ctx128") / warm128,
+        min_ns("draft4_cold ctx512") / warm512
+    );
     #[cfg(feature = "simd")]
     {
         let simd = min_ns("matmul_t_f32_simd 1x512x512");
@@ -288,6 +349,7 @@ fn main() {
     bench_quantization(&mut c);
     bench_kv_cache_ops(&mut c);
     bench_tiny_model_decode(&mut c);
+    bench_draft4(&mut c);
     let fixed: Vec<BenchReport> = c.reports().to_vec();
     let fixed_threads = pool::configured_threads();
     let mut rows: Vec<(BenchReport, usize)> =

@@ -120,6 +120,9 @@ pub struct PipeInferHead {
     /// Leading prompt tokens already resident in every stage's KV cache (via
     /// a shared page pool); prefill covers only the remaining suffix.
     prompt_cached: usize,
+    /// Runs (of either kind) in flight at which the head stops speculating;
+    /// unbounded unless [`PipeInferHead::with_run_budget`] set it.
+    run_budget: usize,
 
     next_run_id: RunId,
     next_draft_id: u64,
@@ -207,6 +210,7 @@ impl PipeInferHead {
             expected: None,
             prompt_done: false,
             prompt_cached: 0,
+            run_budget: usize::MAX,
             next_run_id: 0,
             next_draft_id: 0,
             inflight_draft: None,
@@ -240,6 +244,16 @@ impl PipeInferHead {
     /// leave at least the final prompt token for live evaluation.
     pub fn with_prompt_cached(mut self, n: usize) -> Self {
         self.prompt_cached = n;
+        self
+    }
+
+    /// Stops continuous speculation while `runs` runs are in flight, on top
+    /// of the controller's own gates (`max_speculation_ahead`, the cutoff
+    /// gradient, free KV partitions).  Two is the least that still
+    /// speculates: the run establishing the next expectation and one run
+    /// past it.
+    pub fn with_run_budget(mut self, runs: usize) -> Self {
+        self.run_budget = runs;
         self
     }
 
@@ -403,6 +417,17 @@ impl PipeInferHead {
         self.send_decode(run_id, RunKind::Speculative, batch, topology, ctx);
     }
 
+    /// Whether another speculative run may be dispatched right now: the run
+    /// budget has room and the controller's speculation gate is open.
+    fn may_speculate(&self) -> bool {
+        self.tracker.len() < self.run_budget
+            && self.controller.should_request(
+                self.hypothesis.len() - self.accepted.len(),
+                self.tracker.active_speculative(),
+                self.pool.available(),
+            )
+    }
+
     /// One iteration of continuous speculation: probe-found-nothing ⇒ obtain
     /// a tree micro-batch from the draft source.  Locally hosted drafters
     /// draft and dispatch synchronously; the dedicated draft rank is sent a
@@ -412,12 +437,7 @@ impl PipeInferHead {
         if self.finished || !self.prompt_done {
             return false;
         }
-        let ahead = self.hypothesis.len() - self.accepted.len();
-        if !self.controller.should_request(
-            ahead,
-            self.tracker.active_speculative(),
-            self.pool.available(),
-        ) {
+        if !self.may_speculate() {
             return false;
         }
         let (width, depth) = self.controller.shape();
@@ -608,12 +628,7 @@ impl PipeInferHead {
         // been consumed while the request was in flight.  This drop is
         // backpressure, not staleness — the hypothesis is intact and the
         // draft will simply be re-requested when the gate reopens.
-        let ahead = self.hypothesis.len() - self.accepted.len();
-        if !self.controller.should_request(
-            ahead,
-            self.tracker.active_speculative(),
-            self.pool.available(),
-        ) {
+        if !self.may_speculate() {
             return;
         }
         self.controller.on_iteration();
@@ -1109,6 +1124,12 @@ impl NodeBehavior<PipeMsg> for PipeInferHead {
         assert!(!prompt.is_empty(), "prompt must not be empty");
         let cached = self.prompt_cached.min(prompt.len() - 1);
         self.dispatch_run(prompt[cached..].to_vec(), cached as Pos, ctx);
+        // The draft model evaluates the prompt while the target pipeline
+        // does, instead of in front of the first speculative run.
+        if let DraftSource::Local(drafter) = &mut self.draft {
+            let cost = drafter.prime(&prompt);
+            ctx.elapse(cost);
+        }
         self.drain_local_results(ctx);
     }
 
@@ -1267,6 +1288,61 @@ mod tests {
         config: PipeInferConfig,
     ) -> (TestWorld, RecordHandle) {
         build_world(alignment, n_generate, config)
+    }
+
+    #[test]
+    fn local_drafter_is_primed_with_the_prompt_at_start() {
+        /// Records what it is primed with; never drafts.
+        struct Spy(Arc<Mutex<Vec<Vec<Token>>>>);
+        impl Drafter for Spy {
+            fn prime(&mut self, context: &[Token]) -> f64 {
+                self.0.lock().unwrap().push(context.to_vec());
+                0.0
+            }
+            fn draft(
+                &mut self,
+                _: &[Token],
+                _: &[Token],
+                _: usize,
+                _: f32,
+            ) -> (Vec<(Token, f32)>, f64) {
+                (Vec::new(), 0.0)
+            }
+        }
+        let (mut world, _) = build_head(1.0, 4, PipeInferConfig::default());
+        let primed = Arc::new(Mutex::new(Vec::new()));
+        world.head.draft = DraftSource::Local(Box::new(Spy(primed.clone())));
+        let mut ctx = TestCtx {
+            rank: 0,
+            sent: Vec::new(),
+            now: 0.0,
+        };
+        world.head.on_start(&mut ctx);
+        assert!(matches!(ctx.sent[..], [(1, PipeMsg::Decode { .. })]));
+        assert_eq!(*primed.lock().unwrap(), [vec![3, 1, 4, 1, 5]]);
+    }
+
+    #[test]
+    fn run_budget_closes_the_speculation_gate() {
+        let in_flight_at_close = |budget: Option<usize>| {
+            let (world, _) = build_head(1.0, 8, PipeInferConfig::default());
+            let mut head = world.head;
+            if let Some(runs) = budget {
+                head = head.with_run_budget(runs);
+            }
+            let mut in_flight = 0;
+            while head.may_speculate() && in_flight < 12 {
+                let run = RunInfo::chain(in_flight, RunKind::Speculative, &[7], 0, 1);
+                head.tracker.push(run);
+                in_flight += 1;
+            }
+            in_flight
+        };
+        assert_eq!(in_flight_at_close(Some(2)), 2);
+        assert_eq!(in_flight_at_close(Some(3)), 3);
+        // Unbudgeted (every simulated deployment): only the controller's
+        // gates apply, and runs in flight are not one of them.
+        assert_eq!(in_flight_at_close(None), 12);
     }
 
     /// Runs the world to completion by shuttling messages round by round,

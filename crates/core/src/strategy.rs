@@ -26,6 +26,16 @@ use std::ops::Range;
 /// The rank hosting the draft model in the paper's Fig. 3 layout.
 pub const DRAFT_RANK: usize = 1;
 
+/// Runs the head keeps in flight when every rank is a thread of one process
+/// ([`HeadParts::ranks_share_host`]): the run establishing the next
+/// expectation and one speculating past it.  That is the schedule the Real
+/// path ran while its drafter was slower than the target pipeline; with the
+/// drafter cheap, an unbudgeted head speculates `max_speculation_ahead`
+/// tokens deep at the same tokens/s, drafting twice the tokens per accepted
+/// one (README, "The draft model on the Real path").  Simulated deployments
+/// stay unbudgeted.
+const SHARED_HOST_RUN_BUDGET: usize = 2;
+
 /// PipeInfer: asynchronous pipelined speculation.  The head rank holds no
 /// target layers; depending on [`DraftPlacement`] the draft model lives on
 /// the head or on the dedicated rank 1.
@@ -133,6 +143,9 @@ impl Strategy for PipeInferStrategy {
             parts.record,
         )
         .with_prompt_cached(parts.prompt_cached);
+        if parts.ranks_share_host {
+            head = head.with_run_budget(SHARED_HOST_RUN_BUDGET);
+        }
         if let Some(drafter) = fallback {
             head = head.with_fallback(drafter);
         }

@@ -137,6 +137,11 @@ pub struct HeadParts {
     /// `prompt[..prompt_cached]` and prefill only the remaining suffix.
     /// Always strictly less than the prompt length; 0 without a pool.
     pub prompt_cached: usize,
+    /// Whether every rank runs as a thread of this process
+    /// ([`ExecutionMode::Real`] under the threaded driver) instead of as a
+    /// node of its own: the head's drafting then shares processors with the
+    /// stages that verify it.
+    pub ranks_share_host: bool,
 }
 
 impl HeadParts {
@@ -633,6 +638,7 @@ impl PreparedDeployment {
             gen_config: gen_config.clone(),
             record: handle.clone(),
             prompt_cached,
+            ranks_share_host: matches!(mode, ExecutionMode::Real { .. }),
         });
         let mut others = build_workers_with(mode, route, splits, gen_config, plan);
         others.extend(strategy.build_auxiliary(mode, self.n_nodes, route, gen_config));
@@ -800,7 +806,7 @@ pub fn build_drafter(
 ) -> Box<dyn Drafter> {
     match mode {
         ExecutionMode::Real { draft, .. } => {
-            Box::new(RealDrafter::new(draft.as_ref().clone(), config.kv_capacity))
+            Box::new(RealDrafter::new(Arc::clone(draft), config.kv_capacity))
         }
         ExecutionMode::Sim {
             pair,
@@ -1213,6 +1219,7 @@ mod tests {
             gen_config: GenConfig::small_test(vec![1], 1),
             record: Arc::new(Mutex::new(None)),
             prompt_cached: 0,
+            ranks_share_host: false,
         };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = parts.take_drafter();

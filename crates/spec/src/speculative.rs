@@ -220,6 +220,12 @@ impl NodeBehavior<PipeMsg> for SpeculativeHead {
         self.context.extend_from_slice(&prompt[..cached]);
         let batch = Batch::prompt(&prompt[cached..], cached as Pos, 0);
         self.launch(batch, RunKind::NonSpeculative, ctx);
+        if self.phase == Phase::Prompt {
+            // The prompt run is in the pipeline: the draft model evaluates
+            // the prompt meanwhile instead of in front of the first draft.
+            let cost = self.drafter.prime(&prompt);
+            ctx.elapse(cost);
+        }
     }
 
     fn on_message(&mut self, _src: Rank, _tag: Tag, msg: PipeMsg, ctx: &mut dyn NodeCtx<PipeMsg>) {
@@ -365,6 +371,40 @@ mod tests {
 
         assert!(r_good.acceptance_rate() > r_bad.acceptance_rate());
         assert!(r_good.runs_launched < r_bad.runs_launched);
+    }
+
+    #[test]
+    fn drafter_is_primed_with_the_prompt_while_the_prompt_run_is_in_flight() {
+        /// Records the calls it receives; priming costs a hundred seconds.
+        struct Spy(Arc<Mutex<Vec<String>>>);
+        impl Drafter for Spy {
+            fn prime(&mut self, context: &[Token]) -> f64 {
+                self.0.lock().unwrap().push(format!("prime {context:?}"));
+                100.0
+            }
+            fn draft(
+                &mut self,
+                context: &[Token],
+                extra: &[Token],
+                _max_tokens: usize,
+                _cutoff: f32,
+            ) -> (Vec<(Token, f32)>, f64) {
+                let mut calls = self.0.lock().unwrap();
+                calls.push(format!("draft {context:?} {extra:?}"));
+                (Vec::new(), 0.0)
+            }
+        }
+        let (mut head, _) = build(1.0, 4);
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        head.drafter = Box::new(Spy(calls.clone()));
+        let mut ctx = TestCtx {
+            sent: Vec::new(),
+            now: 0.0,
+        };
+        head.on_start(&mut ctx);
+        assert!(matches!(ctx.sent[..], [(1, PipeMsg::Decode { .. })]));
+        assert_eq!(*calls.lock().unwrap(), ["prime [1, 2, 3, 4]"]);
+        assert!(ctx.now >= 100.0, "the priming cost is charged to the head");
     }
 
     #[test]

@@ -560,6 +560,12 @@ impl NodeBehavior<PipeMsg> for TreeSpecHead {
             n_leaves: 0,
         };
         self.launch(batch, RunKind::NonSpeculative, in_flight, ctx);
+        if self.phase == Phase::Prompt {
+            // The prompt run is in the pipeline: the draft model evaluates
+            // the prompt meanwhile instead of in front of the first draft.
+            let cost = self.drafter.prime(&prompt);
+            ctx.elapse(cost);
+        }
     }
 
     fn on_message(&mut self, _src: Rank, _tag: Tag, msg: PipeMsg, ctx: &mut dyn NodeCtx<PipeMsg>) {

@@ -148,3 +148,105 @@ fn legacy_runner_wrappers_match_deployment_output() {
     let b = Deployment::new(PipeInferStrategy::default()).run(&mode, 3, &gen);
     assert_eq!(a.record.tokens, b.record.tokens);
 }
+
+/// `(drafted, accepted_drafts, runs_launched)` of one run.
+type Counters = (usize, usize, usize);
+
+/// One fixture of the tests above with the counters the synchronous chain
+/// and tree strategies reported on it at cutoff 0 while the drafter still
+/// re-evaluated its whole context on every call.
+struct CounterFixture {
+    noise: f32,
+    seed: u64,
+    prompt: &'static [u32],
+    n: usize,
+    n_nodes: usize,
+    chain: Counters,
+    tree: Counters,
+}
+
+#[test]
+fn speculation_counters_match_the_from_scratch_drafter() {
+    // The drafter's KV cache carried across calls must not change a single
+    // proposal, so the counters are pinned.
+    let fixture = |noise, seed, prompt, n, n_nodes, chain, tree| CounterFixture {
+        noise,
+        seed,
+        prompt,
+        n,
+        n_nodes,
+        chain,
+        tree,
+    };
+    let fixtures = [
+        fixture(
+            0.02,
+            7,
+            &[5, 17, 33, 80, 2, 41],
+            16,
+            3,
+            (16, 12, 5),
+            (16, 12, 5),
+        ),
+        fixture(
+            0.5,
+            21,
+            &[9, 9, 9, 1, 2, 3],
+            12,
+            2,
+            (48, 0, 13),
+            (48, 0, 13),
+        ),
+        fixture(
+            0.05,
+            33,
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            12,
+            4,
+            (16, 8, 5),
+            (20, 8, 6),
+        ),
+        fixture(0.02, 55, &[11, 22, 33, 44], 10, 3, (36, 5, 10), (36, 4, 10)),
+    ];
+    let counters = |out: &RunOutput| {
+        let r = &out.record;
+        (r.drafted, r.accepted_drafts, r.runs_launched)
+    };
+    for f in fixtures {
+        let (seed, n, n_nodes) = (f.seed, f.n, f.n_nodes);
+        let (target, mode) = tiny_pair(f.noise, seed);
+        // At the fixtures' own cutoff these random drafts (confidence about
+        // 1/vocab) never clear the bar: every strategy decodes one token per
+        // run, and PipeInfer has the next token's run dispatched already when
+        // it accepts the last.
+        let gen = GenConfig::small_test(f.prompt.to_vec(), n);
+        let spec = Deployment::new(SpeculativeStrategy).run(&mode, n_nodes, &gen);
+        assert_eq!(counters(&spec), (0, 0, n + 1), "speculative, seed {seed}");
+        let pipe = Deployment::new(PipeInferStrategy::default()).run(&mode, n_nodes, &gen);
+        assert_eq!(counters(&pipe), (0, 0, n + 2), "pipeinfer, seed {seed}");
+        // With the cutoff at zero every round drafts: the synchronous
+        // strategies' counters depend on the proposals alone.
+        let gen = GenConfig {
+            confidence_cutoff: 0.0,
+            ..gen
+        };
+        let spec = Deployment::new(SpeculativeStrategy).run(&mode, n_nodes, &gen);
+        assert_eq!(
+            counters(&spec),
+            f.chain,
+            "speculative, seed {seed}, cutoff 0"
+        );
+        let out = Deployment::new(TreeSpeculationStrategy::default()).run(&mode, n_nodes, &gen);
+        assert_eq!(counters(&out), f.tree, "tree, seed {seed}, cutoff 0");
+        // PipeInfer's counters depend on thread timing as well, so what is
+        // pinned is that the head did draft — extending the drafter's cache
+        // on accepted tokens and cutting it back on rejected ones — and that
+        // the stream is still the greedy one.
+        let pipe = Deployment::new(PipeInferStrategy::default()).run(&mode, n_nodes, &gen);
+        let truth = single_process_greedy(&target, f.prompt, n);
+        assert_eq!(pipe.record.tokens[..n], truth[..], "pipeinfer, seed {seed}");
+        let (drafted, accepted, _) = counters(&pipe);
+        assert!(drafted > 0, "pipeinfer never drafted, seed {seed}");
+        assert!(accepted <= drafted, "pipeinfer, seed {seed}, cutoff 0");
+    }
+}
