@@ -41,10 +41,17 @@ impl KvPage {
     /// A zero-filled page covering `n_layers` layers of `tokens` cells.
     pub fn zeroed(n_layers: usize, kv_dim: usize, tokens: usize) -> Self {
         Self {
-            k: vec![vec![0.0; tokens * kv_dim]; n_layers],
-            v: vec![vec![0.0; tokens * kv_dim]; n_layers],
+            k: zeroed_planes(n_layers, tokens * kv_dim),
+            v: zeroed_planes(n_layers, tokens * kv_dim),
         }
     }
+}
+
+/// `n_layers` planes of `len` zeros, each its own zeroed allocation —
+/// `vec![vec![0.0; len]; n_layers]` would allocate one and `memcpy` it
+/// `n_layers - 1` times, touching every page of a cache that may never fill.
+fn zeroed_planes(n_layers: usize, len: usize) -> Vec<Vec<f32>> {
+    (0..n_layers).map(|_| vec![0.0; len]).collect()
 }
 
 /// One page slot of a paged cache: absent until first written or attached.
@@ -155,6 +162,12 @@ pub struct KvCache {
     kv_dim: usize,
     capacity: usize,
     cells: Vec<KvCell>,
+    /// Every cell at or above this index is free.  It only grows (in
+    /// [`KvCache::alloc`] and [`KvCache::attach_prefix`]) until
+    /// [`KvCache::clear`], and bounds the per-token metadata scans: a request
+    /// provisions `capacity` for its longest possible stream and mostly uses
+    /// a fraction of it.
+    high_water: usize,
     backing: Backing,
 }
 
@@ -167,9 +180,10 @@ impl KvCache {
             kv_dim,
             capacity,
             cells: vec![KvCell::free(); capacity],
+            high_water: 0,
             backing: Backing::Flat {
-                k: vec![vec![0.0; capacity * kv_dim]; n_layers],
-                v: vec![vec![0.0; capacity * kv_dim]; n_layers],
+                k: zeroed_planes(n_layers, capacity * kv_dim),
+                v: zeroed_planes(n_layers, capacity * kv_dim),
             },
         }
     }
@@ -194,6 +208,7 @@ impl KvCache {
             kv_dim,
             capacity,
             cells: vec![KvCell::free(); capacity],
+            high_water: 0,
             backing: Backing::Paged {
                 tokens_per_page,
                 pages: vec![None; n_pages],
@@ -240,7 +255,13 @@ impl KvCache {
 
     /// Number of occupied cells.
     pub fn used(&self) -> usize {
-        self.cells.iter().filter(|c| !c.is_free()).count()
+        self.live().iter().filter(|c| !c.is_free()).count()
+    }
+
+    /// The cells below the high-water mark — the only ones that can be
+    /// occupied.
+    fn live(&self) -> &[KvCell] {
+        &self.cells[..self.high_water]
     }
 
     /// Number of free cells.
@@ -255,7 +276,17 @@ impl KvCache {
     /// every stage performs the same allocation calls in the same
     /// (transaction-ordered) sequence and therefore picks the same cells.
     pub fn alloc(&mut self, pos: Pos, seq_ids: &[SeqId]) -> Option<usize> {
-        let idx = self.cells.iter().position(|c| c.is_free())?;
+        // Every cell from the high-water mark up is free, so the first free
+        // cell is the first hole below the mark, else the mark itself.
+        let idx = self
+            .live()
+            .iter()
+            .position(|c| c.is_free())
+            .unwrap_or(self.high_water);
+        if idx == self.capacity {
+            return None;
+        }
+        self.high_water = self.high_water.max(idx + 1);
         self.cells[idx].pos = pos;
         self.cells[idx].seq_ids = seq_ids.iter().copied().collect();
         Some(idx)
@@ -360,13 +391,14 @@ impl KvCache {
     pub fn attach_prefix(&mut self, seq: SeqId, shared: &[Arc<KvPage>], span: usize) {
         assert!(span <= self.capacity, "prefix span exceeds cache capacity");
         assert!(
-            self.cells.iter().all(|c| c.is_free()),
+            self.live().iter().all(|c| c.is_free()),
             "attach_prefix requires an empty cache"
         );
         for (i, cell) in self.cells.iter_mut().enumerate().take(span) {
             cell.pos = i as Pos;
             cell.seq_ids = std::iter::once(seq).collect();
         }
+        self.high_water = span;
         let Backing::Paged {
             tokens_per_page,
             pages,
@@ -466,25 +498,24 @@ impl KvCache {
     /// query and must not be in the query's future.  This implements the
     /// causal + tree attention mask of speculative verification.
     ///
-    /// Allocating convenience for tests and one-off queries only — every
-    /// decode-loop call site (the per-token attention loops in
-    /// `transformer.rs`) must use [`Self::visible_cells_into`] with the
-    /// scratch-arena buffer instead, so attention performs zero visibility
-    /// allocations per token.  Audited: no non-test caller of this method
-    /// remains in the workspace.
+    /// Allocating convenience for tests and one-off queries only — the
+    /// forward pass uses [`Self::visible_cells_into`] with the scratch-arena
+    /// buffer instead, so attention performs zero visibility allocations per
+    /// token.
     pub fn visible_cells(&self, seq_ids: &[SeqId], pos: Pos) -> Vec<usize> {
         let mut out = Vec::new();
         self.visible_cells_into(seq_ids, pos, &mut out);
         out
     }
 
-    /// [`Self::visible_cells`] writing into a caller-provided buffer, so the
-    /// per-token attention loop can reuse one allocation across the whole
-    /// forward pass (the scratch arena holds the buffer).
+    /// [`Self::visible_cells`] appending to a caller-provided buffer, so a
+    /// forward pass can lay the visible sets of all its batch rows end to end
+    /// in one allocation the scratch arena keeps (the set depends only on
+    /// cell metadata fixed at [`Self::alloc`], so one scan per row serves
+    /// every layer).
     pub fn visible_cells_into(&self, seq_ids: &[SeqId], pos: Pos, out: &mut Vec<usize>) {
-        out.clear();
         out.extend(
-            self.cells
+            self.live()
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| {
@@ -502,7 +533,7 @@ impl KvCache {
         if src == dst {
             return;
         }
-        for cell in &mut self.cells {
+        for cell in &mut self.cells[..self.high_water] {
             if !cell.is_free() && cell.has_seq(src) && cell.pos >= p0 && cell.pos < p1 {
                 cell.seq_ids.insert(dst);
             }
@@ -512,7 +543,7 @@ impl KvCache {
     /// Removes sequence `seq` from cells in position range `[p0, p1)`.
     /// Cells left with no sequence become free.
     pub fn seq_rm(&mut self, seq: SeqId, p0: Pos, p1: Pos) {
-        for cell in &mut self.cells {
+        for cell in &mut self.cells[..self.high_water] {
             if !cell.is_free() && cell.has_seq(seq) && cell.pos >= p0 && cell.pos < p1 {
                 cell.seq_ids.remove(&seq);
                 if cell.seq_ids.is_empty() {
@@ -525,7 +556,7 @@ impl KvCache {
     /// Keeps only sequence `seq`: every other sequence id is dropped and any
     /// cell not belonging to `seq` is freed.
     pub fn seq_keep(&mut self, seq: SeqId) {
-        for cell in &mut self.cells {
+        for cell in &mut self.cells[..self.high_water] {
             if cell.is_free() {
                 continue;
             }
@@ -589,7 +620,7 @@ impl KvCache {
     /// Highest position stored for sequence `seq`, or `None` if the sequence
     /// has no entries.
     pub fn seq_max_pos(&self, seq: SeqId) -> Option<Pos> {
-        self.cells
+        self.live()
             .iter()
             .filter(|c| !c.is_free() && c.has_seq(seq))
             .map(|c| c.pos)
@@ -598,7 +629,7 @@ impl KvCache {
 
     /// Number of cells belonging to sequence `seq`.
     pub fn seq_len(&self, seq: SeqId) -> usize {
-        self.cells
+        self.live()
             .iter()
             .filter(|c| !c.is_free() && c.has_seq(seq))
             .count()
@@ -606,9 +637,10 @@ impl KvCache {
 
     /// Frees every cell (and, in paged mode, every page).
     pub fn clear(&mut self) {
-        for cell in &mut self.cells {
+        for cell in &mut self.cells[..self.high_water] {
             *cell = KvCell::free();
         }
+        self.high_water = 0;
         self.release_free_pages();
     }
 
@@ -832,6 +864,44 @@ mod tests {
         c.seq_rm(1, 0, 1);
         let again = c.alloc(5, &[2]).unwrap();
         assert_eq!(a, again, "first-fit must reuse the freed cell");
+    }
+
+    #[test]
+    fn high_water_mark_never_changes_first_fit_or_visibility() {
+        // Drive a cache through allocs, range removals and clears, and
+        // compare every answer with a scan of the whole cell array: the mark
+        // may only shorten scans, never change what they find.
+        let mut c = KvCache::new(1, 2, 12);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for step in 0..400 {
+            match next(8) {
+                0 => c.seq_rm(next(3) as SeqId, next(6) as Pos, 6 + next(40) as Pos),
+                1 if step % 50 == 49 => c.clear(),
+                _ => {
+                    let first_free = c.cells().iter().position(|cell| cell.is_free());
+                    let got = c.alloc(next(40) as Pos, &[next(3) as SeqId]);
+                    assert_eq!(got, first_free, "step {step}");
+                }
+            }
+            let occupied = c.cells().iter().filter(|cell| !cell.is_free()).count();
+            assert_eq!(c.used(), occupied, "step {step}");
+            for seq in 0..3 {
+                let naive: Vec<usize> = (0..12)
+                    .filter(|&i| c.cells()[i].has_seq(seq) && c.cells()[i].pos <= 20)
+                    .collect();
+                assert_eq!(c.visible_cells(&[seq], 20), naive, "step {step} seq {seq}");
+                assert_eq!(
+                    c.seq_len(seq),
+                    (0..12).filter(|&i| c.cells()[i].has_seq(seq)).count()
+                );
+            }
+        }
     }
 
     // --- paged backing ---

@@ -16,7 +16,7 @@ use crate::batch::Batch;
 use crate::config::{Activation, ModelConfig};
 use crate::kv_cache::KvCache;
 use crate::weights::ModelWeights;
-use pi_tensor::{ops, Tensor};
+use pi_tensor::{ops, simd, Tensor};
 use std::ops::Range;
 
 /// Errors produced while evaluating a model.
@@ -71,10 +71,14 @@ pub struct ScratchArena {
     gate: Vec<f32>,
     /// `d_ff` — up projection.
     up: Vec<f32>,
-    /// Attention scores over visible cells (grows to context length).
+    /// One token's attention scores over its visible cells, head-major
+    /// (grows to `n_heads` × context length).
     scores: Vec<f32>,
-    /// Visible-cell indices for the current token.
+    /// Visible-cell indices of every batch row of the current forward call,
+    /// laid end to end (computed once per call, shared by its layers).
     visible: Vec<usize>,
+    /// Where each batch row's slice of `visible` ends.
+    visible_ends: Vec<usize>,
     /// `[g, d_model]` — normed activations of a whole level group.
     bh: Vec<f32>,
     /// `[g, d_model]` — batched query projections.
@@ -108,6 +112,7 @@ impl ScratchArena {
             up: vec![0.0; cfg.d_ff],
             scores: Vec::new(),
             visible: Vec::new(),
+            visible_ends: Vec::new(),
             bh: Vec::new(),
             bq: Vec::new(),
             bk: Vec::new(),
@@ -340,6 +345,14 @@ impl Model {
         if max_group > 1 {
             scratch.ensure_group(max_group, &self.cfg);
         }
+        // Visibility depends only on the cell metadata `alloc` fixed before
+        // this call, not on the layer, so scan the cells once per row.
+        scratch.visible.clear();
+        scratch.visible_ends.clear();
+        for e in batch.iter() {
+            caches[e.lane].visible_cells_into(&e.seq_ids, e.pos, &mut scratch.visible);
+            scratch.visible_ends.push(scratch.visible.len());
+        }
         let mut x = hidden.clone();
         for (local, global) in layers.clone().enumerate() {
             self.forward_one_layer(
@@ -380,6 +393,7 @@ impl Model {
             up,
             scores,
             visible,
+            visible_ends,
             bh,
             bq,
             bk,
@@ -390,6 +404,25 @@ impl Model {
             bup,
         } = scratch;
         let entries = batch.entries();
+        // Multi-head attention of batch row `i` (query `q`) over the cells
+        // visible to it; shared by the single-token and level-batched paths
+        // so both attend identically.
+        let attend =
+            |cache: &KvCache, i: usize, q: &[f32], scores: &mut Vec<f32>, out: &mut [f32]| {
+                let start = if i == 0 { 0 } else { visible_ends[i - 1] };
+                let visible = &visible[start..visible_ends[i]];
+                simd::attend_token(
+                    q,
+                    hd,
+                    group_heads,
+                    scale,
+                    visible.len(),
+                    |c| cache.key(local_layer, visible[c]),
+                    |c| cache.value(local_layer, visible[c]),
+                    scores,
+                    out,
+                );
+            };
 
         // Groups are processed in batch order so that tokens of a later
         // group can attend to the KV entries stored by earlier groups.
@@ -413,20 +446,7 @@ impl Model {
                 ops::rope_inplace(k, n_kv, hd, entry.pos as usize, cfg.rope_theta);
                 cache.store(local_layer, cells[i], k, v);
 
-                cache.visible_cells_into(&entry.seq_ids, entry.pos, visible);
-                attn.fill(0.0);
-                Self::attend_token(
-                    cache,
-                    local_layer,
-                    visible,
-                    scores,
-                    q,
-                    attn,
-                    n_heads,
-                    group_heads,
-                    hd,
-                    scale,
-                );
+                attend(cache, i, q, scores, attn);
                 ops::matvec_t_into(attn, &lw.wo, proj).unwrap();
                 ops::add_inplace(x.row_mut(i).unwrap(), proj);
 
@@ -490,22 +510,13 @@ impl Model {
                 );
             }
             for (r, i) in group.clone().enumerate() {
-                let entry = &entries[i];
-                let cache = &*caches[entry.lane];
-                cache.visible_cells_into(&entry.seq_ids, entry.pos, visible);
                 let arow = &mut battn[r * d..(r + 1) * d];
-                arow.fill(0.0);
-                Self::attend_token(
-                    cache,
-                    local_layer,
-                    visible,
-                    scores,
+                attend(
+                    &*caches[entries[i].lane],
+                    i,
                     &bq[r * d..(r + 1) * d],
+                    scores,
                     arow,
-                    n_heads,
-                    group_heads,
-                    hd,
-                    scale,
                 );
             }
             ops::matmul_t_into(battn, lw.wo.data(), g, d, d, bproj);
@@ -540,43 +551,6 @@ impl Model {
             }
             for (r, i) in group.clone().enumerate() {
                 ops::add_inplace(x.row_mut(i).unwrap(), &bproj[r * d..(r + 1) * d]);
-            }
-        }
-    }
-
-    /// Multi-head attention for one token over its visible cells: scores
-    /// each head's query slice against the cached keys, softmaxes, and
-    /// gathers the cached values into `out` (which the caller has zeroed).
-    /// Shared by the single-token and level-batched paths so both attend
-    /// identically.
-    #[allow(clippy::too_many_arguments)]
-    fn attend_token(
-        cache: &KvCache,
-        local_layer: usize,
-        visible: &[usize],
-        scores: &mut Vec<f32>,
-        q: &[f32],
-        out: &mut [f32],
-        n_heads: usize,
-        group_heads: usize,
-        hd: usize,
-        scale: f32,
-    ) {
-        for head in 0..n_heads {
-            let kv_head = head / group_heads;
-            let q_h = &q[head * hd..(head + 1) * hd];
-            scores.clear();
-            for &cell in visible.iter() {
-                let k_c = cache.key(local_layer, cell);
-                let k_h = &k_c[kv_head * hd..(kv_head + 1) * hd];
-                scores.push(ops::dot(q_h, k_h) * scale);
-            }
-            ops::softmax_inplace(scores);
-            let out_h = &mut out[head * hd..(head + 1) * hd];
-            for (w, &cell) in scores.iter().zip(visible.iter()) {
-                let v_c = cache.value(local_layer, cell);
-                let v_h = &v_c[kv_head * hd..(kv_head + 1) * hd];
-                ops::axpy(out_h, *w, v_h);
             }
         }
     }

@@ -7,8 +7,13 @@
 //!
 //! * [`Tensor`] — a row-major, owned, `f32` tensor with 1-D/2-D/3-D views.
 //! * [`ops`] — matrix multiplication, softmax, RMSNorm, SiLU/SwiGLU, rotary
-//!   position embeddings (RoPE) and element-wise helpers. Matrix products are
-//!   parallelised with rayon over output rows.
+//!   position embeddings (RoPE) and element-wise helpers.  Matrix products
+//!   above a size threshold are split into column blocks over a persistent
+//!   worker pool.
+//! * [`simd`] — the arithmetic under [`ops`] and [`quant`]: explicit f32x8
+//!   kernels, `core::arch` AVX2/FMA when the CPU has it (detected once at
+//!   run time), a portable array-of-8 implementation otherwise.  Every build
+//!   ships both; there is no scalar build.
 //! * [`quant`] — block quantization formats modelled after the GGML `Q8_0`,
 //!   `Q4_K`, `Q3_K` and `Q2_K` families.  They are used both functionally
 //!   (quantize → dequantize → matmul round trips in tests) and analytically
@@ -20,18 +25,14 @@
 //! frameworks, only to provide a faithful, testable substrate for the
 //! scheduling algorithms under study.
 //!
-//! ## Feature flags
+//! ## Numerics
 //!
-//! * **`simd`** — routes the hot kernels (dense dot/dot4, the fused
-//!   quantized row dot, RMSNorm, softmax, the SiLU gate, axpy) through the
-//!   explicit f32x8 kernels of the `simd` module: `core::arch` AVX2/FMA
-//!   when the CPU
-//!   has it (detected once at runtime), a portable array-of-8 fallback
-//!   otherwise.  The scalar kernels stay compiled as the ground truth
-//!   (`ops::dot_scalar`, `ops::matmul_t_blocked_scalar`,
-//!   `QuantizedMatrix::matmul_t_fused_scalar`); SIMD results match them to
-//!   ~1e-4 relative, and greedy generation produces byte-identical token
-//!   streams with the feature on and off.
+//! Every dense dot product is accumulated in one order (see [`simd`]), so
+//! results are bitwise reproducible across runs, `PIPEINFER_THREADS`
+//! settings and tile membership — row `r` of an `m`-row product is the
+//! single-row product of row `r`, bit for bit.  `ops::matmul_t_naive` and
+//! `QuantizedMatrix::matmul_t_reference` are the ground truth the shipped
+//! kernels are property-tested against (1e-4 relative).
 //!
 //! ## Environment
 //!
@@ -43,7 +44,6 @@
 
 pub mod ops;
 pub mod quant;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod tensor;
 

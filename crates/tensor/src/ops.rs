@@ -2,87 +2,47 @@
 //!
 //! Kernels operate on [`Tensor`]s or raw `f32` slices.  The only
 //! parallelised kernel is [`matmul_t`] (weights-transposed matrix product),
-//! which dominates runtime for real tiny-model execution.  It runs on the
-//! persistent worker pool and is **blocked**: the single-row (decode) case
-//! splits the output row into column blocks, the multi-row
-//! (speculative-verify) case distributes a 2-D grid of 4-row tiles ×
-//! column blocks so even an `m = 4` verify batch fans out across threads.
-//! Chunk sizes come from `rayon::pool::chunk_size` (≈4 chunks per
-//! configured thread, with a minimum work floor), and workloads below
-//! `PAR_DISPATCH_MULADDS` multiply-adds stay on the calling thread — pool
-//! dispatch costs more than tiny-model matmuls.
+//! which dominates runtime for real tiny-model execution.  Its arithmetic is
+//! the panel kernels of [`crate::simd`] — [`simd::gemv_panel`] for the
+//! single-row (decode) case, the register-blocked [`simd::gemm_tile`] for the
+//! multi-row (verify, forest, prefill) case — and this module only decides
+//! where they run: products of `PAR_DISPATCH_MULADDS` multiply-adds and more
+//! are split into column blocks over the persistent worker pool (sized by
+//! `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a minimum
+//! work floor), smaller ones stay on the calling thread as one kernel call.
+//! [`matmul_t_naive`] is the one dense reference the property tests and the
+//! kernels bench compare against.
 //!
-//! The dot-product inner loops exist in two flavours behind the
-//! private `DotKernel` trait: the scalar 4-accumulator kernels (always
-//! compiled,
-//! the property-test ground truth, exposed via [`dot_scalar`] and
-//! [`matmul_t_blocked_scalar`]), and — with the `simd` feature — the
-//! explicit f32x8 kernels of `crate::simd`, which `matmul_t` then uses by
-//! default.
-//!
-//! Determinism: every output element is accumulated in a fixed order
-//! regardless of thread count, chunking, or tiling, so results are bitwise
-//! reproducible across `PIPEINFER_THREADS` settings within one build.  The
-//! `simd` build's accumulation order differs from the scalar build's (8-wide
-//! lanes vs 4-wide), so *across* the two builds results agree to ~1e-4
-//! relative, not bitwise — the kernel-equivalence property tests pin exactly
-//! that.  All other kernels are O(tokens × hidden) and not worth
-//! parallelising at the model sizes this reproduction executes for real.
+//! Determinism: every output element is accumulated in the one order
+//! documented in [`crate::simd`], whatever its thread, column block or
+//! register tile, so results are bitwise reproducible across
+//! `PIPEINFER_THREADS` settings and row `r` of a multi-row product is bitwise
+//! equal to the single-row product of row `r`.  All other kernels are
+//! O(tokens × hidden) and not worth parallelising at the model sizes this
+//! reproduction executes for real.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{simd, Result, Tensor, TensorError};
 use rayon::pool;
 use rayon::prelude::*;
 
-/// Multiply-add count below which a matmul runs serially on the caller:
-/// dispatching to the pool costs a few microseconds, which dominates the
-/// tiny-model (d≈64) per-token products.
-pub(crate) const PAR_DISPATCH_MULADDS: usize = 32 * 1024;
-
-/// The dot-product kernel pair every blocked matmul path is generic over:
-/// the scalar autovectorising loops, or (with the `simd` feature) the
-/// explicit f32x8 kernels.  Both flavours stay compiled so the bench can
-/// compare them and the property tests can pin one to the other.
-pub(crate) trait DotKernel {
-    fn dot(a: &[f32], b: &[f32]) -> f32;
-    fn dot4(w: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4];
-}
-
-/// The pre-SIMD 4-accumulator kernels (ground truth).
-pub(crate) struct ScalarKernel;
-
-impl DotKernel for ScalarKernel {
-    #[inline]
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        dot_scalar(a, b)
-    }
-    #[inline]
-    fn dot4(w: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
-        dot4_scalar(w, x0, x1, x2, x3)
-    }
-}
-
-/// The explicit f32x8 kernels of [`crate::simd`].
-#[cfg(feature = "simd")]
-pub(crate) struct SimdKernel;
-
-#[cfg(feature = "simd")]
-impl DotKernel for SimdKernel {
-    #[inline]
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        crate::simd::dot(a, b)
-    }
-    #[inline]
-    fn dot4(w: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
-        crate::simd::dot4(w, x0, x1, x2, x3)
-    }
-}
-
-/// Kernel used by the public entry points in this build.
-#[cfg(feature = "simd")]
-pub(crate) type DefaultKernel = SimdKernel;
-/// Kernel used by the public entry points in this build.
-#[cfg(not(feature = "simd"))]
-pub(crate) type DefaultKernel = ScalarKernel;
+/// Multiply-add count below which a product runs on the calling thread as
+/// one kernel call; at or above it, column blocks go to the worker pool.
+///
+/// Placed from the cost of a dispatch (`Arc<Job>` + mutex + `notify_all` +
+/// condvar wait), measured on the 2-vCPU bench box as caller-thread time vs
+/// 2-thread pool time, medians of 41 interleaved samples: 1×256×256 (64 Ki
+/// multiply-adds) 3.8 vs 6.1 µs, 1×256×704 (176 Ki) 9.7 vs 12.5 µs, 4×256×256
+/// (256 Ki) 6.6 vs 9.0 µs, 5×256×704 (880 Ki) 27.8 vs 32.2 µs — 2.3–2.8 µs
+/// per dispatch whatever the size.  A two-way split that halves the
+/// arithmetic pays that back once the product carries about 5 µs of serial
+/// work, which at the 50–80 GFLOP/s the panel kernels reach is 256 Ki
+/// multiply-adds.  So every single-row product of a `d_model` 256 / `d_ff`
+/// 704 decode step (≤ 176 Ki) stays on the rank thread that issued it, while
+/// a five-row verify batch (320 Ki and up), prefill GEMMs and a 2048×2048
+/// GEMV (4 Mi) still fan out.  (That box's second vCPU returned nothing even
+/// at 44 Mi multiply-adds — 1.03 vs 1.02 ms — so the break-even is derived
+/// from the overhead, not read off a crossover it cannot show.)
+pub(crate) const PAR_DISPATCH_MULADDS: usize = 256 * 1024;
 
 /// Computes `out = x · wᵀ` where `x` is `[m, k]` and `w` is `[n, k]`.
 ///
@@ -109,49 +69,17 @@ pub fn matmul_t(x: &Tensor, w: &Tensor) -> Result<Tensor> {
 /// is `[m, n]`, all row-major.  Lets callers (the transformer forward pass)
 /// reuse scratch output buffers instead of allocating a tensor per product.
 pub fn matmul_t_into(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    matmul_t_into_with::<DefaultKernel>(xd, wd, m, k, n, out);
-}
-
-/// [`matmul_t`] forced onto the scalar 4-accumulator kernels even when the
-/// `simd` feature is enabled — the ground truth for the SIMD equivalence
-/// property tests and the "blocked" side of the kernels bench's
-/// `simd_vs_blocked` comparison.
-pub fn matmul_t_blocked_scalar(x: &Tensor, w: &Tensor) -> Result<Tensor> {
-    let m = x.rows();
-    let k = x.cols();
-    let n = w.rows();
-    if w.cols() != k {
-        return Err(TensorError::IncompatibleShapes(format!(
-            "matmul_t: x is [{m}, {k}], w is [{}, {}]",
-            n,
-            w.cols()
-        )));
-    }
-    let mut out = vec![0.0f32; m * n];
-    matmul_t_into_with::<ScalarKernel>(x.data(), w.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Kernel-generic core shared by [`matmul_t_into`] and
-/// [`matmul_t_blocked_scalar`].
-fn matmul_t_into_with<K: DotKernel>(
-    xd: &[f32],
-    wd: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
     assert_eq!(xd.len(), m * k, "x data does not match [m, k]");
     assert_eq!(wd.len(), n * k, "w data does not match [n, k]");
     assert_eq!(out.len(), m * n, "out does not match [m, n]");
-    if m == 0 || n == 0 {
-        return;
-    }
     if m == 1 {
-        gemv_t::<K>(xd, wd, k, n, out);
+        gemv_dispatch(k, out, |j0, chunk| {
+            simd::gemv_panel(xd, &wd[j0 * k..(j0 + chunk.len()) * k], chunk)
+        });
+    } else if m > 1 && k > 0 {
+        gemm_t(xd, wd, m, k, n, out);
     } else {
-        gemm_t_tiled::<K>(xd, wd, k, n, out);
+        out.fill(0.0);
     }
 }
 
@@ -169,140 +97,73 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
             out.len()
         )));
     }
-    gemv_t::<DefaultKernel>(x, w.data(), k, n, out);
+    matmul_t_into(x, w.data(), 1, k, n, out);
     Ok(())
 }
 
 /// Dispatch skeleton shared by the dense and quantized single-row products:
-/// fills `out[j] = row_dot(j)` for every output feature `j`, serially below
-/// [`PAR_DISPATCH_MULADDS`] multiply-adds (`k` per element), otherwise
-/// parallel over column blocks sized by the pool's chunk policy (≈4 chunks
-/// per configured thread, each carrying a minimum amount of work).
-pub(crate) fn gemv_dispatch<F>(k: usize, out: &mut [f32], row_dot: F)
+/// `fill(j0, chunk)` computes output features `j0..j0 + chunk.len()` (`k`
+/// multiply-adds each) — as one call on the calling thread below
+/// [`PAR_DISPATCH_MULADDS`], otherwise once per column block sized by the
+/// pool's chunk policy.
+pub(crate) fn gemv_dispatch<F>(k: usize, out: &mut [f32], fill: F)
 where
-    F: Fn(usize) -> f32 + Sync,
+    F: Fn(usize, &mut [f32]) + Sync,
 {
     let n = out.len();
     if n * k < PAR_DISPATCH_MULADDS {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = row_dot(j);
-        }
+        fill(0, out);
         return;
     }
     let block = pool::chunk_size(n, k);
     out.par_chunks_mut(block)
         .enumerate()
-        .for_each(|(b, chunk)| {
-            let j0 = b * block;
-            for (dj, o) in chunk.iter_mut().enumerate() {
-                *o = row_dot(j0 + dj);
-            }
-        });
+        .for_each(|(b, chunk)| fill(b * block, chunk));
 }
 
-/// Matrix-vector product (`m == 1`): each output element is an independent
-/// dot of `x` against one weight row, dispatched via [`gemv_dispatch`].
-fn gemv_t<K: DotKernel>(x: &[f32], wd: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), n);
-    gemv_dispatch(k, out, |j| K::dot(x, &wd[j * k..(j + 1) * k]));
-}
-
-/// Raw output pointer shared across the pool's tile × column-block tasks.
-/// Each output element belongs to exactly one task (tiles partition the
-/// rows, column blocks partition the columns), so concurrent writes never
-/// overlap.
+/// Raw output pointer shared across the pool's column-block tasks.  Column
+/// blocks partition the columns, so concurrent writes never overlap.
 struct OutPtr(*mut f32);
+// SAFETY: the pointer is only written through, each element by the one task
+// that owns its column block, while `gemm_t` holds the `&mut` it came from.
 unsafe impl Sync for OutPtr {}
-unsafe impl Send for OutPtr {}
 
-/// Multi-row product tiled over 4 input rows: each weight row is streamed
-/// from memory once per tile instead of once per input row, which is the
-/// dominant traffic for the speculative-verify batches (`m` in 2..=16).
-///
-/// Parallel work is a 2-D grid of row tiles × column blocks.  The old
-/// row-tile-only split gave an `m = 4` verify batch exactly one work item —
-/// zero parallelism on the shape the speculation path cares most about; the
-/// column dimension restores the fan-out (an `m=4, n=512` product now splits
-/// into `ceil(512 / chunk)` tasks).  The remainder tile (`m % 4` rows) falls
-/// back to per-row dots that accumulate in the identical order.
-fn gemm_t_tiled<K: DotKernel>(xd: &[f32], wd: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    const TILE: usize = 4;
-    let m = out.len() / n;
-    let n_tiles = m.div_ceil(TILE);
+impl OutPtr {
+    /// Pointer to column `j` of the first output row.  (A method, so closures
+    /// capture the `Sync` wrapper and not its raw-pointer field.)
+    fn column(&self, j: usize) -> *mut f32 {
+        self.0.wrapping_add(j)
+    }
+}
+
+/// Multi-row product: every column block of the output is one
+/// [`simd::gemm_tile`] call over all `m` rows, so each weight row is streamed
+/// from memory once per four activation rows and an `m = 4` verify batch
+/// still fans out across threads.
+fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let base = OutPtr(out.as_mut_ptr());
+    let columns = |j0: usize, j1: usize| {
+        // SAFETY: rows `0..m` × columns `j0..j1` lie inside `out` (`[m, n]`,
+        // row stride `n`), and no other task is given these columns.
+        unsafe { simd::gemm_tile(xd, &wd[j0 * k..j1 * k], k, base.column(j0), n) }
+    };
     // The per-element computation is identical either way; only the dispatch
     // differs, so small products skip the pool (same threshold as the GEMV
     // path) while producing bitwise-identical results.
     if m * n * k < PAR_DISPATCH_MULADDS {
-        for t in 0..n_tiles {
-            gemm_tile_cols::<K>(xd, wd, k, n, m, t, 0, n, out.as_mut_ptr());
-        }
+        columns(0, n);
         return;
     }
-    let col_block = pool::chunk_size(n, TILE * k);
-    let n_col_blocks = n.div_ceil(col_block);
-    let base = OutPtr(out.as_mut_ptr());
-    let base = &base;
-    pool::global().run(n_tiles * n_col_blocks, &|task| {
-        let t = task / n_col_blocks;
-        let j0 = (task % n_col_blocks) * col_block;
-        let j1 = (j0 + col_block).min(n);
-        gemm_tile_cols::<K>(xd, wd, k, n, m, t, j0, j1, base.0);
+    // Whole 3-column register tiles per block, ragged only at the far edge.
+    let block = pool::chunk_size(n, m * k).next_multiple_of(3);
+    pool::global().run(n.div_ceil(block), &|b| {
+        columns(b * block, ((b + 1) * block).min(n))
     });
 }
 
-/// Computes row tile `t` (up to 4 consecutive output rows) of the tiled
-/// product, restricted to output columns `j0..j1`, writing through the raw
-/// output pointer (each element is owned by exactly one task of the 2-D
-/// grid — see [`gemm_t_tiled`]).
-#[allow(clippy::too_many_arguments)]
-fn gemm_tile_cols<K: DotKernel>(
-    xd: &[f32],
-    wd: &[f32],
-    k: usize,
-    n: usize,
-    m: usize,
-    t: usize,
-    j0: usize,
-    j1: usize,
-    out: *mut f32,
-) {
-    const TILE: usize = 4;
-    let i0 = t * TILE;
-    let rows = (m - i0).min(TILE);
-    let xt = &xd[i0 * k..(i0 + rows) * k];
-    if rows == TILE {
-        let (x0, x1, x2, x3) = (
-            &xt[..k],
-            &xt[k..2 * k],
-            &xt[2 * k..3 * k],
-            &xt[3 * k..4 * k],
-        );
-        for j in j0..j1 {
-            let wrow = &wd[j * k..(j + 1) * k];
-            let d = K::dot4(wrow, x0, x1, x2, x3);
-            unsafe {
-                *out.add(i0 * n + j) = d[0];
-                *out.add((i0 + 1) * n + j) = d[1];
-                *out.add((i0 + 2) * n + j) = d[2];
-                *out.add((i0 + 3) * n + j) = d[3];
-            }
-        }
-    } else {
-        for j in j0..j1 {
-            let wrow = &wd[j * k..(j + 1) * k];
-            for r in 0..rows {
-                let v = K::dot(&xt[r * k..(r + 1) * k], wrow);
-                unsafe {
-                    *out.add((i0 + r) * n + j) = v;
-                }
-            }
-        }
-    }
-}
-
-/// Reference `x · wᵀ` — the pre-optimisation scalar kernel, kept as the
-/// ground truth for the blocked kernel's equivalence property tests and as
-/// the "before" side of `cargo bench -p pi-bench --bench kernels`.
+/// Reference `x · wᵀ` — the textbook scalar triple loop, kept as the ground
+/// truth for the shipped kernels' equivalence property tests and as the
+/// `naive` side of `cargo bench -p pi-bench --bench kernels`.
 pub fn matmul_t_naive(x: &Tensor, w: &Tensor) -> Result<Tensor> {
     let m = x.rows();
     let k = x.cols();
@@ -331,93 +192,6 @@ pub fn matmul_t_naive(x: &Tensor, w: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Dot product of two equal-length slices, using this build's default
-/// kernel (scalar, or f32x8 with the `simd` feature).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    DefaultKernel::dot(a, b)
-}
-
-/// Scalar dot product of two equal-length slices — the ground-truth kernel.
-///
-/// Four independent accumulators break the serial floating-point dependency
-/// chain so the loop autovectorises; the accumulation order is fixed
-/// (lane-wise, then `(a0+a1)+(a2+a3)`, then the scalar tail) to keep results
-/// bitwise deterministic.
-#[inline]
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let main = a.len() - a.len() % 4;
-    let mut acc = [0.0f32; 4];
-    for (av, bv) in a[..main].chunks_exact(4).zip(b[..main].chunks_exact(4)) {
-        acc[0] += av[0] * bv[0];
-        acc[1] += av[1] * bv[1];
-        acc[2] += av[2] * bv[2];
-        acc[3] += av[3] * bv[3];
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in a[main..].iter().zip(b[main..].iter()) {
-        tail += x * y;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// Four simultaneous scalar dots of `w` against `x0..x3`, streaming `w`
-/// once.
-///
-/// Each lane accumulates in exactly the same order as [`dot_scalar`], so a
-/// value computed through the scalar tiled path is bitwise identical to the
-/// scalar per-row path.  (The SIMD `dot4` upholds the same contract against
-/// the SIMD `dot`; the two builds still differ from each other at the last
-/// few ulps.)  Iteration-level batching relies on this tile-independence:
-/// fusing requests into one forest batch regroups rows into different
-/// 4-row tiles, and the fused forward must stay bitwise equal to solo.
-#[inline]
-fn dot4_scalar(w: &[f32], x0: &[f32], x1: &[f32], x2: &[f32], x3: &[f32]) -> [f32; 4] {
-    let k = w.len();
-    assert!(x0.len() == k && x1.len() == k && x2.len() == k && x3.len() == k);
-    let main = k - k % 4;
-    let mut a0 = [0.0f32; 4];
-    let mut a1 = [0.0f32; 4];
-    let mut a2 = [0.0f32; 4];
-    let mut a3 = [0.0f32; 4];
-    let mut i = 0;
-    while i < main {
-        let (w0, w1, w2, w3) = (w[i], w[i + 1], w[i + 2], w[i + 3]);
-        a0[0] += x0[i] * w0;
-        a0[1] += x0[i + 1] * w1;
-        a0[2] += x0[i + 2] * w2;
-        a0[3] += x0[i + 3] * w3;
-        a1[0] += x1[i] * w0;
-        a1[1] += x1[i + 1] * w1;
-        a1[2] += x1[i + 2] * w2;
-        a1[3] += x1[i + 3] * w3;
-        a2[0] += x2[i] * w0;
-        a2[1] += x2[i + 1] * w1;
-        a2[2] += x2[i + 2] * w2;
-        a2[3] += x2[i + 3] * w3;
-        a3[0] += x3[i] * w0;
-        a3[1] += x3[i + 1] * w1;
-        a3[2] += x3[i + 2] * w2;
-        a3[3] += x3[i + 3] * w3;
-        i += 4;
-    }
-    let mut t = [0.0f32; 4];
-    while i < k {
-        t[0] += x0[i] * w[i];
-        t[1] += x1[i] * w[i];
-        t[2] += x2[i] * w[i];
-        t[3] += x3[i] * w[i];
-        i += 1;
-    }
-    [
-        (a0[0] + a0[1]) + (a0[2] + a0[3]) + t[0],
-        (a1[0] + a1[1]) + (a1[2] + a1[3]) + t[1],
-        (a2[0] + a2[1]) + (a2[2] + a2[3]) + t[2],
-        (a3[0] + a3[1]) + (a3[2] + a3[3]) + t[3],
-    ]
-}
-
 /// In-place element-wise addition: `a += b`.
 pub fn add_inplace(a: &mut [f32], b: &[f32]) {
     debug_assert_eq!(a.len(), b.len());
@@ -436,31 +210,22 @@ pub fn mul_inplace(a: &mut [f32], b: &[f32]) {
 
 /// Numerically stable in-place softmax over a slice.
 ///
-/// With the `simd` feature, the max-scan and the final normalising division
-/// run 8 lanes wide; both are bitwise identical to the scalar passes (max is
-/// order-insensitive on finite logits, IEEE division is exact per element),
-/// and the exp-and-sum pass stays scalar — so softmax produces the same bits
-/// with the feature on and off.
+/// The max-scan and the final normalising division run 8 lanes wide; both
+/// are bitwise identical to scalar passes (max is order-insensitive on finite
+/// logits, IEEE division is exact per element), and the exp-and-sum pass is
+/// scalar, so softmax produces the same bits on every instruction set.
 pub fn softmax_inplace(x: &mut [f32]) {
     if x.is_empty() {
         return;
     }
-    #[cfg(feature = "simd")]
-    let max = crate::simd::max_val(x);
-    #[cfg(not(feature = "simd"))]
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let max = simd::max_val(x);
     let mut sum = 0.0f32;
     for v in x.iter_mut() {
         *v = (*v - max).exp();
         sum += *v;
     }
     if sum > 0.0 {
-        #[cfg(feature = "simd")]
-        crate::simd::div_inplace(x, sum);
-        #[cfg(not(feature = "simd"))]
-        for v in x.iter_mut() {
-            *v /= sum;
-        }
+        simd::div_inplace(x, sum);
     }
 }
 
@@ -485,20 +250,9 @@ pub fn rmsnorm(x: &[f32], weight: &[f32], eps: f32) -> Vec<f32> {
 pub fn rmsnorm_into(x: &[f32], weight: &[f32], eps: f32, out: &mut [f32]) {
     debug_assert_eq!(x.len(), weight.len());
     debug_assert_eq!(x.len(), out.len());
-    #[cfg(feature = "simd")]
-    {
-        let ss = crate::simd::sum_squares(x) / x.len() as f32;
-        let scale = 1.0 / (ss + eps).sqrt();
-        crate::simd::rmsnorm_apply(out, x, scale, weight);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let ss: f32 = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
-        let scale = 1.0 / (ss + eps).sqrt();
-        for ((o, v), w) in out.iter_mut().zip(x.iter()).zip(weight.iter()) {
-            *o = v * scale * w;
-        }
-    }
+    let ss = simd::sum_squares(x) / x.len() as f32;
+    let scale = 1.0 / (ss + eps).sqrt();
+    simd::rmsnorm_apply(out, x, scale, weight);
 }
 
 /// SiLU activation (`x * sigmoid(x)`), applied element-wise in place.
@@ -512,18 +266,12 @@ pub fn silu_inplace(x: &mut [f32]) {
 /// the MLP hot loop ([`silu_inplace`] followed by [`mul_inplace`], without
 /// walking the `d_ff`-sized buffers twice).
 ///
-/// Without the `simd` feature this computes exactly the same expressions in
-/// the same order as the two-pass sequence, so it is bitwise identical to
-/// it; the SIMD path evaluates `exp` with an 8-lane polynomial and agrees to
-/// ~1e-4 relative (pinned by the kernel-equivalence property tests).
+/// The AVX2 path evaluates `exp` with an 8-lane polynomial and agrees with
+/// the two-pass sequence to ~1e-4 relative (pinned by the kernel-equivalence
+/// property tests).
 pub fn silu_mul_inplace(gate: &mut [f32], up: &[f32]) {
     debug_assert_eq!(gate.len(), up.len());
-    #[cfg(feature = "simd")]
-    crate::simd::silu_mul(gate, up);
-    #[cfg(not(feature = "simd"))]
-    for (g, &u) in gate.iter_mut().zip(up.iter()) {
-        *g = *g * (1.0 / (1.0 + (-*g).exp())) * u;
-    }
+    simd::silu_mul(gate, up);
 }
 
 /// GELU activation (tanh approximation), applied element-wise in place.
@@ -568,20 +316,6 @@ pub fn scale_inplace(x: &mut [f32], s: f32) {
     }
 }
 
-/// Weighted accumulation: `acc += w * x` (the attention value gather).
-///
-/// Element-wise (no cross-lane reduction), so the SIMD path differs from the
-/// scalar one only where FMA contracts the multiply-add — within 1 ulp.
-pub fn axpy(acc: &mut [f32], w: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    #[cfg(feature = "simd")]
-    crate::simd::axpy(acc, w, x);
-    #[cfg(not(feature = "simd"))]
-    for (a, b) in acc.iter_mut().zip(x.iter()) {
-        *a += w * b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_across_tile_remainders() {
+    fn matmul_matches_naive_across_tile_remainders() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         // m sweeps the full-tile (4, 8), remainder (1..3, 5..7) and
@@ -729,10 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_add_mul() {
-        let mut acc = vec![1.0, 1.0];
-        axpy(&mut acc, 2.0, &[3.0, 4.0]);
-        assert_eq!(acc, vec![7.0, 9.0]);
+    fn add_and_mul() {
         let mut a = vec![1.0, 2.0];
         add_inplace(&mut a, &[10.0, 20.0]);
         assert_eq!(a, vec![11.0, 22.0]);

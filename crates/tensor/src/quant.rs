@@ -16,76 +16,11 @@
 //! per-block scaling, no super-block mins) but preserve the storage cost and
 //! round-trip error characteristics that the experiments rely on.
 
-use crate::{ops, Result, Tensor, TensorError};
+use crate::{ops, simd, Result, Tensor, TensorError};
 use rayon::prelude::*;
 
 /// Number of weights in a quantization block.
 pub const BLOCK_SIZE: usize = 32;
-
-/// Fused unscaled dot of one full activation chunk against one block's
-/// integer weights.  Four independent accumulators (same fixed order as
-/// `ops::dot_scalar`) let the widen-and-multiply loop autovectorise while
-/// keeping results deterministic; the compile-time trip count lets it unroll
-/// completely.
-#[inline]
-fn dot_q_full(x: &[f32; BLOCK_SIZE], q: &[i8; BLOCK_SIZE]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    for i in 0..BLOCK_SIZE / 4 {
-        acc[0] += x[4 * i] * q[4 * i] as f32;
-        acc[1] += x[4 * i + 1] * q[4 * i + 1] as f32;
-        acc[2] += x[4 * i + 2] * q[4 * i + 2] as f32;
-        acc[3] += x[4 * i + 3] * q[4 * i + 3] as f32;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Fused unscaled dot of the short final chunk of a row whose length is not
-/// a multiple of the block size: same 4-lane accumulation order as
-/// [`dot_q_full`], dynamic bound.  Like the main loop, this returns the
-/// **unscaled** sum — the caller applies the block scale exactly once, after
-/// the element loop.
-#[inline]
-fn dot_q_tail(x: &[f32], q: &[i8; BLOCK_SIZE]) -> f32 {
-    let n = x.len();
-    debug_assert!(n < BLOCK_SIZE);
-    let main = n - n % 4;
-    let mut acc = [0.0f32; 4];
-    let mut i = 0;
-    while i < main {
-        acc[0] += x[i] * q[i] as f32;
-        acc[1] += x[i + 1] * q[i + 1] as f32;
-        acc[2] += x[i + 2] * q[i + 2] as f32;
-        acc[3] += x[i + 3] * q[i + 3] as f32;
-        i += 4;
-    }
-    let mut tail = 0.0f32;
-    while i < n {
-        tail += x[i] * q[i] as f32;
-        i += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// Scalar fused dot of a full activation row against one quantized weight
-/// row: full blocks via `chunks_exact`, then the ragged tail block — with
-/// the per-block scale multiply hoisted out of both element loops
-/// symmetrically (one multiply per block, main loop and tail alike).  This
-/// is the ground truth the SIMD row kernel is property-tested against.
-#[inline]
-fn fused_row_dot_scalar(xrow: &[f32], row_blocks: &[Block]) -> f32 {
-    let mut acc = 0.0f32;
-    let mut chunks = xrow.chunks_exact(BLOCK_SIZE);
-    for (xchunk, block) in (&mut chunks).zip(row_blocks.iter()) {
-        let xchunk: &[f32; BLOCK_SIZE] = xchunk.try_into().unwrap();
-        acc += dot_q_full(xchunk, &block.q) * block.scale;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let block = &row_blocks[xrow.len() / BLOCK_SIZE];
-        acc += dot_q_tail(rem, &block.q) * block.scale;
-    }
-    acc
-}
 
 /// Supported quantization formats.
 ///
@@ -177,7 +112,7 @@ impl QuantKind {
 }
 
 /// A single quantized block: `BLOCK_SIZE` weights stored as signed integers
-/// plus one f32 scale.  Crate-visible so the `simd` module's fused
+/// plus one f32 scale.  Crate-visible so the [`simd`] module's fused
 /// dequant-dot kernel can widen the integers in-register.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Block {
@@ -285,13 +220,11 @@ impl QuantizedMatrix {
     /// Computes `x · wᵀ` against the quantized weights with a **fused**
     /// kernel: integer weights are consumed in place (no dequantized copy),
     /// the per-block scale is applied once per block, and output rows /
-    /// column blocks are distributed over the persistent worker pool.
-    ///
-    /// The input row is walked with `chunks(BLOCK_SIZE)` zipped against the
-    /// weight row's blocks, so the per-block `(start..end)` bounds re-check
-    /// the old kernel paid per element is hoisted out entirely; the final
-    /// (possibly short) chunk pairs with the final block because blocks
-    /// cover exactly `cols` elements (debug-asserted below).
+    /// column blocks are distributed over the persistent worker pool.  Each
+    /// activation row against a block of weight rows is one
+    /// `simd::gemv_q_panel` call; the final (possibly short) chunk of a row
+    /// pairs with its final block because blocks cover exactly `cols`
+    /// elements (debug-asserted below).
     pub fn matmul_t(&self, x: &Tensor) -> Result<Tensor> {
         if x.cols() != self.cols {
             return Err(TensorError::IncompatibleShapes(format!(
@@ -313,85 +246,18 @@ impl QuantizedMatrix {
         let xd = x.data();
         let mut out = vec![0.0f32; m * n];
         if m == 1 {
-            self.gemv_into(xd, &mut out);
+            ops::gemv_dispatch(k, &mut out, |j0, chunk| {
+                let rows = j0 * self.blocks_per_row..(j0 + chunk.len()) * self.blocks_per_row;
+                simd::gemv_q_panel(xd, &self.blocks[rows], chunk)
+            });
         } else if m * n * k < ops::PAR_DISPATCH_MULADDS {
             for (i, orow) in out.chunks_mut(n).enumerate() {
-                self.row_into(&xd[i * k..(i + 1) * k], orow);
+                simd::gemv_q_panel(&xd[i * k..(i + 1) * k], &self.blocks, orow);
             }
         } else {
             out.par_chunks_mut(n).enumerate().for_each(|(i, orow)| {
-                self.row_into(&xd[i * k..(i + 1) * k], orow);
+                simd::gemv_q_panel(&xd[i * k..(i + 1) * k], &self.blocks, orow);
             });
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Single-row fused product, dispatched through the same serial-below-
-    /// threshold / column-block-parallel skeleton as the dense decode kernel
-    /// (`ops::gemv_dispatch`).
-    fn gemv_into(&self, x: &[f32], out: &mut [f32]) {
-        ops::gemv_dispatch(self.cols, out, |j| self.fused_row_dot(j, x));
-    }
-
-    /// Fills `out[j] = x · w_jᵀ` for every output feature `j`.
-    fn row_into(&self, xrow: &[f32], out: &mut [f32]) {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.fused_row_dot(j, xrow);
-        }
-    }
-
-    /// The blocks making up quantized weight row `j`.
-    #[inline]
-    fn row_blocks(&self, j: usize) -> &[Block] {
-        &self.blocks[j * self.blocks_per_row..(j + 1) * self.blocks_per_row]
-    }
-
-    /// Fused dot of `xrow` against quantized weight row `j`: one multiply by
-    /// the block scale per block, integer weights widened in the inner loop
-    /// (in-register with the `simd` feature — dense `f32` rows are never
-    /// materialised either way).
-    #[inline]
-    fn fused_row_dot(&self, j: usize, xrow: &[f32]) -> f32 {
-        #[cfg(feature = "simd")]
-        {
-            crate::simd::dot_q_row(xrow, self.row_blocks(j))
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            fused_row_dot_scalar(xrow, self.row_blocks(j))
-        }
-    }
-
-    /// The fused kernel forced onto the scalar block-dot even when the
-    /// `simd` feature is enabled — the "blocked" side of the kernels bench's
-    /// q4 `simd_vs_blocked` comparison and the ground truth for the SIMD
-    /// equivalence property tests.  Dispatches over the pool exactly like
-    /// [`QuantizedMatrix::matmul_t`], so the two differ only in the row
-    /// kernel.
-    pub fn matmul_t_fused_scalar(&self, x: &Tensor) -> Result<Tensor> {
-        if x.cols() != self.cols {
-            return Err(TensorError::IncompatibleShapes(format!(
-                "quantized matmul: x has {} cols, w has {}",
-                x.cols(),
-                self.cols
-            )));
-        }
-        let m = x.rows();
-        let n = self.rows;
-        let k = self.cols;
-        let xd = x.data();
-        let mut out = vec![0.0f32; m * n];
-        if m == 1 {
-            ops::gemv_dispatch(k, &mut out, |j| {
-                fused_row_dot_scalar(xd, self.row_blocks(j))
-            });
-        } else {
-            for (i, orow) in out.chunks_mut(n).enumerate() {
-                let xrow = &xd[i * k..(i + 1) * k];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = fused_row_dot_scalar(xrow, self.row_blocks(j));
-                }
-            }
         }
         Tensor::from_vec(out, &[m, n])
     }

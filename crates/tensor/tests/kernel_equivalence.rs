@@ -1,23 +1,23 @@
-//! Property tests pinning the optimised kernels to their naive references.
+//! Property tests pinning the shipped kernels to their naive references.
 //!
-//! The blocked/tiled dense `matmul_t` and the parallel fused quantized
-//! matmul must match the pre-optimisation scalar kernels within 1e-4
+//! The dense `matmul_t` and the fused quantized matmul must match
+//! `ops::matmul_t_naive` / `QuantizedMatrix::matmul_t_reference` within 1e-4
 //! relative error on random shapes — including single-row (decode), multi-row
-//! (speculative verify, exercising the 4-row tile and its remainder), inner
-//! dimensions that are not multiples of the 4-wide accumulator width, and
-//! column counts that are not multiples of the quantization block size.
+//! (speculative verify, exercising the 4-row × 3-column register tile and its
+//! ragged edges), inner dimensions that are not multiples of the 8-lane
+//! vector width, and column counts that are not multiples of the
+//! quantization block size.  The element-wise kernels are pinned to their
+//! textbook scalar formulas the same way.
 //!
-//! A second family pins the `simd` build to the scalar ground truth: the
-//! dispatch entry points (`matmul_t`, `QuantizedMatrix::matmul_t`, the
-//! elementwise ops) against their `*_scalar` counterparts.  On a scalar
-//! build the two sides are the same code and the properties hold trivially;
-//! with `--features simd` they pin the f32x8 kernels — including lengths
-//! that are not multiples of the 8-lane width — to 1e-4.
+//! A second family is bitwise: a product must not depend on the thread count,
+//! and row `r` of a multi-row product must be the single-row product of row
+//! `r` — the identity forest batching and verify-vs-decode equality rest on.
 
 use pi_tensor::{ops, QuantKind, QuantizedMatrix, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 fn assert_close(fast: &Tensor, reference: &Tensor, what: &str) {
     assert_eq!(fast.shape(), reference.shape(), "{what}: shape mismatch");
@@ -31,8 +31,10 @@ fn assert_close(fast: &Tensor, reference: &Tensor, what: &str) {
 
 proptest! {
     #[test]
-    fn prop_blocked_matmul_matches_naive(
+    fn prop_matmul_matches_naive(
         m in 1usize..10,
+        // Straddles multiples of the 8-lane width: 7, 8, 9, 15, 16, 17...
+        // all occur.
         k in 1usize..130,
         n in 1usize..70,
         seed in 0u64..500,
@@ -42,7 +44,7 @@ proptest! {
         let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
         let fast = ops::matmul_t(&x, &w).unwrap();
         let naive = ops::matmul_t_naive(&x, &w).unwrap();
-        assert_close(&fast, &naive, "dense blocked vs naive");
+        assert_close(&fast, &naive, "dense shipped vs naive");
     }
 
     #[test]
@@ -66,41 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn prop_simd_matmul_matches_blocked_scalar(
-        m in 1usize..10,
-        // Straddles multiples of the 8-lane SIMD width: 7, 8, 9, 15, 16,
-        // 17... all occur, as do the 32-wide unrolled main loop's edges.
-        k in 1usize..130,
-        n in 1usize..70,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(3000));
-        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
-        let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
-        let dispatch = ops::matmul_t(&x, &w).unwrap();
-        let scalar = ops::matmul_t_blocked_scalar(&x, &w).unwrap();
-        assert_close(&dispatch, &scalar, "dense dispatch vs blocked scalar");
-    }
-
-    #[test]
-    fn prop_simd_fused_quant_matches_scalar(
-        m in 1usize..7,
-        cols in 1usize..130,
-        n in 1usize..40,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(4000));
-        let x = Tensor::rand_uniform(&mut rng, &[m, cols], 1.0);
-        let w = Tensor::rand_uniform(&mut rng, &[n, cols], 1.0);
-        for kind in [QuantKind::Q8_0, QuantKind::Q4K] {
-            let q = QuantizedMatrix::quantize(&w, kind).unwrap();
-            let dispatch = q.matmul_t(&x).unwrap();
-            let scalar = q.matmul_t_fused_scalar(&x).unwrap();
-            assert_close(&dispatch, &scalar, "quant dispatch vs fused scalar");
-        }
-    }
-
-    #[test]
     fn prop_elementwise_ops_match_scalar_references(
         len in 1usize..200,
         seed in 0u64..500,
@@ -111,7 +78,7 @@ proptest! {
         let w = Tensor::rand_uniform(&mut rng, &[1, len], 1.0);
         let w = w.data();
 
-        // rmsnorm: dispatch vs the textbook scalar formula.
+        // rmsnorm: shipped vs the textbook scalar formula.
         let mut out = vec![0.0f32; len];
         ops::rmsnorm_into(x, w, 1e-5, &mut out);
         let ss: f32 = x.iter().map(|v| v * v).sum::<f32>() / len as f32;
@@ -142,7 +109,7 @@ proptest! {
     }
 
     #[test]
-    fn prop_blocked_matmul_deterministic_across_thread_counts(
+    fn prop_matmul_is_deterministic_across_runs(
         m in 1usize..6,
         k in 1usize..100,
         n in 1usize..50,
@@ -157,5 +124,57 @@ proptest! {
         let a = ops::matmul_t(&x, &w).unwrap();
         let b = ops::matmul_t(&x, &w).unwrap();
         prop_assert_eq!(a.data(), b.data());
+    }
+}
+
+/// Serialises the one test that mutates `PIPEINFER_THREADS` against itself
+/// (the other tests only read it, and none of their results depend on it).
+static THREADS_ENV: Mutex<()> = Mutex::new(());
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_rows_of_a_product_are_bitwise_the_single_row_products(
+        // m % 4, n % 3, k % 8 and k % 32 all take every residue.
+        m in 1usize..10,
+        n in 1usize..80,
+        k in 1usize..140,
+        // 0: every product stays on the calling thread (< 96 Ki
+        // multiply-adds); 1: the single-row products alone (513² and up)
+        // already cross the pool-dispatch threshold of 256 Ki.
+        above_threshold in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        let (n, k) = (n + 512 * above_threshold, k + 512 * above_threshold);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(6000));
+        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
+        let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+
+        let _guard = THREADS_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = std::env::var_os("PIPEINFER_THREADS");
+        let mut first: Option<Vec<u32>> = None;
+        for threads in ["1", "2", "4"] {
+            std::env::set_var("PIPEINFER_THREADS", threads);
+            let mut tiled = vec![0.0f32; m * n];
+            ops::matmul_t_into(x.data(), w.data(), m, k, n, &mut tiled);
+            let mut row = vec![0.0f32; n];
+            for r in 0..m {
+                ops::matvec_t_into(x.row(r).unwrap(), &w, &mut row).unwrap();
+                prop_assert_eq!(
+                    bits(&row),
+                    bits(&tiled[r * n..(r + 1) * n]),
+                    "{}x{}x{} at {} threads: row {} differs from its single-row product",
+                    m, k, n, threads, r
+                );
+            }
+            let tiled = bits(&tiled);
+            prop_assert_eq!(first.get_or_insert_with(|| tiled.clone()), &tiled);
+        }
+        match prev {
+            Some(v) => std::env::set_var("PIPEINFER_THREADS", v),
+            None => std::env::remove_var("PIPEINFER_THREADS"),
+        }
     }
 }
