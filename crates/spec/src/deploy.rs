@@ -15,7 +15,9 @@
 //! * its **rank-layout policy** ([`Strategy::route`]) — e.g. PipeInfer keeps
 //!   rank 0 as a draft-hosting head with no target layers;
 //! * its **layer-split policy** ([`Strategy::split_layers`]);
-//! * its **head behavior factory** ([`Strategy::build_head`]), fed with the
+//! * its **head behavior** — by default the one synchronous head, running
+//!   the strategy's [`Strategy::step_profile`]; asynchronous strategies
+//!   override the factory ([`Strategy::build_head`]), which is fed with the
 //!   pre-built engine/drafter for the execution mode.
 //!
 //! The deployment owns everything else, split into two phases:
@@ -30,10 +32,10 @@ use crate::drafter::{Drafter, OracleDrafter, RealDrafter};
 use crate::engine::{
     HeadEngine, PrefixPlan, RealHeadEngine, RealStageEngine, SimHeadEngine, SimStageEngine,
 };
-use crate::iterative::IterativeHead;
 use crate::message::PipeMsg;
 use crate::route::PipelineRoute;
-use crate::speculative::SpeculativeHead;
+use crate::sync_head::SyncHead;
+use crate::tree::DEFAULT_PRIOR;
 use crate::worker::PipelineWorker;
 use crate::{GenConfig, GenerationRecord};
 use pi_cluster::sim::SimDriver;
@@ -101,8 +103,8 @@ pub struct RunOutput {
     /// Whether every rank finished cleanly.
     pub completed: bool,
     /// Structured event trace, present iff the run was started through a
-    /// traced entry point ([`PreparedDeployment::run_traced`] or
-    /// [`execute_traced`]) with the `trace` feature on.
+    /// traced entry point ([`PreparedDeployment::run_traced`]) with the
+    /// `trace` feature on.
     pub trace: Option<Trace>,
 }
 
@@ -177,7 +179,10 @@ pub enum StepProfile {
 /// layer split and the head rank's behavior.
 ///
 /// Implementations: [`IterativeStrategy`], [`SpeculativeStrategy`] (both
-/// here) and `pipeinfer_core::PipeInferStrategy`.
+/// here), [`TreeSpeculationStrategy`](crate::tree::TreeSpeculationStrategy)
+/// and `pipeinfer_core::PipeInferStrategy`.  The first three are synchronous
+/// — one run in flight, `[pending] ++ draft` verified greedily — and differ
+/// only in their [`Strategy::step_profile`]; they share one head.
 pub trait Strategy: Send + Sync {
     /// Human-readable strategy name (used in diagnostics and reports).
     fn name(&self) -> &'static str;
@@ -211,11 +216,13 @@ pub trait Strategy: Send + Sync {
         Model::split_layers(n_layers, route.n_stages())
     }
 
-    /// The decode shape one request contributes per iteration when served
-    /// through a [`StepSession`](crate::session::StepSession) instead of a
-    /// dedicated per-request pipeline.  Defaults to a draft chain for
-    /// drafting strategies and single-token decoding otherwise; tree
-    /// strategies override with their tree configuration.
+    /// The shape of one synchronous round of this strategy: what the
+    /// default head verifies per pipeline run, and what one request
+    /// contributes per iteration when served through a
+    /// [`StepSession`](crate::session::StepSession) instead of a dedicated
+    /// per-request pipeline.  Defaults to a draft chain for drafting
+    /// strategies and single-token decoding otherwise; tree strategies
+    /// override with their tree configuration.
     fn step_profile(&self) -> StepProfile {
         if self.needs_drafter() {
             StepProfile::Chain
@@ -224,8 +231,13 @@ pub trait Strategy: Send + Sync {
         }
     }
 
-    /// Head behavior factory.
-    fn build_head(&self, parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>>;
+    /// Head behavior factory.  Defaults to the synchronous head: one run in
+    /// flight, each round shaped by [`Strategy::step_profile`] (so iterative
+    /// decoding, chain speculation and tree speculation need no head of
+    /// their own).  Strategies that keep several runs in flight override it.
+    fn build_head(&self, parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
+        Box::new(SyncHead::new(parts, self.step_profile(), DEFAULT_PRIOR))
+    }
 
     /// Behaviors for ranks that are *not* pipeline stages — e.g. a dedicated
     /// draft rank in the paper's Fig. 3 layout (`PipelineRoute::pipeinfer`
@@ -252,13 +264,6 @@ impl Strategy for IterativeStrategy {
     fn name(&self) -> &'static str {
         "Iterative"
     }
-
-    fn build_head(&self, parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
-        Box::new(
-            IterativeHead::new(parts.route, parts.engine, parts.gen_config, parts.record)
-                .with_prompt_cached(parts.prompt_cached),
-        )
-    }
 }
 
 /// Pipeline-parallel speculative inference (baseline 2, SpecInfer-style):
@@ -274,20 +279,6 @@ impl Strategy for SpeculativeStrategy {
 
     fn needs_drafter(&self) -> bool {
         true
-    }
-
-    fn build_head(&self, mut parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
-        let drafter = parts.take_drafter();
-        Box::new(
-            SpeculativeHead::new(
-                parts.route,
-                parts.engine,
-                drafter,
-                parts.gen_config,
-                parts.record,
-            )
-            .with_prompt_cached(parts.prompt_cached),
-        )
     }
 }
 
@@ -307,13 +298,6 @@ impl Deployment {
     pub fn new<S: Strategy + 'static>(strategy: S) -> Self {
         Self {
             strategy: Arc::new(strategy),
-        }
-    }
-
-    /// Wraps an already-boxed strategy.
-    pub fn from_boxed(strategy: Box<dyn Strategy>) -> Self {
-        Self {
-            strategy: Arc::from(strategy),
         }
     }
 
@@ -627,7 +611,7 @@ impl PreparedDeployment {
         let strategy = self.strategy.as_ref();
         let (mode, route, splits) = (&self.mode, &self.route, &self.splits);
         let handle: RecordHandle = Arc::new(Mutex::new(None));
-        let engine = build_head_engine_with(mode, splits, gen_config, plan);
+        let engine = build_head_engine(mode, splits, gen_config, plan);
         let drafter = strategy
             .needs_drafter()
             .then(|| build_drafter(mode, route.head(), gen_config));
@@ -640,36 +624,17 @@ impl PreparedDeployment {
             prompt_cached,
             ranks_share_host: matches!(mode, ExecutionMode::Real { .. }),
         });
-        let mut others = build_workers_with(mode, route, splits, gen_config, plan);
+        let mut others = build_workers(mode, route, splits, gen_config, plan);
         others.extend(strategy.build_auxiliary(mode, self.n_nodes, route, gen_config));
         let behaviors = assemble_for(strategy.name(), self.n_nodes, head, others);
-        execute_with(mode, behaviors, &handle, trace, faults)
+        execute(mode, behaviors, &handle, trace, faults)
     }
 }
 
-/// Executes behaviors under the driver matching the execution mode.
-pub fn execute(
-    mode: &ExecutionMode,
-    behaviors: Vec<Box<dyn NodeBehavior<PipeMsg>>>,
-    handle: &RecordHandle,
-) -> RunOutput {
-    execute_with(mode, behaviors, handle, None, None)
-}
-
-/// [`execute`] with an optional structured event recorder attached to the
-/// driver.
-pub fn execute_traced(
-    mode: &ExecutionMode,
-    behaviors: Vec<Box<dyn NodeBehavior<PipeMsg>>>,
-    handle: &RecordHandle,
-    trace: Option<TraceConfig>,
-) -> RunOutput {
-    execute_with(mode, behaviors, handle, trace, None)
-}
-
-/// [`execute`] with an optional structured event recorder and an optional
-/// seeded chaos schedule attached to the driver.
-pub fn execute_with(
+/// Executes behaviors under the driver matching the execution mode, with an
+/// optional structured event recorder and an optional seeded chaos schedule
+/// attached to the driver.
+fn execute(
     mode: &ExecutionMode,
     behaviors: Vec<Box<dyn NodeBehavior<PipeMsg>>>,
     handle: &RecordHandle,
@@ -714,19 +679,10 @@ pub fn execute_with(
     }
 }
 
-/// Builds the worker behaviors for stages `1..n_stages` of `route`.
-pub fn build_workers(
-    mode: &ExecutionMode,
-    route: &PipelineRoute,
-    splits: &[Range<usize>],
-    config: &GenConfig,
-) -> Vec<(usize, Box<dyn NodeBehavior<PipeMsg>>)> {
-    build_workers_with(mode, route, splits, config, None)
-}
-
-/// [`build_workers`] with an optional shared-prefix plan: real stage engines
-/// attach the plan's pooled pages instead of starting from an empty cache.
-pub fn build_workers_with(
+/// Builds the worker behaviors for stages `1..n_stages` of `route`.  With a
+/// shared-prefix plan, real stage engines attach the plan's pooled pages
+/// instead of starting from an empty cache.
+fn build_workers(
     mode: &ExecutionMode,
     route: &PipelineRoute,
     splits: &[Range<usize>],
@@ -761,18 +717,9 @@ pub fn build_workers_with(
     out
 }
 
-/// Builds a head engine for stage 0 of the route.
-pub fn build_head_engine(
-    mode: &ExecutionMode,
-    splits: &[Range<usize>],
-    config: &GenConfig,
-) -> Box<dyn HeadEngine> {
-    build_head_engine_with(mode, splits, config, None)
-}
-
-/// [`build_head_engine`] with an optional shared-prefix plan (see
-/// [`build_workers_with`]).
-pub fn build_head_engine_with(
+/// Builds a head engine for stage 0 of the route, under an optional
+/// shared-prefix plan (see [`build_workers`]).
+fn build_head_engine(
     mode: &ExecutionMode,
     splits: &[Range<usize>],
     config: &GenConfig,
@@ -789,13 +736,29 @@ pub fn build_head_engine_with(
             pair,
             cluster,
             oracle_seed,
-        } => Box::new(SimHeadEngine::new(
-            CostModel::new(cluster.node(0).clone()),
-            ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
+        } => Box::new(sim_head_engine(
+            pair,
+            cluster,
+            *oracle_seed,
             splits[0].len(),
-            OracleTarget::new(*oracle_seed, pair.target.cfg.vocab_size as u32),
         )),
     }
+}
+
+/// The simulated head engine of a deployment whose stage 0 evaluates
+/// `head_layers` layers on rank 0.
+pub(crate) fn sim_head_engine(
+    pair: &ModelPair,
+    cluster: &ClusterSpec,
+    oracle_seed: u64,
+    head_layers: usize,
+) -> SimHeadEngine {
+    SimHeadEngine::new(
+        CostModel::new(cluster.node(0).clone()),
+        ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
+        head_layers,
+        OracleTarget::new(oracle_seed, pair.target.cfg.vocab_size as u32),
+    )
 }
 
 /// Builds a drafter hosted on rank `host_rank`.
@@ -1214,7 +1177,12 @@ mod tests {
         let splits = vec![0..1; 1];
         let mut parts = HeadParts {
             route: PipelineRoute::baseline(1),
-            engine: build_head_engine(&sim_mode(4), &splits, &GenConfig::small_test(vec![1], 1)),
+            engine: build_head_engine(
+                &sim_mode(4),
+                &splits,
+                &GenConfig::small_test(vec![1], 1),
+                None,
+            ),
             drafter: None,
             gen_config: GenConfig::small_test(vec![1], 1),
             record: Arc::new(Mutex::new(None)),

@@ -5,13 +5,25 @@
 //!
 //! * **pipeline-parallel iterative inference** — the target model split
 //!   across all ranks, one token evaluated at a time
-//!   ([`iterative::IterativeHead`]);
+//!   ([`IterativeStrategy`]);
 //! * **pipeline-parallel speculative inference** — a SpecInfer-style
 //!   synchronous speculate-then-verify loop with a single draft model hosted
-//!   on the head node ([`speculative::SpeculativeHead`]);
+//!   on the head node ([`SpeculativeStrategy`]);
 //! * **tree speculation** — the same loop over genuine token *trees* with
 //!   adaptive width/depth ([`tree::TreeSpeculationStrategy`]), exercising the
 //!   canonical `pi_model::TokenTree` unit end-to-end.
+//!
+//! The three are one protocol — one run in flight, `[pending] ++ draft`
+//! verified greedily, rejected KV cells rolled back; iterative is the empty
+//! draft, tree speculation the branching one — and it is implemented once:
+//! the private `rounds` module holds the per-request state machine
+//! (`SyncRounds`: "which batch next, preceded by which cache operations" and
+//! "given the target's greedy tokens, which cache operation follows"), with
+//! no driver in it.  Two things drive it: the one synchronous head rank
+//! (`sync_head`, what [`Strategy::build_head`] builds by default, shaped by
+//! the strategy's [`StepProfile`]) on the cluster drivers, and the
+//! cross-request step loop ([`session::StepSession`]), which owns one
+//! `SyncRounds` per in-flight request.
 //!
 //! The crate also provides everything PipeInfer itself (in `pipeinfer-core`)
 //! reuses:
@@ -34,12 +46,14 @@
 pub mod deploy;
 pub mod drafter;
 pub mod engine;
-pub mod iterative;
 pub mod message;
+mod rounds;
 pub mod route;
 pub mod runner;
 pub mod session;
-pub mod speculative;
+mod sync_head;
+#[cfg(test)]
+pub(crate) mod testkit;
 pub mod tree;
 pub mod verify;
 pub mod worker;
@@ -56,7 +70,7 @@ pub use engine::{
 pub use message::{ActivationPayload, CacheOp, PipeMsg, RunId, RunKind, TreeTopology};
 pub use route::PipelineRoute;
 pub use session::{SessionStats, StepReport, StepSession};
-pub use tree::{AdaptiveShape, TreeConfig, TreeSpecHead, TreeSpeculationStrategy};
+pub use tree::{AdaptiveShape, TreeConfig, TreeSpeculationStrategy};
 pub use verify::{verify_greedy, verify_tree, TreeVerifyOutcome};
 pub use worker::PipelineWorker;
 

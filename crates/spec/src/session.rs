@@ -20,15 +20,19 @@
 //!
 //! ## Determinism and byte-identity
 //!
-//! Per request, the session replicates the exact state machine of the solo
-//! heads (`IterativeHead`, `SpeculativeHead`, `TreeSpecHead`): the same
-//! draft calls against the same context, the same greedy verification, the
-//! same KV-cache operations.  Fusing only changes *where* the rows are
-//! evaluated, never their values — in `Real` mode because fused forward rows
-//! are row-independent bitwise, in `Sim` mode because the oracle walk is a
-//! pure function of each request's own context.  Every request's token
-//! stream is therefore byte-identical to its solo run, whatever the cohort
-//! interleaving.
+//! Per request, the session runs the same state machine as the solo
+//! synchronous head — each in-flight request owns one `SyncRounds` (the
+//! private `rounds` module), the very type the head drives: the same draft
+//! calls against the same context, the same greedy verification, the same
+//! KV-cache operations.  Fusing only changes *where* the rows are evaluated,
+//! never their values — in `Real` mode because fused forward rows are
+//! row-independent bitwise, in `Sim` mode because the oracle walk is a pure
+//! function of each request's own context.  Every request's token stream is
+//! therefore byte-identical to its solo run, whatever the cohort
+//! interleaving.  What the session does differently from the head is
+//! explicit at its call sites: it does not prime the drafter (its steps are
+//! synchronous, and priming measured no gain), and it starts every tree
+//! request from the default shape prior and feeds nothing back.
 //!
 //! ## Cost model
 //!
@@ -42,51 +46,23 @@
 //! precisely the quantity the `fig_cohort_batching` bench gates on.  Under
 //! `Real` mode the clock accumulates measured wall time.
 
-use crate::deploy::{build_drafter, ExecutionMode, PreparedDeployment, RunOutput, StepProfile};
-use crate::drafter::Drafter;
-use crate::engine::{apply_op, build_real_cache, maybe_commit_prompt, PooledState, PrefixPlan};
-use crate::message::CacheOp;
-use crate::tree::{spine_prefix_len, AdaptiveShape, DEFAULT_PRIOR, FIRST_TREE_SEQ};
-use crate::verify::{verify_greedy, verify_tree};
-use crate::{GenConfig, GenerationRecord};
-use pi_cluster::ClusterStats;
-use pi_model::kv_pool::StageKey;
-use pi_model::{
-    Batch, KvCache, Model, OracleTarget, Pos, Sampler, ScratchArena, SeqId, Token, TokenTree,
+use crate::deploy::{
+    build_drafter, sim_head_engine, ExecutionMode, PreparedDeployment, RunOutput, StepProfile,
 };
+use crate::engine::{
+    apply_op, build_real_cache, maybe_commit_prompt, HeadEngine, PooledState, PrefixPlan,
+    SimHeadEngine,
+};
+use crate::message::{ActivationPayload, CacheOp};
+use crate::rounds::{Round, SyncRounds};
+use crate::tree::DEFAULT_PRIOR;
+use crate::GenConfig;
+use pi_cluster::ClusterStats;
+use pi_model::kv_pool::{KvPagePool, StageKey};
+use pi_model::{Batch, KvCache, Model, Sampler, ScratchArena, Token};
 use pi_perf::{CostModel, ModelCost};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Cost charged for a metadata-only KV-cache operation under simulation
-/// (mirrors the sim engines' `apply_cache_op`).
-const SIM_CACHE_OP_COST: f64 = 1e-7;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Prompt,
-    Decoding,
-    Done,
-}
-
-/// One tree round's bookkeeping, kept between batch construction and
-/// verification within a single step.
-struct TreeRound {
-    tree: TokenTree,
-    node_seqs: Vec<Vec<SeqId>>,
-    n_leaves: usize,
-}
-
-/// The micro-batch one request contributes to the current step.
-struct PreparedStep {
-    /// The request's sub-batch (lane 0; re-laned when fused into the forest).
-    sub: Batch,
-    /// Batch-index parent links for tree rounds (oracle finalization).
-    parents: Vec<Option<usize>>,
-    /// Tree bookkeeping when this round speculated a tree.
-    tree: Option<TreeRound>,
-}
 
 /// Per-stage KV state of one request under `Real` execution.
 struct StageCaches {
@@ -94,31 +70,29 @@ struct StageCaches {
     pooled: Option<PooledState>,
 }
 
+/// One request's admission into the deployment's KV page pool.  Dropping it
+/// ends the request, so the matched chain is unpinned and the unused
+/// reservation returned whichever way the request leaves: finished, dropped
+/// with its session mid-flight, or unwound past.
+struct PoolTicket {
+    pool: Arc<KvPagePool>,
+    id: u64,
+}
+
+impl Drop for PoolTicket {
+    fn drop(&mut self) {
+        self.pool.end_request(self.id);
+    }
+}
+
 /// One in-flight (or finished-but-uncollected) request.
 struct RequestState {
     id: u64,
-    config: GenConfig,
-    profile: StepProfile,
-    drafter: Option<Box<dyn Drafter>>,
-    phase: Phase,
-    /// Evaluated, accepted tokens (prompt included).
-    context: Vec<Token>,
-    /// Leading prompt tokens served from the shared page pool.
-    prompt_cached: usize,
-    /// Sampled but not yet evaluated token.
-    pending: Token,
-    record: GenerationRecord,
-    /// Adaptive tree controller (tree profile only).
-    shape: Option<AdaptiveShape>,
-    total_accepted: usize,
-    total_rejections: usize,
+    rounds: SyncRounds,
     /// Per-pipeline-stage KV caches (`Real` mode only), stage order.
     stages: Vec<StageCaches>,
-    /// Pool ticket to settle at finish, with the prompt to commit in `Sim`
-    /// mode (`Real` stages commit physical pages during prefill).
-    pool_ticket: Option<u64>,
-    /// The step currently prepared for this iteration.
-    step: Option<PreparedStep>,
+    /// Pool admission, held until the request finishes.
+    pool_ticket: Option<PoolTicket>,
     /// Steps this request participated in, and the summed cohort widths and
     /// own rows of those steps (surfaced through its `RunOutput` stats).
     steps_participated: u64,
@@ -128,20 +102,26 @@ struct RequestState {
 
 impl RequestState {
     fn active(&self) -> bool {
-        self.phase != Phase::Done
+        !self.rounds.is_done()
     }
+}
 
-    /// Applies a pipelined cache op to every stage of this request (`Real`)
-    /// or returns the op's simulated cost (`Sim`), mirroring the solo path
-    /// where the head applies locally and workers apply on receipt.
-    fn apply_cache_op(&mut self, op: &CacheOp, real: bool) -> f64 {
-        if real {
-            for stage in &mut self.stages {
+/// Applies a pipelined cache op to every stage of one request (`Real`), or
+/// charges the simulated head's cost for it (`Sim`, where `sim_head` is
+/// present) — the solo path has the head apply locally and the workers on
+/// receipt.
+fn apply_cache_op(
+    stages: &mut [StageCaches],
+    sim_head: Option<&mut SimHeadEngine>,
+    op: &CacheOp,
+) -> f64 {
+    match sim_head {
+        Some(head) => head.apply_cache_op(op),
+        None => {
+            for stage in stages {
                 apply_op(&mut stage.cache, op);
             }
             0.0
-        } else {
-            SIM_CACHE_OP_COST
         }
     }
 }
@@ -193,6 +173,8 @@ pub struct StepReport {
 ///   requests ([`Batch::level_groups`] only orders entries *within* a lane).
 /// * Each request's KV caches (and pool ticket) are exclusively its own; the
 ///   cohort shares nothing but the weight stream.
+/// * A request's pool admission ends when it finishes or when the session
+///   is dropped, whichever comes first.
 pub struct StepSession<'d> {
     prepared: &'d PreparedDeployment,
     profile: StepProfile,
@@ -202,8 +184,10 @@ pub struct StepSession<'d> {
     next_id: u64,
     /// Long-lived forward-pass temporaries (`Real` mode).
     scratch: Option<ScratchArena>,
-    /// Ground-truth oracle (`Sim` mode).
-    oracle: Option<OracleTarget>,
+    /// Head finalisation (`Sim` mode): ground-truth tokens from the oracle,
+    /// output-head, sampling and cache-op costs — the engine the solo head
+    /// runs on.
+    sim_head: Option<SimHeadEngine>,
     /// Per-stage cost models (`Sim` mode), stage order.
     stage_costs: Vec<CostModel>,
     model_cost: Option<ModelCost>,
@@ -213,7 +197,7 @@ pub struct StepSession<'d> {
 impl<'d> StepSession<'d> {
     /// Opens a session; prefer [`PreparedDeployment::begin_session`].
     pub fn new(prepared: &'d PreparedDeployment) -> Self {
-        let (oracle, stage_costs, model_cost, scratch) = match prepared.mode() {
+        let (sim_head, stage_costs, model_cost, scratch) = match prepared.mode() {
             ExecutionMode::Sim {
                 pair,
                 cluster,
@@ -225,15 +209,9 @@ impl<'d> StepSession<'d> {
                     .iter()
                     .map(|&rank| CostModel::new(cluster.node(rank).clone()))
                     .collect();
-                (
-                    Some(OracleTarget::new(
-                        *oracle_seed,
-                        pair.target.cfg.vocab_size as u32,
-                    )),
-                    costs,
-                    Some(ModelCost::new(pair.target.cfg.clone(), pair.target.quant)),
-                    None,
-                )
+                let head = sim_head_engine(pair, cluster, *oracle_seed, prepared.splits()[0].len());
+                let model_cost = ModelCost::new(pair.target.cfg.clone(), pair.target.quant);
+                (Some(head), costs, Some(model_cost), None)
             }
             ExecutionMode::Real { target, .. } => (
                 None,
@@ -250,7 +228,7 @@ impl<'d> StepSession<'d> {
             slots: Vec::new(),
             next_id: 0,
             scratch,
-            oracle,
+            sim_head,
             stage_costs,
             model_cost,
             stats: SessionStats::default(),
@@ -299,7 +277,6 @@ impl<'d> StepSession<'d> {
     /// its prefill; it contributes to every subsequent cohort until its
     /// `n_generate` tokens are out.  Returns the session-local request id.
     pub fn admit(&mut self, config: &GenConfig) -> u64 {
-        assert!(!config.prompt.is_empty(), "prompt must not be empty");
         let id = self.next_id;
         self.next_id += 1;
 
@@ -320,16 +297,18 @@ impl<'d> StepSession<'d> {
                 ExecutionMode::Sim { .. } => Vec::new(),
             };
             if let Ok(ticket) = pool.begin_request(&config.prompt, config.n_generate, &required) {
-                let span = ticket
+                pool_ticket = Some(PoolTicket {
+                    pool: Arc::clone(pool),
+                    id: ticket.id,
+                });
+                prompt_cached = ticket
                     .cached_tokens
                     .min(config.prompt.len().saturating_sub(1));
-                prompt_cached = span;
-                pool_ticket = Some(ticket.id);
                 plan = Some(PrefixPlan {
                     pool: Arc::clone(pool),
                     ticket: ticket.id,
                     prompt: config.prompt.clone(),
-                    cached_tokens: span,
+                    cached_tokens: prompt_cached,
                 });
             }
         }
@@ -351,35 +330,21 @@ impl<'d> StepSession<'d> {
         let needs_drafter = !matches!(self.profile, StepProfile::NonSpeculative);
         let drafter = needs_drafter
             .then(|| build_drafter(self.prepared.mode(), self.prepared.route().head(), config));
-        let shape = match self.profile {
-            StepProfile::Tree(tree_config) => Some(AdaptiveShape::new(
-                tree_config,
-                config.max_draft,
-                DEFAULT_PRIOR,
-            )),
-            _ => None,
-        };
-
-        let cached = prompt_cached.min(config.prompt.len() - 1);
-        let mut context = Vec::with_capacity(config.prompt.len() + config.n_generate);
-        context.extend_from_slice(&config.prompt[..cached]);
+        // Every request starts from the default shape prior: the session
+        // neither reads nor feeds a strategy's cross-request feedback.
+        let rounds = SyncRounds::new(
+            config.clone(),
+            self.profile,
+            drafter,
+            prompt_cached,
+            DEFAULT_PRIOR,
+        );
 
         self.slots.push(RequestState {
             id,
-            config: config.clone(),
-            profile: self.profile,
-            drafter,
-            phase: Phase::Prompt,
-            context,
-            prompt_cached: cached,
-            pending: 0,
-            record: GenerationRecord::default(),
-            shape,
-            total_accepted: 0,
-            total_rejections: 0,
+            rounds,
             stages,
             pool_ticket,
-            step: None,
             steps_participated: 0,
             width_sum: 0,
             own_rows: 0,
@@ -390,17 +355,14 @@ impl<'d> StepSession<'d> {
     /// Removes a finished request and returns its output.  `None` while the
     /// request is still decoding or the id is unknown.
     pub fn take_output(&mut self, id: u64) -> Option<RunOutput> {
-        let idx = self
-            .slots
-            .iter()
-            .position(|r| r.id == id && r.phase == Phase::Done)?;
+        let idx = self.slots.iter().position(|r| r.id == id && !r.active())?;
         let r = self.slots.remove(idx);
         let mut stats = ClusterStats::new(self.prepared.n_nodes());
         stats.nodes[0].cohort_steps = r.steps_participated;
         stats.nodes[0].cohort_width_sum = r.width_sum;
         stats.nodes[0].batched_rows = r.own_rows;
         Some(RunOutput {
-            record: r.record,
+            record: r.rounds.into_record(),
             stats,
             completed: true,
             trace: None,
@@ -417,30 +379,35 @@ impl<'d> StepSession<'d> {
         let wall = real.then(Instant::now);
         let mut step_cost = 0.0;
 
-        // Phase 1 — each active request prepares its micro-batch.  Drafting
-        // and pre-eval cache ops (tree branch seeding) happen here, against
-        // each request's own state only.
-        for r in self.slots.iter_mut().filter(|r| r.active()) {
-            step_cost += prepare_step(r, real);
+        // Phase 1 — each active request drafts and builds its micro-batch;
+        // pre-eval cache ops (tree branch seeding) are applied here, against
+        // each request's own state only.  Lane i of the forest is cohort[i].
+        let mut cohort = Vec::new();
+        let mut rounds = Vec::new();
+        for (i, r) in self.slots.iter_mut().enumerate() {
+            if !r.active() {
+                continue;
+            }
+            let round = r.rounds.next_round();
+            // `Real` drafting cost is part of the step's measured wall time.
+            let mut cost = if real { 0.0 } else { round.draft_cost };
+            for op in &round.pre_ops {
+                cost += apply_cache_op(&mut r.stages, self.sim_head.as_mut(), op);
+            }
+            step_cost += cost;
+            cohort.push(i);
+            rounds.push(round);
         }
-
-        let cohort: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].active() && self.slots[i].step.is_some())
-            .collect();
         if cohort.is_empty() {
             return StepReport::default();
         }
 
-        // Phase 2 — fuse and evaluate.  Lane i of the forest is cohort[i].
-        let subs: Vec<Batch> = cohort
-            .iter()
-            .map(|&i| self.slots[i].step.as_ref().expect("prepared").sub.clone())
-            .collect();
-        let rows: usize = subs.iter().map(Batch::len).sum();
+        // Phase 2 — fuse and evaluate.
+        let rows: usize = rounds.iter().map(|round| round.batch.len()).sum();
         let greedy_per_request: Vec<Vec<Token>> = if real {
-            self.eval_real(&cohort, &subs)
+            self.eval_real(&cohort, &rounds)
         } else {
-            let (greedy, cost) = self.eval_sim(&cohort, &subs);
+            let (greedy, cost) = self.eval_sim(&cohort, &rounds);
             step_cost += cost;
             greedy
         };
@@ -456,15 +423,14 @@ impl<'d> StepSession<'d> {
             self.stats.cohort_width_sum += width as u64;
         }
         self.stats.batched_rows += rows as u64;
-        for (&i, sub) in cohort.iter().zip(&subs) {
+        for (&i, round) in cohort.iter().zip(&rounds) {
             let r = &mut self.slots[i];
             r.steps_participated += 1;
             r.width_sum += if self.fused { width as u64 } else { 1 };
-            r.own_rows += sub.len() as u64;
+            r.own_rows += round.batch.len() as u64;
         }
 
-        // Phase 3 — per-request verification and state advance (exactly the
-        // solo heads' post-result logic).
+        // Phase 3 — per-request verification and state advance.
         if real {
             self.clock += wall.expect("real wall clock").elapsed().as_secs_f64();
         } else {
@@ -473,16 +439,20 @@ impl<'d> StepSession<'d> {
         let mut post_cost = 0.0;
         let mut finished = Vec::new();
         let now = self.clock;
-        for (&i, greedy) in cohort.iter().zip(&greedy_per_request) {
+        for ((&i, round), greedy) in cohort.iter().zip(rounds).zip(&greedy_per_request) {
             let r = &mut self.slots[i];
-            post_cost += postprocess(r, greedy, now, real);
-            if r.phase == Phase::Done {
+            if let Some(op) = r.rounds.absorb(round, greedy, now) {
+                post_cost += apply_cache_op(&mut r.stages, self.sim_head.as_mut(), &op);
+            }
+            if r.rounds.is_done() {
                 if let Some(ticket) = r.pool_ticket.take() {
-                    if let Some(pool) = self.prepared.kv_pool() {
-                        if !real {
-                            pool.commit_chain(ticket, &r.config.prompt, None);
-                        }
-                        pool.end_request(ticket);
+                    // `Real` stages committed their physical pages during
+                    // prefill; `Sim` commits the prompt as a token-only
+                    // chain.  Dropping the ticket then ends the request.
+                    if !real {
+                        ticket
+                            .pool
+                            .commit_chain(ticket.id, &r.rounds.config().prompt, None);
                     }
                 }
                 finished.push(r.id);
@@ -499,16 +469,18 @@ impl<'d> StepSession<'d> {
 
     /// Simulated evaluation of the cohort: oracle tokens per request plus
     /// the roofline cost of the whole step (fused or request-granularity).
-    fn eval_sim(&mut self, cohort: &[usize], subs: &[Batch]) -> (Vec<Vec<Token>>, f64) {
-        let oracle = self.oracle.as_ref().expect("sim oracle");
+    fn eval_sim(&mut self, cohort: &[usize], rounds: &[Round]) -> (Vec<Vec<Token>>, f64) {
         let model_cost = self.model_cost.as_ref().expect("sim model cost");
         let splits = self.prepared.splits();
 
         // Stage costs: the weight stream amortises across the cohort when
         // fused; request-granularity charges it once per request.
-        let groups: Vec<(usize, usize)> = subs
+        let groups: Vec<(usize, usize)> = rounds
             .iter()
-            .map(|sub| (sub.len(), sub.min_pos().unwrap_or(0).max(0) as usize))
+            .map(|round| {
+                let sub = &round.batch;
+                (sub.len(), sub.min_pos().unwrap_or(0).max(0) as usize)
+            })
             .collect();
         let mut cost = 0.0;
         for (stage, layers) in splits.iter().enumerate() {
@@ -525,355 +497,94 @@ impl<'d> StepSession<'d> {
         // Head finalization (output head + sampling) is per-request either
         // way: the logits rows are per request and the oracle walk needs
         // each request's own context.
-        let head_cm = &self.stage_costs[0];
+        let head = self.sim_head.as_mut().expect("sim head engine");
         let mut out = Vec::with_capacity(cohort.len());
-        for (&i, sub) in cohort.iter().zip(subs) {
-            let r = &self.slots[i];
-            let step = r.step.as_ref().expect("prepared");
-            let greedy = if step.tree.is_some() {
-                // Tree round: condition each entry on its root-to-node path.
-                let mut paths: Vec<Vec<Token>> = Vec::with_capacity(sub.len());
-                let mut g = Vec::with_capacity(sub.len());
-                for (j, entry) in sub.iter().enumerate() {
-                    let mut path = match step.parents[j] {
-                        Some(p) => paths[p].clone(),
-                        None => r.context.clone(),
-                    };
-                    path.push(entry.token);
-                    g.push(oracle.next_token(&path));
-                    paths.push(path);
-                }
-                g
-            } else {
-                // Chain/prefill: batch entries are the consumed continuation.
-                let mut ctx = r.context.clone();
-                let mut g = Vec::with_capacity(sub.len());
-                for entry in sub.iter() {
-                    ctx.push(entry.token);
-                    g.push(oracle.next_token(&ctx));
-                }
-                g
-            };
-            cost += head_cm.io_time(model_cost, sub.len())
-                + head_cm.sampling_time(model_cost, sub.len());
+        for (&i, round) in cohort.iter().zip(rounds) {
+            let context = self.slots[i].rounds.context();
+            let (greedy, head_cost) = round.finalize(head, &ActivationPayload::Empty, context);
+            cost += head_cost;
             out.push(greedy);
         }
         (out, cost)
     }
 
-    /// Real evaluation of the cohort: one fused forward through every stage
-    /// (or request-granularity forwards when unfused), then greedy sampling
-    /// of each request's logits rows.
-    fn eval_real(&mut self, cohort: &[usize], subs: &[Batch]) -> Vec<Vec<Token>> {
-        let ExecutionMode::Real { target, .. } = self.prepared.mode() else {
-            unreachable!("eval_real in sim mode");
+    /// Real evaluation of the cohort: one fused forward through every stage,
+    /// or — the request-granularity baseline — the same forward once per
+    /// request (each streaming every stage's weights again).
+    fn eval_real(&mut self, cohort: &[usize], rounds: &[Round]) -> Vec<Vec<Token>> {
+        if self.fused {
+            self.forward_forest(cohort, rounds)
+        } else {
+            cohort
+                .iter()
+                .zip(rounds)
+                .flat_map(|(&i, round)| self.forward_forest(&[i], std::slice::from_ref(round)))
+                .collect()
+        }
+    }
+
+    /// One forward of the forest whose lane `i` is `rounds[i]`, the batch of
+    /// request `cohort[i]`, through every stage; then greedy sampling of
+    /// each request's logits rows.
+    fn forward_forest(&mut self, cohort: &[usize], rounds: &[Round]) -> Vec<Vec<Token>> {
+        let prepared = self.prepared;
+        let ExecutionMode::Real { target: model, .. } = prepared.mode() else {
+            unreachable!("forward_forest in sim mode");
         };
-        let model = Arc::clone(target);
-        let splits: Vec<Range<usize>> = self.prepared.splits().to_vec();
         let scratch = self.scratch.as_mut().expect("real scratch");
 
-        if self.fused {
-            // One forest batch: lane i = cohort[i].
-            let mut forest = Batch::new();
-            for (lane, sub) in subs.iter().enumerate() {
-                forest.append_lane(sub, lane);
-            }
-            let mut hidden = model.embed(&forest);
-            for (stage, layers) in splits.iter().enumerate() {
-                let mut members: Vec<&mut RequestState> = Vec::with_capacity(cohort.len());
-                let mut want = cohort.iter().peekable();
-                for (idx, slot) in self.slots.iter_mut().enumerate() {
-                    if want.peek() == Some(&&idx) {
-                        members.push(slot);
-                        want.next();
-                    }
-                }
-                let mut caches: Vec<&mut KvCache> = members
-                    .iter_mut()
-                    .map(|r| &mut r.stages[stage].cache)
-                    .collect();
-                let cells =
-                    Model::alloc_cells_multi(&forest, &mut caches).expect("stage KV exhausted");
-                hidden = model
-                    .forward_layer_range_multi(
-                        &forest,
-                        &hidden,
-                        layers.clone(),
-                        &mut caches,
-                        &cells,
-                        scratch,
-                    )
-                    .expect("fused layer-range evaluation failed");
-                drop(caches);
-                for (r, sub) in members.iter_mut().zip(subs) {
-                    let stage_state = &mut r.stages[stage];
-                    maybe_commit_prompt(&mut stage_state.cache, &mut stage_state.pooled, sub);
+        let mut forest = Batch::new();
+        for (lane, round) in rounds.iter().enumerate() {
+            forest.append_lane(&round.batch, lane);
+        }
+        let mut hidden = model.embed(&forest);
+        for (stage, layers) in prepared.splits().iter().enumerate() {
+            let mut members: Vec<&mut RequestState> = Vec::with_capacity(cohort.len());
+            let mut want = cohort.iter().peekable();
+            for (idx, slot) in self.slots.iter_mut().enumerate() {
+                if want.peek() == Some(&&idx) {
+                    members.push(slot);
+                    want.next();
                 }
             }
-            let logits = model.logits(&hidden);
-            let sampler = Sampler::Greedy;
-            let mut out = Vec::with_capacity(cohort.len());
-            let mut row = 0;
-            for sub in subs {
-                let g = (0..sub.len())
-                    .map(|j| sampler.sample(logits.row(row + j).expect("logits row")))
-                    .collect();
-                row += sub.len();
-                out.push(g);
-            }
-            out
-        } else {
-            // Request-granularity baseline: the same math, one request at a
-            // time (each forward streams every stage's weights again).
-            let mut out = Vec::with_capacity(cohort.len());
-            for (&i, sub) in cohort.iter().zip(subs) {
-                let r = &mut self.slots[i];
-                let mut hidden = model.embed(sub);
-                for (stage, layers) in splits.iter().enumerate() {
-                    let stage_state = &mut r.stages[stage];
-                    let mut caches = [&mut stage_state.cache];
-                    let cells =
-                        Model::alloc_cells_multi(sub, &mut caches).expect("stage KV exhausted");
-                    hidden = model
-                        .forward_layer_range_multi(
-                            sub,
-                            &hidden,
-                            layers.clone(),
-                            &mut caches,
-                            &cells,
-                            scratch,
-                        )
-                        .expect("layer-range evaluation failed");
-                    maybe_commit_prompt(&mut stage_state.cache, &mut stage_state.pooled, sub);
-                }
-                let logits = model.logits(&hidden);
-                let sampler = Sampler::Greedy;
-                out.push(
-                    (0..sub.len())
-                        .map(|j| sampler.sample(logits.row(j).expect("logits row")))
-                        .collect(),
+            let mut caches: Vec<&mut KvCache> = members
+                .iter_mut()
+                .map(|r| &mut r.stages[stage].cache)
+                .collect();
+            let cells = Model::alloc_cells_multi(&forest, &mut caches).expect("stage KV exhausted");
+            hidden = model
+                .forward_layer_range_multi(
+                    &forest,
+                    &hidden,
+                    layers.clone(),
+                    &mut caches,
+                    &cells,
+                    scratch,
+                )
+                .expect("fused layer-range evaluation failed");
+            drop(caches);
+            for (r, round) in members.iter_mut().zip(rounds) {
+                let stage_state = &mut r.stages[stage];
+                maybe_commit_prompt(
+                    &mut stage_state.cache,
+                    &mut stage_state.pooled,
+                    &round.batch,
                 );
             }
-            out
         }
-    }
-}
-
-/// Builds one request's micro-batch for this step, mutating its drafting and
-/// cache state exactly like the solo heads do before a launch.  Returns the
-/// simulated cost charged (drafting + pre-eval cache ops); `Real` drafting
-/// cost is part of the step's measured wall time.
-fn prepare_step(r: &mut RequestState, real: bool) -> f64 {
-    let mut cost = 0.0;
-    let step = match r.phase {
-        Phase::Done => return 0.0,
-        Phase::Prompt => {
-            let prompt = r.config.prompt.clone();
-            let cached = r.prompt_cached;
-            let sub = Batch::prompt(&prompt[cached..], cached as Pos, 0);
-            r.record.runs_launched += 1;
-            PreparedStep {
-                sub,
-                parents: Vec::new(),
-                tree: None,
-            }
+        let logits = model.logits(&hidden);
+        let sampler = Sampler::Greedy;
+        let mut out = Vec::with_capacity(cohort.len());
+        let mut row = 0;
+        for round in rounds {
+            let g = (0..round.batch.len())
+                .map(|j| sampler.sample(logits.row(row + j).expect("logits row")))
+                .collect();
+            row += round.batch.len();
+            out.push(g);
         }
-        Phase::Decoding => match r.profile {
-            StepProfile::NonSpeculative => {
-                let sub = Batch::single(r.pending, r.context.len() as Pos, 0);
-                r.record.runs_launched += 1;
-                PreparedStep {
-                    sub,
-                    parents: Vec::new(),
-                    tree: None,
-                }
-            }
-            StepProfile::Chain => {
-                let drafter = r.drafter.as_mut().expect("chain profile has a drafter");
-                let (chain, draft_cost) = drafter.draft(
-                    &r.context,
-                    &[r.pending],
-                    r.config.max_draft,
-                    r.config.confidence_cutoff,
-                );
-                if !real {
-                    cost += draft_cost;
-                }
-                r.record.drafted += chain.len();
-                let base = r.context.len() as Pos;
-                let mut sub = Batch::new();
-                sub.push(r.pending, base, vec![0], true);
-                for (i, (tok, _conf)) in chain.iter().enumerate() {
-                    sub.push(*tok, base + 1 + i as Pos, vec![0], true);
-                }
-                r.record.runs_launched += 1;
-                PreparedStep {
-                    sub,
-                    parents: Vec::new(),
-                    tree: None,
-                }
-            }
-            StepProfile::Tree(_) => {
-                let shape = r.shape.as_mut().expect("tree profile has a controller");
-                let (width, depth) = shape.shape();
-                r.record.tree_shapes.push((width, depth));
-                let drafter = r.drafter.as_mut().expect("tree profile has a drafter");
-                let (tree, draft_cost) = drafter.draft_tree(
-                    &r.context,
-                    &[r.pending],
-                    width,
-                    depth,
-                    r.config.confidence_cutoff,
-                );
-                if !real {
-                    cost += draft_cost;
-                }
-                r.record.tree_rounds += 1;
-                r.record.drafted += tree.len();
-                r.record.tree_nodes += tree.len();
-
-                let base = r.context.len() as Pos;
-                let node_seqs = tree.assign_sequences(FIRST_TREE_SEQ);
-                let n_leaves = tree.n_sequences();
-
-                // Seed every branch sequence with the canonical prefix
-                // before any tree cell is allocated.
-                for leaf in 0..n_leaves as SeqId {
-                    let op = CacheOp::SeqCp {
-                        src: 0,
-                        dst: FIRST_TREE_SEQ + leaf,
-                        p0: 0,
-                        p1: Pos::MAX,
-                    };
-                    cost += r.apply_cache_op(&op, real);
-                }
-
-                let mut sub = Batch::new();
-                let mut pending_seqs = vec![0];
-                pending_seqs.extend((0..n_leaves as SeqId).map(|l| FIRST_TREE_SEQ + l));
-                sub.push(r.pending, base, pending_seqs, true);
-                let mut parents: Vec<Option<usize>> = vec![None];
-                for (id, node) in tree.nodes().iter().enumerate() {
-                    sub.push(
-                        node.token,
-                        base + 1 + node.depth as Pos,
-                        node_seqs[id].clone(),
-                        true,
-                    );
-                    parents.push(Some(node.parent.map(|p| p + 1).unwrap_or(0)));
-                }
-                r.record.runs_launched += 1;
-                PreparedStep {
-                    sub,
-                    parents,
-                    tree: Some(TreeRound {
-                        tree,
-                        node_seqs,
-                        n_leaves,
-                    }),
-                }
-            }
-        },
-    };
-    r.step = Some(step);
-    cost
-}
-
-/// Advances one request's state machine given its greedy tokens — the solo
-/// heads' post-result logic, verbatim.  Returns the simulated cost of any
-/// post-verification cache ops.
-fn postprocess(r: &mut RequestState, greedy: &[Token], now: f64, real: bool) -> f64 {
-    let step = r.step.take().expect("step was prepared");
-    let mut cost = 0.0;
-    match r.phase {
-        Phase::Done => {}
-        Phase::Prompt => {
-            r.record.prompt_done_at = now;
-            r.pending = *greedy.last().expect("prompt batch is non-empty");
-            r.context.extend(step.sub.tokens());
-            r.phase = Phase::Decoding;
-        }
-        Phase::Decoding => match step.tree {
-            None => {
-                // Chain (and non-speculative, where the draft is empty).
-                let tokens = step.sub.tokens();
-                let draft = &tokens[1..];
-                let outcome = verify_greedy(draft, greedy);
-                let n_accepted = outcome.n_accepted();
-                r.record.accepted_drafts += n_accepted;
-
-                let base = r.context.len() as Pos;
-                r.context.push(tokens[0]);
-                for tok in &outcome.accepted {
-                    r.context.push(*tok);
-                    r.record.tokens.push(*tok);
-                    r.record.accept_times.push(now);
-                }
-                r.record.tokens.push(outcome.pending);
-                r.record.accept_times.push(now);
-
-                if n_accepted < draft.len() {
-                    let op = CacheOp::SeqRm {
-                        seq: 0,
-                        p0: base + 1 + n_accepted as Pos,
-                        p1: Pos::MAX,
-                    };
-                    cost += r.apply_cache_op(&op, real);
-                }
-                r.pending = outcome.pending;
-            }
-            Some(round) => {
-                let outcome = verify_tree(&round.tree, greedy);
-                let n_accepted = outcome.n_accepted();
-                r.record.accepted_drafts += n_accepted;
-                r.record.tree_accepted_path += n_accepted;
-                let spine_accepted = spine_prefix_len(&round.tree, &outcome.accepted_path);
-                r.total_accepted += spine_accepted;
-                if spine_accepted < round.tree.span() {
-                    r.total_rejections += 1;
-                }
-                if let Some(shape) = r.shape.as_mut() {
-                    shape.observe(spine_accepted, round.tree.span());
-                }
-
-                let base = r.context.len() as Pos;
-                r.context.push(r.pending);
-                for tok in &outcome.accepted {
-                    r.context.push(*tok);
-                    r.record.tokens.push(*tok);
-                    r.record.accept_times.push(now);
-                }
-                r.record.tokens.push(outcome.pending);
-                r.record.accept_times.push(now);
-
-                if round.n_leaves > 0 {
-                    let op = if n_accepted > 0 {
-                        let deepest = *outcome.accepted_path.last().unwrap();
-                        CacheOp::BranchCommit {
-                            dst: 0,
-                            path: round.node_seqs[deepest][0],
-                            first: FIRST_TREE_SEQ,
-                            n_seqs: round.n_leaves as u32,
-                            p0: base + 1,
-                            p1: base + 1 + n_accepted as Pos,
-                        }
-                    } else {
-                        CacheOp::BranchRollback {
-                            first: FIRST_TREE_SEQ,
-                            n_seqs: round.n_leaves as u32,
-                        }
-                    };
-                    cost += r.apply_cache_op(&op, real);
-                }
-                r.pending = outcome.pending;
-            }
-        },
+        out
     }
-    if r.phase == Phase::Decoding && r.record.tokens.len() >= r.config.n_generate {
-        r.record.finished_at = now;
-        r.phase = Phase::Done;
-    }
-    cost
 }
 
 #[cfg(test)]
@@ -881,6 +592,7 @@ mod tests {
     use super::*;
     use crate::deploy::{Deployment, IterativeStrategy, SpeculativeStrategy};
     use crate::tree::TreeSpeculationStrategy;
+    use pi_model::kv_pool::KvPoolConfig;
     use pi_model::ModelConfig;
     use pi_perf::{ClusterSpec, ModelPair};
 
@@ -1014,6 +726,60 @@ mod tests {
                 tokens, solo.record.tokens,
                 "mid-stream join must not perturb"
             );
+        }
+    }
+
+    #[test]
+    fn dropping_a_session_mid_flight_returns_its_pool_tickets() {
+        for (mode, n_nodes) in [(sim_mode(4), 4), (real_mode(11), 2)] {
+            let sim = matches!(mode, ExecutionMode::Sim { .. });
+            let pool = KvPagePool::new(KvPoolConfig {
+                tokens_per_page: 4,
+                n_pages: 32,
+            });
+            let prepared = Deployment::new(SpeculativeStrategy)
+                .prepare(&mode, n_nodes)
+                .with_kv_pool(Arc::clone(&pool));
+            let request = |tail: Token| GenConfig {
+                prompt: [vec![7; 8], vec![tail; 4]].concat(),
+                ..gen(0, 1, 8)
+            };
+
+            // A finished request leaves the shared prefix committed.
+            let (_, _, _) = run_session(&prepared, &[request(1)], true);
+            let committed = |pool: &KvPagePool| {
+                let stats = pool.stats();
+                (stats.pages_committed - stats.evictions) as usize
+            };
+            assert!(committed(&pool) >= 2, "sim {sim}");
+            assert_eq!(pool.stats().pages_in_use, committed(&pool), "sim {sim}");
+
+            // Two requests pin it and hold reservations; the session dies
+            // with both still decoding.
+            let mut session = prepared.begin_session();
+            session.admit(&request(2));
+            session.admit(&request(3));
+            session.step_cohort();
+            session.step_cohort();
+            assert_eq!(session.active(), 2, "sim {sim}");
+            assert_eq!(
+                pool.stats().share_hits,
+                2,
+                "sim {sim}: both match the prefix"
+            );
+            assert!(pool.stats().pages_in_use > committed(&pool), "sim {sim}");
+            drop(session);
+
+            // Nothing stays reserved ...
+            assert_eq!(pool.stats().pages_in_use, committed(&pool), "sim {sim}");
+            // ... and nothing stays pinned: a request that needs every page
+            // of the pool can evict all of them.
+            let whole_pool = vec![9; 4 * 32 - 8];
+            let ticket = pool
+                .begin_request(&whole_pool, 8, &[])
+                .unwrap_or_else(|refusal| panic!("sim {sim}: leaked pins, {refusal:?}"));
+            pool.end_request(ticket.id);
+            assert_eq!(pool.stats().refusals, 0, "sim {sim}");
         }
     }
 

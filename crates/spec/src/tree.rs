@@ -8,9 +8,10 @@
 //! model's runner-up candidates, all verified in one batched pass through
 //! the pipeline (the batch's sequence-id sets encode the tree attention
 //! mask, SpecInfer-style).  Verification walks the deepest accepted
-//! root-to-leaf path ([`verify_tree`]); the KV caches of every stage then
-//! retain exactly that path via the pipelined
-//! [`CacheOp::BranchCommit`]/[`CacheOp::BranchRollback`] operations.
+//! root-to-leaf path ([`verify_tree`](crate::verify::verify_tree)); the KV
+//! caches of every stage then retain exactly that path via the pipelined
+//! [`BranchCommit`](crate::message::CacheOp::BranchCommit) /
+//! [`BranchRollback`](crate::message::CacheOp::BranchRollback) operations.
 //!
 //! ## Adaptive shape
 //!
@@ -28,20 +29,13 @@
 //! token stream is always the target's own greedy continuation, whatever the
 //! tree looks like.
 
-use crate::drafter::Drafter;
-use crate::engine::HeadEngine;
-use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId, RunKind, TreeTopology};
-use crate::route::PipelineRoute;
-use crate::verify::verify_tree;
-use crate::worker::record_kv_events;
-use crate::{GenConfig, GenerationRecord, HeadParts, RecordHandle, Strategy};
-use pi_cluster::{NodeBehavior, NodeCtx, Rank, Tag};
-use pi_model::{Batch, Pos, SeqId, Token, TokenTree};
+use crate::message::PipeMsg;
+use crate::sync_head::SyncHead;
+use crate::{HeadParts, Strategy};
+use pi_cluster::NodeBehavior;
+use pi_model::TokenTree;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// First KV sequence id used for tree branches (sequence 0 stays canonical).
-pub(crate) const FIRST_TREE_SEQ: SeqId = 1;
 
 /// Starting acceptance estimate when no feedback exists yet: optimistic, so
 /// a fresh request begins with a pure chain (`width == 1`) and only widens
@@ -215,374 +209,6 @@ pub(crate) fn spine_prefix_len(tree: &TokenTree, accepted_path: &[usize]) -> usi
     n
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Prompt,
-    Verifying,
-    Done,
-}
-
-/// One in-flight tree-verification run.
-struct InFlight {
-    run_id: RunId,
-    /// The speculated tree (empty when the drafter produced nothing and only
-    /// the pending token is being evaluated).
-    tree: TokenTree,
-    /// The dispatched batch: `[pending] ++ tree` in parent-before-child
-    /// order.
-    batch: Batch,
-    /// Batch-index parent links matching `batch`.
-    parents: Vec<Option<usize>>,
-    /// Per-node sequence sets from `TokenTree::assign_sequences`.
-    node_seqs: Vec<Vec<SeqId>>,
-    /// Number of leaf sequences the tree occupies.
-    n_leaves: usize,
-}
-
-/// Head rank of the tree-speculation strategy.
-///
-/// Synchronous like [`crate::speculative::SpeculativeHead`] — one
-/// draft-verify round at a time — but each round verifies a whole token
-/// tree and keeps only the deepest accepted path.
-pub struct TreeSpecHead {
-    route: PipelineRoute,
-    engine: Box<dyn HeadEngine>,
-    drafter: Box<dyn Drafter>,
-    config: GenConfig,
-    shape: AdaptiveShape,
-    phase: Phase,
-    /// Evaluated, accepted tokens (prompt included).
-    context: Vec<Token>,
-    /// Leading prompt tokens already resident in every stage's KV cache (via
-    /// a shared page pool); prefill covers only the remaining suffix.
-    prompt_cached: usize,
-    /// Sampled but not yet evaluated token.
-    pending: Token,
-    in_flight: Option<InFlight>,
-    next_run_id: RunId,
-    record: GenerationRecord,
-    output: RecordHandle,
-    feedback: Option<Arc<Mutex<ShapeFeedback>>>,
-    /// Lifetime accepted tokens and rejection events feeding the shared
-    /// prior (same geometric estimator as [`AdaptiveShape`]).
-    total_accepted: usize,
-    total_rejections: usize,
-    finished: bool,
-}
-
-impl TreeSpecHead {
-    /// Creates the head rank.  `prior` seeds the adaptive controller (see
-    /// [`AdaptiveShape::new`]); the final record is written to `output`.
-    pub fn new(
-        route: PipelineRoute,
-        engine: Box<dyn HeadEngine>,
-        drafter: Box<dyn Drafter>,
-        config: GenConfig,
-        tree_config: TreeConfig,
-        prior: f64,
-        output: RecordHandle,
-    ) -> Self {
-        let shape = AdaptiveShape::new(tree_config, config.max_draft, prior);
-        Self {
-            route,
-            engine,
-            drafter,
-            config,
-            shape,
-            phase: Phase::Prompt,
-            context: Vec::new(),
-            prompt_cached: 0,
-            pending: 0,
-            in_flight: None,
-            next_run_id: 0,
-            record: GenerationRecord::default(),
-            output,
-            feedback: None,
-            total_accepted: 0,
-            total_rejections: 0,
-            finished: false,
-        }
-    }
-
-    fn with_feedback(mut self, feedback: Arc<Mutex<ShapeFeedback>>) -> Self {
-        self.feedback = Some(feedback);
-        self
-    }
-
-    /// Declares that the leading `n` prompt tokens are already resident in
-    /// every stage's KV cache, so prefill starts at position `n`.  Clamped to
-    /// leave at least the final prompt token for live evaluation.
-    pub fn with_prompt_cached(mut self, n: usize) -> Self {
-        self.prompt_cached = n;
-        self
-    }
-
-    /// The record accumulated so far.
-    pub fn record(&self) -> &GenerationRecord {
-        &self.record
-    }
-
-    /// The adaptive controller (exposed for tests).
-    pub fn controller(&self) -> &AdaptiveShape {
-        &self.shape
-    }
-
-    fn send_downstream(&self, ctx: &mut dyn NodeCtx<PipeMsg>, tag: Tag, msg: PipeMsg) {
-        if let Some(next) = self.route.next_after(self.route.head()) {
-            ctx.send(next, tag, msg);
-        }
-    }
-
-    fn send_cache_op(&mut self, op: CacheOp, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let cost = self.engine.apply_cache_op(&op);
-        ctx.elapse(cost);
-        self.send_downstream(ctx, tags::CACHE, PipeMsg::Cache(op));
-    }
-
-    fn launch(
-        &mut self,
-        batch: Batch,
-        kind: RunKind,
-        in_flight: InFlight,
-        ctx: &mut dyn NodeCtx<PipeMsg>,
-    ) {
-        self.record.runs_launched += 1;
-        let (payload, cost) = self.engine.eval_first_stage(&batch);
-        ctx.elapse(cost);
-        let run_id = in_flight.run_id;
-        let topology = (!in_flight.tree.is_empty()).then(|| TreeTopology {
-            parents: in_flight
-                .parents
-                .iter()
-                .map(|p| p.map(|i| i as u32))
-                .collect(),
-        });
-        self.in_flight = Some(in_flight);
-        if self.route.n_stages() > 1 {
-            self.send_downstream(
-                ctx,
-                tags::DECODE,
-                PipeMsg::Decode {
-                    run_id,
-                    kind,
-                    batch,
-                    payload,
-                    tree: topology,
-                },
-            );
-        } else {
-            self.handle_result(run_id, payload, ctx);
-        }
-    }
-
-    /// Drafts a tree and launches the verification batch `[pending] ++ tree`.
-    fn speculate_and_launch(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let (width, depth) = self.shape.shape();
-        self.record.tree_shapes.push((width, depth));
-        let (tree, draft_cost) = self.drafter.draft_tree(
-            &self.context,
-            &[self.pending],
-            width,
-            depth,
-            self.config.confidence_cutoff,
-        );
-        ctx.elapse(draft_cost);
-        self.record.tree_rounds += 1;
-        self.record.drafted += tree.len();
-        self.record.tree_nodes += tree.len();
-
-        let base = self.context.len() as Pos;
-        let node_seqs = tree.assign_sequences(FIRST_TREE_SEQ);
-        let n_leaves = tree.n_sequences();
-
-        // Every branch sequence receives the canonical context prefix before
-        // any tree cell is allocated, so branch tokens can attend to it.
-        for leaf in 0..n_leaves as SeqId {
-            self.send_cache_op(
-                CacheOp::SeqCp {
-                    src: 0,
-                    dst: FIRST_TREE_SEQ + leaf,
-                    p0: 0,
-                    p1: Pos::MAX,
-                },
-                ctx,
-            );
-        }
-
-        // The pending token belongs to the canonical sequence *and* to every
-        // branch (it is their shared parent); tree nodes carry the sequence
-        // sets that encode the tree attention mask.
-        let mut batch = Batch::new();
-        let mut pending_seqs = vec![0];
-        pending_seqs.extend((0..n_leaves as SeqId).map(|l| FIRST_TREE_SEQ + l));
-        batch.push(self.pending, base, pending_seqs, true);
-        let mut parents: Vec<Option<usize>> = vec![None];
-        for (id, node) in tree.nodes().iter().enumerate() {
-            batch.push(
-                node.token,
-                base + 1 + node.depth as Pos,
-                node_seqs[id].clone(),
-                true,
-            );
-            parents.push(Some(node.parent.map(|p| p + 1).unwrap_or(0)));
-        }
-
-        let run_id = self.next_run_id;
-        self.next_run_id += 1;
-        let in_flight = InFlight {
-            run_id,
-            tree,
-            batch: batch.clone(),
-            parents,
-            node_seqs,
-            n_leaves,
-        };
-        self.launch(batch, RunKind::Speculative, in_flight, ctx);
-    }
-
-    fn handle_result(
-        &mut self,
-        run_id: RunId,
-        payload: ActivationPayload,
-        ctx: &mut dyn NodeCtx<PipeMsg>,
-    ) {
-        let Some(info) = self.in_flight.take() else {
-            return;
-        };
-        debug_assert_eq!(info.run_id, run_id);
-        match self.phase {
-            Phase::Prompt => {
-                let (greedy, cost) = self.engine.finalize(&info.batch, &payload, &self.context);
-                ctx.elapse(cost);
-                self.record.prompt_done_at = ctx.now();
-                self.pending = *greedy.last().expect("prompt batch is non-empty");
-                self.context.extend(info.batch.tokens());
-                self.phase = Phase::Verifying;
-                self.speculate_and_launch(ctx);
-            }
-            Phase::Verifying => {
-                let (greedy, cost) =
-                    self.engine
-                        .finalize_tree(&info.batch, &payload, &self.context, &info.parents);
-                ctx.elapse(cost);
-                let outcome = verify_tree(&info.tree, &greedy);
-                let n_accepted = outcome.n_accepted();
-                self.record.accepted_drafts += n_accepted;
-                self.record.tree_accepted_path += n_accepted;
-                // The acceptance estimate tracks the *primary* branch: a
-                // round rescued by a runner-up still rejected the primary
-                // candidate, and must count as such or the estimator drifts
-                // optimistic and the shape oscillates back to a pure chain.
-                let spine_accepted = spine_prefix_len(&info.tree, &outcome.accepted_path);
-                self.total_accepted += spine_accepted;
-                if spine_accepted < info.tree.span() {
-                    self.total_rejections += 1;
-                }
-                self.shape.observe(spine_accepted, info.tree.span());
-
-                // The pending token and the accepted path become evaluated
-                // context; path + the new pending token are the generated
-                // tokens of this round.
-                let base = self.context.len() as Pos;
-                self.context.push(self.pending);
-                for tok in &outcome.accepted {
-                    self.context.push(*tok);
-                    self.record.tokens.push(*tok);
-                    self.record.accept_times.push(ctx.now());
-                }
-                self.record.tokens.push(outcome.pending);
-                self.record.accept_times.push(ctx.now());
-
-                // Retain only the accepted path in every stage's KV cache.
-                if info.n_leaves > 0 {
-                    let op = if n_accepted > 0 {
-                        let deepest = *outcome.accepted_path.last().unwrap();
-                        CacheOp::BranchCommit {
-                            dst: 0,
-                            path: info.node_seqs[deepest][0],
-                            first: FIRST_TREE_SEQ,
-                            n_seqs: info.n_leaves as u32,
-                            p0: base + 1,
-                            p1: base + 1 + n_accepted as Pos,
-                        }
-                    } else {
-                        CacheOp::BranchRollback {
-                            first: FIRST_TREE_SEQ,
-                            n_seqs: info.n_leaves as u32,
-                        }
-                    };
-                    self.send_cache_op(op, ctx);
-                }
-
-                self.pending = outcome.pending;
-                if self.record.tokens.len() >= self.config.n_generate {
-                    self.finish(ctx);
-                } else {
-                    self.speculate_and_launch(ctx);
-                }
-            }
-            Phase::Done => {}
-        }
-    }
-
-    fn finish(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        self.phase = Phase::Done;
-        self.record.finished_at = ctx.now();
-        record_kv_events(self.engine.take_kv_events(), ctx);
-        self.send_downstream(ctx, tags::SHUTDOWN, PipeMsg::Shutdown);
-        let observations = self.total_accepted + self.total_rejections;
-        if let (Some(feedback), true) = (&self.feedback, observations > 0) {
-            feedback
-                .lock()
-                .unwrap()
-                .push(self.total_accepted as f64 / observations as f64);
-        }
-        *self.output.lock().unwrap() = Some(self.record.clone());
-        self.finished = true;
-    }
-}
-
-impl NodeBehavior<PipeMsg> for TreeSpecHead {
-    fn on_start(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let prompt = self.config.prompt.clone();
-        assert!(!prompt.is_empty(), "prompt must not be empty");
-        let cached = self.prompt_cached.min(prompt.len() - 1);
-        self.context.extend_from_slice(&prompt[..cached]);
-        let batch = Batch::prompt(&prompt[cached..], cached as Pos, 0);
-        let run_id = self.next_run_id;
-        self.next_run_id += 1;
-        let in_flight = InFlight {
-            run_id,
-            tree: TokenTree::new(),
-            batch: batch.clone(),
-            parents: Vec::new(),
-            node_seqs: Vec::new(),
-            n_leaves: 0,
-        };
-        self.launch(batch, RunKind::NonSpeculative, in_flight, ctx);
-        if self.phase == Phase::Prompt {
-            // The prompt run is in the pipeline: the draft model evaluates
-            // the prompt meanwhile instead of in front of the first draft.
-            let cost = self.drafter.prime(&prompt);
-            ctx.elapse(cost);
-        }
-    }
-
-    fn on_message(&mut self, _src: Rank, _tag: Tag, msg: PipeMsg, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        if let PipeMsg::RunResult { run_id, payload } = msg {
-            self.handle_result(run_id, payload, ctx);
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
 /// Tree speculation through the `Deployment` seam: SpecInfer-style
 /// synchronous rounds whose unit is a [`TokenTree`] with adaptive
 /// width/depth, verified in one batched pipeline pass at the same
@@ -636,21 +262,14 @@ impl Strategy for TreeSpeculationStrategy {
         crate::deploy::StepProfile::Tree(self.config)
     }
 
-    fn build_head(&self, mut parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
-        let drafter = parts.take_drafter();
+    /// The shared synchronous head, seeded with the prior its predecessors
+    /// learned and reporting its own acceptance back at finish.
+    fn build_head(&self, parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
         let prior = self.learned_prior().unwrap_or(DEFAULT_PRIOR);
+        let feedback = Arc::clone(&self.feedback);
         Box::new(
-            TreeSpecHead::new(
-                parts.route,
-                parts.engine,
-                drafter,
-                parts.gen_config,
-                self.config,
-                prior,
-                parts.record,
-            )
-            .with_feedback(Arc::clone(&self.feedback))
-            .with_prompt_cached(parts.prompt_cached),
+            SyncHead::new(parts, self.step_profile(), prior)
+                .with_feedback(move |acceptance| feedback.lock().unwrap().push(acceptance)),
         )
     }
 }
@@ -659,6 +278,7 @@ impl Strategy for TreeSpeculationStrategy {
 mod tests {
     use super::*;
     use crate::deploy::{Deployment, ExecutionMode, SpeculativeStrategy};
+    use crate::GenConfig;
     use pi_model::{Model, ModelConfig, OracleTarget};
     use pi_perf::{ClusterSpec, ModelPair};
 

@@ -206,39 +206,10 @@ impl NodeBehavior<PipeMsg> for PipelineWorker {
 mod tests {
     use super::*;
     use crate::engine::SimStageEngine;
+    use crate::testkit::TestCtx;
     use pi_model::{Batch, ModelConfig};
     use pi_perf::{CostModel, ModelCost, NodeSpec};
     use pi_tensor::QuantKind;
-
-    struct TestCtx {
-        sent: Vec<(Rank, PipeMsg)>,
-        elapsed: f64,
-    }
-    impl TestCtx {
-        fn new() -> Self {
-            Self {
-                sent: Vec::new(),
-                elapsed: 0.0,
-            }
-        }
-    }
-    impl NodeCtx<PipeMsg> for TestCtx {
-        fn rank(&self) -> Rank {
-            1
-        }
-        fn world_size(&self) -> usize {
-            4
-        }
-        fn now(&self) -> f64 {
-            0.0
-        }
-        fn send(&mut self, dst: Rank, _tag: Tag, msg: PipeMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn elapse(&mut self, seconds: f64) {
-            self.elapsed += seconds;
-        }
-    }
 
     fn sim_engine() -> Box<dyn StageEngine> {
         Box::new(SimStageEngine::new(
@@ -264,7 +235,7 @@ mod tests {
     #[test]
     fn middle_worker_forwards_to_next_stage() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(4), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(
             0,
             tags::DECODE,
@@ -272,21 +243,21 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(w.evaluated_runs, 1);
-        assert!(ctx.elapsed > 0.0);
+        assert!(ctx.now > 0.0);
         assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].0, 2);
-        assert!(matches!(ctx.sent[0].1, PipeMsg::Decode { run_id: 7, .. }));
+        assert_eq!(ctx.sent[0].dst, 2);
+        assert!(matches!(ctx.sent[0].msg, PipeMsg::Decode { run_id: 7, .. }));
     }
 
     #[test]
     fn last_worker_returns_result_to_head() {
         let mut w = PipelineWorker::new(3, PipelineRoute::baseline(4), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(2, tags::DECODE, decode(9, RunKind::Speculative), &mut ctx);
         assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].0, 0);
+        assert_eq!(ctx.sent[0].dst, 0);
         assert!(matches!(
-            ctx.sent[0].1,
+            ctx.sent[0].msg,
             PipeMsg::RunResult { run_id: 9, .. }
         ));
     }
@@ -294,7 +265,7 @@ mod tests {
     #[test]
     fn tree_topology_is_forwarded_with_the_batch() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         let topology = TreeTopology {
             parents: vec![None, Some(0)],
         };
@@ -310,7 +281,7 @@ mod tests {
             },
             &mut ctx,
         );
-        match &ctx.sent[0].1 {
+        match &ctx.sent[0].msg {
             PipeMsg::Decode { tree, .. } => assert_eq!(tree.as_ref(), Some(&topology)),
             other => panic!("unexpected {other:?}"),
         }
@@ -319,7 +290,7 @@ mod tests {
     #[test]
     fn cancelled_speculative_run_is_skipped_with_empty_payload() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(2, tags::CANCEL, PipeMsg::Cancel { run_id: 4 }, &mut ctx);
         w.on_message(0, tags::DECODE, decode(4, RunKind::Speculative), &mut ctx);
         assert_eq!(w.skipped_runs, 1);
@@ -327,9 +298,9 @@ mod tests {
         let forwarded = ctx
             .sent
             .iter()
-            .find(|(_, m)| matches!(m, PipeMsg::Decode { run_id: 4, .. }))
+            .find(|s| matches!(s.msg, PipeMsg::Decode { run_id: 4, .. }))
             .expect("empty decode must still be forwarded");
-        match &forwarded.1 {
+        match &forwarded.msg {
             PipeMsg::Decode { payload, .. } => assert!(matches!(payload, ActivationPayload::Empty)),
             _ => unreachable!(),
         }
@@ -338,7 +309,7 @@ mod tests {
     #[test]
     fn cancelled_non_speculative_run_is_still_evaluated() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(2, tags::CANCEL, PipeMsg::Cancel { run_id: 4 }, &mut ctx);
         w.on_message(
             0,
@@ -353,7 +324,7 @@ mod tests {
     #[test]
     fn late_cancel_for_already_seen_run_is_ignored() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(0, tags::DECODE, decode(4, RunKind::Speculative), &mut ctx);
         w.on_message(2, tags::CANCEL, PipeMsg::Cancel { run_id: 4 }, &mut ctx);
         // A later (bogus) replay of the same run id would not be skipped.
@@ -365,13 +336,13 @@ mod tests {
         let route = PipelineRoute::baseline(4);
         // Rank 2: propagates to rank 1.
         let mut w2 = PipelineWorker::new(2, route.clone(), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w2.on_message(3, tags::CANCEL, PipeMsg::Cancel { run_id: 8 }, &mut ctx);
         assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].0, 1);
+        assert_eq!(ctx.sent[0].dst, 1);
         // Rank 1: previous stage is the head → stop propagating.
         let mut w1 = PipelineWorker::new(1, route, sim_engine());
-        let mut ctx1 = TestCtx::new();
+        let mut ctx1 = TestCtx::new(1, 4);
         w1.on_message(2, tags::CANCEL, PipeMsg::Cancel { run_id: 8 }, &mut ctx1);
         assert!(ctx1.sent.is_empty());
     }
@@ -380,7 +351,7 @@ mod tests {
     fn cache_ops_are_applied_and_forwarded() {
         use crate::message::CacheOp;
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         w.on_message(
             0,
             tags::CACHE,
@@ -388,10 +359,10 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].0, 2);
+        assert_eq!(ctx.sent[0].dst, 2);
         // Last stage does not forward further.
         let mut last = PipelineWorker::new(2, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx2 = TestCtx::new();
+        let mut ctx2 = TestCtx::new(1, 4);
         last.on_message(
             1,
             tags::CACHE,
@@ -404,10 +375,10 @@ mod tests {
     #[test]
     fn shutdown_propagates_and_finishes() {
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1, 4);
         assert!(!w.is_finished());
         w.on_message(0, tags::SHUTDOWN, PipeMsg::Shutdown, &mut ctx);
         assert!(w.is_finished());
-        assert!(matches!(ctx.sent[0].1, PipeMsg::Shutdown));
+        assert!(matches!(ctx.sent[0].msg, PipeMsg::Shutdown));
     }
 }
