@@ -17,7 +17,7 @@ use pi_metrics::Figure;
 use pi_perf::memory::{per_node_memory, speed_per_gb};
 use pi_perf::{ClusterSpec, InferenceStrategy, ModelPair};
 use pi_spec::deploy::{
-    Deployment, ExecutionMode, IterativeStrategy, RunOutput, SpeculativeStrategy,
+    Deployment, ExecutionMode, IterativeStrategy, RunOptions, RunOutput, SpeculativeStrategy,
 };
 use pi_spec::{GenConfig, GenerationRecord, TreeSpeculationStrategy};
 use pipeinfer_core::{run_pipeinfer, PipeInferConfig, PipeInferStrategy};
@@ -964,7 +964,13 @@ pub fn fig_latency_sweep(scale: BenchScale) -> Figure {
             if strategy == InferenceStrategy::Iterative {
                 continue;
             }
-            let jittered = prepared.run_faulted(&config, jitter_plan(n, latency_s));
+            let options = RunOptions {
+                faults: Some(jitter_plan(n, latency_s)),
+                ..RunOptions::default()
+            };
+            let jittered = prepared
+                .run_with(&config, options)
+                .expect("no pool to refuse admission");
             fig.push(
                 &format!("{} (jitter)", strategy.name()),
                 &x,

@@ -285,7 +285,7 @@ impl PipeInferHead {
     }
 
     fn send_cache_op(&mut self, op: CacheOp, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let cost = self.engine.apply_cache_op(&op);
+        let cost = self.engine.apply_cache_op(0, &op);
         ctx.elapse(cost);
         match &op {
             CacheOp::BranchCommit { first, n_seqs, .. } => {

@@ -457,8 +457,6 @@ impl KvCache {
     /// `branch_commit`/`branch_rollback`/`seq_keep` so rejected speculation
     /// branches give their tail pages back at page granularity.
     pub fn release_free_pages(&mut self) -> usize {
-        let capacity = self.capacity;
-        let occupied: Vec<bool> = self.cells.iter().map(|c| !c.is_free()).collect();
         let Backing::Paged {
             tokens_per_page,
             pages,
@@ -468,14 +466,14 @@ impl KvCache {
         else {
             return 0;
         };
-        let tpp = *tokens_per_page;
+        let (tpp, capacity, cells) = (*tokens_per_page, self.capacity, &self.cells);
         let mut released = 0;
         for (p, slot) in pages.iter_mut().enumerate() {
             if slot.is_none() {
                 continue;
             }
             let range = p * tpp..((p + 1) * tpp).min(capacity);
-            if occupied[range].iter().all(|&o| !o) {
+            if cells[range].iter().all(KvCell::is_free) {
                 *slot = None;
                 released += 1;
             }

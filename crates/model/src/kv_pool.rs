@@ -50,29 +50,6 @@ pub struct KvPoolConfig {
     pub n_pages: usize,
 }
 
-impl KvPoolConfig {
-    /// Reads the pool geometry from `PIPEINFER_KV_POOL_PAGES` and
-    /// `PIPEINFER_KV_PAGE_TOKENS` (the latter defaults to 16; unparsable or
-    /// zero values fall back to the default rather than panicking later in
-    /// [`KvPagePool::new`]).  Returns `None` when `PIPEINFER_KV_POOL_PAGES`
-    /// is unset — the pool is opt-in.
-    pub fn from_env() -> Option<Self> {
-        let n_pages: usize = std::env::var("PIPEINFER_KV_POOL_PAGES")
-            .ok()?
-            .parse()
-            .ok()?;
-        let tokens_per_page = std::env::var("PIPEINFER_KV_PAGE_TOKENS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(16);
-        Some(Self {
-            tokens_per_page,
-            n_pages,
-        })
-    }
-}
-
 /// Admission failed: the pool cannot reserve the pages the request needs,
 /// even after evicting every unpinned prefix.  The scheduler should retry
 /// once in-flight requests release their reservations.

@@ -102,21 +102,7 @@ impl CostModel {
         batch_tokens: usize,
         context_len: usize,
     ) -> f64 {
-        if n_layers == 0 || batch_tokens == 0 {
-            return 0.0;
-        }
-        let bw = self.node.mem_bandwidth_bps;
-        let flops = self.node.compute_flops;
-        let weight_stream = (n_layers as f64 * model.layer_weight_bytes as f64) / bw;
-        let kv_stream = (n_layers as f64
-            * batch_tokens as f64
-            * context_len as f64
-            * model.kv_bytes_per_token_per_layer as f64)
-            / bw;
-        let compute =
-            (n_layers as f64 * batch_tokens as f64 * model.cfg.layer_flops_per_token() as f64)
-                / flops;
-        (weight_stream + kv_stream).max(compute)
+        self.layers_time_grouped(model, n_layers, &[(batch_tokens, context_len)])
     }
 
     /// Seconds to evaluate `n_layers` decoder layers over a *fused cohort*
@@ -125,8 +111,8 @@ impl CostModel {
     /// cohort — the entire point of iteration-level cross-request batching
     /// on a bandwidth-bound node — while the KV stream and the FLOPs are
     /// the sums of the per-request terms (each request's rows attend only
-    /// over that request's own context).  With a single group this is
-    /// exactly [`CostModel::layers_time`].
+    /// over that request's own context).  [`CostModel::layers_time`] is the
+    /// single-group case.
     pub fn layers_time_grouped(
         &self,
         model: &ModelCost,

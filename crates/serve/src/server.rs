@@ -32,7 +32,7 @@ use crate::report::ServeReport;
 use crate::request::{Completion, Request, RequestTiming};
 use crate::scheduler::{plan, SchedulerConfig};
 use pi_model::KvPagePool;
-use pi_spec::deploy::{ExecutionMode, PreparedDeployment, RunOutput};
+use pi_spec::deploy::{ExecutionMode, PreparedDeployment, RunOptions, RunOutput};
 use pi_trace::{Clock, MonotonicClock, TraceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -280,15 +280,17 @@ impl Server {
                     let idx = exec_order[k];
                     let wall_start = self.clock.now();
                     let gen = &requests[idx].gen;
-                    let out = match (sim_spans, self.trace) {
-                        (true, Some(cfg)) => {
-                            self.prepared
-                                .run_prefix_cached_traced(gen, prefix_cached[idx], cfg)
-                        }
-                        (true, None) => self.prepared.run_prefix_cached(gen, prefix_cached[idx]),
-                        (false, Some(cfg)) => self.prepared.run_traced(gen, cfg),
-                        (false, None) => self.prepared.run(gen),
+                    let options = |cached_prefix| RunOptions {
+                        trace: self.trace,
+                        faults: None,
+                        cached_prefix,
                     };
+                    let out = self
+                        .prepared
+                        .run_with(gen, options(sim_spans.then(|| prefix_cached[idx])))
+                        // Refused by the pool: an isolated flat-cache run.
+                        .or_else(|_refusal| self.prepared.run_with(gen, options(Some(0))))
+                        .expect("a run that bypasses the pool is never refused");
                     let wall = (self.clock.now() - wall_start).max(0.0);
                     *outputs[idx].lock().unwrap() = Some((out, wall));
                 });

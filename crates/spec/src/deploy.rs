@@ -22,15 +22,33 @@
 //!
 //! The deployment owns everything else, split into two phases:
 //! [`Deployment::prepare`] validates the rank layout once and captures the
-//! execution mode in a reusable [`PreparedDeployment`];
-//! [`PreparedDeployment::run`] then builds per-request engines, drafters and
-//! workers (fresh KV caches — an isolated session per call) and executes them
-//! under the driver matching the mode, collecting a [`RunOutput`].
-//! [`Deployment::run`] is the one-shot convenience wrapper over both.
+//! execution mode in a reusable [`PreparedDeployment`], which is also the
+//! one constructor of the compute [engines](crate::engine) and the one place
+//! a request is admitted into the KV page pool.  From there a request runs
+//! one of two ways over the same engines:
+//!
+//! * **solo** — [`PreparedDeployment::run_with`] builds the head engine and
+//!   one engine per further stage, opens the request's slot on each, wraps
+//!   them in the head behavior and [`PipelineWorker`]s (fresh KV caches — an
+//!   isolated session per call) and executes them under the driver matching
+//!   the mode, collecting a [`RunOutput`].  [`RunOptions`] attaches a trace
+//!   recorder, a fault plan or an externally computed cached prefix;
+//!   [`PreparedDeployment::run`] and [`PreparedDeployment::run_traced`] are
+//!   its two wrappers, which fall back to flat caches when the pool refuses
+//!   the request.  [`Deployment::run`] is the one-shot convenience wrapper.
+//! * **stepped** — [`PreparedDeployment::begin_session`] hands the same
+//!   engines to a [`StepSession`](crate::session::StepSession), which opens
+//!   a slot per admitted request and evaluates every request's micro-batch
+//!   as one forest per step.
+//!
+//! Pool admission is one helper for both: `admit` pins the longest committed
+//! prefix and reserves the rest, returning the [`PrefixPlan`] guard whose
+//! last drop ends the request, and `retire` commits a finished `Sim`
+//! request's prompt as a token-only chain.
 
 use crate::drafter::{Drafter, OracleDrafter, RealDrafter};
 use crate::engine::{
-    HeadEngine, PrefixPlan, RealHeadEngine, RealStageEngine, SimHeadEngine, SimStageEngine,
+    HeadEngine, PrefixPlan, RealStage, SimHeadEngine, SimStageEngine, StageEngine,
 };
 use crate::message::PipeMsg;
 use crate::route::PipelineRoute;
@@ -41,7 +59,7 @@ use crate::{GenConfig, GenerationRecord};
 use pi_cluster::sim::SimDriver;
 use pi_cluster::threaded::ThreadedDriver;
 use pi_cluster::{ClusterStats, FaultPlan, NodeBehavior, Topology, Trace, TraceConfig};
-use pi_model::kv_pool::{AdmissionRefusal, KvPagePool, KvPoolConfig, StageKey};
+use pi_model::kv_pool::{AdmissionRefusal, KvPagePool, StageKey};
 use pi_model::{Model, OracleDraft, OracleTarget};
 use pi_perf::{ClusterSpec, CostModel, ModelCost, ModelPair};
 use std::ops::Range;
@@ -367,23 +385,15 @@ impl Deployment {
     /// and worker behaviors — *must* be rebuilt for every generation because
     /// they own the KV caches and run-tracking state, which is exactly the
     /// per-request session isolation a serving layer needs.
-    /// When `PIPEINFER_KV_POOL_PAGES` is set, the prepared deployment owns a
-    /// [`KvPagePool`] shared across every [`PreparedDeployment::run`] call —
-    /// concurrent requests with a common prompt prefix attach the same
-    /// physical pages and skip prefill for the cached span.  Without the env
-    /// knob the pool is absent and behaviour is exactly the classic
-    /// fresh-cache-per-run path ([`PreparedDeployment::with_kv_pool`]
-    /// attaches one explicitly).
     pub fn prepare(&self, mode: &ExecutionMode, n_nodes: usize) -> PreparedDeployment {
         let (route, splits) = self.layout(mode, n_nodes);
-        let pool = KvPoolConfig::from_env().map(KvPagePool::new);
         PreparedDeployment {
             strategy: Arc::clone(&self.strategy),
             mode: mode.clone(),
             n_nodes,
             route,
             splits,
-            pool,
+            pool: None,
         }
     }
 
@@ -440,8 +450,10 @@ impl PreparedDeployment {
         &self.splits
     }
 
-    /// Attaches a KV page pool shared across every subsequent run, replacing
-    /// whatever [`Deployment::prepare`] resolved from the environment.
+    /// Attaches a KV page pool shared across every subsequent run and
+    /// session: requests with a common prompt prefix attach the same
+    /// physical pages and skip prefill for the cached span.  Without one
+    /// every request gets fresh flat caches.
     pub fn with_kv_pool(mut self, pool: Arc<KvPagePool>) -> Self {
         self.pool = Some(pool);
         self
@@ -463,114 +475,78 @@ impl PreparedDeployment {
     /// Executes one generation run over the prepared layout.
     ///
     /// With a KV pool attached, admission is attempted first; a pool too full
-    /// to admit the request falls back to the classic pool-less path (fresh
-    /// flat caches) instead of failing — use [`PreparedDeployment::try_run`]
-    /// to surface the refusal instead.
+    /// to admit the request falls back to the pool-less path (fresh flat
+    /// caches) instead of failing — use [`PreparedDeployment::run_with`] to
+    /// surface the refusal instead.
     pub fn run(&self, gen_config: &GenConfig) -> RunOutput {
-        self.run_inner(gen_config, None, None)
+        self.run_or_flat(gen_config, None)
     }
 
-    /// Executes one generation run, surfacing pool-admission refusals to the
-    /// caller instead of silently falling back.  Without a pool this is
-    /// exactly [`PreparedDeployment::run`] and never errs.
-    pub fn try_run(&self, gen_config: &GenConfig) -> Result<RunOutput, AdmissionRefusal> {
-        match &self.pool {
-            None => Ok(self.run_plain(gen_config, None, None, 0, None)),
-            Some(pool) => self.run_pooled(pool, gen_config, None, None),
-        }
-    }
-
-    /// Executes one generation run pretending the leading `cached_tokens` of
-    /// the prompt are already resident in every stage's KV cache — the
-    /// serving layer's entry point after its own admission pre-pass has
-    /// consulted the pool.  Only `Sim` mode honours the span (virtual-time
-    /// prefill skip); `Real` runs ignore it because no physical pages back a
-    /// span that was computed outside this call.
-    pub fn run_prefix_cached(&self, gen_config: &GenConfig, cached_tokens: usize) -> RunOutput {
-        self.run_prefix_cached_inner(gen_config, cached_tokens, None)
-    }
-
-    /// [`PreparedDeployment::run_prefix_cached`] with a structured event
-    /// recorder attached.
-    pub fn run_prefix_cached_traced(
-        &self,
-        gen_config: &GenConfig,
-        cached_tokens: usize,
-        trace: TraceConfig,
-    ) -> RunOutput {
-        self.run_prefix_cached_inner(gen_config, cached_tokens, Some(trace))
-    }
-
-    fn run_prefix_cached_inner(
-        &self,
-        gen_config: &GenConfig,
-        cached_tokens: usize,
-        trace: Option<TraceConfig>,
-    ) -> RunOutput {
-        let span = match &self.mode {
-            ExecutionMode::Sim { .. } => {
-                cached_tokens.min(gen_config.prompt.len().saturating_sub(1))
-            }
-            ExecutionMode::Real { .. } => 0,
-        };
-        self.run_plain(gen_config, trace, None, span, None)
-    }
-
-    /// Executes one generation run with a structured event recorder attached
+    /// [`PreparedDeployment::run`] with a structured event recorder attached
     /// to every rank; the returned [`RunOutput::trace`] carries the
     /// cross-rank trace (virtual time under `Sim`, wall time under `Real`).
     /// Recording never perturbs generation output — only observes it.
     pub fn run_traced(&self, gen_config: &GenConfig, trace: TraceConfig) -> RunOutput {
-        self.run_inner(gen_config, Some(trace), None)
+        self.run_or_flat(gen_config, Some(trace))
     }
 
-    /// Executes one generation run with a seeded chaos schedule attached to
-    /// the driver (`SimDriver::with_faults`; the threaded driver applies its
-    /// best-effort subset).  Under `Sim` mode the perturbed run replays
-    /// bit-identically for the same plan.
-    pub fn run_faulted(&self, gen_config: &GenConfig, faults: FaultPlan) -> RunOutput {
-        self.run_inner(gen_config, None, Some(faults))
+    fn run_or_flat(&self, gen_config: &GenConfig, trace: Option<TraceConfig>) -> RunOutput {
+        let options = |cached_prefix| RunOptions {
+            trace,
+            faults: None,
+            cached_prefix,
+        };
+        self.run_with(gen_config, options(None))
+            // The pool cannot host this request right now; degrade to an
+            // isolated flat-cache session rather than failing the run.
+            .or_else(|_refusal| self.run_with(gen_config, options(Some(0))))
+            .expect("a run that bypasses the pool is never refused")
     }
 
-    /// [`PreparedDeployment::run_faulted`] with a structured event recorder
-    /// attached, so injected faults and any recovery they provoke
-    /// (`fault_injected`, `draft_failover`, …) land in the trace.
-    pub fn run_faulted_traced(
+    /// Executes one generation run under `options`: the one entry point the
+    /// others wrap.  Errs only when a pool is attached, `cached_prefix` is
+    /// unset, and the pool cannot admit the request.
+    pub fn run_with(
         &self,
         gen_config: &GenConfig,
-        faults: FaultPlan,
-        trace: TraceConfig,
-    ) -> RunOutput {
-        self.run_inner(gen_config, Some(trace), Some(faults))
-    }
-
-    fn run_inner(
-        &self,
-        gen_config: &GenConfig,
-        trace: Option<TraceConfig>,
-        faults: Option<FaultPlan>,
-    ) -> RunOutput {
-        match &self.pool {
-            None => self.run_plain(gen_config, trace, faults, 0, None),
-            Some(pool) => match self.run_pooled(pool, gen_config, trace, faults.clone()) {
-                Ok(out) => out,
-                // The pool cannot host this request right now; degrade to an
-                // isolated flat-cache session rather than failing the run.
-                Err(_refusal) => self.run_plain(gen_config, trace, faults, 0, None),
-            },
-        }
-    }
-
-    /// One run through the shared page pool: admit, attach the longest cached
-    /// prefix, run with suffix-only prefill, then commit the prompt chain and
-    /// release the admission pin.
-    fn run_pooled(
-        &self,
-        pool: &Arc<KvPagePool>,
-        gen_config: &GenConfig,
-        trace: Option<TraceConfig>,
-        faults: Option<FaultPlan>,
+        options: RunOptions,
     ) -> Result<RunOutput, AdmissionRefusal> {
+        let RunOptions {
+            trace,
+            faults,
+            cached_prefix,
+        } = options;
+        if let Some(span) = cached_prefix {
+            let span = match &self.mode {
+                ExecutionMode::Sim { .. } => span.min(gen_config.prompt.len().saturating_sub(1)),
+                ExecutionMode::Real { .. } => 0,
+            };
+            return Ok(self.run_plain(gen_config, trace, faults, span, None));
+        }
+        // Through the shared page pool, if any: admit, attach the longest
+        // cached prefix, run with suffix-only prefill, then commit the
+        // prompt chain and release the admission.
+        let plan = self.admit(gen_config)?;
+        let cached = plan.as_ref().map_or(0, |plan| plan.cached_tokens);
+        let out = self.run_plain(gen_config, trace, faults, cached, plan.as_ref());
+        if let Some(plan) = plan {
+            self.retire(plan);
+        }
+        Ok(out)
+    }
+
+    /// Admits one request into the attached KV page pool (`Ok(None)` without
+    /// one): pins the longest committed prefix of its prompt and reserves
+    /// pages for the rest.  The returned plan is the admission — dropping
+    /// its last handle ends the request — and the caller passes it to
+    /// `retire` when the request finishes.
+    pub(crate) fn admit(
+        &self,
+        gen_config: &GenConfig,
+    ) -> Result<Option<Arc<PrefixPlan>>, AdmissionRefusal> {
+        let Some(pool) = &self.pool else {
+            return Ok(None);
+        };
         // Real engines attach physical pages, so a prefix only counts as
         // cached once every stage's K/V planes are committed for it.  Sim
         // engines carry no tensors — a token-level match suffices there.
@@ -579,39 +555,86 @@ impl PreparedDeployment {
             ExecutionMode::Sim { .. } => Vec::new(),
         };
         let ticket = pool.begin_request(&gen_config.prompt, gen_config.n_generate, &required)?;
-        // Keep at least the final prompt token for live prefill: heads need
-        // one evaluated position to produce the first logits.
-        let span = ticket
-            .cached_tokens
-            .min(gen_config.prompt.len().saturating_sub(1));
-        let plan = PrefixPlan {
+        Ok(Some(Arc::new(PrefixPlan {
             pool: Arc::clone(pool),
             ticket: ticket.id,
             prompt: gen_config.prompt.clone(),
-            cached_tokens: span,
-        };
-        let out = self.run_plain(gen_config, trace, faults, span, Some(&plan));
-        if matches!(self.mode, ExecutionMode::Sim { .. }) {
-            // Sim engines never touch physical pages; commit the prompt as a
-            // token-only chain so later requests can match against it.
-            pool.commit_chain(ticket.id, &gen_config.prompt, None);
-        }
-        pool.end_request(ticket.id);
-        Ok(out)
+            // Keep at least the final prompt token for live prefill: heads
+            // need one evaluated position to produce the first logits.
+            cached_tokens: ticket
+                .cached_tokens
+                .min(gen_config.prompt.len().saturating_sub(1)),
+        })))
     }
 
+    /// Retires the admission of a request that ran to completion.  `Real`
+    /// stages committed their physical pages during prefill; `Sim` engines
+    /// never touch pages, so the prompt is committed here as a token-only
+    /// chain for later requests to match against.  Dropping the plan then
+    /// ends the request.
+    pub(crate) fn retire(&self, plan: Arc<PrefixPlan>) {
+        if matches!(self.mode, ExecutionMode::Sim { .. }) {
+            plan.pool.commit_chain(plan.ticket, &plan.prompt, None);
+        }
+    }
+
+    /// The engine of stage 0, with no request slot open.
+    pub(crate) fn head_engine(&self) -> Box<dyn HeadEngine> {
+        let layers = &self.splits[0];
+        match &self.mode {
+            ExecutionMode::Real { target, .. } => {
+                Box::new(RealStage::new(target.clone(), layers.clone()))
+            }
+            ExecutionMode::Sim {
+                pair,
+                cluster,
+                oracle_seed,
+            } => Box::new(SimHeadEngine::new(
+                CostModel::new(cluster.node(0).clone()),
+                ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
+                layers.len(),
+                OracleTarget::new(*oracle_seed, pair.target.cfg.vocab_size as u32),
+            )),
+        }
+    }
+
+    /// The engines of stages `1..n_stages` of the route, in stage order,
+    /// each with no request slot open.
+    pub(crate) fn stage_engines(&self) -> Vec<Box<dyn StageEngine>> {
+        let stages = self.route.ranks().iter().zip(&self.splits).skip(1);
+        stages
+            .map(|(&rank, layers)| -> Box<dyn StageEngine> {
+                match &self.mode {
+                    ExecutionMode::Real { target, .. } => {
+                        Box::new(RealStage::new(target.clone(), layers.clone()))
+                    }
+                    ExecutionMode::Sim { pair, cluster, .. } => Box::new(SimStageEngine::new(
+                        CostModel::new(cluster.node(rank).clone()),
+                        ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
+                        layers.len(),
+                    )),
+                }
+            })
+            .collect()
+    }
+
+    /// One solo run: every engine opens the request's one slot (under the
+    /// shared-prefix `plan`, real engines attach its pooled pages instead of
+    /// starting from an empty cache) and the behaviors built around them
+    /// execute under the mode's driver.
     fn run_plain(
         &self,
         gen_config: &GenConfig,
         trace: Option<TraceConfig>,
         faults: Option<FaultPlan>,
         prompt_cached: usize,
-        plan: Option<&PrefixPlan>,
+        plan: Option<&Arc<PrefixPlan>>,
     ) -> RunOutput {
         let strategy = self.strategy.as_ref();
-        let (mode, route, splits) = (&self.mode, &self.route, &self.splits);
+        let (mode, route) = (&self.mode, &self.route);
         let handle: RecordHandle = Arc::new(Mutex::new(None));
-        let engine = build_head_engine(mode, splits, gen_config, plan);
+        let mut engine = self.head_engine();
+        engine.open(gen_config.kv_capacity, plan);
         let drafter = strategy
             .needs_drafter()
             .then(|| build_drafter(mode, route.head(), gen_config));
@@ -624,11 +647,43 @@ impl PreparedDeployment {
             prompt_cached,
             ranks_share_host: matches!(mode, ExecutionMode::Real { .. }),
         });
-        let mut others = build_workers(mode, route, splits, gen_config, plan);
+        let mut others: Vec<(usize, Box<dyn NodeBehavior<PipeMsg>>)> = Vec::new();
+        for (mut engine, &rank) in self.stage_engines().into_iter().zip(&route.ranks()[1..]) {
+            engine.open(gen_config.kv_capacity, plan);
+            others.push((
+                rank,
+                Box::new(PipelineWorker::new(rank, route.clone(), engine)),
+            ));
+        }
         others.extend(strategy.build_auxiliary(mode, self.n_nodes, route, gen_config));
         let behaviors = assemble_for(strategy.name(), self.n_nodes, head, others);
         execute(mode, behaviors, &handle, trace, faults)
     }
+}
+
+/// What a [`PreparedDeployment::run_with`] call attaches to its run.  The
+/// default is a plain run: no recorder, no faults, through the pool if one
+/// is attached.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Structured event recorder attached to every rank (see
+    /// [`PreparedDeployment::run_traced`]).
+    pub trace: Option<TraceConfig>,
+    /// Seeded chaos schedule attached to the driver (`SimDriver::with_faults`;
+    /// the threaded driver applies its best-effort subset).  Under `Sim`
+    /// mode the perturbed run replays bit-identically for the same plan, and
+    /// with `trace` set the injected faults and any recovery they provoke
+    /// (`fault_injected`, `draft_failover`, …) land in the trace.
+    pub faults: Option<FaultPlan>,
+    /// `Some(n)`: the caller has already taken this request through the pool
+    /// (the serving layer's admission pre-pass) and found the leading `n`
+    /// prompt tokens cached, so the run bypasses the pool and pretends they
+    /// are resident in every stage's KV cache.  Only `Sim` mode honours the
+    /// span (virtual-time prefill skip); `Real` runs use fresh flat caches
+    /// and prefill everything, because no physical pages back a span that
+    /// was computed outside this call.  `None`: the run goes through the
+    /// attached pool itself.
+    pub cached_prefix: Option<usize>,
 }
 
 /// Executes behaviors under the driver matching the execution mode, with an
@@ -677,88 +732,6 @@ fn execute(
             }
         }
     }
-}
-
-/// Builds the worker behaviors for stages `1..n_stages` of `route`.  With a
-/// shared-prefix plan, real stage engines attach the plan's pooled pages
-/// instead of starting from an empty cache.
-fn build_workers(
-    mode: &ExecutionMode,
-    route: &PipelineRoute,
-    splits: &[Range<usize>],
-    config: &GenConfig,
-    plan: Option<&PrefixPlan>,
-) -> Vec<(usize, Box<dyn NodeBehavior<PipeMsg>>)> {
-    let mut out: Vec<(usize, Box<dyn NodeBehavior<PipeMsg>>)> = Vec::new();
-    for (stage, &rank) in route.ranks().iter().enumerate().skip(1) {
-        let worker: Box<dyn NodeBehavior<PipeMsg>> = match mode {
-            ExecutionMode::Real { target, .. } => Box::new(PipelineWorker::new(
-                rank,
-                route.clone(),
-                Box::new(RealStageEngine::new_with_plan(
-                    target.clone(),
-                    splits[stage].clone(),
-                    config.kv_capacity,
-                    plan,
-                )),
-            )),
-            ExecutionMode::Sim { pair, cluster, .. } => Box::new(PipelineWorker::new(
-                rank,
-                route.clone(),
-                Box::new(SimStageEngine::new(
-                    CostModel::new(cluster.node(rank).clone()),
-                    ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
-                    splits[stage].len(),
-                )),
-            )),
-        };
-        out.push((rank, worker));
-    }
-    out
-}
-
-/// Builds a head engine for stage 0 of the route, under an optional
-/// shared-prefix plan (see [`build_workers`]).
-fn build_head_engine(
-    mode: &ExecutionMode,
-    splits: &[Range<usize>],
-    config: &GenConfig,
-    plan: Option<&PrefixPlan>,
-) -> Box<dyn HeadEngine> {
-    match mode {
-        ExecutionMode::Real { target, .. } => Box::new(RealHeadEngine::new_with_plan(
-            target.clone(),
-            splits[0].clone(),
-            config.kv_capacity,
-            plan,
-        )),
-        ExecutionMode::Sim {
-            pair,
-            cluster,
-            oracle_seed,
-        } => Box::new(sim_head_engine(
-            pair,
-            cluster,
-            *oracle_seed,
-            splits[0].len(),
-        )),
-    }
-}
-
-/// The simulated head engine of a deployment whose stage 0 evaluates
-/// `head_layers` layers on rank 0.
-pub(crate) fn sim_head_engine(
-    pair: &ModelPair,
-    cluster: &ClusterSpec,
-    oracle_seed: u64,
-    head_layers: usize,
-) -> SimHeadEngine {
-    SimHeadEngine::new(
-        CostModel::new(cluster.node(0).clone()),
-        ModelCost::new(pair.target.cfg.clone(), pair.target.quant),
-        head_layers,
-        OracleTarget::new(oracle_seed, pair.target.cfg.vocab_size as u32),
-    )
 }
 
 /// Builds a drafter hosted on rank `host_rank`.
@@ -828,22 +801,8 @@ fn assemble_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_model::ModelConfig;
-
-    fn sim_mode(n_nodes: usize) -> ExecutionMode {
-        ExecutionMode::Sim {
-            pair: ModelPair::dolphin_tinyllama(),
-            cluster: ClusterSpec::cluster_c(n_nodes),
-            oracle_seed: 42,
-        }
-    }
-
-    fn real_mode(seed: u64) -> ExecutionMode {
-        let cfg = ModelConfig::tiny_llama(64, 4);
-        let target = Arc::new(Model::random(cfg.clone(), seed));
-        let draft = Arc::new(Model::new(cfg, target.weights().perturbed(0.02, seed + 1)));
-        ExecutionMode::Real { target, draft }
-    }
+    use crate::testkit::{real_mode, sim_mode};
+    use pi_model::kv_pool::KvPoolConfig;
 
     fn assert_covers(splits: &[Range<usize>], n_layers: usize) {
         let mut next = 0;
@@ -1162,7 +1121,7 @@ mod tests {
             .prepare(&sim_mode(4), 4)
             .with_kv_pool(Arc::clone(&pool));
         let err = prepared
-            .try_run(&config)
+            .run_with(&config, RunOptions::default())
             .expect_err("12 prompt + 16 generated tokens cannot fit 2 pages");
         assert!(err.needed_pages > err.free_pages);
         // The infallible path degrades to an isolated flat-cache run.
@@ -1174,15 +1133,10 @@ mod tests {
 
     #[test]
     fn take_drafter_panics_without_drafter_declaration() {
-        let splits = vec![0..1; 1];
+        let prepared = Deployment::new(IterativeStrategy).prepare(&sim_mode(4), 1);
         let mut parts = HeadParts {
             route: PipelineRoute::baseline(1),
-            engine: build_head_engine(
-                &sim_mode(4),
-                &splits,
-                &GenConfig::small_test(vec![1], 1),
-                None,
-            ),
+            engine: prepared.head_engine(),
             drafter: None,
             gen_config: GenConfig::small_test(vec![1], 1),
             record: Arc::new(Mutex::new(None)),

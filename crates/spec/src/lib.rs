@@ -32,8 +32,9 @@
 //! * the generic pipeline worker rank ([`worker::PipelineWorker`]) that
 //!   evaluates its layer range, applies pipelined cache operations and
 //!   honours cancellation,
-//! * compute engines that either run a real tiny model or charge roofline
-//!   costs ([`engine`]),
+//! * the lane-keyed compute engines — the one place a layer range is
+//!   evaluated, on a real tiny model or as roofline costs, for the cluster
+//!   ranks and the step loop alike ([`engine`]),
 //! * draft-model front-ends ([`drafter`]),
 //! * the greedy token-verification algorithm ([`verify`]),
 //! * run configuration and per-run records ([`GenConfig`],
@@ -60,13 +61,10 @@ pub mod worker;
 
 pub use deploy::{
     Deployment, ExecutionMode, HeadParts, IterativeStrategy, PreparedDeployment, RecordHandle,
-    RunOutput, SpeculativeStrategy, StepProfile, Strategy,
+    RunOptions, RunOutput, SpeculativeStrategy, StepProfile, Strategy,
 };
 pub use drafter::{Drafter, OracleDrafter, RealDrafter};
-pub use engine::{
-    HeadEngine, PrefixPlan, RealHeadEngine, RealStageEngine, SimHeadEngine, SimStageEngine,
-    StageEngine,
-};
+pub use engine::{HeadEngine, PrefixPlan, RealStage, SimHeadEngine, SimStageEngine, StageEngine};
 pub use message::{ActivationPayload, CacheOp, PipeMsg, RunId, RunKind, TreeTopology};
 pub use route::PipelineRoute;
 pub use session::{SessionStats, StepReport, StepSession};

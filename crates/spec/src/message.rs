@@ -121,6 +121,25 @@ impl ActivationPayload {
             ActivationPayload::Empty => 0,
         }
     }
+
+    /// The payload of batch entries `rows` alone: one request's share of a
+    /// forest batch's activations.
+    pub fn rows(&self, rows: std::ops::Range<usize>) -> ActivationPayload {
+        match self {
+            ActivationPayload::Real(t) => {
+                let d = t.cols();
+                let data = t.data()[rows.start * d..rows.end * d].to_vec();
+                ActivationPayload::Real(
+                    Tensor::from_vec(data, &[rows.len(), d]).expect("rows * d_model values"),
+                )
+            }
+            ActivationPayload::Simulated { tokens, bytes } => ActivationPayload::Simulated {
+                tokens: rows.len(),
+                bytes: bytes / (*tokens).max(1) as u64 * rows.len() as u64,
+            },
+            ActivationPayload::Empty => ActivationPayload::Empty,
+        }
+    }
 }
 
 /// A KV-cache metadata operation, pipelined through the stages in the same

@@ -154,11 +154,6 @@ impl SyncRounds {
         }
     }
 
-    /// The request's configuration.
-    pub fn config(&self) -> &GenConfig {
-        &self.config
-    }
-
     /// Whether the prompt round has not been absorbed yet.
     pub fn in_prompt(&self) -> bool {
         self.phase == Phase::Prompt

@@ -12,11 +12,20 @@
 //! `m = Σ cohort widths` GEMM per stage (amortising the weight stream over
 //! the whole cohort) while attention stays per-sequence against each
 //! request's own KV cache — the fused rows are bitwise identical to solo
-//! evaluation (`pi_model::Model::forward_layer_range_multi`).
+//! evaluation (see [`crate::engine`]).
+//!
+//! The session evaluates nothing itself.  It owns the deployment's engines —
+//! the head and one per further stage, built by the constructors a solo run
+//! uses ([`crate::engine`]) — opens one slot on each per admitted request,
+//! and every step runs `head.eval_first_stage → stages[..].eval →
+//! finalize` over the forest, in `Sim` and `Real` mode alike.  What is left
+//! of a second execution world is this driver: the stages run serially on
+//! one thread instead of overlapping on ranks.
 //!
 //! Requests join and leave at step boundaries (true continuous batching): a
 //! newly admitted request's first step is its prefill, a finishing request
-//! simply stops contributing, and the cohort re-forms every iteration.
+//! closes its slots and stops contributing, and the cohort re-forms every
+//! iteration.
 //!
 //! ## Determinism and byte-identity
 //!
@@ -36,52 +45,59 @@
 //!
 //! ## Cost model
 //!
-//! Under `Sim` mode the session keeps a virtual clock.  A fused step charges
-//! each stage [`CostModel::layers_time_grouped`] — the weight stream once
-//! for the whole cohort plus per-request KV streams, against the summed
-//! compute — while the unfused knob ([`StepSession::with_fused`]) charges
-//! the request-granularity sum of [`CostModel::layers_time`], i.e. a full
-//! weight stream per request per step.  The two knobs run the identical
-//! schedule and emit identical tokens; only the roofline differs, which is
-//! precisely the quantity the `fig_cohort_batching` bench gates on.  Under
-//! `Real` mode the clock accumulates measured wall time.
+//! Under `Sim` mode the session keeps a virtual clock and adds up what the
+//! engines charge.  A fused step is one call per stage over the forest, so
+//! each stage charges the weight stream once for the whole cohort plus
+//! per-request KV streams, against the summed compute; the unfused knob
+//! ([`StepSession::with_fused`]) makes one call per request per stage, i.e.
+//! a full weight stream per request per step.  The output head is charged
+//! per request either way.  The two knobs run the identical schedule and
+//! emit identical tokens; only the roofline differs, which is precisely the
+//! quantity the `fig_cohort_batching` bench gates on.  Under `Real` mode the
+//! clock accumulates measured wall time.
 
-use crate::deploy::{
-    build_drafter, sim_head_engine, ExecutionMode, PreparedDeployment, RunOutput, StepProfile,
-};
-use crate::engine::{
-    apply_op, build_real_cache, maybe_commit_prompt, HeadEngine, PooledState, PrefixPlan,
-    SimHeadEngine,
-};
-use crate::message::{ActivationPayload, CacheOp};
-use crate::rounds::{Round, SyncRounds};
+use crate::deploy::{build_drafter, ExecutionMode, PreparedDeployment, RunOutput, StepProfile};
+use crate::engine::{HeadEngine, PrefixPlan, StageEngine};
+use crate::message::CacheOp;
+use crate::rounds::SyncRounds;
 use crate::tree::DEFAULT_PRIOR;
 use crate::GenConfig;
 use pi_cluster::ClusterStats;
-use pi_model::kv_pool::{KvPagePool, StageKey};
-use pi_model::{Batch, KvCache, Model, Sampler, ScratchArena, Token};
-use pi_perf::{CostModel, ModelCost};
+use pi_model::Batch;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-stage KV state of one request under `Real` execution.
-struct StageCaches {
-    cache: KvCache,
-    pooled: Option<PooledState>,
+/// The deployment's pipeline stages, driven in stage order on the session's
+/// thread.  Slot `i` of every engine belongs to the i-th in-flight request.
+struct Pipeline {
+    head: Box<dyn HeadEngine>,
+    /// Stages `1..n_stages`.
+    stages: Vec<Box<dyn StageEngine>>,
 }
 
-/// One request's admission into the deployment's KV page pool.  Dropping it
-/// ends the request, so the matched chain is unpinned and the unused
-/// reservation returned whichever way the request leaves: finished, dropped
-/// with its session mid-flight, or unwound past.
-struct PoolTicket {
-    pool: Arc<KvPagePool>,
-    id: u64,
-}
+impl Pipeline {
+    fn open(&mut self, kv_capacity: usize, plan: Option<&Arc<PrefixPlan>>) {
+        self.head.open(kv_capacity, plan);
+        for stage in &mut self.stages {
+            stage.open(kv_capacity, plan);
+        }
+    }
 
-impl Drop for PoolTicket {
-    fn drop(&mut self) {
-        self.pool.end_request(self.id);
+    fn close(&mut self, slot: usize) {
+        self.head.close(slot);
+        for stage in &mut self.stages {
+            stage.close(slot);
+        }
+    }
+
+    /// Applies a pipelined cache op to slot `slot` of every stage, charged
+    /// as on the solo path — where the head applies locally and the workers
+    /// on receipt, off the head's clock — at the head's cost.
+    fn apply_cache_op(&mut self, slot: usize, op: &CacheOp) -> f64 {
+        for stage in &mut self.stages {
+            stage.apply_cache_op(slot, op);
+        }
+        self.head.apply_cache_op(slot, op)
     }
 }
 
@@ -89,10 +105,8 @@ impl Drop for PoolTicket {
 struct RequestState {
     id: u64,
     rounds: SyncRounds,
-    /// Per-pipeline-stage KV caches (`Real` mode only), stage order.
-    stages: Vec<StageCaches>,
     /// Pool admission, held until the request finishes.
-    pool_ticket: Option<PoolTicket>,
+    plan: Option<Arc<PrefixPlan>>,
     /// Steps this request participated in, and the summed cohort widths and
     /// own rows of those steps (surfaced through its `RunOutput` stats).
     steps_participated: u64,
@@ -103,26 +117,6 @@ struct RequestState {
 impl RequestState {
     fn active(&self) -> bool {
         !self.rounds.is_done()
-    }
-}
-
-/// Applies a pipelined cache op to every stage of one request (`Real`), or
-/// charges the simulated head's cost for it (`Sim`, where `sim_head` is
-/// present) — the solo path has the head apply locally and the workers on
-/// receipt.
-fn apply_cache_op(
-    stages: &mut [StageCaches],
-    sim_head: Option<&mut SimHeadEngine>,
-    op: &CacheOp,
-) -> f64 {
-    match sim_head {
-        Some(head) => head.apply_cache_op(op),
-        None => {
-            for stage in stages {
-                apply_op(&mut stage.cache, op);
-            }
-            0.0
-        }
     }
 }
 
@@ -168,13 +162,14 @@ pub struct StepReport {
 /// * Requests join ([`StepSession::admit`]) and leave only at step
 ///   boundaries; a request is never mutated mid-step by another's progress.
 /// * Within one forest batch, lane `i` is the i-th participating request in
-///   admission order; every batch entry keeps its request's own sequence ids
-///   under its lane's namespace, so no row is ever attributed across
-///   requests ([`Batch::level_groups`] only orders entries *within* a lane).
-/// * Each request's KV caches (and pool ticket) are exclusively its own; the
-///   cohort shares nothing but the weight stream.
-/// * A request's pool admission ends when it finishes or when the session
-///   is dropped, whichever comes first.
+///   admission order, and slot `i` of every engine is that request's; every
+///   batch entry keeps its request's own sequence ids under its lane's
+///   namespace, so no row is ever attributed across requests
+///   ([`Batch::level_groups`] only orders entries *within* a lane).
+/// * Each request's engine slots (and pool admission) are exclusively its
+///   own; the cohort shares nothing but the weight stream.
+/// * A request's engine slots close and its pool admission ends when it
+///   finishes or when the session is dropped, whichever comes first.
 pub struct StepSession<'d> {
     prepared: &'d PreparedDeployment,
     profile: StepProfile,
@@ -182,44 +177,13 @@ pub struct StepSession<'d> {
     clock: f64,
     slots: Vec<RequestState>,
     next_id: u64,
-    /// Long-lived forward-pass temporaries (`Real` mode).
-    scratch: Option<ScratchArena>,
-    /// Head finalisation (`Sim` mode): ground-truth tokens from the oracle,
-    /// output-head, sampling and cache-op costs — the engine the solo head
-    /// runs on.
-    sim_head: Option<SimHeadEngine>,
-    /// Per-stage cost models (`Sim` mode), stage order.
-    stage_costs: Vec<CostModel>,
-    model_cost: Option<ModelCost>,
+    pipeline: Pipeline,
     stats: SessionStats,
 }
 
 impl<'d> StepSession<'d> {
     /// Opens a session; prefer [`PreparedDeployment::begin_session`].
     pub fn new(prepared: &'d PreparedDeployment) -> Self {
-        let (sim_head, stage_costs, model_cost, scratch) = match prepared.mode() {
-            ExecutionMode::Sim {
-                pair,
-                cluster,
-                oracle_seed,
-            } => {
-                let costs = prepared
-                    .route()
-                    .ranks()
-                    .iter()
-                    .map(|&rank| CostModel::new(cluster.node(rank).clone()))
-                    .collect();
-                let head = sim_head_engine(pair, cluster, *oracle_seed, prepared.splits()[0].len());
-                let model_cost = ModelCost::new(pair.target.cfg.clone(), pair.target.quant);
-                (Some(head), costs, Some(model_cost), None)
-            }
-            ExecutionMode::Real { target, .. } => (
-                None,
-                Vec::new(),
-                None,
-                Some(ScratchArena::for_config(target.config())),
-            ),
-        };
         Self {
             prepared,
             profile: prepared.strategy().step_profile(),
@@ -227,10 +191,10 @@ impl<'d> StepSession<'d> {
             clock: 0.0,
             slots: Vec::new(),
             next_id: 0,
-            scratch,
-            sim_head,
-            stage_costs,
-            model_cost,
+            pipeline: Pipeline {
+                head: prepared.head_engine(),
+                stages: prepared.stage_engines(),
+            },
             stats: SessionStats::default(),
         }
     }
@@ -283,49 +247,11 @@ impl<'d> StepSession<'d> {
         // Compose with the deployment's KV page pool exactly like the solo
         // pooled path: admit, attach the longest cached prefix, and fall
         // back to isolated flat caches on refusal.
-        let mut prompt_cached = 0;
-        let mut pool_ticket = None;
-        let mut plan = None;
-        if let Some(pool) = self.prepared.kv_pool() {
-            let required: Vec<StageKey> = match self.prepared.mode() {
-                ExecutionMode::Real { .. } => self
-                    .prepared
-                    .splits()
-                    .iter()
-                    .map(|r| (r.start, r.end))
-                    .collect(),
-                ExecutionMode::Sim { .. } => Vec::new(),
-            };
-            if let Ok(ticket) = pool.begin_request(&config.prompt, config.n_generate, &required) {
-                pool_ticket = Some(PoolTicket {
-                    pool: Arc::clone(pool),
-                    id: ticket.id,
-                });
-                prompt_cached = ticket
-                    .cached_tokens
-                    .min(config.prompt.len().saturating_sub(1));
-                plan = Some(PrefixPlan {
-                    pool: Arc::clone(pool),
-                    ticket: ticket.id,
-                    prompt: config.prompt.clone(),
-                    cached_tokens: prompt_cached,
-                });
-            }
-        }
-
-        let stages = match self.prepared.mode() {
-            ExecutionMode::Real { target, .. } => self
-                .prepared
-                .splits()
-                .iter()
-                .map(|layers| {
-                    let (cache, pooled) =
-                        build_real_cache(target, layers, config.kv_capacity, plan.as_ref());
-                    StageCaches { cache, pooled }
-                })
-                .collect(),
-            ExecutionMode::Sim { .. } => Vec::new(),
-        };
+        let plan = self.prepared.admit(config).ok().flatten();
+        let prompt_cached = plan.as_ref().map_or(0, |plan| plan.cached_tokens);
+        // The new request is the last one in flight: its slot index is its
+        // lane in the next cohort.
+        self.pipeline.open(config.kv_capacity, plan.as_ref());
 
         let needs_drafter = !matches!(self.profile, StepProfile::NonSpeculative);
         let drafter = needs_drafter
@@ -343,8 +269,7 @@ impl<'d> StepSession<'d> {
         self.slots.push(RequestState {
             id,
             rounds,
-            stages,
-            pool_ticket,
+            plan,
             steps_participated: 0,
             width_sum: 0,
             own_rows: 0,
@@ -376,12 +301,13 @@ impl<'d> StepSession<'d> {
     /// their token budget finish at this boundary.
     pub fn step_cohort(&mut self) -> StepReport {
         let real = matches!(self.prepared.mode(), ExecutionMode::Real { .. });
-        let wall = real.then(Instant::now);
+        let wall = Instant::now();
+        let pipeline = &mut self.pipeline;
         let mut step_cost = 0.0;
 
         // Phase 1 — each active request drafts and builds its micro-batch;
         // pre-eval cache ops (tree branch seeding) are applied here, against
-        // each request's own state only.  Lane i of the forest is cohort[i].
+        // each request's own slots only.  Lane i of the forest is cohort[i].
         let mut cohort = Vec::new();
         let mut rounds = Vec::new();
         for (i, r) in self.slots.iter_mut().enumerate() {
@@ -389,10 +315,9 @@ impl<'d> StepSession<'d> {
                 continue;
             }
             let round = r.rounds.next_round();
-            // `Real` drafting cost is part of the step's measured wall time.
-            let mut cost = if real { 0.0 } else { round.draft_cost };
+            let mut cost = round.draft_cost;
             for op in &round.pre_ops {
-                cost += apply_cache_op(&mut r.stages, self.sim_head.as_mut(), op);
+                cost += pipeline.apply_cache_op(cohort.len(), op);
             }
             step_cost += cost;
             cohort.push(i);
@@ -402,26 +327,58 @@ impl<'d> StepSession<'d> {
             return StepReport::default();
         }
 
-        // Phase 2 — fuse and evaluate.
-        let rows: usize = rounds.iter().map(|round| round.batch.len()).sum();
-        let greedy_per_request: Vec<Vec<Token>> = if real {
-            self.eval_real(&cohort, &rounds)
-        } else {
-            let (greedy, cost) = self.eval_sim(&cohort, &rounds);
-            step_cost += cost;
-            greedy
-        };
+        // Phase 2 — fuse and evaluate: one call over the forest, or — the
+        // request-granularity baseline — one one-lane call per request (each
+        // streaming every stage's weights again), stage by stage.
+        let width = cohort.len();
+        // Request `lane` goes into call `lane % n_calls`.
+        let n_calls = if self.fused { 1 } else { width };
+        let mut calls = vec![Batch::new(); n_calls];
+        for (lane, round) in rounds.iter().enumerate() {
+            calls[lane % n_calls].append_lane(&round.batch, lane);
+        }
+        let mut cost = 0.0;
+        let mut payloads = Vec::with_capacity(n_calls);
+        for batch in &calls {
+            let (payload, stage_cost) = pipeline.head.eval_first_stage(batch);
+            cost += stage_cost;
+            payloads.push(payload);
+        }
+        for stage in &mut pipeline.stages {
+            for (batch, payload) in calls.iter().zip(&mut payloads) {
+                let (out, stage_cost) = stage.eval(batch, payload);
+                cost += stage_cost;
+                *payload = out;
+            }
+        }
+        // Head finalization (output head + sampling) is per request either
+        // way: each takes its own rows of its call's activations, and the
+        // oracle walk needs each request's own context.
+        let mut greedy_per_request = Vec::with_capacity(width);
+        let mut first_row = 0;
+        for (lane, (&i, round)) in cohort.iter().zip(&rounds).enumerate() {
+            let payload = &payloads[lane % n_calls];
+            let n = round.batch.len();
+            let own_rows;
+            let payload = if payload.tokens() == n {
+                payload
+            } else {
+                own_rows = payload.rows(first_row..first_row + n);
+                &own_rows
+            };
+            first_row += n;
+            let context = self.slots[i].rounds.context();
+            let (greedy, head_cost) = round.finalize(pipeline.head.as_mut(), payload, context);
+            cost += head_cost;
+            greedy_per_request.push(greedy);
+        }
+        step_cost += cost;
 
         // Per-step accounting: one fused step of the cohort's width, or one
         // width-1 step per request under the request-granularity knob.
-        let width = cohort.len();
-        if self.fused {
-            self.stats.cohort_steps += 1;
-            self.stats.cohort_width_sum += width as u64;
-        } else {
-            self.stats.cohort_steps += width as u64;
-            self.stats.cohort_width_sum += width as u64;
-        }
+        let rows: usize = rounds.iter().map(|round| round.batch.len()).sum();
+        self.stats.cohort_steps += if self.fused { 1 } else { width as u64 };
+        self.stats.cohort_width_sum += width as u64;
         self.stats.batched_rows += rows as u64;
         for (&i, round) in cohort.iter().zip(&rounds) {
             let r = &mut self.slots[i];
@@ -430,30 +387,29 @@ impl<'d> StepSession<'d> {
             r.own_rows += round.batch.len() as u64;
         }
 
-        // Phase 3 — per-request verification and state advance.
-        if real {
-            self.clock += wall.expect("real wall clock").elapsed().as_secs_f64();
+        // Phase 3 — per-request verification and state advance.  `Real`
+        // drafting and evaluation are timed as one wall-clock span; `Sim`
+        // adds up what the drafters and engines charged.
+        self.clock += if real {
+            wall.elapsed().as_secs_f64()
         } else {
-            self.clock += step_cost;
-        }
+            step_cost
+        };
         let mut post_cost = 0.0;
         let mut finished = Vec::new();
         let now = self.clock;
-        for ((&i, round), greedy) in cohort.iter().zip(rounds).zip(&greedy_per_request) {
+        for (lane, (&i, round)) in cohort.iter().zip(rounds).enumerate() {
             let r = &mut self.slots[i];
+            // Every request that finished before this one closed its slots.
+            let slot = lane - finished.len();
+            let greedy = &greedy_per_request[lane];
             if let Some(op) = r.rounds.absorb(round, greedy, now) {
-                post_cost += apply_cache_op(&mut r.stages, self.sim_head.as_mut(), &op);
+                post_cost += pipeline.apply_cache_op(slot, &op);
             }
             if r.rounds.is_done() {
-                if let Some(ticket) = r.pool_ticket.take() {
-                    // `Real` stages committed their physical pages during
-                    // prefill; `Sim` commits the prompt as a token-only
-                    // chain.  Dropping the ticket then ends the request.
-                    if !real {
-                        ticket
-                            .pool
-                            .commit_chain(ticket.id, &r.rounds.config().prompt, None);
-                    }
+                pipeline.close(slot);
+                if let Some(plan) = r.plan.take() {
+                    self.prepared.retire(plan);
                 }
                 finished.push(r.id);
             }
@@ -466,150 +422,16 @@ impl<'d> StepSession<'d> {
             finished,
         }
     }
-
-    /// Simulated evaluation of the cohort: oracle tokens per request plus
-    /// the roofline cost of the whole step (fused or request-granularity).
-    fn eval_sim(&mut self, cohort: &[usize], rounds: &[Round]) -> (Vec<Vec<Token>>, f64) {
-        let model_cost = self.model_cost.as_ref().expect("sim model cost");
-        let splits = self.prepared.splits();
-
-        // Stage costs: the weight stream amortises across the cohort when
-        // fused; request-granularity charges it once per request.
-        let groups: Vec<(usize, usize)> = rounds
-            .iter()
-            .map(|round| {
-                let sub = &round.batch;
-                (sub.len(), sub.min_pos().unwrap_or(0).max(0) as usize)
-            })
-            .collect();
-        let mut cost = 0.0;
-        for (stage, layers) in splits.iter().enumerate() {
-            let cm = &self.stage_costs[stage];
-            if self.fused {
-                cost += cm.layers_time_grouped(model_cost, layers.len(), &groups);
-            } else {
-                for &(rows, ctx) in &groups {
-                    cost += cm.layers_time(model_cost, layers.len(), rows, ctx);
-                }
-            }
-        }
-
-        // Head finalization (output head + sampling) is per-request either
-        // way: the logits rows are per request and the oracle walk needs
-        // each request's own context.
-        let head = self.sim_head.as_mut().expect("sim head engine");
-        let mut out = Vec::with_capacity(cohort.len());
-        for (&i, round) in cohort.iter().zip(rounds) {
-            let context = self.slots[i].rounds.context();
-            let (greedy, head_cost) = round.finalize(head, &ActivationPayload::Empty, context);
-            cost += head_cost;
-            out.push(greedy);
-        }
-        (out, cost)
-    }
-
-    /// Real evaluation of the cohort: one fused forward through every stage,
-    /// or — the request-granularity baseline — the same forward once per
-    /// request (each streaming every stage's weights again).
-    fn eval_real(&mut self, cohort: &[usize], rounds: &[Round]) -> Vec<Vec<Token>> {
-        if self.fused {
-            self.forward_forest(cohort, rounds)
-        } else {
-            cohort
-                .iter()
-                .zip(rounds)
-                .flat_map(|(&i, round)| self.forward_forest(&[i], std::slice::from_ref(round)))
-                .collect()
-        }
-    }
-
-    /// One forward of the forest whose lane `i` is `rounds[i]`, the batch of
-    /// request `cohort[i]`, through every stage; then greedy sampling of
-    /// each request's logits rows.
-    fn forward_forest(&mut self, cohort: &[usize], rounds: &[Round]) -> Vec<Vec<Token>> {
-        let prepared = self.prepared;
-        let ExecutionMode::Real { target: model, .. } = prepared.mode() else {
-            unreachable!("forward_forest in sim mode");
-        };
-        let scratch = self.scratch.as_mut().expect("real scratch");
-
-        let mut forest = Batch::new();
-        for (lane, round) in rounds.iter().enumerate() {
-            forest.append_lane(&round.batch, lane);
-        }
-        let mut hidden = model.embed(&forest);
-        for (stage, layers) in prepared.splits().iter().enumerate() {
-            let mut members: Vec<&mut RequestState> = Vec::with_capacity(cohort.len());
-            let mut want = cohort.iter().peekable();
-            for (idx, slot) in self.slots.iter_mut().enumerate() {
-                if want.peek() == Some(&&idx) {
-                    members.push(slot);
-                    want.next();
-                }
-            }
-            let mut caches: Vec<&mut KvCache> = members
-                .iter_mut()
-                .map(|r| &mut r.stages[stage].cache)
-                .collect();
-            let cells = Model::alloc_cells_multi(&forest, &mut caches).expect("stage KV exhausted");
-            hidden = model
-                .forward_layer_range_multi(
-                    &forest,
-                    &hidden,
-                    layers.clone(),
-                    &mut caches,
-                    &cells,
-                    scratch,
-                )
-                .expect("fused layer-range evaluation failed");
-            drop(caches);
-            for (r, round) in members.iter_mut().zip(rounds) {
-                let stage_state = &mut r.stages[stage];
-                maybe_commit_prompt(
-                    &mut stage_state.cache,
-                    &mut stage_state.pooled,
-                    &round.batch,
-                );
-            }
-        }
-        let logits = model.logits(&hidden);
-        let sampler = Sampler::Greedy;
-        let mut out = Vec::with_capacity(cohort.len());
-        let mut row = 0;
-        for round in rounds {
-            let g = (0..round.batch.len())
-                .map(|j| sampler.sample(logits.row(row + j).expect("logits row")))
-                .collect();
-            row += round.batch.len();
-            out.push(g);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::{Deployment, IterativeStrategy, SpeculativeStrategy};
+    use crate::testkit::{real_mode, sim_mode};
     use crate::tree::TreeSpeculationStrategy;
-    use pi_model::kv_pool::KvPoolConfig;
-    use pi_model::ModelConfig;
-    use pi_perf::{ClusterSpec, ModelPair};
-
-    fn sim_mode(n_nodes: usize) -> ExecutionMode {
-        ExecutionMode::Sim {
-            pair: ModelPair::dolphin_tinyllama(),
-            cluster: ClusterSpec::cluster_c(n_nodes),
-            oracle_seed: 42,
-        }
-    }
-
-    fn real_mode(seed: u64) -> ExecutionMode {
-        let cfg = ModelConfig::tiny_llama(64, 4);
-        let target = Arc::new(Model::random(cfg.clone(), seed));
-        let draft = Arc::new(Model::new(cfg, target.weights().perturbed(0.02, seed + 1)));
-        ExecutionMode::Real { target, draft }
-    }
+    use pi_model::kv_pool::{KvPagePool, KvPoolConfig};
+    use pi_model::Token;
 
     fn gen(prompt_fill: Token, prompt_len: usize, n_generate: usize) -> GenConfig {
         GenConfig {

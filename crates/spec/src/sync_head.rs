@@ -71,7 +71,7 @@ impl SyncHead {
     /// Applies `op` on the head's own cache and pipelines it to every other
     /// stage, in order ahead of the next decode.
     fn send_cache_op(&mut self, op: CacheOp, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let cost = self.engine.apply_cache_op(&op);
+        let cost = self.engine.apply_cache_op(0, &op);
         ctx.elapse(cost);
         self.send_downstream(ctx, tags::CACHE, PipeMsg::Cache(op));
     }

@@ -1,9 +1,31 @@
-//! Test support shared by this crate's unit tests: the one recording
-//! [`NodeCtx`], a pass-through pipeline that drives a head to completion,
-//! and a hash of the wire transcript a head leaves behind.
+//! Test support shared by this crate's unit tests: the two execution modes
+//! the deployment tests run under, the one recording [`NodeCtx`], a
+//! pass-through pipeline that drives a head to completion, and a hash of the
+//! wire transcript a head leaves behind.
 
+use crate::deploy::ExecutionMode;
 use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunKind};
 use pi_cluster::{NodeBehavior, NodeCtx, Rank, Tag};
+use pi_model::{Model, ModelConfig};
+use pi_perf::{ClusterSpec, ModelPair};
+use std::sync::Arc;
+
+/// The simulated Dolphin/TinyLlama pair on `n_nodes` cluster-C nodes.
+pub(crate) fn sim_mode(n_nodes: usize) -> ExecutionMode {
+    ExecutionMode::Sim {
+        pair: ModelPair::dolphin_tinyllama(),
+        cluster: ClusterSpec::cluster_c(n_nodes),
+        oracle_seed: 42,
+    }
+}
+
+/// A random four-layer tiny target with a slightly perturbed draft.
+pub(crate) fn real_mode(seed: u64) -> ExecutionMode {
+    let cfg = ModelConfig::tiny_llama(64, 4);
+    let target = Arc::new(Model::random(cfg.clone(), seed));
+    let draft = Arc::new(Model::new(cfg, target.weights().perturbed(0.02, seed + 1)));
+    ExecutionMode::Real { target, draft }
+}
 
 /// One message a behavior sent, with the virtual time it was sent at.
 pub(crate) struct Sent {

@@ -161,7 +161,7 @@ impl NodeBehavior<PipeMsg> for PipelineWorker {
                 );
             }
             PipeMsg::Cache(op) => {
-                let cost = self.engine.apply_cache_op(&op);
+                let cost = self.engine.apply_cache_op(0, &op);
                 ctx.elapse(cost);
                 record_kv_events(self.engine.take_kv_events(), ctx);
                 if let Some(next) = self.route.next_after(self.rank) {

@@ -46,10 +46,19 @@ fn main() {
     // 2. Fault-free baseline.
     let clean = prepared.run(&gen);
     assert!(clean.completed);
+    let run_faulted = |faults: FaultPlan| {
+        let options = RunOptions {
+            faults: Some(faults),
+            ..RunOptions::default()
+        };
+        prepared
+            .run_with(&gen, options)
+            .expect("no pool to refuse admission")
+    };
 
     // 3. Kill the draft rank a third of the way in.
     let kill_plan = FaultPlan::seeded(0xC4A05).kill_at(DRAFT_RANK, clean.stats.total_time * 0.3);
-    let killed = prepared.run_faulted(&gen, kill_plan);
+    let killed = run_faulted(kill_plan);
 
     // 4. Degrade the whole draft path instead: 30% loss head-ward, plus
     //    delays, duplicates and reorders both ways.
@@ -62,7 +71,7 @@ fn main() {
                 .and_reorder(0.2, 0.02),
         )
         .on_link(DRAFT_RANK, 0, LinkFaults::drop(0.3));
-    let lossy = prepared.run_faulted(&gen, lossy_plan);
+    let lossy = run_faulted(lossy_plan);
 
     for (name, out) in [
         ("fault-free", &clean),

@@ -69,8 +69,8 @@ pub mod prelude {
     pub use pi_perf::{ClusterSpec, InferenceStrategy, ModelPair};
     pub use pi_serve::{Request, ServeReport, Server, ServerConfig, WorkloadGen};
     pub use pi_spec::deploy::{
-        Deployment, ExecutionMode, HeadParts, IterativeStrategy, PreparedDeployment, RunOutput,
-        SpeculativeStrategy, Strategy,
+        Deployment, ExecutionMode, HeadParts, IterativeStrategy, PreparedDeployment, RunOptions,
+        RunOutput, SpeculativeStrategy, Strategy,
     };
     pub use pi_spec::runner::{run_iterative, run_speculative};
     pub use pi_spec::{

@@ -24,6 +24,24 @@ fn sim(n: usize, seed: u64) -> ExecutionMode {
     }
 }
 
+/// One run of `cfg` under `faults`.  No pool is attached, so nothing can
+/// refuse it.
+fn run_faulted(
+    prepared: &PreparedDeployment,
+    cfg: &GenConfig,
+    faults: FaultPlan,
+    trace: Option<TraceConfig>,
+) -> RunOutput {
+    let options = RunOptions {
+        trace,
+        faults: Some(faults),
+        cached_prefix: None,
+    };
+    prepared
+        .run_with(cfg, options)
+        .expect("no pool to refuse admission")
+}
+
 fn gen(n_generate: usize) -> GenConfig {
     GenConfig {
         prompt: vec![9; 24],
@@ -65,7 +83,7 @@ fn killing_the_draft_rank_mid_stream_fails_over_and_preserves_the_stream() {
     let t_kill = clean.stats.total_time * 0.3;
     assert!(t_kill > 0.0);
     let plan = FaultPlan::seeded(0xC4A05).kill_at(DRAFT_RANK, t_kill);
-    let faulted = prepared.run_faulted_traced(&cfg, plan, TraceConfig::default());
+    let faulted = run_faulted(&prepared, &cfg, plan, Some(TraceConfig::default()));
 
     assert!(
         faulted.completed,
@@ -107,7 +125,7 @@ fn fully_dropped_draft_links_degrade_without_deadlock_or_divergence() {
         let prepared = dedicated(tree).prepare(&sim(6, 23), 6);
         let clean = prepared.run(&cfg);
         let plan = FaultPlan::seeded(7).on_path(0, DRAFT_RANK, LinkFaults::drop_all());
-        let faulted = prepared.run_faulted(&cfg, plan);
+        let faulted = run_faulted(&prepared, &cfg, plan, None);
         assert!(faulted.completed, "tree={tree}: the run must halt cleanly");
         assert_eq!(
             faulted.record.tokens, clean.record.tokens,
@@ -139,8 +157,8 @@ fn fault_schedules_replay_bit_identically() {
             .pause(5, 1.0, 2.0)
             .kill_at(DRAFT_RANK, 6.0)
     };
-    let a = prepared.run_faulted_traced(&cfg, plan(), TraceConfig::default());
-    let b = prepared.run_faulted_traced(&cfg, plan(), TraceConfig::default());
+    let a = run_faulted(&prepared, &cfg, plan(), Some(TraceConfig::default()));
+    let b = run_faulted(&prepared, &cfg, plan(), Some(TraceConfig::default()));
     assert_eq!(a.record.tokens, b.record.tokens);
     assert_eq!(a.record.finished_at, b.record.finished_at);
     assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
@@ -189,7 +207,7 @@ proptest! {
         if kill {
             plan = plan.kill_at(DRAFT_RANK, clean.stats.total_time * 0.4);
         }
-        let faulted = prepared.run_faulted(&cfg, plan);
+        let faulted = run_faulted(&prepared, &cfg, plan, None);
         prop_assert!(faulted.completed, "chaos run did not halt cleanly");
         prop_assert_eq!(
             &faulted.record.tokens,

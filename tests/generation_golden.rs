@@ -1,13 +1,14 @@
 //! Golden end-to-end generation: kernel changes must not move the output.
 //!
 //! Greedy decoding from a fixed-seed tiny model is pinned to a hardcoded
-//! token sequence.  The `simd` feature swaps every hot kernel (dense and
-//! quantized matmul, rmsnorm, softmax, SwiGLU) for the f32x8 versions whose
-//! accumulation order differs from the scalar build's — the logits agree
-//! only to ~1e-4 — but greedy argmax margins in a real forward pass dwarf
-//! that, so the *sampled tokens* must be byte-identical with the feature on
-//! and off.  A silent kernel bug large enough to flip any argmax fails this
-//! test on whichever build carries it.
+//! token sequence, recorded before the f32x8 kernels of `pi_tensor::simd`
+//! (dense and quantized matmul, rmsnorm, softmax, SwiGLU) became the one
+//! tier every build ships.  Their accumulation order differs from the
+//! scalar kernels the sequence was recorded with — the logits agree only to
+//! ~1e-4 — but greedy argmax margins in a real forward pass dwarf that, so
+//! the *sampled tokens* must stay byte-identical on either dispatch (AVX2/FMA
+//! or the portable 8-lane arrays).  A silent kernel bug large enough to flip
+//! any argmax fails this test.
 
 use pipeinfer::model::{Batch, KvCache, Model, ModelConfig, OracleTarget, Sampler};
 use pipeinfer::prelude::{
@@ -62,8 +63,8 @@ fn greedy_generation_matches_golden_tokens() {
     let model = Model::random(ModelConfig::tiny_llama(96, 4), 2024);
     let prompt: Vec<u32> = vec![3, 14, 15, 9, 2, 6];
     let tokens = greedy(&model, &prompt, 24);
-    // Recorded from the scalar build; the simd build must reproduce it
-    // exactly (see module docs).
+    // Recorded with the former scalar kernels; the shipped f32x8 tier must
+    // reproduce it exactly (see module docs).
     assert_eq!(
         tokens,
         golden_tokens(),
