@@ -80,6 +80,7 @@ impl Bencher {
             return BenchReport {
                 name: name.to_string(),
                 mean_ns: 0.0,
+                median_ns: 0.0,
                 min_ns: 0.0,
                 max_ns: 0.0,
                 iters: 0,
@@ -87,15 +88,21 @@ impl Bencher {
         }
         let total: Duration = self.samples.iter().sum();
         let mean = total / self.samples.len() as u32;
-        let min = *self.samples.iter().min().unwrap();
-        let max = *self.samples.iter().max().unwrap();
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let (min, median, max) = (
+            sorted[0],
+            sorted[sorted.len() / 2],
+            sorted[sorted.len() - 1],
+        );
         println!(
-            "{name:<48} mean {mean:>12?}  min {min:>12?}  max {max:>12?}  ({} iters)",
+            "{name:<48} mean {mean:>12?}  median {median:>12?}  min {min:>12?}  max {max:>12?}  ({} iters)",
             self.samples.len()
         );
         BenchReport {
             name: name.to_string(),
             mean_ns: mean.as_nanos() as f64,
+            median_ns: median.as_nanos() as f64,
             min_ns: min.as_nanos() as f64,
             max_ns: max.as_nanos() as f64,
             iters: self.samples.len(),
@@ -113,6 +120,10 @@ pub struct BenchReport {
     pub name: String,
     /// Mean wall-clock nanoseconds per iteration.
     pub mean_ns: f64,
+    /// Median iteration in nanoseconds — unlike the mean it ignores the
+    /// millisecond outliers a shared host injects, and unlike the minimum it
+    /// sees a cost most iterations pay but a lucky one escapes.
+    pub median_ns: f64,
     /// Fastest observed iteration in nanoseconds.
     pub min_ns: f64,
     /// Slowest observed iteration in nanoseconds.

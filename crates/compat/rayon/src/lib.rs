@@ -84,23 +84,31 @@ pub mod pool {
     unsafe impl Sync for Job {}
 
     impl Job {
-        /// Claims and runs items until the job is exhausted.
-        fn work(&self) {
+        /// Claims and runs items until the job is exhausted.  Returns whether
+        /// this thread completed the job's last outstanding item — the
+        /// `AcqRel` count it observed then orders every other item's writes
+        /// before its return.
+        fn work(&self) -> bool {
+            let mut ran_last = false;
             loop {
                 let i = self.next.fetch_add(1, Ordering::Relaxed);
                 if i >= self.n_items {
-                    return;
+                    return ran_last;
                 }
                 let task = unsafe { &*self.task };
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
                     let mut slot = self.panic.lock().unwrap();
                     slot.get_or_insert(payload);
                 }
-                if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n_items {
-                    *self.finished.lock().unwrap() = true;
-                    self.finished_cv.notify_all();
-                }
+                ran_last = self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n_items;
             }
+        }
+
+        /// Worker side of completion: wakes the caller blocked in `wait`
+        /// (the only thread that ever waits on a job).
+        fn signal_finished(&self) {
+            *self.finished.lock().unwrap() = true;
+            self.finished_cv.notify_one();
         }
 
         fn wait(&self) {
@@ -142,10 +150,15 @@ pub mod pool {
         })
     }
 
+    /// The `PIPEINFER_THREADS` override, re-read on every call.  Parsed in
+    /// place from what `var_os` hands back; an unset variable (the shipped
+    /// configuration) allocates nothing.
     fn env_threads() -> Option<usize> {
-        std::env::var(THREADS_ENV)
+        std::env::var_os(THREADS_ENV)?
+            .to_str()?
+            .trim()
+            .parse::<usize>()
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
             .map(|n| n.min(MAX_THREADS))
     }
@@ -223,7 +236,9 @@ pub mod pool {
                     st = shared.work_cv.wait(st).unwrap();
                 }
             };
-            job.work();
+            if job.work() {
+                job.signal_finished();
+            }
         }
     }
 
@@ -292,9 +307,18 @@ pub mod pool {
                     st.queue.push_back(job.clone());
                 }
             }
-            self.shared.work_cv.notify_all();
-            job.work();
-            job.wait();
+            // One wake per ticket: `notify_all` would rouse every idle worker
+            // of a pool grown for a wider call to fight over `threads - 1`
+            // tickets.  A worker that is busy rather than waiting misses its
+            // wake and pops the ticket when it next looks at the queue.
+            for _ in 0..threads - 1 {
+                self.shared.work_cv.notify_one();
+            }
+            // When the caller itself ran the last item nobody is waiting, so
+            // the completion lock and futex wake are skipped entirely.
+            if !job.work() {
+                job.wait();
+            }
             let payload = job.panic.lock().unwrap().take();
             if let Some(payload) = payload {
                 resume_unwind(payload);

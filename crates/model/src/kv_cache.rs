@@ -17,6 +17,22 @@
 //! Each pipeline stage owns one `KvCache` covering only its layer range; the
 //! metadata commands are forwarded down the pipeline as transactions so every
 //! stage applies them in the same order (paper §IV-C3).
+//!
+//! ## Storage
+//!
+//! `capacity` is a bound, not an allocation.  A request provisions room for
+//! its longest possible stream and touches a fraction of it, and a cache is
+//! built per request per stage (plus one per drafter), so neither backing
+//! pays for cells the request never reaches: the flat backing's per-layer
+//! planes start empty and grow with the cells [`KvCache::alloc`] hands out —
+//! 64 cells, then doubling, capped at `capacity`, kept by
+//! [`KvCache::clear`] — and the paged backing materialises a page on its
+//! first write.  (Allocating the planes zeroed up front is free only while
+//! each is a fresh `mmap`; once a process has freed one, glibc recycles heap
+//! for the next and zeroes all of it — 40 MB per request on the wall-clock
+//! benchmark, for requests that touch 24–130 cells.)  Cell metadata, first-fit
+//! order and what `store` / `key` / `value` return are the same whatever the
+//! planes' current length.
 
 use crate::{Pos, SeqId};
 use std::collections::BTreeSet;
@@ -105,12 +121,20 @@ impl KvCacheEvents {
 
 /// K/V vector storage behind the cell metadata: one contiguous plane per
 /// layer (flat, the default) or demand-allocated refcounted pages (paged).
+///
+/// Neither backing pays for `capacity` up front.  A request provisions room
+/// for its longest possible stream (2048 cells on the wall-clock benchmark)
+/// and touches a few dozen to a few hundred of them, so storage follows the
+/// cells [`KvCache::alloc`] has handed out: flat planes grow with the
+/// high-water mark, pages appear on first write.
 #[derive(Debug, Clone)]
 enum Backing {
     Flat {
-        /// Per-layer keys: `capacity * kv_dim` contiguous f32s.
+        /// Per-layer keys: contiguous f32s, `kv_dim` per cell, for every
+        /// cell below the high-water mark and geometric headroom above it
+        /// (see [`KvCache::alloc`]); empty until the first `alloc`.
         k: Vec<Vec<f32>>,
-        /// Per-layer values, same layout.
+        /// Per-layer values, same layout and length.
         v: Vec<Vec<f32>>,
     },
     Paged {
@@ -122,6 +146,11 @@ enum Backing {
         events: KvCacheEvents,
     },
 }
+
+/// Cells the flat planes cover after their first growth: 64 cells of the
+/// benchmark's 256-wide K/V are 64 KB per plane, enough for a short prompt
+/// and its first decode steps without a second growth.
+const MIN_BACKED_CELLS: usize = 64;
 
 /// Metadata of one cache cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,9 +193,9 @@ pub struct KvCache {
     cells: Vec<KvCell>,
     /// Every cell at or above this index is free.  It only grows (in
     /// [`KvCache::alloc`] and [`KvCache::attach_prefix`]) until
-    /// [`KvCache::clear`], and bounds the per-token metadata scans: a request
-    /// provisions `capacity` for its longest possible stream and mostly uses
-    /// a fraction of it.
+    /// [`KvCache::clear`], and bounds the per-token metadata scans and the
+    /// flat backing's plane length: a request provisions `capacity` for its
+    /// longest possible stream and mostly uses a fraction of it.
     high_water: usize,
     backing: Backing,
 }
@@ -174,6 +203,11 @@ pub struct KvCache {
 impl KvCache {
     /// Creates an empty cache with room for `capacity` cells covering
     /// `n_layers` layers of key/value dimension `kv_dim`.
+    ///
+    /// `capacity` bounds [`KvCache::alloc`]; it is not allocated.  The K/V
+    /// planes start empty and grow with the cells actually handed out, so
+    /// constructing a cache costs its cell metadata only, however long a
+    /// stream it provisions for.
     pub fn new(n_layers: usize, kv_dim: usize, capacity: usize) -> Self {
         Self {
             n_layers,
@@ -182,8 +216,8 @@ impl KvCache {
             cells: vec![KvCell::free(); capacity],
             high_water: 0,
             backing: Backing::Flat {
-                k: zeroed_planes(n_layers, capacity * kv_dim),
-                v: zeroed_planes(n_layers, capacity * kv_dim),
+                k: vec![Vec::new(); n_layers],
+                v: vec![Vec::new(); n_layers],
             },
         }
     }
@@ -275,6 +309,12 @@ impl KvCache {
     /// allocation keeps the behaviour deterministic across pipeline stages:
     /// every stage performs the same allocation calls in the same
     /// (transaction-ordered) sequence and therefore picks the same cells.
+    ///
+    /// On the flat backing this is also where storage appears: when the
+    /// high-water mark passes the end of the planes, every plane grows to
+    /// the next power of two of cells (at least 64, at most `capacity`),
+    /// zero-filled, so a cell that `alloc` returned always has backing —
+    /// zeros until stored — and [`KvCache::clear`] keeps it.
     pub fn alloc(&mut self, pos: Pos, seq_ids: &[SeqId]) -> Option<usize> {
         // Every cell from the high-water mark up is free, so the first free
         // cell is the first hole below the mark, else the mark itself.
@@ -286,10 +326,31 @@ impl KvCache {
         if idx == self.capacity {
             return None;
         }
-        self.high_water = self.high_water.max(idx + 1);
+        if idx == self.high_water {
+            self.high_water += 1;
+            self.back_live_cells();
+        }
         self.cells[idx].pos = pos;
         self.cells[idx].seq_ids = seq_ids.iter().copied().collect();
         Some(idx)
+    }
+
+    /// Grows the flat planes geometrically until they cover every cell below
+    /// the high-water mark (no-op for the paged backing, whose pages appear
+    /// on first write).
+    fn back_live_cells(&mut self) {
+        let Backing::Flat { k, v } = &mut self.backing else {
+            return;
+        };
+        if k.first()
+            .is_some_and(|p| p.len() < self.high_water * self.kv_dim)
+        {
+            let cells = self.high_water.next_power_of_two().max(MIN_BACKED_CELLS);
+            let len = cells.min(self.capacity) * self.kv_dim;
+            for plane in k.iter_mut().chain(v.iter_mut()) {
+                plane.resize(len, 0.0);
+            }
+        }
     }
 
     /// Stores the key/value vectors of `cell` for local layer `layer`.
@@ -339,7 +400,9 @@ impl KvCache {
         }
     }
 
-    /// Key vector of `cell` at local layer `layer`.
+    /// Key vector of `cell` at local layer `layer`.  `cell` must be one
+    /// [`KvCache::alloc`] has returned (or a prefix-attached one): the flat
+    /// backing holds nothing for cells the cache never handed out.
     pub fn key(&self, layer: usize, cell: usize) -> &[f32] {
         match &self.backing {
             Backing::Flat { k, .. } => {
@@ -361,7 +424,8 @@ impl KvCache {
         }
     }
 
-    /// Value vector of `cell` at local layer `layer`.
+    /// Value vector of `cell` at local layer `layer`; same contract as
+    /// [`KvCache::key`].
     pub fn value(&self, layer: usize, cell: usize) -> &[f32] {
         match &self.backing {
             Backing::Flat { v, .. } => {
@@ -633,7 +697,8 @@ impl KvCache {
             .count()
     }
 
-    /// Frees every cell (and, in paged mode, every page).
+    /// Frees every cell (and, in paged mode, every page).  Flat planes keep
+    /// the length they grew to, so a reused cache does not grow again.
     pub fn clear(&mut self) {
         for cell in &mut self.cells[..self.high_water] {
             *cell = KvCell::free();
@@ -902,6 +967,56 @@ mod tests {
         }
     }
 
+    /// Length in cells of the flat planes (all planes are the same length).
+    fn backed_cells(c: &KvCache) -> usize {
+        let Backing::Flat { k, v } = &c.backing else {
+            panic!("flat backing expected");
+        };
+        let len = k[0].len();
+        assert!(k.iter().chain(v.iter()).all(|p| p.len() == len));
+        len / c.kv_dim
+    }
+
+    #[test]
+    fn flat_planes_follow_the_high_water_mark_not_the_capacity() {
+        // Eager planes would be 2 x 8 x 2^20 x 256 f32s = 16 GB, more than
+        // the machines this runs on have.
+        let mut c = KvCache::new(8, 256, 1 << 20);
+        assert_eq!(
+            backed_cells(&c),
+            0,
+            "nothing is backed before the first alloc"
+        );
+        for p in 0..100usize {
+            let cell = c.alloc(p as Pos, &[0]).unwrap();
+            assert_eq!(cell, p);
+            assert_eq!(c.key(7, cell), &[0.0; 256][..], "zeros until stored");
+            c.store(7, cell, &[p as f32; 256], &[-(p as f32); 256]);
+        }
+        assert_eq!(backed_cells(&c), 128, "64, then doubled once");
+        for p in 0..100usize {
+            assert_eq!(c.key(7, p), &[p as f32; 256][..]);
+            assert_eq!(c.value(7, p), &[-(p as f32); 256][..]);
+            assert_eq!(c.value(0, p), &[0.0; 256][..]);
+        }
+        // Holes below the mark are reused without growing; `clear` keeps
+        // what was grown.
+        c.seq_rm(0, 10, 20);
+        assert_eq!(c.alloc(500, &[0]), Some(10));
+        assert_eq!(backed_cells(&c), 128);
+        c.clear();
+        assert_eq!(backed_cells(&c), 128);
+        assert_eq!(c.capacity(), 1 << 20);
+
+        // Growth is capped at the capacity, which still bounds `alloc`.
+        let mut small = KvCache::new(1, 2, 70);
+        for p in 0..70 {
+            small.alloc(p, &[0]).unwrap();
+        }
+        assert_eq!(backed_cells(&small), 70);
+        assert_eq!(small.alloc(70, &[0]), None);
+    }
+
     // --- paged backing ---
 
     fn paged() -> KvCache {
@@ -1102,6 +1217,129 @@ mod paged_props {
                 prop_assert_eq!(writer.value(0, p), &row(0, p, 0.5)[..]);
                 prop_assert_eq!(writer.key(1, p), &row(1, p, 0.0)[..]);
                 prop_assert_eq!(writer.value(1, p), &row(1, p, 0.5)[..]);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod demand_growth_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const N_LAYERS: usize = 2;
+    const KV_DIM: usize = 4;
+
+    /// Every live cell's metadata and K/V rows, `check_consistency` included.
+    fn assert_same_contents(a: &KvCache, b: &KvCache, step: usize) {
+        assert_eq!(a.cells(), b.cells(), "step {step}");
+        assert_eq!(a.check_consistency(), Ok(()), "step {step}");
+        assert_eq!(b.check_consistency(), Ok(()), "step {step}");
+        for (cell, meta) in a.cells().iter().enumerate() {
+            if meta.is_free() {
+                continue;
+            }
+            for layer in 0..N_LAYERS {
+                assert_eq!(a.key(layer, cell), b.key(layer, cell), "step {step}");
+                assert_eq!(a.value(layer, cell), b.value(layer, cell), "step {step}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Growing the planes on demand is invisible: a fresh cache and one
+        /// whose planes already span the whole capacity (filled once, then
+        /// cleared — `clear` keeps the planes) walk the same random schedule
+        /// of every mutating operation and agree on every cell, every live
+        /// K/V row and every `alloc` answer, `None` exactly when full.
+        #[test]
+        fn prop_demand_grown_cache_matches_a_fully_grown_one(
+            // Below, at and just above the first growth step; a capacity
+            // that is not a power of two; one several doublings deep.
+            capacity_pick in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            let capacity = [1usize, 48, 64, 65, 200, 300][capacity_pick];
+            let mut fresh = KvCache::new(N_LAYERS, KV_DIM, capacity);
+            let mut grown = KvCache::new(N_LAYERS, KV_DIM, capacity);
+            for p in 0..capacity {
+                grown.alloc(p as Pos, &[0]).unwrap();
+            }
+            grown.clear();
+
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            // Positions come from a counter, so no sequence ever holds one
+            // position twice and `check_consistency` has to stay clean.
+            let mut pos: Pos = 0;
+            let mut steps_since_clear = 0usize;
+            for step in 0..600 {
+                steps_since_clear += 1;
+                match next(16) {
+                    0 => {
+                        let (src, dst) = (next(5) as SeqId, next(5) as SeqId);
+                        let p0 = (pos - next(40) as Pos).max(0);
+                        fresh.seq_cp(src, dst, p0, Pos::MAX);
+                        grown.seq_cp(src, dst, p0, Pos::MAX);
+                    }
+                    1 | 2 => {
+                        let seq = next(5) as SeqId;
+                        let p0 = (pos - next(60) as Pos).max(0);
+                        let p1 = p0 + next(30) as Pos;
+                        fresh.seq_rm(seq, p0, p1);
+                        grown.seq_rm(seq, p0, p1);
+                    }
+                    3 if next(4) == 0 => {
+                        let seq = next(5) as SeqId;
+                        fresh.seq_keep(seq);
+                        grown.seq_keep(seq);
+                    }
+                    4 => {
+                        let path = 1 + next(4) as SeqId;
+                        let p0 = (pos - next(20) as Pos).max(0);
+                        fresh.branch_commit(0, path, 1, 4, p0, Pos::MAX);
+                        grown.branch_commit(0, path, 1, 4, p0, Pos::MAX);
+                    }
+                    5 => {
+                        fresh.branch_rollback(1, 4);
+                        grown.branch_rollback(1, 4);
+                    }
+                    6 if steps_since_clear > 150 => {
+                        steps_since_clear = 0;
+                        fresh.clear();
+                        grown.clear();
+                    }
+                    _ => {
+                        let seqs: Vec<SeqId> = match next(3) {
+                            0 => vec![0],
+                            1 => vec![1 + next(4) as SeqId],
+                            _ => vec![1, 2, 3, 4],
+                        };
+                        let full = fresh.used() == capacity;
+                        let cell = fresh.alloc(pos, &seqs);
+                        prop_assert_eq!(cell, grown.alloc(pos, &seqs), "step {}", step);
+                        prop_assert_eq!(cell.is_none(), full, "step {}", step);
+                        if let Some(cell) = cell {
+                            pos += 1;
+                            // Most cells are stored; some stay as allocated.
+                            if next(8) != 0 {
+                                let layer = next(N_LAYERS as u64) as usize;
+                                let key = [pos as f32 + 0.25 * layer as f32; KV_DIM];
+                                let value = [-(pos as f32); KV_DIM];
+                                fresh.store(layer, cell, &key, &value);
+                                grown.store(layer, cell, &key, &value);
+                            }
+                        }
+                    }
+                }
+                assert_same_contents(&fresh, &grown, step);
             }
         }
     }

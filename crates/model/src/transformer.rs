@@ -50,6 +50,10 @@ impl std::error::Error for ModelError {}
 /// dominated small-model forward cost; an arena is created once (or held
 /// long-term by an engine) and every token of every layer reuses it.
 ///
+/// It also holds what a forward call computes once for all its layers
+/// because it depends on the batch row alone: each row's visible-cell set
+/// (cell metadata) and its RoPE table row (token position).
+///
 /// An arena is sized for one model configuration; [`Model::forward_layer_range_with`]
 /// checks compatibility and errors rather than silently resizing, so engines
 /// cannot accidentally share an arena across differently-shaped models.
@@ -79,6 +83,11 @@ pub struct ScratchArena {
     visible: Vec<usize>,
     /// Where each batch row's slice of `visible` ends.
     visible_ends: Vec<usize>,
+    /// `[rows, head_dim]` — one `ops::rope_table_row` per batch row of the
+    /// current forward call: the rotation depends on the token's position
+    /// only, so it is computed once per call and every layer's q and k
+    /// rotate from it.
+    rope: Vec<f32>,
     /// `[g, d_model]` — normed activations of a whole level group.
     bh: Vec<f32>,
     /// `[g, d_model]` — batched query projections.
@@ -113,6 +122,7 @@ impl ScratchArena {
             scores: Vec::new(),
             visible: Vec::new(),
             visible_ends: Vec::new(),
+            rope: Vec::new(),
             bh: Vec::new(),
             bq: Vec::new(),
             bk: Vec::new(),
@@ -353,6 +363,12 @@ impl Model {
             caches[e.lane].visible_cells_into(&e.seq_ids, e.pos, &mut scratch.visible);
             scratch.visible_ends.push(scratch.visible.len());
         }
+        // Likewise the RoPE angles: a function of each row's position alone.
+        let hd = self.cfg.head_dim();
+        scratch.rope.resize(batch.len() * hd, 0.0);
+        for (e, row) in batch.iter().zip(scratch.rope.chunks_exact_mut(hd)) {
+            ops::rope_table_row(row, e.pos as usize, self.cfg.rope_theta);
+        }
         let mut x = hidden.clone();
         for (local, global) in layers.clone().enumerate() {
             self.forward_one_layer(
@@ -394,6 +410,7 @@ impl Model {
             scores,
             visible,
             visible_ends,
+            rope,
             bh,
             bq,
             bk,
@@ -442,8 +459,8 @@ impl Model {
                 ops::matvec_t_into(h, &lw.wq, q).unwrap();
                 ops::matvec_t_into(h, &lw.wk, k).unwrap();
                 ops::matvec_t_into(h, &lw.wv, v).unwrap();
-                ops::rope_inplace(q, n_heads, hd, entry.pos as usize, cfg.rope_theta);
-                ops::rope_inplace(k, n_kv, hd, entry.pos as usize, cfg.rope_theta);
+                ops::rope_rotate(q, &rope[i * hd..(i + 1) * hd]);
+                ops::rope_rotate(k, &rope[i * hd..(i + 1) * hd]);
                 cache.store(local_layer, cells[i], k, v);
 
                 attend(cache, i, q, scores, attn);
@@ -492,16 +509,10 @@ impl Model {
             ops::matmul_t_into(bh, lw.wk.data(), g, d, kvd, bk);
             ops::matmul_t_into(bh, lw.wv.data(), g, d, kvd, bv);
             for (r, i) in group.clone().enumerate() {
-                let pos = entries[i].pos as usize;
-                ops::rope_inplace(
-                    &mut bq[r * d..(r + 1) * d],
-                    n_heads,
-                    hd,
-                    pos,
-                    cfg.rope_theta,
-                );
+                let angles = &rope[i * hd..(i + 1) * hd];
+                ops::rope_rotate(&mut bq[r * d..(r + 1) * d], angles);
                 let krow = &mut bk[r * kvd..(r + 1) * kvd];
-                ops::rope_inplace(krow, n_kv, hd, pos, cfg.rope_theta);
+                ops::rope_rotate(krow, angles);
                 caches[entries[i].lane].store(
                     local_layer,
                     cells[i],

@@ -6,10 +6,11 @@
 //! the panel kernels of [`crate::simd`] — [`simd::gemv_panel`] for the
 //! single-row (decode) case, the register-blocked [`simd::gemm_tile`] for the
 //! multi-row (verify, forest, prefill) case — and this module only decides
-//! where they run: products of `PAR_DISPATCH_MULADDS` multiply-adds and more
-//! are split into column blocks over the persistent worker pool (sized by
-//! `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a minimum
-//! work floor), smaller ones stay on the calling thread as one kernel call.
+//! where they run: products of `PAR_DISPATCH_WEIGHT_LOADS` weight loads and
+//! more are split into column blocks over the persistent worker pool (sized
+//! by `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a
+//! minimum work floor), smaller ones stay on the calling thread as one
+//! kernel call.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -20,29 +21,73 @@
 //! equal to the single-row product of row `r`.  All other kernels are
 //! O(tokens × hidden) and not worth parallelising at the model sizes this
 //! reproduction executes for real.
+//!
+//! RoPE is split where its cost is: [`rope_table_row`] evaluates the `powf`
+//! and `sin_cos` of one token's rotation angles (a function of the position
+//! alone, so once per token per forward call), [`rope_rotate`] applies a row
+//! to a query or key vector (per head, per layer — four multiplies and two
+//! adds per pair).
 
 use crate::{simd, Result, Tensor, TensorError};
 use rayon::pool;
 use rayon::prelude::*;
 
-/// Multiply-add count below which a product runs on the calling thread as
-/// one kernel call; at or above it, column blocks go to the worker pool.
+/// Weight loads below which a product runs on the calling thread as one
+/// kernel call; at or above it, column blocks go to the worker pool.
 ///
-/// Placed from the cost of a dispatch (`Arc<Job>` + mutex + `notify_all` +
-/// condvar wait), measured on the 2-vCPU bench box as caller-thread time vs
-/// 2-thread pool time, medians of 41 interleaved samples: 1×256×256 (64 Ki
-/// multiply-adds) 3.8 vs 6.1 µs, 1×256×704 (176 Ki) 9.7 vs 12.5 µs, 4×256×256
-/// (256 Ki) 6.6 vs 9.0 µs, 5×256×704 (880 Ki) 27.8 vs 32.2 µs — 2.3–2.8 µs
-/// per dispatch whatever the size.  A two-way split that halves the
-/// arithmetic pays that back once the product carries about 5 µs of serial
-/// work, which at the 50–80 GFLOP/s the panel kernels reach is 256 Ki
-/// multiply-adds.  So every single-row product of a `d_model` 256 / `d_ff`
-/// 704 decode step (≤ 176 Ki) stays on the rank thread that issued it, while
-/// a five-row verify batch (320 Ki and up), prefill GEMMs and a 2048×2048
-/// GEMV (4 Mi) still fan out.  (That box's second vCPU returned nothing even
-/// at 44 Mi multiply-adds — 1.03 vs 1.02 ms — so the break-even is derived
-/// from the overhead, not read off a crossover it cannot show.)
-pub(crate) const PAR_DISPATCH_MULADDS: usize = 256 * 1024;
+/// The unit is what the kernels' inner loops are bound by: weight elements
+/// loaded.  A single-row product loads every weight once (`n·k`); the 4-row
+/// register tile of `simd::gemm_tile` loads each once per four activation
+/// rows (`⌈m/4⌉·n·k`); the quantized kernels convert every weight once per
+/// row (`m·n·k`).  Multiply-adds, the previous unit, put a 40-row in-cache
+/// GEMM (7 Mi, 0.1–0.2 ms) above a 2048×2048 GEMV (4 Mi, 0.6–0.8 ms) that
+/// carries three times the serial time.
+///
+/// Placed from what a split has to pay back: the *helper's wake latency*,
+/// not the caller's dispatch cost.  On the 2-vCPU bench box, from `run`
+/// entry to the helper's first item (medians of 400): 19 µs when dispatches
+/// follow back to back, 56 µs (quartiles 45–69) once the helper has idled
+/// 200 µs and 104 µs after 2 ms; the benchmark's own `cluster.msg_rtt_us`
+/// reads 45–88 µs per round trip of the same futex pair.  With wake latency
+/// `W` and serial time `T`, two threads finish at best at `(T + W)/2`, plus
+/// up to another `W` when the caller drains the queue first and sleeps until
+/// the helper's last block completes: a split breaks even near `T = 3W` and
+/// returns a quarter of `T` only from `T = 6W`, 0.1–0.35 ms.
+///
+/// The measured crossover agrees.  Alternating 1 and 2 pool threads 100 µs
+/// apart (medians of 300, two threads over one), by serial time: 8×256×704
+/// (44 µs) 1.42×, 16× (84–118 µs) 0.93×, 24× (125–140) 0.91×, 64×256×256
+/// (125) 0.89×, 32×256×704 (165–200) 0.80×, 40× (205–234) 0.76×, 48×
+/// (246–264) 0.71×, 64× (330–375) 0.71×, 256× 0.60×, 1×2048×2048 0.66×.
+/// That is the box when its second vCPU has something to give; hours earlier
+/// it had nothing for any shape (1×2048×2048 1.02×) and the same sweep read
+/// 2×256×704 1.27×, 5× 1.20×, 8× 1.15×, 16× 1.11×, 40× 1.06×, 64× 1.04×,
+/// 128× and up 1.00×.  So from about 0.2 ms a split returns a quarter or more
+/// on a good day and costs at most 6% on a bad one, while under 0.1 ms it
+/// returns less than a tenth at best and costs 11–27% at worst.  2 Mi weight
+/// loads are 0.1–0.25 ms of tiled GEMM (that box's own rate varies 2× from
+/// day to day) and 0.3 ms of GEMV from L3.
+///
+/// The previous value, 256 Ki multiply-adds, came from the caller's side
+/// alone (2.3–2.8 µs: the `Arc<Job>`, a mutex and the wake syscall), timed in
+/// a loop so tight that the helper never slept and the caller finished small
+/// products before it arrived.  Inside a forward pass every `m ≥ 2` product
+/// of a verify run or a forest step woke a sleeping helper, gained nothing
+/// and often waited on it.
+///
+/// So nothing a `d_model` 256 / `d_ff` 704 model issues for decode, verify
+/// or an 8-lane × 5-row forest (40×256×704: 1.7 Mi loads) leaves the thread
+/// that issued it, while the FFN products of prompts from 45 tokens up
+/// (48×256×704: 2.1 Mi), a 1024×2048 GEMV and everything larger still fan
+/// out.
+pub(crate) const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
+
+/// [`PAR_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
+/// build shapes on both sides of it.
+#[doc(hidden)]
+pub fn par_dispatch_weight_loads() -> usize {
+    PAR_DISPATCH_WEIGHT_LOADS
+}
 
 /// Computes `out = x · wᵀ` where `x` is `[m, k]` and `w` is `[n, k]`.
 ///
@@ -103,15 +148,15 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
 
 /// Dispatch skeleton shared by the dense and quantized single-row products:
 /// `fill(j0, chunk)` computes output features `j0..j0 + chunk.len()` (`k`
-/// multiply-adds each) — as one call on the calling thread below
-/// [`PAR_DISPATCH_MULADDS`], otherwise once per column block sized by the
-/// pool's chunk policy.
+/// weight loads each) — as one call on the calling thread below
+/// [`PAR_DISPATCH_WEIGHT_LOADS`], otherwise once per column block sized by
+/// the pool's chunk policy.
 pub(crate) fn gemv_dispatch<F>(k: usize, out: &mut [f32], fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let n = out.len();
-    if n * k < PAR_DISPATCH_MULADDS {
+    if n * k < PAR_DISPATCH_WEIGHT_LOADS {
         fill(0, out);
         return;
     }
@@ -138,8 +183,8 @@ impl OutPtr {
 
 /// Multi-row product: every column block of the output is one
 /// [`simd::gemm_tile`] call over all `m` rows, so each weight row is streamed
-/// from memory once per four activation rows and an `m = 4` verify batch
-/// still fans out across threads.
+/// from memory once per four activation rows, and a product big enough to
+/// fan out splits by columns whatever its row count.
 fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     let base = OutPtr(out.as_mut_ptr());
     let columns = |j0: usize, j1: usize| {
@@ -149,8 +194,9 @@ fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32])
     };
     // The per-element computation is identical either way; only the dispatch
     // differs, so small products skip the pool (same threshold as the GEMV
-    // path) while producing bitwise-identical results.
-    if m * n * k < PAR_DISPATCH_MULADDS {
+    // path) while producing bitwise-identical results.  A weight vector the
+    // tile loads serves four activation rows.
+    if m.div_ceil(4) * n * k < PAR_DISPATCH_WEIGHT_LOADS {
         columns(0, n);
         return;
     }
@@ -286,27 +332,54 @@ pub fn gelu_inplace(x: &mut [f32]) {
     }
 }
 
+/// Fills one row of a RoPE table: the `(cos, sin)` of the rotation angle of
+/// every element pair of a head, interleaved, for a token at `position`.
+///
+/// `row.len()` is the head dimension (even).  The angles depend on the
+/// position and the pair index only — not on the head, the layer, or whether
+/// a query or a key is being rotated — so a forward pass fills one row per
+/// batch token and every layer's q and k rotate from it ([`rope_rotate`]).
+pub fn rope_table_row(row: &mut [f32], position: usize, theta: f32) {
+    debug_assert_eq!(row.len() % 2, 0);
+    let head_dim = row.len();
+    for (i, pair) in row.chunks_exact_mut(2).enumerate() {
+        let freq = 1.0 / theta.powf(2.0 * i as f32 / head_dim as f32);
+        let angle = position as f32 * freq;
+        let (sin, cos) = angle.sin_cos();
+        pair[0] = cos;
+        pair[1] = sin;
+    }
+}
+
+/// Rotates every head of a query or key vector in place by one
+/// [`rope_table_row`]: `x` is `x.len() / row.len()` heads of dimension
+/// `row.len()`, and each consecutive element pair of a head turns by its
+/// pair's angle.  The one rotation in the crate.
+pub fn rope_rotate(x: &mut [f32], row: &[f32]) {
+    debug_assert_eq!(x.len() % row.len(), 0);
+    for head in x.chunks_exact_mut(row.len()) {
+        for (pair, cs) in head.chunks_exact_mut(2).zip(row.chunks_exact(2)) {
+            let (a, b) = (pair[0], pair[1]);
+            let (cos, sin) = (cs[0], cs[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
+        }
+    }
+}
+
 /// Applies rotary position embeddings in place to a query or key vector.
 ///
 /// The vector is interpreted as `n_heads` heads of dimension `head_dim`
 /// (which must be even); each consecutive pair of elements within a head is
 /// rotated by an angle that depends on the token `position` and the pair
-/// index, using the standard `theta = 10000` base.
+/// index, using the standard `theta = 10000` base.  One-vector convenience
+/// over [`rope_table_row`] + [`rope_rotate`]; the forward pass builds the
+/// table row once per token and reuses it across heads, q/k and layers.
 pub fn rope_inplace(x: &mut [f32], n_heads: usize, head_dim: usize, position: usize, theta: f32) {
     debug_assert_eq!(x.len(), n_heads * head_dim);
-    debug_assert_eq!(head_dim % 2, 0);
-    for h in 0..n_heads {
-        let base = h * head_dim;
-        for i in 0..head_dim / 2 {
-            let freq = 1.0 / theta.powf(2.0 * i as f32 / head_dim as f32);
-            let angle = position as f32 * freq;
-            let (sin, cos) = angle.sin_cos();
-            let a = x[base + 2 * i];
-            let b = x[base + 2 * i + 1];
-            x[base + 2 * i] = a * cos - b * sin;
-            x[base + 2 * i + 1] = a * sin + b * cos;
-        }
-    }
+    let mut row = vec![0.0f32; head_dim];
+    rope_table_row(&mut row, position, theta);
+    rope_rotate(x, &row);
 }
 
 /// Scales a slice in place by a scalar.
@@ -460,6 +533,60 @@ mod tests {
         rope_inplace(&mut x, 2, 4, 17, 10000.0);
         let norm_after: f32 = x.iter().map(|v| v * v).sum();
         assert!((norm_before - norm_after).abs() < 1e-3);
+    }
+
+    /// `rope_inplace` as it stood before the table: `powf` and `sin_cos` per
+    /// pair of every head.  Kept verbatim as the reference the table
+    /// rotation must reproduce bit for bit.
+    fn rope_inplace_reference(
+        x: &mut [f32],
+        n_heads: usize,
+        head_dim: usize,
+        position: usize,
+        theta: f32,
+    ) {
+        for h in 0..n_heads {
+            let base = h * head_dim;
+            for i in 0..head_dim / 2 {
+                let freq = 1.0 / theta.powf(2.0 * i as f32 / head_dim as f32);
+                let angle = position as f32 * freq;
+                let (sin, cos) = angle.sin_cos();
+                let a = x[base + 2 * i];
+                let b = x[base + 2 * i + 1];
+                x[base + 2 * i] = a * cos - b * sin;
+                x[base + 2 * i + 1] = a * sin + b * cos;
+            }
+        }
+    }
+
+    #[test]
+    fn table_rotation_is_bitwise_the_per_pair_rotation() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for head_dim in [2usize, 6, 32, 64, 128] {
+            for n_heads in [1usize, 8] {
+                let x = Tensor::rand_uniform(&mut rng, &[n_heads * head_dim], 4.0).into_vec();
+                let mut row = vec![0.0f32; head_dim];
+                for position in 0..4096 {
+                    let mut expected = x.clone();
+                    rope_inplace_reference(&mut expected, n_heads, head_dim, position, 10000.0);
+                    // The forward pass's route: one table row, then rotate.
+                    let mut via_table = x.clone();
+                    rope_table_row(&mut row, position, 10000.0);
+                    rope_rotate(&mut via_table, &row);
+                    // The one-vector wrapper goes through the same routine.
+                    let mut via_wrapper = x.clone();
+                    rope_inplace(&mut via_wrapper, n_heads, head_dim, position, 10000.0);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+                    assert_eq!(
+                        bits(&via_table),
+                        bits(&expected),
+                        "head_dim {head_dim}, {n_heads} heads, position {position}"
+                    );
+                    assert_eq!(bits(&via_wrapper), bits(&expected));
+                }
+            }
+        }
     }
 
     #[test]

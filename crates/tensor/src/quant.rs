@@ -250,7 +250,7 @@ impl QuantizedMatrix {
                 let rows = j0 * self.blocks_per_row..(j0 + chunk.len()) * self.blocks_per_row;
                 simd::gemv_q_panel(xd, &self.blocks[rows], chunk)
             });
-        } else if m * n * k < ops::PAR_DISPATCH_MULADDS {
+        } else if m * n * k < ops::PAR_DISPATCH_WEIGHT_LOADS {
             for (i, orow) in out.chunks_mut(n).enumerate() {
                 simd::gemv_q_panel(&xd[i * k..(i + 1) * k], &self.blocks, orow);
             }

@@ -140,13 +140,16 @@ proptest! {
         m in 1usize..10,
         n in 1usize..80,
         k in 1usize..140,
-        // 0: every product stays on the calling thread (< 96 Ki
-        // multiply-adds); 1: the single-row products alone (513² and up)
-        // already cross the pool-dispatch threshold of 256 Ki.
+        // 0: every product stays on the calling thread (at most 3 × 80 × 140
+        // weight loads); 1: `n` and `k` each grow by the square root of the
+        // pool-dispatch threshold, so the single-row products alone cross
+        // it, wherever the constant is set.
         above_threshold in 0usize..2,
         seed in 0u64..500,
     ) {
-        let (n, k) = (n + 512 * above_threshold, k + 512 * above_threshold);
+        let side = ops::par_dispatch_weight_loads().isqrt() + 1;
+        let (n, k) = (n + side * above_threshold, k + side * above_threshold);
+        prop_assert_eq!(n * k >= ops::par_dispatch_weight_loads(), above_threshold == 1);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(6000));
         let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
         let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
