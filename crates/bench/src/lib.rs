@@ -596,7 +596,8 @@ pub struct SharedPrefixGate {
 /// (the pool holds the shared prefix once instead of once per request).
 pub fn fig_shared_prefix(scale: BenchScale) -> (Figure, SharedPrefixGate) {
     use pi_model::{KvPagePool, KvPoolConfig};
-    use pi_serve::{admission_order, pool_admission_spans, Server, ServerConfig, WorkloadGen};
+    use pi_serve::{admission_order, Server, ServerConfig, WorkloadGen};
+    use std::collections::VecDeque;
 
     let serving = ServingScale::from(scale);
     let workload = shared_prefix_workload(scale, 0.9);
@@ -646,9 +647,11 @@ pub fn fig_shared_prefix(scale: BenchScale) -> (Figure, SharedPrefixGate) {
     pooled.to_figure(&mut fig, "paged pool");
     flat.to_figure(&mut fig, "flat caches");
 
-    // Max sustainable window: largest in-flight bound whose admission
-    // pre-pass completes with zero refusals at a page budget that fits only
-    // a few unshared requests.  Pure pool arithmetic — no model execution.
+    // Max sustainable window: largest in-flight bound under which the
+    // stream's pool lifecycle (admit, match, commit the prompt, with the
+    // latest `win` admissions pinned) completes with zero refusals at a page
+    // budget that fits only a few unshared requests.  Pure pool arithmetic —
+    // no model execution.
     let constrained = KvPoolConfig {
         tokens_per_page,
         n_pages: 4 * flat_pages,
@@ -659,7 +662,17 @@ pub fn fig_shared_prefix(scale: BenchScale) -> (Figure, SharedPrefixGate) {
         let mut best = 0;
         for win in 1..=2 * serving.max_in_flight {
             let pool = KvPagePool::new(constrained);
-            pool_admission_spans(&pool, &requests, &order, win);
+            let mut pinned = VecDeque::new();
+            for &idx in &order {
+                if pinned.len() == win {
+                    pool.end_request(pinned.pop_front().expect("win >= 1"));
+                }
+                let gen = &requests[idx].gen;
+                if let Ok(ticket) = pool.begin_request(&gen.prompt, gen.n_generate, &[]) {
+                    pool.commit_chain(ticket.id, &gen.prompt, None);
+                    pinned.push_back(ticket.id);
+                }
+            }
             if pool.stats().refusals == 0 {
                 best = win;
             } else {
@@ -1183,7 +1196,7 @@ mod tests {
             // the trace-derived bubble fraction, 0.0 for untraced serving,
             // the failover count, 0 on fault-free streams, the four KV-pool
             // columns, 0 for pool-less serving, and the cohort width, 0
-            // under request-granularity thread-pool serving).
+            // under replica serving).
             assert_eq!(fig.series_labels(), vec!["steady", "bursty", "mixed"]);
             assert_eq!(fig.x_labels().len(), 18);
             for series in fig.series_labels() {

@@ -12,7 +12,6 @@
 //!
 //! * [`KvCache::seq_cp`]  — `llama_kv_cache_seq_cp`
 //! * [`KvCache::seq_rm`]  — `llama_kv_cache_seq_rm`
-//! * [`KvCache::seq_keep`] — `llama_kv_cache_seq_keep`
 //!
 //! Each pipeline stage owns one `KvCache` covering only its layer range; the
 //! metadata commands are forwarded down the pipeline as transactions so every
@@ -518,7 +517,7 @@ impl KvCache {
 
     /// Releases pages whose cells are all free (paged mode; no-op for the
     /// flat backing).  Returns the number of pages released.  Called after
-    /// `branch_commit`/`branch_rollback`/`seq_keep` so rejected speculation
+    /// `branch_commit`/`branch_rollback` so rejected speculation
     /// branches give their tail pages back at page granularity.
     pub fn release_free_pages(&mut self) -> usize {
         let Backing::Paged {
@@ -613,22 +612,6 @@ impl KvCache {
                 }
             }
         }
-    }
-
-    /// Keeps only sequence `seq`: every other sequence id is dropped and any
-    /// cell not belonging to `seq` is freed.
-    pub fn seq_keep(&mut self, seq: SeqId) {
-        for cell in &mut self.cells[..self.high_water] {
-            if cell.is_free() {
-                continue;
-            }
-            if cell.has_seq(seq) {
-                cell.seq_ids.retain(|s| *s == seq);
-            } else {
-                *cell = KvCell::free();
-            }
-        }
-        self.release_free_pages();
     }
 
     /// Commits one accepted branch of a speculation tree written under the
@@ -845,19 +828,6 @@ mod tests {
         c.seq_rm(0, 2, 4);
         assert_eq!(c.seq_len(0), 3);
         assert_eq!(c.seq_max_pos(0), Some(4));
-    }
-
-    #[test]
-    fn seq_keep_drops_everything_else() {
-        let mut c = cache();
-        c.alloc(0, &[0, 5]).unwrap();
-        c.alloc(1, &[5]).unwrap();
-        c.alloc(2, &[7]).unwrap();
-        c.seq_keep(5);
-        assert_eq!(c.seq_len(5), 2);
-        assert_eq!(c.seq_len(0), 0);
-        assert_eq!(c.seq_len(7), 0);
-        assert_eq!(c.used(), 2);
     }
 
     #[test]
@@ -1298,8 +1268,8 @@ mod demand_growth_props {
                     }
                     3 if next(4) == 0 => {
                         let seq = next(5) as SeqId;
-                        fresh.seq_keep(seq);
-                        grown.seq_keep(seq);
+                        fresh.seq_rm(seq, 0, Pos::MAX);
+                        grown.seq_rm(seq, 0, Pos::MAX);
                     }
                     4 => {
                         let path = 1 + next(4) as SeqId;

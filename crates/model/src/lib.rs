@@ -15,7 +15,7 @@
 //! * `llama_batch` → [`batch::Batch`] (tokens + positions + sequence-id sets
 //!   + logits flags),
 //! * the unified KV cache with cell metadata (`llama_kv_cache`) →
-//!   [`kv_cache::KvCache`] including `seq_cp`/`seq_rm`/`seq_keep`,
+//!   [`kv_cache::KvCache`] including `seq_cp`/`seq_rm`,
 //! * layer-split evaluation for pipeline parallelism →
 //!   [`transformer::Model::forward_layer_range`],
 //! * greedy / temperature sampling → [`sampler`],

@@ -15,27 +15,32 @@
 //! * [`WorkloadGen`] — pluggable traffic shapes: steady, bursty
 //!   (Poisson-like, seeded and fully deterministic) and mixed prompt/output
 //!   lengths ([`workload`]);
-//! * [`scheduler`] — the continuous-batching admission policy: FIFO
-//!   admission over a bounded in-flight window, with priorities ordering the
+//! * [`scheduler`] — the one admission loop (arrivals into a ready list, the
+//!   best ready request into each free slot of a bounded in-flight window,
+//!   step, collect) and its policy: FIFO with priorities ordering the
 //!   waiting queue;
-//! * [`Server`] — executes the stream over one prepared deployment with at
-//!   most `max_in_flight` requests running concurrently, refilling each slot
-//!   the moment a run completes, and invokes completion callbacks
-//!   ([`server`]);
+//! * [`Server`] — drives that loop over one prepared deployment with one of
+//!   two executors, which decide what a window of `max_in_flight` requests
+//!   is: independent *pipeline replicas*, each running its request solo on
+//!   the strategy's own head ([`Server::serve`], [`Server::serve_with`] with
+//!   completion callbacks), or the *fused cohort* of one step session over a
+//!   single pipeline ([`Server::serve_stepped`]) ([`server`]);
 //! * [`ServeReport`] — the per-request metrics pipeline: TTFT, inter-token
 //!   latency, end-to-end p50/p95/p99 and goodput, rendered into the shared
 //!   `pi_metrics::Figure` machinery ([`report`]).
 //!
 //! ## Session isolation and determinism
 //!
-//! Every request runs as an isolated session: `PreparedDeployment::run`
-//! builds fresh engines and workers (fresh KV caches and run trackers)
-//! around the shared model weights and validated layout, so a request's
-//! token stream is byte-identical to what a solo `Deployment::run` with the
-//! same `GenConfig` produces — concurrency never changes outputs.  In `Sim`
-//! mode the whole pipeline (service times, admission timeline, percentiles)
-//! is deterministic, which is what the serving bench and the property tests
-//! rely on.
+//! Every request is an isolated session — fresh engines and workers around
+//! the shared weights under the replicas executor, its own engine slots and
+//! round state machine under the cohort — so a request's token stream is
+//! byte-identical to what a solo `Deployment::run` with the same `GenConfig`
+//! produces: neither the window nor the executor changes outputs.  The loop
+//! spawns no thread and runs requests one at a time in admission order, so
+//! in `Sim` mode the whole pipeline (service times, admission timeline, pool
+//! counters, percentiles) is deterministic for every strategy, which is what
+//! the serving bench, CI's byte gate on `BENCH_serving.json` and the
+//! property tests rely on.
 //!
 //! ## Quickstart
 //!
@@ -71,8 +76,8 @@ pub mod workload;
 
 pub use report::ServeReport;
 pub use request::{Completion, Request, RequestId, RequestTiming};
-pub use scheduler::{admission_order, plan, SchedulerConfig, Slot};
-pub use server::{pool_admission_spans, Server, ServerConfig};
+pub use scheduler::admission_order;
+pub use server::{Server, ServerConfig};
 pub use workload::{
     BurstyWorkload, MixedWorkload, SharedPrefixWorkload, SteadyWorkload, WorkloadGen,
 };

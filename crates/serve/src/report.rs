@@ -21,12 +21,13 @@ pub struct ServeReport {
     window: usize,
     completions: Vec<Completion>,
     /// Snapshot of the deployment's KV page pool after the stream completed,
-    /// when the server runs over a pool: the `Sim`-mode admission pre-pass's
-    /// deterministic counters, or the physical reuse `Real` runs performed.
+    /// when the server runs over a pool: what the stream's own admissions
+    /// matched, evicted and were refused (token chains under `Sim`, physical
+    /// pages under `Real`).
     kv_pool: Option<KvPoolStats>,
     /// Cohort accounting of the step loop, when the stream was served by
     /// iteration-level batching ([`crate::Server::serve_stepped`]); `None`
-    /// under request-granularity thread-pool serving.
+    /// under replica serving ([`crate::Server::serve`]).
     cohort: Option<SessionStats>,
 }
 

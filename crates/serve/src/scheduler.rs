@@ -1,48 +1,28 @@
-//! Deterministic continuous-batching admission schedule.
+//! The admission loop: the one serving loop of the crate, and its policy.
 //!
-//! The scheduler interleaves a request stream over a bounded in-flight
-//! window: at most `max_in_flight` requests run concurrently, and the moment
-//! one finishes its slot is refilled from the waiting queue (continuous
-//! batching at request granularity — no gang-scheduled batch barriers).
-//! Admission is FIFO: among waiting requests the highest priority goes
-//! first, ties broken by arrival time and then request id, so equal-priority
-//! traffic can never overtake and the wait of any request is bounded by the
-//! service demand ahead of it.
+//! `serve_stream` interleaves a request stream over a bounded in-flight
+//! window: arrivals move into a ready list once the service clock reaches
+//! them, free window slots are filled from it best-first, the executor makes
+//! progress, and whatever finished is collected (continuous batching — a slot
+//! is refilled the moment its request finishes, no gang-scheduled barriers).
+//! Admission is FIFO with priorities: among the waiting the highest priority
+//! goes first, ties broken by arrival time and then request id, so
+//! equal-priority traffic can never overtake and the wait of any request is
+//! bounded by the service demand ahead of it.  A running request is never
+//! preempted.
 //!
-//! [`plan`] is a pure function from (arrivals, priorities, service
-//! durations) to per-request start/finish times — the same deterministic
-//! event loop whether service durations came from the discrete-event
-//! simulator or from wall-clock measurement.
+//! The loop does not know how requests execute.  It drives an `Executor`
+//! — a service clock plus `admit` and `step` — and the server supplies two:
+//! the fused step session and the pipeline replicas (see
+//! [`server`](crate::server)).  The loop reads no wall clock and spawns
+//! nothing, so for a deterministic executor the whole timeline is
+//! bit-reproducible.
 
-use crate::request::Request;
+use crate::request::{Completion, Request, RequestTiming};
+use pi_spec::{GenConfig, RunOutput};
 
-/// Admission-policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerConfig {
-    /// Maximum number of requests running concurrently (window size).
-    pub max_in_flight: usize,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        Self { max_in_flight: 8 }
-    }
-}
-
-/// Admission decision for one request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Slot {
-    /// When the request entered the in-flight window.
-    pub started: f64,
-    /// When its service completed.
-    pub finished: f64,
-}
-
-/// Indices of `requests` in admission-stream order: arrival time, then id.
-///
-/// This is the one ordering both halves of the serving pipeline must agree
-/// on — [`plan`] walks it as the arrival stream, and the server's execution
-/// pool pulls requests in it — so it lives here exactly once.
+/// Indices of `requests` in admission-stream order: arrival time, then id —
+/// the order the admission loop sees them arrive in.
 pub fn admission_order(requests: &[Request]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by(|&a, &b| {
@@ -55,7 +35,7 @@ pub fn admission_order(requests: &[Request]) -> Vec<usize> {
     order
 }
 
-/// Index of the next request to admit from `ready`: highest priority first,
+/// Position in `ready` of the next request to admit: highest priority first,
 /// then earliest arrival, then lowest id.
 fn best_ready(ready: &[usize], requests: &[Request]) -> usize {
     let mut best = 0;
@@ -71,92 +51,172 @@ fn best_ready(ready: &[usize], requests: &[Request]) -> usize {
     best
 }
 
-/// Computes the admission timeline.
-///
-/// `services[i]` is the service duration of `requests[i]` on the service
-/// clock; the returned slots are parallel to `requests`.  The event loop is
-/// conservative (it always advances to the earliest finish or arrival), so
-/// the timeline is bit-reproducible for identical inputs.
-pub fn plan(requests: &[Request], services: &[f64], config: SchedulerConfig) -> Vec<Slot> {
-    assert_eq!(
-        requests.len(),
-        services.len(),
-        "one service duration per request"
-    );
-    assert!(config.max_in_flight >= 1, "window must admit at least one");
-    let n = requests.len();
+/// One request an [`Executor`] finished, with its times on the service clock.
+pub(crate) struct Finished {
+    /// The id [`Executor::admit`] returned for it.
+    pub id: u64,
+    pub output: RunOutput,
+    pub first_token: f64,
+    pub finished: f64,
+}
+
+/// What executes admitted requests under [`serve_stream`].
+pub(crate) trait Executor {
+    /// The service clock, seconds.
+    fn now(&self) -> f64;
+    /// Fast-forwards the service clock over an idle gap.  Never backwards.
+    fn advance_to(&mut self, t: f64);
+    /// Requests admitted and not yet finished.
+    fn active(&self) -> usize;
+    /// Admits one request at [`Executor::now`]; returns its executor-local id.
+    fn admit(&mut self, gen: &GenConfig) -> u64;
+    /// Makes progress with at least one request active and returns what
+    /// finished.  `until` is the next arrival (infinite when there is none):
+    /// an executor that can jump its clock must not jump past it.
+    fn step(&mut self, until: f64) -> Vec<Finished>;
+}
+
+/// Serves `requests` over `exec` with at most `window` in flight; returns
+/// their completions in finish order (ties by id).
+pub(crate) fn serve_stream(
+    exec: &mut impl Executor,
+    requests: &[Request],
+    window: usize,
+) -> Vec<Completion> {
+    assert!(window >= 1, "window must admit at least one");
     let order = admission_order(requests);
-
-    let mut slots = vec![
-        Slot {
-            started: 0.0,
-            finished: 0.0,
-        };
-        n
-    ];
+    let mut arrivals = order.iter().copied().peekable();
     let mut ready: Vec<usize> = Vec::new();
-    let mut in_flight: Vec<f64> = Vec::new(); // finish times of running requests
-    let mut next_arrival = 0usize; // cursor into `order`
-    let mut started = 0usize;
-    let mut t = 0.0f64;
+    // Executor id -> (request index, admission time).
+    let mut live: Vec<(u64, usize, f64)> = Vec::new();
+    let mut completions: Vec<Completion> = Vec::with_capacity(requests.len());
 
-    while started < n {
-        // Retire finished runs, freeing window slots.
-        in_flight.retain(|&f| f > t);
-        // Move arrived requests into the waiting queue.
-        while next_arrival < n && requests[order[next_arrival]].arrival <= t {
-            ready.push(order[next_arrival]);
-            next_arrival += 1;
+    loop {
+        let now = exec.now();
+        while let Some(idx) = arrivals.next_if(|&idx| requests[idx].arrival <= now) {
+            ready.push(idx);
         }
-        // Fill every free slot from the queue.
-        while in_flight.len() < config.max_in_flight && !ready.is_empty() {
+        while exec.active() < window && !ready.is_empty() {
             let idx = ready.remove(best_ready(&ready, requests));
-            let finished = t + services[idx].max(0.0);
-            slots[idx] = Slot {
-                started: t,
-                finished,
-            };
-            in_flight.push(finished);
-            started += 1;
+            live.push((exec.admit(&requests[idx].gen), idx, now));
         }
-        if started == n {
-            break;
+        let next_arrival = arrivals.peek().map(|&idx| requests[idx].arrival);
+        if exec.active() == 0 {
+            // Idle: jump to the next arrival, or finish the stream.
+            match next_arrival {
+                Some(t) => exec.advance_to(t),
+                None => break,
+            }
+            continue;
         }
-        // Advance to the next event: the earliest finish or the next arrival.
-        let next_finish = in_flight.iter().copied().fold(f64::INFINITY, f64::min);
-        let next_arr = if next_arrival < n {
-            requests[order[next_arrival]].arrival
-        } else {
-            f64::INFINITY
-        };
-        let next = next_finish.min(next_arr).max(t);
-        assert!(
-            next.is_finite(),
-            "scheduler stalled with {} of {n} requests started",
-            started
-        );
-        t = next;
+        for done in exec.step(next_arrival.unwrap_or(f64::INFINITY)) {
+            let pos = live
+                .iter()
+                .position(|&(id, _, _)| id == done.id)
+                .expect("finished request was live");
+            let (_, idx, started) = live.remove(pos);
+            let req = &requests[idx];
+            completions.push(Completion {
+                id: req.id,
+                priority: req.priority,
+                timing: RequestTiming {
+                    arrival: req.arrival,
+                    started,
+                    first_token: done.first_token,
+                    finished: done.finished,
+                },
+                output: done.output,
+            });
+        }
     }
-    slots
+
+    completions.sort_by(|a, b| {
+        a.timing
+            .finished
+            .partial_cmp(&b.timing.finished)
+            .expect("finish times must be comparable")
+            .then(a.id.cmp(&b.id))
+    });
+    completions
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_spec::GenConfig;
+    use pi_cluster::ClusterStats;
+    use pi_spec::GenerationRecord;
 
-    fn req(id: u64, arrival: f64, priority: u8) -> Request {
-        Request::new(id, GenConfig::small_test(vec![1], 1), arrival).with_priority(priority)
+    /// Request `i` of a stream: its one prompt token is its index, which is
+    /// how [`FixedService`] finds its service time.
+    fn req(i: u64, arrival: f64, priority: u8) -> Request {
+        Request::new(i, GenConfig::small_test(vec![i as u32], 1), arrival).with_priority(priority)
+    }
+
+    /// An executor whose request `i` is in flight for exactly `services[i]`.
+    struct FixedService {
+        services: Vec<f64>,
+        now: f64,
+        /// (id, finish time) of what is in flight.
+        running: Vec<(u64, f64)>,
+    }
+
+    impl Executor for FixedService {
+        fn now(&self) -> f64 {
+            self.now
+        }
+        fn advance_to(&mut self, t: f64) {
+            self.now = self.now.max(t);
+        }
+        fn active(&self) -> usize {
+            self.running.len()
+        }
+        fn admit(&mut self, gen: &GenConfig) -> u64 {
+            let id = u64::from(gen.prompt[0]);
+            self.running
+                .push((id, self.now + self.services[id as usize]));
+            id
+        }
+        fn step(&mut self, until: f64) -> Vec<Finished> {
+            let next = self.running.iter().map(|r| r.1).fold(until, f64::min);
+            self.advance_to(next);
+            let now = self.now;
+            let done = self.running.iter().filter(|r| r.1 <= now);
+            let done: Vec<Finished> = done
+                .map(|&(id, finished)| Finished {
+                    id,
+                    output: RunOutput {
+                        record: GenerationRecord::default(),
+                        stats: ClusterStats::new(1),
+                        completed: true,
+                        trace: None,
+                    },
+                    first_token: finished,
+                    finished,
+                })
+                .collect();
+            self.running.retain(|r| r.1 > now);
+            done
+        }
+    }
+
+    /// The loop's timeline for `requests` (ids `0..n`, in order) with the
+    /// given service times, index-aligned with `requests`.
+    fn plan(requests: &[Request], services: &[f64], window: usize) -> Vec<RequestTiming> {
+        let mut exec = FixedService {
+            services: services.to_vec(),
+            now: 0.0,
+            running: Vec::new(),
+        };
+        let mut done = serve_stream(&mut exec, requests, window);
+        assert_eq!(done.len(), requests.len());
+        done.sort_by_key(|c| c.id);
+        done.iter().map(|c| c.timing).collect()
     }
 
     #[test]
     fn window_of_one_serialises_fifo() {
         let requests = vec![req(0, 0.0, 0), req(1, 0.1, 0), req(2, 0.2, 0)];
-        let slots = plan(
-            &requests,
-            &[1.0, 1.0, 1.0],
-            SchedulerConfig { max_in_flight: 1 },
-        );
+        let slots = plan(&requests, &[1.0, 1.0, 1.0], 1);
         assert_eq!(slots[0].started, 0.0);
         assert_eq!(slots[0].finished, 1.0);
         assert_eq!(slots[1].started, 1.0);
@@ -166,11 +226,7 @@ mod tests {
     #[test]
     fn wide_window_starts_everything_at_arrival() {
         let requests = vec![req(0, 0.0, 0), req(1, 0.25, 0), req(2, 0.5, 0)];
-        let slots = plan(
-            &requests,
-            &[2.0, 2.0, 2.0],
-            SchedulerConfig { max_in_flight: 8 },
-        );
+        let slots = plan(&requests, &[2.0, 2.0, 2.0], 8);
         for (slot, r) in slots.iter().zip(&requests) {
             assert_eq!(slot.started, r.arrival);
             assert_eq!(slot.finished, r.arrival + 2.0);
@@ -182,13 +238,7 @@ mod tests {
         let requests: Vec<Request> = (0..10).map(|i| req(i, i as f64 * 0.01, 0)).collect();
         let services: Vec<f64> = (0..10).map(|i| 0.5 + 0.1 * i as f64).collect();
         let window = 3;
-        let slots = plan(
-            &requests,
-            &services,
-            SchedulerConfig {
-                max_in_flight: window,
-            },
-        );
+        let slots = plan(&requests, &services, window);
         // At every start instant, count overlapping [started, finished) spans.
         for probe in &slots {
             let overlapping = slots
@@ -203,11 +253,7 @@ mod tests {
     fn higher_priority_jumps_the_waiting_queue_only() {
         // Window 1: r0 occupies the server; r1 (low) and r2 (high) wait.
         let requests = vec![req(0, 0.0, 0), req(1, 0.1, 0), req(2, 0.2, 5)];
-        let slots = plan(
-            &requests,
-            &[1.0, 1.0, 1.0],
-            SchedulerConfig { max_in_flight: 1 },
-        );
+        let slots = plan(&requests, &[1.0, 1.0, 1.0], 1);
         // The high-priority request is admitted before the earlier low one…
         assert_eq!(slots[2].started, 1.0);
         assert_eq!(slots[1].started, 2.0);
@@ -219,7 +265,7 @@ mod tests {
     fn equal_priority_is_non_overtaking() {
         let requests: Vec<Request> = (0..8).map(|i| req(i, i as f64 * 0.05, 0)).collect();
         let services = [0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4];
-        let slots = plan(&requests, &services, SchedulerConfig { max_in_flight: 2 });
+        let slots = plan(&requests, &services, 2);
         for w in slots.windows(2) {
             assert!(w[0].started <= w[1].started, "FIFO overtaken: {slots:?}");
         }
@@ -228,21 +274,13 @@ mod tests {
     #[test]
     fn zero_service_requests_terminate() {
         let requests = vec![req(0, 0.0, 0), req(1, 0.0, 0), req(2, 0.0, 0)];
-        let slots = plan(
-            &requests,
-            &[0.0, 0.0, 0.0],
-            SchedulerConfig { max_in_flight: 1 },
-        );
+        let slots = plan(&requests, &[0.0, 0.0, 0.0], 1);
         assert!(slots.iter().all(|s| s.started == 0.0 && s.finished == 0.0));
     }
 
     #[test]
     #[should_panic(expected = "window must admit")]
     fn zero_window_is_rejected() {
-        let _ = plan(
-            &[req(0, 0.0, 0)],
-            &[1.0],
-            SchedulerConfig { max_in_flight: 0 },
-        );
+        let _ = plan(&[req(0, 0.0, 0)], &[1.0], 0);
     }
 }

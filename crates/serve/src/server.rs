@@ -1,47 +1,59 @@
 //! The long-lived server: one warmed-up deployment serving a request stream.
 //!
 //! A [`Server`] owns a [`PreparedDeployment`] — strategy, `Arc`-shared model
-//! weights and validated rank layout, built once — and executes every
-//! admitted request over it.  Execution uses a pool of `max_in_flight`
-//! worker threads pulling requests in admission order, so up to a full
-//! window of requests genuinely runs concurrently and each slot is refilled
-//! the moment its run completes (continuous batching at request
-//! granularity).  Each run is an isolated session (fresh KV caches and run
-//! trackers inside `PreparedDeployment::run`), which is why concurrency can
-//! never change a request's token stream.
+//! weights and validated rank layout, built once — and serves every stream
+//! through the crate's one admission loop
+//! ([`scheduler`](crate::scheduler)): arrivals into a ready list, the best
+//! ready request into each free window slot, step, collect.  What differs
+//! between the entry points is the *executor* the loop drives, i.e. what an
+//! in-flight window of `max_in_flight` requests physically is:
+//!
+//! * **Pipeline replicas** ([`Server::serve`], [`Server::serve_with`]) — the
+//!   window is `max_in_flight` independent copies of the deployment's
+//!   pipeline.  An admitted request runs solo through
+//!   [`PreparedDeployment::run_pinned`], on whatever head its strategy builds
+//!   (so the paper's asynchronous `PipeInferHead` serves here, under the
+//!   cluster drivers, with traces), occupies its replica for exactly its solo
+//!   service time and holds its KV-pool admission for as long.  Requests
+//!   share the page pool and nothing else; goodput scales with the window
+//!   because the hardware does.
+//! * **A fused cohort** ([`Server::serve_stepped`],
+//!   [`Server::serve_stepped_unfused`]) — the window is the cohort of one
+//!   [`StepSession`] over *one* pipeline: every step evaluates all in-flight
+//!   requests' micro-batches as one forest batch, so a wider window slows
+//!   each step down and amortises the weight stream.  Synchronous strategies
+//!   only; no trace is recorded yet.
+//!
+//! Every request is an isolated session either way (its own KV state and
+//! speculation state machine), which is why neither the window nor the
+//! executor can change a request's token stream.
 //!
 //! ## Clocks
 //!
-//! Latency metrics live on the *service clock*: in `Sim` mode a request's
-//! service duration is the virtual makespan of its run (deterministic), in
-//! `Real` mode it is the measured wall time.  The admission timeline — who
-//! waited behind whom under the window bound — is then reconstructed by the
-//! deterministic [`scheduler`](crate::scheduler) from arrivals, priorities
-//! and service durations, so `Sim`-mode serving metrics are bit-reproducible
-//! run to run.
-//!
-//! `Real`-mode caveat: the timeline is a queueing *model* over measured
-//! service times, not a trace of an online server.  Wall times are measured
-//! while up to a window of other runs contend for the same cores (arrival
-//! gaps are not replayed during execution), so `Real`-mode latency
-//! aggregates are approximations — `Sim` mode is the measurement-grade
-//! path, `Real` mode demonstrates genuine concurrent serving of real
-//! models.
+//! All times are on the executor's *service clock*.  Under `Sim` that is
+//! virtual time: a replica is busy for the virtual makespan of the solo run,
+//! a cohort step takes what the engines charge, and since the loop runs
+//! requests one at a time in admission order the whole report — latencies,
+//! pool counters, the tree strategy's cross-request shape prior — is
+//! bit-reproducible.  Under `Real` it is measured wall time on the injected
+//! [`Clock`]: a replica is busy for the wall time its request took running
+//! alone on this host (the uncontended service time a dedicated replica would
+//! give it), a cohort step takes the wall time it took.
 
 use crate::report::ServeReport;
-use crate::request::{Completion, Request, RequestTiming};
-use crate::scheduler::{plan, SchedulerConfig};
-use pi_model::KvPagePool;
-use pi_spec::deploy::{ExecutionMode, PreparedDeployment, RunOptions, RunOutput};
+use crate::request::{Completion, Request};
+use crate::scheduler::{serve_stream, Executor, Finished};
+use pi_spec::deploy::{ExecutionMode, PreparedDeployment, RunOutput};
+use pi_spec::{GenConfig, PrefixPlan, StepSession};
 use pi_trace::{Clock, MonotonicClock, TraceConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Maximum number of requests in flight at once (window size and worker
-    /// pool width).
+    /// Maximum number of requests in flight at once: the number of pipeline
+    /// replicas under [`Server::serve`], the widest cohort under
+    /// [`Server::serve_stepped`].
     pub max_in_flight: usize,
 }
 
@@ -73,8 +85,9 @@ impl Server {
         }
     }
 
-    /// Replaces the wall-clock source used for `Real`-mode service-time
-    /// measurement (tests inject a [`pi_trace::ManualClock`]).
+    /// Replaces the wall-clock source every `Real`-mode service time is
+    /// measured on — solo runs and cohort steps alike (tests inject a
+    /// [`pi_trace::ManualClock`]).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -82,7 +95,9 @@ impl Server {
 
     /// Attaches a per-request structured event recorder: every request's
     /// [`Completion`] carries its run's cross-rank trace, and the report's
-    /// bubble-fraction aggregate becomes available.
+    /// bubble-fraction aggregate becomes available.  Only the replicas
+    /// executor ([`Server::serve`] / [`Server::serve_with`]) records; the
+    /// step loop records no trace yet, so stepped completions carry none.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
@@ -103,26 +118,49 @@ impl Server {
         self.prepared.strategy().name()
     }
 
-    /// Serves a request stream to completion.
+    /// Serves a request stream to completion over pipeline replicas: each
+    /// admitted request runs solo on the strategy's own head.
     pub fn serve(&self, requests: Vec<Request>) -> ServeReport {
         self.serve_with(requests, |_| {})
     }
 
+    /// [`Server::serve`], invoking `on_complete` once per request in
+    /// service-clock completion order (deterministic in `Sim` mode).
+    pub fn serve_with(
+        &self,
+        requests: Vec<Request>,
+        mut on_complete: impl FnMut(&Completion),
+    ) -> ServeReport {
+        let mut replicas = Replicas {
+            server: self,
+            now: 0.0,
+            in_flight: Vec::new(),
+            next_id: 0,
+        };
+        let report = self.report(serve_stream(
+            &mut replicas,
+            &requests,
+            self.config.max_in_flight,
+        ));
+        report.completions().iter().for_each(&mut on_complete);
+        report
+    }
+
     /// Serves a request stream with **iteration-level batching**: one
-    /// [`StepSession`](pi_spec::StepSession) step loop drives every request,
+    /// [`StepSession`] step loop drives every request,
     /// fusing all in-flight micro-batches into a single forest batch per
     /// decode iteration (projections and FFNs run as one `m = Σ cohort
     /// widths` GEMM, attention stays per-sequence).
     ///
-    /// Cohort formation is deterministic: requests are admitted in admission
-    /// order (arrival, then priority among the waiting, then id) the moment
-    /// the session clock reaches their arrival and a slot inside
-    /// `max_in_flight` frees up; the cohort re-forms at every step boundary.
-    /// Each request's token stream is byte-identical to its solo run and to
-    /// thread-pool serving ([`Server::serve`]) — fusion changes the
-    /// roofline, never the tokens.
+    /// Cohort formation is deterministic: requests are admitted by the same
+    /// loop and policy as [`Server::serve`] (arrival, then priority among
+    /// the waiting, then id) the moment the session clock reaches their
+    /// arrival and a slot inside `max_in_flight` frees up; the cohort
+    /// re-forms at every step boundary.  Each request's token stream is
+    /// byte-identical to its solo run and to replica serving — fusion
+    /// changes the roofline, never the tokens.
     pub fn serve_stepped(&self, requests: Vec<Request>) -> ServeReport {
-        self.serve_stepped_inner(requests, true)
+        self.stepped(requests, true)
     }
 
     /// [`Server::serve_stepped`] with fusion disabled: the identical step
@@ -132,285 +170,145 @@ impl Server {
     /// `fig_cohort_batching` bench gate measures fusion against; tokens are
     /// identical to the fused path.
     pub fn serve_stepped_unfused(&self, requests: Vec<Request>) -> ServeReport {
-        self.serve_stepped_inner(requests, false)
+        self.stepped(requests, false)
     }
 
-    fn serve_stepped_inner(&self, requests: Vec<Request>, fused: bool) -> ServeReport {
-        let window = self.config.max_in_flight;
-        let order = crate::scheduler::admission_order(&requests);
-        let mut session = self.prepared.begin_session().with_fused(fused);
+    fn stepped(&self, requests: Vec<Request>, fused: bool) -> ServeReport {
+        let mut session = self
+            .prepared
+            .begin_session()
+            .with_fused(fused)
+            .with_clock(Arc::clone(&self.clock));
+        let completions = serve_stream(&mut session, &requests, self.config.max_in_flight);
+        self.report(completions).with_cohort(session.stats())
+    }
 
-        // Session-request id -> (request index, admission time).
-        let mut live: Vec<(u64, usize, f64)> = Vec::new();
-        let mut waiting: std::collections::VecDeque<usize> = order.iter().copied().collect();
-        let mut completions: Vec<Completion> = Vec::with_capacity(requests.len());
-
-        loop {
-            // Admit every arrived request that fits the window, picking the
-            // highest-priority arrival first (FIFO on ties) — the same
-            // policy the scheduler plans with.
-            loop {
-                if live.len() >= window || waiting.is_empty() {
-                    break;
-                }
-                let now = session.now();
-                let best = waiting
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &idx)| requests[idx].arrival <= now)
-                    .max_by(|(_, &a), (_, &b)| {
-                        let (ra, rb) = (&requests[a], &requests[b]);
-                        ra.priority.cmp(&rb.priority).then(
-                            rb.arrival
-                                .partial_cmp(&ra.arrival)
-                                .expect("arrivals comparable")
-                                .then(rb.id.cmp(&ra.id)),
-                        )
-                    })
-                    .map(|(pos, _)| pos);
-                let Some(pos) = best else { break };
-                let idx = waiting.remove(pos).expect("position in deque");
-                let sid = session.admit(&requests[idx].gen);
-                live.push((sid, idx, now));
-            }
-
-            if session.active() == 0 {
-                // Idle: jump to the next arrival, or finish the stream.
-                match waiting.front() {
-                    Some(&idx) => session.advance_to(requests[idx].arrival),
-                    None => break,
-                }
-                continue;
-            }
-
-            for sid in session.step_cohort().finished {
-                let pos = live
-                    .iter()
-                    .position(|&(s, _, _)| s == sid)
-                    .expect("finished request was live");
-                let (_, idx, started) = live.remove(pos);
-                let output = session.take_output(sid).expect("finished output");
-                let req = &requests[idx];
-                let first_token = output
-                    .record
-                    .accept_times
-                    .first()
-                    .copied()
-                    .unwrap_or(output.record.finished_at);
-                completions.push(Completion {
-                    id: req.id,
-                    priority: req.priority,
-                    timing: RequestTiming {
-                        arrival: req.arrival,
-                        started,
-                        first_token,
-                        finished: output.record.finished_at,
-                    },
-                    output,
-                });
-            }
-        }
-
-        completions.sort_by(|a, b| {
-            a.timing
-                .finished
-                .partial_cmp(&b.timing.finished)
-                .expect("finish times must be comparable")
-                .then(a.id.cmp(&b.id))
-        });
-        let report = ServeReport::new(self.strategy_name(), window, completions)
-            .with_cohort(session.stats());
+    fn report(&self, completions: Vec<Completion>) -> ServeReport {
+        let report = ServeReport::new(self.strategy_name(), self.config.max_in_flight, completions);
         match self.prepared.kv_pool() {
             Some(pool) => report.with_kv_pool(pool.stats()),
             None => report,
         }
     }
+}
 
-    /// Serves a request stream, invoking `on_complete` once per request in
-    /// service-clock completion order (deterministic in `Sim` mode).
-    pub fn serve_with(
-        &self,
-        requests: Vec<Request>,
-        mut on_complete: impl FnMut(&Completion),
-    ) -> ServeReport {
-        let n = requests.len();
-        let window = self.config.max_in_flight;
+/// The fused-cohort executor: the session is the window.
+impl Executor for StepSession<'_> {
+    fn now(&self) -> f64 {
+        StepSession::now(self)
+    }
 
-        let exec_order = crate::scheduler::admission_order(&requests);
+    fn advance_to(&mut self, t: f64) {
+        StepSession::advance_to(self, t);
+    }
 
-        // Phase 0 — deterministic KV-pool admission pre-pass (`Sim` mode
-        // only).  When the prepared deployment owns a page pool, walk the
-        // admission stream *sequentially* in admission order performing each
-        // request's pool lifecycle (admit, match the longest committed
-        // prefix, commit the prompt chain) while keeping at most `window`
-        // requests pinned — the pool occupancy an online server with this
-        // in-flight bound would see.  Concurrent phase-1 execution then
-        // replays the pre-computed cached spans, so prefix hit rates,
-        // refusals and every latency figure are bit-reproducible regardless
-        // of thread timing.  Refused requests still execute — on isolated
-        // flat caches with no cached span — and surface in the report's
-        // refusal column.
-        //
-        // `Real` mode skips the pre-pass: its runs ignore externally computed
-        // spans (no physical pages back them), so pre-pass counters would
-        // claim prefill reuse that never happened.  Instead each `Real` run
-        // goes through the deployment's own pooled path, which admits,
-        // attaches committed stage pages, and commits physical chains — the
-        // pool stats attached below then reflect genuine reuse.
-        let pool = self.prepared.kv_pool().cloned();
-        let sim_spans = pool.is_some() && matches!(self.prepared.mode(), ExecutionMode::Sim { .. });
-        let prefix_cached = match &pool {
-            Some(pool) if sim_spans => pool_admission_spans(pool, &requests, &exec_order, window),
-            _ => vec![0; n],
+    fn active(&self) -> usize {
+        StepSession::active(self)
+    }
+
+    fn admit(&mut self, gen: &GenConfig) -> u64 {
+        StepSession::admit(self, gen)
+    }
+
+    /// One cohort step; a step cannot be cut short at the next arrival.
+    fn step(&mut self, _until: f64) -> Vec<Finished> {
+        let finished = self.step_cohort().finished;
+        let take = |id| {
+            let output = self.take_output(id).expect("finished output");
+            let finished = output.record.finished_at;
+            let first_token = output.record.accept_times.first().copied();
+            Finished {
+                id,
+                first_token: first_token.unwrap_or(finished),
+                finished,
+                output,
+            }
         };
+        finished.into_iter().map(take).collect()
+    }
+}
 
-        // Phase 1 — execute every request over the shared prepared
-        // deployment, at most `window` concurrently, pulled in the same
-        // admission-stream order the scheduler plans over.
-        let outputs: Vec<Mutex<Option<(RunOutput, f64)>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..window.min(n) {
-                s.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let idx = exec_order[k];
-                    let wall_start = self.clock.now();
-                    let gen = &requests[idx].gen;
-                    let options = |cached_prefix| RunOptions {
-                        trace: self.trace,
-                        faults: None,
-                        cached_prefix,
-                    };
-                    let out = self
-                        .prepared
-                        .run_with(gen, options(sim_spans.then(|| prefix_cached[idx])))
-                        // Refused by the pool: an isolated flat-cache run.
-                        .or_else(|_refusal| self.prepared.run_with(gen, options(Some(0))))
-                        .expect("a run that bypasses the pool is never refused");
-                    let wall = (self.clock.now() - wall_start).max(0.0);
-                    *outputs[idx].lock().unwrap() = Some((out, wall));
-                });
-            }
+/// The pipeline-replicas executor: a request runs solo, to completion, the
+/// moment it is admitted, and then stays in flight — occupying its replica
+/// and holding its pool admission — until its service time has passed on the
+/// service clock.
+struct Replicas<'s> {
+    server: &'s Server,
+    now: f64,
+    in_flight: Vec<Replica>,
+    next_id: u64,
+}
+
+/// One busy replica: a request that has run and not yet finished on the
+/// service clock.
+struct Replica {
+    id: u64,
+    started: f64,
+    finished: f64,
+    output: RunOutput,
+    /// The request's pool admission; dropped when it leaves the window.
+    _pin: Option<Arc<PrefixPlan>>,
+}
+
+impl Executor for Replicas<'_> {
+    fn now(&self) -> f64 {
+        self.now
+    }
+
+    fn advance_to(&mut self, t: f64) {
+        self.now = self.now.max(t);
+    }
+
+    fn active(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    fn admit(&mut self, gen: &GenConfig) -> u64 {
+        let Server {
+            prepared,
+            clock,
+            trace,
+            ..
+        } = self.server;
+        let wall_start = clock.now();
+        let (output, pin) = prepared.run_pinned(gen, *trace);
+        // Service time: virtual makespan, or wall time of the run alone.
+        let service = match prepared.mode() {
+            ExecutionMode::Real { .. } => clock.now() - wall_start,
+            ExecutionMode::Sim { .. } => output.record.finished_at,
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        self.in_flight.push(Replica {
+            id,
+            started: self.now,
+            finished: self.now + service.max(0.0),
+            output,
+            _pin: pin,
         });
-        let runs: Vec<(RunOutput, f64)> = outputs
+        id
+    }
+
+    /// Jumps to the earliest finish (or `until`, if sooner) and retires
+    /// every replica done by then, in admission order.
+    fn step(&mut self, until: f64) -> Vec<Finished> {
+        let next_finish = self.in_flight.iter().map(|r| r.finished);
+        self.advance_to(next_finish.fold(until, f64::min));
+        let now = self.now;
+        let (done, busy): (Vec<_>, Vec<_>) = std::mem::take(&mut self.in_flight)
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap()
-                    .expect("every request must have executed")
-            })
-            .collect();
-
-        // Phase 2 — service durations on the service clock.
-        let services: Vec<f64> = runs
-            .iter()
-            .map(|(out, wall)| service_time(self.prepared.mode(), out, *wall))
-            .collect();
-
-        // Phase 3 — the deterministic admission timeline.
-        let slots = plan(
-            &requests,
-            &services,
-            SchedulerConfig {
-                max_in_flight: window,
-            },
-        );
-
-        // Phase 4 — per-request completions, delivered in finish order.
-        let mut completions: Vec<Completion> = requests
-            .iter()
-            .zip(runs)
-            .zip(&slots)
-            .map(|((req, (output, _)), slot)| {
-                let first_token_offset = output
-                    .record
-                    .accept_times
-                    .first()
-                    .copied()
-                    .unwrap_or(slot.finished - slot.started);
-                Completion {
-                    id: req.id,
-                    priority: req.priority,
-                    timing: RequestTiming {
-                        arrival: req.arrival,
-                        started: slot.started,
-                        first_token: slot.started + first_token_offset,
-                        finished: slot.finished,
-                    },
-                    output,
-                }
-            })
-            .collect();
-        completions.sort_by(|a, b| {
-            a.timing
-                .finished
-                .partial_cmp(&b.timing.finished)
-                .expect("finish times must be comparable")
-                .then(a.id.cmp(&b.id))
-        });
-        for completion in &completions {
-            on_complete(completion);
-        }
-        let report = ServeReport::new(self.strategy_name(), window, completions);
-        match &pool {
-            Some(pool) => report.with_kv_pool(pool.stats()),
-            None => report,
-        }
-    }
-}
-
-/// The deterministic KV-pool admission pre-pass over one request stream.
-///
-/// Walks `order` (indices into `requests`, admission-stream order)
-/// sequentially, performing each request's pool lifecycle — admit, match the
-/// longest committed prefix, commit the prompt chain — while keeping at most
-/// `window` tickets pinned: the pool occupancy an online server with that
-/// in-flight bound would see.  Returns the per-request cached prefix span
-/// (index-aligned with `requests`; `0` for refused requests).  Hit, eviction
-/// and refusal counts accumulate in `pool.stats()`.
-///
-/// [`Server::serve_with`] uses this (in `Sim` mode only — `Real` runs
-/// attach physical pages through the deployment's own pooled path instead)
-/// to pre-compute prefill-reuse spans so concurrent execution stays
-/// bit-reproducible; the serving bench reuses it to probe the largest
-/// sustainable window of a pool geometry without paying for model execution.
-pub fn pool_admission_spans(
-    pool: &KvPagePool,
-    requests: &[Request],
-    order: &[usize],
-    window: usize,
-) -> Vec<usize> {
-    let mut spans = vec![0; requests.len()];
-    let mut live: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    for &idx in order {
-        if live.len() >= window.max(1) {
-            if let Some(oldest) = live.pop_front() {
-                pool.end_request(oldest);
+            .partition(|r| r.finished <= now);
+        self.in_flight = busy;
+        let retire = |r: Replica| {
+            let first_token = r.output.record.accept_times.first().copied();
+            Finished {
+                id: r.id,
+                first_token: r.started + first_token.unwrap_or(r.finished - r.started),
+                finished: r.finished,
+                output: r.output,
             }
-        }
-        let gen = &requests[idx].gen;
-        if let Ok(ticket) = pool.begin_request(&gen.prompt, gen.n_generate, &[]) {
-            spans[idx] = ticket.cached_tokens;
-            pool.commit_chain(ticket.id, &gen.prompt, None);
-            live.push_back(ticket.id);
-        }
-    }
-    for ticket in live {
-        pool.end_request(ticket);
-    }
-    spans
-}
-
-/// The service duration of one run: virtual makespan under `Sim`, measured
-/// wall time under `Real`.
-fn service_time(mode: &ExecutionMode, out: &RunOutput, wall: f64) -> f64 {
-    match mode {
-        ExecutionMode::Real { .. } => wall,
-        ExecutionMode::Sim { .. } => out.record.finished_at,
+        };
+        done.into_iter().map(retire).collect()
     }
 }
 
@@ -887,6 +785,174 @@ mod tests {
                 served.output.record.tokens, solo.record.tokens,
                 "request {} diverged under pooled stepped serving",
                 req.id
+            );
+        }
+    }
+
+    #[test]
+    fn tree_speculation_serving_is_bit_reproducible() {
+        use pi_spec::TreeSpeculationStrategy;
+        // The tree strategy seeds each request's shape from a cross-request
+        // prior fed as requests complete.  The loop runs requests one at a
+        // time in admission order, so a full window changes nothing.
+        let mode = ExecutionMode::Sim {
+            pair: ModelPair::goliath_xwin7b(),
+            cluster: ClusterSpec::cluster_c(4),
+            oracle_seed: 42,
+        };
+        let workload = MixedWorkload {
+            base: base(),
+            n_requests: 12,
+            mean_interarrival: 0.05,
+            prompt_len: (4, 16),
+            n_generate: (8, 20),
+            seed: 11,
+        };
+        let serve = || {
+            Server::new(
+                Deployment::new(TreeSpeculationStrategy::default()).prepare(&mode, 4),
+                ServerConfig { max_in_flight: 8 },
+            )
+            .serve(workload.generate())
+        };
+        let (a, b) = (serve(), serve());
+        assert_eq!(a.len(), 12);
+        for (x, y) in a.completions().iter().zip(b.completions()) {
+            assert_eq!(x.id, y.id);
+            assert_eq!(x.timing, y.timing);
+            assert_eq!(x.output.record.tree_shapes, y.output.record.tree_shapes);
+        }
+        // The prior did move between requests: this is not a vacuous pass.
+        let first_shapes: Vec<_> = a
+            .completions()
+            .iter()
+            .map(|c| c.output.record.tree_shapes[0])
+            .collect();
+        assert!(first_shapes.iter().any(|&s| s != first_shapes[0]));
+    }
+
+    /// A random four-layer tiny target with a slightly perturbed draft.
+    fn real_mode(seed: u64) -> ExecutionMode {
+        use pi_model::{Model, ModelConfig};
+        let cfg = ModelConfig::tiny_llama(64, 4);
+        let target = Arc::new(Model::random(cfg.clone(), seed));
+        let draft = Arc::new(Model::new(cfg, target.weights().perturbed(0.02, seed + 1)));
+        ExecutionMode::Real { target, draft }
+    }
+
+    #[test]
+    fn real_pooled_serving_shares_pages_and_releases_every_pin() {
+        use crate::workload::SharedPrefixWorkload;
+        use pi_model::{KvPagePool, KvPoolConfig};
+        // `Real` replicas take the same pooled path as `Sim` ones: physical
+        // prefix pages are attached, streams stay solo-identical, and a pin
+        // lives exactly as long as its request is in flight.
+        let workload = SharedPrefixWorkload {
+            base: GenConfig {
+                prompt: (1..40).collect(),
+                n_generate: 6,
+                kv_capacity: 128,
+                ..base()
+            },
+            n_requests: 6,
+            mean_interarrival: 0.001,
+            shared_fraction: 0.9,
+            prefix_len: (16, 20),
+            suffix_len: (2, 5),
+            seed: 21,
+        };
+        let (tokens_per_page, n_pages) = (4, 96);
+        for deployment in [
+            Deployment::new(SpeculativeStrategy),
+            Deployment::new(PipeInferStrategy::default()),
+        ] {
+            let pool = KvPagePool::new(KvPoolConfig {
+                tokens_per_page,
+                n_pages,
+            });
+            let mode = real_mode(11);
+            let prepared = deployment.prepare(&mode, 2).with_kv_pool(Arc::clone(&pool));
+            let report =
+                Server::new(prepared, ServerConfig { max_in_flight: 3 }).serve(workload.generate());
+            let stats = report.kv_pool_stats().expect("pool stats must surface");
+            assert_eq!(stats.requests, 6);
+            assert_eq!(stats.refusals, 0);
+            assert!(stats.share_hits > 0, "shared prompts must attach pages");
+            for req in workload.generate() {
+                let solo = deployment.run(&mode, 2, &req.gen);
+                assert_eq!(
+                    report.completion(req.id).unwrap().output.record.tokens,
+                    solo.record.tokens,
+                    "{}: request {} diverged from its solo run under the pool",
+                    report.strategy(),
+                    req.id
+                );
+            }
+            // No pin outlives its request: one request needing every page of
+            // the pool can evict all that the stream committed.
+            let whole_pool = vec![63; tokens_per_page * n_pages - 8];
+            let ticket = pool
+                .begin_request(&whole_pool, 8, &[])
+                .unwrap_or_else(|refusal| panic!("leaked pins: {refusal:?}"));
+            pool.end_request(ticket.id);
+        }
+    }
+
+    #[test]
+    fn real_stepped_timeline_moves_only_with_the_injected_clock() {
+        use pi_trace::ManualClock;
+        const TICK: f64 = 0.25;
+        /// Every read is `TICK` later than the one before.
+        struct Ticking(ManualClock);
+        impl Clock for Ticking {
+            fn now(&self) -> f64 {
+                self.0.advance(TICK);
+                self.0.now()
+            }
+        }
+        let requests = || -> Vec<Request> {
+            (0..3)
+                .map(|i| {
+                    let gen = GenConfig {
+                        prompt: vec![3 + i as u32; 5],
+                        n_generate: 4,
+                        kv_capacity: 64,
+                        ..base()
+                    };
+                    Request::new(i, gen, i as f64)
+                })
+                .collect()
+        };
+        let server = |clock: Arc<dyn Clock>| {
+            Server::new(
+                Deployment::new(SpeculativeStrategy).prepare(&real_mode(11), 2),
+                ServerConfig { max_in_flight: 2 },
+            )
+            .with_clock(clock)
+        };
+
+        // A clock nobody advances: real work happens, no time passes.
+        let frozen = server(Arc::new(ManualClock::new(7.0))).serve_stepped(requests());
+        assert_eq!(frozen.len(), 3);
+        for c in frozen.completions() {
+            assert_eq!(c.n_tokens(), 4);
+            let t = c.timing;
+            assert_eq!(
+                (t.started, t.first_token, t.finished),
+                (t.arrival, t.arrival, t.arrival)
+            );
+        }
+
+        // A clock that ticks on every read: the timeline is made of ticks.
+        let ticking = server(Arc::new(Ticking(ManualClock::new(0.0)))).serve_stepped(requests());
+        for c in ticking.completions() {
+            let steps = c.output.stats.nodes[0].cohort_steps as f64;
+            let service = c.timing.service();
+            assert!(service >= TICK * steps, "{service} s over {steps} steps");
+            assert_eq!(
+                (service / TICK).fract(),
+                0.0,
+                "{service} s is not whole ticks"
             );
         }
     }

@@ -27,15 +27,17 @@
 //! a request is admitted into the KV page pool.  From there a request runs
 //! one of two ways over the same engines:
 //!
-//! * **solo** — [`PreparedDeployment::run_with`] builds the head engine and
-//!   one engine per further stage, opens the request's slot on each, wraps
-//!   them in the head behavior and [`PipelineWorker`]s (fresh KV caches — an
-//!   isolated session per call) and executes them under the driver matching
-//!   the mode, collecting a [`RunOutput`].  [`RunOptions`] attaches a trace
-//!   recorder, a fault plan or an externally computed cached prefix;
-//!   [`PreparedDeployment::run`] and [`PreparedDeployment::run_traced`] are
-//!   its two wrappers, which fall back to flat caches when the pool refuses
-//!   the request.  [`Deployment::run`] is the one-shot convenience wrapper.
+//! * **solo** — one private path builds the head engine and one engine per
+//!   further stage, opens the request's slot on each, wraps them in the head
+//!   behavior and [`PipelineWorker`]s (fresh KV caches — an isolated session
+//!   per call) and executes them under the driver matching the mode,
+//!   collecting a [`RunOutput`].  [`PreparedDeployment::run_with`] reaches it
+//!   with [`RunOptions`] (a trace recorder, a fault plan) and surfaces a pool
+//!   refusal; [`PreparedDeployment::run_pinned`] falls back to flat caches
+//!   when the pool refuses the request and hands back the admission guard,
+//!   and [`PreparedDeployment::run`] / [`PreparedDeployment::run_traced`]
+//!   are its wrappers.  [`Deployment::run`] is the one-shot convenience
+//!   wrapper.
 //! * **stepped** — [`PreparedDeployment::begin_session`] hands the same
 //!   engines to a [`StepSession`](crate::session::StepSession), which opens
 //!   a slot per admitted request and evaluates every request's micro-batch
@@ -479,7 +481,7 @@ impl PreparedDeployment {
     /// caches) instead of failing — use [`PreparedDeployment::run_with`] to
     /// surface the refusal instead.
     pub fn run(&self, gen_config: &GenConfig) -> RunOutput {
-        self.run_or_flat(gen_config, None)
+        self.run_pinned(gen_config, None).0
     }
 
     /// [`PreparedDeployment::run`] with a structured event recorder attached
@@ -487,52 +489,55 @@ impl PreparedDeployment {
     /// cross-rank trace (virtual time under `Sim`, wall time under `Real`).
     /// Recording never perturbs generation output — only observes it.
     pub fn run_traced(&self, gen_config: &GenConfig, trace: TraceConfig) -> RunOutput {
-        self.run_or_flat(gen_config, Some(trace))
+        self.run_pinned(gen_config, Some(trace)).0
     }
 
-    fn run_or_flat(&self, gen_config: &GenConfig, trace: Option<TraceConfig>) -> RunOutput {
-        let options = |cached_prefix| RunOptions {
-            trace,
-            faults: None,
-            cached_prefix,
-        };
-        self.run_with(gen_config, options(None))
-            // The pool cannot host this request right now; degrade to an
-            // isolated flat-cache session rather than failing the run.
-            .or_else(|_refusal| self.run_with(gen_config, options(Some(0))))
-            .expect("a run that bypasses the pool is never refused")
+    /// [`PreparedDeployment::run`] (or `run_traced`, with `trace` set) that
+    /// also hands back the request's pool admission: the run is over, its
+    /// prompt chain is committed, and the matched prefix stays pinned and the
+    /// reservation held until the returned guard is dropped.  A serving loop
+    /// keeps it for as long as the request is in flight on its own clock.
+    /// `None` without a pool, or when the pool refused the request and it
+    /// ran on isolated flat caches.
+    pub fn run_pinned(
+        &self,
+        gen_config: &GenConfig,
+        trace: Option<TraceConfig>,
+    ) -> (RunOutput, Option<Arc<PrefixPlan>>) {
+        // The pool cannot host this request right now: degrade to an
+        // isolated flat-cache session rather than failing the run.
+        let plan = self.admit(gen_config).ok().flatten();
+        let out = self.run_admitted(gen_config, trace, None, plan.as_ref());
+        (out, plan)
     }
 
-    /// Executes one generation run under `options`: the one entry point the
-    /// others wrap.  Errs only when a pool is attached, `cached_prefix` is
-    /// unset, and the pool cannot admit the request.
+    /// Executes one generation run under `options`.  Errs only when a pool
+    /// is attached and cannot admit the request.
     pub fn run_with(
         &self,
         gen_config: &GenConfig,
         options: RunOptions,
     ) -> Result<RunOutput, AdmissionRefusal> {
-        let RunOptions {
-            trace,
-            faults,
-            cached_prefix,
-        } = options;
-        if let Some(span) = cached_prefix {
-            let span = match &self.mode {
-                ExecutionMode::Sim { .. } => span.min(gen_config.prompt.len().saturating_sub(1)),
-                ExecutionMode::Real { .. } => 0,
-            };
-            return Ok(self.run_plain(gen_config, trace, faults, span, None));
-        }
-        // Through the shared page pool, if any: admit, attach the longest
-        // cached prefix, run with suffix-only prefill, then commit the
-        // prompt chain and release the admission.
         let plan = self.admit(gen_config)?;
-        let cached = plan.as_ref().map_or(0, |plan| plan.cached_tokens);
-        let out = self.run_plain(gen_config, trace, faults, cached, plan.as_ref());
+        Ok(self.run_admitted(gen_config, options.trace, options.faults, plan.as_ref()))
+    }
+
+    /// The one solo path under every public run form: through the shared
+    /// page pool, if the request was admitted — attach the longest cached
+    /// prefix, run with suffix-only prefill, then commit the prompt chain.
+    fn run_admitted(
+        &self,
+        gen_config: &GenConfig,
+        trace: Option<TraceConfig>,
+        faults: Option<FaultPlan>,
+        plan: Option<&Arc<PrefixPlan>>,
+    ) -> RunOutput {
+        let cached = plan.map_or(0, |plan| plan.cached_tokens);
+        let out = self.run_plain(gen_config, trace, faults, cached, plan);
         if let Some(plan) = plan {
             self.retire(plan);
         }
-        Ok(out)
+        out
     }
 
     /// Admits one request into the attached KV page pool (`Ok(None)` without
@@ -570,9 +575,9 @@ impl PreparedDeployment {
     /// Retires the admission of a request that ran to completion.  `Real`
     /// stages committed their physical pages during prefill; `Sim` engines
     /// never touch pages, so the prompt is committed here as a token-only
-    /// chain for later requests to match against.  Dropping the plan then
-    /// ends the request.
-    pub(crate) fn retire(&self, plan: Arc<PrefixPlan>) {
+    /// chain for later requests to match against.  Dropping the plan's last
+    /// handle then ends the request.
+    pub(crate) fn retire(&self, plan: &PrefixPlan) {
         if matches!(self.mode, ExecutionMode::Sim { .. }) {
             plan.pool.commit_chain(plan.ticket, &plan.prompt, None);
         }
@@ -662,8 +667,7 @@ impl PreparedDeployment {
 }
 
 /// What a [`PreparedDeployment::run_with`] call attaches to its run.  The
-/// default is a plain run: no recorder, no faults, through the pool if one
-/// is attached.
+/// default is a plain run: no recorder, no faults.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Structured event recorder attached to every rank (see
@@ -675,15 +679,6 @@ pub struct RunOptions {
     /// with `trace` set the injected faults and any recovery they provoke
     /// (`fault_injected`, `draft_failover`, …) land in the trace.
     pub faults: Option<FaultPlan>,
-    /// `Some(n)`: the caller has already taken this request through the pool
-    /// (the serving layer's admission pre-pass) and found the leading `n`
-    /// prompt tokens cached, so the run bypasses the pool and pretends they
-    /// are resident in every stage's KV cache.  Only `Sim` mode honours the
-    /// span (virtual-time prefill skip); `Real` runs use fresh flat caches
-    /// and prefill everything, because no physical pages back a span that
-    /// was computed outside this call.  `None`: the run goes through the
-    /// attached pool itself.
-    pub cached_prefix: Option<usize>,
 }
 
 /// Executes behaviors under the driver matching the execution mode, with an

@@ -17,7 +17,9 @@
 //! root-level branches are the draft model's top-k runner-up candidates —
 //! the hedge tree speculation verifies in one batched pass.
 
-use pi_model::{Batch, KvCache, Model, OracleDraft, OracleTarget, Pos, Sampler, Token, TokenTree};
+use pi_model::{
+    Batch, KvCache, Model, OracleDraft, OracleTarget, Pos, Sampler, ScratchArena, Token, TokenTree,
+};
 use pi_perf::{CostModel, ModelCost};
 use pi_tensor::{ops, Tensor};
 use std::sync::Arc;
@@ -122,12 +124,15 @@ fn top_k(probs: &[f32], k: usize) -> Vec<(Token, f32)> {
 /// allocates first-fit, so cells stay in position order and every proposal is
 /// bit-identical to one drafted from an empty cache.
 ///
-/// The cache is allocated on first use: a drafter held in reserve (the
-/// dedicated-rank layout's local fallback) costs nothing until promoted.
+/// The cache and the forward pass's scratch arena are allocated on first use:
+/// a drafter held in reserve (the dedicated-rank layout's local fallback)
+/// costs nothing until promoted.
 pub struct RealDrafter {
     model: Arc<Model>,
     kv_capacity: usize,
     cache: Option<KvCache>,
+    /// Per-layer temporaries, reused by every fed batch.
+    scratch: Option<ScratchArena>,
     /// Tokens whose K/V entries `cache` holds: token `i` at position `i` of
     /// sequence 0.
     cached: Vec<Token>,
@@ -141,6 +146,7 @@ impl RealDrafter {
             model: model.into(),
             kv_capacity,
             cache: None,
+            scratch: None,
             cached: Vec::new(),
         }
     }
@@ -154,10 +160,20 @@ impl RealDrafter {
         let cache = self
             .cache
             .get_or_insert_with(|| KvCache::new(cfg.n_layers, cfg.kv_dim(), self.kv_capacity));
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| ScratchArena::for_config(cfg));
         let batch = Batch::prompt(tokens, self.cached.len() as Pos, 0);
         let hidden = Model::alloc_cells(&batch, cache).and_then(|cells| {
             let embedded = model.embed(&batch);
-            model.forward_layer_range(&batch, &embedded, 0..cfg.n_layers, cache, &cells)
+            model.forward_layer_range_with(
+                &batch,
+                &embedded,
+                0..cfg.n_layers,
+                cache,
+                &cells,
+                scratch,
+            )
         });
         let Ok(hidden) = hidden else {
             cache.clear();

@@ -307,7 +307,6 @@ impl StageEngine for RealStage {
         match *op {
             CacheOp::SeqCp { src, dst, p0, p1 } => cache.seq_cp(src, dst, p0, p1),
             CacheOp::SeqRm { seq, p0, p1 } => cache.seq_rm(seq, p0, p1),
-            CacheOp::SeqKeep { seq } => cache.seq_keep(seq),
             CacheOp::BranchCommit {
                 dst,
                 path,
@@ -796,7 +795,12 @@ mod tests {
         let mut e = SimStageEngine::new(cm, mc, 10);
         let single = Batch::single(1, 100, 0);
         let (_, eval_cost) = e.eval(&single, &ActivationPayload::Empty);
-        let op_cost = e.apply_cache_op(0, &CacheOp::SeqKeep { seq: 0 });
+        let rm = CacheOp::SeqRm {
+            seq: 0,
+            p0: 0,
+            p1: 1,
+        };
+        let op_cost = e.apply_cache_op(0, &rm);
         assert!(op_cost < eval_cost / 100.0);
     }
 

@@ -166,11 +166,6 @@ pub enum CacheOp {
         /// Last position (exclusive).
         p1: Pos,
     },
-    /// Keep only `seq`, freeing every other sequence.
-    SeqKeep {
-        /// Sequence to keep.
-        seq: SeqId,
-    },
     /// Commit the accepted root-to-leaf path of a speculation tree: copy the
     /// entries of leaf sequence `path` in `[p0, p1)` into `dst`, then drop
     /// every tree sequence in `first .. first + n_seqs`, freeing the
@@ -430,7 +425,12 @@ mod tests {
     fn control_messages_are_small() {
         assert!(PipeMsg::Cancel { run_id: 3 }.wire_bytes() < 16);
         assert!(PipeMsg::Shutdown.wire_bytes() < 8);
-        assert!(PipeMsg::Cache(CacheOp::SeqKeep { seq: 0 }).wire_bytes() < 32);
+        let rm = CacheOp::SeqRm {
+            seq: 0,
+            p0: 0,
+            p1: 1,
+        };
+        assert!(PipeMsg::Cache(rm).wire_bytes() < 32);
     }
 
     #[test]
@@ -438,7 +438,12 @@ mod tests {
         assert!(PipeMsg::Cancel { run_id: 3 }.priority());
         assert!(PipeMsg::DraftCancel { up_to: 3 }.priority());
         assert!(!PipeMsg::Shutdown.priority());
-        assert!(!PipeMsg::Cache(CacheOp::SeqKeep { seq: 0 }).priority());
+        let rm = CacheOp::SeqRm {
+            seq: 0,
+            p0: 0,
+            p1: 1,
+        };
+        assert!(!PipeMsg::Cache(rm).priority());
         assert!(!PipeMsg::RunResult {
             run_id: 1,
             payload: ActivationPayload::Empty

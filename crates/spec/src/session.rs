@@ -1,6 +1,6 @@
 //! Iteration-level continuous batching: the [`StepSession`] step loop.
 //!
-//! The thread-per-request serving path (`pi_serve::Server::serve`) gives
+//! The replica serving path (`pi_serve::Server::serve`) gives
 //! every request its own pipeline: per-request engines, per-request weight
 //! streaming, per-request decode steps.  At serving concurrency that wastes
 //! the dominant cost — each decode step re-streams every stage's weights for
@@ -62,10 +62,9 @@ use crate::message::CacheOp;
 use crate::rounds::SyncRounds;
 use crate::tree::DEFAULT_PRIOR;
 use crate::GenConfig;
-use pi_cluster::ClusterStats;
+use pi_cluster::{Clock, ClusterStats, MonotonicClock};
 use pi_model::Batch;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The deployment's pipeline stages, driven in stage order on the session's
 /// thread.  Slot `i` of every engine belongs to the i-th in-flight request.
@@ -174,7 +173,10 @@ pub struct StepSession<'d> {
     prepared: &'d PreparedDeployment,
     profile: StepProfile,
     fused: bool,
+    /// The session (service) clock, seconds.
     clock: f64,
+    /// Wall-time source of `Real`-mode step durations.
+    wall: Arc<dyn Clock>,
     slots: Vec<RequestState>,
     next_id: u64,
     pipeline: Pipeline,
@@ -189,6 +191,7 @@ impl<'d> StepSession<'d> {
             profile: prepared.strategy().step_profile(),
             fused: true,
             clock: 0.0,
+            wall: Arc::new(MonotonicClock::new()),
             slots: Vec::new(),
             next_id: 0,
             pipeline: Pipeline {
@@ -205,6 +208,15 @@ impl<'d> StepSession<'d> {
     /// identical either way.
     pub fn with_fused(mut self, fused: bool) -> Self {
         self.fused = fused;
+        self
+    }
+
+    /// Replaces the wall-time source `Real`-mode steps are measured on
+    /// (default [`MonotonicClock`]; tests inject a
+    /// [`ManualClock`](pi_cluster::ManualClock)).  `Sim` steps charge virtual
+    /// costs and ignore it.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.wall = clock;
         self
     }
 
@@ -301,7 +313,7 @@ impl<'d> StepSession<'d> {
     /// their token budget finish at this boundary.
     pub fn step_cohort(&mut self) -> StepReport {
         let real = matches!(self.prepared.mode(), ExecutionMode::Real { .. });
-        let wall = Instant::now();
+        let wall_start = self.wall.now();
         let pipeline = &mut self.pipeline;
         let mut step_cost = 0.0;
 
@@ -388,10 +400,12 @@ impl<'d> StepSession<'d> {
         }
 
         // Phase 3 — per-request verification and state advance.  `Real`
-        // drafting and evaluation are timed as one wall-clock span; `Sim`
-        // adds up what the drafters and engines charged.
+        // steps are timed on the session's wall clock, one span up to here
+        // and one over the clean-up ops below; `Sim` adds up what the
+        // drafters and engines charged.
+        let evaluated = self.wall.now();
         self.clock += if real {
-            wall.elapsed().as_secs_f64()
+            evaluated - wall_start
         } else {
             step_cost
         };
@@ -409,12 +423,16 @@ impl<'d> StepSession<'d> {
             if r.rounds.is_done() {
                 pipeline.close(slot);
                 if let Some(plan) = r.plan.take() {
-                    self.prepared.retire(plan);
+                    self.prepared.retire(&plan);
                 }
                 finished.push(r.id);
             }
         }
-        self.clock += post_cost;
+        self.clock += if real {
+            self.wall.now() - evaluated
+        } else {
+            post_cost
+        };
 
         StepReport {
             width,

@@ -177,7 +177,6 @@ pub(crate) fn transcript_hash(sent: &[Sent]) -> u64 {
                     CacheOp::SeqRm { seq, p0, p1 } => {
                         h.words([1, seq as u64, p0 as u64, p1 as u64])
                     }
-                    CacheOp::SeqKeep { seq } => h.words([2, seq as u64]),
                     CacheOp::BranchCommit {
                         dst,
                         path,

@@ -350,25 +350,20 @@ mod tests {
     #[test]
     fn cache_ops_are_applied_and_forwarded() {
         use crate::message::CacheOp;
+        let rm = CacheOp::SeqRm {
+            seq: 0,
+            p0: 0,
+            p1: 1,
+        };
         let mut w = PipelineWorker::new(1, PipelineRoute::baseline(3), sim_engine());
         let mut ctx = TestCtx::new(1, 4);
-        w.on_message(
-            0,
-            tags::CACHE,
-            PipeMsg::Cache(CacheOp::SeqKeep { seq: 0 }),
-            &mut ctx,
-        );
+        w.on_message(0, tags::CACHE, PipeMsg::Cache(rm), &mut ctx);
         assert_eq!(ctx.sent.len(), 1);
         assert_eq!(ctx.sent[0].dst, 2);
         // Last stage does not forward further.
         let mut last = PipelineWorker::new(2, PipelineRoute::baseline(3), sim_engine());
         let mut ctx2 = TestCtx::new(1, 4);
-        last.on_message(
-            1,
-            tags::CACHE,
-            PipeMsg::Cache(CacheOp::SeqKeep { seq: 0 }),
-            &mut ctx2,
-        );
+        last.on_message(1, tags::CACHE, PipeMsg::Cache(rm), &mut ctx2);
         assert!(ctx2.sent.is_empty());
     }
 

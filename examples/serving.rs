@@ -1,11 +1,13 @@
 //! Serving demo: a bursty request stream over the threaded driver.
 //!
-//! Builds one warmed-up PipeInfer deployment on real (tiny) models across an
-//! in-process cluster of OS threads, then serves a Poisson-like burst of
-//! requests through the continuous-batching `pi-serve` layer — up to
-//! `max_in_flight` requests run concurrently over the shared weights, each
-//! in an isolated KV session.  Per-request completions stream through the
-//! callback; the report aggregates goodput and latency percentiles.
+//! Builds one warmed-up PipeInfer deployment on real (tiny) models, then
+//! serves a Poisson-like burst of requests through `pi-serve`'s admission
+//! loop over pipeline replicas: each admitted request runs solo on
+//! `PipeInferHead` across an in-process cluster of OS threads (shared
+//! weights, an isolated KV session), and occupies one of `max_in_flight`
+//! replicas for the wall time that run took.  Completions reach the callback
+//! in finish order on that service clock; the report aggregates goodput and
+//! latency percentiles.
 //!
 //! ```text
 //! cargo run --release --example serving

@@ -35,7 +35,6 @@ fn run_faulted(
     let options = RunOptions {
         trace,
         faults: Some(faults),
-        cached_prefix: None,
     };
     prepared
         .run_with(cfg, options)
