@@ -6,32 +6,39 @@
 //! PipeInfer keeps the target pipeline and a dedicated draft rank busy at the
 //! same time, dispatching small speculative *micro-batches* continuously and
 //! cancelling work the moment it is known to be wasted.  The four components
-//! of §IV of the paper map to this crate as follows:
+//! of §IV of the paper are one state machine, [`rounds::AsyncRounds`], which
+//! knows no cluster; the modules around it are its parts and its drivers:
 //!
 //! | Paper component | Module |
 //! |---|---|
-//! | Asynchronous Speculation (§IV-A) — the dedicated draft rank plus the head's run-tracking FIFO and pipeline transactions | [`draft_node`], [`run_tracker`], [`head`] |
-//! | Continuous Speculation (§IV-B) — micro-batching, opportunistic drafting whenever no logits are waiting, confidence-cutoff recovery/decay | [`continuous`], [`head`] |
-//! | Pipelined KV Cache Multibuffering (§IV-C) — per-run sequence partitions allocated from a FIFO pool, buffer swap to the canonical sequence, pipelined cache-copy commands | [`multibuffer`], [`head`] |
-//! | Early Inference Cancellation (§IV-D) — invalidation detection against accepted tokens, back-propagated cancel signals, empty payloads for skipped runs | [`head`] plus `pi_spec::worker` |
+//! | Asynchronous Speculation (§IV-A) — runs launched without waiting for earlier ones, tracked in a FIFO; the dedicated draft rank and the head's link to it | [`rounds`], [`run_tracker`]; [`draft_node`], [`draft_link`] |
+//! | Continuous Speculation (§IV-B) — micro-batching, opportunistic drafting whenever no logits are waiting, confidence-cutoff recovery/decay | [`rounds`] (`draft_ask` / `offer`), [`continuous`] |
+//! | Pipelined KV Cache Multibuffering (§IV-C) — per-run sequence partitions allocated from a FIFO pool, buffer swap to the canonical sequence, pipelined cache-copy commands | [`rounds`] (`Step::Cache`), [`multibuffer`] |
+//! | Early Inference Cancellation (§IV-D) — invalidation detection against accepted tokens, back-propagated cancel signals, empty payloads for skipped runs | [`rounds`] (`Step::Swept`), [`run_tracker`], plus `pi_spec::worker` |
 //!
-//! The pipeline workers, message protocol, compute engines and drafters are
-//! shared with the baselines and live in `pi-spec`; this crate adds the
-//! PipeInfer head rank, the draft rank and the cluster assembly entry point
-//! [`run_pipeinfer`].
+//! [`head::PipeInferHead`] is the rank that drives an `AsyncRounds` on a
+//! cluster: it feeds it results and drafts and executes its steps against
+//! the engine and the wire.  The pipeline workers, message protocol, compute
+//! engines and drafters are shared with the baselines and live in `pi-spec`;
+//! [`strategy::PipeInferStrategy`] plugs the head and the draft rank into
+//! its `Deployment` layer, and [`run_pipeinfer`] is the one-call entry point.
 
 pub mod continuous;
+pub mod draft_link;
 pub mod draft_node;
 pub mod head;
 pub mod multibuffer;
+pub mod rounds;
 pub mod run_tracker;
 pub mod runner;
 pub mod strategy;
 
 pub use continuous::SpeculationController;
+pub use draft_link::RemoteDraft;
 pub use draft_node::DraftNode;
-pub use head::{DraftSource, PipeInferHead};
+pub use head::PipeInferHead;
 pub use multibuffer::SeqPartitionPool;
+pub use rounds::{AsyncRounds, DraftAsk, Step};
 pub use run_tracker::{RunInfo, RunTracker};
 pub use runner::run_pipeinfer;
 pub use strategy::{PipeInferStrategy, DRAFT_RANK};

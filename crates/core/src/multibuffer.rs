@@ -94,11 +94,6 @@ impl SeqPartitionPool {
     pub fn in_use(&self) -> usize {
         self.total - self.free.len()
     }
-
-    /// Total number of partitions in the pool.
-    pub fn total(&self) -> usize {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +122,6 @@ mod tests {
         assert_eq!(p.in_use(), 1);
         p.free(a);
         assert_eq!(p.in_use(), 0);
-        assert_eq!(p.total(), 4);
     }
 
     #[test]

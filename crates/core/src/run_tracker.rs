@@ -16,7 +16,7 @@
 //! results return to the head in dispatch order, so the head only ever
 //! inspects the front of the FIFO.
 
-use pi_model::{Pos, SeqId, Token, TokenTree};
+use pi_model::{Batch, Pos, SeqId, Token, TokenTree};
 use pi_spec::{RunId, RunKind};
 use std::collections::VecDeque;
 
@@ -92,14 +92,10 @@ impl RunInfo {
         }
     }
 
-    /// The run's tokens in batch (parent-before-child) order.
-    pub fn tokens(&self) -> Vec<Token> {
-        self.tree.tokens()
-    }
-
-    /// Position one past the run's deepest token.
-    pub fn end_pos(&self) -> Pos {
-        self.base_pos + self.tree.span() as Pos
+    /// The batch the run evaluates: its tree linearised at `base_pos` over
+    /// the run's partition block.
+    pub fn batch(&self) -> Batch {
+        self.tree.to_batch(self.base_pos, self.first_seq)
     }
 }
 
@@ -213,13 +209,6 @@ impl RunTracker {
             out.cancelled.push(run.run_id);
         }
         out
-    }
-
-    /// Whether any non-cancelled in-flight run covers position `pos`.
-    pub fn covers(&self, pos: Pos) -> bool {
-        self.runs
-            .iter()
-            .any(|r| !r.cancelled && r.base_pos <= pos && pos < r.end_pos())
     }
 
     /// The hypothesis-bearing leaf partition of the most recently dispatched
@@ -345,37 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn coverage_and_end_pos() {
-        let mut t = RunTracker::new();
-        t.push(run(5, RunKind::Speculative, 20, 3, 1));
-        assert!(t.covers(20));
-        assert!(t.covers(22));
-        assert!(!t.covers(23));
-        let out = t.invalidate_from(0, None);
-        assert_eq!(out.cancelled, vec![5]);
-        assert!(!t.covers(20), "cancelled runs provide no coverage");
-    }
-
-    #[test]
-    fn branching_tree_coverage_uses_span_not_node_count() {
-        let mut t = RunTracker::new();
-        // A 4-node tree spanning only 2 positions (two branches of depth 2).
-        let mut tree = TokenTree::new();
-        let a = tree.add(None, 1, 0.9);
-        let b = tree.add(None, 2, 0.5);
-        tree.add(Some(a), 3, 0.8);
-        tree.add(Some(b), 4, 0.4);
-        let info = RunInfo::tree(1, tree, 10, 1);
-        assert_eq!(info.n_seqs, 2);
-        // The spine is a → its child (node 2, the first leaf → seq 1).
-        assert_eq!(info.spine_seq, 1);
-        t.push(info);
-        assert!(t.covers(10) && t.covers(11));
-        assert!(!t.covers(12), "span is 2, not the 4 nodes");
-        assert_eq!(t.iter().next().unwrap().tokens(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn latest_speculative_seq_tracks_dispatch_order() {
         let mut t = RunTracker::new();
         assert_eq!(t.latest_speculative_seq(), None);
@@ -386,5 +344,18 @@ mod tests {
         assert_eq!(t.latest_speculative_seq(), Some(7));
         t.invalidate_from(8, None);
         assert_eq!(t.latest_speculative_seq(), Some(3));
+        // A 4-node tree spanning 2 positions (two branches of depth 2) holds
+        // one partition per leaf; its spine is a → a's child (node 2, the
+        // first leaf → the block's first partition).
+        let mut tree = TokenTree::new();
+        let a = tree.add(None, 1, 0.9);
+        let b = tree.add(None, 2, 0.5);
+        tree.add(Some(a), 3, 0.8);
+        tree.add(Some(b), 4, 0.4);
+        let info = RunInfo::tree(4, tree, 10, 9);
+        assert_eq!(info.n_seqs, 2);
+        assert_eq!(info.spine_seq, 9);
+        t.push(info);
+        assert_eq!(t.latest_speculative_seq(), Some(9));
     }
 }

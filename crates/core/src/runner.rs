@@ -247,76 +247,3 @@ mod tests {
         assert!(out.record.tokens.len() >= 6);
     }
 }
-
-#[cfg(test)]
-mod diag_tests {
-    use super::*;
-    use pi_perf::{ClusterSpec, ModelPair};
-    use pi_spec::runner::{run_iterative, run_speculative};
-
-    #[test]
-    #[ignore]
-    fn diag() {
-        let config = GenConfig {
-            prompt: vec![1; 16],
-            n_generate: 48,
-            max_draft: 4,
-            confidence_cutoff: 0.4,
-            kv_capacity: 4096,
-        };
-        let pair = ModelPair::dolphin_tinyllama();
-        let mode = |n: usize| ExecutionMode::Sim {
-            pair: pair.clone(),
-            cluster: ClusterSpec::cluster_c(n),
-            oracle_seed: 42,
-        };
-        for n in [4usize, 8, 16, 32] {
-            let iter = run_iterative(&mode(n), n, &config);
-            let spec = run_speculative(&mode(n), n, &config);
-            let pipe = run_pipeinfer(&mode(n), n, &config, &PipeInferConfig::default());
-            eprintln!(
-                "n={n}: iter={:.2} spec={:.2} pipe={:.2} (pipe/spec={:.2}) pipe_runs={} cancelled={}",
-                iter.record.generation_speed(),
-                spec.record.generation_speed(),
-                pipe.record.generation_speed(),
-                pipe.record.generation_speed() / spec.record.generation_speed(),
-                pipe.record.runs_launched,
-                pipe.record.runs_cancelled
-            );
-        }
-        let pair = ModelPair::goliath_xwin7b();
-        let mode = |n: usize| ExecutionMode::Sim {
-            pair: pair.clone(),
-            cluster: ClusterSpec::cluster_c(n),
-            oracle_seed: 42,
-        };
-        for n in [8usize, 16] {
-            let spec = run_speculative(&mode(n), n, &config);
-            let pipe = run_pipeinfer(&mode(n), n, &config, &PipeInferConfig::default());
-            eprintln!(
-                "goliath n={n}: spec={:.2} pipe={:.2} (ratio {:.2})",
-                spec.record.generation_speed(),
-                pipe.record.generation_speed(),
-                pipe.record.generation_speed() / spec.record.generation_speed()
-            );
-        }
-        let iter = run_iterative(&mode(8), 8, &config);
-        let spec = run_speculative(&mode(8), 8, &config);
-        let pipe = run_pipeinfer(&mode(8), 8, &config, &PipeInferConfig::default());
-        for (name, o) in [("iter", &iter), ("spec", &spec), ("pipe", &pipe)] {
-            eprintln!(
-                "{name}: speed={:.3} ttft={:.3} itl={:.3} tokens={} drafted={} accepted={} runs={} cancelled={} total_time={:.2} util={:.2}",
-                o.record.generation_speed(),
-                o.record.ttft(),
-                o.record.mean_itl(),
-                o.record.tokens.len(),
-                o.record.drafted,
-                o.record.accepted_drafts,
-                o.record.runs_launched,
-                o.record.runs_cancelled,
-                o.stats.total_time,
-                o.stats.mean_utilization(),
-            );
-        }
-    }
-}

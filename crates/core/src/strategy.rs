@@ -15,7 +15,7 @@
 //!   iterative baseline (two shorter with a dedicated draft rank).
 
 use crate::draft_node::DraftNode;
-use crate::head::{DraftSource, PipeInferHead};
+use crate::head::PipeInferHead;
 use crate::{DraftPlacement, PipeInferConfig};
 use pi_cluster::NodeBehavior;
 use pi_model::Model;
@@ -25,16 +25,6 @@ use std::ops::Range;
 
 /// The rank hosting the draft model in the paper's Fig. 3 layout.
 pub const DRAFT_RANK: usize = 1;
-
-/// Runs the head keeps in flight when every rank is a thread of one process
-/// ([`HeadParts::ranks_share_host`]): the run establishing the next
-/// expectation and one speculating past it.  That is the schedule the Real
-/// path ran while its drafter was slower than the target pipeline; with the
-/// drafter cheap, an unbudgeted head speculates `max_speculation_ahead`
-/// tokens deep at the same tokens/s, drafting twice the tokens per accepted
-/// one (README, "The draft model on the Real path").  Simulated deployments
-/// stay unbudgeted.
-const SHARED_HOST_RUN_BUDGET: usize = 2;
 
 /// PipeInfer: asynchronous pipelined speculation.  The head rank holds no
 /// target layers; depending on [`DraftPlacement`] the draft model lives on
@@ -128,28 +118,9 @@ impl Strategy for PipeInferStrategy {
         splits
     }
 
-    fn build_head(&self, mut parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
-        let (draft, fallback) = if self.dedicated() {
-            (DraftSource::Remote(DRAFT_RANK), Some(parts.take_drafter()))
-        } else {
-            (DraftSource::Local(parts.take_drafter()), None)
-        };
-        let mut head = PipeInferHead::new(
-            parts.route,
-            parts.engine,
-            draft,
-            parts.gen_config,
-            self.config.clone(),
-            parts.record,
-        )
-        .with_prompt_cached(parts.prompt_cached);
-        if parts.ranks_share_host {
-            head = head.with_run_budget(SHARED_HOST_RUN_BUDGET);
-        }
-        if let Some(drafter) = fallback {
-            head = head.with_fallback(drafter);
-        }
-        Box::new(head)
+    fn build_head(&self, parts: HeadParts) -> Box<dyn NodeBehavior<PipeMsg>> {
+        let draft_rank = self.dedicated().then_some(DRAFT_RANK);
+        Box::new(PipeInferHead::new(parts, self.config.clone(), draft_rank))
     }
 
     fn build_auxiliary(

@@ -120,10 +120,11 @@ impl SyncHead {
         payload: ActivationPayload,
         ctx: &mut dyn NodeCtx<PipeMsg>,
     ) {
-        let Some((expected, round)) = self.in_flight.take() else {
+        // One run in flight: a result naming any other id repeats a run
+        // already absorbed (a duplicated delivery) and is ignored.
+        let Some((_, round)) = self.in_flight.take_if(|(id, _)| *id == run_id) else {
             return;
         };
-        debug_assert_eq!(expected, run_id);
         let (greedy, cost) = round.finalize(self.engine.as_mut(), &payload, self.rounds.context());
         ctx.elapse(cost);
         if let Some(op) = self.rounds.absorb(round, &greedy, ctx.now()) {

@@ -217,3 +217,42 @@ proptest! {
         );
     }
 }
+
+#[test]
+fn duplicated_run_results_never_change_the_stream() {
+    // The last stage's link back to the head delivers some results twice.
+    // Results return in dispatch order, so the second copy names a run the
+    // head has already absorbed: it must be ignored, not verified again
+    // (against the next run's bookkeeping) and not mistaken for an ordering
+    // violation.
+    let cfg = gen(24);
+    let strategies: [(&str, Deployment); 4] = [
+        ("iterative", Deployment::new(IterativeStrategy)),
+        ("speculative", Deployment::new(SpeculativeStrategy)),
+        (
+            "pipeinfer chain",
+            Deployment::new(PipeInferStrategy::default()),
+        ),
+        (
+            "pipeinfer tree",
+            Deployment::new(PipeInferStrategy::new(PipeInferConfig::tree_micro())),
+        ),
+    ];
+    for (name, deployment) in strategies {
+        let prepared = deployment.prepare(&sim(4, 19), 4);
+        let clean = prepared.run(&cfg);
+        assert!(clean.completed, "{name}");
+        let plan =
+            FaultPlan::seeded(7).on_link(3, 0, LinkFaults::delay(0.0, 0.0, 0.0).and_duplicate(0.3));
+        let faulted = run_faulted(&prepared, &cfg, plan, None);
+        assert!(faulted.completed, "{name}: the run must halt cleanly");
+        assert!(
+            faulted.stats.total_faults_injected() > 0,
+            "{name}: the schedule must duplicate something"
+        );
+        assert_eq!(
+            faulted.record.tokens, clean.record.tokens,
+            "{name}: a duplicated result changed the stream"
+        );
+    }
+}
