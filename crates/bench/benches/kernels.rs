@@ -17,19 +17,28 @@
 //! multi-core scaling and what a dispatch costs a product too small for it
 //! are measurable from one run.
 //!
+//! Two families say what a forward pass costs where a single in-cache
+//! product cannot: `matmul_stack_bp256` runs the seven products of each of
+//! eight `bp256` layers back to back — 25.7 MB of weights, so every matrix
+//! streams from the shared cache or memory as it does inside a model — at 1,
+//! 4, 5 and 8 rows, and `attend_token_per_cell` is one token's attention over
+//! 64, 128 and 512 cached cells, in nanoseconds per cell.
+//!
 //! Besides the human-readable table, the run writes machine-readable results
 //! to `BENCH_kernels.json` at the workspace root (`op`, `shape`,
-//! `ns_per_iter`, `threads`) so the kernel-performance trajectory is
+//! `ns_per_iter`, `threads`, `isa`) so the kernel-performance trajectory is
 //! trackable across PRs; sweep rows repeat an op/shape with different
 //! `threads` values.
 //!
 //! With `PIPEINFER_BENCH_ASSERT=1` (set by the CI smoke step) the run fails
 //! if the shipped single-row kernel loses its margin over the naive
 //! reference, if multi-row products stop being cheaper per row than
-//! single-row ones, if a decode-, verify- or forest-sized product gets slower
-//! when the pool is available, if the one shape that should use the pool
-//! (1×2048×2048) loses from it, or if the drafter re-fills its KV cache per
-//! call — so kernel regressions break the build instead of landing silently.
+//! single-row ones, if a five-row product costs a second pass over the
+//! weights (in cache against four rows, streaming against one), if a decode-,
+//! verify- or forest-sized product gets slower when the pool is available, if
+//! the one shape that should use the pool (1×2048×2048) loses from it, or if
+//! the drafter re-fills its KV cache per call — so kernel regressions break
+//! the build instead of landing silently.
 //!
 //! Benchmark names are `<op> <shape>` with shapes written `m x k x n`.
 
@@ -58,7 +67,8 @@ fn bench_dense_matmul(c: &mut Criterion) {
     // iteration-level batching row counts); 512 is the default bench width,
     // 2048 a larger-model sanity point for the single-row case.  The
     // 256-wide shapes are the wall-clock benchmark's own (`bp256`: d_model
-    // 256, d_ff 704): decode rows, an 8-row verify/forest batch, and 64- and
+    // 256, d_ff 704): decode rows, 4- and 5-row verify batches (the pair the
+    // one-pass gate compares), an 8-row verify/forest batch, and 64- and
     // 256-row prefill chunks.
     for (m, k, n) in [
         (1usize, 512usize, 512usize),
@@ -69,6 +79,8 @@ fn bench_dense_matmul(c: &mut Criterion) {
         (1, 2048, 2048),
         (1, 256, 256),
         (1, 256, 704),
+        (4, 256, 704),
+        (5, 256, 704),
         (8, 256, 704),
         (64, 256, 704),
         (256, 256, 704),
@@ -82,6 +94,92 @@ fn bench_dense_matmul(c: &mut Criterion) {
             b.iter(|| ops::matmul_t(&x, &w).unwrap())
         });
     }
+}
+
+/// Row counts of the `matmul_stack_bp256` rows: decode, the widest verify
+/// batch of one AVX2 tile, `[pending] ++ max_draft 4` (every synchronous
+/// verify run), and an 8-lane forest step.
+const STACK_ROWS: [usize; 4] = [1, 4, 5, 8];
+
+/// The seven products of each of eight `bp256` layers (wq, wk, wv, wo, gate,
+/// up, down), every layer with weight matrices of its own: 25.7 MB, an order
+/// of magnitude more than a core's cache, so each product finds its matrix
+/// where a forward pass finds it and not where the previous iteration left
+/// it.  Only the products: no norms, attention or residuals between them.
+fn bench_layer_stack(c: &mut Criterion) {
+    const LAYERS: usize = 8;
+    let (d, ff) = (256usize, 704usize);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut weights = |rows: usize, cols: usize, count: usize| -> Vec<Tensor> {
+        (0..LAYERS * count)
+            .map(|_| Tensor::rand_uniform(&mut rng, &[rows, cols], 1.0))
+            .collect()
+    };
+    let (square, wide, down) = (weights(d, d, 4), weights(ff, d, 2), weights(d, ff, 1));
+    for m in STACK_ROWS {
+        let x = Tensor::rand_uniform(&mut StdRng::seed_from_u64(6), &[m, ff], 1.0);
+        let mut out = vec![0.0f32; m * ff];
+        c.bench_function(&format!("matmul_stack_bp256 {m}x{LAYERS}l"), |b| {
+            b.iter(|| {
+                for w in &square {
+                    ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, d, &mut out[..m * d]);
+                }
+                for w in &wide {
+                    ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, ff, &mut out);
+                }
+                for w in &down {
+                    ops::matmul_t_into(x.data(), w.data(), m, ff, d, &mut out[..m * d]);
+                }
+                out[0]
+            })
+        });
+    }
+}
+
+/// One token's attention (`simd::attend_token`: scores, softmax, gather) of
+/// the `bp256` head layout — 8 heads of 32 — over 64, 128 and 512 cached
+/// cells.  The reports are scaled to nanoseconds per cell.
+fn bench_attend_token() -> Vec<BenchReport> {
+    let mut c = Criterion::default();
+    let (hd, heads) = (32usize, 8usize);
+    let d = hd * heads;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut reports = Vec::new();
+    for cells in [64usize, 128, 512] {
+        let q = Tensor::rand_uniform(&mut rng, &[d], 1.0);
+        let keys = Tensor::rand_uniform(&mut rng, &[cells, d], 1.0);
+        let values = Tensor::rand_uniform(&mut rng, &[cells, d], 1.0);
+        let (mut scores, mut out) = (Vec::new(), vec![0.0f32; d]);
+        let name = format!("attend_token_per_cell {heads}hx{hd}d_{cells}cells");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                pi_tensor::simd::attend_token(
+                    q.data(),
+                    hd,
+                    1,
+                    1.0 / (hd as f32).sqrt(),
+                    cells,
+                    |c| keys.row(c).unwrap(),
+                    |c| values.row(c).unwrap(),
+                    &mut scores,
+                    &mut out,
+                );
+                out[0]
+            })
+        });
+        let mut report = c.reports().last().expect("just benched").clone();
+        for ns in [
+            &mut report.mean_ns,
+            &mut report.median_ns,
+            &mut report.min_ns,
+            &mut report.max_ns,
+        ] {
+            *ns /= cells as f64;
+        }
+        println!("  = {:.1} ns per cell (median)", report.median_ns);
+        reports.push(report);
+    }
+    reports
 }
 
 fn bench_quant_matmul(c: &mut Criterion) {
@@ -291,10 +389,11 @@ const POOLED_SHAPE: (usize, usize, usize) = (1, 2048, 2048);
 /// placed too low.
 const SWEEP_GAP: Duration = Duration::from_micros(100);
 
-/// The threads sweep: [`POOLED_SHAPE`]; 64×256×704, a 64-token prompt's FFN
-/// product, which still fans out (`bp256` prompts do from 45 tokens);
-/// 8×512×512 and the q4 product, which crossed the old threshold and stay on
-/// the calling thread now; and [`CALLER_THREAD_SHAPES`].  Each shape is timed at every
+/// The threads sweep: [`POOLED_SHAPE`]; 128×256×704, a 128-token prompt's
+/// FFN product, which fans out on every instruction set (`bp256` prompts do
+/// from 89 tokens on AVX-512, from 47 on AVX2); 8×512×512 and the q4 product,
+/// which crossed an earlier threshold and stay on the calling thread now;
+/// and [`CALLER_THREAD_SHAPES`].  Each shape is timed at every
 /// count of `threads` back to back (the pool re-reads `PIPEINFER_THREADS` on
 /// every dispatch), so the gates below compare measurements taken within
 /// seconds of each other — minutes apart, this shared box drifts by more
@@ -333,7 +432,7 @@ fn bench_threads_sweep(threads: &[usize]) -> Vec<(BenchReport, usize)> {
         }
     };
     let mut rng = StdRng::seed_from_u64(4);
-    let shapes = [POOLED_SHAPE, (8, 512, 512), (64, 256, 704)];
+    let shapes = [POOLED_SHAPE, (8, 512, 512), (128, 256, 704)];
     for (m, k, n) in shapes.into_iter().chain(CALLER_THREAD_SHAPES) {
         let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
         let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
@@ -349,20 +448,22 @@ fn bench_threads_sweep(threads: &[usize]) -> Vec<(BenchReport, usize)> {
 }
 
 /// Serialises the collected `(report, threads)` rows as
-/// `BENCH_kernels.json`.  Sweep rows repeat an op/shape with different
-/// `threads` values; the fixed section is tagged with the thread count it
-/// ran under.
+/// `BENCH_kernels.json`, each labelled with the instruction set the kernels
+/// dispatched to.  Sweep rows repeat an op/shape with different `threads`
+/// values; the fixed section is tagged with the thread count it ran under.
 fn write_json(rows: &[(BenchReport, usize)]) {
     let mut out = String::from("[\n");
     for (i, (r, threads)) in rows.iter().enumerate() {
         let (op, shape) = r.name.split_once(' ').unwrap_or((r.name.as_str(), ""));
         out.push_str(&format!(
             "  {{\"op\": \"{op}\", \"shape\": \"{shape}\", \"ns_per_iter\": {:.1}, \
-             \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"iters\": {}, \"threads\": {threads}}}{}\n",
+             \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"iters\": {}, \"threads\": {threads}, \
+             \"isa\": \"{}\"}}{}\n",
             r.mean_ns,
             r.median_ns,
             r.min_ns,
             r.iters,
+            pi_tensor::simd::active_isa(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -423,6 +524,37 @@ fn assert_no_regression(
         "kernel regression: a row of a 32-row matmul (min {per_row_32:.0} ns) costs \
          more than 0.6x a single-row matmul (min {shipped:.0} ns)"
     );
+    // One pass over the weights for every verify batch.  In cache, five rows
+    // may cost a fifth row's arithmetic over four — a third register of row
+    // pairs over two on AVX-512, a 5x2 tile over a 4x3 on AVX2: 1.31-1.34x —
+    // not a second pass (tile plus GEMV read 1.56x: 32.7 against 21 us).
+    // Streaming, they may cost their arithmetic over the one-row pass that is
+    // bound by the stream, not a stall per weight row on top of it (2.0x
+    // before the tile prefetched: 2.0 against 1.0 ms).
+    let (rows4, rows5) = (
+        min_ns("matmul_t_f32 4x256x704"),
+        min_ns("matmul_t_f32 5x256x704"),
+    );
+    assert!(
+        rows5 <= 1.45 * rows4,
+        "kernel regression: 5x256x704 (min {rows5:.0} ns) costs more than 1.45x 4x256x704 \
+         (min {rows4:.0} ns) — a five-row product is making a second pass over its weights"
+    );
+    let (stack1, stack5) = (
+        min_ns("matmul_stack_bp256 1x8l"),
+        min_ns("matmul_stack_bp256 5x8l"),
+    );
+    assert!(
+        stack5 <= 1.5 * stack1,
+        "kernel regression: the 8-layer bp256 stack at 5 rows (min {stack5:.0} ns) costs more \
+         than 1.5x the stack at 1 row (min {stack1:.0} ns) — a verify run is paying for more \
+         than one pass over the weights"
+    );
+    println!(
+        "one-pass gates ok: 5 rows / 4 rows in cache {:.2}x, streaming stack 5 rows / 1 row {:.2}x",
+        rows5 / rows4,
+        stack5 / stack1
+    );
     // Dispatch threshold: no gated product may get slower because a pool is
     // available.  Going through the pool cost the verify- and forest-sized
     // shapes +15% to +42% (medians, a sleeping helper) before the threshold
@@ -479,13 +611,15 @@ fn main() {
     // Fixed section at whatever thread count the environment configured.
     let mut c = Criterion::default();
     bench_dense_matmul(&mut c);
+    bench_layer_stack(&mut c);
     bench_quant_matmul(&mut c);
     bench_quantization(&mut c);
     bench_kv_cache_ops(&mut c);
     bench_tiny_model_decode(&mut c);
     bench_decode_ctx(&mut c);
     bench_draft4(&mut c);
-    let fixed: Vec<BenchReport> = c.reports().to_vec();
+    let mut fixed: Vec<BenchReport> = c.reports().to_vec();
+    fixed.extend(bench_attend_token());
     let fixed_threads = pool::configured_threads();
     let mut rows: Vec<(BenchReport, usize)> =
         fixed.iter().cloned().map(|r| (r, fixed_threads)).collect();

@@ -12,8 +12,9 @@
 //!   worker pool.
 //! * [`simd`] — the arithmetic under [`ops`] and [`quant`]: explicit f32x8
 //!   kernels, `core::arch` AVX2/FMA when the CPU has it (detected once at
-//!   run time), a portable array-of-8 implementation otherwise.  Every build
-//!   ships both; there is no scalar build.
+//!   run time; with AVX-512, two such rows per register wherever that gives
+//!   the same bits), a portable array-of-8 implementation otherwise.  Every
+//!   build ships all of them; there is no scalar build.
 //! * [`quant`] — block quantization formats modelled after the GGML `Q8_0`,
 //!   `Q4_K`, `Q3_K` and `Q2_K` families.  They are used both functionally
 //!   (quantize → dequantize → matmul round trips in tests) and analytically
@@ -29,10 +30,11 @@
 //!
 //! Every dense dot product is accumulated in one order (see [`simd`]), so
 //! results are bitwise reproducible across runs, `PIPEINFER_THREADS`
-//! settings and tile membership — row `r` of an `m`-row product is the
-//! single-row product of row `r`, bit for bit.  `ops::matmul_t_naive` and
-//! `QuantizedMatrix::matmul_t_reference` are the ground truth the shipped
-//! kernels are property-tested against (1e-4 relative).
+//! settings, the two x86 instruction sets and tile membership — row `r` of
+//! an `m`-row product is the single-row product of row `r`, bit for bit.
+//! `ops::matmul_t_naive` and `QuantizedMatrix::matmul_t_reference` are the
+//! ground truth the shipped kernels are property-tested against (1e-4
+//! relative).
 //!
 //! ## Environment
 //!

@@ -9,8 +9,8 @@
 //! where they run: products of `PAR_DISPATCH_WEIGHT_LOADS` weight loads and
 //! more are split into column blocks over the persistent worker pool (sized
 //! by `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a
-//! minimum work floor), smaller ones stay on the calling thread as one
-//! kernel call.
+//! minimum work floor, rounded to the register tile's width), smaller ones
+//! stay on the calling thread as one kernel call.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -36,12 +36,13 @@ use rayon::prelude::*;
 /// kernel call; at or above it, column blocks go to the worker pool.
 ///
 /// The unit is what the kernels' inner loops are bound by: weight elements
-/// loaded.  A single-row product loads every weight once (`n·k`); the 4-row
-/// register tile of `simd::gemm_tile` loads each once per four activation
-/// rows (`⌈m/4⌉·n·k`); the quantized kernels convert every weight once per
-/// row (`m·n·k`).  Multiply-adds, the previous unit, put a 40-row in-cache
-/// GEMM (7 Mi, 0.1–0.2 ms) above a 2048×2048 GEMV (4 Mi, 0.6–0.8 ms) that
-/// carries three times the serial time.
+/// loaded.  A single-row product loads every weight once (`n·k`); the
+/// register tile of `simd::gemm_tile` loads each once per row block, so
+/// `simd::gemm_geometry`'s passes times `n·k` (a block is 8 rows on AVX-512,
+/// up to 6 on AVX2 and the portable lanes); the quantized kernels convert
+/// every weight once per row (`m·n·k`).  Multiply-adds, an earlier unit, put
+/// a 40-row in-cache GEMM above a 2048×2048 GEMV that carries three times the
+/// serial time.
 ///
 /// Placed from what a split has to pay back: the *helper's wake latency*,
 /// not the caller's dispatch cost.  On the 2-vCPU bench box, from `run`
@@ -54,32 +55,39 @@ use rayon::prelude::*;
 /// the helper's last block completes: a split breaks even near `T = 3W` and
 /// returns a quarter of `T` only from `T = 6W`, 0.1–0.35 ms.
 ///
-/// The measured crossover agrees.  Alternating 1 and 2 pool threads 100 µs
-/// apart (medians of 300, two threads over one), by serial time: 8×256×704
-/// (44 µs) 1.42×, 16× (84–118 µs) 0.93×, 24× (125–140) 0.91×, 64×256×256
-/// (125) 0.89×, 32×256×704 (165–200) 0.80×, 40× (205–234) 0.76×, 48×
-/// (246–264) 0.71×, 64× (330–375) 0.71×, 256× 0.60×, 1×2048×2048 0.66×.
-/// That is the box when its second vCPU has something to give; hours earlier
-/// it had nothing for any shape (1×2048×2048 1.02×) and the same sweep read
-/// 2×256×704 1.27×, 5× 1.20×, 8× 1.15×, 16× 1.11×, 40× 1.06×, 64× 1.04×,
-/// 128× and up 1.00×.  So from about 0.2 ms a split returns a quarter or more
-/// on a good day and costs at most 6% on a bad one, while under 0.1 ms it
-/// returns less than a tenth at best and costs 11–27% at worst.  2 Mi weight
-/// loads are 0.1–0.25 ms of tiled GEMM (that box's own rate varies 2× from
-/// day to day) and 0.3 ms of GEMV from L3.
+/// The measured crossover, re-taken with the 8-row AVX-512 tile (which
+/// halved both the loads and the serial time of every multi-row product):
+/// alternating 1 and 2 pool threads 100 µs apart, medians of 300, two
+/// threads over one, serial time in brackets.  In an hour when the box's
+/// second vCPU had something to give: 8×256×704 (36 µs) 1.69×, 16× (92)
+/// 1.05×, 24× (111) 1.09×, 64×256×256 (99) 1.12×, 32×256×704 (152) 0.92×,
+/// 40× (172) 0.89×, 48× (206) 0.91×, 64× (241, 1.4 Mi loads) 0.88×,
+/// 64×704×256 (224) 0.95×, 96×256×704 (411, 2.1 Mi) 0.81×, 128× (611) 0.73×,
+/// 256× (947) 0.69×, 1×1024×1024 (138) 1.06×, 1×1024×2048 (325, 2 Mi)
+/// 0.85×, 1×2048×2048 (731) 0.68×.  In two sweeps of an hour when it had
+/// nothing: 8× 1.22×, 16× 1.17×, 32× 1.10–1.16×, 40× 1.14–1.17×, 48×
+/// 1.11×, 64× 1.09–1.10×, 80× 1.11–1.13×, 96× 1.11×, 128× 1.09×, 256×
+/// 1.07–1.09×, 1×1024×2048 1.07×, 1×2048×2048 1.04× (and, in the one of the
+/// two that was good to single-row products only, 1×1024×1280 0.89×,
+/// 1×1024×1536 0.85×, 1×1024×2048 0.82×, 1×2048×2048 0.74×).  So a product
+/// of 1.4 Mi loads gains an eighth at best and loses a tenth at worst; from
+/// 2 Mi the best case is a fifth to a third and the worst a tenth or less.
+/// The constant stays where wake latency put it — which, the multi-row unit
+/// having halved, now means twice the rows.
 ///
-/// The previous value, 256 Ki multiply-adds, came from the caller's side
+/// The value before that, 256 Ki multiply-adds, came from the caller's side
 /// alone (2.3–2.8 µs: the `Arc<Job>`, a mutex and the wake syscall), timed in
 /// a loop so tight that the helper never slept and the caller finished small
 /// products before it arrived.  Inside a forward pass every `m ≥ 2` product
 /// of a verify run or a forest step woke a sleeping helper, gained nothing
 /// and often waited on it.
 ///
-/// So nothing a `d_model` 256 / `d_ff` 704 model issues for decode, verify
-/// or an 8-lane × 5-row forest (40×256×704: 1.7 Mi loads) leaves the thread
-/// that issued it, while the FFN products of prompts from 45 tokens up
-/// (48×256×704: 2.1 Mi), a 1024×2048 GEMV and everything larger still fan
-/// out.
+/// So nothing a `d_model` 256 / `d_ff` 704 model issues for decode, verify,
+/// an 8-lane × 5-row forest (40×256×704: 0.9 Mi loads on AVX-512) or a
+/// 64-token prompt (1.4 Mi) leaves the thread that issued it, while the FFN
+/// products of prompts from 89 tokens up (12 row blocks: 2.1 Mi; from 47
+/// tokens on AVX2, whose blocks are half as tall), a 1024×2048 GEMV and
+/// everything larger still fan out.
 pub(crate) const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
 
 /// [`PAR_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
@@ -183,8 +191,8 @@ impl OutPtr {
 
 /// Multi-row product: every column block of the output is one
 /// [`simd::gemm_tile`] call over all `m` rows, so each weight row is streamed
-/// from memory once per four activation rows, and a product big enough to
-/// fan out splits by columns whatever its row count.
+/// from memory once per row block of the register tile, and a product big
+/// enough to fan out splits by columns whatever its row count.
 fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     let base = OutPtr(out.as_mut_ptr());
     let columns = |j0: usize, j1: usize| {
@@ -195,13 +203,14 @@ fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32])
     // The per-element computation is identical either way; only the dispatch
     // differs, so small products skip the pool (same threshold as the GEMV
     // path) while producing bitwise-identical results.  A weight vector the
-    // tile loads serves four activation rows.
-    if m.div_ceil(4) * n * k < PAR_DISPATCH_WEIGHT_LOADS {
+    // tile loads serves every activation row of its row block.
+    let (passes, tile_columns) = simd::gemm_geometry(m);
+    if passes * n * k < PAR_DISPATCH_WEIGHT_LOADS {
         columns(0, n);
         return;
     }
-    // Whole 3-column register tiles per block, ragged only at the far edge.
-    let block = pool::chunk_size(n, m * k).next_multiple_of(3);
+    // Whole register tiles per column block, ragged only at the far edge.
+    let block = pool::chunk_size(n, m * k).next_multiple_of(tile_columns);
     pool::global().run(n.div_ceil(block), &|b| {
         columns(b * block, ((b + 1) * block).min(n))
     });

@@ -3,11 +3,11 @@
 //! The dense `matmul_t` and the fused quantized matmul must match
 //! `ops::matmul_t_naive` / `QuantizedMatrix::matmul_t_reference` within 1e-4
 //! relative error on random shapes — including single-row (decode), multi-row
-//! (speculative verify, exercising the 4-row × 3-column register tile and its
-//! ragged edges), inner dimensions that are not multiples of the 8-lane
-//! vector width, and column counts that are not multiples of the
-//! quantization block size.  The element-wise kernels are pinned to their
-//! textbook scalar formulas the same way.
+//! (speculative verify, exercising the register tile and its ragged edges),
+//! inner dimensions that are not multiples of the 8-lane vector width, and
+//! column counts that are not multiples of the quantization block size.  The
+//! element-wise kernels are pinned to their textbook scalar formulas the same
+//! way.
 //!
 //! A second family is bitwise: a product must not depend on the thread count,
 //! and row `r` of a multi-row product must be the single-row product of row
@@ -136,8 +136,10 @@ proptest! {
 
     #[test]
     fn prop_rows_of_a_product_are_bitwise_the_single_row_products(
-        // m % 4, n % 3, k % 8 and k % 32 all take every residue.
-        m in 1usize..10,
+        // Every row-block split of every instruction set (up to two 8-row
+        // blocks and a lone row); n % 6, n % 3, k % 8 and k % 32 take every
+        // residue.
+        m in 1usize..18,
         n in 1usize..80,
         k in 1usize..140,
         // 0: every product stays on the calling thread (at most 3 × 80 × 140
@@ -151,29 +153,35 @@ proptest! {
         let (n, k) = (n + side * above_threshold, k + side * above_threshold);
         prop_assert_eq!(n * k >= ops::par_dispatch_weight_loads(), above_threshold == 1);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(6000));
-        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
-        let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
 
         let _guard = THREADS_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let prev = std::env::var_os("PIPEINFER_THREADS");
-        let mut first: Option<Vec<u32>> = None;
-        for threads in ["1", "2", "4"] {
-            std::env::set_var("PIPEINFER_THREADS", threads);
-            let mut tiled = vec![0.0f32; m * n];
-            ops::matmul_t_into(x.data(), w.data(), m, k, n, &mut tiled);
-            let mut row = vec![0.0f32; n];
-            for r in 0..m {
-                ops::matvec_t_into(x.row(r).unwrap(), &w, &mut row).unwrap();
-                prop_assert_eq!(
-                    bits(&row),
-                    bits(&tiled[r * n..(r + 1) * n]),
-                    "{}x{}x{} at {} threads: row {} differs from its single-row product",
-                    m, k, n, threads, r
-                );
+        // The drawn row count, and one of 5..=8 in every case: the verify
+        // and forest shapes that are one pass of one tile on every
+        // instruction set that has a tile that tall, tile plus remainder on
+        // the others.
+        for m in [m, 5 + m % 4] {
+            let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
+            let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
+            let mut first: Option<Vec<u32>> = None;
+            for threads in ["1", "2", "4"] {
+                std::env::set_var("PIPEINFER_THREADS", threads);
+                let mut tiled = vec![0.0f32; m * n];
+                ops::matmul_t_into(x.data(), w.data(), m, k, n, &mut tiled);
+                let mut row = vec![0.0f32; n];
+                for r in 0..m {
+                    ops::matvec_t_into(x.row(r).unwrap(), &w, &mut row).unwrap();
+                    prop_assert_eq!(
+                        bits(&row),
+                        bits(&tiled[r * n..(r + 1) * n]),
+                        "{}x{}x{} at {} threads: row {} differs from its single-row product",
+                        m, k, n, threads, r
+                    );
+                }
+                let tiled = bits(&tiled);
+                prop_assert_eq!(first.get_or_insert_with(|| tiled.clone()), &tiled);
             }
-            let tiled = bits(&tiled);
-            prop_assert_eq!(first.get_or_insert_with(|| tiled.clone()), &tiled);
         }
         match prev {
             Some(v) => std::env::set_var("PIPEINFER_THREADS", v),
