@@ -16,15 +16,30 @@
 //!   strategy uses ([`pi_spec::AdaptiveShape`]): deep chains while the draft
 //!   model tracks the target, wide shallow hedges when it struggles, always
 //!   inside the `micro_batch` node budget.  Width 1 degenerates to the
-//!   pre-tree chain micro-batches exactly.
+//!   pre-tree chain micro-batches exactly;
+//! * a decayed per-token **acceptance estimate** p̂ over every resolved
+//!   speculative run, chain or tree, and the [expected yield] of a proposed
+//!   run under it — what `AsyncRounds::draft_ask` weighs against the price
+//!   of a run where ranks share cores.
+//!
+//! [expected yield]: SpeculationController::expected_yield
 
 use crate::PipeInferConfig;
 use pi_spec::{AdaptiveShape, TreeConfig};
 
-/// Starting acceptance estimate of the shape model: optimistic, so a fresh
-/// generation begins with a pure chain and only widens on evidence (matching
-/// `pi_spec::tree`'s prior).
-const SHAPE_PRIOR: f64 = 0.8;
+/// Starting acceptance estimate of both memories: optimistic, so a fresh
+/// generation begins with a pure chain, speculates, and only widens or
+/// yields on evidence (matching `pi_spec::tree`'s prior).
+const ACCEPTANCE_PRIOR: f64 = 0.8;
+
+/// Trials the prior of the acceptance estimate counts for.
+const ESTIMATE_PRIOR_TRIALS: f64 = 4.0;
+
+/// What the acceptance estimate keeps of its counts per observed run: a
+/// memory of ten runs' weight, long enough to tell 0.03 from 0.3 and short
+/// enough that fifteen straight rejections bring an all-accept history of
+/// two-token runs under 0.37, where `AsyncRounds` stops following the draft.
+const ESTIMATE_DECAY: f64 = 0.9;
 
 /// Reactive continuous-speculation controller.
 #[derive(Debug, Clone)]
@@ -40,6 +55,10 @@ pub struct SpeculationController {
     /// Present iff `micro_width > 1`: the windowed acceptance model re-
     /// splitting the micro-batch budget between width and depth.
     shape: Option<AdaptiveShape>,
+    /// Decayed draft tokens the target agreed with, and decayed draft tokens
+    /// it ruled on: the per-token acceptance estimate is their ratio.
+    accept_hits: f64,
+    accept_trials: f64,
 }
 
 impl SpeculationController {
@@ -54,7 +73,7 @@ impl SpeculationController {
                     window: config.shape_window.max(1),
                 },
                 config.micro_batch.max(1),
-                SHAPE_PRIOR,
+                ACCEPTANCE_PRIOR,
             )
         });
         Self {
@@ -67,6 +86,8 @@ impl SpeculationController {
             continuous: config.enable_continuous_speculation,
             ablation_batch: config.ablation_batch.max(1),
             shape,
+            accept_hits: ACCEPTANCE_PRIOR * ESTIMATE_PRIOR_TRIALS,
+            accept_trials: ESTIMATE_PRIOR_TRIALS,
         }
     }
 
@@ -94,13 +115,44 @@ impl SpeculationController {
         }
     }
 
-    /// Records one resolved speculative run's outcome for the shape model:
-    /// the accepted prefix of the *primary spine* out of a tree spanning
-    /// `span` positions.  A no-op for chain micro-batches.
+    /// Records one resolved speculative run's outcome: the accepted prefix
+    /// of the *primary spine* out of a tree spanning `span` positions.
+    ///
+    /// It feeds two memories, because they answer different questions.  The
+    /// shape model (`micro_width > 1` only) re-splits a node budget between
+    /// width and depth from the last `shape_window` runs under six
+    /// pseudo-counts of prior: quick to widen, but it bottoms out at 0.48
+    /// and cannot tell a draft that is wrong half the time from one that is
+    /// never right — and the `tree_micro` transcripts pin its arithmetic.
+    /// The [`estimate`](Self::estimate) has to see 0.03, for chains too, so
+    /// it keeps decayed counts of its own: the target ruled on
+    /// `spine_accepted` tokens it agreed with and, unless the whole spine
+    /// passed, on the one it rejected.
     pub fn observe_shape(&mut self, spine_accepted: usize, span: usize) {
         if let Some(model) = &mut self.shape {
             model.observe(spine_accepted, span);
         }
+        let hits = spine_accepted.min(span);
+        let trials = (hits + 1).min(span);
+        self.accept_hits = ESTIMATE_DECAY * self.accept_hits + hits as f64;
+        self.accept_trials = ESTIMATE_DECAY * self.accept_trials + trials as f64;
+    }
+
+    /// The decayed per-token acceptance estimate p̂: the prior (0.8 at four
+    /// trials' weight) until runs resolve.
+    pub fn estimate(&self) -> f64 {
+        self.accept_hits / self.accept_trials
+    }
+
+    /// Tokens a `depth`-token chain drafted `ahead` unverified tokens past
+    /// the frontier is expected to add under p̂: it counts only if everything
+    /// before it holds, and then up to its first miss —
+    /// `p̂^ahead · (p̂ + p̂² + … + p̂^depth)` (PipeSpec's closed form for the
+    /// yield of a verify, arXiv 2505.01572).
+    pub fn expected_yield(&self, ahead: usize, depth: usize) -> f64 {
+        let p = self.estimate();
+        let chain: f64 = (1..=depth as i32).map(|k| p.powi(k)).sum();
+        p.powi(ahead as i32) * chain
     }
 
     /// Whether another draft request should be issued right now.
@@ -257,11 +309,40 @@ mod tests {
     }
 
     #[test]
-    fn observe_shape_is_a_no_op_for_chains() {
+    fn observing_chains_moves_the_estimate_not_the_shape() {
         let mut c = controller();
+        assert!((c.estimate() - ACCEPTANCE_PRIOR).abs() < 1e-12);
         for _ in 0..16 {
             c.observe_shape(0, 2);
         }
         assert_eq!(c.shape(), (1, c.batch_size()));
+        // Where the window-4 shape model bottoms out at 0.48.
+        assert!(c.estimate() < 0.1, "estimate {}", c.estimate());
+    }
+
+    #[test]
+    fn the_estimate_counts_tokens_the_target_ruled_on() {
+        // One accepted of three, the third never judged: one hit in two
+        // trials on top of the prior's 3.2 in 4, both decayed once.
+        let mut c = controller();
+        c.observe_shape(1, 3);
+        assert!((c.estimate() - (0.9 * 3.2 + 1.0) / (0.9 * 4.0 + 2.0)).abs() < 1e-12);
+        // A draft that is always right reads as one, whatever came before.
+        for _ in 0..60 {
+            c.observe_shape(2, 2);
+        }
+        assert!(c.estimate() > 0.99);
+    }
+
+    #[test]
+    fn expected_yield_is_the_truncated_geometric_sum() {
+        let mut c = controller();
+        assert!((c.expected_yield(0, 2) - (0.8 + 0.64)).abs() < 1e-12);
+        assert!((c.expected_yield(1, 2) - 0.8 * (0.8 + 0.64)).abs() < 1e-12);
+        assert_eq!(c.expected_yield(3, 0), 0.0);
+        for _ in 0..60 {
+            c.observe_shape(0, 1);
+        }
+        assert!(c.expected_yield(0, 4) < 0.01);
     }
 }

@@ -37,7 +37,7 @@
 //! PipeInfer's benefit.
 
 use crate::draft_link::{RemoteDraft, Verdict};
-use crate::rounds::{AsyncRounds, Step, SHARED_HOST_RUN_BUDGET};
+use crate::rounds::{AsyncRounds, Step};
 use crate::PipeInferConfig;
 use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_spec::deploy::{HeadParts, RecordHandle};
@@ -75,11 +75,15 @@ impl PipeInferHead {
     /// draft rank, over the wire with that drafter held in reserve.  The
     /// final record is written to `parts.record`.
     pub fn new(parts: HeadParts, config: PipeInferConfig, draft_rank: Option<Rank>) -> Self {
-        let run_budget = parts.ranks_share_host.then_some(SHARED_HOST_RUN_BUDGET);
         Self {
             route: parts.route,
             engine: parts.engine,
-            rounds: AsyncRounds::new(parts.gen_config, &config, parts.prompt_cached, run_budget),
+            rounds: AsyncRounds::new(
+                parts.gen_config,
+                &config,
+                parts.prompt_cached,
+                parts.ranks_share_host,
+            ),
             local: parts.drafter,
             remote: draft_rank.map(|rank| RemoteDraft::new(rank, &config)),
             enable_cancellation: config.enable_cancellation,
@@ -190,6 +194,13 @@ impl PipeInferHead {
                 Step::Verified { run_id, accepted } => trace_if(ctx, || EventKind::RunVerified {
                     run: run_id,
                     accepted,
+                }),
+                Step::Gate {
+                    open,
+                    estimate_permille,
+                } => trace_if(ctx, || EventKind::SpecGate {
+                    open,
+                    estimate_permille,
                 }),
             }
         }

@@ -9,7 +9,9 @@
 //!
 //! * [`AsyncRounds::start`] launches the prompt run;
 //! * [`AsyncRounds::draft_ask`] is the one speculation gate — prompt done,
-//!   run budget, controller — and names the shape and cutoff to draft with;
+//!   run budget, controller, and whether the run's expected yield covers
+//!   what a run costs this deployment — and names the shape and cutoff to
+//!   draft with;
 //! * [`AsyncRounds::offer`] takes a drafted tree, from whichever drafter
 //!   produced it and however late, and turns what still continues the
 //!   hypothesis into a speculative run on a private partition block;
@@ -39,7 +41,34 @@ use pi_spec::{CacheOp, GenConfig, GenerationRecord, RunId, RunKind, TreeTopology
 /// tokens deep at the same tokens/s, drafting twice the tokens per accepted
 /// one (README, "The draft model on the Real path").  Simulated deployments
 /// stay unbudgeted.
-pub(crate) const SHARED_HOST_RUN_BUDGET: usize = 2;
+const SHARED_HOST_RUN_BUDGET: usize = 2;
+
+/// What one more speculative run costs when the ranks share a host, in
+/// verified tokens: the gate opens for a run expected to add at least this
+/// many (`SpeculationController::expected_yield`).  The paper prices a
+/// speculative run at nothing — it fills stages that would idle — and where
+/// every rank owns its node that is the price here too.  On shared cores the
+/// run's weight pass and its draft are taken from the run that establishes
+/// the next token.  Placed from measurement (2 vCPUs, 4 rank threads and the
+/// hosted drafter, `benchmark/`'s `bp256` pair; README "Yield against
+/// price" lists the runs): with the draft accepted 0.04 of the time the
+/// unpriced head ran at 0.78x iterative decode on 1.91 runs a token, 0.47 of
+/// them cancelled; priced at 0.5 it runs at 0.89x on 1.16 (`gen_tok_s` 342
+/// -> 408, ten of ten pairs).  At depth 2 this closes the gate for
+/// p̂ < 0.37 at the frontier and p̂ < 0.57 one unverified token ahead, and
+/// the pair accepted three times in four keeps its schedule (0.720 -> 0.718
+/// runs a token, run acceptance 0.765 -> 0.766).  0.25 costs the first pair
+/// 6 % more CPU a token (1.25 runs, 0.18 cancelled) and 1.0 reads the same
+/// as 0.5 on both: the least price that stops paying for rejected runs.
+const SHARED_HOST_RUN_PRICE: f64 = 0.5;
+
+/// While no run covers its price the head still probes, or a draft that
+/// starts tracking the target again would never be noticed: one speculative
+/// run once this many tokens were emitted since the last, doubled by each
+/// probe the target accepts nothing of, reset by one it accepts from.
+/// Tokens, not seconds: the machine reads no clock.
+const PROBE_GAP_MIN: usize = 2;
+const PROBE_GAP_MAX: usize = 32;
 
 /// What to draft next: a `width`×`depth` tree under confidence `cutoff`.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +115,10 @@ pub enum Step {
     /// Trace only: a speculative run was verified with `accepted` tokens on
     /// its accepted path.
     Verified { run_id: RunId, accepted: u32 },
+    /// Trace only: the acceptance estimate (in per-mille) crossed the point
+    /// where a run at the frontier covers its price, and speculation yielded
+    /// to probing (`open` false) or resumed.
+    Gate { open: bool, estimate_permille: u32 },
 }
 
 /// One request's asynchronous speculation state.
@@ -111,6 +144,14 @@ pub struct AsyncRounds {
     prompt_cached: usize,
     /// Runs (of either kind) in flight at which speculation stops.
     run_budget: usize,
+    /// Expected tokens a speculative run must add to be launched.
+    run_price: f64,
+    /// Not even a run at the frontier covers `run_price`: only probes go out.
+    gate_closed: bool,
+    /// Emitted tokens between probes while the gate is closed, and how many
+    /// were emitted since the last one.
+    probe_gap: usize,
+    since_probe: usize,
     next_run_id: RunId,
     record: GenerationRecord,
     steps: Vec<Step>,
@@ -119,16 +160,22 @@ pub struct AsyncRounds {
 impl AsyncRounds {
     /// A request that has not started.  `prompt_cached` leading prompt
     /// tokens are skipped by prefill (clamped to leave the last one for live
-    /// evaluation); `run_budget` caps the runs in flight speculation may add
-    /// to, on top of the controller's own gates (`max_speculation_ahead`,
-    /// the cutoff gradient, free KV partitions) — two is the least that
-    /// still speculates.
+    /// evaluation).  Where `ranks_share_host`, speculation is budgeted and
+    /// priced on top of the controller's own gates
+    /// (`max_speculation_ahead`, the cutoff gradient, free KV partitions):
+    /// at most two runs in flight, the least that still speculates, and only
+    /// runs expected to pay for the cores they take.
     pub fn new(
         gen_config: GenConfig,
         config: &PipeInferConfig,
         prompt_cached: usize,
-        run_budget: Option<usize>,
+        ranks_share_host: bool,
     ) -> Self {
+        let (run_budget, run_price) = if ranks_share_host {
+            (SHARED_HOST_RUN_BUDGET, SHARED_HOST_RUN_PRICE)
+        } else {
+            (usize::MAX, 0.0)
+        };
         Self {
             controller: SpeculationController::new(config, gen_config.confidence_cutoff),
             pool: SeqPartitionPool::new(config.n_seq_partitions),
@@ -139,7 +186,11 @@ impl AsyncRounds {
             accepted: gen_config.prompt,
             prompt_done: false,
             prompt_cached,
-            run_budget: run_budget.unwrap_or(usize::MAX),
+            run_budget,
+            run_price,
+            gate_closed: false,
+            probe_gap: PROBE_GAP_MIN,
+            since_probe: 0,
             next_run_id: 0,
             record: GenerationRecord::default(),
             steps: Vec::new(),
@@ -197,17 +248,20 @@ impl AsyncRounds {
     }
 
     /// The speculation gate: `Some` iff another speculative run may be
-    /// launched right now — the prompt is done, the run budget has room and
-    /// the controller's gate is open.
+    /// launched right now — the prompt is done, the run budget has room, the
+    /// controller's gate is open, and the run is expected to add what a run
+    /// costs here or a probe is due.
     pub fn draft_ask(&self) -> Option<DraftAsk> {
-        let open = self.prompt_done
+        let ahead = self.hypothesis.len() - self.accepted.len();
+        let may = self.prompt_done
             && self.tracker.len() < self.run_budget
             && self.controller.should_request(
-                self.hypothesis.len() - self.accepted.len(),
+                ahead,
                 self.tracker.active_speculative(),
                 self.pool.available(),
             );
-        open.then(|| {
+        let probe_due = self.gate_closed && self.since_probe >= self.probe_gap;
+        (may && (self.pays(ahead) || probe_due)).then(|| {
             let (width, depth) = self.controller.shape();
             DraftAsk {
                 width,
@@ -215,6 +269,44 @@ impl AsyncRounds {
                 cutoff: self.controller.cutoff(),
             }
         })
+    }
+
+    /// Whether the run `draft_ask` would name, drafted `ahead` unverified
+    /// tokens past the frontier, is expected to add at least the price of a
+    /// run.
+    fn pays(&self, ahead: usize) -> bool {
+        let (_, depth) = self.controller.shape();
+        self.controller.expected_yield(ahead, depth) >= self.run_price
+    }
+
+    /// Reports a resolved speculative run to the controller's memories and
+    /// moves the gate with the estimate: closed while a run drafted right at
+    /// the frontier, the best case, would not cover its price.
+    fn observe(&mut self, spine_accepted: usize, span: usize) {
+        self.controller.observe_shape(spine_accepted, span);
+        if self.gate_closed {
+            // What resolves now went out as a probe (or just before the gate
+            // closed, which teaches the same).
+            self.probe_gap = if spine_accepted > 0 {
+                PROBE_GAP_MIN
+            } else {
+                (2 * self.probe_gap).min(PROBE_GAP_MAX)
+            };
+        }
+        let closed = !self.pays(0);
+        if closed == self.gate_closed {
+            return;
+        }
+        self.gate_closed = closed;
+        if closed {
+            self.record.spec_gate_closures += 1;
+            self.probe_gap = PROBE_GAP_MIN;
+            self.since_probe = 0;
+        }
+        self.steps.push(Step::Gate {
+            open: !closed,
+            estimate_permille: (self.controller.estimate() * 1000.0).round() as u32,
+        });
     }
 
     /// Offers `tree`, drafted as a continuation of the first `context_len`
@@ -251,11 +343,16 @@ impl AsyncRounds {
         if self.draft_ask().is_none() {
             return;
         }
+        let probe = !self.pays(self.hypothesis.len() - self.accepted.len());
         self.controller.on_iteration();
         let n_leaves = tree.n_sequences();
         let Some(first_seq) = self.pool.alloc_block(n_leaves) else {
             return;
         };
+        if probe {
+            self.record.spec_probes += 1;
+            self.since_probe = 0;
+        }
         // Every leaf partition starts from the shared prefix: the latest
         // in-flight speculative partition already holds canonical + all
         // prior speculated entries along the hypothesis (§IV-C3).
@@ -392,6 +489,7 @@ impl AsyncRounds {
             self.hypothesis.push(token);
         }
         self.record.tokens.push(token);
+        self.since_probe += 1;
         self.steps.push(Step::Emit);
     }
 
@@ -425,7 +523,7 @@ impl AsyncRounds {
         let pos = self.accepted.len() as Pos;
         let rescued = self.sweep(pos, self.branch_invalidation.then_some(correction));
         if observe_rejection && !rescued {
-            self.controller.observe_shape(0, 1);
+            self.observe(0, 1);
         }
         self.accept(correction, rescued);
     }
@@ -540,8 +638,7 @@ impl AsyncRounds {
             .zip(info.tree.spine())
             .take_while(|(walked, spine_node)| *walked == spine_node)
             .count();
-        self.controller
-            .observe_shape(spine_accepted, info.tree.span());
+        self.observe(spine_accepted, info.tree.span());
 
         let committed = path.last().map(|&deepest| {
             let leaf_seq = info.tree.assign_sequences(info.first_seq)[deepest][0];
@@ -586,8 +683,13 @@ mod tests {
     #[test]
     fn run_budget_closes_the_speculation_gate() {
         let in_flight_at_close = |budget: Option<usize>| {
-            let mut rounds =
-                AsyncRounds::new(gen_config(8), &PipeInferConfig::default(), 0, budget);
+            let mut rounds = AsyncRounds::new(
+                gen_config(8),
+                &PipeInferConfig::default(),
+                0,
+                budget.is_some(),
+            );
+            rounds.run_budget = budget.unwrap_or(rounds.run_budget);
             rounds.prompt_done = true;
             let mut in_flight = 0;
             while rounds.draft_ask().is_some() && in_flight < 12 {
@@ -624,6 +726,16 @@ mod tests {
         /// A tree drafted earlier, to be offered late: the remote drafter's
         /// response in flight.
         late: Option<(TokenTree, usize)>,
+        /// Per-token probability that the drafter hits the target's choice
+        /// for the `i`-th generated token; `None` draws one of four per
+        /// draft.
+        alignment: fn(usize) -> Option<f64>,
+        /// Tokens emitted when each speculative run was launched.
+        speculated_at: Vec<usize>,
+        /// Every step so far, as the driver saw it.
+        log: Vec<String>,
+        /// The gate as the `Gate` steps so far leave it.
+        gate_open: bool,
     }
 
     impl Harness {
@@ -640,16 +752,33 @@ mod tests {
             };
             let budget = [None, Some(2), Some(4)][rng.gen_range(0..3usize)];
             let cached = rng.gen_range(0..3usize);
+            let mut h = Self::with(seed, &config, cached, budget.is_some(), 40);
+            h.rounds.run_budget = budget.unwrap_or(usize::MAX);
+            h.rng = rng;
+            h
+        }
+
+        fn with(
+            seed: u64,
+            config: &PipeInferConfig,
+            cached: usize,
+            ranks_share_host: bool,
+            n_generate: usize,
+        ) -> Self {
             Self {
-                rounds: AsyncRounds::new(gen_config(40), &config, cached, budget),
+                rounds: AsyncRounds::new(gen_config(n_generate), config, cached, ranks_share_host),
                 oracle: OracleTarget::new(seed ^ 77, VOCAB),
-                rng,
+                rng: StdRng::seed_from_u64(seed),
                 in_pipeline: VecDeque::new(),
                 delivered: Vec::new(),
                 seeded: Vec::new(),
                 open_blocks: BTreeMap::new(),
                 emitted: 0,
                 late: None,
+                alignment: |_| None,
+                speculated_at: Vec::new(),
+                log: Vec::new(),
+                gate_open: true,
             }
         }
 
@@ -658,14 +787,17 @@ mod tests {
         /// probability `alignment` per token, and when its root misses, a
         /// runner-up root (a leaf) usually carries the true token.
         fn draft(&mut self, context: &[Token], width: usize, depth: usize) -> TokenTree {
-            let alignment = [0.0, 0.4, 0.8, 1.0][self.rng.gen_range(0..4usize)];
+            let mixed = [0.0, 0.4, 0.8, 1.0][self.rng.gen_range(0..4usize)];
             let mut tree = TokenTree::new();
             let mut path = context.to_vec();
             let truth = self.oracle.next_token(&path);
             let mut parent = None;
             for _ in 0..depth {
                 let want = self.oracle.next_token(&path);
-                let hit = self.rng.gen_bool(alignment);
+                let generated = path.len() - PROMPT.len();
+                let hit = self
+                    .rng
+                    .gen_bool((self.alignment)(generated).unwrap_or(mixed));
                 let token = if hit { want } else { (want + 1) % VOCAB };
                 parent = Some(tree.add(parent, token, 0.9));
                 path.push(token);
@@ -688,6 +820,7 @@ mod tests {
         /// part in them.
         fn settle(&mut self) {
             for step in self.rounds.take_steps() {
+                self.log.push(format!("{step:?}"));
                 match step {
                     Step::Cache(CacheOp::SeqCp { dst, p0, p1, .. }) => {
                         assert_eq!((p0, p1), (0, Pos::MAX));
@@ -731,6 +864,7 @@ mod tests {
                             assert_eq!(topology.is_some(), seqs.len() > 1);
                             let clash = self.open_blocks.insert(seqs[0], seqs.len() as u32);
                             assert_eq!(clash, None, "block handed out twice");
+                            self.speculated_at.push(self.emitted);
                         } else {
                             assert!(self.seeded.is_empty());
                             assert_eq!(seqs, [CANONICAL_SEQ]);
@@ -741,9 +875,15 @@ mod tests {
                     // The link withdraws the request whose hypothesis died.
                     Step::Swept { .. } => self.late = None,
                     Step::Rescued(_) | Step::Verified { .. } => {}
+                    Step::Gate { open, .. } => {
+                        assert!(self.rounds.run_price > 0.0, "a free run always pays");
+                        assert_ne!(open, self.gate_open, "every move is reported once");
+                        self.gate_open = open;
+                    }
                 }
             }
             let rounds = &self.rounds;
+            assert_eq!(self.gate_open, !rounds.gate_closed);
             assert_eq!(self.emitted, rounds.record().tokens.len());
             let held: usize = rounds.tracker().iter().map(|run| run.n_seqs).sum();
             assert_eq!(rounds.pool().in_use(), held, "partitions are conserved");
@@ -753,6 +893,10 @@ mod tests {
                 "a block closes exactly when its run leaves"
             );
             assert!(rounds.hypothesis().starts_with(&rounds.accepted));
+            assert!(
+                rounds.draft_ask().is_none() || rounds.tracker().len() < rounds.run_budget,
+                "the gate never opens with the budget full"
+            );
             let truth = self.oracle.generate(&PROMPT, self.emitted + 1);
             assert_eq!(
                 rounds.record().tokens,
@@ -780,6 +924,36 @@ mod tests {
                 self.rounds.absorb(info, &greedy);
             }
             self.settle();
+        }
+
+        /// The hosted head's schedule: speculate while the gate is open, then
+        /// take the oldest result.
+        fn pump(&mut self) {
+            while let Some(ask) = self.rounds.draft_ask() {
+                let context = self.rounds.hypothesis().to_vec();
+                let tree = self.draft(&context, ask.width, ask.depth);
+                self.rounds.offer(tree, context.len());
+                self.settle();
+            }
+            self.deliver();
+        }
+
+        /// A chain request on a shared host under the hosted head's
+        /// schedule, `check`ed after every result.
+        fn run_shared_host(
+            n_generate: usize,
+            alignment: fn(usize) -> Option<f64>,
+            mut check: impl FnMut(&Harness),
+        ) -> Harness {
+            let mut h = Self::with(9, &PipeInferConfig::default(), 0, true, n_generate);
+            h.alignment = alignment;
+            h.rounds.start();
+            h.settle();
+            while !h.rounds.is_done() {
+                h.pump();
+                check(&h);
+            }
+            h
         }
 
         /// One random event.
@@ -826,8 +1000,21 @@ mod tests {
     #[test]
     fn random_interleavings_keep_the_stream_and_the_partitions() {
         let mut totals = GenerationRecord::default();
-        for seed in 0..200 {
-            let mut h = Harness::new(seed);
+        // 200 seeds of random configuration under the mixed drafter, then
+        // shared host on/off under drafters of fixed alignment.
+        let fixed: [fn(usize) -> Option<f64>; 3] = [|_| Some(0.0), |_| Some(0.3), |_| Some(0.9)];
+        let mixed = (0..200).map(|seed| (seed, None));
+        let priced = (200..320).map(|seed| (seed, Some((seed % 2 == 0, fixed[seed as usize % 3]))));
+        for (seed, case) in mixed.chain(priced) {
+            let mut h = match case {
+                None => Harness::new(seed),
+                Some((ranks_share_host, alignment)) => {
+                    let config = PipeInferConfig::default();
+                    let mut h = Harness::with(seed, &config, 0, ranks_share_host, 40);
+                    h.alignment = alignment;
+                    h
+                }
+            };
             h.rounds.start();
             h.settle();
             let mut events = 0;
@@ -845,10 +1032,84 @@ mod tests {
             totals.draft_salvaged += r.draft_salvaged;
             totals.draft_stale += r.draft_stale;
             totals.accepted_drafts += r.accepted_drafts;
+            totals.spec_gate_closures += r.spec_gate_closures;
+            totals.spec_probes += r.spec_probes;
+            if h.rounds.run_price == 0.0 {
+                assert_eq!((r.spec_gate_closures, r.spec_probes), (0, 0));
+            }
         }
         // The schedule space covers every path worth covering.
         assert!(totals.runs_cancelled > 0 && totals.runs_rescued > 0);
         assert!(totals.draft_salvaged > 0 && totals.draft_stale > 0);
         assert!(totals.accepted_drafts > 0);
+        assert!(totals.spec_gate_closures > 0 && totals.spec_probes > 0);
+    }
+
+    #[test]
+    fn a_useless_drafter_is_probed_not_followed() {
+        let h = Harness::run_shared_host(256, |_| Some(0.0), |_| {});
+        let r = h.rounds.record();
+        assert_eq!(r.accepted_drafts, 0);
+        // One run per token establishes it; speculation adds the four runs
+        // that talk the prior down and a probe per gap of 2, 4, 8, 16, 32,
+        // 32, ... tokens.
+        assert_eq!(
+            h.speculated_at,
+            [0, 1, 2, 3, 5, 9, 17, 33, 65, 97, 129, 161, 193, 225]
+        );
+        assert_eq!((r.spec_gate_closures, r.spec_probes), (1, 10));
+        assert!(r.runs_launched * 4 <= 256 * 5, "{} runs", r.runs_launched);
+        let longest = h.speculated_at.windows(2).map(|w| w[1] - w[0]).max();
+        assert_eq!(longest, Some(PROBE_GAP_MAX), "{:?}", h.speculated_at);
+        assert!(256 - h.speculated_at.last().unwrap() < 64);
+    }
+
+    #[test]
+    fn the_gate_follows_a_drafter_that_comes_good_and_goes_bad_again() {
+        const GOOD: std::ops::Range<usize> = 96..224;
+        // (tokens emitted, gate closed, speculative runs so far) per result.
+        let mut seen = Vec::new();
+        let h = Harness::run_shared_host(
+            320,
+            |i| Some(if GOOD.contains(&i) { 1.0 } else { 0.0 }),
+            |h| seen.push((h.emitted, h.rounds.gate_closed, h.speculated_at.len())),
+        );
+        let closed_at = |emitted: usize| seen.iter().find(|s| s.0 >= emitted).unwrap().1;
+        assert!(closed_at(GOOD.start), "closed on the useless stretch");
+        // Noticed within two probe caps, and then it stays open.
+        let reopened = seen.iter().find(|s| s.0 >= GOOD.start && !s.1).unwrap();
+        assert!(reopened.0 <= GOOD.start + 2 * PROBE_GAP_MAX, "{reopened:?}");
+        let while_good = seen
+            .iter()
+            .filter(|s| (reopened.0..GOOD.end).contains(&s.0));
+        assert!(while_good.clone().count() > 20 && while_good.clone().all(|s| !s.1));
+        // Closed again within 24 rejected runs of the flip back.
+        let flipped = seen.iter().rfind(|s| s.0 < GOOD.end).unwrap();
+        let reclosed = seen.iter().find(|s| s.0 >= GOOD.end && s.1).unwrap();
+        assert!(reclosed.2 - flipped.2 <= 24, "{flipped:?} {reclosed:?}");
+        assert_eq!(h.rounds.record().spec_gate_closures, 2);
+    }
+
+    #[test]
+    fn a_drafter_that_is_always_right_never_meets_the_price() {
+        let priced = Harness::run_shared_host(
+            128,
+            |_| Some(1.0),
+            |h| {
+                assert!(!h.rounds.gate_closed);
+            },
+        );
+        let mut free = Harness::with(9, &PipeInferConfig::default(), 0, true, 128);
+        free.rounds.run_price = 0.0;
+        free.alignment = |_| Some(1.0);
+        free.rounds.start();
+        free.settle();
+        while !free.rounds.is_done() {
+            free.pump();
+        }
+        assert_eq!(priced.log, free.log, "the budget-only machine's steps");
+        let r = priced.rounds.record();
+        assert_eq!((r.spec_gate_closures, r.spec_probes), (0, 0));
+        assert!(r.runs_launched < 128);
     }
 }

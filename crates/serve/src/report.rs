@@ -401,6 +401,15 @@ impl ServeReport {
         } else {
             let _ = write!(out, " | failovers -");
         }
+        // Only a head whose ranks share cores prices its speculative runs;
+        // `spec_gate_closures` / `spec_probes` stay zero everywhere else.
+        let closures = sums(|c| c.output.record.spec_gate_closures as u64);
+        let probes = sums(|c| c.output.record.spec_probes as u64);
+        if closures + probes > 0 {
+            let _ = write!(out, " | spec gate closed {closures}x, {probes} probe(s)");
+        } else {
+            let _ = write!(out, " | spec gate -");
+        }
         match &self.cohort {
             Some(s) => {
                 let _ = writeln!(
@@ -527,6 +536,7 @@ mod tests {
         assert!(text.contains("cancel saved -"), "{text}");
         assert!(text.contains("bubble -"), "{text}");
         assert!(text.contains("failovers -"), "{text}");
+        assert!(text.contains("spec gate -"), "{text}");
         assert!(text.contains("cohort width -"), "{text}");
         let hist = report.e2e_histogram(8);
         assert_eq!(hist.count(), 2);
@@ -561,7 +571,10 @@ mod tests {
         a.output.record.tree_shapes = vec![(1, 4), (3, 2)];
         let mut b = completion(1, 0.1, 1.0, 2.0, 8);
         b.output.record.runs_launched = 8;
+        b.output.record.spec_gate_closures = 1;
+        b.output.record.spec_probes = 3;
         let report = ServeReport::new("Test", 1, vec![a, b]);
+        assert!(report.render().contains("spec gate closed 1x, 3 probe(s)"));
         // Means over {8/4, 8/8}, {0.5, 0.0}, {0.5, 0.0}.
         assert!((report.mean_tokens_per_run() - 1.5).abs() < 1e-12);
         assert!((report.mean_acceptance_rate() - 0.25).abs() < 1e-12);

@@ -150,6 +150,14 @@ pub struct GenerationRecord {
     /// accepted by the time they arrived, but whose unused tail still
     /// continued the hypothesis and was dispatched anyway.
     pub draft_salvaged: usize,
+    /// Times asynchronous speculation yielded: the acceptance estimate fell
+    /// to where not even a run drafted at the frontier was expected to cover
+    /// the price of a run on shared cores, and the gate went from open to
+    /// closed (zero where every rank owns its node: the price is zero).
+    pub spec_gate_closures: usize,
+    /// Speculative runs launched below that price, as probes: how a closed
+    /// gate notices a draft that tracks the target again.
+    pub spec_probes: usize,
     /// Number of tree-verification rounds (zero for linear strategies).
     pub tree_rounds: usize,
     /// Total speculated tree nodes across all rounds.

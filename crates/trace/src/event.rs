@@ -108,6 +108,10 @@ pub enum EventKind {
     RunRescued { run: u64 },
     /// A worker skipped an already-cancelled run's evaluation.
     RunSkipped { run: u64 },
+    /// The head's speculation gate moved: its per-token acceptance estimate
+    /// (`estimate_permille`, in 1/1000) crossed the point where a speculative
+    /// run covers its price on shared cores.  Closed, only probes go out.
+    SpecGate { open: bool, estimate_permille: u32 },
 
     // ----- draft transactions (dedicated draft rank) ------------------------
     /// The head asked the draft rank to speculate on a `context_len`-token
@@ -196,6 +200,7 @@ impl EventKind {
             EventKind::RunInvalidated { .. } => "run_invalidated",
             EventKind::RunRescued { .. } => "run_rescued",
             EventKind::RunSkipped { .. } => "run_skipped",
+            EventKind::SpecGate { .. } => "spec_gate",
             EventKind::DraftRequested { .. } => "draft_requested",
             EventKind::DraftResponded { .. } => "draft_responded",
             EventKind::DraftCancelled { .. } => "draft_cancelled",

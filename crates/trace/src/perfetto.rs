@@ -148,6 +148,10 @@ impl PerfettoTrace {
             EventKind::RunVerified { run, accepted } => {
                 format!("{{\"run\":{run},\"accepted\":{accepted}}}")
             }
+            EventKind::SpecGate {
+                open,
+                estimate_permille,
+            } => format!("{{\"open\":{open},\"estimate_permille\":{estimate_permille}}}"),
             EventKind::DraftRequested {
                 request,
                 context_len,
