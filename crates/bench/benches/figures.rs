@@ -3,8 +3,7 @@
 //! Run with `cargo bench -p pi-bench --bench figures`.  By default a quick
 //! profile (64 generated tokens per run) is used; set
 //! `PIPEINFER_BENCH_SCALE=paper` for the paper's full 128-prompt/512-token
-//! profile.  Output is the textual equivalent of the paper's bar charts; see
-//! EXPERIMENTS.md for the side-by-side comparison with the published values.
+//! profile.  Output is the textual equivalent of the paper's bar charts.
 
 use pi_bench::*;
 use pi_metrics::Report;

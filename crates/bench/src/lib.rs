@@ -5,8 +5,7 @@
 //! cluster simulator.  Each `fig*` / `table*` function returns a
 //! [`pi_metrics::Figure`] (or a rendered string for the static tables) that
 //! the `figures` bench target prints in the same rows/series layout as the
-//! paper; `EXPERIMENTS.md` records the comparison against the published
-//! values.
+//! paper.
 //!
 //! Scale is controlled by [`BenchScale`]: the default `quick` profile
 //! generates 64 tokens per run so the whole suite completes in well under a
@@ -700,29 +699,26 @@ pub struct CohortBatchingGate {
     /// every decode step fuses all in-flight micro-batches into one forest
     /// GEMM per stage.
     pub fused_goodput: f64,
-    /// Goodput of the request-granularity baseline: the identical step loop
-    /// and admission schedule, but each request's micro-batch evaluated
-    /// alone (a full per-stage weight stream per request per iteration).
-    pub unfused_goodput: f64,
+    /// Goodput of the same step loop and stream one request at a time
+    /// (window 1): a full per-stage weight stream per request per iteration.
+    pub window1_goodput: f64,
     /// Mean requests fused per decode iteration on the fused path.
     pub mean_cohort_width: f64,
 }
 
 /// The iteration-level batching experiment: one steady 8-request stream
-/// served twice over the same prepared PipeInfer deployment — once through
-/// [`Server::serve_stepped`] (cross-request forest GEMMs) and once through
-/// [`Server::serve_stepped_unfused`] (request-granularity decode, one weight
-/// stream per request per step).  Identical traffic, seed and admission
-/// schedule; per-request token streams are byte-identical by construction,
-/// so the entire goodput difference is the amortised weight stream.
+/// served twice through [`Server::serve_stepped`] over the same PipeInfer
+/// deployment — in a window of 8 (cross-request forest GEMMs) and in a
+/// window of 1 (one request per step, one weight stream per request per
+/// step).  Identical traffic and seed; per-request token streams are
+/// byte-identical by construction, so the goodput difference is the
+/// amortised weight stream.
 ///
 /// The CI gate (the `serving` bench with `PIPEINFER_BENCH_ASSERT=1`) rides
-/// on the returned measurements: fused decode must beat the
-/// request-granularity baseline on goodput, and the stream must form real
-/// cohorts (mean width > 2).
+/// on the returned measurements: the fused cohort must beat the window-1
+/// loop on goodput, and the stream must form real cohorts (mean width > 2).
 ///
 /// [`Server::serve_stepped`]: pi_serve::Server::serve_stepped
-/// [`Server::serve_stepped_unfused`]: pi_serve::Server::serve_stepped_unfused
 pub fn fig_cohort_batching(scale: BenchScale) -> (Figure, CohortBatchingGate) {
     use pi_serve::{Server, ServerConfig, SteadyWorkload, WorkloadGen};
 
@@ -743,26 +739,29 @@ pub fn fig_cohort_batching(scale: BenchScale) -> (Figure, CohortBatchingGate) {
     };
     let deployment = Deployment::new(PipeInferStrategy::new(PipeInferConfig::paper_default()));
     let mode = sim_mode(&pair, ClusterSpec::cluster_c(serving.n_nodes));
-    let server = Server::new(
-        deployment.prepare(&mode, serving.n_nodes),
-        ServerConfig { max_in_flight: 8 },
-    );
-    let fused = server.serve_stepped(workload.generate());
-    let unfused = server.serve_stepped_unfused(workload.generate());
+    let serve = |max_in_flight| {
+        Server::new(
+            deployment.prepare(&mode, serving.n_nodes),
+            ServerConfig { max_in_flight },
+        )
+        .serve_stepped(workload.generate())
+    };
+    let fused = serve(8);
+    let window1 = serve(1);
 
     let mut fig = Figure::new(
         "Serving (cohort batching)",
         &format!(
-            "steady 8-request stream over {} nodes, fused forest vs request-granularity decode",
+            "steady 8-request stream over {} nodes, fused forest vs one request at a time",
             serving.n_nodes
         ),
         "tok/s | s",
     );
     fused.to_figure(&mut fig, "fused forest");
-    unfused.to_figure(&mut fig, "request-granularity");
+    window1.to_figure(&mut fig, "window 1");
     let gate = CohortBatchingGate {
         fused_goodput: fused.goodput(),
-        unfused_goodput: unfused.goodput(),
+        window1_goodput: window1.goodput(),
         mean_cohort_width: fused.mean_cohort_width(),
     };
     (fig, gate)
@@ -777,17 +776,16 @@ pub fn cohort_batching_gate_of(fig: &Figure) -> CohortBatchingGate {
     };
     CohortBatchingGate {
         fused_goodput: col("fused forest", "goodput tok/s"),
-        unfused_goodput: col("request-granularity", "goodput tok/s"),
+        window1_goodput: col("window 1", "goodput tok/s"),
         mean_cohort_width: col("fused forest", "cohort width"),
     }
 }
 
 /// The seeded 52 %-acceptance gate stream: mixed prompt/output lengths over
-/// the Goliath + XWin-7B pair, shared by [`tree_vs_linear_gate`],
-/// [`fig_draft_rank`] and [`draft_rank_gate`] so the figure and the CI gates
-/// always measure the same workload.  Mixed lengths make every request
-/// decode a genuinely different token stream (identical requests would
-/// replay one experiment N times).
+/// the Goliath + XWin-7B pair, shared by [`tree_vs_linear_gate`] and
+/// [`fig_draft_rank`] so the figure and the CI gates always measure the same
+/// workload.  Mixed lengths make every request decode a genuinely different
+/// token stream (identical requests would replay one experiment N times).
 fn gate_workload(scale: BenchScale) -> pi_serve::MixedWorkload {
     let serving = ServingScale::from(scale);
     pi_serve::MixedWorkload {
@@ -900,20 +898,6 @@ pub fn draft_rank_gate_of(fig: &Figure) -> (f64, f64) {
     (goodput("dedicated / chain"), goodput("head-hosted / chain"))
 }
 
-/// The dedicated-draft-rank regression gate: serves the seeded
-/// 52 %-acceptance mixed-length stream through the four-way layout study
-/// ([`fig_draft_rank`]) and returns `(dedicated, head_hosted)` goodput of
-/// the two chain-shaped variants.  Callers that already hold the figure
-/// should use [`draft_rank_gate_of`] instead of re-serving the streams.
-///
-/// CI runs this with `PIPEINFER_BENCH_ASSERT=1` (see the `serving` bench
-/// target), failing the build if moving drafting off the head stops paying
-/// for itself on this workload.  Window 1 serialises execution so the
-/// result is deterministic.
-pub fn draft_rank_gate(scale: BenchScale) -> (f64, f64) {
-    draft_rank_gate_of(&fig_draft_rank(scale))
-}
-
 /// Link-latency multipliers of the degradation sweep: nominal cluster-C
 /// InfiniBand up to four orders of magnitude slower (µs-class links
 /// degraded to the tens of milliseconds of a congested WAN hop).
@@ -1007,19 +991,6 @@ pub fn latency_tolerance_gate_of(fig: &Figure) -> (f64, f64) {
             .unwrap_or_else(|| panic!("figure is missing the {series} speed at {x}"))
     };
     (speed("PipeInfer"), speed("Speculative"))
-}
-
-/// The latency-tolerance regression gate: runs the link-latency degradation
-/// sweep ([`fig_latency_sweep`]) and returns `(pipeinfer, speculative)`
-/// generation speed at the high-latency end.  Callers that already hold the
-/// figure should use [`latency_tolerance_gate_of`] instead of re-running the
-/// sweep.
-///
-/// CI runs this with `PIPEINFER_BENCH_ASSERT=1` (see the `serving` bench
-/// target), failing the build if asynchronous speculation stops out-degrading
-/// the synchronous baseline on slow links.
-pub fn latency_tolerance_gate(scale: BenchScale) -> (f64, f64) {
-    latency_tolerance_gate_of(&fig_latency_sweep(scale))
 }
 
 /// Table I / Table III: model pairs with size, quantization and acceptance
@@ -1159,8 +1130,7 @@ mod tests {
         // On the 4-GPU testbed the two strategies are close (dedicating one
         // of only four GPUs to the draft model costs PipeInfer a quarter of
         // the aggregate bandwidth); both must at least be in the same
-        // ballpark and positive.  See EXPERIMENTS.md for the comparison with
-        // the paper's Fig. 9.
+        // ballpark and positive.
         let pipe = fig
             .value("PipeInfer", "Senku-70B + TinyLlama-1.1B")
             .unwrap();
@@ -1299,7 +1269,7 @@ mod tests {
 
     #[test]
     fn draft_rank_gate_dedicated_at_least_matches_head_hosted() {
-        let (dedicated, head_hosted) = draft_rank_gate(tiny_scale());
+        let (dedicated, head_hosted) = draft_rank_gate_of(&fig_draft_rank(tiny_scale()));
         assert!(dedicated > 0.0 && head_hosted > 0.0);
         assert!(
             dedicated >= head_hosted,
@@ -1313,13 +1283,13 @@ mod tests {
         // The gate can be read back off the figure's columns.
         let from_fig = cohort_batching_gate_of(&fig);
         assert_eq!(gate.fused_goodput, from_fig.fused_goodput);
-        assert_eq!(gate.unfused_goodput, from_fig.unfused_goodput);
+        assert_eq!(gate.window1_goodput, from_fig.window1_goodput);
         assert_eq!(gate.mean_cohort_width, from_fig.mean_cohort_width);
         assert!(
-            gate.fused_goodput > gate.unfused_goodput,
-            "fused {} tok/s <= request-granularity {} tok/s",
+            gate.fused_goodput > gate.window1_goodput,
+            "fused {} tok/s <= window 1 {} tok/s",
             gate.fused_goodput,
-            gate.unfused_goodput
+            gate.window1_goodput
         );
         assert!(
             gate.mean_cohort_width > 2.0,
@@ -1328,7 +1298,7 @@ mod tests {
         );
         // Fusion never changes any stream: identical total tokens.
         let tokens = |series: &str| fig.value(series, "goodput tok/s").unwrap() > 0.0;
-        assert!(tokens("fused forest") && tokens("request-granularity"));
+        assert!(tokens("fused forest") && tokens("window 1"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a *seeded, declarative chaos schedule*: per-link
 //! message drop/delay/duplicate/reorder probabilities, rank pause windows
-//! (stragglers) and rank kills at a virtual time or event count.  Attached
+//! (stragglers) and rank kills at a driver time.  Attached
 //! to [`SimDriver::with_faults`](crate::sim::SimDriver::with_faults) the
 //! plan perturbs the discrete-event schedule **deterministically** — the
 //! same plan over the same run replays bit-identically, FoundationDB-style
@@ -136,16 +136,6 @@ impl LinkFaults {
     }
 }
 
-/// When a rank kill fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KillTrigger {
-    /// Kill once driver time reaches this many seconds.
-    AtTime(SimTime),
-    /// Kill once the driver has processed this many events (simulator
-    /// only; the threaded driver ignores event-count kills).
-    AtEvent(u64),
-}
-
 /// A seeded, declarative chaos schedule for one cluster run.
 ///
 /// Build one with the fluent constructors, then attach it to a driver:
@@ -161,7 +151,8 @@ pub struct FaultPlan {
     pub seed: u64,
     links: Vec<(Rank, Rank, LinkFaults)>,
     pauses: Vec<(Rank, SimTime, SimTime)>,
-    kills: Vec<(Rank, KillTrigger)>,
+    /// `(rank, driver time)` of each kill.
+    kills: Vec<(Rank, SimTime)>,
 }
 
 impl FaultPlan {
@@ -196,13 +187,7 @@ impl FaultPlan {
     /// is never activated again; its queued messages are discarded and
     /// traffic addressed to it is black-holed.
     pub fn kill_at(mut self, rank: Rank, at: SimTime) -> Self {
-        self.kills.push((rank, KillTrigger::AtTime(at)));
-        self
-    }
-
-    /// Kills `rank` once the simulator has processed `n` events.
-    pub fn kill_at_event(mut self, rank: Rank, n: u64) -> Self {
-        self.kills.push((rank, KillTrigger::AtEvent(n)));
+        self.kills.push((rank, at));
         self
     }
 
@@ -211,11 +196,6 @@ impl FaultPlan {
         self.links.iter().all(|(_, _, f)| f.is_noop())
             && self.pauses.is_empty()
             && self.kills.is_empty()
-    }
-
-    /// The ranks this plan kills (in declaration order).
-    pub fn killed_ranks(&self) -> Vec<Rank> {
-        self.kills.iter().map(|&(r, _)| r).collect()
     }
 }
 
@@ -338,19 +318,15 @@ impl FaultInjector {
         fate
     }
 
-    /// Fires every kill due at `(now, events)` and returns the newly killed
-    /// ranks.  Idempotent: a fired kill never fires again.
-    pub fn due_kills(&mut self, now: SimTime, events: u64) -> Vec<Rank> {
+    /// Fires every kill due at `now` and returns the newly killed ranks.
+    /// Idempotent: a fired kill never fires again.
+    pub fn due_kills(&mut self, now: SimTime) -> Vec<Rank> {
         let mut newly = Vec::new();
-        for (i, &(rank, trigger)) in self.plan.kills.iter().enumerate() {
+        for (i, &(rank, at)) in self.plan.kills.iter().enumerate() {
             if self.kill_fired[i] || self.is_killed(rank) {
                 continue;
             }
-            let due = match trigger {
-                KillTrigger::AtTime(t) => now >= t,
-                KillTrigger::AtEvent(n) => events >= n,
-            };
-            if due {
+            if now >= at {
                 self.kill_fired[i] = true;
                 if let Some(k) = self.killed.get_mut(rank) {
                     *k = true;
@@ -359,21 +335,6 @@ impl FaultInjector {
             }
         }
         newly
-    }
-
-    /// The earliest pending time-triggered kill, for drivers that advance
-    /// time in jumps and must not overshoot a kill.
-    pub fn next_kill_time(&self) -> Option<SimTime> {
-        self.plan
-            .kills
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.kill_fired[*i])
-            .filter_map(|(_, &(_, trigger))| match trigger {
-                KillTrigger::AtTime(t) => Some(t),
-                KillTrigger::AtEvent(_) => None,
-            })
-            .min_by(|a, b| a.total_cmp(b))
     }
 
     /// If `rank` activating at `t` falls inside a pause window, returns the
@@ -408,7 +369,7 @@ mod tests {
         let fate = inj.on_send(0, 1, 0.0);
         assert_eq!(fate.copies, vec![(0.0, false)]);
         assert!(fate.faults.is_empty());
-        assert!(inj.due_kills(1e9, u64::MAX).is_empty());
+        assert!(inj.due_kills(1e9).is_empty());
         assert!(inj.pause_deferral(0, 5.0).is_none());
     }
 
@@ -462,20 +423,16 @@ mod tests {
 
     #[test]
     fn kills_fire_once_and_black_hole_traffic() {
-        let plan = FaultPlan::seeded(5).kill_at(1, 2.0).kill_at_event(2, 100);
-        assert_eq!(plan.killed_ranks(), vec![1, 2]);
+        let plan = FaultPlan::seeded(5).kill_at(1, 2.0).kill_at(2, 4.0);
         let mut inj = FaultInjector::new(plan, 3);
-        assert!(inj.due_kills(1.0, 0).is_empty());
-        assert_eq!(inj.next_kill_time(), Some(2.0));
-        assert_eq!(inj.due_kills(2.0, 0), vec![1]);
+        assert!(inj.due_kills(1.0).is_empty());
+        assert_eq!(inj.due_kills(2.0), vec![1]);
         assert!(inj.is_killed(1));
-        assert!(inj.due_kills(3.0, 0).is_empty(), "kills fire once");
-        assert_eq!(inj.next_kill_time(), None);
+        assert!(inj.due_kills(3.0).is_empty(), "kills fire once");
         // Messages to a dead rank vanish without being counted as new faults.
         let fate = inj.on_send(0, 1, 3.0);
         assert!(fate.copies.is_empty() && fate.faults.is_empty());
-        // Event-count trigger.
-        assert_eq!(inj.due_kills(3.0, 100), vec![2]);
+        assert_eq!(inj.due_kills(4.0), vec![2]);
     }
 
     #[test]

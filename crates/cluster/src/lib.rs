@@ -35,7 +35,7 @@ pub mod stats;
 pub mod threaded;
 pub mod topology;
 
-pub use fault::{FaultInjector, FaultPlan, KillTrigger, LinkFaults};
+pub use fault::{FaultInjector, FaultPlan, LinkFaults};
 pub use sim::HaltReason;
 pub use stats::{ClusterStats, NodeStats};
 pub use topology::{LinkSpec, Topology};

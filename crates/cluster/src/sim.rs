@@ -26,6 +26,10 @@ use pi_trace::{ClockDomain, EventKind, FaultKind, Trace, TraceBuffer, TraceConfi
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Events after which a run is aborted as [`HaltReason::EventLimit`]: far
+/// beyond any figure's run, so only a livelocked schedule reaches it.
+const MAX_EVENTS: u64 = 50_000_000;
+
 /// Why a simulated run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltReason {
@@ -37,7 +41,7 @@ pub enum HaltReason {
     Deadlock,
     /// The run exceeded [`SimDriver::with_max_time`].
     TimeLimit,
-    /// The run exceeded [`SimDriver::with_max_events`].
+    /// The run exceeded the driver's event limit (50 M events).
     EventLimit,
     /// A fault-schedule kill left the survivors stuck: at least one
     /// unfinished rank was waiting on a dead one when the run stalled.
@@ -72,7 +76,6 @@ impl<M: WireMessage> SimOutcome<M> {
 pub struct SimDriver {
     topology: Topology,
     max_time: SimTime,
-    max_events: u64,
     trace: Option<TraceConfig>,
     faults: Option<FaultPlan>,
 }
@@ -248,7 +251,6 @@ impl SimDriver {
         Self {
             topology,
             max_time: 1e6,
-            max_events: 50_000_000,
             trace: None,
             faults: None,
         }
@@ -257,12 +259,6 @@ impl SimDriver {
     /// Sets the maximum virtual time before the run is aborted.
     pub fn with_max_time(mut self, max_time: SimTime) -> Self {
         self.max_time = max_time;
-        self
-    }
-
-    /// Sets the maximum number of events before the run is aborted.
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
         self
     }
 
@@ -394,7 +390,7 @@ impl SimDriver {
             if (0..n).all(|r| finished[r] || killed[r]) {
                 break HaltReason::Finished;
             }
-            if events >= self.max_events {
+            if events >= MAX_EVENTS {
                 break HaltReason::EventLimit;
             }
             // Choose the rank with the earliest activation.
@@ -464,7 +460,7 @@ impl SimDriver {
             if let Some(inj) = injector.as_mut() {
                 // Kills due at or before this activation fire first, then
                 // the schedule is re-examined without the dead ranks.
-                let newly = inj.due_kills(t, events);
+                let newly = inj.due_kills(t);
                 if !newly.is_empty() {
                     for k in newly {
                         killed[k] = true;

@@ -65,17 +65,6 @@ pub struct NodeStats {
     pub batched_rows: u64,
 }
 
-impl NodeStats {
-    /// Utilisation of this rank over a run of `total_time` seconds.
-    pub fn utilization(&self, total_time: SimTime) -> f64 {
-        if total_time <= 0.0 {
-            0.0
-        } else {
-            (self.busy_time / total_time).min(1.0)
-        }
-    }
-}
-
 /// Statistics for the whole cluster run.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
@@ -98,18 +87,6 @@ impl ClusterStats {
     /// Statistics of rank `r`.
     pub fn node(&self, r: Rank) -> &NodeStats {
         &self.nodes[r]
-    }
-
-    /// Mean utilisation across ranks.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.nodes.is_empty() || self.total_time <= 0.0 {
-            return 0.0;
-        }
-        self.nodes
-            .iter()
-            .map(|n| n.utilization(self.total_time))
-            .sum::<f64>()
-            / self.nodes.len() as f64
     }
 
     /// Total messages sent across all ranks.
@@ -157,35 +134,9 @@ impl ClusterStats {
         self.nodes.iter().map(|n| n.faults_injected).sum()
     }
 
-    /// Total KV pages materialised across all ranks.
-    pub fn total_kv_pages_allocated(&self) -> u64 {
-        self.nodes.iter().map(|n| n.kv_pages_allocated).sum()
-    }
-
-    /// Total pool pages attached via prefix-cache hits across all ranks.
-    pub fn total_kv_page_share_hits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.kv_page_share_hits).sum()
-    }
-
-    /// Total copy-on-write page clones across all ranks.
-    pub fn total_kv_page_cows(&self) -> u64 {
-        self.nodes.iter().map(|n| n.kv_page_cows).sum()
-    }
-
-    /// Total page releases/evictions across all ranks.
-    pub fn total_kv_page_evictions(&self) -> u64 {
-        self.nodes.iter().map(|n| n.kv_page_evictions).sum()
-    }
-
     /// Total decode micro-batches evaluated across all ranks.
     pub fn total_cohort_steps(&self) -> u64 {
         self.nodes.iter().map(|n| n.cohort_steps).sum()
-    }
-
-    /// Total batch rows pushed through fused stage forwards across all
-    /// ranks.
-    pub fn total_batched_rows(&self) -> u64 {
-        self.nodes.iter().map(|n| n.batched_rows).sum()
     }
 
     /// Mean number of requests fused per decode step across all ranks
@@ -206,18 +157,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn utilization_bounds() {
-        let n = NodeStats {
-            busy_time: 5.0,
-            ..Default::default()
-        };
-        assert!((n.utilization(10.0) - 0.5).abs() < 1e-12);
-        assert_eq!(n.utilization(0.0), 0.0);
-        // Clamped at 1 even if accounting slightly overshoots.
-        assert_eq!(n.utilization(4.0), 1.0);
-    }
-
-    #[test]
     fn cluster_aggregates() {
         let mut c = ClusterStats::new(2);
         c.total_time = 10.0;
@@ -227,7 +166,6 @@ mod tests {
         c.nodes[1].busy_time = 0.0;
         c.nodes[1].messages_sent = 1;
         c.nodes[1].bytes_sent = 50;
-        assert!((c.mean_utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_messages(), 4);
         assert_eq!(c.total_bytes(), 150);
         assert_eq!(c.node(1).messages_sent, 1);
@@ -262,37 +200,21 @@ mod tests {
     }
 
     #[test]
-    fn kv_page_aggregates() {
-        let mut c = ClusterStats::new(2);
-        c.nodes[0].kv_pages_allocated = 8;
-        c.nodes[0].kv_page_share_hits = 3;
-        c.nodes[1].kv_page_cows = 2;
-        c.nodes[1].kv_page_evictions = 5;
-        assert_eq!(c.total_kv_pages_allocated(), 8);
-        assert_eq!(c.total_kv_page_share_hits(), 3);
-        assert_eq!(c.total_kv_page_cows(), 2);
-        assert_eq!(c.total_kv_page_evictions(), 5);
-    }
-
-    #[test]
     fn cohort_aggregates() {
         let mut c = ClusterStats::new(2);
         assert_eq!(c.mean_cohort_width(), 0.0, "no steps yet");
         c.nodes[0].cohort_steps = 3;
         c.nodes[0].cohort_width_sum = 9;
-        c.nodes[0].batched_rows = 12;
         c.nodes[1].cohort_steps = 1;
         c.nodes[1].cohort_width_sum = 1;
-        c.nodes[1].batched_rows = 2;
         assert_eq!(c.total_cohort_steps(), 4);
-        assert_eq!(c.total_batched_rows(), 14);
         assert!((c.mean_cohort_width() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_cluster_is_safe() {
         let c = ClusterStats::new(0);
-        assert_eq!(c.mean_utilization(), 0.0);
+        assert_eq!(c.mean_cohort_width(), 0.0);
         assert_eq!(c.total_messages(), 0);
     }
 }

@@ -54,14 +54,12 @@ impl LinkSpec {
 
 /// Interconnect topology for a cluster of `n` ranks.
 ///
-/// The default is a uniform full-duplex switch (every ordered pair of
-/// distinct ranks uses the same [`LinkSpec`]); individual directed links can
-/// be overridden for heterogeneous setups.
+/// A uniform full-duplex switch: every ordered pair of distinct ranks uses
+/// the same [`LinkSpec`].
 #[derive(Debug, Clone)]
 pub struct Topology {
     n: usize,
     default_link: LinkSpec,
-    overrides: Vec<((Rank, Rank), LinkSpec)>,
 }
 
 impl Topology {
@@ -70,7 +68,6 @@ impl Topology {
         Self {
             n,
             default_link: link,
-            overrides: Vec::new(),
         }
     }
 
@@ -79,26 +76,14 @@ impl Topology {
         self.n
     }
 
-    /// Overrides the directed link `src → dst`.
-    pub fn set_link(&mut self, src: Rank, dst: Rank, link: LinkSpec) {
-        if let Some(entry) = self.overrides.iter_mut().find(|(k, _)| *k == (src, dst)) {
-            entry.1 = link;
-        } else {
-            self.overrides.push(((src, dst), link));
-        }
-    }
-
     /// The spec of the directed link `src → dst`.  Messages a rank sends to
     /// itself use a loopback link.
     pub fn link(&self, src: Rank, dst: Rank) -> LinkSpec {
         if src == dst {
-            return LinkSpec::loopback();
+            LinkSpec::loopback()
+        } else {
+            self.default_link
         }
-        self.overrides
-            .iter()
-            .find(|(k, _)| *k == (src, dst))
-            .map(|(_, l)| *l)
-            .unwrap_or(self.default_link)
     }
 
     /// Transfer time for `bytes` from `src` to `dst`.
@@ -128,17 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn uniform_topology_and_overrides() {
-        let mut t = Topology::uniform(4, LinkSpec::gigabit_ethernet());
+    fn uniform_topology() {
+        let t = Topology::uniform(4, LinkSpec::gigabit_ethernet());
         assert_eq!(t.n_ranks(), 4);
         assert_eq!(t.link(0, 1), LinkSpec::gigabit_ethernet());
-        t.set_link(0, 1, LinkSpec::infiniband_edr());
-        assert_eq!(t.link(0, 1), LinkSpec::infiniband_edr());
-        // Reverse direction untouched.
         assert_eq!(t.link(1, 0), LinkSpec::gigabit_ethernet());
-        // Overriding again replaces, not duplicates.
-        t.set_link(0, 1, LinkSpec::infiniband_qdr());
-        assert_eq!(t.link(0, 1), LinkSpec::infiniband_qdr());
     }
 
     #[test]

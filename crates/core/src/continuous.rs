@@ -41,17 +41,30 @@ const ESTIMATE_PRIOR_TRIALS: f64 = 4.0;
 /// two-token runs under 0.37, where `AsyncRounds` stops following the draft.
 const ESTIMATE_DECAY: f64 = 0.9;
 
+/// Speculated-but-unverified tokens at which continuous speculation stops
+/// running ahead of verification: the cutoff gradient's backstop, deep
+/// enough that where ranks share a host the two-run budget of `AsyncRounds`
+/// always binds first.
+const MAX_SPECULATION_AHEAD: usize = 16;
+
+/// The cutoff gradient's step up per dispatched iteration and step down per
+/// failure while idle (paper §IV-B2): small enough that a 0.4 cutoff takes
+/// a dozen iterations without an accepted run to pass 1.0, where
+/// speculation stops.
+const RECOVERY_FACTOR: f32 = 0.05;
+const DECAY_FACTOR: f32 = 0.05;
+
+/// Tokens per speculative run in the "no cont. spec." ablation of Fig. 8:
+/// the larger batch that counter-balances keeping one run in flight.
+const ABLATION_BATCH: usize = 8;
+
 /// Reactive continuous-speculation controller.
 #[derive(Debug, Clone)]
 pub struct SpeculationController {
     base_cutoff: f32,
     cutoff: f32,
-    recovery: f32,
-    decay: f32,
     micro_batch: usize,
-    max_ahead: usize,
     continuous: bool,
-    ablation_batch: usize,
     /// Present iff `micro_width > 1`: the windowed acceptance model re-
     /// splitting the micro-batch budget between width and depth.
     shape: Option<AdaptiveShape>,
@@ -70,7 +83,6 @@ impl SpeculationController {
                 TreeConfig {
                     max_width: config.micro_width,
                     max_depth: config.micro_batch.max(1),
-                    window: config.shape_window.max(1),
                 },
                 config.micro_batch.max(1),
                 ACCEPTANCE_PRIOR,
@@ -79,12 +91,8 @@ impl SpeculationController {
         Self {
             base_cutoff,
             cutoff: base_cutoff,
-            recovery: config.recovery_factor,
-            decay: config.decay_factor,
             micro_batch: config.micro_batch.max(1),
-            max_ahead: config.max_speculation_ahead.max(1),
             continuous: config.enable_continuous_speculation,
-            ablation_batch: config.ablation_batch.max(1),
             shape,
             accept_hits: ACCEPTANCE_PRIOR * ESTIMATE_PRIOR_TRIALS,
             accept_trials: ESTIMATE_PRIOR_TRIALS,
@@ -101,7 +109,7 @@ impl SpeculationController {
         if self.continuous {
             self.micro_batch
         } else {
-            self.ablation_batch
+            ABLATION_BATCH
         }
     }
 
@@ -120,7 +128,7 @@ impl SpeculationController {
     ///
     /// It feeds two memories, because they answer different questions.  The
     /// shape model (`micro_width > 1` only) re-splits a node budget between
-    /// width and depth from the last `shape_window` runs under six
+    /// width and depth from the last few runs under six
     /// pseudo-counts of prior: quick to widen, but it bottoms out at 0.48
     /// and cannot tell a draft that is wrong half the time from one that is
     /// never right — and the `tree_micro` transcripts pin its arithmetic.
@@ -175,7 +183,7 @@ impl SpeculationController {
             // Ablation: a single speculation burst at a time.
             return active_speculative_runs == 0 && speculated_ahead == 0;
         }
-        if speculated_ahead >= self.max_ahead {
+        if speculated_ahead >= MAX_SPECULATION_AHEAD {
             return false;
         }
         // A cutoff above 1.0 means no token can satisfy it: the gradient has
@@ -187,7 +195,7 @@ impl SpeculationController {
     /// the cutoff by the recovery factor.
     pub fn on_iteration(&mut self) {
         if self.continuous {
-            self.cutoff = (self.cutoff + self.recovery).min(1.5);
+            self.cutoff = (self.cutoff + RECOVERY_FACTOR).min(1.5);
         }
     }
 
@@ -200,7 +208,7 @@ impl SpeculationController {
     /// Called when speculation fails (an invalidation) while nothing is
     /// waiting to be sampled: lowers the cutoff by the decay factor.
     pub fn on_failure_while_idle(&mut self) {
-        self.cutoff = (self.cutoff - self.decay).max(0.05);
+        self.cutoff = (self.cutoff - DECAY_FACTOR).max(0.05);
     }
 }
 
@@ -242,22 +250,14 @@ mod tests {
 
     #[test]
     fn requests_stop_at_max_ahead() {
-        let cfg = PipeInferConfig {
-            max_speculation_ahead: 4,
-            ..PipeInferConfig::default()
-        };
-        let c = SpeculationController::new(&cfg, 0.4);
-        assert!(c.should_request(3, 2, 8));
-        assert!(!c.should_request(4, 2, 8));
+        let c = controller();
+        assert!(c.should_request(MAX_SPECULATION_AHEAD - 1, 2, 8));
+        assert!(!c.should_request(MAX_SPECULATION_AHEAD, 2, 8));
     }
 
     #[test]
     fn requests_stop_when_cutoff_exceeds_one() {
-        let cfg = PipeInferConfig {
-            recovery_factor: 0.3,
-            ..PipeInferConfig::default()
-        };
-        let mut c = SpeculationController::new(&cfg, 0.9);
+        let mut c = SpeculationController::new(&PipeInferConfig::default(), 0.98);
         assert!(c.should_request(0, 0, 4));
         c.on_iteration();
         assert!(!c.should_request(1, 1, 4), "cutoff {}", c.cutoff());
@@ -267,7 +267,7 @@ mod tests {
     fn ablation_mode_allows_single_burst_with_larger_batch() {
         let cfg = PipeInferConfig::no_continuous_speculation();
         let c = SpeculationController::new(&cfg, 0.4);
-        assert_eq!(c.batch_size(), cfg.ablation_batch);
+        assert_eq!(c.batch_size(), ABLATION_BATCH);
         assert!(c.should_request(0, 0, 8));
         assert!(!c.should_request(0, 1, 8));
         assert!(!c.should_request(3, 0, 8));
@@ -293,8 +293,9 @@ mod tests {
         let mut c = SpeculationController::new(&cfg, 0.4);
         // Optimistic prior: starts as a pure chain at full depth.
         assert_eq!(c.shape(), (1, cfg.micro_batch));
-        // Sustained rejection widens while preserving the node budget.
-        for _ in 0..2 * cfg.shape_window {
+        // Sustained rejection widens while preserving the node budget (eight
+        // runs fill the shape model's window twice over).
+        for _ in 0..8 {
             c.observe_shape(0, cfg.micro_batch);
         }
         let (w, d) = c.shape();
@@ -302,7 +303,7 @@ mod tests {
         assert!(w <= cfg.micro_width);
         assert_eq!(w + d - 1, cfg.micro_batch, "budget must be preserved");
         // Recovery narrows back to the chain.
-        for _ in 0..2 * cfg.shape_window {
+        for _ in 0..8 {
             c.observe_shape(cfg.micro_batch, cfg.micro_batch);
         }
         assert_eq!(c.shape(), (1, cfg.micro_batch));

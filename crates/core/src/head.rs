@@ -93,12 +93,6 @@ impl PipeInferHead {
         }
     }
 
-    /// Whether the head has given up on its dedicated draft rank (for the
-    /// hosted reserve drafter, or for non-speculative decoding).
-    pub fn failed_over(&self) -> bool {
-        self.remote.as_ref().is_some_and(RemoteDraft::abandoned)
-    }
-
     /// The record accumulated so far.
     pub fn record(&self) -> &GenerationRecord {
         self.rounds.record()
@@ -521,6 +515,12 @@ mod tests {
         assert_eq!(*primed.lock().unwrap(), [vec![3, 1, 4, 1, 5]]);
     }
 
+    /// Whether the head has given up on its dedicated draft rank (for the
+    /// hosted reserve drafter, or for non-speculative decoding).
+    fn failed_over(head: &PipeInferHead) -> bool {
+        head.remote.as_ref().is_some_and(RemoteDraft::abandoned)
+    }
+
     /// Partitions in use that no in-flight run's block accounts for.
     fn leaked_partitions(head: &PipeInferHead) -> usize {
         let rounds = head.rounds();
@@ -663,7 +663,7 @@ mod tests {
         world.draft_node = None;
         let record = drive_without_draft_rank(&mut world);
         assert!(
-            world.head.failed_over(),
+            failed_over(&world.head),
             "consecutive timeouts must trigger the failover"
         );
         assert_eq!(
@@ -705,7 +705,7 @@ mod tests {
             cancel_messages: 0,
         };
         let record = drive_without_draft_rank(&mut world);
-        assert!(world.head.failed_over(), "degraded mode counts as failover");
+        assert!(failed_over(&world.head), "degraded mode counts as failover");
         assert_eq!(
             record.tokens[..10].to_vec(),
             truth[1..11].to_vec(),
@@ -755,22 +755,20 @@ mod tests {
     #[test]
     fn branch_rescue_accepts_tokens_without_extra_runs() {
         // With hedged trees and a poorly aligned draft, some rounds must be
-        // saved by a sibling branch (rescue) — and whole-run invalidation of
-        // the same configuration must cancel strictly more runs.
+        // saved by a sibling branch (rescue); chains have none to save them.
+        let oracle = OracleTarget::new(ORACLE_SEED, VOCAB);
+        let truth = oracle.generate(&[3, 1, 4, 1, 5], 48);
         let (mut world, _) = build_head(0.2, 40, PipeInferConfig::tree_micro());
-        let branch = drive(&mut world);
-        let (mut world_whole, _) = build_head(
-            0.2,
-            40,
-            PipeInferConfig::tree_micro().whole_run_invalidation(),
-        );
-        let whole = drive(&mut world_whole);
-        assert_eq!(branch.tokens, whole.tokens, "streams never differ");
+        let tree = drive(&mut world);
+        let (mut world_chain, _) = build_head(0.2, 40, PipeInferConfig::default());
+        let chain = drive(&mut world_chain);
+        assert_eq!(tree.tokens[..40], truth[1..41], "streams never differ");
+        assert_eq!(chain.tokens[..40], truth[1..41], "streams never differ");
         assert!(
-            branch.runs_rescued > 0,
+            tree.runs_rescued > 0,
             "hedged trees must rescue some rounds at 20% alignment"
         );
-        assert_eq!(whole.runs_rescued, 0, "whole-run mode never rescues");
+        assert_eq!(chain.runs_rescued, 0, "a chain has no sibling to rescue it");
     }
 
     #[test]
@@ -861,11 +859,11 @@ mod tests {
 
     #[test]
     fn partitions_are_recycled_not_leaked() {
-        let config = PipeInferConfig {
-            n_seq_partitions: 4,
-            ..PipeInferConfig::default()
+        let (mut world, _) = build_head(0.7, 40, PipeInferConfig::default());
+        world.head = PipeInferHead {
+            rounds: world.head.rounds.with_partitions(4),
+            ..world.head
         };
-        let (mut world, _) = build_head(0.7, 40, config);
         let record = drive(&mut world);
         assert!(record.tokens.len() >= 40);
         // After completion every partition must be back in the pool or still

@@ -65,18 +65,6 @@ pub struct PipeInferConfig {
     /// `micro_width > 1` this is the per-iteration tree-node budget the
     /// controller splits between width and depth.
     pub micro_batch: usize,
-    /// Maximum number of speculated-but-unverified tokens in flight.  Bounds
-    /// how far continuous speculation runs ahead of verification.
-    pub max_speculation_ahead: usize,
-    /// Confidence-cutoff recovery factor: added to the cutoff after every
-    /// successful continuous-speculation iteration (paper §IV-B2).
-    pub recovery_factor: f32,
-    /// Confidence-cutoff decay factor: subtracted when speculation fails and
-    /// nothing is waiting to be sampled (paper §IV-B2).
-    pub decay_factor: f32,
-    /// Number of KV-cache sequence partitions available for speculative runs
-    /// (sequence 0 is always the canonical sequence).
-    pub n_seq_partitions: usize,
     /// Enable Early Inference Cancellation.  Disabling it reproduces the
     /// "no cancellation" ablation of Fig. 8: invalidated runs are still
     /// ignored at the head but every stage keeps evaluating them.
@@ -85,9 +73,6 @@ pub struct PipeInferConfig {
     /// spec." ablation of Fig. 8: only one speculative run is kept in flight,
     /// with a larger batch as a counter-balance.
     pub enable_continuous_speculation: bool,
-    /// Speculative batch size used when continuous speculation is disabled
-    /// (the ablation's "increased speculative batch size").
-    pub ablation_batch: usize,
     /// Where the draft model runs (head-hosted or on the dedicated rank of
     /// the paper's Fig. 3).
     pub draft_placement: DraftPlacement,
@@ -96,16 +81,6 @@ pub struct PipeInferConfig {
     /// token streams); larger values let the controller hedge each
     /// iteration with the draft model's runner-up candidates.
     pub micro_width: usize,
-    /// Sliding-window length (in resolved speculative runs) of the
-    /// acceptance estimate driving width/depth adaptation when
-    /// `micro_width > 1`.
-    pub shape_window: usize,
-    /// Enable branch-granular invalidation: on a divergence, an in-flight
-    /// tree run whose sibling branch carries the accepted token is kept
-    /// alive instead of cancelled with the rest.  Irrelevant for
-    /// `micro_width == 1` (chains have no sibling branches); disabling it
-    /// reproduces whole-run invalidation for trees.
-    pub branch_invalidation: bool,
     /// Deadline for a `DraftRequest` transaction to the dedicated draft
     /// rank, in seconds (virtual under the simulator, wall-clock under the
     /// threaded driver).  Generous relative to any fault-free round trip so
@@ -127,17 +102,10 @@ impl Default for PipeInferConfig {
     fn default() -> Self {
         Self {
             micro_batch: 2,
-            max_speculation_ahead: 16,
-            recovery_factor: 0.05,
-            decay_factor: 0.05,
-            n_seq_partitions: 32,
             enable_cancellation: true,
             enable_continuous_speculation: true,
-            ablation_batch: 8,
             draft_placement: DraftPlacement::HeadHosted,
             micro_width: 1,
-            shape_window: 4,
-            branch_invalidation: true,
             draft_deadline_s: 2.0,
             draft_max_retries: 3,
             draft_backoff_s: 0.05,
@@ -179,8 +147,8 @@ impl PipeInferConfig {
 
     /// Tree-shaped continuous micro-batches: each iteration speculates a
     /// width×depth tree chosen by the controller's acceptance shape model
-    /// over a 4-node budget, with branch-granular invalidation keeping
-    /// sibling-rescued runs alive.
+    /// over a 4-node budget; an invalidation spares a run whose sibling
+    /// branch carries the accepted token.
     pub fn tree_micro() -> Self {
         Self {
             micro_batch: 4,
@@ -192,14 +160,6 @@ impl PipeInferConfig {
     /// Returns this configuration with the given draft placement.
     pub fn with_placement(mut self, placement: DraftPlacement) -> Self {
         self.draft_placement = placement;
-        self
-    }
-
-    /// Whole-run invalidation (the degenerate pre-tree behavior): any
-    /// divergence cancels every in-flight run past it, even runs whose
-    /// sibling branches carry the accepted token.
-    pub fn whole_run_invalidation(mut self) -> Self {
-        self.branch_invalidation = false;
         self
     }
 }
@@ -214,7 +174,6 @@ mod tests {
         assert!(c.enable_cancellation);
         assert!(c.enable_continuous_speculation);
         assert!(c.micro_batch >= 1 && c.micro_batch <= 4);
-        assert!(c.n_seq_partitions > 1);
     }
 
     #[test]
@@ -225,7 +184,6 @@ mod tests {
         let ns = PipeInferConfig::no_continuous_speculation();
         assert!(ns.enable_cancellation);
         assert!(!ns.enable_continuous_speculation);
-        assert!(ns.ablation_batch > ns.micro_batch);
     }
 
     #[test]
@@ -234,7 +192,6 @@ mod tests {
         let c = PipeInferConfig::default();
         assert_eq!(c.draft_placement, DraftPlacement::HeadHosted);
         assert_eq!(c.micro_width, 1);
-        assert!(c.branch_invalidation, "a no-op for chains");
     }
 
     #[test]
@@ -260,9 +217,6 @@ mod tests {
         let t = PipeInferConfig::tree_micro();
         assert!(t.micro_width > 1);
         assert!(t.micro_batch >= t.micro_width);
-        assert!(t.branch_invalidation);
-        let tw = PipeInferConfig::tree_micro().whole_run_invalidation();
-        assert!(!tw.branch_invalidation);
         let td = PipeInferConfig::tree_micro().with_placement(DraftPlacement::DedicatedRank);
         assert_eq!(td.draft_placement, DraftPlacement::DedicatedRank);
         assert!(td.micro_width > 1);

@@ -37,8 +37,8 @@ use pi_spec::{CacheOp, GenConfig, GenerationRecord, RunId, RunKind, TreeTopology
 /// (`HeadParts::ranks_share_host`): the run establishing the next
 /// expectation and one speculating past it.  That is the schedule the Real
 /// path ran while its drafter was slower than the target pipeline; with the
-/// drafter cheap, an unbudgeted head speculates `max_speculation_ahead`
-/// tokens deep at the same tokens/s, drafting twice the tokens per accepted
+/// drafter cheap, an unbudgeted head speculates as deep as the controller
+/// lets it at the same tokens/s, drafting twice the tokens per accepted
 /// one (README, "The draft model on the Real path").  Simulated deployments
 /// stay unbudgeted.
 const SHARED_HOST_RUN_BUDGET: usize = 2;
@@ -69,6 +69,12 @@ const SHARED_HOST_RUN_PRICE: f64 = 0.5;
 /// Tokens, not seconds: the machine reads no clock.
 const PROBE_GAP_MIN: usize = 2;
 const PROBE_GAP_MAX: usize = 32;
+
+/// KV-cache sequence partitions for speculative runs, one per leaf of every
+/// run in flight (sequence 0 is the canonical one): twice the controller's
+/// 16-token horizon, so chains never wait for one, and a full pool only
+/// defers a tree run (backpressure in `offer`).
+const N_SEQ_PARTITIONS: usize = 32;
 
 /// What to draft next: a `width`×`depth` tree under confidence `cutoff`.
 #[derive(Debug, Clone, Copy)]
@@ -127,7 +133,6 @@ pub struct AsyncRounds {
     /// `micro_width > 1`: runs are genuine trees and the record keeps tree
     /// statistics.
     tree_micro: bool,
-    branch_invalidation: bool,
     controller: SpeculationController,
     pool: SeqPartitionPool,
     tracker: RunTracker,
@@ -162,7 +167,7 @@ impl AsyncRounds {
     /// tokens are skipped by prefill (clamped to leave the last one for live
     /// evaluation).  Where `ranks_share_host`, speculation is budgeted and
     /// priced on top of the controller's own gates
-    /// (`max_speculation_ahead`, the cutoff gradient, free KV partitions):
+    /// (tokens speculated ahead, the cutoff gradient, free KV partitions):
     /// at most two runs in flight, the least that still speculates, and only
     /// runs expected to pay for the cores they take.
     pub fn new(
@@ -178,10 +183,9 @@ impl AsyncRounds {
         };
         Self {
             controller: SpeculationController::new(config, gen_config.confidence_cutoff),
-            pool: SeqPartitionPool::new(config.n_seq_partitions),
+            pool: SeqPartitionPool::new(N_SEQ_PARTITIONS),
             tracker: RunTracker::new(),
             tree_micro: config.micro_width > 1,
-            branch_invalidation: config.branch_invalidation,
             hypothesis: gen_config.prompt.clone(),
             accepted: gen_config.prompt,
             prompt_done: false,
@@ -196,6 +200,14 @@ impl AsyncRounds {
             steps: Vec::new(),
             n_generate: gen_config.n_generate,
         }
+    }
+
+    /// The same request over a pool of `n_partitions`, small enough for a
+    /// test to exhaust.
+    #[cfg(test)]
+    pub(crate) fn with_partitions(mut self, n_partitions: usize) -> Self {
+        self.pool = SeqPartitionPool::new(n_partitions);
+        self
     }
 
     /// Launches the prompt run.
@@ -521,7 +533,7 @@ impl AsyncRounds {
     /// within-walk mismatch was already observed by the walking run.
     fn correct_frontier(&mut self, correction: Token, observe_rejection: bool) {
         let pos = self.accepted.len() as Pos;
-        let rescued = self.sweep(pos, self.branch_invalidation.then_some(correction));
+        let rescued = self.sweep(pos, Some(correction));
         if observe_rejection && !rescued {
             self.observe(0, 1);
         }
@@ -741,18 +753,16 @@ mod tests {
     impl Harness {
         fn new(seed: u64) -> Self {
             let mut rng = StdRng::seed_from_u64(seed);
-            let config = PipeInferConfig {
-                n_seq_partitions: [3, 8, 32][rng.gen_range(0..3usize)],
-                branch_invalidation: rng.gen_bool(0.7),
-                ..if rng.gen_bool(0.5) {
-                    PipeInferConfig::tree_micro()
-                } else {
-                    PipeInferConfig::default()
-                }
+            let n_partitions = [3, 8, N_SEQ_PARTITIONS][rng.gen_range(0..3usize)];
+            let config = if rng.gen_bool(0.5) {
+                PipeInferConfig::tree_micro()
+            } else {
+                PipeInferConfig::default()
             };
             let budget = [None, Some(2), Some(4)][rng.gen_range(0..3usize)];
             let cached = rng.gen_range(0..3usize);
             let mut h = Self::with(seed, &config, cached, budget.is_some(), 40);
+            h.rounds = h.rounds.with_partitions(n_partitions);
             h.rounds.run_budget = budget.unwrap_or(usize::MAX);
             h.rng = rng;
             h

@@ -174,10 +174,10 @@ impl RunTracker {
     /// `spine_seq` is re-pointed at the rescuing branch's leaf partition so
     /// subsequent speculation shares the surviving prefix.
     ///
-    /// Passing `accepted = None` reproduces whole-run invalidation (the
-    /// `PipeInferConfig::whole_run_invalidation` ablation).  Chains are
-    /// unaffected either way: a width-1 tree's only root *is* the rejected
-    /// hypothesis token, so it can never match the accepted one.
+    /// Passing `accepted = None` cancels whole runs: the verifying run has
+    /// already rescued the round itself.  Chains are unaffected either way:
+    /// a width-1 tree's only root *is* the rejected hypothesis token, so it
+    /// can never match the accepted one.
     ///
     /// Non-speculative runs are never cancelled here: the paper keeps them
     /// running to completion so the canonical cache entries they produce stay

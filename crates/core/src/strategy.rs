@@ -90,7 +90,6 @@ impl Strategy for PipeInferStrategy {
         if self.config.micro_width > 1 {
             StepProfile::Tree(TreeConfig {
                 max_width: self.config.micro_width,
-                window: self.config.shape_window,
                 ..TreeConfig::default()
             })
         } else {
@@ -250,7 +249,6 @@ mod tests {
             PipeInferConfig::dedicated_draft_rank(),
             PipeInferConfig::tree_micro(),
             PipeInferConfig::tree_micro().with_placement(crate::DraftPlacement::DedicatedRank),
-            PipeInferConfig::tree_micro().whole_run_invalidation(),
         ] {
             let out = Deployment::new(PipeInferStrategy::new(variant.clone())).run(
                 &sim_mode(n),

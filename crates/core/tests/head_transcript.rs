@@ -103,7 +103,7 @@ fn pipeinfer_head_transcript_matches_parent() {
     let falcon = ModelPair::falcon_7b;
     let chain = PipeInferConfig::paper_default;
     let tree = PipeInferConfig::tree_micro;
-    let cases: [(&str, ModelPair, PipeInferConfig, u64); 15] = [
+    let cases: [(&str, ModelPair, PipeInferConfig, u64); 14] = [
         (
             "goliath hosted chain",
             goliath(),
@@ -167,12 +167,6 @@ fn pipeinfer_head_transcript_matches_parent() {
             goliath(),
             PipeInferConfig::no_continuous_speculation(),
             0x46b881c5ce78332d,
-        ),
-        (
-            "goliath tree, whole-run invalidation",
-            goliath(),
-            tree().whole_run_invalidation(),
-            0x5afe2f1943bc4b39,
         ),
     ];
     let mut moved = Vec::new();

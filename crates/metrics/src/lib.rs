@@ -8,20 +8,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Exact percentile of a sample set with linear interpolation between order
-/// statistics (the "linear" / type-7 estimator most tools default to).
-///
-/// `q` is the quantile in `[0, 1]` (`0.5` = median).  Returns `0.0` for an
-/// empty slice so degenerate series render as zeros rather than panicking.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    percentile_sorted(&sorted, q)
-}
-
+/// The `q`-quantile (`q` in `[0, 1]`) of ascending `sorted`, interpolating
+/// linearly between order statistics (the "linear" / type-7 estimator most
+/// tools default to).
 fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
     let rank = q * (sorted.len() - 1) as f64;
@@ -96,174 +85,6 @@ impl Summary {
             p95: percentile_sorted(&sorted, 0.95),
             p99: percentile_sorted(&sorted, 0.99),
         }
-    }
-}
-
-/// A fixed-bucket histogram over a closed value range.
-///
-/// The serving harness records one sample per request (TTFT, inter-token
-/// latency, end-to-end latency), so a small fixed-bucket histogram is enough.
-/// Out-of-range samples are **not** silently folded into the edge buckets:
-/// they are tallied as explicit [`Histogram::underflow`]/[`Histogram::overflow`]
-/// counts, excluded from bucket interpolation (an underflow pins the low
-/// percentiles at `lo`, an overflow pins the high ones at `hi`, instead of
-/// inventing in-range mass), and flagged by [`Histogram::render`].  For
-/// exact percentiles over retained samples use [`percentile`] instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `n_buckets` equal-width buckets over
-    /// `[lo, hi]`.  Panics if the range is empty or `n_buckets` is zero.
-    pub fn new(lo: f64, hi: f64, n_buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range [{lo}, {hi}] is empty");
-        assert!(n_buckets > 0, "histogram needs at least one bucket");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; n_buckets],
-            total: 0,
-            sum: 0.0,
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.  Values outside `[lo, hi]` are counted as
-    /// underflow/overflow rather than entering a bucket.
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        self.sum += value;
-        if value < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        if value > self.hi {
-            self.overflow += 1;
-            return;
-        }
-        let n = self.counts.len();
-        let width = (self.hi - self.lo) / n as f64;
-        let idx = (((value - self.lo) / width).floor() as i64).clamp(0, n as i64 - 1) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Records every sample of a slice.
-    pub fn record_all(&mut self, values: &[f64]) {
-        for &v in values {
-            self.record(v);
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of the recorded samples (exact, not bucketed), 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Per-bucket counts, lowest bucket first.  Excludes clipped samples.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of recorded samples below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of recorded samples above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Number of recorded samples outside `[lo, hi]` (underflow + overflow).
-    pub fn clipped(&self) -> u64 {
-        self.underflow + self.overflow
-    }
-
-    /// The value range `[start, end)` covered by bucket `idx` (the last
-    /// bucket is closed at `hi`).
-    pub fn bucket_range(&self, idx: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        (
-            self.lo + idx as f64 * width,
-            self.lo + (idx + 1) as f64 * width,
-        )
-    }
-
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) by walking the cumulative
-    /// bucket counts and interpolating linearly inside the winning bucket.
-    /// Clipped samples participate in the cumulative rank but never in the
-    /// interpolation: a quantile falling among the underflow reports `lo`,
-    /// one falling among the overflow reports `hi`.  Returns 0 when the
-    /// histogram is empty.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total as f64;
-        if target <= self.underflow as f64 && self.underflow > 0 {
-            return self.lo;
-        }
-        let mut cumulative = self.underflow;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = cumulative + c;
-            if next as f64 >= target {
-                let (start, end) = self.bucket_range(idx);
-                let within = ((target - cumulative as f64) / c as f64).clamp(0.0, 1.0);
-                return start + within * (end - start);
-            }
-            cumulative = next;
-        }
-        self.hi
-    }
-
-    /// Renders the histogram as an ASCII bar chart, one line per non-empty
-    /// bucket.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (start, end) = self.bucket_range(idx);
-            let bar = "#".repeat((c * 40).div_ceil(max) as usize);
-            let _ = writeln!(out, "[{start:>9.4}, {end:>9.4}) {c:>6} {bar}");
-        }
-        if self.clipped() > 0 {
-            let _ = writeln!(
-                out,
-                "warning: {} sample(s) outside [{:.4}, {:.4}] excluded from buckets \
-                 ({} below, {} above)",
-                self.clipped(),
-                self.lo,
-                self.hi,
-                self.underflow,
-                self.overflow,
-            );
-        }
-        out
     }
 }
 
@@ -392,19 +213,10 @@ impl Figure {
         }
         out
     }
-
-    /// Renders the figure as CSV (`series,x,value`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,x,value\n");
-        for p in &self.points {
-            let _ = writeln!(out, "{},{},{}", p.series, p.x, p.value);
-        }
-        out
-    }
 }
 
 /// A collection of figures, keyed by figure id, rendered together by the
-/// bench harness and EXPERIMENTS.md generator.
+/// figure bench.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     figures: BTreeMap<String, Figure>,
@@ -478,103 +290,17 @@ mod tests {
     fn percentiles_interpolate_linearly() {
         // 1..=100: p50 sits between the 50th and 51st order statistics.
         let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert!((percentile(&samples, 0.50) - 50.5).abs() < 1e-12);
-        assert!((percentile(&samples, 0.95) - 95.05).abs() < 1e-9);
-        assert!((percentile(&samples, 0.99) - 99.01).abs() < 1e-9);
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-        assert_eq!(percentile(&samples, 1.0), 100.0);
+        let s = Summary::of(&samples);
+        assert!((s.p50 - 50.5).abs() < 1e-12);
+        assert!((s.p95 - 95.05).abs() < 1e-9);
+        assert!((s.p99 - 99.01).abs() < 1e-9);
         // Order must not matter.
         let mut reversed = samples.clone();
         reversed.reverse();
-        assert_eq!(percentile(&reversed, 0.95), percentile(&samples, 0.95));
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn summary_percentiles_match_free_function() {
+        assert_eq!(Summary::of(&reversed), s);
         let samples: Vec<f64> = (0..37).map(|i| (i as f64 * 1.7).sin() * 10.0).collect();
         let s = Summary::of(&samples);
-        assert_eq!(s.p50, percentile(&samples, 0.50));
-        assert_eq!(s.p95, percentile(&samples, 0.95));
-        assert_eq!(s.p99, percentile(&samples, 0.99));
         assert!(s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-    }
-
-    #[test]
-    fn histogram_counts_and_tracks_clipped_samples() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record_all(&[0.5, 1.5, 1.6, 9.99]);
-        h.record(-3.0); // below range: counted as underflow, not bucket 0
-        h.record(42.0); // above range: counted as overflow, not bucket 9
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[1], 2);
-        assert_eq!(h.bucket_counts()[9], 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.clipped(), 2);
-        assert_eq!(h.bucket_range(1), (1.0, 2.0));
-    }
-
-    #[test]
-    fn histogram_percentile_excludes_clipped_mass_from_interpolation() {
-        // 5 underflow, 5 in-range (bucket [4,5)), 5 overflow.
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for _ in 0..5 {
-            h.record(-1.0);
-        }
-        for _ in 0..5 {
-            h.record(4.5);
-        }
-        for _ in 0..5 {
-            h.record(99.0);
-        }
-        // Low quantiles fall among the underflow: pinned at lo, not
-        // interpolated inside bucket 0 (the old clamping behavior).
-        assert_eq!(h.percentile(0.1), 0.0);
-        // Mid quantiles interpolate inside the real bucket.
-        let p50 = h.percentile(0.5);
-        assert!((4.0..5.0).contains(&p50), "p50 = {p50}");
-        // High quantiles fall among the overflow: pinned at hi.
-        assert_eq!(h.percentile(0.99), 10.0);
-    }
-
-    #[test]
-    fn histogram_render_warns_about_clipped_samples() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record_all(&[0.1, 0.6]);
-        assert!(!h.render().contains("warning"), "no clipping, no warning");
-        h.record(7.0);
-        let text = h.render();
-        assert!(text.contains("warning: 1 sample(s) outside [0.0000, 1.0000]"));
-        assert!(text.contains("(0 below, 1 above)"));
-    }
-
-    #[test]
-    fn histogram_percentile_tracks_exact_percentile() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 / 10.0).collect();
-        let mut h = Histogram::new(0.0, 10.0, 200);
-        h.record_all(&samples);
-        for q in [0.5, 0.95, 0.99] {
-            let exact = percentile(&samples, q);
-            let approx = h.percentile(q);
-            assert!(
-                (exact - approx).abs() < 0.1,
-                "q={q}: exact {exact} vs histogram {approx}"
-            );
-        }
-        assert_eq!(Histogram::new(0.0, 1.0, 4).percentile(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_mean_is_exact_and_render_shows_buckets() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        h.record_all(&[0.5, 1.5, 2.5, 3.5]);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-        let text = h.render();
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.contains('#'));
-        assert_eq!(Histogram::new(0.0, 1.0, 2).mean(), 0.0);
     }
 
     fn sample_figure() -> Figure {
@@ -617,15 +343,6 @@ mod tests {
         assert!(text.contains("8 Node"));
         // Missing combination rendered as "-".
         assert!(text.contains('-'));
-    }
-
-    #[test]
-    fn csv_roundtrips_points() {
-        let f = sample_figure();
-        let csv = f.to_csv();
-        assert!(csv.starts_with("series,x,value"));
-        assert_eq!(csv.lines().count(), 1 + f.points().len());
-        assert!(csv.contains("PipeInfer,8 Node,4.5"));
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Batch {
             .collect()
     }
 
-    /// Largest token position in the batch, if any.
-    pub fn max_pos(&self) -> Option<Pos> {
-        self.entries.iter().map(|e| e.pos).max()
-    }
-
     /// Smallest token position in the batch, if any.
     pub fn min_pos(&self) -> Option<Pos> {
         self.entries.iter().map(|e| e.pos).min()
@@ -228,14 +223,13 @@ mod tests {
         assert_eq!(b.entries()[0].pos, 10);
         assert_eq!(b.entries()[1].pos, 11);
         assert_eq!(b.min_pos(), Some(10));
-        assert_eq!(b.max_pos(), Some(11));
     }
 
     #[test]
     fn empty_batch() {
         let b = Batch::new();
         assert!(b.is_empty());
-        assert_eq!(b.max_pos(), None);
+        assert_eq!(b.min_pos(), None);
         assert_eq!(b.wire_bytes(), 0);
     }
 

@@ -251,11 +251,6 @@ impl KvCache {
         }
     }
 
-    /// Whether this cache uses paged backing.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.backing, Backing::Paged { .. })
-    }
-
     /// Cells per page in paged mode, `None` for the flat backing.
     pub fn tokens_per_page(&self) -> Option<usize> {
         match &self.backing {
@@ -690,9 +685,8 @@ impl KvCache {
         self.release_free_pages();
     }
 
-    /// Verifies internal invariants; used by tests and by the ablation that
-    /// disables multibuffering (the paper reports that ablation produces
-    /// incoherent output — here it produces a detectable invariant failure).
+    /// Verifies internal invariants; used by tests and, in debug builds,
+    /// after every branch commit/rollback and page promote/release.
     ///
     /// Invariant checked: for every sequence, positions are unique — a
     /// sequence must never contain two cells with the same position, which is

@@ -214,12 +214,6 @@ impl ClusterSpec {
     pub fn topology(&self) -> Topology {
         Topology::uniform(self.n_nodes(), self.interconnect)
     }
-
-    /// Aggregate memory bandwidth of all nodes (a rough capability measure
-    /// used in reports).
-    pub fn total_mem_bandwidth(&self) -> f64 {
-        self.nodes.iter().map(|n| n.mem_bandwidth_bps).sum()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +285,6 @@ mod tests {
     fn gpu_nodes_have_high_bandwidth() {
         let g = ClusterSpec::gpu_cluster();
         assert!(g.nodes.iter().all(|n| n.mem_bandwidth_bps > 200e9));
-        assert!(g.total_mem_bandwidth() > 1.5e12);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! GPU-experiment pairs (Table III) do not come with published acceptance
 //! rates; plausible values are chosen to reproduce the qualitative ranking of
 //! Fig. 9 (including the Dolphin 2.9 Llama-3 outlier where speculative
-//! inference beat PipeInfer) and are flagged as estimates in EXPERIMENTS.md.
+//! inference beat PipeInfer); they are estimates, not measurements.
 
 use pi_model::ModelConfig;
 use pi_tensor::QuantKind;

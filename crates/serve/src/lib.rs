@@ -10,15 +10,13 @@
 //! observable once many requests contend for one deployment.  This crate
 //! makes them measurable:
 //!
-//! * [`Request`] — a `GenConfig` plus arrival time and priority
-//!   ([`request`]);
+//! * [`Request`] — a `GenConfig` plus arrival time ([`request`]);
 //! * [`WorkloadGen`] — pluggable traffic shapes: steady, bursty
 //!   (Poisson-like, seeded and fully deterministic) and mixed prompt/output
 //!   lengths ([`workload`]);
-//! * [`scheduler`] — the one admission loop (arrivals into a ready list, the
-//!   best ready request into each free slot of a bounded in-flight window,
-//!   step, collect) and its policy: FIFO with priorities ordering the
-//!   waiting queue;
+//! * [`scheduler`] — the one admission loop (arrived requests, first come
+//!   first served, into each free slot of a bounded in-flight window, step,
+//!   collect);
 //! * [`Server`] — drives that loop over one prepared deployment with one of
 //!   two executors, which decide what a window of `max_in_flight` requests
 //!   is: independent *pipeline replicas*, each running its request solo on

@@ -5,10 +5,10 @@
 //! reports — goodput (generated tokens per second of stream makespan),
 //! client-observed TTFT, mean inter-token latency and end-to-end latency
 //! with p50/p95/p99 — rendered into the existing `pi_metrics`
-//! [`Figure`]/[`Summary`]/[`Histogram`] machinery.
+//! [`Figure`]/[`Summary`] machinery.
 
 use crate::request::{Completion, RequestId};
-use pi_metrics::{Figure, Histogram, Summary};
+use pi_metrics::{Figure, Summary};
 use pi_model::KvPoolStats;
 use pi_spec::SessionStats;
 use pi_trace::BubbleReport;
@@ -61,8 +61,8 @@ impl ServeReport {
         self.cohort.as_ref()
     }
 
-    /// Mean requests fused per decode iteration (zero under
-    /// request-granularity serving, where no forest batches exist).
+    /// Mean requests fused per decode iteration (zero under replica serving,
+    /// where no forest batches exist).
     pub fn mean_cohort_width(&self) -> f64 {
         self.cohort.map_or(0.0, |s| s.mean_cohort_width())
     }
@@ -181,11 +181,6 @@ impl ServeReport {
         self.summary_of(|c| c.timing.e2e())
     }
 
-    /// Queueing delay (arrival to admission).
-    pub fn wait_summary(&self) -> Summary {
-        self.summary_of(|c| c.timing.wait())
-    }
-
     /// Per-request mean inter-token latency.
     pub fn itl_summary(&self) -> Summary {
         self.summary_of(Completion::mean_itl)
@@ -267,16 +262,6 @@ impl ServeReport {
         }
     }
 
-    /// End-to-end latency histogram over `[0, max e2e]`.
-    pub fn e2e_histogram(&self, n_buckets: usize) -> Histogram {
-        let hi = self.e2e_summary().max.max(1e-9);
-        let mut h = Histogram::new(0.0, hi, n_buckets);
-        for c in &self.completions {
-            h.record(c.timing.e2e());
-        }
-        h
-    }
-
     /// Pushes this report's aggregates into `figure` as one series: goodput,
     /// latency percentiles, plus speculation quality (acceptance rate,
     /// accepted-tokens-per-verify and tree utilization), one x-label per
@@ -320,8 +305,8 @@ impl ServeReport {
         );
         let _ = writeln!(
             out,
-            "{:>4} {:>4} {:>10} {:>10} {:>10} {:>10} {:>7} {:>8} {:>11}",
-            "id", "prio", "arrival", "wait", "TTFT", "e2e", "tokens", "tok/run", "shape"
+            "{:>4} {:>10} {:>10} {:>10} {:>10} {:>7} {:>8} {:>11}",
+            "id", "arrival", "wait", "TTFT", "e2e", "tokens", "tok/run", "shape"
         );
         for c in &self.completions {
             let shape = match c.output.record.tree_shape_range() {
@@ -330,9 +315,8 @@ impl ServeReport {
             };
             let _ = writeln!(
                 out,
-                "{:>4} {:>4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>7} {:>8.2} {:>11}",
+                "{:>4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>7} {:>8.2} {:>11}",
                 c.id,
-                c.priority,
                 c.timing.arrival,
                 c.timing.wait(),
                 c.timing.ttft(),
@@ -355,8 +339,7 @@ impl ServeReport {
         // Aggregate columns a stream never exercised render as `-` instead of
         // a misleading zero: `accept` without a drafter, `tree util` for
         // linear strategies, `draft kB` under head-hosted drafting, `bubble`
-        // without a recorder, `cohort width` under request-granularity
-        // serving, and so on.
+        // without a recorder, `cohort width` under replica serving, and so on.
         let sums = |f: fn(&Completion) -> u64| self.completions.iter().map(f).sum::<u64>();
         if sums(|c| c.output.record.drafted as u64) > 0 {
             let _ = write!(out, " | accept {:.0}%", self.mean_acceptance_rate() * 100.0);
@@ -463,7 +446,6 @@ mod tests {
         };
         Completion {
             id,
-            priority: 0,
             timing: RequestTiming {
                 arrival,
                 started,
@@ -494,8 +476,7 @@ mod tests {
         assert!((report.goodput() - 20.0 / 3.0).abs() < 1e-12);
         let e2e = report.e2e_summary();
         assert!((e2e.p50 - 2.25).abs() < 1e-12); // median of {2.0, 2.5}
-        let wait = report.wait_summary();
-        assert!((wait.max - 0.5).abs() < 1e-12);
+        assert!((report.completion(1).unwrap().timing.wait() - 0.5).abs() < 1e-12);
         assert_eq!(report.completion(1).unwrap().id, 1);
         assert!(report.completion(7).is_none());
     }
@@ -538,8 +519,6 @@ mod tests {
         assert!(text.contains("failovers -"), "{text}");
         assert!(text.contains("spec gate -"), "{text}");
         assert!(text.contains("cohort width -"), "{text}");
-        let hist = report.e2e_histogram(8);
-        assert_eq!(hist.count(), 2);
     }
 
     #[test]

@@ -17,26 +17,12 @@ pub struct Request {
     pub gen: GenConfig,
     /// Arrival time on the service clock, seconds.
     pub arrival: f64,
-    /// Scheduling priority: among requests waiting in the queue the highest
-    /// priority is admitted first; ties fall back to FIFO (arrival, then id).
-    pub priority: u8,
 }
 
 impl Request {
-    /// Creates a default-priority request.
+    /// Creates a request.
     pub fn new(id: RequestId, gen: GenConfig, arrival: f64) -> Self {
-        Self {
-            id,
-            gen,
-            arrival,
-            priority: 0,
-        }
-    }
-
-    /// Sets the scheduling priority.
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
+        Self { id, gen, arrival }
     }
 }
 
@@ -81,8 +67,6 @@ impl RequestTiming {
 pub struct Completion {
     /// The request's identifier.
     pub id: RequestId,
-    /// The request's scheduling priority.
-    pub priority: u8,
     /// The latency timeline on the service clock.
     pub timing: RequestTiming,
     /// The full run output (tokens, generation record, cluster stats).
@@ -117,13 +101,5 @@ mod tests {
         assert!((t.ttft() - 1.0).abs() < 1e-12);
         assert!((t.e2e() - 3.0).abs() < 1e-12);
         assert!((t.service() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn request_builder() {
-        let r = Request::new(3, GenConfig::small_test(vec![1], 4), 0.25).with_priority(2);
-        assert_eq!(r.id, 3);
-        assert_eq!(r.priority, 2);
-        assert_eq!(r.arrival, 0.25);
     }
 }

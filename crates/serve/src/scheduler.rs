@@ -1,15 +1,13 @@
 //! The admission loop: the one serving loop of the crate, and its policy.
 //!
 //! `serve_stream` interleaves a request stream over a bounded in-flight
-//! window: arrivals move into a ready list once the service clock reaches
-//! them, free window slots are filled from it best-first, the executor makes
-//! progress, and whatever finished is collected (continuous batching — a slot
-//! is refilled the moment its request finishes, no gang-scheduled barriers).
-//! Admission is FIFO with priorities: among the waiting the highest priority
-//! goes first, ties broken by arrival time and then request id, so
-//! equal-priority traffic can never overtake and the wait of any request is
-//! bounded by the service demand ahead of it.  A running request is never
-//! preempted.
+//! window: free window slots are filled with the requests the service clock
+//! has reached, the executor makes progress, and whatever finished is
+//! collected (continuous batching — a slot is refilled the moment its request
+//! finishes, no gang-scheduled barriers).  Admission is FIFO — arrival time,
+//! then request id — so no request can overtake another and the wait of any
+//! request is bounded by the service demand ahead of it.  A running request
+//! is never preempted.
 //!
 //! The loop does not know how requests execute.  It drives an `Executor`
 //! — a service clock plus `admit` and `step` — and the server supplies two:
@@ -33,22 +31,6 @@ pub fn admission_order(requests: &[Request]) -> Vec<usize> {
             .then(requests[a].id.cmp(&requests[b].id))
     });
     order
-}
-
-/// Position in `ready` of the next request to admit: highest priority first,
-/// then earliest arrival, then lowest id.
-fn best_ready(ready: &[usize], requests: &[Request]) -> usize {
-    let mut best = 0;
-    for (pos, &idx) in ready.iter().enumerate().skip(1) {
-        let (b, c) = (&requests[ready[best]], &requests[idx]);
-        let better = c.priority > b.priority
-            || (c.priority == b.priority
-                && (c.arrival < b.arrival || (c.arrival == b.arrival && c.id < b.id)));
-        if better {
-            best = pos;
-        }
-    }
-    best
 }
 
 /// One request an [`Executor`] finished, with its times on the service clock.
@@ -86,18 +68,16 @@ pub(crate) fn serve_stream(
     assert!(window >= 1, "window must admit at least one");
     let order = admission_order(requests);
     let mut arrivals = order.iter().copied().peekable();
-    let mut ready: Vec<usize> = Vec::new();
     // Executor id -> (request index, admission time).
     let mut live: Vec<(u64, usize, f64)> = Vec::new();
     let mut completions: Vec<Completion> = Vec::with_capacity(requests.len());
 
     loop {
         let now = exec.now();
-        while let Some(idx) = arrivals.next_if(|&idx| requests[idx].arrival <= now) {
-            ready.push(idx);
-        }
-        while exec.active() < window && !ready.is_empty() {
-            let idx = ready.remove(best_ready(&ready, requests));
+        while exec.active() < window {
+            let Some(idx) = arrivals.next_if(|&idx| requests[idx].arrival <= now) else {
+                break;
+            };
             live.push((exec.admit(&requests[idx].gen), idx, now));
         }
         let next_arrival = arrivals.peek().map(|&idx| requests[idx].arrival);
@@ -109,7 +89,10 @@ pub(crate) fn serve_stream(
             }
             continue;
         }
-        for done in exec.step(next_arrival.unwrap_or(f64::INFINITY)) {
+        // Requests that arrived to a full window wait for a slot, which only
+        // a finish frees: a step need not stop for them.
+        let until = next_arrival.filter(|&t| t > now);
+        for done in exec.step(until.unwrap_or(f64::INFINITY)) {
             let pos = live
                 .iter()
                 .position(|&(id, _, _)| id == done.id)
@@ -118,7 +101,6 @@ pub(crate) fn serve_stream(
             let req = &requests[idx];
             completions.push(Completion {
                 id: req.id,
-                priority: req.priority,
                 timing: RequestTiming {
                     arrival: req.arrival,
                     started,
@@ -148,8 +130,8 @@ mod tests {
 
     /// Request `i` of a stream: its one prompt token is its index, which is
     /// how [`FixedService`] finds its service time.
-    fn req(i: u64, arrival: f64, priority: u8) -> Request {
-        Request::new(i, GenConfig::small_test(vec![i as u32], 1), arrival).with_priority(priority)
+    fn req(i: u64, arrival: f64) -> Request {
+        Request::new(i, GenConfig::small_test(vec![i as u32], 1), arrival)
     }
 
     /// An executor whose request `i` is in flight for exactly `services[i]`.
@@ -215,7 +197,7 @@ mod tests {
 
     #[test]
     fn window_of_one_serialises_fifo() {
-        let requests = vec![req(0, 0.0, 0), req(1, 0.1, 0), req(2, 0.2, 0)];
+        let requests = vec![req(0, 0.0), req(1, 0.1), req(2, 0.2)];
         let slots = plan(&requests, &[1.0, 1.0, 1.0], 1);
         assert_eq!(slots[0].started, 0.0);
         assert_eq!(slots[0].finished, 1.0);
@@ -225,7 +207,7 @@ mod tests {
 
     #[test]
     fn wide_window_starts_everything_at_arrival() {
-        let requests = vec![req(0, 0.0, 0), req(1, 0.25, 0), req(2, 0.5, 0)];
+        let requests = vec![req(0, 0.0), req(1, 0.25), req(2, 0.5)];
         let slots = plan(&requests, &[2.0, 2.0, 2.0], 8);
         for (slot, r) in slots.iter().zip(&requests) {
             assert_eq!(slot.started, r.arrival);
@@ -235,7 +217,7 @@ mod tests {
 
     #[test]
     fn concurrency_never_exceeds_window() {
-        let requests: Vec<Request> = (0..10).map(|i| req(i, i as f64 * 0.01, 0)).collect();
+        let requests: Vec<Request> = (0..10).map(|i| req(i, i as f64 * 0.01)).collect();
         let services: Vec<f64> = (0..10).map(|i| 0.5 + 0.1 * i as f64).collect();
         let window = 3;
         let slots = plan(&requests, &services, window);
@@ -250,20 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn higher_priority_jumps_the_waiting_queue_only() {
-        // Window 1: r0 occupies the server; r1 (low) and r2 (high) wait.
-        let requests = vec![req(0, 0.0, 0), req(1, 0.1, 0), req(2, 0.2, 5)];
-        let slots = plan(&requests, &[1.0, 1.0, 1.0], 1);
-        // The high-priority request is admitted before the earlier low one…
-        assert_eq!(slots[2].started, 1.0);
-        assert_eq!(slots[1].started, 2.0);
-        // …but never preempts the one already running.
-        assert_eq!(slots[0].finished, 1.0);
-    }
-
-    #[test]
-    fn equal_priority_is_non_overtaking() {
-        let requests: Vec<Request> = (0..8).map(|i| req(i, i as f64 * 0.05, 0)).collect();
+    fn admission_is_non_overtaking() {
+        let requests: Vec<Request> = (0..8).map(|i| req(i, i as f64 * 0.05)).collect();
         let services = [0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4];
         let slots = plan(&requests, &services, 2);
         for w in slots.windows(2) {
@@ -273,7 +243,7 @@ mod tests {
 
     #[test]
     fn zero_service_requests_terminate() {
-        let requests = vec![req(0, 0.0, 0), req(1, 0.0, 0), req(2, 0.0, 0)];
+        let requests = vec![req(0, 0.0), req(1, 0.0), req(2, 0.0)];
         let slots = plan(&requests, &[0.0, 0.0, 0.0], 1);
         assert!(slots.iter().all(|s| s.started == 0.0 && s.finished == 0.0));
     }
@@ -281,6 +251,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must admit")]
     fn zero_window_is_rejected() {
-        let _ = plan(&[req(0, 0.0, 0)], &[1.0], 0);
+        let _ = plan(&[req(0, 0.0)], &[1.0], 0);
     }
 }

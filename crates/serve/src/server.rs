@@ -3,8 +3,8 @@
 //! A [`Server`] owns a [`PreparedDeployment`] — strategy, `Arc`-shared model
 //! weights and validated rank layout, built once — and serves every stream
 //! through the crate's one admission loop
-//! ([`scheduler`](crate::scheduler)): arrivals into a ready list, the best
-//! ready request into each free window slot, step, collect.  What differs
+//! ([`scheduler`](crate::scheduler)): arrived requests, first come first
+//! served, into each free window slot, step, collect.  What differs
 //! between the entry points is the *executor* the loop drives, i.e. what an
 //! in-flight window of `max_in_flight` requests physically is:
 //!
@@ -17,12 +17,11 @@
 //!   service time and holds its KV-pool admission for as long.  Requests
 //!   share the page pool and nothing else; goodput scales with the window
 //!   because the hardware does.
-//! * **A fused cohort** ([`Server::serve_stepped`],
-//!   [`Server::serve_stepped_unfused`]) — the window is the cohort of one
-//!   [`StepSession`] over *one* pipeline: every step evaluates all in-flight
-//!   requests' micro-batches as one forest batch, so a wider window slows
-//!   each step down and amortises the weight stream.  Synchronous strategies
-//!   only; no trace is recorded yet.
+//! * **A fused cohort** ([`Server::serve_stepped`]) — the window is the
+//!   cohort of one [`StepSession`] over *one* pipeline: every step evaluates
+//!   all in-flight requests' micro-batches as one forest batch, so a wider
+//!   window slows each step down and amortises the weight stream.
+//!   Synchronous strategies only; no trace is recorded yet.
 //!
 //! Every request is an isolated session either way (its own KV state and
 //! speculation state machine), which is why neither the window nor the
@@ -153,31 +152,15 @@ impl Server {
     /// widths` GEMM, attention stays per-sequence).
     ///
     /// Cohort formation is deterministic: requests are admitted by the same
-    /// loop and policy as [`Server::serve`] (arrival, then priority among
-    /// the waiting, then id) the moment the session clock reaches their
-    /// arrival and a slot inside `max_in_flight` frees up; the cohort
-    /// re-forms at every step boundary.  Each request's token stream is
-    /// byte-identical to its solo run and to replica serving — fusion
-    /// changes the roofline, never the tokens.
+    /// loop and policy as [`Server::serve`] (arrival, then id) the moment the
+    /// session clock reaches their arrival and a slot inside `max_in_flight`
+    /// frees up; the cohort re-forms at every step boundary.  Each request's
+    /// token stream is byte-identical to its solo run and to replica
+    /// serving — fusion changes the roofline, never the tokens.
     pub fn serve_stepped(&self, requests: Vec<Request>) -> ServeReport {
-        self.stepped(requests, true)
-    }
-
-    /// [`Server::serve_stepped`] with fusion disabled: the identical step
-    /// loop and admission schedule, but every request's micro-batch is
-    /// evaluated alone (a full per-stage weight stream per request per
-    /// iteration).  This is the request-granularity baseline the
-    /// `fig_cohort_batching` bench gate measures fusion against; tokens are
-    /// identical to the fused path.
-    pub fn serve_stepped_unfused(&self, requests: Vec<Request>) -> ServeReport {
-        self.stepped(requests, false)
-    }
-
-    fn stepped(&self, requests: Vec<Request>, fused: bool) -> ServeReport {
         let mut session = self
             .prepared
             .begin_session()
-            .with_fused(fused)
             .with_clock(Arc::clone(&self.clock));
         let completions = serve_stream(&mut session, &requests, self.config.max_in_flight);
         self.report(completions).with_cohort(session.stats())
@@ -717,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn stepped_serving_is_deterministic_and_beats_unfused() {
+    fn stepped_serving_is_deterministic_and_beats_one_at_a_time() {
         let workload = BurstyWorkload {
             base: base(),
             n_requests: 8,
@@ -736,21 +719,25 @@ mod tests {
             assert_eq!(x.id, y.id);
             assert_eq!(x.timing, y.timing);
         }
-        // The request-granularity baseline emits the same tokens slower.
-        let unfused = server.serve_stepped_unfused(workload.generate());
+        // The same loop one request at a time emits the same tokens slower.
+        let alone = Server::new(
+            Deployment::new(SpeculativeStrategy).prepare(&sim_mode(4), 4),
+            ServerConfig { max_in_flight: 1 },
+        )
+        .serve_stepped(workload.generate());
         for c in a.completions() {
             assert_eq!(
                 c.output.record.tokens,
-                unfused.completion(c.id).unwrap().output.record.tokens
+                alone.completion(c.id).unwrap().output.record.tokens
             );
         }
         assert!(
-            a.goodput() > unfused.goodput(),
-            "fused {} tok/s must beat unfused {} tok/s",
+            a.goodput() > alone.goodput(),
+            "fused {} tok/s must beat one at a time {} tok/s",
             a.goodput(),
-            unfused.goodput()
+            alone.goodput()
         );
-        assert!((unfused.mean_cohort_width() - 1.0).abs() < 1e-12);
+        assert!((alone.mean_cohort_width() - 1.0).abs() < 1e-12);
     }
 
     #[test]

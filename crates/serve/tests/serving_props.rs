@@ -8,7 +8,7 @@
 //! 2. **Isolation** — every request's `Sim`-mode token stream is
 //!    byte-identical to its solo `Deployment::run` output, regardless of
 //!    what ran concurrently;
-//! 3. **No starvation** — equal-priority admission is non-overtaking, the
+//! 3. **No starvation** — FIFO admission is non-overtaking, the
 //!    in-flight window bound is never exceeded, and no request waits longer
 //!    than the total service demand admitted before it.
 
@@ -92,7 +92,7 @@ proptest! {
             );
         }
 
-        // 3a. Equal-priority FIFO is non-overtaking.
+        // 3a. FIFO admission is non-overtaking.
         let by_admission = admission_order(report.completions());
         for pair in by_admission.windows(2) {
             prop_assert!(

@@ -95,15 +95,6 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Number of ranks this mode naturally runs with (`Sim` deployments are
-    /// sized by their cluster spec; `Real` runs accept any count).
-    pub fn preferred_nodes(&self) -> Option<usize> {
-        match self {
-            ExecutionMode::Real { .. } => None,
-            ExecutionMode::Sim { cluster, .. } => Some(cluster.n_nodes()),
-        }
-    }
-
     /// Number of decoder layers in the target model of this mode.
     pub fn target_layers(&self) -> usize {
         match self {
@@ -164,16 +155,6 @@ pub struct HeadParts {
     /// node of its own: the head's drafting then shares processors with the
     /// stages that verify it.
     pub ranks_share_host: bool,
-}
-
-impl HeadParts {
-    /// Takes the drafter out of the parts, panicking with a clear message if
-    /// the strategy forgot to declare [`Strategy::needs_drafter`].
-    pub fn take_drafter(&mut self) -> Box<dyn Drafter> {
-        self.drafter
-            .take()
-            .expect("strategy requested a drafter but needs_drafter() returned false")
-    }
 }
 
 /// The per-iteration decode shape a strategy contributes to the
@@ -1124,23 +1105,5 @@ mod tests {
         assert!(out.completed);
         assert_eq!(out.record.tokens.len(), 16);
         assert_eq!(pool.stats().refusals, 2);
-    }
-
-    #[test]
-    fn take_drafter_panics_without_drafter_declaration() {
-        let prepared = Deployment::new(IterativeStrategy).prepare(&sim_mode(4), 1);
-        let mut parts = HeadParts {
-            route: PipelineRoute::baseline(1),
-            engine: prepared.head_engine(),
-            drafter: None,
-            gen_config: GenConfig::small_test(vec![1], 1),
-            record: Arc::new(Mutex::new(None)),
-            prompt_cached: 0,
-            ranks_share_host: false,
-        };
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = parts.take_drafter();
-        }));
-        assert!(caught.is_err());
     }
 }

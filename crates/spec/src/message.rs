@@ -71,11 +71,6 @@ impl TreeTopology {
         4 + 4 * self.parents.len() as u64
     }
 
-    /// The parents as `usize` indices for engines that resolve them.
-    pub fn parent_indices(&self) -> Vec<Option<usize>> {
-        self.parents.iter().map(|p| p.map(|i| i as usize)).collect()
-    }
-
     /// The wire topology of a [`pi_model::TokenTree`] (node-insertion order
     /// is parent-before-child by construction).
     pub fn from_tree(tree: &pi_model::TokenTree) -> Self {
@@ -375,7 +370,6 @@ mod tests {
             parents: vec![None, Some(0), Some(0)],
         };
         assert_eq!(topology.wire_bytes(), 4 + 4 * 3);
-        assert_eq!(topology.parent_indices(), vec![None, Some(0usize), Some(0)]);
         let linear = PipeMsg::Decode {
             run_id: 1,
             kind: RunKind::Speculative,

@@ -46,15 +46,11 @@
 //! ## Cost model
 //!
 //! Under `Sim` mode the session keeps a virtual clock and adds up what the
-//! engines charge.  A fused step is one call per stage over the forest, so
-//! each stage charges the weight stream once for the whole cohort plus
-//! per-request KV streams, against the summed compute; the unfused knob
-//! ([`StepSession::with_fused`]) makes one call per request per stage, i.e.
-//! a full weight stream per request per step.  The output head is charged
-//! per request either way.  The two knobs run the identical schedule and
-//! emit identical tokens; only the roofline differs, which is precisely the
-//! quantity the `fig_cohort_batching` bench gates on.  Under `Real` mode the
-//! clock accumulates measured wall time.
+//! engines charge.  A step is one call per stage over the forest, so each
+//! stage charges the weight stream once for the whole cohort plus
+//! per-request KV streams, against the summed compute; the output head is
+//! charged per request.  Under `Real` mode the clock accumulates measured
+//! wall time.
 
 use crate::deploy::{build_drafter, ExecutionMode, PreparedDeployment, RunOutput, StepProfile};
 use crate::engine::{HeadEngine, PrefixPlan, StageEngine};
@@ -172,7 +168,6 @@ pub struct StepReport {
 pub struct StepSession<'d> {
     prepared: &'d PreparedDeployment,
     profile: StepProfile,
-    fused: bool,
     /// The session (service) clock, seconds.
     clock: f64,
     /// Wall-time source of `Real`-mode step durations.
@@ -189,7 +184,6 @@ impl<'d> StepSession<'d> {
         Self {
             prepared,
             profile: prepared.strategy().step_profile(),
-            fused: true,
             clock: 0.0,
             wall: Arc::new(MonotonicClock::new()),
             slots: Vec::new(),
@@ -202,15 +196,6 @@ impl<'d> StepSession<'d> {
         }
     }
 
-    /// Sets whether decode steps fuse the cohort into one forest batch
-    /// (default) or evaluate request-granularity micro-batches — the
-    /// baseline the `fig_cohort_batching` gate measures against.  Tokens are
-    /// identical either way.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
-        self
-    }
-
     /// Replaces the wall-time source `Real`-mode steps are measured on
     /// (default [`MonotonicClock`]; tests inject a
     /// [`ManualClock`](pi_cluster::ManualClock)).  `Sim` steps charge virtual
@@ -218,11 +203,6 @@ impl<'d> StepSession<'d> {
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.wall = clock;
         self
-    }
-
-    /// Whether decode steps fuse the cohort.
-    pub fn fused(&self) -> bool {
-        self.fused
     }
 
     /// The session clock in seconds: virtual under `Sim`, accumulated
@@ -339,41 +319,28 @@ impl<'d> StepSession<'d> {
             return StepReport::default();
         }
 
-        // Phase 2 — fuse and evaluate: one call over the forest, or — the
-        // request-granularity baseline — one one-lane call per request (each
-        // streaming every stage's weights again), stage by stage.
+        // Phase 2 — fuse and evaluate: one call per stage over the forest.
         let width = cohort.len();
-        // Request `lane` goes into call `lane % n_calls`.
-        let n_calls = if self.fused { 1 } else { width };
-        let mut calls = vec![Batch::new(); n_calls];
+        let mut batch = Batch::new();
         for (lane, round) in rounds.iter().enumerate() {
-            calls[lane % n_calls].append_lane(&round.batch, lane);
+            batch.append_lane(&round.batch, lane);
         }
-        let mut cost = 0.0;
-        let mut payloads = Vec::with_capacity(n_calls);
-        for batch in &calls {
-            let (payload, stage_cost) = pipeline.head.eval_first_stage(batch);
-            cost += stage_cost;
-            payloads.push(payload);
-        }
+        let (mut payload, mut cost) = pipeline.head.eval_first_stage(&batch);
         for stage in &mut pipeline.stages {
-            for (batch, payload) in calls.iter().zip(&mut payloads) {
-                let (out, stage_cost) = stage.eval(batch, payload);
-                cost += stage_cost;
-                *payload = out;
-            }
+            let (out, stage_cost) = stage.eval(&batch, &payload);
+            cost += stage_cost;
+            payload = out;
         }
-        // Head finalization (output head + sampling) is per request either
-        // way: each takes its own rows of its call's activations, and the
-        // oracle walk needs each request's own context.
+        // Head finalization (output head + sampling) is per request: each
+        // takes its own rows of the forest's activations, and the oracle walk
+        // needs each request's own context.
         let mut greedy_per_request = Vec::with_capacity(width);
         let mut first_row = 0;
-        for (lane, (&i, round)) in cohort.iter().zip(&rounds).enumerate() {
-            let payload = &payloads[lane % n_calls];
+        for (&i, round) in cohort.iter().zip(&rounds) {
             let n = round.batch.len();
             let own_rows;
             let payload = if payload.tokens() == n {
-                payload
+                &payload
             } else {
                 own_rows = payload.rows(first_row..first_row + n);
                 &own_rows
@@ -386,16 +353,14 @@ impl<'d> StepSession<'d> {
         }
         step_cost += cost;
 
-        // Per-step accounting: one fused step of the cohort's width, or one
-        // width-1 step per request under the request-granularity knob.
         let rows: usize = rounds.iter().map(|round| round.batch.len()).sum();
-        self.stats.cohort_steps += if self.fused { 1 } else { width as u64 };
+        self.stats.cohort_steps += 1;
         self.stats.cohort_width_sum += width as u64;
         self.stats.batched_rows += rows as u64;
         for (&i, round) in cohort.iter().zip(&rounds) {
             let r = &mut self.slots[i];
             r.steps_participated += 1;
-            r.width_sum += if self.fused { width as u64 } else { 1 };
+            r.width_sum += width as u64;
             r.own_rows += round.batch.len() as u64;
         }
 
@@ -464,9 +429,8 @@ mod tests {
     fn run_session(
         prepared: &PreparedDeployment,
         configs: &[GenConfig],
-        fused: bool,
     ) -> (Vec<Vec<Token>>, f64, SessionStats) {
-        let mut session = prepared.begin_session().with_fused(fused);
+        let mut session = prepared.begin_session();
         let ids: Vec<u64> = configs.iter().map(|c| session.admit(c)).collect();
         let mut safety = 0;
         while session.active() > 0 {
@@ -485,7 +449,7 @@ mod tests {
     fn chain_session_matches_solo_runs_in_sim() {
         let prepared = Deployment::new(SpeculativeStrategy).prepare(&sim_mode(4), 4);
         let configs = [gen(5, 12, 16), gen(9, 8, 12), gen(3, 10, 20)];
-        let (outs, _, stats) = run_session(&prepared, &configs, true);
+        let (outs, _, stats) = run_session(&prepared, &configs);
         for (config, tokens) in configs.iter().zip(&outs) {
             let solo = prepared.run(config);
             assert_eq!(tokens, &solo.record.tokens, "fused stream must be solo");
@@ -497,7 +461,7 @@ mod tests {
     fn tree_session_matches_solo_runs_in_sim() {
         let prepared = Deployment::new(TreeSpeculationStrategy::default()).prepare(&sim_mode(4), 4);
         let configs = [gen(5, 12, 16), gen(7, 9, 12)];
-        let (outs, _, _) = run_session(&prepared, &configs, true);
+        let (outs, _, _) = run_session(&prepared, &configs);
         for (config, tokens) in configs.iter().zip(&outs) {
             let solo = prepared.run(config);
             assert_eq!(tokens, &solo.record.tokens);
@@ -508,7 +472,7 @@ mod tests {
     fn iterative_session_matches_solo_runs_in_sim() {
         let prepared = Deployment::new(IterativeStrategy).prepare(&sim_mode(4), 4);
         let configs = [gen(5, 12, 8), gen(2, 6, 6)];
-        let (outs, _, _) = run_session(&prepared, &configs, true);
+        let (outs, _, _) = run_session(&prepared, &configs);
         for (config, tokens) in configs.iter().zip(&outs) {
             let solo = prepared.run(config);
             assert_eq!(tokens, &solo.record.tokens);
@@ -519,7 +483,7 @@ mod tests {
     fn real_chain_session_matches_solo_runs() {
         let prepared = Deployment::new(SpeculativeStrategy).prepare(&real_mode(11), 2);
         let configs = [gen(5, 6, 8), gen(9, 4, 6)];
-        let (outs, _, _) = run_session(&prepared, &configs, true);
+        let (outs, _, _) = run_session(&prepared, &configs);
         for (config, tokens) in configs.iter().zip(&outs) {
             let solo = prepared.run(config);
             assert_eq!(tokens, &solo.record.tokens, "real fused rows must be solo");
@@ -527,18 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_agree_on_tokens_but_not_cost() {
+    fn a_fused_cohort_costs_less_than_its_requests_one_by_one() {
         let prepared = Deployment::new(SpeculativeStrategy).prepare(&sim_mode(4), 4);
         let configs = [gen(5, 12, 16), gen(9, 8, 16), gen(3, 10, 16), gen(6, 7, 16)];
-        let (fused, fused_t, fused_stats) = run_session(&prepared, &configs, true);
-        let (unfused, unfused_t, unfused_stats) = run_session(&prepared, &configs, false);
-        assert_eq!(fused, unfused, "fusion must never change any stream");
+        let (fused, fused_t, fused_stats) = run_session(&prepared, &configs);
+        let (mut alone, mut alone_t) = (Vec::new(), 0.0);
+        for config in &configs {
+            let (tokens, t, stats) = run_session(&prepared, std::slice::from_ref(config));
+            assert!((stats.mean_cohort_width() - 1.0).abs() < 1e-12);
+            alone.extend(tokens);
+            alone_t += t;
+        }
+        assert_eq!(fused, alone, "fusion must never change any stream");
         assert!(
-            fused_t < unfused_t,
-            "fused {fused_t} s must beat request-granularity {unfused_t} s"
+            fused_t < alone_t,
+            "fused {fused_t} s must beat one request at a time {alone_t} s"
         );
         assert!(fused_stats.mean_cohort_width() > 2.0, "{fused_stats:?}");
-        assert!((unfused_stats.mean_cohort_width() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -586,7 +555,7 @@ mod tests {
             };
 
             // A finished request leaves the shared prefix committed.
-            let (_, _, _) = run_session(&prepared, &[request(1)], true);
+            let (_, _, _) = run_session(&prepared, &[request(1)]);
             let committed = |pool: &KvPagePool| {
                 let stats = pool.stats();
                 (stats.pages_committed - stats.evictions) as usize

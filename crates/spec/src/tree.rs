@@ -50,9 +50,6 @@ pub struct TreeConfig {
     pub max_width: usize,
     /// Maximum depth of the primary branch.
     pub max_depth: usize,
-    /// Sliding-window length (in verification rounds) of the acceptance
-    /// estimate driving width/depth adaptation.
-    pub window: usize,
 }
 
 impl Default for TreeConfig {
@@ -60,10 +57,6 @@ impl Default for TreeConfig {
         Self {
             max_width: 4,
             max_depth: 8,
-            // Short window: the synthetic (and real) acceptance landscape
-            // shifts over a handful of rounds, so a long memory adapts out
-            // of phase with it (measured on the serving gate workload).
-            window: 4,
         }
     }
 }
@@ -78,6 +71,12 @@ const MODEL_RECOVERY: f64 = 0.4;
 /// Pseudo-observation weight of the prior in the acceptance estimate, so a
 /// couple of unlucky opening rounds cannot whipsaw the shape.
 const PRIOR_WEIGHT: f64 = 6.0;
+
+/// Sliding-window length (in verification rounds) of the acceptance
+/// estimate: the synthetic (and real) acceptance landscape shifts over a
+/// handful of rounds, so a long memory adapts out of phase with it
+/// (measured on the serving gate workload).
+const SHAPE_WINDOW: usize = 4;
 
 /// Sliding-window acceptance tracker choosing the per-round tree shape.
 ///
@@ -163,7 +162,7 @@ impl AdaptiveShape {
             return;
         }
         self.history.push_back((accepted, accepted < span));
-        while self.history.len() > self.config.window.max(1) {
+        while self.history.len() > SHAPE_WINDOW {
             self.history.pop_front();
         }
     }
@@ -325,7 +324,6 @@ mod tests {
         let cfg = TreeConfig {
             max_width: 2,
             max_depth: 3,
-            window: 4,
         };
         let mut shape = AdaptiveShape::new(cfg, 8, 0.0);
         for _ in 0..4 {
@@ -391,7 +389,6 @@ mod tests {
         let narrow = TreeSpeculationStrategy::new(TreeConfig {
             max_width: 1,
             max_depth: 8,
-            window: 8,
         });
         let tree = Deployment::new(narrow).run(&mode, 4, &cfg);
         let linear = Deployment::new(SpeculativeStrategy).run(&mode, 4, &cfg);

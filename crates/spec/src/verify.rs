@@ -134,46 +134,6 @@ pub fn verify_tree(tree: &TokenTree, truth: &[Token]) -> TreeVerifyOutcome {
     }
 }
 
-/// Running acceptance-rate tracker used by head ranks for reporting and by
-/// the reactive-speculation heuristics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AcceptanceTracker {
-    drafted: u64,
-    accepted: u64,
-}
-
-impl AcceptanceTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the outcome of one verification round.
-    pub fn record(&mut self, drafted: usize, accepted: usize) {
-        self.drafted += drafted as u64;
-        self.accepted += accepted as u64;
-    }
-
-    /// Total drafted tokens.
-    pub fn drafted(&self) -> u64 {
-        self.drafted
-    }
-
-    /// Total accepted tokens.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Observed acceptance rate, or `None` before any tokens were drafted.
-    pub fn rate(&self) -> Option<f64> {
-        if self.drafted == 0 {
-            None
-        } else {
-            Some(self.accepted as f64 / self.drafted as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,17 +173,6 @@ mod tests {
     #[should_panic]
     fn short_truth_is_rejected() {
         let _ = verify_greedy(&[1, 2], &[1, 2]);
-    }
-
-    #[test]
-    fn acceptance_tracker_rates() {
-        let mut t = AcceptanceTracker::new();
-        assert_eq!(t.rate(), None);
-        t.record(4, 3);
-        t.record(4, 1);
-        assert_eq!(t.drafted(), 8);
-        assert_eq!(t.accepted(), 4);
-        assert!((t.rate().unwrap() - 0.5).abs() < 1e-12);
     }
 
     /// Builds the tree:

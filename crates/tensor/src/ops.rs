@@ -391,13 +391,6 @@ pub fn rope_inplace(x: &mut [f32], n_heads: usize, head_dim: usize, position: us
     rope_rotate(x, &row);
 }
 
-/// Scales a slice in place by a scalar.
-pub fn scale_inplace(x: &mut [f32], s: f32) {
-    for v in x.iter_mut() {
-        *v *= s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

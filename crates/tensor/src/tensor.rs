@@ -142,33 +142,10 @@ impl Tensor {
         Ok(&mut self.data[r * cols..(r + 1) * cols])
     }
 
-    /// Reinterprets the tensor with a new shape of identical element count.
-    pub fn reshape(mut self, shape: &[usize]) -> Result<Self> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected,
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(self)
-    }
-
-    /// Element access for 2-D tensors (row, col).
-    pub fn at2(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols() + c]
-    }
-
     /// Mutable element access for 2-D tensors (row, col).
     pub fn set2(&mut self, r: usize, c: usize, v: f32) {
         let cols = self.cols();
         self.data[r * cols + c] = v;
-    }
-
-    /// L2 norm of the whole tensor; handy in tests.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Index of the maximum element (argmax) of a rank-1 tensor or of the
@@ -230,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
-        let r = t.clone().reshape(&[3, 2]).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(&[4, 2]).is_err());
-    }
-
-    #[test]
     fn argmax_ties_resolve_to_lowest_index() {
         let t = Tensor::from_vec(vec![1.0, 5.0, 5.0, 2.0], &[4]).unwrap();
         assert_eq!(t.argmax(), 1);
@@ -254,10 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn at2_set2_roundtrip() {
+    fn set2_writes_row_major() {
         let mut t = Tensor::zeros(&[2, 2]);
         t.set2(1, 0, 3.5);
-        assert_eq!(t.at2(1, 0), 3.5);
-        assert_eq!(t.at2(0, 0), 0.0);
+        assert_eq!(t.data(), [0.0, 0.0, 3.5, 0.0]);
     }
 }

@@ -60,13 +60,6 @@ pub enum State {
     Idle(Cause),
 }
 
-impl State {
-    /// True for both flavors of not-busy.
-    pub fn is_bubble(&self) -> bool {
-        !matches!(self, State::Busy)
-    }
-}
-
 /// One half-open interval `[t0, t1)` of a rank's timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {

@@ -1,13 +1,19 @@
-//! Serving demo: a bursty request stream over the threaded driver.
+//! Serving demo: one bursty request stream, served by both executors.
 //!
-//! Builds one warmed-up PipeInfer deployment on real (tiny) models, then
-//! serves a Poisson-like burst of requests through `pi-serve`'s admission
-//! loop over pipeline replicas: each admitted request runs solo on
-//! `PipeInferHead` across an in-process cluster of OS threads (shared
-//! weights, an isolated KV session), and occupies one of `max_in_flight`
-//! replicas for the wall time that run took.  Completions reach the callback
-//! in finish order on that service clock; the report aggregates goodput and
-//! latency percentiles.
+//! Builds one warmed-up PipeInfer deployment on real (tiny) models and serves
+//! a Poisson-like burst of requests through `pi-serve`'s admission loop
+//! twice:
+//!
+//! * over pipeline replicas (`Server::serve_with`): each admitted request
+//!   runs solo on `PipeInferHead` across an in-process cluster of OS threads
+//!   (shared weights, an isolated KV session) and occupies one of
+//!   `max_in_flight` replicas for the wall time that run took; completions
+//!   reach the callback in finish order on that service clock;
+//! * as a fused cohort (`Server::serve_stepped`): one step loop evaluates
+//!   every in-flight request's micro-batch as one forest batch per step.
+//!
+//! The executor changes the clock, never the tokens: the demo checks every
+//! request's stream is byte-equal under both.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -47,7 +53,7 @@ fn main() {
         seed: 7,
     };
 
-    // 3. Serve the stream; completions arrive in finish order.
+    // 3. Serve the stream over replicas; completions arrive in finish order.
     println!(
         "serving {} bursty requests over a {}-rank {} deployment (window {})",
         workload.n_requests,
@@ -55,7 +61,7 @@ fn main() {
         server.strategy_name(),
         server.config().max_in_flight,
     );
-    let report = server.serve_with(workload.generate(), |c| {
+    let replicas = server.serve_with(workload.generate(), |c| {
         println!(
             "request {:>2} done: wait {:6.3} s, TTFT {:6.3} s, e2e {:6.3} s, {} tokens",
             c.id,
@@ -65,7 +71,26 @@ fn main() {
             c.n_tokens(),
         );
     });
+    println!("\n{}", replicas.render());
 
-    // 4. Aggregate per-request latency metrics.
-    println!("\n{}", report.render());
+    // 4. The same stream as one fused cohort.
+    let cohort = server.serve_stepped(workload.generate());
+    println!("{}", cohort.render());
+
+    // 5. Per-request byte-equality between the two executors.
+    let mut identical = true;
+    for c in cohort.completions() {
+        let solo = &replicas
+            .completion(c.id)
+            .expect("served")
+            .output
+            .record
+            .tokens;
+        identical &= &c.output.record.tokens == solo;
+    }
+    println!(
+        "per-request byte-equality, replicas vs cohort: {}",
+        if identical { "all identical" } else { "FAILED" }
+    );
+    assert!(identical, "the executor must never change the tokens");
 }

@@ -18,7 +18,7 @@
 //! * [`core`] — PipeInfer itself: asynchronous pipelined speculation with
 //!   continuous speculation, KV-cache multibuffering and early inference
 //!   cancellation.
-//! * [`metrics`] — measurement summaries, percentiles, histograms and report
+//! * [`metrics`] — measurement summaries with percentiles, and report
 //!   rendering.
 //! * [`serve`] — the continuous-batching serving layer: a long-lived
 //!   [`serve::Server`] over one prepared deployment, workload generators and
@@ -61,7 +61,7 @@ pub use pi_serve as serve;
 
 /// Convenience prelude with the types most programs need.
 pub mod prelude {
-    pub use pi_cluster::{FaultPlan, HaltReason, KillTrigger, LinkFaults};
+    pub use pi_cluster::{FaultPlan, HaltReason, LinkFaults};
     pub use pi_model::{
         AdmissionRefusal, Batch, ByteTokenizer, KvPagePool, KvPoolConfig, KvPoolStats, Model,
         ModelConfig, Token,

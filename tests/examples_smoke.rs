@@ -7,18 +7,7 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 10] = [
-    "quickstart",
-    "chat_generation",
-    "cluster_sweep",
-    "heterogeneous_cluster",
-    "serving",
-    "tree_generation",
-    "draft_rank",
-    "trace_viz",
-    "chaos",
-    "cohort_serving",
-];
+const EXAMPLES: [&str; 4] = ["quickstart", "serving", "trace_viz", "chaos"];
 
 fn run_example(name: &str) {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
@@ -48,46 +37,16 @@ fn quickstart_example_runs() {
 }
 
 #[test]
-fn chat_generation_example_runs() {
+fn serving_example_runs() {
     run_example(EXAMPLES[1]);
 }
 
 #[test]
-fn cluster_sweep_example_runs() {
+fn trace_viz_example_runs() {
     run_example(EXAMPLES[2]);
 }
 
 #[test]
-fn heterogeneous_cluster_example_runs() {
-    run_example(EXAMPLES[3]);
-}
-
-#[test]
-fn serving_example_runs() {
-    run_example(EXAMPLES[4]);
-}
-
-#[test]
-fn tree_generation_example_runs() {
-    run_example(EXAMPLES[5]);
-}
-
-#[test]
-fn draft_rank_example_runs() {
-    run_example(EXAMPLES[6]);
-}
-
-#[test]
-fn trace_viz_example_runs() {
-    run_example(EXAMPLES[7]);
-}
-
-#[test]
 fn chaos_example_runs() {
-    run_example(EXAMPLES[8]);
-}
-
-#[test]
-fn cohort_serving_example_runs() {
-    run_example(EXAMPLES[9]);
+    run_example(EXAMPLES[3]);
 }

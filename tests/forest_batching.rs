@@ -210,8 +210,7 @@ proptest! {
     /// Random join/leave schedules: arrivals, lengths and budgets drawn at
     /// random, served through the fused step loop with a bounded window so
     /// requests genuinely join and leave mid-stream.  Every request's
-    /// stream must equal its solo-stepped decode, and the fused path must
-    /// agree with the request-granularity path on every token.
+    /// stream must equal its solo-stepped decode.
     #[test]
     fn prop_random_join_leave_schedules_never_mix_streams(
         n_requests in 2usize..7,
@@ -231,13 +230,10 @@ proptest! {
         let prepared = Deployment::new(SpeculativeStrategy).prepare(&sim_mode(4), 4);
         let server = Server::new(prepared, ServerConfig { max_in_flight: window });
         let fused = server.serve_stepped(requests.clone());
-        let unfused = server.serve_stepped_unfused(requests.clone());
         for req in &requests {
             let solo = solo_stepped(server.prepared(), &req.gen);
             let f = &fused.completion(req.id).unwrap().output.record.tokens;
-            let u = &unfused.completion(req.id).unwrap().output.record.tokens;
             prop_assert_eq!(f, &solo, "request {} fused != solo", req.id);
-            prop_assert_eq!(u, &solo, "request {} unfused != solo", req.id);
         }
     }
 
