@@ -14,7 +14,9 @@
 //! Run with `cargo bench -p pi-bench --bench trace_overhead`.
 
 use criterion::Criterion;
-use pi_cluster::{trace_if, EventKind, NodeCtx, Rank, SimTime, Tag, TraceBuffer, WireMessage};
+use pi_cluster::{
+    trace_if, EventKind, NodeCtx, NodeStats, Rank, SimTime, Tag, TraceBuffer, WireMessage,
+};
 use std::hint::black_box;
 
 /// Event sites exercised per measured iteration.
@@ -36,6 +38,7 @@ impl WireMessage for Msg {
 /// driver rank sees.
 struct DisabledCtx {
     now: SimTime,
+    stats: NodeStats,
 }
 
 impl NodeCtx<Msg> for DisabledCtx {
@@ -52,11 +55,15 @@ impl NodeCtx<Msg> for DisabledCtx {
     fn elapse(&mut self, seconds: SimTime) {
         self.now += seconds;
     }
+    fn stats(&mut self) -> &mut NodeStats {
+        &mut self.stats
+    }
 }
 
 /// A context with a live recorder, for the informative enabled-site row.
 struct EnabledCtx {
     now: SimTime,
+    stats: NodeStats,
     buf: TraceBuffer,
 }
 
@@ -73,6 +80,9 @@ impl NodeCtx<Msg> for EnabledCtx {
     fn send(&mut self, _dst: Rank, _tag: Tag, _msg: Msg) {}
     fn elapse(&mut self, seconds: SimTime) {
         self.now += seconds;
+    }
+    fn stats(&mut self) -> &mut NodeStats {
+        &mut self.stats
     }
     fn trace_enabled(&self) -> bool {
         true
@@ -124,7 +134,10 @@ fn main() {
     let mut c = Criterion::default();
 
     c.bench_function("disabled event site", |b| {
-        let mut ctx = DisabledCtx { now: 0.0 };
+        let mut ctx = DisabledCtx {
+            now: 0.0,
+            stats: NodeStats::default(),
+        };
         b.iter(|| {
             let dyn_ctx: &mut dyn NodeCtx<Msg> = black_box(&mut ctx);
             drive(dyn_ctx);
@@ -134,6 +147,7 @@ fn main() {
     c.bench_function("enabled event site", |b| {
         let mut ctx = EnabledCtx {
             now: 0.0,
+            stats: NodeStats::default(),
             buf: TraceBuffer::new(0, SITES_PER_ITER * 2),
         };
         b.iter(|| {

@@ -25,9 +25,10 @@
 //! head node's continuous speculation lives ("probe for logits; if none,
 //! speculate", paper §IV-B).
 //!
-//! Both drivers provide the same [`NodeCtx`] interface to behaviors, so the
-//! exact same scheduling code runs threaded (real time) and simulated
-//! (virtual time).
+//! Both drivers provide the same [`NodeCtx`] interface and the same ledger
+//! (one [`NodeStats`] and event ring per rank, kept by the crate-private
+//! `RankLog`), so the exact same scheduling code runs threaded (real time)
+//! and simulated (virtual time) and is counted the same way on both.
 
 pub mod fault;
 pub mod sim;
@@ -111,34 +112,12 @@ pub trait NodeCtx<M: WireMessage> {
     /// the figure for utilisation statistics (real compute already consumed
     /// real time).
     fn elapse(&mut self, seconds: SimTime);
-    /// Records that this rank skipped `n` units of work thanks to an early
-    /// cancellation signal (a stage evaluation a worker never ran, a stale
-    /// draft hypothesis the draft rank never served).  Drivers accumulate
-    /// the figure into [`NodeStats::cancellations_saved`]; the default is a
-    /// no-op so test contexts need not care.
-    fn record_cancellation_saved(&mut self, _n: u64) {}
-    /// Records that a draft request's deadline expired on this rank without
-    /// a response.  Accumulated into [`NodeStats::draft_timeouts`]; default
-    /// no-op.
-    fn record_draft_timeout(&mut self) {}
-    /// Records that this rank re-issued a draft request after a timeout or
-    /// refusal.  Accumulated into [`NodeStats::draft_retries`]; default
-    /// no-op.
-    fn record_draft_retry(&mut self) {}
-    /// Records that this rank failed over away from a remote drafter.
-    /// Accumulated into [`NodeStats::failovers`]; default no-op.
-    fn record_failover(&mut self) {}
-    /// Records paged KV-cache activity drained from this rank's engines:
-    /// pages materialised, pool pages attached via prefix hits, copy-on-write
-    /// clones and page releases/evictions.  Accumulated into the
-    /// `NodeStats::kv_*` counters; default no-op.
-    fn record_kv_pages(&mut self, _allocated: u64, _share_hits: u64, _cows: u64, _evictions: u64) {}
-    /// Records that this rank evaluated one decode micro-batch fusing
-    /// `width` requests (batch lanes) and `rows` total batch rows through
-    /// its layer slice.  Accumulated into [`NodeStats::cohort_steps`],
-    /// [`NodeStats::cohort_width_sum`] and [`NodeStats::batched_rows`];
-    /// default no-op.
-    fn record_cohort_step(&mut self, _width: u64, _rows: u64) {}
+    /// This rank's counters in the driver's ledger, for the ones only a
+    /// behavior can count: units of work skipped thanks to an early
+    /// cancellation signal ([`NodeStats::cancellations_saved`]) and the draft
+    /// link's timeouts, retries and failovers.  Everything the driver itself
+    /// sees (messages, bytes, compute, idle work, faults) it counts itself.
+    fn stats(&mut self) -> &mut NodeStats;
     /// Asks the driver to re-invoke [`NodeBehavior::on_idle`] at time `at`
     /// even if no message has arrived by then — how a behavior arms a
     /// deadline (e.g. a draft-request timeout).  The simulator honors wake
@@ -229,7 +208,7 @@ mod trait_tests {
 
     #[test]
     fn default_on_idle_blocks() {
-        struct Ctx;
+        struct Ctx(NodeStats);
         impl NodeCtx<Ping> for Ctx {
             fn rank(&self) -> Rank {
                 0
@@ -242,9 +221,12 @@ mod trait_tests {
             }
             fn send(&mut self, _: Rank, _: Tag, _: Ping) {}
             fn elapse(&mut self, _: SimTime) {}
+            fn stats(&mut self) -> &mut NodeStats {
+                &mut self.0
+            }
         }
         let mut n = Nop;
-        assert!(!n.on_idle(&mut Ctx));
+        assert!(!n.on_idle(&mut Ctx(NodeStats::default())));
         assert!(n.is_finished());
     }
 }

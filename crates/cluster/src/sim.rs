@@ -19,10 +19,10 @@
 //! platforms.
 
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::stats::ClusterStats;
+use crate::stats::{gather, ClusterStats, NodeStats, RankLog};
 use crate::topology::Topology;
 use crate::{NodeBehavior, NodeCtx, Rank, SimTime, Tag, WireMessage};
-use pi_trace::{ClockDomain, EventKind, FaultKind, Trace, TraceBuffer, TraceConfig};
+use pi_trace::{ClockDomain, EventKind, FaultKind, Trace, TraceConfig};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -110,64 +110,30 @@ impl<M> Ord for Pending<M> {
     }
 }
 
-/// The `NodeCtx` the simulator hands to behaviors: it records sends and
-/// elapsed compute so the driver can apply them after the callback returns.
-struct SimCtx<M> {
+/// What a callback leaves for the driver to apply once it returns.
+struct Effects<M> {
+    /// The rank's clock: the activation time plus the compute it charged.
+    now: SimTime,
+    /// Earliest wake-up the behavior requested.  Wake requests last until
+    /// the rank's next activation, then must be re-armed; the driver honors
+    /// them only while a fault schedule is attached (fault-free schedules
+    /// stay pinned).
+    wake: Option<SimTime>,
+    /// Sends, with the time each was issued.
+    outgoing: Vec<(Rank, Tag, M, SimTime)>,
+}
+
+/// The `NodeCtx` the simulator hands to behaviors.  Counts and events go
+/// straight to the rank's ledger, which never feeds back into the schedule,
+/// so a traced run takes the exact same schedule as an untraced one.
+struct SimCtx<'a, M> {
     rank: Rank,
     world: usize,
-    now: SimTime,
-    elapsed: SimTime,
-    saved: u64,
-    draft_timeouts: u64,
-    draft_retries: u64,
-    failovers: u64,
-    kv_pages_allocated: u64,
-    kv_page_share_hits: u64,
-    kv_page_cows: u64,
-    kv_page_evictions: u64,
-    cohort_steps: u64,
-    cohort_width_sum: u64,
-    batched_rows: u64,
-    /// Earliest wake-up the behavior requested during this callback.  Wake
-    /// requests last until the rank's next activation, then must be
-    /// re-armed; the driver honors them only while a fault schedule is
-    /// attached (fault-free schedules stay pinned).
-    wake: Option<SimTime>,
-    outgoing: Vec<(Rank, Tag, M, SimTime)>,
-    /// Recording is purely passive — events are buffered here and drained
-    /// into the per-rank [`TraceBuffer`] after the callback returns, so a
-    /// traced run takes the exact same schedule as an untraced one.
-    trace_on: bool,
-    events: Vec<(SimTime, EventKind)>,
+    log: &'a mut RankLog,
+    fx: Effects<M>,
 }
 
-impl<M> SimCtx<M> {
-    fn new(rank: Rank, world: usize, now: SimTime, trace_on: bool) -> Self {
-        Self {
-            rank,
-            world,
-            now,
-            elapsed: 0.0,
-            saved: 0,
-            draft_timeouts: 0,
-            draft_retries: 0,
-            failovers: 0,
-            kv_pages_allocated: 0,
-            kv_page_share_hits: 0,
-            kv_page_cows: 0,
-            kv_page_evictions: 0,
-            cohort_steps: 0,
-            cohort_width_sum: 0,
-            batched_rows: 0,
-            wake: None,
-            outgoing: Vec::new(),
-            trace_on,
-            events: Vec::new(),
-        }
-    }
-}
-
-impl<M: WireMessage> NodeCtx<M> for SimCtx<M> {
+impl<M: WireMessage> NodeCtx<M> for SimCtx<'_, M> {
     fn rank(&self) -> Rank {
         self.rank
     }
@@ -175,73 +141,254 @@ impl<M: WireMessage> NodeCtx<M> for SimCtx<M> {
         self.world
     }
     fn now(&self) -> SimTime {
-        self.now
+        self.fx.now
     }
     fn send(&mut self, dst: Rank, tag: Tag, msg: M) {
-        if self.trace_on {
-            self.events.push((
-                self.now,
-                EventKind::WireSend {
-                    dst: dst as u32,
-                    tag,
-                    bytes: msg.wire_bytes(),
-                    draft: msg.is_draft(),
-                },
-            ));
-        }
-        self.outgoing.push((dst, tag, msg, self.now));
+        self.log.sent(self.fx.now, dst, tag, &msg);
+        self.fx.outgoing.push((dst, tag, msg, self.fx.now));
     }
     fn elapse(&mut self, seconds: SimTime) {
         let s = seconds.max(0.0);
-        self.now += s;
-        self.elapsed += s;
+        self.fx.now += s;
         // Span-end convention: the Compute span is stamped at its end.
-        if self.trace_on && s > 0.0 {
-            self.events.push((self.now, EventKind::Compute { dur: s }));
-        }
+        self.log.computed(self.fx.now, s);
     }
-    fn record_cancellation_saved(&mut self, n: u64) {
-        self.saved += n;
-    }
-    fn record_draft_timeout(&mut self) {
-        self.draft_timeouts += 1;
-    }
-    fn record_draft_retry(&mut self) {
-        self.draft_retries += 1;
-    }
-    fn record_failover(&mut self) {
-        self.failovers += 1;
-    }
-    fn record_kv_pages(&mut self, allocated: u64, share_hits: u64, cows: u64, evictions: u64) {
-        self.kv_pages_allocated += allocated;
-        self.kv_page_share_hits += share_hits;
-        self.kv_page_cows += cows;
-        self.kv_page_evictions += evictions;
-    }
-    fn record_cohort_step(&mut self, width: u64, rows: u64) {
-        self.cohort_steps += 1;
-        self.cohort_width_sum += width;
-        self.batched_rows += rows;
+    fn stats(&mut self) -> &mut NodeStats {
+        self.log.stats()
     }
     fn request_wake(&mut self, at: SimTime) {
-        self.wake = Some(match self.wake {
-            Some(w) => w.min(at),
-            None => at,
-        });
+        self.fx.wake = Some(self.fx.wake.map_or(at, |w| w.min(at)));
     }
     fn trace_enabled(&self) -> bool {
-        cfg!(feature = "trace") && self.trace_on
+        self.log.tracing()
     }
     fn trace(&mut self, kind: EventKind) {
-        if self.trace_on {
-            self.events.push((self.now, kind));
-        }
+        self.log.trace(self.fx.now, kind);
     }
 }
 
+#[derive(Clone, Copy)]
 enum ActivationKind {
     Deliver,
     Idle,
+}
+
+/// One rank's state over a run.
+struct Node<M> {
+    log: RankLog,
+    /// The rank's clock: where its last activation ended.
+    time: SimTime,
+    /// Its last idle poll found nothing to do; only a message (or, with
+    /// faults armed, a wake-up) activates it again.
+    blocked: bool,
+    finished: bool,
+    killed: bool,
+    /// The wake-up its last callback requested.
+    wake: Option<SimTime>,
+    /// Messages on their way to the rank: ordinary traffic, and the
+    /// out-of-band control signals checked ahead of it.
+    inbox: BinaryHeap<Pending<M>>,
+    priority_inbox: BinaryHeap<Pending<M>>,
+    /// Per destination: when this rank's link to it frees its transfer slot.
+    link_free: Vec<SimTime>,
+    /// Per destination: the latest in-order arrival scheduled on the link.
+    /// Delay faults stretch a message's flight time but must not let later
+    /// traffic overtake it (per-link FIFO holds unless a reorder fault
+    /// explicitly lifts it).
+    link_fifo: Vec<SimTime>,
+}
+
+impl<M> Node<M> {
+    fn new(rank: Rank, world: usize, trace: Option<TraceConfig>) -> Self {
+        Self {
+            log: RankLog::new(rank, trace),
+            time: 0.0,
+            blocked: false,
+            finished: false,
+            killed: false,
+            wake: None,
+            inbox: BinaryHeap::new(),
+            priority_inbox: BinaryHeap::new(),
+            link_free: vec![0.0; world],
+            link_fifo: vec![0.0; world],
+        }
+    }
+
+    /// When and how the rank next activates, if it can.
+    fn activation(&self, faults_armed: bool) -> Option<(SimTime, ActivationKind)> {
+        let arrival = [self.inbox.peek(), self.priority_inbox.peek()]
+            .into_iter()
+            .flatten()
+            .map(|p| p.arrival)
+            .reduce(f64::min);
+        if !self.blocked {
+            let kind = match arrival {
+                Some(a) if a <= self.time => ActivationKind::Deliver,
+                _ => ActivationKind::Idle,
+            };
+            return Some((self.time, kind));
+        }
+        // A blocked rank normally waits for its next arrival; with faults
+        // armed, an armed wake-up (deadline) can also rouse it for an idle
+        // poll.
+        let deliver = arrival.map(|a| (self.time.max(a), ActivationKind::Deliver));
+        let woken = self
+            .wake
+            .filter(|_| faults_armed)
+            .map(|w| (self.time.max(w), ActivationKind::Idle));
+        match (deliver, woken) {
+            (Some(d), Some(w)) => Some(if w.0 < d.0 { w } else { d }),
+            (d, w) => d.or(w),
+        }
+    }
+
+    /// The message to deliver at `t`.  Out-of-band control messages (e.g.
+    /// cancellation signals) that have already arrived are checked first,
+    /// ahead of the ordinary FIFO traffic.
+    fn take_message(&mut self, t: SimTime) -> Pending<M> {
+        let arrived = |inbox: &BinaryHeap<Pending<M>>| inbox.peek().is_some_and(|p| p.arrival <= t);
+        if arrived(&self.priority_inbox) {
+            self.priority_inbox.pop()
+        } else if arrived(&self.inbox) {
+            self.inbox.pop()
+        } else {
+            self.priority_inbox.pop().or_else(|| self.inbox.pop())
+        }
+        .expect("deliver requires a pending message")
+    }
+}
+
+/// The mutable state of one run.
+struct Run<'t, M> {
+    topology: &'t Topology,
+    nodes: Vec<Node<M>>,
+    /// The fault schedule (chaos testing).  `None` keeps every fault-free
+    /// code path — including wake handling — exactly as it always was.
+    injector: Option<FaultInjector>,
+    /// Send order, the tie-break between messages due at the same time.
+    seq: u64,
+}
+
+impl<M: WireMessage> Run<'_, M> {
+    /// The earliest activation of any live rank (lowest rank on a tie).
+    fn next_activation(&self) -> Option<(SimTime, Rank, ActivationKind)> {
+        let faults_armed = self.injector.is_some();
+        let mut best: Option<(SimTime, Rank, ActivationKind)> = None;
+        for (r, node) in self.nodes.iter().enumerate() {
+            if node.finished || node.killed {
+                continue;
+            }
+            if let Some((t, kind)) = node.activation(faults_armed) {
+                if best.is_none_or(|(bt, _, _)| t < bt) {
+                    best = Some((t, r, kind));
+                }
+            }
+        }
+        best
+    }
+
+    /// A context for a callback of rank `r` starting at `now`.
+    fn ctx(&mut self, r: Rank, now: SimTime) -> SimCtx<'_, M> {
+        SimCtx {
+            rank: r,
+            world: self.nodes.len(),
+            log: &mut self.nodes[r].log,
+            fx: Effects {
+                now,
+                wake: None,
+                outgoing: Vec::new(),
+            },
+        }
+    }
+
+    /// Applies what a callback of rank `r` left behind, and retires the
+    /// rank if it has `finished`.
+    fn settle(&mut self, r: Rank, fx: Effects<M>, finished: bool) {
+        let node = &mut self.nodes[r];
+        node.time = fx.now;
+        node.wake = fx.wake;
+        self.dispatch(r, fx.outgoing);
+        if finished {
+            let node = &mut self.nodes[r];
+            node.finished = true;
+            node.inbox.clear();
+            node.priority_inbox.clear();
+            node.log.finished(node.time);
+        }
+    }
+
+    /// Puts rank `src`'s sends on the wire.  Each takes its link's next
+    /// transfer slot; the fault schedule, if any, then decides how many
+    /// copies arrive and when.
+    fn dispatch(&mut self, src: Rank, outgoing: Vec<(Rank, Tag, M, SimTime)>) {
+        for (dst, tag, msg, send_time) in outgoing {
+            if dst >= self.nodes.len() {
+                continue;
+            }
+            let link = self.topology.link(src, dst);
+            let priority = msg.priority();
+            let free = &mut self.nodes[src].link_free[dst];
+            // Priority (out-of-band) messages do not contend for the link's
+            // serialised transfer slot — they are tiny control signals.
+            let start = if priority {
+                send_time
+            } else {
+                send_time.max(*free)
+            };
+            let transfer = msg.wire_bytes() as f64 / link.bandwidth_bps;
+            let arrival = start + link.latency_s + transfer;
+            if !priority {
+                // The slot is consumed whether or not a fault later drops
+                // the message: a dropped message still occupied the wire.
+                *free = start + transfer;
+            }
+            let fate = match self.injector.as_mut() {
+                None => {
+                    // Fault-free fast path: one copy, no clone.
+                    self.post(dst, priority, arrival, src, tag, msg);
+                    continue;
+                }
+                Some(inj) => inj.on_send(src, dst, send_time),
+            };
+            self.nodes[src].log.faulted(send_time, &fate.faults);
+            for (extra, overtakes) in fate.copies {
+                // An overtaking (reordered) copy skips the link's
+                // serialisation queue, exactly like priority traffic.  Every
+                // other copy stays FIFO on its link even when a delay fault
+                // stretches its flight time: later sends are clamped behind
+                // the latest in-order arrival.
+                let arrival = if overtakes {
+                    send_time + link.latency_s + transfer + extra
+                } else if priority {
+                    arrival + extra
+                } else {
+                    let fifo = &mut self.nodes[src].link_fifo[dst];
+                    *fifo = (arrival + extra).max(*fifo);
+                    *fifo
+                };
+                self.post(dst, priority, arrival, src, tag, msg.clone());
+            }
+        }
+    }
+
+    /// Queues one copy of a message for `dst`, rousing it if it was blocked.
+    fn post(&mut self, dst: Rank, priority: bool, arrival: SimTime, src: Rank, tag: Tag, msg: M) {
+        self.seq += 1;
+        let entry = Pending {
+            arrival,
+            seq: self.seq,
+            src,
+            tag,
+            msg,
+        };
+        let node = &mut self.nodes[dst];
+        if priority {
+            node.priority_inbox.push(entry);
+        } else {
+            node.inbox.push(entry);
+        }
+        node.blocked = false;
+    }
 }
 
 impl SimDriver {
@@ -298,157 +445,37 @@ impl SimDriver {
             self.topology.n_ranks(),
             n
         );
-        let mut stats = ClusterStats::new(n);
-        let mut local_time = vec![0.0f64; n];
-        let mut blocked = vec![false; n];
-        let mut finished = vec![false; n];
-        let mut pending: Vec<BinaryHeap<Pending<M>>> = (0..n).map(|_| BinaryHeap::new()).collect();
-        let mut priority_pending: Vec<BinaryHeap<Pending<M>>> =
-            (0..n).map(|_| BinaryHeap::new()).collect();
-        let mut link_free = vec![vec![0.0f64; n]; n];
-        // Latest scheduled in-order arrival per link: delay faults stretch a
-        // message's flight time but must not let later traffic overtake it
-        // (per-link FIFO holds unless a reorder fault explicitly lifts it).
-        let mut link_fifo = vec![vec![0.0f64; n]; n];
-        let mut seq = 0u64;
-        let mut events = 0u64;
-
-        // Fault schedule (chaos testing).  `None` keeps every fault-free
-        // code path — including wake handling — exactly as it always was.
-        let mut injector: Option<FaultInjector> = self
-            .faults
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| FaultInjector::new(p.clone(), n));
-        let faults_armed = injector.is_some();
-        let mut killed = vec![false; n];
-        let mut wake: Vec<Option<SimTime>> = vec![None; n];
-
-        let trace_config = if cfg!(feature = "trace") {
-            self.trace
-        } else {
-            None
+        let mut sim = Run {
+            topology: &self.topology,
+            nodes: (0..n).map(|r| Node::new(r, n, self.trace)).collect(),
+            injector: self
+                .faults
+                .as_ref()
+                .filter(|p| !p.is_empty())
+                .map(|p| FaultInjector::new(p.clone(), n)),
+            seq: 0,
         };
-        let mut bufs: Option<Vec<TraceBuffer>> = trace_config.map(|c| {
-            (0..n)
-                .map(|r| TraceBuffer::new(r as u32, c.capacity_per_rank))
-                .collect()
-        });
-        let trace_on = bufs.is_some();
-        // Start of the wait being tracked for each rank's `Blocked` span
-        // (tracing only; never consulted by the scheduler).
-        let mut block_start: Vec<Option<SimTime>> = vec![None; n];
 
         // on_start at t = 0 for every rank.
-        for r in 0..n {
-            let mut ctx = SimCtx::new(r, n, 0.0, trace_on);
-            behaviors[r].on_start(&mut ctx);
-            local_time[r] = ctx.now;
-            stats.nodes[r].busy_time += ctx.elapsed;
-            stats.nodes[r].cancellations_saved += ctx.saved;
-            stats.nodes[r].draft_timeouts += ctx.draft_timeouts;
-            stats.nodes[r].draft_retries += ctx.draft_retries;
-            stats.nodes[r].failovers += ctx.failovers;
-            stats.nodes[r].kv_pages_allocated += ctx.kv_pages_allocated;
-            stats.nodes[r].kv_page_share_hits += ctx.kv_page_share_hits;
-            stats.nodes[r].kv_page_cows += ctx.kv_page_cows;
-            stats.nodes[r].kv_page_evictions += ctx.kv_page_evictions;
-            stats.nodes[r].cohort_steps += ctx.cohort_steps;
-            stats.nodes[r].cohort_width_sum += ctx.cohort_width_sum;
-            stats.nodes[r].batched_rows += ctx.batched_rows;
-            if faults_armed {
-                wake[r] = ctx.wake;
-            }
-            if let Some(bufs) = bufs.as_mut() {
-                for (ts, kind) in ctx.events.drain(..) {
-                    bufs[r].push(ts, kind);
-                }
-            }
-            Self::dispatch(
-                &self.topology,
-                &mut stats,
-                &mut pending,
-                &mut priority_pending,
-                &mut link_free,
-                &mut link_fifo,
-                &mut blocked,
-                &mut seq,
-                r,
-                ctx.outgoing,
-                &mut injector,
-                &mut bufs,
-            );
-            finished[r] = behaviors[r].is_finished();
-            if finished[r] {
-                if let Some(bufs) = bufs.as_mut() {
-                    bufs[r].push(local_time[r], EventKind::RankFinished);
-                }
-            }
+        for (r, behavior) in behaviors.iter_mut().enumerate() {
+            let mut ctx = sim.ctx(r, 0.0);
+            behavior.on_start(&mut ctx);
+            let fx = ctx.fx;
+            sim.settle(r, fx, behavior.is_finished());
         }
 
+        let mut events = 0u64;
         let halt = loop {
-            if (0..n).all(|r| finished[r] || killed[r]) {
+            if sim.nodes.iter().all(|node| node.finished || node.killed) {
                 break HaltReason::Finished;
             }
             if events >= MAX_EVENTS {
                 break HaltReason::EventLimit;
             }
-            // Choose the rank with the earliest activation.
-            let mut best: Option<(SimTime, Rank, ActivationKind)> = None;
-            for r in 0..n {
-                if finished[r] || killed[r] {
-                    continue;
-                }
-                let earliest_arrival = match (pending[r].peek(), priority_pending[r].peek()) {
-                    (Some(a), Some(b)) => Some(a.arrival.min(b.arrival)),
-                    (Some(a), None) => Some(a.arrival),
-                    (None, Some(b)) => Some(b.arrival),
-                    (None, None) => None,
-                };
-                let candidate = if !blocked[r] {
-                    let kind = if earliest_arrival
-                        .map(|a| a <= local_time[r])
-                        .unwrap_or(false)
-                    {
-                        ActivationKind::Deliver
-                    } else {
-                        ActivationKind::Idle
-                    };
-                    Some((local_time[r], r, kind))
-                } else {
-                    // A blocked rank normally waits for its next arrival;
-                    // with faults armed, an armed wake-up (deadline) can
-                    // also rouse it for an idle poll.
-                    let deliver =
-                        earliest_arrival.map(|a| (local_time[r].max(a), ActivationKind::Deliver));
-                    let woken = if faults_armed {
-                        wake[r].map(|w| (local_time[r].max(w), ActivationKind::Idle))
-                    } else {
-                        None
-                    };
-                    match (deliver, woken) {
-                        (Some((td, kd)), Some((tw, kw))) => {
-                            Some(if tw < td { (tw, r, kw) } else { (td, r, kd) })
-                        }
-                        (Some((td, kd)), None) => Some((td, r, kd)),
-                        (None, Some((tw, kw))) => Some((tw, r, kw)),
-                        (None, None) => None,
-                    }
-                };
-                if let Some((t, r2, k)) = candidate {
-                    let better = match &best {
-                        None => true,
-                        Some((bt, br, _)) => t < *bt || (t == *bt && r2 < *br),
-                    };
-                    if better {
-                        best = Some((t, r2, k));
-                    }
-                }
-            }
-            let Some((t, r, kind)) = best else {
+            let Some((t, r, kind)) = sim.next_activation() else {
                 // No rank can make progress with unfinished ranks left: a
                 // deadlock, or the aftermath of a fault-schedule kill.
-                break if killed.iter().any(|&k| k) {
+                break if sim.nodes.iter().any(|node| node.killed) {
                     HaltReason::RankKilled
                 } else {
                     HaltReason::Deadlock
@@ -457,279 +484,77 @@ impl SimDriver {
             if t > self.max_time {
                 break HaltReason::TimeLimit;
             }
-            if let Some(inj) = injector.as_mut() {
+            if let Some(inj) = sim.injector.as_mut() {
                 // Kills due at or before this activation fire first, then
                 // the schedule is re-examined without the dead ranks.
                 let newly = inj.due_kills(t);
                 if !newly.is_empty() {
                     for k in newly {
-                        killed[k] = true;
-                        pending[k].clear();
-                        priority_pending[k].clear();
-                        wake[k] = None;
-                        block_start[k] = None;
-                        stats.nodes[k].faults_injected += 1;
-                        if let Some(bufs) = bufs.as_mut() {
-                            bufs[k].push(t, EventKind::RankKilled);
-                        }
+                        let node = &mut sim.nodes[k];
+                        node.killed = true;
+                        node.inbox.clear();
+                        node.priority_inbox.clear();
+                        node.log.killed(t);
                     }
                     continue;
                 }
                 // A paused (straggler) rank defers its activation to the
                 // end of the pause window.
                 if let Some((deferred, first)) = inj.pause_deferral(r, t) {
+                    let node = &mut sim.nodes[r];
                     if first {
-                        stats.nodes[r].faults_injected += 1;
-                        if let Some(bufs) = bufs.as_mut() {
-                            bufs[r].push(
-                                t,
-                                EventKind::FaultInjected {
-                                    fault: FaultKind::Pause,
-                                    peer: r as u32,
-                                },
-                            );
-                        }
+                        let pause = EventKind::FaultInjected {
+                            fault: FaultKind::Pause,
+                            peer: r as u32,
+                        };
+                        node.log.faulted(t, &[pause]);
                     }
-                    local_time[r] = local_time[r].max(deferred);
+                    node.time = node.time.max(deferred);
                     continue;
                 }
             }
             events += 1;
-            local_time[r] = t;
-            wake[r] = None;
-            let mut ctx = SimCtx::new(r, n, t, trace_on);
-            match kind {
+            let behavior = &mut behaviors[r];
+            let fx = match kind {
                 ActivationKind::Deliver => {
-                    // Out-of-band control messages (e.g. cancellation
-                    // signals) that have already arrived are checked first,
-                    // ahead of the ordinary FIFO traffic.
-                    let p = match priority_pending[r].peek() {
-                        Some(pp) if pp.arrival <= t => priority_pending[r]
-                            .pop()
-                            .expect("peeked priority message must pop"),
-                        _ => match pending[r].peek() {
-                            Some(np) if np.arrival <= t => {
-                                pending[r].pop().expect("peeked message must pop")
-                            }
-                            _ => priority_pending[r]
-                                .pop()
-                                .or_else(|| pending[r].pop())
-                                .expect("deliver requires a pending message"),
-                        },
-                    };
-                    if let Some(bufs) = bufs.as_mut() {
-                        if let Some(bs) = block_start[r].take() {
-                            if t > bs {
-                                bufs[r].push(t, EventKind::Blocked { dur: t - bs });
-                            }
-                        }
-                        bufs[r].push(
-                            t,
-                            EventKind::WireRecv {
-                                src: p.src as u32,
-                                tag: p.tag,
-                                bytes: p.msg.wire_bytes(),
-                            },
-                        );
-                    }
-                    stats.nodes[r].messages_received += 1;
-                    behaviors[r].on_message(p.src, p.tag, p.msg, &mut ctx);
-                    blocked[r] = false;
+                    let p = sim.nodes[r].take_message(t);
+                    sim.nodes[r].log.received(t, p.src, p.tag, &p.msg);
+                    let mut ctx = sim.ctx(r, t);
+                    behavior.on_message(p.src, p.tag, p.msg, &mut ctx);
+                    let fx = ctx.fx;
+                    sim.nodes[r].blocked = false;
+                    fx
                 }
                 ActivationKind::Idle => {
-                    let worked = behaviors[r].on_idle(&mut ctx);
+                    let mark = sim.nodes[r].log.mark();
+                    let mut ctx = sim.ctx(r, t);
+                    let worked = behavior.on_idle(&mut ctx);
+                    let fx = ctx.fx;
+                    let node = &mut sim.nodes[r];
+                    // A blocked rank roused by a wake-up resumes and closes
+                    // the wait it was in; a fruitless poll blocks it.
+                    node.blocked = !worked;
                     if worked {
-                        stats.nodes[r].idle_work += 1;
-                        // A blocked rank roused by a wake-up resumes; close
-                        // the Blocked span its wait opened.
-                        blocked[r] = false;
-                        if let Some(bs) = block_start[r].take() {
-                            if let Some(bufs) = bufs.as_mut() {
-                                if t > bs {
-                                    bufs[r].push(t, EventKind::Blocked { dur: t - bs });
-                                }
-                            }
-                        }
+                        node.log.idle_worked(t, mark);
                     } else {
-                        blocked[r] = true;
-                        if trace_on && block_start[r].is_none() {
-                            block_start[r] = Some(ctx.now);
-                        }
+                        node.log.blocked(fx.now);
                     }
+                    fx
                 }
-            }
-            local_time[r] = ctx.now;
-            stats.nodes[r].busy_time += ctx.elapsed;
-            stats.nodes[r].cancellations_saved += ctx.saved;
-            stats.nodes[r].draft_timeouts += ctx.draft_timeouts;
-            stats.nodes[r].draft_retries += ctx.draft_retries;
-            stats.nodes[r].failovers += ctx.failovers;
-            stats.nodes[r].kv_pages_allocated += ctx.kv_pages_allocated;
-            stats.nodes[r].kv_page_share_hits += ctx.kv_page_share_hits;
-            stats.nodes[r].kv_page_cows += ctx.kv_page_cows;
-            stats.nodes[r].kv_page_evictions += ctx.kv_page_evictions;
-            stats.nodes[r].cohort_steps += ctx.cohort_steps;
-            stats.nodes[r].cohort_width_sum += ctx.cohort_width_sum;
-            stats.nodes[r].batched_rows += ctx.batched_rows;
-            if faults_armed {
-                wake[r] = ctx.wake;
-            }
-            if let Some(bufs) = bufs.as_mut() {
-                for (ts, kind) in ctx.events.drain(..) {
-                    bufs[r].push(ts, kind);
-                }
-            }
-            Self::dispatch(
-                &self.topology,
-                &mut stats,
-                &mut pending,
-                &mut priority_pending,
-                &mut link_free,
-                &mut link_fifo,
-                &mut blocked,
-                &mut seq,
-                r,
-                ctx.outgoing,
-                &mut injector,
-                &mut bufs,
-            );
-            if behaviors[r].is_finished() {
-                finished[r] = true;
-                pending[r].clear();
-                priority_pending[r].clear();
-                if let Some(bufs) = bufs.as_mut() {
-                    // A rank that finishes straight out of a fruitless
-                    // on_idle would otherwise leave a zero-length block open.
-                    block_start[r] = None;
-                    bufs[r].push(local_time[r], EventKind::RankFinished);
-                }
-            }
+            };
+            sim.settle(r, fx, behavior.is_finished());
         };
 
-        stats.total_time = local_time.iter().copied().fold(0.0, f64::max);
-        if let Some(bufs) = bufs.as_mut() {
-            // Close any wait still open at the end of an aborted run so the
-            // per-rank timeline remains fully tiled.
-            let end = stats.total_time;
-            for r in 0..n {
-                if let Some(bs) = block_start[r].take() {
-                    if end > bs {
-                        bufs[r].push(end, EventKind::Blocked { dur: end - bs });
-                    }
-                }
-            }
-        }
-        let trace = bufs.map(|b| Trace::assemble(b, ClockDomain::Virtual));
+        let total_time = sim.nodes.iter().map(|node| node.time).fold(0.0, f64::max);
+        // Any wait still open at the end of an aborted run closes there, so
+        // the per-rank timeline remains fully tiled.
+        let ledgers = sim.nodes.into_iter().map(|node| node.log.close(total_time));
+        let (stats, trace) = gather(ledgers, total_time, ClockDomain::Virtual);
         SimOutcome {
             behaviors,
             stats,
             halt,
             trace,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<M: WireMessage>(
-        topology: &Topology,
-        stats: &mut ClusterStats,
-        pending: &mut [BinaryHeap<Pending<M>>],
-        priority_pending: &mut [BinaryHeap<Pending<M>>],
-        link_free: &mut [Vec<SimTime>],
-        link_fifo: &mut [Vec<SimTime>],
-        blocked: &mut [bool],
-        seq: &mut u64,
-        src: Rank,
-        outgoing: Vec<(Rank, Tag, M, SimTime)>,
-        injector: &mut Option<FaultInjector>,
-        bufs: &mut Option<Vec<TraceBuffer>>,
-    ) {
-        for (dst, tag, msg, send_time) in outgoing {
-            if dst >= pending.len() {
-                continue;
-            }
-            let link = topology.link(src, dst);
-            let bytes = msg.wire_bytes();
-            let priority = msg.priority();
-            // Priority (out-of-band) messages do not contend for the link's
-            // serialised transfer slot — they are tiny control signals.
-            let start = if priority {
-                send_time
-            } else {
-                send_time.max(link_free[src][dst])
-            };
-            let transfer = bytes as f64 / link.bandwidth_bps;
-            let arrival = start + link.latency_s + transfer;
-            if !priority {
-                // The slot is consumed whether or not a fault later drops
-                // the message: a dropped message still occupied the wire.
-                link_free[src][dst] = start + transfer;
-            }
-            stats.nodes[src].messages_sent += 1;
-            stats.nodes[src].bytes_sent += bytes;
-            if msg.is_draft() {
-                stats.nodes[src].draft_messages_sent += 1;
-                stats.nodes[src].draft_bytes_sent += bytes;
-            }
-            match injector.as_mut() {
-                None => {
-                    // Fault-free fast path: one copy, no clone.
-                    *seq += 1;
-                    let entry = Pending {
-                        arrival,
-                        seq: *seq,
-                        src,
-                        tag,
-                        msg,
-                    };
-                    if priority {
-                        priority_pending[dst].push(entry);
-                    } else {
-                        pending[dst].push(entry);
-                    }
-                    blocked[dst] = false;
-                }
-                Some(inj) => {
-                    let fate = inj.on_send(src, dst, send_time);
-                    if !fate.faults.is_empty() {
-                        stats.nodes[src].faults_injected += fate.faults.len() as u64;
-                        if let Some(bufs) = bufs.as_mut() {
-                            for kind in &fate.faults {
-                                bufs[src].push(send_time, *kind);
-                            }
-                        }
-                    }
-                    for (extra, overtakes) in fate.copies {
-                        // An overtaking (reordered) copy skips the link's
-                        // serialisation queue, exactly like priority traffic.
-                        // Every other copy stays FIFO on its link even when a
-                        // delay fault stretches its flight time: later sends
-                        // are clamped behind the latest in-order arrival.
-                        let arrival = if overtakes {
-                            send_time + link.latency_s + transfer + extra
-                        } else if priority {
-                            arrival + extra
-                        } else {
-                            let a = (arrival + extra).max(link_fifo[src][dst]);
-                            link_fifo[src][dst] = a;
-                            a
-                        };
-                        *seq += 1;
-                        let entry = Pending {
-                            arrival,
-                            seq: *seq,
-                            src,
-                            tag,
-                            msg: msg.clone(),
-                        };
-                        if priority {
-                            priority_pending[dst].push(entry);
-                        } else {
-                            pending[dst].push(entry);
-                        }
-                        blocked[dst] = false;
-                    }
-                }
-            }
         }
     }
 }

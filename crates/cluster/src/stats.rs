@@ -1,10 +1,19 @@
-//! Per-rank and cluster-wide execution statistics.
+//! Per-rank and cluster-wide execution statistics, and the one ledger that
+//! keeps them.
 //!
-//! Both drivers populate these; the benches use them for the utilisation and
-//! communication-volume numbers quoted alongside the paper's figures
-//! (e.g. "system utilization doubled" in §I).
+//! Each rank of either driver owns a `RankLog`: its [`NodeStats`], its
+//! event ring when a recorder is attached, and the wait it is blocked in.
+//! The drivers tell the log what happened to the rank (a message sent or
+//! received, an injected fault, an idle poll that did work, a wait, the end
+//! of the rank); behaviors add their own counts through
+//! [`NodeCtx::stats`](crate::NodeCtx::stats).  Nothing else writes a counter
+//! or pushes a driver event, so a count means the same on both drivers.  The
+//! benches use the counters for the utilisation and communication-volume
+//! numbers quoted alongside the paper's figures (e.g. "system utilization
+//! doubled" in §I).
 
-use crate::{Rank, SimTime};
+use crate::{Rank, SimTime, Tag, WireMessage};
+use pi_trace::{ClockDomain, EventKind, Trace, TraceBuffer, TraceConfig};
 
 /// Statistics for a single rank.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -42,27 +51,165 @@ pub struct NodeStats {
     /// duplicated/reordered messages it sent, plus pauses and kills it
     /// suffered.
     pub faults_injected: u64,
-    /// KV pages this rank's paged caches materialised on first write.
-    pub kv_pages_allocated: u64,
-    /// Committed pool pages this rank attached instead of recomputing
-    /// (prefix-cache hits, counted in pages).
-    pub kv_page_share_hits: u64,
-    /// Shared pages this rank cloned copy-on-write at divergence points.
-    pub kv_page_cows: u64,
-    /// Pages this rank released or evicted at page granularity (fully-free
-    /// private pages plus pool LRU evictions it triggered).
-    pub kv_page_evictions: u64,
-    /// Decode micro-batches this rank evaluated through its layer slice —
-    /// one per `stage_forward`, whatever the cohort width.
-    pub cohort_steps: u64,
-    /// Sum over those steps of the number of requests (batch lanes) fused
-    /// into the step's forest batch; `cohort_width_sum / cohort_steps` is
-    /// the mean cohort width.  Thread-per-request serving counts width 1
-    /// everywhere; iteration-level batching counts the in-flight cohort.
-    pub cohort_width_sum: u64,
-    /// Total batch rows those steps pushed through the fused projections
-    /// and FFNs (each row shares the step's single weight stream).
-    pub batched_rows: u64,
+}
+
+/// One rank's ledger (see the module docs).
+pub(crate) struct RankLog {
+    stats: NodeStats,
+    buf: Option<TraceBuffer>,
+    /// Start of the wait a `Blocked` span is open for (tracing only).
+    blocked_since: Option<SimTime>,
+}
+
+impl RankLog {
+    /// An empty ledger for `rank`, with an event ring iff `trace` is given
+    /// and the `trace` feature is compiled in.
+    pub(crate) fn new(rank: Rank, trace: Option<TraceConfig>) -> Self {
+        let buf = trace
+            .filter(|_| cfg!(feature = "trace"))
+            .map(|c| TraceBuffer::new(rank as u32, c.capacity_per_rank));
+        Self {
+            stats: NodeStats::default(),
+            buf,
+            blocked_since: None,
+        }
+    }
+
+    /// The counters, for behaviors to add their own to.
+    pub(crate) fn stats(&mut self) -> &mut NodeStats {
+        &mut self.stats
+    }
+
+    /// Whether events are being recorded.
+    pub(crate) fn tracing(&self) -> bool {
+        cfg!(feature = "trace") && self.buf.is_some()
+    }
+
+    /// Records `kind` at `at`, if events are being recorded.
+    pub(crate) fn trace(&mut self, at: SimTime, kind: EventKind) {
+        if let Some(buf) = self.buf.as_mut() {
+            buf.push(at, kind);
+        }
+    }
+
+    /// How many events have been recorded, dropped ones included: the mark
+    /// an idle poll takes before it starts (see [`RankLog::idle_worked`]).
+    pub(crate) fn mark(&self) -> u64 {
+        self.buf
+            .as_ref()
+            .map_or(0, |b| b.len() as u64 + b.dropped())
+    }
+
+    /// `dur` seconds of compute charged, ending at `at`.
+    pub(crate) fn computed(&mut self, at: SimTime, dur: SimTime) {
+        self.stats.busy_time += dur;
+        if dur > 0.0 {
+            self.trace(at, EventKind::Compute { dur });
+        }
+    }
+
+    /// `msg` sent to `dst` at `at`.  A message a fault later drops still
+    /// counts: it occupied the wire.
+    pub(crate) fn sent<M: WireMessage>(&mut self, at: SimTime, dst: Rank, tag: Tag, msg: &M) {
+        let (bytes, draft) = (msg.wire_bytes(), msg.is_draft());
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes;
+        if draft {
+            self.stats.draft_messages_sent += 1;
+            self.stats.draft_bytes_sent += bytes;
+        }
+        let dst = dst as u32;
+        self.trace(
+            at,
+            EventKind::WireSend {
+                dst,
+                tag,
+                bytes,
+                draft,
+            },
+        );
+    }
+
+    /// `msg` from `src` delivered at `at`, ending any wait.
+    pub(crate) fn received<M: WireMessage>(&mut self, at: SimTime, src: Rank, tag: Tag, msg: &M) {
+        self.stats.messages_received += 1;
+        self.close_wait(at, 0);
+        if self.tracing() {
+            let (src, bytes) = (src as u32, msg.wire_bytes());
+            self.trace(at, EventKind::WireRecv { src, tag, bytes });
+        }
+    }
+
+    /// `faults` injected on this rank at `at`.
+    pub(crate) fn faulted(&mut self, at: SimTime, faults: &[EventKind]) {
+        self.stats.faults_injected += faults.len() as u64;
+        for &kind in faults {
+            self.trace(at, kind);
+        }
+    }
+
+    /// An idle poll that began at `at`, when the log stood at `mark`, did
+    /// work.  The wait it ended closes at `at`, ordered ahead of the events
+    /// the poll itself recorded.
+    pub(crate) fn idle_worked(&mut self, at: SimTime, mark: u64) {
+        self.stats.idle_work += 1;
+        self.close_wait(at, (self.mark() - mark) as usize);
+    }
+
+    /// The rank found nothing to do and waits from `at`, unless it already
+    /// was waiting.
+    pub(crate) fn blocked(&mut self, at: SimTime) {
+        if self.tracing() && self.blocked_since.is_none() {
+            self.blocked_since = Some(at);
+        }
+    }
+
+    /// The rank finished at `at`.  A finished rank waits for nothing, so an
+    /// open wait is dropped, not closed.
+    pub(crate) fn finished(&mut self, at: SimTime) {
+        self.blocked_since = None;
+        self.trace(at, EventKind::RankFinished);
+    }
+
+    /// A fault schedule killed the rank at `at`; like a finish, it ends any
+    /// wait unrecorded.
+    pub(crate) fn killed(&mut self, at: SimTime) {
+        self.blocked_since = None;
+        self.faulted(at, &[EventKind::RankKilled]);
+    }
+
+    /// Closes a wait still open when the run ended at `end` and hands over
+    /// the counters and the ring.
+    pub(crate) fn close(mut self, end: SimTime) -> (NodeStats, Option<TraceBuffer>) {
+        self.close_wait(end, 0);
+        (self.stats, self.buf)
+    }
+
+    /// Ends the open wait at `at`, recording it ahead of the newest `behind`
+    /// events.
+    fn close_wait(&mut self, at: SimTime, behind: usize) {
+        let Some(since) = self.blocked_since.take() else {
+            return;
+        };
+        if let Some(buf) = self.buf.as_mut().filter(|_| at > since) {
+            buf.push_behind(behind, at, EventKind::Blocked { dur: at - since });
+        }
+    }
+}
+
+/// The run's statistics from its ranks' closed ledgers (in rank order), and
+/// its trace if they recorded one.
+pub(crate) fn gather(
+    ledgers: impl IntoIterator<Item = (NodeStats, Option<TraceBuffer>)>,
+    total_time: SimTime,
+    domain: ClockDomain,
+) -> (ClusterStats, Option<Trace>) {
+    let (nodes, bufs): (Vec<_>, Vec<_>) = ledgers.into_iter().unzip();
+    let bufs: Option<Vec<_>> = bufs.into_iter().collect();
+    let trace = bufs
+        .filter(|bufs| !bufs.is_empty())
+        .map(|bufs| Trace::assemble(bufs, domain));
+    (ClusterStats { total_time, nodes }, trace)
 }
 
 /// Statistics for the whole cluster run.
@@ -133,23 +280,6 @@ impl ClusterStats {
     pub fn total_faults_injected(&self) -> u64 {
         self.nodes.iter().map(|n| n.faults_injected).sum()
     }
-
-    /// Total decode micro-batches evaluated across all ranks.
-    pub fn total_cohort_steps(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cohort_steps).sum()
-    }
-
-    /// Mean number of requests fused per decode step across all ranks
-    /// (1.0 for thread-per-request serving, > 1 when iteration-level
-    /// batching actually fuses concurrent requests; 0 when no stage ever
-    /// ran).
-    pub fn mean_cohort_width(&self) -> f64 {
-        let steps = self.total_cohort_steps();
-        if steps == 0 {
-            return 0.0;
-        }
-        self.nodes.iter().map(|n| n.cohort_width_sum).sum::<u64>() as f64 / steps as f64
-    }
 }
 
 #[cfg(test)]
@@ -200,21 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn cohort_aggregates() {
-        let mut c = ClusterStats::new(2);
-        assert_eq!(c.mean_cohort_width(), 0.0, "no steps yet");
-        c.nodes[0].cohort_steps = 3;
-        c.nodes[0].cohort_width_sum = 9;
-        c.nodes[1].cohort_steps = 1;
-        c.nodes[1].cohort_width_sum = 1;
-        assert_eq!(c.total_cohort_steps(), 4);
-        assert!((c.mean_cohort_width() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_cluster_is_safe() {
         let c = ClusterStats::new(0);
-        assert_eq!(c.mean_cohort_width(), 0.0);
+        assert_eq!(c.total_bytes(), 0);
         assert_eq!(c.total_messages(), 0);
     }
 }

@@ -9,12 +9,13 @@
 //! examples.
 
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::stats::{ClusterStats, NodeStats};
+use crate::stats::{gather, ClusterStats, NodeStats, RankLog};
 use crate::{NodeBehavior, NodeCtx, Rank, SimTime, Tag, WireMessage};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use pi_trace::{Clock, ClockDomain, EventKind, MonotonicClock, Trace, TraceBuffer, TraceConfig};
+use pi_trace::{Clock, ClockDomain, EventKind, MonotonicClock, Trace, TraceConfig};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Result of a threaded run.
 pub struct ThreadedOutcome<M: WireMessage> {
@@ -39,6 +40,46 @@ struct Envelope<M> {
 /// Per-rank mailboxes: one sender handle per destination, one receiver each.
 type Channels<M> = (Vec<Sender<Envelope<M>>>, Vec<Receiver<Envelope<M>>>);
 
+/// The ordered delivery path of a link that has carried a delayed message:
+/// one thread hands each message over once it is due, in send order, and no
+/// message is due before the one sent ahead of it.
+struct DelayLine<M> {
+    tx: Sender<(Instant, Envelope<M>)>,
+    last_due: Instant,
+    thread: JoinHandle<()>,
+}
+
+impl<M: WireMessage> DelayLine<M> {
+    fn open(dst: Sender<Envelope<M>>) -> Self {
+        let (tx, rx) = unbounded::<(Instant, Envelope<M>)>();
+        let thread = std::thread::spawn(move || {
+            for (due, env) in rx {
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                let _ = dst.send(env);
+            }
+        });
+        Self {
+            tx,
+            last_due: Instant::now(),
+            thread,
+        }
+    }
+
+    /// Queues `env` to be handed over `extra` seconds from now, or right
+    /// after the message ahead of it, whichever is later.
+    fn post(&mut self, extra: f64, env: Envelope<M>) {
+        let due = Instant::now() + Duration::from_secs_f64(extra.max(0.0));
+        self.last_due = self.last_due.max(due);
+        let _ = self.tx.send((self.last_due, env));
+    }
+
+    /// Hands over everything still queued, then stops the thread.
+    fn close(self) {
+        drop(self.tx);
+        self.thread.join().expect("delay line thread panicked");
+    }
+}
+
 struct ThreadedCtx<M> {
     rank: Rank,
     world: usize,
@@ -46,13 +87,15 @@ struct ThreadedCtx<M> {
     /// The run's epoch on `clock`; `now()` is relative to it.
     t0: f64,
     senders: Vec<Sender<Envelope<M>>>,
-    stats: NodeStats,
     /// Shared fault injector (best-effort subset: drop/delay/duplicate on
     /// the send path), present iff the driver was built `with_faults`.
     injector: Option<Arc<Mutex<FaultInjector>>>,
-    /// This rank's private event ring — per-thread by construction, so the
-    /// hot path takes no locks.
-    buf: Option<TraceBuffer>,
+    /// Per destination, the link's delay line once it has carried a delayed
+    /// message.
+    lines: Vec<Option<DelayLine<M>>>,
+    /// This rank's ledger — per-thread by construction, so the hot path
+    /// takes no locks.
+    log: RankLog,
 }
 
 impl<M: WireMessage> NodeCtx<M> for ThreadedCtx<M> {
@@ -66,119 +109,63 @@ impl<M: WireMessage> NodeCtx<M> for ThreadedCtx<M> {
         (self.clock.now() - self.t0).max(0.0)
     }
     fn send(&mut self, dst: Rank, tag: Tag, msg: M) {
-        let bytes = msg.wire_bytes();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes;
-        if msg.is_draft() {
-            self.stats.draft_messages_sent += 1;
-            self.stats.draft_bytes_sent += bytes;
-        }
-        if self.trace_enabled() {
-            self.trace(EventKind::WireSend {
-                dst: dst as u32,
+        let now = self.now();
+        self.log.sent(now, dst, tag, &msg);
+        let src = self.rank;
+        let Some(inj) = self.injector.as_ref() else {
+            // A send to a rank that already exited is silently dropped,
+            // matching buffered-send semantics after a receiver has
+            // finalised.
+            let _ = self.senders[dst].send(Envelope { src, tag, msg });
+            return;
+        };
+        let fate = inj
+            .lock()
+            .expect("a rank panicked while deciding a fault")
+            .on_send(src, dst, now);
+        self.log.faulted(now, &fate.faults);
+        for &(extra, _overtakes) in &fate.copies {
+            let env = Envelope {
+                src,
                 tag,
-                bytes,
-                draft: msg.is_draft(),
-            });
-        }
-        match self.injector.as_ref() {
-            None => {
-                // A send to a rank that already exited is silently dropped,
-                // matching buffered-send semantics after a receiver has
-                // finalised.
-                let _ = self.senders[dst].send(Envelope {
-                    src: self.rank,
-                    tag,
-                    msg,
-                });
-            }
-            Some(inj) => {
-                let now = self.now();
-                let fate = inj.lock().unwrap().on_send(self.rank, dst, now);
-                self.stats.faults_injected += fate.faults.len() as u64;
-                if self.trace_enabled() {
-                    for kind in &fate.faults {
-                        self.trace(*kind);
-                    }
-                }
-                for &(extra, _overtakes) in &fate.copies {
-                    let env = Envelope {
-                        src: self.rank,
-                        tag,
-                        msg: msg.clone(),
-                    };
-                    if extra > 0.0 {
-                        // Injected latency: deliver from a helper thread so
-                        // the sender keeps its buffered-send semantics.
-                        let sender = self.senders[dst].clone();
-                        let delay = Duration::from_secs_f64(extra);
-                        std::thread::spawn(move || {
-                            std::thread::sleep(delay);
-                            let _ = sender.send(env);
-                        });
-                    } else {
-                        let _ = self.senders[dst].send(env);
-                    }
-                }
+                msg: msg.clone(),
+            };
+            let line = &mut self.lines[dst];
+            if extra <= 0.0 && line.is_none() {
+                let _ = self.senders[dst].send(env);
+            } else {
+                // Injected latency: the sender keeps its buffered-send
+                // semantics, and nothing overtakes the delayed message.
+                let sender = &self.senders[dst];
+                line.get_or_insert_with(|| DelayLine::open(sender.clone()))
+                    .post(extra, env);
             }
         }
     }
     fn elapse(&mut self, seconds: SimTime) {
         // Real compute already took real time; only record it.
-        let s = seconds.max(0.0);
-        self.stats.busy_time += s;
-        if s > 0.0 && self.trace_enabled() {
-            self.trace(EventKind::Compute { dur: s });
-        }
+        let now = self.now();
+        self.log.computed(now, seconds.max(0.0));
     }
-    fn record_cancellation_saved(&mut self, n: u64) {
-        self.stats.cancellations_saved += n;
-    }
-    fn record_draft_timeout(&mut self) {
-        self.stats.draft_timeouts += 1;
-    }
-    fn record_draft_retry(&mut self) {
-        self.stats.draft_retries += 1;
-    }
-    fn record_failover(&mut self) {
-        self.stats.failovers += 1;
-    }
-    fn record_kv_pages(&mut self, allocated: u64, share_hits: u64, cows: u64, evictions: u64) {
-        self.stats.kv_pages_allocated += allocated;
-        self.stats.kv_page_share_hits += share_hits;
-        self.stats.kv_page_cows += cows;
-        self.stats.kv_page_evictions += evictions;
-    }
-    fn record_cohort_step(&mut self, width: u64, rows: u64) {
-        self.stats.cohort_steps += 1;
-        self.stats.cohort_width_sum += width;
-        self.stats.batched_rows += rows;
+    fn stats(&mut self) -> &mut NodeStats {
+        self.log.stats()
     }
     fn trace_enabled(&self) -> bool {
-        cfg!(feature = "trace") && self.buf.is_some()
+        self.log.tracing()
     }
     fn trace(&mut self, kind: EventKind) {
-        #[cfg(feature = "trace")]
-        if self.buf.is_some() {
-            let ts = (self.clock.now() - self.t0).max(0.0);
-            if let Some(buf) = self.buf.as_mut() {
-                buf.push(ts, kind);
-            }
+        if self.log.tracing() {
+            let now = self.now();
+            self.log.trace(now, kind);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = kind;
     }
 }
 
 impl<M: WireMessage> ThreadedCtx<M> {
-    /// Closes an open blocked-wait span, if one is being tracked.
-    fn close_blocked(&mut self, blocked_since: &mut Option<f64>) {
-        if let Some(since) = blocked_since.take() {
-            let end = self.now();
-            if end > since {
-                self.trace(EventKind::Blocked { dur: end - since });
-            }
-        }
+    fn deliver(&mut self, env: Envelope<M>, behavior: &mut dyn NodeBehavior<M>) {
+        let now = self.now();
+        self.log.received(now, env.src, env.tag, &env.msg);
+        behavior.on_message(env.src, env.tag, env.msg, self);
     }
 }
 
@@ -232,10 +219,12 @@ impl ThreadedDriver {
     /// Attaches a chaos schedule ([`FaultPlan`]), best-effort: the per-link
     /// message faults (drop/delay/duplicate) are applied on the send path;
     /// rank pauses, kills and reordering need the virtual-time control only
-    /// the simulator has and are ignored here.  Fault *decisions* are seeded
-    /// and deterministic, but wall-clock thread interleaving still varies
-    /// between runs — use [`SimDriver`](crate::sim::SimDriver) for
-    /// bit-identical chaos replays.
+    /// the simulator has and are ignored here.  Delays are real waits, and
+    /// they keep per-link FIFO order: once a link has carried a delayed
+    /// message, every later message on it travels through one delivery
+    /// thread behind it.  Fault *decisions* are seeded and deterministic,
+    /// but wall-clock thread interleaving still varies between runs — use
+    /// [`SimDriver`](crate::sim::SimDriver) for bit-identical chaos replays.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -252,11 +241,7 @@ impl ThreadedDriver {
         let (senders, receivers): Channels<M> = (0..n).map(|_| unbounded()).unzip();
 
         let timeout = self.timeout.as_secs_f64();
-        let trace_config = if cfg!(feature = "trace") {
-            self.trace
-        } else {
-            None
-        };
+        let trace = self.trace;
         let injector: Option<Arc<Mutex<FaultInjector>>> = self
             .faults
             .as_ref()
@@ -277,90 +262,63 @@ impl ThreadedDriver {
                         clock,
                         t0,
                         senders,
-                        stats: NodeStats::default(),
                         injector,
-                        buf: trace_config
-                            .map(|c| TraceBuffer::new(rank as u32, c.capacity_per_rank)),
+                        lines: (0..n).map(|_| None).collect(),
+                        log: RankLog::new(rank, trace),
                     };
                     behavior.on_start(&mut ctx);
-                    // Start of the wait currently being tracked for a
-                    // `Blocked` span (tracing only).
-                    let mut blocked_since: Option<f64> = None;
                     let completed = loop {
                         if behavior.is_finished() {
                             break true;
                         }
-                        if ctx.now() > timeout {
+                        let now = ctx.now();
+                        if now > timeout {
                             break false;
                         }
                         match rx.try_recv() {
-                            Ok(env) => {
-                                ctx.close_blocked(&mut blocked_since);
-                                if ctx.trace_enabled() {
-                                    ctx.trace(EventKind::WireRecv {
-                                        src: env.src as u32,
-                                        tag: env.tag,
-                                        bytes: env.msg.wire_bytes(),
-                                    });
-                                }
-                                ctx.stats.messages_received += 1;
-                                behavior.on_message(env.src, env.tag, env.msg, &mut ctx);
-                            }
+                            Ok(env) => ctx.deliver(env, behavior.as_mut()),
                             Err(TryRecvError::Empty) => {
+                                let mark = ctx.log.mark();
                                 if behavior.on_idle(&mut ctx) {
-                                    ctx.close_blocked(&mut blocked_since);
-                                    ctx.stats.idle_work += 1;
+                                    ctx.log.idle_worked(now, mark);
                                     continue;
                                 }
-                                if ctx.trace_enabled() && blocked_since.is_none() {
-                                    blocked_since = Some(ctx.now());
-                                }
+                                let now = ctx.now();
+                                ctx.log.blocked(now);
                                 // Block briefly for the next message; wake up
                                 // periodically to re-check finish/timeout.
                                 if let Ok(env) = rx.recv_timeout(Duration::from_millis(1)) {
-                                    ctx.close_blocked(&mut blocked_since);
-                                    if ctx.trace_enabled() {
-                                        ctx.trace(EventKind::WireRecv {
-                                            src: env.src as u32,
-                                            tag: env.tag,
-                                            bytes: env.msg.wire_bytes(),
-                                        });
-                                    }
-                                    ctx.stats.messages_received += 1;
-                                    behavior.on_message(env.src, env.tag, env.msg, &mut ctx);
+                                    ctx.deliver(env, behavior.as_mut());
                                 }
                             }
                             Err(TryRecvError::Disconnected) => break behavior.is_finished(),
                         }
                     };
-                    ctx.close_blocked(&mut blocked_since);
-                    if ctx.trace_enabled() {
-                        ctx.trace(EventKind::RankFinished);
+                    let end = ctx.now();
+                    if completed {
+                        ctx.log.finished(end);
                     }
-                    (behavior, ctx.stats, completed, ctx.buf)
+                    for line in ctx.lines.into_iter().flatten() {
+                        line.close();
+                    }
+                    (behavior, ctx.log.close(end), completed)
                 })
             })
             .collect();
         // Keep our copies of the senders alive until all threads are done so
         // no thread observes a spurious disconnect; drop after joining.
         let mut out_behaviors = Vec::with_capacity(n);
-        let mut stats = ClusterStats::new(n);
+        let mut ledgers = Vec::with_capacity(n);
         let mut completed = true;
-        let mut bufs = Vec::with_capacity(n);
-        for (r, h) in handles.into_iter().enumerate() {
-            let (behavior, node_stats, node_completed, buf) =
-                h.join().expect("rank thread panicked");
+        for h in handles {
+            let (behavior, ledger, rank_completed) = h.join().expect("rank thread panicked");
             out_behaviors.push(behavior);
-            stats.nodes[r] = node_stats;
-            completed &= node_completed;
-            if let Some(buf) = buf {
-                bufs.push(buf);
-            }
+            ledgers.push(ledger);
+            completed &= rank_completed;
         }
         drop(senders);
-        stats.total_time = (self.clock.now() - t0).max(0.0);
-        let trace = (trace_config.is_some() && bufs.len() == n)
-            .then(|| Trace::assemble(bufs, ClockDomain::Monotonic));
+        let total_time = (self.clock.now() - t0).max(0.0);
+        let (stats, trace) = gather(ledgers, total_time, ClockDomain::Monotonic);
         ThreadedOutcome {
             behaviors: out_behaviors,
             stats,
@@ -533,62 +491,82 @@ mod tests {
         assert_eq!(out.stats.node(0).idle_work, 10);
     }
 
-    #[test]
-    fn per_link_fifo_order_is_preserved() {
-        // Rank 0 sends 100 numbered messages to rank 1, which checks order.
-        struct Blast {
-            done: bool,
+    /// Rank 0 sends 100 numbered messages to rank 1, which checks order.
+    struct Blast {
+        done: bool,
+    }
+    struct Checker {
+        expected: u64,
+        ok: bool,
+        finished: bool,
+    }
+    impl NodeBehavior<Num> for Blast {
+        fn on_start(&mut self, ctx: &mut dyn NodeCtx<Num>) {
+            for i in 0..100 {
+                ctx.send(1, 0, Num(i));
+            }
+            self.done = true;
         }
-        struct Checker {
-            expected: u64,
-            ok: bool,
-            finished: bool,
+        fn on_message(&mut self, _: Rank, _: Tag, _: Num, _: &mut dyn NodeCtx<Num>) {}
+        fn is_finished(&self) -> bool {
+            self.done
         }
-        impl NodeBehavior<Num> for Blast {
-            fn on_start(&mut self, ctx: &mut dyn NodeCtx<Num>) {
-                for i in 0..100 {
-                    ctx.send(1, 0, Num(i));
-                }
-                self.done = true;
-            }
-            fn on_message(&mut self, _: Rank, _: Tag, _: Num, _: &mut dyn NodeCtx<Num>) {}
-            fn is_finished(&self) -> bool {
-                self.done
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
+        fn as_any(&self) -> &dyn Any {
+            self
         }
-        impl NodeBehavior<Num> for Checker {
-            fn on_message(&mut self, _: Rank, _: Tag, msg: Num, _: &mut dyn NodeCtx<Num>) {
-                if msg.0 != self.expected {
-                    self.ok = false;
-                }
-                self.expected += 1;
-                if self.expected == 100 {
-                    self.finished = true;
-                }
+    }
+    impl NodeBehavior<Num> for Checker {
+        fn on_message(&mut self, _: Rank, _: Tag, msg: Num, _: &mut dyn NodeCtx<Num>) {
+            if msg.0 != self.expected {
+                self.ok = false;
             }
-            fn is_finished(&self) -> bool {
-                self.finished
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
+            self.expected += 1;
+            if self.expected == 100 {
+                self.finished = true;
             }
         }
-        let out = ThreadedDriver::new()
-            .with_timeout(Duration::from_secs(20))
-            .run(vec![
-                Box::new(Blast { done: false }) as Box<dyn NodeBehavior<Num>>,
-                Box::new(Checker {
-                    expected: 0,
-                    ok: true,
-                    finished: false,
-                }) as Box<dyn NodeBehavior<Num>>,
-            ]);
+        fn is_finished(&self) -> bool {
+            self.finished
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Blasts 100 messages down link 0 -> 1 on `driver` and returns whether
+    /// they all arrived in send order.
+    fn blast_arrives_in_order(driver: ThreadedDriver) -> bool {
+        let out = driver.with_timeout(Duration::from_secs(20)).run(vec![
+            Box::new(Blast { done: false }) as Box<dyn NodeBehavior<Num>>,
+            Box::new(Checker {
+                expected: 0,
+                ok: true,
+                finished: false,
+            }) as Box<dyn NodeBehavior<Num>>,
+        ]);
         assert!(out.completed);
         let checker = out.behaviors[1].as_any().downcast_ref::<Checker>().unwrap();
-        assert!(checker.ok, "messages were reordered");
+        checker.ok
+    }
+
+    #[test]
+    fn per_link_fifo_order_is_preserved() {
+        assert!(
+            blast_arrives_in_order(ThreadedDriver::new()),
+            "messages were reordered"
+        );
+    }
+
+    #[test]
+    fn delay_faults_keep_per_link_fifo_order() {
+        // Half the messages are held back 1-5 ms; a later one sent straight
+        // after a delayed one must still arrive behind it.
+        use crate::fault::{FaultPlan, LinkFaults};
+        let plan = FaultPlan::seeded(5).on_link(0, 1, LinkFaults::delay(0.5, 0.001, 0.005));
+        assert!(
+            blast_arrives_in_order(ThreadedDriver::new().with_faults(plan)),
+            "a delayed message was overtaken"
+        );
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl RemoteDraft {
             deadline,
         });
         if self.timeouts > 0 || self.refusals > 0 {
-            ctx.record_draft_retry();
+            ctx.stats().draft_retries += 1;
         }
         ctx.request_wake(deadline);
         let context_len = hypothesis.len() as u32;
@@ -240,7 +240,7 @@ impl RemoteDraft {
         }
         self.inflight = None;
         self.timeouts += 1;
-        ctx.record_draft_timeout();
+        ctx.stats().draft_timeouts += 1;
         trace_if(ctx, || EventKind::DraftTimeout { request: d.id });
         // Tell the (possibly just slow) rank to drop the request unserved; a
         // late response is already `Nothing`.
@@ -257,7 +257,7 @@ impl RemoteDraft {
     }
 
     fn abandon(&mut self, streak: u32, ctx: &mut dyn NodeCtx<PipeMsg>) -> Verdict {
-        ctx.record_failover();
+        ctx.stats().failovers += 1;
         trace_if(ctx, || EventKind::DraftFailover { timeouts: streak });
         (self.inflight, self.refused, self.backoff_until) = (None, None, None);
         self.abandoned = true;
@@ -278,7 +278,7 @@ impl RemoteDraft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_cluster::Tag;
+    use pi_cluster::{NodeStats, Tag};
 
     /// A [`NodeCtx`] with a hand-set clock that records what the link does.
     #[derive(Default)]
@@ -286,9 +286,7 @@ mod tests {
         now: f64,
         sent: Vec<(Rank, Tag, PipeMsg)>,
         wakes: Vec<f64>,
-        timeouts: u32,
-        retries: u32,
-        failovers: u32,
+        stats: NodeStats,
     }
 
     impl NodeCtx<PipeMsg> for Ctx {
@@ -307,14 +305,8 @@ mod tests {
         fn elapse(&mut self, seconds: f64) {
             self.now += seconds;
         }
-        fn record_draft_timeout(&mut self) {
-            self.timeouts += 1;
-        }
-        fn record_draft_retry(&mut self) {
-            self.retries += 1;
-        }
-        fn record_failover(&mut self) {
-            self.failovers += 1;
+        fn stats(&mut self) -> &mut NodeStats {
+            &mut self.stats
         }
         fn request_wake(&mut self, at: f64) {
             self.wakes.push(at);
@@ -381,7 +373,7 @@ mod tests {
         assert_eq!(link.poll(&mut ctx), Verdict::Nothing);
         assert_eq!(link.on_response(id, 2, 4, 4, &mut ctx), Verdict::Tree);
         assert_eq!(link.poll(&mut ctx), Verdict::Nothing);
-        assert_eq!((ctx.timeouts, ctx.retries), (0, 0));
+        assert_eq!((ctx.stats.draft_timeouts, ctx.stats.draft_retries), (0, 0));
     }
 
     #[test]
@@ -425,7 +417,7 @@ mod tests {
         // ...until the backoff elapses; the retry is counted.
         ctx.now = until;
         assert!(link.request(ask(0.4), &HYPOTHESIS, &mut ctx));
-        assert_eq!(ctx.retries, 1);
+        assert_eq!(ctx.stats.draft_retries, 1);
 
         let (mut link, mut ctx, _) = refused();
         assert!(
@@ -442,7 +434,7 @@ mod tests {
         let id = request(&mut link, &mut ctx);
         assert_eq!(link.on_response(id, 0, 4, 5, &mut ctx), Verdict::Nothing);
         assert!(link.request(ask(0.4), &grown, &mut ctx));
-        assert_eq!(ctx.retries, 0);
+        assert_eq!(ctx.stats.draft_retries, 0);
     }
 
     #[test]
@@ -473,9 +465,9 @@ mod tests {
             }
         }
         assert!(link.abandoned());
-        assert_eq!(ctx.timeouts, max_retries + 1);
-        assert_eq!(ctx.retries, max_retries);
-        assert_eq!(ctx.failovers, 1);
+        assert_eq!(ctx.stats.draft_timeouts, u64::from(max_retries + 1));
+        assert_eq!(ctx.stats.draft_retries, u64::from(max_retries));
+        assert_eq!(ctx.stats.failovers, 1);
         assert_eq!(link.rank(), DRAFT_RANK, "still owed its shutdown");
     }
 
@@ -494,7 +486,7 @@ mod tests {
             }
         }
         assert!(link.abandoned());
-        assert_eq!((ctx.failovers, ctx.timeouts), (1, 0));
+        assert_eq!((ctx.stats.failovers, ctx.stats.draft_timeouts), (1, 0));
     }
 
     #[test]
@@ -537,6 +529,6 @@ mod tests {
         assert!(link.request(ask(0.4), &HYPOTHESIS, &mut ctx));
         // ...but the refusal still counts towards the bar: the request that
         // followed it was a retry.
-        assert_eq!(ctx.retries, 1);
+        assert_eq!(ctx.stats.draft_retries, 1);
     }
 }

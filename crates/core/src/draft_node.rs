@@ -88,7 +88,7 @@ impl DraftNode {
             let dropped = (before - self.pending.len()) as u64;
             if dropped > 0 {
                 self.requests_dropped += dropped;
-                ctx.record_cancellation_saved(dropped);
+                ctx.stats().cancellations_saved += dropped;
                 trace_if(ctx, || EventKind::DraftDropped { n: dropped as u32 });
             }
         }
@@ -105,7 +105,7 @@ impl DraftNode {
             // Older hypotheses are stale by construction: the head only
             // re-requests after extending or correcting its hypothesis.
             self.requests_dropped += superseded;
-            ctx.record_cancellation_saved(superseded);
+            ctx.stats().cancellations_saved += superseded;
             trace_if(ctx, || EventKind::DraftDropped {
                 n: superseded as u32,
             });
@@ -214,6 +214,7 @@ impl NodeBehavior<PipeMsg> for DraftNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi_cluster::NodeStats;
     use pi_model::{ModelConfig, OracleDraft, OracleTarget};
     use pi_perf::{CostModel, ModelCost, NodeSpec};
     use pi_spec::drafter::OracleDrafter;
@@ -222,14 +223,14 @@ mod tests {
     struct TestCtx {
         sent: Vec<(Rank, PipeMsg)>,
         elapsed: f64,
-        saved: u64,
+        stats: NodeStats,
     }
     impl TestCtx {
         fn new() -> Self {
             Self {
                 sent: Vec::new(),
                 elapsed: 0.0,
-                saved: 0,
+                stats: NodeStats::default(),
             }
         }
     }
@@ -249,8 +250,8 @@ mod tests {
         fn elapse(&mut self, seconds: f64) {
             self.elapsed += seconds;
         }
-        fn record_cancellation_saved(&mut self, n: u64) {
-            self.saved += n;
+        fn stats(&mut self) -> &mut NodeStats {
+            &mut self.stats
         }
     }
 
@@ -331,7 +332,7 @@ mod tests {
         assert!(n.on_idle(&mut ctx));
         assert_eq!(n.requests_served, 1);
         assert_eq!(n.requests_dropped, 2, "older hypotheses are stale");
-        assert_eq!(ctx.saved, 2);
+        assert_eq!(ctx.stats.cancellations_saved, 2);
         assert_eq!(ctx.sent.len(), 1);
         match &ctx.sent[0].1 {
             PipeMsg::DraftResponse {
@@ -358,7 +359,7 @@ mod tests {
         assert_eq!(n.requests_dropped, 2, "late request 5 dropped on arrival");
         assert!(!n.on_idle(&mut ctx), "nothing left to serve");
         assert_eq!(n.requests_served, 0);
-        assert_eq!(ctx.saved, 2);
+        assert_eq!(ctx.stats.cancellations_saved, 2);
         // A fresh request above the high-water mark is served normally.
         n.on_message(0, tags::DRAFT, request(6, vec![1, 2, 3], 1, 2), &mut ctx);
         assert!(n.on_idle(&mut ctx));

@@ -42,7 +42,7 @@ use crate::PipeInferConfig;
 use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_spec::deploy::{HeadParts, RecordHandle};
 use pi_spec::message::tags;
-use pi_spec::worker::record_kv_events;
+use pi_spec::worker::trace_kv_events;
 use pi_spec::{
     ActivationPayload, CacheOp, Drafter, GenerationRecord, HeadEngine, PipeMsg, PipelineRoute,
     RunId, RunKind,
@@ -291,7 +291,7 @@ impl PipeInferHead {
 
     fn finish(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
         self.rounds.record_mut().finished_at = ctx.now();
-        record_kv_events(self.engine.take_kv_events(), ctx);
+        trace_kv_events(self.engine.take_kv_events(), ctx);
         self.send_downstream(ctx, tags::SHUTDOWN, PipeMsg::Shutdown);
         // The draft rank is shut down even once abandoned: it may be merely
         // partitioned or slow rather than dead (a genuinely dead rank simply
@@ -365,6 +365,7 @@ impl NodeBehavior<PipeMsg> for PipeInferHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi_cluster::NodeStats;
     use pi_model::{ModelConfig, OracleDraft, OracleTarget, Token};
     use pi_perf::{CostModel, ModelCost, NodeSpec};
     use pi_spec::drafter::OracleDrafter;
@@ -378,6 +379,17 @@ mod tests {
         rank: Rank,
         sent: Vec<(Rank, PipeMsg)>,
         now: f64,
+        stats: NodeStats,
+    }
+    impl TestCtx {
+        fn new(rank: Rank) -> Self {
+            Self {
+                rank,
+                sent: Vec::new(),
+                now: 0.0,
+                stats: NodeStats::default(),
+            }
+        }
     }
     impl NodeCtx<PipeMsg> for TestCtx {
         fn rank(&self) -> Rank {
@@ -394,6 +406,9 @@ mod tests {
         }
         fn elapse(&mut self, seconds: f64) {
             self.now += seconds;
+        }
+        fn stats(&mut self) -> &mut NodeStats {
+            &mut self.stats
         }
     }
 
@@ -505,11 +520,7 @@ mod tests {
         let primed = Arc::new(Mutex::new(Vec::new()));
         let spy: Box<dyn Drafter> = Box::new(Spy(primed.clone()));
         let mut head = PipeInferHead::new(parts(Some(spy), 4), PipeInferConfig::default(), None);
-        let mut ctx = TestCtx {
-            rank: 0,
-            sent: Vec::new(),
-            now: 0.0,
-        };
+        let mut ctx = TestCtx::new(0);
         head.on_start(&mut ctx);
         assert!(matches!(ctx.sent[..], [(1, PipeMsg::Decode { .. })]));
         assert_eq!(*primed.lock().unwrap(), [vec![3, 1, 4, 1, 5]]);
@@ -531,21 +542,9 @@ mod tests {
     /// Runs the world to completion by shuttling messages round by round,
     /// letting the head perform idle speculation between rounds.
     fn drive(world: &mut TestWorld) -> GenerationRecord {
-        let mut head_ctx = TestCtx {
-            rank: 0,
-            sent: Vec::new(),
-            now: 0.0,
-        };
-        let mut worker_ctx = TestCtx {
-            rank: 1,
-            sent: Vec::new(),
-            now: 0.0,
-        };
-        let mut draft_ctx = TestCtx {
-            rank: 2,
-            sent: Vec::new(),
-            now: 0.0,
-        };
+        let mut head_ctx = TestCtx::new(0);
+        let mut worker_ctx = TestCtx::new(1);
+        let mut draft_ctx = TestCtx::new(2);
         world.head.on_start(&mut head_ctx);
         let mut safety = 0;
         while !world.head.is_finished() {
@@ -610,16 +609,8 @@ mod tests {
     /// marches one second per round, so request deadlines keep expiring
     /// until the head's recovery ladder resolves.
     fn drive_without_draft_rank(world: &mut TestWorld) -> GenerationRecord {
-        let mut head_ctx = TestCtx {
-            rank: 0,
-            sent: Vec::new(),
-            now: 0.0,
-        };
-        let mut worker_ctx = TestCtx {
-            rank: 1,
-            sent: Vec::new(),
-            now: 0.0,
-        };
+        let mut head_ctx = TestCtx::new(0);
+        let mut worker_ctx = TestCtx::new(1);
         world.head.on_start(&mut head_ctx);
         let mut safety = 0;
         while !world.head.is_finished() {

@@ -111,11 +111,6 @@ impl KvCacheEvents {
         self.page_cow += other.page_cow;
         self.page_release += other.page_release;
     }
-
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != KvCacheEvents::default()
-    }
 }
 
 /// K/V vector storage behind the cell metadata: one contiguous plane per

@@ -933,7 +933,7 @@ mod tests {
         // A clock that ticks on every read: the timeline is made of ticks.
         let ticking = server(Arc::new(Ticking(ManualClock::new(0.0)))).serve_stepped(requests());
         for c in ticking.completions() {
-            let steps = c.output.stats.nodes[0].cohort_steps as f64;
+            let steps = c.output.record.runs_launched as f64;
             let service = c.timing.service();
             assert!(service >= TICK * steps, "{service} s over {steps} steps");
             assert_eq!(

@@ -102,11 +102,6 @@ struct RequestState {
     rounds: SyncRounds,
     /// Pool admission, held until the request finishes.
     plan: Option<Arc<PrefixPlan>>,
-    /// Steps this request participated in, and the summed cohort widths and
-    /// own rows of those steps (surfaced through its `RunOutput` stats).
-    steps_participated: u64,
-    width_sum: u64,
-    own_rows: u64,
 }
 
 impl RequestState {
@@ -258,14 +253,7 @@ impl<'d> StepSession<'d> {
             DEFAULT_PRIOR,
         );
 
-        self.slots.push(RequestState {
-            id,
-            rounds,
-            plan,
-            steps_participated: 0,
-            width_sum: 0,
-            own_rows: 0,
-        });
+        self.slots.push(RequestState { id, rounds, plan });
         id
     }
 
@@ -274,13 +262,9 @@ impl<'d> StepSession<'d> {
     pub fn take_output(&mut self, id: u64) -> Option<RunOutput> {
         let idx = self.slots.iter().position(|r| r.id == id && !r.active())?;
         let r = self.slots.remove(idx);
-        let mut stats = ClusterStats::new(self.prepared.n_nodes());
-        stats.nodes[0].cohort_steps = r.steps_participated;
-        stats.nodes[0].cohort_width_sum = r.width_sum;
-        stats.nodes[0].batched_rows = r.own_rows;
         Some(RunOutput {
             record: r.rounds.into_record(),
-            stats,
+            stats: ClusterStats::new(self.prepared.n_nodes()),
             completed: true,
             trace: None,
         })
@@ -357,12 +341,6 @@ impl<'d> StepSession<'d> {
         self.stats.cohort_steps += 1;
         self.stats.cohort_width_sum += width as u64;
         self.stats.batched_rows += rows as u64;
-        for (&i, round) in cohort.iter().zip(&rounds) {
-            let r = &mut self.slots[i];
-            r.steps_participated += 1;
-            r.width_sum += width as u64;
-            r.own_rows += round.batch.len() as u64;
-        }
 
         // Phase 3 — per-request verification and state advance.  `Real`
         // steps are timed on the session's wall clock, one span up to here
@@ -589,23 +567,6 @@ mod tests {
                 .unwrap_or_else(|refusal| panic!("sim {sim}: leaked pins, {refusal:?}"));
             pool.end_request(ticket.id);
             assert_eq!(pool.stats().refusals, 0, "sim {sim}");
-        }
-    }
-
-    #[test]
-    fn session_outputs_carry_cohort_participation() {
-        let prepared = Deployment::new(SpeculativeStrategy).prepare(&sim_mode(4), 4);
-        let mut session = prepared.begin_session();
-        let a = session.admit(&gen(5, 12, 8));
-        let b = session.admit(&gen(9, 8, 8));
-        while session.active() > 0 {
-            session.step_cohort();
-        }
-        for id in [a, b] {
-            let out = session.take_output(id).unwrap();
-            assert!(out.stats.nodes[0].cohort_steps > 0);
-            assert!(out.stats.nodes[0].cohort_width_sum >= out.stats.nodes[0].cohort_steps);
-            assert!(out.stats.nodes[0].batched_rows > 0);
         }
     }
 }

@@ -16,7 +16,7 @@ use crate::engine::HeadEngine;
 use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId, TreeTopology};
 use crate::rounds::{Round, SyncRounds};
 use crate::route::PipelineRoute;
-use crate::worker::record_kv_events;
+use crate::worker::trace_kv_events;
 use pi_cluster::{NodeBehavior, NodeCtx, Rank, Tag};
 
 /// Head rank of the iterative, speculative and tree-speculation strategies.
@@ -138,7 +138,7 @@ impl SyncHead {
     }
 
     fn finish(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        record_kv_events(self.engine.take_kv_events(), ctx);
+        trace_kv_events(self.engine.take_kv_events(), ctx);
         self.send_downstream(ctx, tags::SHUTDOWN, PipeMsg::Shutdown);
         if let (Some(feedback), Some(acceptance)) =
             (self.feedback.take(), self.rounds.lifetime_acceptance())

@@ -5,7 +5,7 @@
 
 use crate::deploy::ExecutionMode;
 use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunKind};
-use pi_cluster::{NodeBehavior, NodeCtx, Rank, Tag};
+use pi_cluster::{NodeBehavior, NodeCtx, NodeStats, Rank, Tag};
 use pi_model::{Model, ModelConfig};
 use pi_perf::{ClusterSpec, ModelPair};
 use std::sync::Arc;
@@ -42,6 +42,7 @@ pub(crate) struct TestCtx {
     world_size: usize,
     pub now: f64,
     pub sent: Vec<Sent>,
+    stats: NodeStats,
 }
 
 impl TestCtx {
@@ -51,6 +52,7 @@ impl TestCtx {
             world_size,
             now: 0.0,
             sent: Vec::new(),
+            stats: NodeStats::default(),
         }
     }
 
@@ -86,6 +88,9 @@ impl NodeCtx<PipeMsg> for TestCtx {
     }
     fn elapse(&mut self, seconds: f64) {
         self.now += seconds;
+    }
+    fn stats(&mut self) -> &mut NodeStats {
+        &mut self.stats
     }
 }
 

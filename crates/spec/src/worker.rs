@@ -15,19 +15,10 @@ use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_model::KvCacheEvents;
 use std::collections::HashSet;
 
-/// Drains paged-KV counters accumulated by an engine's cache into the
-/// driver's per-rank statistics and the structured trace.  No-op (and no
-/// trace records) for engines on flat caches, whose counters stay zero.
-pub fn record_kv_events(ev: KvCacheEvents, ctx: &mut dyn NodeCtx<PipeMsg>) {
-    if !ev.any() {
-        return;
-    }
-    ctx.record_kv_pages(
-        ev.page_alloc,
-        ev.page_share_hit,
-        ev.page_cow,
-        ev.page_release,
-    );
+/// Records the paged-KV activity drained from an engine's cache as `page_*`
+/// trace events.  No-op for engines on flat caches, whose counters stay
+/// zero.  (The pool's own totals are in `KvPoolStats`.)
+pub fn trace_kv_events(ev: KvCacheEvents, ctx: &mut dyn NodeCtx<PipeMsg>) {
     if ev.page_alloc > 0 {
         trace_if(ctx, || EventKind::PageAlloc {
             n: ev.page_alloc as u32,
@@ -128,18 +119,17 @@ impl NodeBehavior<PipeMsg> for PipelineWorker {
                     // but keep the message flowing so ordering and per-node
                     // state stay intact.
                     self.skipped_runs += 1;
-                    ctx.record_cancellation_saved(1);
+                    ctx.stats().cancellations_saved += 1;
                     trace_if(ctx, || EventKind::RunSkipped { run: run_id });
                     self.forward_result(ctx, run_id, kind, batch, ActivationPayload::Empty, tree);
                 } else {
                     let (out, cost) = self.engine.eval(&batch, &payload);
                     ctx.elapse(cost);
-                    record_kv_events(self.engine.take_kv_events(), ctx);
+                    trace_kv_events(self.engine.take_kv_events(), ctx);
                     self.evaluated_runs += 1;
                     let (layer_lo, layer_hi) = self.engine.layer_span();
                     let batch_len = batch.len() as u32;
                     let cohort = batch.lane_count().max(1) as u32;
-                    ctx.record_cohort_step(cohort as u64, batch_len as u64);
                     trace_if(ctx, || EventKind::StageForward {
                         run: run_id,
                         layer_lo,
@@ -163,7 +153,7 @@ impl NodeBehavior<PipeMsg> for PipelineWorker {
             PipeMsg::Cache(op) => {
                 let cost = self.engine.apply_cache_op(0, &op);
                 ctx.elapse(cost);
-                record_kv_events(self.engine.take_kv_events(), ctx);
+                trace_kv_events(self.engine.take_kv_events(), ctx);
                 if let Some(next) = self.route.next_after(self.rank) {
                     ctx.send(next, tags::CACHE, PipeMsg::Cache(op));
                 }

@@ -70,6 +70,27 @@ impl TraceBuffer {
         });
     }
 
+    /// Records one event ahead of the newest `behind` (all of them if fewer
+    /// are held): the ring ends up exactly as if the event had been pushed
+    /// before those.  A span whose end opened the activation that recorded
+    /// them, but which is only known to have ended once that activation
+    /// is over, is closed this way.
+    pub fn push_behind(&mut self, behind: usize, ts: f64, kind: EventKind) {
+        let at = self.events.len().saturating_sub(behind);
+        self.events.insert(
+            at,
+            Event {
+                ts,
+                rank: self.rank,
+                kind,
+            },
+        );
+        if self.events.len() > self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+    }
+
     /// Events recorded so far (oldest first).
     pub fn len(&self) -> usize {
         self.events.len()
@@ -239,6 +260,37 @@ mod tests {
         };
         assert_eq!(build().to_log(), build().to_log());
         assert!(build().to_log().contains("wire_send") || build().to_log().contains("WireSend"));
+    }
+
+    #[test]
+    fn push_behind_matches_pushing_earlier() {
+        let runs = |buf: TraceBuffer| {
+            let dropped = buf.dropped();
+            let trace = Trace::assemble(vec![buf], ClockDomain::Virtual);
+            let runs: Vec<u64> = trace
+                .events()
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::RunInflight { run } => run,
+                    _ => unreachable!(),
+                })
+                .collect();
+            (runs, dropped)
+        };
+        // Run 9 goes in ahead of the newest `behind` of runs 0..5: in a ring
+        // with room, in one that must drop, and behind more than it holds.
+        for (cap, behind) in [(8, 2u64), (4, 2), (3, 5)] {
+            let (mut late, mut early) = (TraceBuffer::new(0, cap), TraceBuffer::new(0, cap));
+            for run in 0..5 {
+                if run == 5 - behind {
+                    early.push(0.0, EventKind::RunInflight { run: 9 });
+                }
+                early.push(0.0, EventKind::RunInflight { run });
+                late.push(0.0, EventKind::RunInflight { run });
+            }
+            late.push_behind(behind as usize, 0.0, EventKind::RunInflight { run: 9 });
+            assert_eq!(runs(late), runs(early), "cap {cap}, behind {behind}");
+        }
     }
 
     #[test]
