@@ -13,6 +13,7 @@ use crate::stats::{gather, ClusterStats, NodeStats, RankLog};
 use crate::{NodeBehavior, NodeCtx, Rank, SimTime, Tag, WireMessage};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use pi_trace::{Clock, ClockDomain, EventKind, MonotonicClock, Trace, TraceConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,6 +78,20 @@ impl<M: WireMessage> DelayLine<M> {
     fn close(self) {
         drop(self.tx);
         self.thread.join().expect("delay line thread panicked");
+    }
+}
+
+/// Raises the run's abort flag when the rank thread holding it unwinds, so
+/// the other ranks stop waiting for messages it will never send.  The flag
+/// publishes no data (the panic itself travels through `join`), so its
+/// loads and stores are `Relaxed`.
+struct AbortOnPanic(Arc<AtomicBool>);
+
+impl Drop for AbortOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -195,7 +210,8 @@ impl ThreadedDriver {
         }
     }
 
-    /// Overrides the safety timeout after which unfinished ranks give up.
+    /// Overrides the safety timeout after which unfinished ranks give up,
+    /// measured on the monotonic clock (never the injected one).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
@@ -231,16 +247,24 @@ impl ThreadedDriver {
     }
 
     /// Runs the behaviors, one thread per rank, until all finish or the
-    /// timeout expires.
+    /// timeout expires.  The timeout is a watchdog on the monotonic clock,
+    /// whatever clock was injected, so a frozen test clock cannot stall it.
+    ///
+    /// # Panics
+    /// If a rank panics: every other rank stops at its next wake-up (within
+    /// about a millisecond of the panic, unless it is mid-callback), and
+    /// once all are joined the first panic is resumed on the caller.
     pub fn run<M: WireMessage>(
         &self,
         behaviors: Vec<Box<dyn NodeBehavior<M>>>,
     ) -> ThreadedOutcome<M> {
         let n = behaviors.len();
         let t0 = self.clock.now();
+        let started = Instant::now();
         let (senders, receivers): Channels<M> = (0..n).map(|_| unbounded()).unzip();
 
-        let timeout = self.timeout.as_secs_f64();
+        let timeout = self.timeout;
+        let abort = Arc::new(AtomicBool::new(false));
         let trace = self.trace;
         let injector: Option<Arc<Mutex<FaultInjector>>> = self
             .faults
@@ -255,7 +279,9 @@ impl ThreadedDriver {
                 let senders = senders.clone();
                 let clock = Arc::clone(&self.clock);
                 let injector = injector.clone();
+                let abort = Arc::clone(&abort);
                 std::thread::spawn(move || {
+                    let _raise = AbortOnPanic(Arc::clone(&abort));
                     let mut ctx = ThreadedCtx {
                         rank,
                         world: n,
@@ -271,10 +297,10 @@ impl ThreadedDriver {
                         if behavior.is_finished() {
                             break true;
                         }
-                        let now = ctx.now();
-                        if now > timeout {
+                        if started.elapsed() > timeout || abort.load(Ordering::Relaxed) {
                             break false;
                         }
+                        let now = ctx.now();
                         match rx.try_recv() {
                             Ok(env) => ctx.deliver(env, behavior.as_mut()),
                             Err(TryRecvError::Empty) => {
@@ -286,7 +312,8 @@ impl ThreadedDriver {
                                 let now = ctx.now();
                                 ctx.log.blocked(now);
                                 // Block briefly for the next message; wake up
-                                // periodically to re-check finish/timeout.
+                                // periodically to re-check finish, timeout
+                                // and abort.
                                 if let Ok(env) = rx.recv_timeout(Duration::from_millis(1)) {
                                     ctx.deliver(env, behavior.as_mut());
                                 }
@@ -310,13 +337,23 @@ impl ThreadedDriver {
         let mut out_behaviors = Vec::with_capacity(n);
         let mut ledgers = Vec::with_capacity(n);
         let mut completed = true;
+        let mut panic = None;
         for h in handles {
-            let (behavior, ledger, rank_completed) = h.join().expect("rank thread panicked");
-            out_behaviors.push(behavior);
-            ledgers.push(ledger);
-            completed &= rank_completed;
+            match h.join() {
+                Ok((behavior, ledger, rank_completed)) => {
+                    out_behaviors.push(behavior);
+                    ledgers.push(ledger);
+                    completed &= rank_completed;
+                }
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
         }
         drop(senders);
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         let total_time = (self.clock.now() - t0).max(0.0);
         let (stats, trace) = gather(ledgers, total_time, ClockDomain::Monotonic);
         ThreadedOutcome {
@@ -441,22 +478,87 @@ mod tests {
         assert!((out.stats.node(0).busy_time - 0.001).abs() < 1e-9);
     }
 
+    /// A rank that never finishes.
+    struct Never;
+    impl NodeBehavior<Num> for Never {
+        fn on_message(&mut self, _: Rank, _: Tag, _: Num, _: &mut dyn NodeCtx<Num>) {}
+        fn is_finished(&self) -> bool {
+            false
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
     #[test]
     fn timeout_reports_incomplete() {
-        struct Never;
-        impl NodeBehavior<Num> for Never {
-            fn on_message(&mut self, _: Rank, _: Tag, _: Num, _: &mut dyn NodeCtx<Num>) {}
-            fn is_finished(&self) -> bool {
-                false
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
         let out = ThreadedDriver::new()
             .with_timeout(Duration::from_millis(50))
             .run(vec![Box::new(Never) as Box<dyn NodeBehavior<Num>>]);
         assert!(!out.completed);
+    }
+
+    #[test]
+    fn the_timeout_ignores_a_frozen_injected_clock() {
+        let start = Instant::now();
+        let out = ThreadedDriver::new()
+            .with_clock(Arc::new(pi_trace::ManualClock::new(0.0)))
+            .with_timeout(Duration::from_millis(50))
+            .run(vec![Box::new(Never) as Box<dyn NodeBehavior<Num>>]);
+        assert!(!out.completed);
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    /// Passes a number on around a ring, or panics on receiving one.  The
+    /// shared `Arc` lives as long as the behavior does.
+    struct Relay {
+        next: Rank,
+        panics: bool,
+        _alive: Arc<()>,
+    }
+    impl NodeBehavior<Num> for Relay {
+        fn on_start(&mut self, ctx: &mut dyn NodeCtx<Num>) {
+            if ctx.rank() == 0 {
+                ctx.send(self.next, 0, Num(0));
+            }
+        }
+        fn on_message(&mut self, _: Rank, _: Tag, msg: Num, ctx: &mut dyn NodeCtx<Num>) {
+            assert!(!self.panics, "rank {} fails", ctx.rank());
+            ctx.send(self.next, 0, Num(msg.0 + 1));
+        }
+        fn is_finished(&self) -> bool {
+            false
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_panicking_rank_ends_the_run_with_its_panic() {
+        let alive = Arc::new(());
+        let ring: Vec<Box<dyn NodeBehavior<Num>>> = (0..3)
+            .map(|rank| {
+                Box::new(Relay {
+                    next: (rank + 1) % 3,
+                    panics: rank == 2,
+                    _alive: Arc::clone(&alive),
+                }) as Box<dyn NodeBehavior<Num>>
+            })
+            .collect();
+        let start = Instant::now();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ThreadedDriver::new().run(ring)
+        }));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        let payload = caught.err().expect("the rank's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(message, "rank 2 fails");
+        // Every behavior is gone, so no rank thread still holds one.
+        assert_eq!(Arc::strong_count(&alive), 1);
     }
 
     #[test]

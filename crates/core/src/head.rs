@@ -23,6 +23,10 @@
 //!   [`RemoteDraft`], whose response is offered when it arrives, so drafting
 //!   overlaps with verification instead of stalling the head.
 //!
+//! Every run leaves through `pi_spec`'s [`launch`], the one head-side
+//! launch both heads share: a prompt travels in one-weight-pass slices, so
+//! the stages overlap on prefill, and still comes back as one result.
+//!
 //! With a draft rank the hosted drafter is a reserve: once the link gives
 //! the rank up it takes over, and with neither the head degrades to
 //! non-speculative pipelined decoding — which never deadlocks and only ever
@@ -41,6 +45,7 @@ use crate::rounds::{AsyncRounds, Step};
 use crate::PipeInferConfig;
 use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_spec::deploy::{HeadParts, RecordHandle};
+use pi_spec::launch::{launch, Run};
 use pi_spec::message::tags;
 use pi_spec::worker::trace_kv_events;
 use pi_spec::{
@@ -143,21 +148,17 @@ impl PipeInferHead {
                         width,
                         depth,
                     });
-                    let (payload, cost) = self.engine.eval_first_stage(&batch);
-                    ctx.elapse(cost);
-                    trace_if(ctx, || EventKind::RunInflight { run: run_id });
-                    let Some(next) = self.route.next_after(self.route.head()) else {
-                        self.local_results.push_back((run_id, payload));
-                        continue;
-                    };
-                    let msg = PipeMsg::Decode {
-                        run_id,
+                    let run = Run {
+                        id: run_id,
                         kind,
                         batch,
-                        payload,
                         tree: topology,
                     };
-                    ctx.send(next, tags::DECODE, msg);
+                    let slice_rows = self.engine.slice_rows();
+                    let engine = self.engine.as_mut();
+                    if let Some(payload) = launch(engine, &self.route, ctx, run, slice_rows, true) {
+                        self.local_results.push_back((run_id, payload));
+                    }
                 }
                 Step::Emit => {
                     let now = ctx.now();

@@ -106,6 +106,15 @@ pub trait StageEngine: Send {
         (0, 0)
     }
 
+    /// The tallest batch this engine evaluates in one pass over its weights:
+    /// the slice height a head sends a non-speculative run down the pipeline
+    /// in ([`launch`](crate::launch::launch)).  Default (sim engines): no
+    /// limit, because the roofline already charges one weight stream per
+    /// call, so slicing would only add per-call costs.
+    fn slice_rows(&self) -> usize {
+        usize::MAX
+    }
+
     /// Drains the paged KV-cache event counters accumulated since the last
     /// call, so the owning behavior can surface them as trace events and
     /// `NodeStats` counters.  Default (sim engines, flat caches): no events.
@@ -127,7 +136,9 @@ pub trait HeadEngine: StageEngine {
     /// `context` is the accepted token sequence *preceding* the batch; real
     /// engines ignore it (they have the logits), simulated engines use it to
     /// query the ground-truth oracle.  Returns the per-entry greedy tokens
-    /// and the cost (output head + sampling) in seconds.
+    /// and the cost (output head + sampling) in seconds.  A run sent in
+    /// slices returns the rows of its final slice only: real engines then
+    /// give one token per row of `payload`, the batch's last entries.
     fn finalize(
         &mut self,
         batch: &Batch,
@@ -326,6 +337,10 @@ impl StageEngine for RealStage {
         (self.layers.start as u32, self.layers.end as u32)
     }
 
+    fn slice_rows(&self) -> usize {
+        pi_tensor::simd::one_pass_rows()
+    }
+
     fn take_kv_events(&mut self) -> KvCacheEvents {
         let mut events = KvCacheEvents::default();
         for slot in &mut self.slots {
@@ -345,7 +360,7 @@ impl HeadEngine for RealStage {
 
     fn finalize(
         &mut self,
-        batch: &Batch,
+        _batch: &Batch,
         payload: &ActivationPayload,
         _context: &[Token],
     ) -> (Vec<Token>, f64) {
@@ -356,7 +371,7 @@ impl HeadEngine for RealStage {
         };
         let logits = self.model.logits(hidden);
         let sampler = Sampler::Greedy;
-        let tokens = (0..batch.len())
+        let tokens = (0..logits.rows())
             .map(|i| sampler.sample(logits.row(i).expect("logits row")))
             .collect();
         (tokens, start.elapsed().as_secs_f64())
@@ -939,6 +954,26 @@ mod tests {
                 assert_eq!(pool.stats().pages_in_use, committed_pages(pool));
             }
         }
+    }
+
+    /// A pooled slot fed its prompt in slices commits the stage's prompt
+    /// pages on the slice that reaches the prompt's last token, not before.
+    #[test]
+    fn a_pooled_slot_commits_its_prompt_on_the_final_slice() {
+        let model = tiny();
+        let shared = pool();
+        let prompt: Vec<Token> = (1..=13).collect();
+        let mut stage = RealStage::new(model.clone(), 0..4);
+        stage.open(64, Some(&admit(&shared, &prompt)));
+        let batch = Batch::prompt(&prompt, 0, 0);
+        for (i, rows) in [0..4, 4..8, 8..12, 12..13].into_iter().enumerate() {
+            let slice: Batch = batch.entries()[rows].iter().cloned().collect();
+            stage.eval(&slice, &ActivationPayload::Real(model.embed(&slice)));
+            let want = if i == 3 { 3 } else { 0 };
+            assert_eq!(committed_pages(&shared), want, "slice {i}");
+        }
+        stage.close(0);
+        assert_eq!(shared.stats().pages_in_use, committed_pages(&shared));
     }
 
     #[test]

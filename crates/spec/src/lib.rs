@@ -29,6 +29,8 @@
 //! reuses:
 //!
 //! * the pipeline message protocol ([`message::PipeMsg`]),
+//! * the head side of a run ([`launch`]): the head's stage evaluation and
+//!   the send down the pipeline, a prompt in one-weight-pass slices,
 //! * the generic pipeline worker rank ([`worker::PipelineWorker`]) that
 //!   evaluates its layer range, applies pipelined cache operations and
 //!   honours cancellation,
@@ -47,6 +49,7 @@
 pub mod deploy;
 pub mod drafter;
 pub mod engine;
+pub mod launch;
 pub mod message;
 mod rounds;
 pub mod route;

@@ -3,7 +3,8 @@
 //! One run in flight: the head asks its [`SyncRounds`] for the next
 //! micro-batch, drafts *synchronously* (the target pipeline sits idle
 //! meanwhile — the latency penalty the paper highlights), sends the batch
-//! through the pipeline, waits for the result, lets `SyncRounds` verify it,
+//! through the pipeline ([`launch`], which sends a prompt in slices so the
+//! stages overlap on it), waits for the result, lets `SyncRounds` verify it,
 //! pipelines the resulting cache clean-up ahead of the next decode, and
 //! repeats.  Which baseline this is depends only on the strategy's
 //! [`StepProfile`]: pipeline-parallel iterative inference (each token
@@ -13,6 +14,7 @@
 
 use crate::deploy::{HeadParts, RecordHandle, StepProfile};
 use crate::engine::HeadEngine;
+use crate::launch::{launch, Run};
 use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId, TreeTopology};
 use crate::rounds::{Round, SyncRounds};
 use crate::route::PipelineRoute;
@@ -87,29 +89,26 @@ impl SyncHead {
         }
         let run_id = self.next_run_id;
         self.next_run_id += 1;
-        let (payload, cost) = self.engine.eval_first_stage(&round.batch);
-        ctx.elapse(cost);
-        if self.route.n_stages() > 1 {
-            // A round whose drafter proposed nothing is a plain single-token
-            // run: no topology travels with it.
-            let tree = round
-                .parents()
-                .filter(|parents| parents.len() > 1)
-                .map(|parents| TreeTopology {
-                    parents: parents.iter().map(|p| p.map(|i| i as u32)).collect(),
-                });
-            let msg = PipeMsg::Decode {
-                run_id,
-                kind: round.kind,
-                batch: round.batch.clone(),
-                payload,
-                tree,
-            };
-            self.in_flight = Some((run_id, round));
-            self.send_downstream(ctx, tags::DECODE, msg);
-        } else {
-            // Single-stage pipeline: the head is also the last stage.
-            self.in_flight = Some((run_id, round));
+        // A round whose drafter proposed nothing is a plain single-token
+        // run: no topology travels with it.
+        let tree = round
+            .parents()
+            .filter(|parents| parents.len() > 1)
+            .map(|parents| TreeTopology {
+                parents: parents.iter().map(|p| p.map(|i| i as u32)).collect(),
+            });
+        let run = Run {
+            id: run_id,
+            kind: round.kind,
+            batch: round.batch.clone(),
+            tree,
+        };
+        let slice_rows = self.engine.slice_rows();
+        let engine = self.engine.as_mut();
+        let local = launch(engine, &self.route, ctx, run, slice_rows, false);
+        self.in_flight = Some((run_id, round));
+        // Single-stage pipeline: the head is also the last stage.
+        if let Some(payload) = local {
             self.handle_result(run_id, payload, ctx);
         }
     }

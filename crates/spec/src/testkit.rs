@@ -101,15 +101,22 @@ pub(crate) fn drive(head: &mut dyn NodeBehavior<PipeMsg>, ctx: &mut TestCtx, del
     answer_decodes(head, ctx, delay);
 }
 
-/// The pass-through pipeline: every `Decode` in `ctx.sent`, and every one
-/// the head sends in response, comes back `delay` seconds later as an empty
-/// `RunResult` (simulated head engines ignore the payload); everything else
-/// is swallowed.
+/// The pass-through pipeline: every `Decode` in `ctx.sent` that requests
+/// logits, and every one the head sends in response, comes back `delay`
+/// seconds later as an empty `RunResult` (simulated head engines ignore the
+/// payload); everything else — the leading slices of a sliced run included,
+/// as at `PipelineWorker`'s last stage — is swallowed.
 pub(crate) fn answer_decodes(head: &mut dyn NodeBehavior<PipeMsg>, ctx: &mut TestCtx, delay: f64) {
     let mut next = 0;
     while next < ctx.sent.len() {
         assert!(next < 10_000, "protocol did not converge");
-        if let PipeMsg::Decode { run_id, .. } = ctx.sent[next].msg {
+        let answered = match &ctx.sent[next].msg {
+            PipeMsg::Decode { run_id, batch, .. } if batch.iter().any(|e| e.logits) => {
+                Some(*run_id)
+            }
+            _ => None,
+        };
+        if let Some(run_id) = answered {
             ctx.now += delay;
             let result = PipeMsg::RunResult {
                 run_id,

@@ -93,6 +93,10 @@ impl PipelineWorker {
                     tree,
                 },
             ),
+            // A leading slice of a run sent in slices (see `launch`): its
+            // rows are in every stage's cache now, and the final slice
+            // answers for the run.
+            None if !batch.iter().any(|e| e.logits) => {}
             None => ctx.send(
                 self.route.head(),
                 tags::RESULT,
@@ -249,6 +253,30 @@ mod tests {
         assert!(matches!(
             ctx.sent[0].msg,
             PipeMsg::RunResult { run_id: 9, .. }
+        ));
+    }
+
+    #[test]
+    fn last_worker_answers_only_the_slice_that_requests_logits() {
+        let mut w = PipelineWorker::new(2, PipelineRoute::baseline(3), sim_engine());
+        let mut ctx = TestCtx::new(2, 3);
+        let prompt = Batch::prompt(&[1, 2, 3, 4, 5], 0, 0);
+        for (i, part) in [0..4, 4..5].into_iter().enumerate() {
+            let slice: Batch = prompt.entries()[part].iter().cloned().collect();
+            let msg = PipeMsg::Decode {
+                run_id: 0,
+                kind: RunKind::NonSpeculative,
+                batch: slice,
+                payload: ActivationPayload::Empty,
+                tree: None,
+            };
+            w.on_message(1, tags::DECODE, msg, &mut ctx);
+            assert_eq!(ctx.sent.len(), i, "slice {i}");
+        }
+        assert_eq!(w.evaluated_runs, 2, "both slices are evaluated");
+        assert!(matches!(
+            ctx.sent[0].msg,
+            PipeMsg::RunResult { run_id: 0, .. }
         ));
     }
 

@@ -586,6 +586,22 @@ pub(crate) fn gemm_geometry(m: usize) -> (usize, usize) {
     }
 }
 
+/// The tallest product [`gemm_tile`] makes in one pass over the weights on
+/// this process's instruction set (8 rows on AVX-512, 6 on AVX2/FMA and the
+/// portable lanes): a batch up to this tall streams every weight matrix once.
+pub fn one_pass_rows() -> usize {
+    fn of<V: Lanes>() -> usize {
+        V::ROWS * V::MAX_MR
+    }
+    match Isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => of::<core::arch::x86_64::__m512>(),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => of::<core::arch::x86_64::__m256>(),
+        Isa::Portable => of::<[f32; 8]>(),
+    }
+}
+
 /// The scaled scores of eight heads against one cached key row: `qh` holds
 /// their `hd`-wide queries back to back, head `h` reads `row[kv[h]..][..hd]`.
 /// The eight chains are in flight together and reduced by one
@@ -1909,6 +1925,25 @@ mod tests {
                 (89, 12),
             ];
             expect(Isa::Avx512, 6, &wide);
+        }
+    }
+
+    #[test]
+    fn one_pass_rows_is_the_tallest_single_pass_product() {
+        for isa in runnable_isas() {
+            with_isa(isa, || {
+                let h = one_pass_rows();
+                let want = match isa {
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512 => 8,
+                    _ => 6,
+                };
+                assert_eq!(h, want, "{isa:?}");
+                for m in 1..=h {
+                    assert_eq!(gemm_geometry(m).0, 1, "{isa:?} m={m}");
+                }
+                assert_eq!(gemm_geometry(h + 1).0, 2, "{isa:?} m={}", h + 1);
+            });
         }
     }
 
