@@ -262,13 +262,8 @@ impl PipeInferHead {
         if let Some(info) = self.rounds.take(run_id) {
             let batch = info.batch();
             let context = self.rounds.context(&info);
-            let (greedy, cost) = if info.n_seqs > 1 {
-                let parents = info.tree.parents();
-                self.engine
-                    .finalize_tree(&batch, &payload, context, &parents)
-            } else {
-                self.engine.finalize(&batch, &payload, context)
-            };
+            let parents = info.tree.parents();
+            let (greedy, cost) = self.engine.finalize(&batch, &payload, context, &parents);
             ctx.elapse(cost);
             if !self.rounds.prompt_done() {
                 self.rounds.record_mut().prompt_done_at = ctx.now();
@@ -367,7 +362,7 @@ impl NodeBehavior<PipeMsg> for PipeInferHead {
 mod tests {
     use super::*;
     use pi_cluster::NodeStats;
-    use pi_model::{ModelConfig, OracleDraft, OracleTarget, Token};
+    use pi_model::{ModelConfig, OracleDraft, OracleTarget, Token, TokenTree};
     use pi_perf::{CostModel, ModelCost, NodeSpec};
     use pi_spec::drafter::OracleDrafter;
     use pi_spec::engine::{SimHeadEngine, SimStageEngine};
@@ -508,14 +503,15 @@ mod tests {
                 self.0.lock().unwrap().push(context.to_vec());
                 0.0
             }
-            fn draft(
+            fn draft_tree(
                 &mut self,
                 _: &[Token],
                 _: &[Token],
                 _: usize,
+                _: usize,
                 _: f32,
-            ) -> (Vec<(Token, f32)>, f64) {
-                (Vec::new(), 0.0)
+            ) -> (TokenTree, f64) {
+                (TokenTree::new(), 0.0)
             }
         }
         let primed = Arc::new(Mutex::new(Vec::new()));

@@ -3,7 +3,8 @@
 //! Every speculation in the workspace is a [`TokenTree`]: the tree-shaped
 //! drafts of `pi_spec`'s TreeSpeculation strategy, and the flat chains of the
 //! SpecInfer-style baseline and PipeInfer's continuous micro-batches, which
-//! are just degenerate single-branch trees ([`TokenTree::chain`]).  A
+//! are just degenerate single-branch trees (a drafter's width-1 tree, and
+//! [`TokenTree::chain_of`] for runs that speculate nothing).  A
 //! [`TokenTree`] stores the speculated tokens, their parent links and the
 //! draft model's confidence for each, and can linearise itself into a
 //! [`Batch`] whose sequence-id sets encode the tree attention mask (mutually
@@ -41,18 +42,6 @@ impl TokenTree {
     /// Creates an empty tree.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a linear chain (single-branch tree) from a slice of
-    /// `(token, prob)` pairs — the shape produced by PipeInfer's
-    /// micro-batched continuous speculation.
-    pub fn chain(tokens: &[(Token, f32)]) -> Self {
-        let mut tree = Self::new();
-        let mut parent = None;
-        for &(tok, prob) in tokens {
-            parent = Some(tree.add(parent, tok, prob));
-        }
-        tree
     }
 
     /// Builds a linear chain from plain tokens (probability 1.0 each) — the
@@ -257,16 +246,14 @@ mod tests {
 
     #[test]
     fn chain_builds_linear_tree() {
-        let t = TokenTree::chain(&[(1, 0.9), (2, 0.8), (3, 0.7)]);
+        let t = TokenTree::chain_of(&[1, 2, 3]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.leaves(), vec![2]);
         assert_eq!(t.span(), 3);
         assert_eq!(t.sequence_to(2), vec![1, 2, 3]);
         assert_eq!(t.tokens(), vec![1, 2, 3]);
-        let plain = TokenTree::chain_of(&[1, 2, 3]);
-        assert_eq!(plain.tokens(), t.tokens());
-        assert_eq!(plain.span(), 3);
-        assert!(plain.nodes().iter().all(|n| n.prob == 1.0));
+        assert_eq!(t.parents(), vec![None, Some(0), Some(1)]);
+        assert!(t.nodes().iter().all(|n| n.prob == 1.0));
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl ByteTokenizer {
             .collect();
         String::from_utf8_lossy(&bytes).into_owned()
     }
-
-    /// Truncates or pads (by cycling) an encoded prompt to exactly `len`
-    /// tokens — the paper fixes prompts at 128 tokens.
-    pub fn fit_length(&self, tokens: &[Token], len: usize) -> Vec<Token> {
-        if tokens.is_empty() {
-            return vec![BOS; len];
-        }
-        (0..len).map(|i| tokens[i % tokens.len()]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -93,17 +84,6 @@ mod tests {
     fn out_of_range_tokens_are_dropped() {
         let t = ByteTokenizer::new();
         assert_eq!(t.decode(&[104, 105, 9999, EOS]), "hi");
-    }
-
-    #[test]
-    fn fit_length_truncates_and_cycles() {
-        let t = ByteTokenizer::new();
-        let enc = t.encode("abc", false);
-        assert_eq!(t.fit_length(&enc, 2).len(), 2);
-        let padded = t.fit_length(&enc, 7);
-        assert_eq!(padded.len(), 7);
-        assert_eq!(padded[3], enc[0]);
-        assert_eq!(t.fit_length(&[], 4), vec![BOS; 4]);
     }
 
     #[test]

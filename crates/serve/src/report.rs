@@ -409,7 +409,8 @@ impl ServeReport {
         if let Some(kv) = &self.kv_pool {
             let _ = writeln!(
                 out,
-                "kv pool: {} pages peak | prefix hit {:.0}% ({} of {} admissions, {} tokens reused)                  | {} eviction(s) | {} refusal(s)",
+                "kv pool: {} pages peak | prefix hit {:.0}% ({} of {} admissions, {} tokens reused) \
+                 | {} eviction(s) | {} refusal(s)",
                 kv.peak_pages_in_use,
                 self.prefix_hit_rate() * 100.0,
                 kv.share_hits,
@@ -627,6 +628,9 @@ mod tests {
         let text = report.render();
         assert!(text.contains("kv pool"), "{text}");
         assert!(text.contains("7 pages peak"), "{text}");
-        assert!(text.contains("480 tokens reused"), "{text}");
+        assert!(
+            text.contains("480 tokens reused) | 2 eviction(s)"),
+            "{text}"
+        );
     }
 }

@@ -168,11 +168,13 @@ pub struct HeadParts {
 /// latency) differs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepProfile {
-    /// One pending token per step (the iterative baseline).
+    /// One pending token per step (the iterative baseline): the empty tree.
     NonSpeculative,
-    /// `[pending] ++ draft chain` per step, verified greedily.
+    /// `[pending] ++ draft chain` per step, verified greedily: the width-1
+    /// tree, written in place on the canonical KV sequence.
     Chain,
-    /// `[pending] ++ token tree` per step with adaptive width/depth.
+    /// `[pending] ++ token tree` per step with adaptive width/depth, each
+    /// branch in a KV sequence partition of its own.
     Tree(crate::tree::TreeConfig),
 }
 

@@ -1,9 +1,13 @@
 //! Draft-model front-ends.
 //!
-//! A [`Drafter`] proposes a chain of speculative tokens continuing a given
-//! context, stopping when the draft model's confidence falls below the
-//! speculation cutoff (paper §II-A1) or when the requested maximum is
-//! reached.  Two implementations:
+//! A [`Drafter`] has one drafting routine, [`Drafter::draft_tree`]: a
+//! [`TokenTree`] continuing a given context whose primary branch is the
+//! greedy chain, stopping when the draft model's confidence falls below the
+//! speculation cutoff (paper §II-A1) or at the requested depth, and whose
+//! extra root-level branches are the draft model's top-k runner-up
+//! candidates — the hedge tree speculation verifies in one batched pass.
+//! Width 1 is the chain: [`Drafter::draft`] is only its `(token,
+//! confidence)` view.  Two implementations:
 //!
 //! * [`RealDrafter`] — runs a real tiny `pi-model` transformer greedily,
 //!   keeping its KV cache across calls so each call pays for the tokens the
@@ -11,11 +15,6 @@
 //! * [`OracleDrafter`] — uses the alignment oracle (configurable agreement
 //!   with the target) and charges the roofline cost of running the paper's
 //!   actual draft model (TinyLlama, Orca-2, XWin, Falcon-7B/40B, …).
-//!
-//! Both also support *branching* drafts ([`Drafter::draft_tree`]): a
-//! [`TokenTree`] whose primary branch is the greedy chain and whose extra
-//! root-level branches are the draft model's top-k runner-up candidates —
-//! the hedge tree speculation verifies in one batched pass.
 
 use pi_model::{
     Batch, KvCache, Model, OracleDraft, OracleTarget, Pos, Sampler, ScratchArena, Token, TokenTree,
@@ -39,56 +38,52 @@ pub trait Drafter: Send {
     /// can do the context's share of the work now — the cluster heads call
     /// this right after dispatching the prompt, which overlaps the draft
     /// model's prompt evaluation with the target pipeline's.  Returns the
-    /// cost in seconds.  Purely an optimisation: `prime` followed by `draft`
-    /// returns what `draft` alone returns.  The default does nothing and
+    /// cost in seconds.  Purely an optimisation: `prime` followed by a draft
+    /// returns what the draft alone returns.  The default does nothing and
     /// costs nothing.
     fn prime(&mut self, _context: &[Token]) -> f64 {
         0.0
     }
 
-    /// Proposes up to `max_tokens` tokens continuing `context ++ extra`,
-    /// where `context` is the accepted sequence and `extra` holds the pending
-    /// token plus any tokens speculated earlier in the same burst.
+    /// Proposes a speculation tree continuing `context ++ extra`, where
+    /// `context` is the accepted sequence and `extra` holds the pending token
+    /// plus any tokens speculated earlier in the same burst.  Returns the
+    /// tree and the drafting cost in seconds.
     ///
-    /// Returns the proposed `(token, confidence)` pairs — drafting stops as
-    /// soon as the draft model's confidence drops below `cutoff`, so the
-    /// chain may be shorter than `max_tokens` or even empty — and the
-    /// drafting cost in seconds.
+    /// The primary branch is the greedy chain, up to `depth` deep: it stops
+    /// as soon as the draft model's confidence drops below `cutoff`, so with
+    /// `width == 1` the tree is a chain that may be shorter than `depth` or
+    /// even empty.  The other `width - 1` root-level branches are the draft
+    /// model's runner-up candidates for the first position, speculated as
+    /// single-node leaves, so the tree has at most `depth + width - 1` nodes
+    /// — the verify-batch budget the strategy trades between width and
+    /// depth.  With runner-ups beside it, the cutoff gates only the
+    /// primary's extension: its root rides along ungated, like the
+    /// runner-ups, because the strategy already chose to spend `width - 1`
+    /// budget on hedging the first position.
+    fn draft_tree(
+        &mut self,
+        context: &[Token],
+        extra: &[Token],
+        width: usize,
+        depth: usize,
+        cutoff: f32,
+    ) -> (TokenTree, f64);
+
+    /// The chain view of [`Drafter::draft_tree`]: the `(token, confidence)`
+    /// pairs of the width-1 tree up to `max_tokens` deep, and its cost.
     fn draft(
         &mut self,
         context: &[Token],
         extra: &[Token],
         max_tokens: usize,
         cutoff: f32,
-    ) -> (Vec<(Token, f32)>, f64);
-
-    /// Proposes a speculation *tree* continuing `context ++ extra`.
-    ///
-    /// The tree has at most `width` root-level branches: the primary branch
-    /// is the greedy chain (up to `depth` deep, gated by `cutoff` exactly
-    /// like [`Drafter::draft`]), and the remaining `width - 1` branches are
-    /// the draft model's runner-up candidates for the first position,
-    /// speculated as single-node leaves.  Total size is therefore at most
-    /// `depth + width - 1` nodes — the verify-batch budget the strategy
-    /// trades between width and depth.
-    ///
-    /// Runner-up branches are *not* gated by `cutoff`: they exist precisely
-    /// because the primary might be wrong, and the strategy already chose to
-    /// spend `width - 1` budget on hedging.
-    ///
-    /// The default implementation ignores `width` and returns the degenerate
-    /// single-branch tree of the linear chain, so every drafter is tree-
-    /// capable and `width == 1` reproduces linear speculation exactly.
-    fn draft_tree(
-        &mut self,
-        context: &[Token],
-        extra: &[Token],
-        _width: usize,
-        depth: usize,
-        cutoff: f32,
-    ) -> (TokenTree, f64) {
-        let (chain, cost) = self.draft(context, extra, depth, cutoff);
-        (TokenTree::chain(&chain), cost)
+    ) -> (Vec<(Token, f32)>, f64) {
+        let (chain, cost) = self.draft_tree(context, extra, 1, max_tokens, cutoff);
+        (
+            chain.nodes().iter().map(|n| (n.token, n.prob)).collect(),
+            cost,
+        )
     }
 }
 
@@ -219,34 +214,6 @@ impl Drafter for RealDrafter {
         start.elapsed().as_secs_f64()
     }
 
-    fn draft(
-        &mut self,
-        context: &[Token],
-        extra: &[Token],
-        max_tokens: usize,
-        cutoff: f32,
-    ) -> (Vec<(Token, f32)>, f64) {
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(max_tokens);
-        if max_tokens == 0 {
-            return (out, start.elapsed().as_secs_f64());
-        }
-        let mut row = self.ingest(context, extra);
-        while let Some(last_row) = row {
-            let conf = Sampler::confidence(&last_row);
-            if conf < cutoff {
-                break;
-            }
-            let token = Sampler::Greedy.sample(&last_row);
-            out.push((token, conf));
-            if out.len() == max_tokens {
-                break;
-            }
-            row = self.feed(&[token]);
-        }
-        (out, start.elapsed().as_secs_f64())
-    }
-
     fn draft_tree(
         &mut self,
         context: &[Token],
@@ -255,42 +222,40 @@ impl Drafter for RealDrafter {
         depth: usize,
         cutoff: f32,
     ) -> (TokenTree, f64) {
-        if width <= 1 {
-            let (chain, cost) = self.draft(context, extra, depth, cutoff);
-            return (TokenTree::chain(&chain), cost);
-        }
         let start = Instant::now();
         let mut tree = TokenTree::new();
-        if depth == 0 {
-            return (tree, start.elapsed().as_secs_f64());
-        }
-        let Some(first_row) = self.ingest(context, extra) else {
-            return (tree, start.elapsed().as_secs_f64());
+        let mut row = if depth == 0 {
+            None
+        } else {
+            self.ingest(context, extra)
         };
-        let top = top_k(&ops::softmax(&first_row), width);
-        // Primary branch: the greedy chain.  The cutoff gates only its
-        // *extension* — as a single root among several the primary always
-        // rides along, because a tree verifies its whole root level in one
-        // batched pass anyway (this is where trees beat chains in
-        // low-confidence regions, where linear drafting gives up entirely).
-        let (primary, p_conf) = top[0];
-        let mut parent = tree.add(None, primary, p_conf);
-        let mut cur = primary;
-        let extend = if p_conf >= cutoff { depth } else { 1 };
-        for _ in 1..extend {
-            let Some(row) = self.feed(&[cur]) else {
-                break;
-            };
-            let conf = Sampler::confidence(&row);
-            if conf < cutoff {
+        let runners_up = match &row {
+            Some(first) if width > 1 => top_k(&ops::softmax(first), width),
+            _ => Vec::new(),
+        };
+        // Primary branch: the greedy chain.  A root with runner-up siblings
+        // rides along whatever its confidence, because a tree verifies its
+        // whole root level in one batched pass anyway (this is where trees
+        // beat chains in low-confidence regions, where a chain gives up).
+        let mut parent = None;
+        while let Some(last_row) = row {
+            let conf = Sampler::confidence(&last_row);
+            let gated = parent.is_some() || width <= 1;
+            if gated && conf < cutoff {
                 break;
             }
-            let next = Sampler::Greedy.sample(&row);
-            parent = tree.add(Some(parent), next, conf);
-            cur = next;
+            let token = Sampler::Greedy.sample(&last_row);
+            parent = Some(tree.add(parent, token, conf));
+            if tree.len() == depth || conf < cutoff {
+                break;
+            }
+            row = self.feed(&[token]);
         }
-        // Runner-up branches: the top-k alternatives for the first position.
-        for &(tok, prob) in &top[1..] {
+        // Runner-up branches: the best other candidates for the first
+        // position.
+        let primary = tree.nodes().first().map(|n| n.token);
+        let others = runners_up.into_iter().filter(|&(t, _)| Some(t) != primary);
+        for (tok, prob) in others.take(width.saturating_sub(1)) {
             tree.add(None, tok, prob);
         }
         (tree, start.elapsed().as_secs_f64())
@@ -330,37 +295,6 @@ impl OracleDrafter {
 }
 
 impl Drafter for OracleDrafter {
-    fn draft(
-        &mut self,
-        context: &[Token],
-        extra: &[Token],
-        max_tokens: usize,
-        cutoff: f32,
-    ) -> (Vec<(Token, f32)>, f64) {
-        if max_tokens == 0 {
-            return (Vec::new(), 0.0);
-        }
-        let full: Vec<Token> = context.iter().chain(extra.iter()).copied().collect();
-        let chain = self.draft.draft_chain(&self.target, &full, max_tokens);
-        // Honour the confidence cutoff: stop at the first token whose
-        // confidence falls below the cutoff (possibly producing no tokens at
-        // all — the reactive-speculation gradient relies on this).
-        let mut out = Vec::with_capacity(chain.len());
-        for (tok, conf) in chain.into_iter() {
-            if conf < cutoff {
-                break;
-            }
-            out.push((tok, conf));
-        }
-        // Each drafted token is one single-token pass of the draft model.
-        let context_len = full.len();
-        let per_token = self
-            .cost_model
-            .full_model_time(&self.draft_cost, 1, context_len);
-        let cost = per_token * out.len().max(1) as f64;
-        (out, cost)
-    }
-
     fn draft_tree(
         &mut self,
         context: &[Token],
@@ -369,34 +303,30 @@ impl Drafter for OracleDrafter {
         depth: usize,
         cutoff: f32,
     ) -> (TokenTree, f64) {
-        if width <= 1 {
-            let (chain, cost) = self.draft(context, extra, depth, cutoff);
-            return (TokenTree::chain(&chain), cost);
-        }
         let full: Vec<Token> = context.iter().chain(extra.iter()).copied().collect();
         let mut tree = TokenTree::new();
         if depth == 0 {
             return (tree, 0.0);
         }
         let truth0 = self.target.next_token(&full);
-        let topk = self.draft.draft_topk(&full, truth0, width);
-        // Primary branch: the greedy chain (identical prefix to draft()).
-        // The cutoff gates only its extension; as one root among several the
-        // primary always rides along in the batched verification — which is
-        // where trees keep speculating in low-confidence regions where
-        // linear drafting gives up entirely.
+        let topk = self.draft.draft_topk(&full, truth0, width.max(1));
+        // Primary branch: the greedy chain (candidate 0 is the chain's first
+        // token).  The cutoff gates a lone root like every later token; as
+        // one root among several the primary always rides along in the
+        // batched verification — which is where trees keep speculating in
+        // low-confidence regions where a chain gives up entirely.
         let (primary, p_conf) = topk[0];
-        let mut parent = tree.add(None, primary, p_conf);
-        let mut spine_len = 1usize;
-        if p_conf >= cutoff {
-            let mut ctx = full.clone();
-            ctx.push(primary);
-            for (tok, conf) in self.draft.draft_chain(&self.target, &ctx, depth - 1) {
-                if conf < cutoff {
-                    break;
+        if p_conf >= cutoff || width > 1 {
+            let mut parent = tree.add(None, primary, p_conf);
+            if p_conf >= cutoff {
+                let mut ctx = full.clone();
+                ctx.push(primary);
+                for (tok, conf) in self.draft.draft_chain(&self.target, &ctx, depth - 1) {
+                    if conf < cutoff {
+                        break;
+                    }
+                    parent = tree.add(Some(parent), tok, conf);
                 }
-                parent = tree.add(Some(parent), tok, conf);
-                spine_len += 1;
             }
         }
         // Runner-up branches come from the same first-position distribution.
@@ -404,11 +334,12 @@ impl Drafter for OracleDrafter {
             tree.add(None, tok, conf);
         }
         // Width is nearly free at draft time (one distribution yields every
-        // root candidate); depth costs one draft-model pass per token.
+        // root candidate); depth costs one draft-model pass per token, and
+        // the first distribution is paid even when nothing is drafted.
         let per_token = self
             .cost_model
             .full_model_time(&self.draft_cost, 1, full.len());
-        let cost = per_token * spine_len.max(1) as f64;
+        let cost = per_token * tree.spine().len().max(1) as f64;
         (tree, cost)
     }
 }
@@ -458,8 +389,9 @@ mod tests {
 
     /// The from-scratch drafter `RealDrafter` replaced, kept as the oracle
     /// its incremental cache is checked against: a fresh KV cache and a full
-    /// prefill of `context ++ extra` on every call, and a sort of the whole
-    /// vocabulary to pick the tree's roots.
+    /// prefill of `context ++ extra` on every call, a sort of the whole
+    /// vocabulary to pick the tree's roots, and a chain routine of its own
+    /// that the width-1 tree must reproduce.
     struct ColdDrafter {
         model: Model,
         kv_capacity: usize,
@@ -492,7 +424,7 @@ mod tests {
         }
     }
 
-    impl Drafter for ColdDrafter {
+    impl ColdDrafter {
         fn draft(
             &mut self,
             context: &[Token],
@@ -652,6 +584,62 @@ mod tests {
                 }
                 assert_cache_matches_tokens(&warm);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `draft` is the chain view of the one drafting routine: the width-1
+        /// tree is a chain, and `draft` returns exactly its spine — the same
+        /// tokens, confidences and, where the cost is not wall time, cost.
+        /// The oracle's chain is also what the chain routine it replaced
+        /// drafted: `draft_chain` cut at the first token under the cutoff,
+        /// one draft-model pass per token and at least one.
+        #[test]
+        fn prop_draft_is_the_spine_of_the_width_one_tree(
+            seed in 0u64..1000,
+            context in proptest::collection::vec(0u32..64, 0..12),
+            extra in proptest::collection::vec(0u32..64, 0..3),
+            max_tokens in 0usize..6,
+            cutoff_step in 0usize..6,
+        ) {
+            let spine = |tree: &TokenTree| -> Vec<(Token, u32)> {
+                assert!(tree.leaves().len() <= 1, "a width-1 tree is a chain");
+                let nodes = tree.nodes();
+                tree.spine().iter().map(|&n| (nodes[n].token, nodes[n].prob.to_bits())).collect()
+            };
+
+            // Random 64-token models are about 1/64 confident, so these
+            // cutoffs range from never stopping to stopping at once.
+            let cutoff = [0.0, 0.015, 0.02, 0.03, 0.05, 1.1][cutoff_step];
+            let model = Model::random(ModelConfig::tiny_llama(64, 2), seed);
+            let mut real = RealDrafter::new(model, 256);
+            let (chain, _) = real.draft(&context, &extra, max_tokens, cutoff);
+            let (tree, _) = real.draft_tree(&context, &extra, 1, max_tokens, cutoff);
+            prop_assert_eq!(chain_bits(&chain), spine(&tree));
+
+            let alignment = (seed % 11) as f64 / 10.0;
+            let cutoff = cutoff_step as f32 * 0.2;
+            let mut oracle = oracle_drafter(alignment);
+            let (chain, chain_cost) = oracle.draft(&context, &extra, max_tokens, cutoff);
+            let (tree, tree_cost) = oracle.draft_tree(&context, &extra, 1, max_tokens, cutoff);
+            prop_assert_eq!(chain_bits(&chain), spine(&tree));
+            prop_assert_eq!(chain_cost.to_bits(), tree_cost.to_bits());
+            let full: Vec<Token> = context.iter().chain(&extra).copied().collect();
+            let want: Vec<(Token, f32)> = OracleDraft::new(2, 32000, alignment)
+                .draft_chain(&OracleTarget::new(1, 32000), &full, max_tokens)
+                .into_iter()
+                .take_while(|&(_, conf)| conf >= cutoff)
+                .collect();
+            prop_assert_eq!(chain_bits(&chain), chain_bits(&want));
+            let per_token = CostModel::new(NodeSpec::xeon_gold_6140_dual()).full_model_time(
+                &ModelCost::new(ModelConfig::tinyllama_1_1b(), QuantKind::Q4K),
+                1,
+                full.len(),
+            );
+            let want_cost = if max_tokens == 0 { 0.0 } else { per_token * want.len().max(1) as f64 };
+            prop_assert_eq!(chain_cost.to_bits(), want_cost.to_bits());
         }
     }
 

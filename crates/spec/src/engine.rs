@@ -125,6 +125,11 @@ pub trait StageEngine: Send {
 
 /// Evaluation engine of the head rank: stage 0 plus the embedding, the
 /// output head and sampling support.
+///
+/// One [`HeadEngine::finalize`] serves every batch a head sends — a prompt,
+/// a single pending token, a chain or a tree — because each comes with its
+/// parent links: a chain is the one-branch tree whose every entry's parent
+/// is the entry before it.
 pub trait HeadEngine: StageEngine {
     /// Embeds `batch` and evaluates the head's layer range.  Returns the
     /// activations to forward and the cost in seconds.
@@ -133,38 +138,25 @@ pub trait HeadEngine: StageEngine {
     /// Converts the final stage's activations into the target model's greedy
     /// token after each batch entry.
     ///
-    /// `context` is the accepted token sequence *preceding* the batch; real
-    /// engines ignore it (they have the logits), simulated engines use it to
-    /// query the ground-truth oracle.  Returns the per-entry greedy tokens
-    /// and the cost (output head + sampling) in seconds.  A run sent in
-    /// slices returns the rows of its final slice only: real engines then
-    /// give one token per row of `payload`, the batch's last entries.
+    /// `parents[i]` is the batch index of entry `i`'s parent, or `None` for
+    /// an entry that continues `context` directly, so each greedy token is
+    /// conditioned on the entry's root-to-node path: for a prompt or a chain
+    /// every entry's parent is the entry before it, and a speculation tree
+    /// branches.  `context` is the accepted token sequence *preceding* the
+    /// batch.  Real engines ignore both — they have the logits, computed
+    /// under the tree attention mask that the batch's sequence-id sets
+    /// encode — and simulated engines walk them to query the ground-truth
+    /// oracle.  Returns the per-entry greedy tokens and the cost of the
+    /// output head and sampling in seconds.  A run sent in slices returns
+    /// the rows of its final slice only: real engines then give one token
+    /// per row of `payload`, the batch's last entries.
     fn finalize(
         &mut self,
         batch: &Batch,
         payload: &ActivationPayload,
         context: &[Token],
+        parents: &[Option<usize>],
     ) -> (Vec<Token>, f64);
-
-    /// Tree-aware variant of [`HeadEngine::finalize`] for batches that carry
-    /// a speculation tree: `parents[i]` is the batch index of entry `i`'s
-    /// parent (`None` for entries continuing the accepted context directly),
-    /// so each entry's greedy token is conditioned on its *root-to-node
-    /// path*, not on every preceding batch entry.
-    ///
-    /// Real engines ignore the topology — their logits were computed under
-    /// the tree attention mask that the batch's sequence-id sets encode — so
-    /// the default forwards to [`HeadEngine::finalize`].  Simulated engines
-    /// must override it to walk the parent links when querying the oracle.
-    fn finalize_tree(
-        &mut self,
-        batch: &Batch,
-        payload: &ActivationPayload,
-        context: &[Token],
-        _parents: &[Option<usize>],
-    ) -> (Vec<Token>, f64) {
-        self.finalize(batch, payload, context)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +355,7 @@ impl HeadEngine for RealStage {
         _batch: &Batch,
         payload: &ActivationPayload,
         _context: &[Token],
+        _parents: &[Option<usize>],
     ) -> (Vec<Token>, f64) {
         let start = Instant::now();
         let hidden = match payload {
@@ -494,42 +487,29 @@ impl HeadEngine for SimHeadEngine {
         batch: &Batch,
         _payload: &ActivationPayload,
         context: &[Token],
-    ) -> (Vec<Token>, f64) {
-        // Ground truth after consuming each batch prefix.  Batches are token
-        // chains (the pending token followed by drafted tokens), so the
-        // prefix of batch entries is exactly the consumed continuation.
-        let mut ctx: Vec<Token> = context.to_vec();
-        let mut out = Vec::with_capacity(batch.len());
-        for entry in batch.iter() {
-            ctx.push(entry.token);
-            out.push(self.oracle.next_token(&ctx));
-        }
-        (out, self.head_cost(batch.len()))
-    }
-
-    fn finalize_tree(
-        &mut self,
-        batch: &Batch,
-        _payload: &ActivationPayload,
-        context: &[Token],
         parents: &[Option<usize>],
     ) -> (Vec<Token>, f64) {
         assert_eq!(parents.len(), batch.len(), "one parent link per entry");
         // Ground truth after each entry's root-to-node token path.  Parents
-        // precede children, so each path extends an already-computed one.
-        let mut paths: Vec<Vec<Token>> = Vec::with_capacity(batch.len());
+        // precede children; an entry whose parent is the entry before it (a
+        // prompt, a chain, a tree's spine) extends the previous path in
+        // place, and any other entry rebuilds its path from the links.
+        let tokens = batch.tokens();
+        let mut path: Vec<Token> = context.to_vec();
         let mut out = Vec::with_capacity(batch.len());
-        for (i, entry) in batch.iter().enumerate() {
-            let mut path = match parents[i] {
-                Some(p) => {
-                    assert!(p < i, "parent {p} does not precede entry {i}");
-                    paths[p].clone()
+        for (i, &token) in tokens.iter().enumerate() {
+            if i == 0 || parents[i] != Some(i - 1) {
+                path.truncate(context.len());
+                let mut node = i;
+                while let Some(p) = parents[node] {
+                    assert!(p < node, "parent {p} does not precede entry {node}");
+                    path.push(tokens[p]);
+                    node = p;
                 }
-                None => context.to_vec(),
-            };
-            path.push(entry.token);
+                path[context.len()..].reverse();
+            }
+            path.push(token);
             out.push(self.oracle.next_token(&path));
-            paths.push(path);
         }
         (out, self.head_cost(batch.len()))
     }
@@ -584,7 +564,7 @@ mod tests {
         let batch = Batch::prompt(&[5, 6], 0, 0);
         let mut head = solo(model.clone(), 0..4, 64);
         let (hidden, _) = head.eval_first_stage(&batch);
-        let (tokens, _) = head.finalize(&batch, &hidden, &[]);
+        let (tokens, _) = head.finalize(&batch, &hidden, &[], &[None, Some(0)]);
         assert_eq!(tokens.len(), 2);
 
         // Cross-check against a direct forward pass.
@@ -743,27 +723,29 @@ mod tests {
     }
 
     #[test]
-    fn sim_finalize_tree_conditions_on_paths_not_batch_order() {
+    fn sim_finalize_conditions_on_paths_not_batch_order() {
         let (cm, mc) = sim_pair();
         let oracle = OracleTarget::new(5, 32000);
         let mut head = SimHeadEngine::new(cm, mc, 10, oracle);
         let context = vec![10, 20];
         // Entry 0 continues the context; entries 1 and 2 are sibling
-        // branches under it (same position, different branches).
+        // branches under it (same position, different branches), and entry
+        // 3 continues entry 1's branch after its sibling.
         let mut batch = Batch::new();
         batch.push(30, 2, vec![0, 1, 2], true);
         batch.push(40, 3, vec![1], true);
         batch.push(50, 3, vec![2], true);
-        let parents = vec![None, Some(0), Some(0)];
-        let (tokens, cost) =
-            head.finalize_tree(&batch, &ActivationPayload::Empty, &context, &parents);
+        batch.push(60, 4, vec![1], true);
+        let parents = vec![None, Some(0), Some(0), Some(1)];
+        let (tokens, cost) = head.finalize(&batch, &ActivationPayload::Empty, &context, &parents);
         assert!(cost > 0.0);
         assert_eq!(tokens[0], oracle.next_token(&[10, 20, 30]));
         assert_eq!(tokens[1], oracle.next_token(&[10, 20, 30, 40]));
         // The sibling is conditioned on its own path — entry 1's token must
-        // NOT leak into entry 2's context.
+        // NOT leak into entry 2's context, nor entry 2's into entry 3's.
         assert_eq!(tokens[2], oracle.next_token(&[10, 20, 30, 50]));
         assert_ne!(tokens[2], oracle.next_token(&[10, 20, 30, 40, 50]));
+        assert_eq!(tokens[3], oracle.next_token(&[10, 20, 30, 40, 60]));
     }
 
     fn sim_pair() -> (CostModel, ModelCost) {
@@ -797,7 +779,8 @@ mod tests {
         let mut head = SimHeadEngine::new(cm, mc, 10, oracle);
         let context = vec![10, 20, 30];
         let batch = Batch::prompt(&[40, 50], 3, 0);
-        let (tokens, cost) = head.finalize(&batch, &ActivationPayload::Empty, &context);
+        let parents = [None, Some(0)];
+        let (tokens, cost) = head.finalize(&batch, &ActivationPayload::Empty, &context, &parents);
         assert_eq!(tokens.len(), 2);
         assert!(cost > 0.0);
         assert_eq!(tokens[0], oracle.next_token(&[10, 20, 30, 40]));

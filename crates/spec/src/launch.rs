@@ -117,7 +117,7 @@ mod tests {
     use super::*;
     use crate::engine::{RealStage, StageEngine};
     use crate::testkit::TestCtx;
-    use pi_model::{KvCache, Model, ModelConfig, Sampler};
+    use pi_model::{KvCache, Model, ModelConfig, Sampler, TokenTree};
     use std::sync::Arc;
 
     #[test]
@@ -193,7 +193,8 @@ mod tests {
                 assert_eq!(!batch.logit_indices().is_empty(), last, "h={h} slice {i}");
                 out = stage.eval(&batch, &payload).0;
             }
-            let (greedy, _) = head.finalize(&Batch::prompt(&prompt, 0, 0), &out, &[]);
+            let parents = TokenTree::chain_of(&prompt).parents();
+            let (greedy, _) = head.finalize(&Batch::prompt(&prompt, 0, 0), &out, &[], &parents);
             assert_eq!(greedy.last(), Some(&truth), "h={h}");
         }
     }

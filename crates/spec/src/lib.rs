@@ -72,7 +72,7 @@ pub use message::{ActivationPayload, CacheOp, PipeMsg, RunId, RunKind, TreeTopol
 pub use route::PipelineRoute;
 pub use session::{SessionStats, StepReport, StepSession};
 pub use tree::{AdaptiveShape, TreeConfig, TreeSpeculationStrategy};
-pub use verify::{verify_greedy, verify_tree, TreeVerifyOutcome};
+pub use verify::{verify_tree, TreeVerifyOutcome};
 pub use worker::PipelineWorker;
 
 use pi_model::Token;

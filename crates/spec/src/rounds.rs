@@ -2,24 +2,32 @@
 //!
 //! The paper's two baselines — pipeline-parallel iterative and
 //! SpecInfer-style speculative inference — and tree speculation are one
-//! protocol: one run in flight per request, `[pending] ++ draft` verified
-//! greedily, rejected KV cells rolled back.  Iterative decoding is the empty
-//! draft and tree speculation the branching one.  `SyncRounds` is that
-//! protocol for one request, with no driver in it: [`SyncRounds::next_round`]
-//! says what to evaluate next and which cache operations must precede it,
-//! [`SyncRounds::absorb`] takes the target's greedy tokens for that batch
-//! and says which cache operation must follow.  It never applies an
-//! operation, charges a cost or reads a clock itself, so its two drivers —
-//! the cluster head (`SyncHead`) and the cross-request step loop
-//! ([`StepSession`](crate::session::StepSession)) — each keep their own
-//! charge order around the same decisions.
+//! protocol: one run in flight per request, `[pending] ++ tree` verified
+//! greedily, rejected KV cells rolled back.  Iterative decoding drafts the
+//! empty tree, chain speculation a one-branch tree and tree speculation a
+//! branching one, and every round is built and verified by one path.
+//! `SyncRounds` is that protocol for one request, with no driver in it:
+//! [`SyncRounds::next_round`] says what to evaluate next and which cache
+//! operations must precede it, [`SyncRounds::absorb`] takes the target's
+//! greedy tokens for that batch and says which cache operation must follow.
+//! It never applies an operation, charges a cost or reads a clock itself, so
+//! its two drivers — the cluster head (`SyncHead`) and the cross-request
+//! step loop ([`StepSession`](crate::session::StepSession)) — each keep
+//! their own charge order around the same decisions.
+//!
+//! The only thing the profile decides besides the draft's shape is where a
+//! round's KV entries go.  The chain (and non-speculative) profile writes
+//! in place on the canonical sequence 0 and removes a rejected tail with a
+//! `SeqRm`; the tree profile gives every branch its own sequence partition,
+//! seeded with `SeqCp`s of the context, and keeps only the accepted path
+//! with a `BranchCommit` (or drops every branch with a `BranchRollback`).
 
 use crate::deploy::StepProfile;
 use crate::drafter::Drafter;
 use crate::engine::HeadEngine;
-use crate::message::{ActivationPayload, CacheOp, RunKind};
+use crate::message::{ActivationPayload, CacheOp, RunKind, TreeTopology};
 use crate::tree::{spine_prefix_len, AdaptiveShape};
-use crate::verify::{verify_greedy, verify_tree};
+use crate::verify::verify_tree;
 use crate::{GenConfig, GenerationRecord};
 use pi_model::{Batch, Pos, SeqId, Token, TokenTree};
 
@@ -33,22 +41,9 @@ enum Phase {
     Done,
 }
 
-/// The speculation tree of one round, kept from batch construction to
-/// verification.
-struct TreeDraft {
-    /// The speculated tree (empty when the drafter proposed nothing and only
-    /// the pending token is evaluated).
-    tree: TokenTree,
-    /// Batch-index parent links of `[pending] ++ tree`.
-    parents: Vec<Option<usize>>,
-    /// Per-node sequence sets from `TokenTree::assign_sequences`.
-    node_seqs: Vec<Vec<SeqId>>,
-    /// Number of leaf sequences the tree occupies.
-    n_leaves: usize,
-}
-
-/// One micro-batch a request wants evaluated: the prompt suffix, the single
-/// pending token, `[pending] ++ chain` or `[pending] ++ tree`.
+/// One micro-batch a request wants evaluated: the prompt suffix, or the
+/// pending token followed by the round's drafted tree (empty without a
+/// drafter or when it proposed nothing, one branch for a chain).
 pub(crate) struct Round {
     /// The batch, parents before children, in lane 0.
     pub batch: Batch,
@@ -59,26 +54,26 @@ pub(crate) struct Round {
     pub pre_ops: Vec<CacheOp>,
     /// What the draft model charged for this round's proposal, in seconds.
     pub draft_cost: f64,
-    tree: Option<TreeDraft>,
+    /// The drafted tree; the batch is `[pending] ++ tree`.
+    tree: TokenTree,
+    /// Batch-index parent of every entry: each entry's greedy token is
+    /// conditioned on its root-to-node path (`HeadEngine::finalize`).
+    parents: Vec<Option<usize>>,
+    /// Sequence set of every tree node.
+    node_seqs: Vec<Vec<SeqId>>,
+    /// Branch partitions the tree occupies from `FIRST_TREE_SEQ` on; 0 when
+    /// it is written in place on sequence 0.
+    n_branches: usize,
 }
 
 impl Round {
-    fn linear(batch: Batch, kind: RunKind, draft_cost: f64) -> Self {
-        Self {
-            batch,
-            kind,
-            pre_ops: Vec::new(),
-            draft_cost,
-            tree: None,
-        }
-    }
-
-    /// The batch-index parent of every entry when this round verifies a
-    /// tree — each entry's greedy token is then conditioned on its
-    /// root-to-node path (`HeadEngine::finalize_tree`), not on the entries
-    /// before it.  `None` for prompt, single-token and chain rounds.
-    pub fn parents(&self) -> Option<&[Option<usize>]> {
-        self.tree.as_ref().map(|t| t.parents.as_slice())
+    /// The parent links a worker needs to rebuild the attention mask of a
+    /// round written into branch partitions; `None` for one written in
+    /// place.
+    pub fn topology(&self) -> Option<TreeTopology> {
+        (self.n_branches > 0).then(|| TreeTopology {
+            parents: self.parents.iter().map(|p| p.map(|i| i as u32)).collect(),
+        })
     }
 
     /// The target's greedy token after every batch entry, from the final
@@ -90,10 +85,7 @@ impl Round {
         payload: &ActivationPayload,
         context: &[Token],
     ) -> (Vec<Token>, f64) {
-        match self.parents() {
-            Some(parents) => engine.finalize_tree(&self.batch, payload, context, parents),
-            None => engine.finalize(&self.batch, payload, context),
-        }
+        engine.finalize(&self.batch, payload, context, &self.parents)
     }
 }
 
@@ -207,93 +199,94 @@ impl SyncRounds {
         let base = self.context.len() as Pos;
         if self.phase == Phase::Prompt {
             let suffix = &self.config.prompt[self.prompt_cached..];
-            return Round::linear(Batch::prompt(suffix, base, 0), RunKind::NonSpeculative, 0.0);
+            return Round {
+                batch: Batch::prompt(suffix, base, 0),
+                kind: RunKind::NonSpeculative,
+                pre_ops: Vec::new(),
+                draft_cost: 0.0,
+                tree: TokenTree::new(),
+                parents: TokenTree::chain_of(suffix).parents(),
+                node_seqs: Vec::new(),
+                n_branches: 0,
+            };
         }
-        match self.profile {
-            StepProfile::NonSpeculative => Round::linear(
-                Batch::single(self.pending, base, 0),
-                RunKind::NonSpeculative,
-                0.0,
-            ),
-            StepProfile::Chain => {
-                let drafter = self.drafter.as_mut().expect("chain profile has a drafter");
-                let (chain, draft_cost) = drafter.draft(
-                    &self.context,
-                    &[self.pending],
-                    self.config.max_draft,
-                    self.config.confidence_cutoff,
-                );
-                self.record.drafted += chain.len();
-                let mut batch = Batch::single(self.pending, base, 0);
-                for (i, (tok, _conf)) in chain.iter().enumerate() {
-                    batch.push(*tok, base + 1 + i as Pos, vec![0], true);
-                }
-                Round::linear(batch, RunKind::Speculative, draft_cost)
-            }
+        let (kind, (width, depth)) = match self.profile {
+            StepProfile::NonSpeculative => (RunKind::NonSpeculative, (1, 0)),
+            StepProfile::Chain => (RunKind::Speculative, (1, self.config.max_draft)),
             StepProfile::Tree(_) => {
                 let shape = self.shape.as_ref().expect("tree profile has a controller");
-                let (width, depth) = shape.shape();
-                self.record.tree_shapes.push((width, depth));
-                let drafter = self.drafter.as_mut().expect("tree profile has a drafter");
-                let (tree, draft_cost) = drafter.draft_tree(
-                    &self.context,
-                    &[self.pending],
-                    width,
-                    depth,
-                    self.config.confidence_cutoff,
-                );
-                self.record.tree_rounds += 1;
-                self.record.drafted += tree.len();
-                self.record.tree_nodes += tree.len();
-
-                let node_seqs = tree.assign_sequences(FIRST_TREE_SEQ);
-                let n_leaves = tree.n_sequences();
-                let leaf_seqs = (0..n_leaves as SeqId).map(|leaf| FIRST_TREE_SEQ + leaf);
-
-                // Every branch sequence receives the canonical context prefix
-                // before any tree cell is allocated, so branch tokens can
-                // attend to it.
-                let pre_ops = leaf_seqs
-                    .clone()
-                    .map(|dst| CacheOp::SeqCp {
-                        src: 0,
-                        dst,
-                        p0: 0,
-                        p1: Pos::MAX,
-                    })
-                    .collect();
-
-                // The pending token belongs to the canonical sequence *and*
-                // to every branch (it is their shared parent); tree nodes
-                // carry the sequence sets that encode the tree attention
-                // mask.
-                let mut batch = Batch::new();
-                let mut pending_seqs = vec![0];
-                pending_seqs.extend(leaf_seqs);
-                batch.push(self.pending, base, pending_seqs, true);
-                let mut parents: Vec<Option<usize>> = vec![None];
-                for (id, node) in tree.nodes().iter().enumerate() {
-                    batch.push(
-                        node.token,
-                        base + 1 + node.depth as Pos,
-                        node_seqs[id].clone(),
-                        true,
-                    );
-                    parents.push(Some(node.parent.map_or(0, |p| p + 1)));
-                }
-                Round {
-                    batch,
-                    kind: RunKind::Speculative,
-                    pre_ops,
-                    draft_cost,
-                    tree: Some(TreeDraft {
-                        tree,
-                        parents,
-                        node_seqs,
-                        n_leaves,
-                    }),
-                }
+                let shape = shape.shape();
+                self.record.tree_shapes.push(shape);
+                (RunKind::Speculative, shape)
             }
+        };
+        let (tree, draft_cost) = match &mut self.drafter {
+            Some(drafter) if depth > 0 => drafter.draft_tree(
+                &self.context,
+                &[self.pending],
+                width,
+                depth,
+                self.config.confidence_cutoff,
+            ),
+            _ => (TokenTree::new(), 0.0),
+        };
+        self.record.drafted += tree.len();
+        if self.shape.is_some() {
+            self.record.tree_rounds += 1;
+            self.record.tree_nodes += tree.len();
+        }
+
+        // KV placement, the one decision left to the profile: a tree's
+        // branches each get a sequence partition, a chain is written in
+        // place on the canonical sequence.
+        let (node_seqs, n_branches) = if self.shape.is_some() {
+            (tree.assign_sequences(FIRST_TREE_SEQ), tree.n_sequences())
+        } else {
+            (vec![vec![0]; tree.len()], 0)
+        };
+        let branch_seqs = (0..n_branches as SeqId).map(|branch| FIRST_TREE_SEQ + branch);
+
+        // Every branch sequence receives the canonical context prefix before
+        // any tree cell is allocated, so branch tokens can attend to it.
+        let pre_ops = branch_seqs
+            .clone()
+            .map(|dst| CacheOp::SeqCp {
+                src: 0,
+                dst,
+                p0: 0,
+                p1: Pos::MAX,
+            })
+            .collect();
+
+        // The pending token belongs to the canonical sequence *and* to every
+        // branch (it is their shared parent); tree nodes carry the sequence
+        // sets that encode the tree attention mask.
+        let mut batch = Batch::new();
+        batch.push(
+            self.pending,
+            base,
+            std::iter::once(0).chain(branch_seqs).collect(),
+            true,
+        );
+        let mut parents: Vec<Option<usize>> = vec![None];
+        for (id, node) in tree.nodes().iter().enumerate() {
+            batch.push(
+                node.token,
+                base + 1 + node.depth as Pos,
+                node_seqs[id].clone(),
+                true,
+            );
+            parents.push(Some(node.parent.map_or(0, |p| p + 1)));
+        }
+        Round {
+            batch,
+            kind,
+            pre_ops,
+            draft_cost,
+            tree,
+            parents,
+            node_seqs,
+            n_branches,
         }
     }
 
@@ -325,72 +318,63 @@ impl SyncRounds {
     }
 
     /// The decoding half of [`SyncRounds::absorb`]: greedy verification of
-    /// `[pending] ++ draft`.
+    /// `[pending] ++ tree`.
     fn verify(&mut self, round: Round, greedy: &[Token], now: f64) -> Option<CacheOp> {
         let base = self.context.len() as Pos;
-        let (accepted, pending, op) = match &round.tree {
-            // Chain (and non-speculative, where the draft is empty).
-            None => {
-                let tokens = round.batch.tokens();
-                let draft = &tokens[1..];
-                let outcome = verify_greedy(draft, greedy);
-                let n_accepted = outcome.n_accepted();
-                let op = (n_accepted < draft.len()).then(|| CacheOp::SeqRm {
-                    seq: 0,
-                    p0: base + 1 + n_accepted as Pos,
-                    p1: Pos::MAX,
-                });
-                (outcome.accepted, outcome.pending, op)
+        let tree = &round.tree;
+        let outcome = verify_tree(tree, greedy);
+        let n_accepted = outcome.n_accepted();
+        if let Some(shape) = &mut self.shape {
+            self.record.tree_accepted_path += n_accepted;
+            // The acceptance estimate tracks the *primary* branch: a round
+            // rescued by a runner-up still rejected the primary candidate,
+            // and must count as such or the estimator drifts optimistic and
+            // the shape oscillates back to a pure chain.
+            let spine_accepted = spine_prefix_len(tree, &outcome.accepted_path);
+            self.total_accepted += spine_accepted;
+            if spine_accepted < tree.span() {
+                self.total_rejections += 1;
             }
-            Some(draft) => {
-                let outcome = verify_tree(&draft.tree, greedy);
-                let n_accepted = outcome.n_accepted();
-                self.record.tree_accepted_path += n_accepted;
-                // The acceptance estimate tracks the *primary* branch: a
-                // round rescued by a runner-up still rejected the primary
-                // candidate, and must count as such or the estimator drifts
-                // optimistic and the shape oscillates back to a pure chain.
-                let spine_accepted = spine_prefix_len(&draft.tree, &outcome.accepted_path);
-                self.total_accepted += spine_accepted;
-                if spine_accepted < draft.tree.span() {
-                    self.total_rejections += 1;
-                }
-                if let Some(shape) = &mut self.shape {
-                    shape.observe(spine_accepted, draft.tree.span());
-                }
-                // Retain only the accepted path in every stage's KV cache.
-                let n_seqs = draft.n_leaves as u32;
-                let op = (n_seqs > 0).then(|| match outcome.accepted_path.last() {
-                    Some(&deepest) => CacheOp::BranchCommit {
-                        dst: 0,
-                        path: draft.node_seqs[deepest][0],
-                        first: FIRST_TREE_SEQ,
-                        n_seqs,
-                        p0: base + 1,
-                        p1: base + 1 + n_accepted as Pos,
-                    },
-                    None => CacheOp::BranchRollback {
-                        first: FIRST_TREE_SEQ,
-                        n_seqs,
-                    },
-                });
-                (outcome.accepted, outcome.pending, op)
-            }
+            shape.observe(spine_accepted, tree.span());
+        }
+        // Keep only the accepted path in every stage's KV cache.
+        let op = if round.n_branches == 0 {
+            (n_accepted < tree.len()).then(|| CacheOp::SeqRm {
+                seq: 0,
+                p0: base + 1 + n_accepted as Pos,
+                p1: Pos::MAX,
+            })
+        } else {
+            let n_seqs = round.n_branches as u32;
+            Some(match outcome.accepted_path.last() {
+                Some(&deepest) => CacheOp::BranchCommit {
+                    dst: 0,
+                    path: round.node_seqs[deepest][0],
+                    first: FIRST_TREE_SEQ,
+                    n_seqs,
+                    p0: base + 1,
+                    p1: base + 1 + n_accepted as Pos,
+                },
+                None => CacheOp::BranchRollback {
+                    first: FIRST_TREE_SEQ,
+                    n_seqs,
+                },
+            })
         };
-        self.record.accepted_drafts += accepted.len();
+        self.record.accepted_drafts += n_accepted;
 
         // The pending token and the accepted drafts are now evaluated
         // context; accepted drafts plus the new pending token are the newly
         // generated tokens.
         self.context.push(self.pending);
-        for tok in accepted {
+        for tok in outcome.accepted {
             self.context.push(tok);
             self.record.tokens.push(tok);
             self.record.accept_times.push(now);
         }
-        self.record.tokens.push(pending);
+        self.record.tokens.push(outcome.pending);
         self.record.accept_times.push(now);
-        self.pending = pending;
+        self.pending = outcome.pending;
         op
     }
 }

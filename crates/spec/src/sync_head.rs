@@ -15,7 +15,7 @@
 use crate::deploy::{HeadParts, RecordHandle, StepProfile};
 use crate::engine::HeadEngine;
 use crate::launch::{launch, Run};
-use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId, TreeTopology};
+use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId};
 use crate::rounds::{Round, SyncRounds};
 use crate::route::PipelineRoute;
 use crate::worker::trace_kv_events;
@@ -89,19 +89,11 @@ impl SyncHead {
         }
         let run_id = self.next_run_id;
         self.next_run_id += 1;
-        // A round whose drafter proposed nothing is a plain single-token
-        // run: no topology travels with it.
-        let tree = round
-            .parents()
-            .filter(|parents| parents.len() > 1)
-            .map(|parents| TreeTopology {
-                parents: parents.iter().map(|p| p.map(|i| i as u32)).collect(),
-            });
         let run = Run {
             id: run_id,
             kind: round.kind,
             batch: round.batch.clone(),
-            tree,
+            tree: round.topology(),
         };
         let slice_rows = self.engine.slice_rows();
         let engine = self.engine.as_mut();
@@ -188,7 +180,7 @@ mod tests {
     use crate::testkit::{answer_decodes, drive, transcript_hash, TestCtx};
     use crate::tree::{TreeConfig, DEFAULT_PRIOR};
     use crate::{GenConfig, GenerationRecord};
-    use pi_model::{ModelConfig, OracleDraft, OracleTarget, Token};
+    use pi_model::{ModelConfig, OracleDraft, OracleTarget, Token, TokenTree};
     use pi_perf::{CostModel, ModelCost, NodeSpec};
     use pi_tensor::QuantKind;
     use std::sync::{Arc, Mutex};
@@ -358,16 +350,17 @@ mod tests {
                 self.0.lock().unwrap().push(format!("prime {context:?}"));
                 100.0
             }
-            fn draft(
+            fn draft_tree(
                 &mut self,
                 context: &[Token],
                 extra: &[Token],
-                _max_tokens: usize,
+                _width: usize,
+                _depth: usize,
                 _cutoff: f32,
-            ) -> (Vec<(Token, f32)>, f64) {
+            ) -> (TokenTree, f64) {
                 let mut calls = self.0.lock().unwrap();
                 calls.push(format!("draft {context:?} {extra:?}"));
-                (Vec::new(), 0.0)
+                (TokenTree::new(), 0.0)
             }
         }
         for profile in [StepProfile::Chain, tree_profile()] {

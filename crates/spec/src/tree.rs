@@ -13,6 +13,13 @@
 //! [`BranchCommit`](crate::message::CacheOp::BranchCommit) /
 //! [`BranchRollback`](crate::message::CacheOp::BranchRollback) operations.
 //!
+//! Linear speculation is the width-1 case of the same code: the drafter's
+//! one routine ([`Drafter::draft_tree`](crate::drafter::Drafter::draft_tree))
+//! drafts it, `SyncRounds` builds and verifies it on the same path, and the
+//! strategy differs only in where the KV entries go — a chain is written in
+//! place on the canonical sequence and its rejected tail removed, a tree's
+//! branches get sequence partitions of their own.
+//!
 //! ## Adaptive shape
 //!
 //! How to split the budget between *width* (hedging) and *depth* (reach) is

@@ -1,70 +1,14 @@
-//! Greedy token-tree verification.
+//! Greedy token-tree verification: [`verify_tree`], the one verifier.
 //!
 //! The paper adopts SpecInfer's verification algorithm; under greedy sampling
 //! (which the whole evaluation uses, so that all strategies produce identical
-//! output) it reduces to longest-prefix matching of the drafted chain against
-//! the target model's greedy continuation, followed by one "free" token —
-//! either the correction at the first mismatch or the bonus token after a
-//! fully accepted chain.
+//! output) it reduces to walking the drafted tree along the target model's
+//! greedy continuation, followed by one "free" token — either the correction
+//! at the first mismatch or the bonus token after a fully accepted branch.
+//! A drafted chain is a one-branch tree, where the walk is longest-prefix
+//! matching.
 
 use pi_model::{Token, TokenTree, TreeNodeId};
-
-/// Outcome of verifying one drafted chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyOutcome {
-    /// Draft tokens accepted (a prefix of the drafted chain).
-    pub accepted: Vec<Token>,
-    /// The new pending token: the target's correction at the first mismatch,
-    /// or the bonus continuation if every draft token was accepted.  It is
-    /// guaranteed correct (it is the target's own greedy choice) but has not
-    /// been evaluated by the target pipeline yet.
-    pub pending: Token,
-}
-
-impl VerifyOutcome {
-    /// Number of accepted draft tokens.
-    pub fn n_accepted(&self) -> usize {
-        self.accepted.len()
-    }
-
-    /// Total new tokens produced by the verification (accepted drafts plus
-    /// the pending token).
-    pub fn n_generated(&self) -> usize {
-        self.accepted.len() + 1
-    }
-}
-
-/// Verifies a drafted chain against the target's greedy continuations.
-///
-/// * `draft` — the drafted tokens `d₁ … d_k`.
-/// * `truth` — the target's greedy token *after* each evaluated batch entry:
-///   `truth[0]` is the target's choice for the position of `d₁` (i.e. the
-///   token following the pending token), `truth[i]` the choice following
-///   `d_i`.  Must therefore have length `draft.len() + 1`.
-///
-/// Panics if `truth` is shorter than `draft.len() + 1`.
-pub fn verify_greedy(draft: &[Token], truth: &[Token]) -> VerifyOutcome {
-    assert!(
-        truth.len() > draft.len(),
-        "need {} truth tokens, got {}",
-        draft.len() + 1,
-        truth.len()
-    );
-    let mut accepted = Vec::with_capacity(draft.len());
-    let mut expected = truth[0];
-    for (i, &d) in draft.iter().enumerate() {
-        if d == expected {
-            accepted.push(d);
-            expected = truth[i + 1];
-        } else {
-            break;
-        }
-    }
-    VerifyOutcome {
-        accepted,
-        pending: expected,
-    }
-}
 
 /// Outcome of verifying one speculation tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,12 +45,12 @@ impl TreeVerifyOutcome {
 ///   token following the pending token), `truth[1 + id]` its choice after
 ///   node `id`'s root-to-node path.  Must therefore have length
 ///   `tree.len() + 1`; this is exactly the per-entry output of
-///   `HeadEngine::finalize_tree` over a `[pending] ++ tree` batch.
+///   `HeadEngine::finalize` over a `[pending] ++ tree` batch.
 ///
 /// At every level at most one child can match the target's (deterministic
 /// greedy) choice; if several siblings carry the same token the first in
 /// node-id order wins, which is also the branch whose KV entries are kept.
-/// For a single-branch tree this reduces exactly to [`verify_greedy`].
+/// For a single-branch tree this is longest-prefix matching of the chain.
 ///
 /// Panics if `truth` is shorter than `tree.len() + 1`.
 pub fn verify_tree(tree: &TokenTree, truth: &[Token]) -> TreeVerifyOutcome {
@@ -139,9 +83,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The single-branch tree of a drafted chain.
+    fn chain(tokens: &[Token]) -> TokenTree {
+        TokenTree::chain_of(tokens)
+    }
+
+    /// Longest-prefix matching of `draft` against `truth`, plus the pending
+    /// token: the chain verifier the tree walk must reduce to.
+    fn longest_prefix(draft: &[Token], truth: &[Token]) -> (Vec<Token>, Token) {
+        let n = draft.iter().zip(truth).take_while(|(d, t)| d == t).count();
+        (draft[..n].to_vec(), truth[n])
+    }
+
     #[test]
     fn all_accepted_returns_bonus_token() {
-        let out = verify_greedy(&[5, 6, 7], &[5, 6, 7, 8]);
+        let out = verify_tree(&chain(&[5, 6, 7]), &[5, 6, 7, 8]);
         assert_eq!(out.accepted, vec![5, 6, 7]);
         assert_eq!(out.pending, 8);
         assert_eq!(out.n_generated(), 4);
@@ -149,7 +105,7 @@ mod tests {
 
     #[test]
     fn first_token_mismatch_yields_correction_only() {
-        let out = verify_greedy(&[5, 6, 7], &[9, 1, 2, 3]);
+        let out = verify_tree(&chain(&[5, 6, 7]), &[9, 1, 2, 3]);
         assert!(out.accepted.is_empty());
         assert_eq!(out.pending, 9);
         assert_eq!(out.n_generated(), 1);
@@ -157,14 +113,14 @@ mod tests {
 
     #[test]
     fn partial_acceptance_stops_at_first_mismatch() {
-        let out = verify_greedy(&[5, 6, 7, 8], &[5, 6, 99, 100, 101]);
+        let out = verify_tree(&chain(&[5, 6, 7, 8]), &[5, 6, 99, 100, 101]);
         assert_eq!(out.accepted, vec![5, 6]);
         assert_eq!(out.pending, 99);
     }
 
     #[test]
     fn empty_draft_only_produces_pending() {
-        let out = verify_greedy(&[], &[42]);
+        let out = verify_tree(&chain(&[]), &[42]);
         assert!(out.accepted.is_empty());
         assert_eq!(out.pending, 42);
     }
@@ -172,7 +128,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn short_truth_is_rejected() {
-        let _ = verify_greedy(&[1, 2], &[1, 2]);
+        let _ = verify_tree(&chain(&[1, 2]), &[1, 2]);
     }
 
     /// Builds the tree:
@@ -240,9 +196,9 @@ mod tests {
     }
 
     proptest! {
-        /// A degenerate single-branch tree must verify byte-for-byte like the
-        /// linear chain it encodes — the invariant that lets chains be
-        /// "just" trees everywhere.
+        /// A degenerate single-branch tree must verify byte-for-byte like
+        /// longest-prefix matching of the chain it encodes — the invariant
+        /// that lets chains be "just" trees everywhere.
         #[test]
         fn prop_chain_tree_matches_verify_greedy(
             truth in proptest::collection::vec(0u32..50, 1..12),
@@ -252,16 +208,14 @@ mod tests {
             let draft: Vec<u32> = (0..k).map(|i| {
                 if draft_noise[i] % 2 == 0 { truth[i] } else { truth[i].wrapping_add(1) }
             }).collect();
-            let pairs: Vec<(u32, f32)> = draft.iter().map(|&t| (t, 0.5)).collect();
-            let tree = TokenTree::chain(&pairs);
-            let linear = verify_greedy(&draft, &truth);
-            let treed = verify_tree(&tree, &truth);
-            prop_assert_eq!(&treed.accepted, &linear.accepted);
-            prop_assert_eq!(treed.pending, linear.pending);
+            let (accepted, pending) = longest_prefix(&draft, &truth);
+            let treed = verify_tree(&chain(&draft), &truth);
+            prop_assert_eq!(&treed.accepted, &accepted);
+            prop_assert_eq!(treed.pending, pending);
             // The accepted path is the chain prefix 0..n.
             prop_assert_eq!(
                 treed.accepted_path,
-                (0..linear.accepted.len()).collect::<Vec<_>>()
+                (0..accepted.len()).collect::<Vec<_>>()
             );
         }
 
@@ -278,7 +232,7 @@ mod tests {
                 // Half the time the draft matches the truth, half the time not.
                 if draft_noise[i] % 2 == 0 { truth[i] } else { truth[i].wrapping_add(1) }
             }).collect();
-            let out = verify_greedy(&draft, &truth);
+            let out = verify_tree(&chain(&draft), &truth);
             // accepted ++ [pending] must be a prefix of the target's own
             // continuation (truth shifted appropriately).
             let mut produced = out.accepted.clone();

@@ -376,21 +376,6 @@ pub fn rope_rotate(x: &mut [f32], row: &[f32]) {
     }
 }
 
-/// Applies rotary position embeddings in place to a query or key vector.
-///
-/// The vector is interpreted as `n_heads` heads of dimension `head_dim`
-/// (which must be even); each consecutive pair of elements within a head is
-/// rotated by an angle that depends on the token `position` and the pair
-/// index, using the standard `theta = 10000` base.  One-vector convenience
-/// over [`rope_table_row`] + [`rope_rotate`]; the forward pass builds the
-/// table row once per token and reuses it across heads, q/k and layers.
-pub fn rope_inplace(x: &mut [f32], n_heads: usize, head_dim: usize, position: usize, theta: f32) {
-    debug_assert_eq!(x.len(), n_heads * head_dim);
-    let mut row = vec![0.0f32; head_dim];
-    rope_table_row(&mut row, position, theta);
-    rope_rotate(x, &row);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,11 +503,19 @@ mod tests {
         assert!((x[1] - 10.0).abs() < 1e-3);
     }
 
+    /// Rotates `x` the forward pass's way: one table row for `position`,
+    /// then every head of dimension `head_dim` turned by it.
+    fn rope(x: &mut [f32], head_dim: usize, position: usize) {
+        let mut row = vec![0.0f32; head_dim];
+        rope_table_row(&mut row, position, 10000.0);
+        rope_rotate(x, &row);
+    }
+
     #[test]
     fn rope_position_zero_is_identity() {
         let mut x = vec![1.0, 2.0, 3.0, 4.0];
         let orig = x.clone();
-        rope_inplace(&mut x, 1, 4, 0, 10000.0);
+        rope(&mut x, 4, 0);
         for (a, b) in x.iter().zip(orig.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -532,13 +525,13 @@ mod tests {
     fn rope_preserves_norm() {
         let mut x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let norm_before: f32 = x.iter().map(|v| v * v).sum();
-        rope_inplace(&mut x, 2, 4, 17, 10000.0);
+        rope(&mut x, 4, 17);
         let norm_after: f32 = x.iter().map(|v| v * v).sum();
         assert!((norm_before - norm_after).abs() < 1e-3);
     }
 
-    /// `rope_inplace` as it stood before the table: `powf` and `sin_cos` per
-    /// pair of every head.  Kept verbatim as the reference the table
+    /// The one-vector rotation as it stood before the table: `powf` and
+    /// `sin_cos` per pair of every head.  Kept verbatim as the reference the table
     /// rotation must reproduce bit for bit.
     fn rope_inplace_reference(
         x: &mut [f32],
@@ -576,16 +569,12 @@ mod tests {
                     let mut via_table = x.clone();
                     rope_table_row(&mut row, position, 10000.0);
                     rope_rotate(&mut via_table, &row);
-                    // The one-vector wrapper goes through the same routine.
-                    let mut via_wrapper = x.clone();
-                    rope_inplace(&mut via_wrapper, n_heads, head_dim, position, 10000.0);
                     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
                     assert_eq!(
                         bits(&via_table),
                         bits(&expected),
                         "head_dim {head_dim}, {n_heads} heads, position {position}"
                     );
-                    assert_eq!(bits(&via_wrapper), bits(&expected));
                 }
             }
         }
@@ -639,7 +628,7 @@ mod tests {
             let t = Tensor::rand_uniform(&mut rng, &[32], 1.0);
             let mut x = t.into_vec();
             let before: f32 = x.iter().map(|v| v * v).sum();
-            rope_inplace(&mut x, 4, 8, pos, 10000.0);
+            rope(&mut x, 8, pos);
             let after: f32 = x.iter().map(|v| v * v).sum();
             prop_assert!((before - after).abs() < 1e-2 * before.max(1.0));
         }

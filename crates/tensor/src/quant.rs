@@ -8,9 +8,14 @@
 //!    roofline cost model (weight-streaming time) depend on bytes per weight,
 //!    which differs per format.  [`QuantKind::bits_per_weight`] encodes the
 //!    effective storage cost of each format including block scale overhead.
-//! 2. **Functional path** — the real tiny-model engine can run with quantized
-//!    weight matrices ([`QuantizedMatrix`]), exercising
-//!    quantize→dequantize→matmul exactly where llama.cpp would.
+//!    Outside this module [`QuantKind`] only prices bytes per weight for
+//!    the cost model (and names the format in labels): no model or engine
+//!    path builds a [`QuantizedMatrix`], and the real tiny-model engine runs
+//!    f32 weights.
+//! 2. **Kernel path** — [`QuantizedMatrix`] exercises
+//!    quantize→dequantize→matmul the way llama.cpp does, with a fused
+//!    quantized row-dot; that kernel runs only in the tests and the kernels
+//!    bench.
 //!
 //! The formats implemented here are simplified relative to GGML (symmetric
 //! per-block scaling, no super-block mins) but preserve the storage cost and

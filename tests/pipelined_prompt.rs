@@ -61,17 +61,9 @@ impl HeadEngine for SliceAt {
         batch: &Batch,
         payload: &ActivationPayload,
         context: &[Token],
-    ) -> (Vec<Token>, f64) {
-        self.inner.finalize(batch, payload, context)
-    }
-    fn finalize_tree(
-        &mut self,
-        batch: &Batch,
-        payload: &ActivationPayload,
-        context: &[Token],
         parents: &[Option<usize>],
     ) -> (Vec<Token>, f64) {
-        self.inner.finalize_tree(batch, payload, context, parents)
+        self.inner.finalize(batch, payload, context, parents)
     }
 }
 
