@@ -24,6 +24,13 @@
 //! 4, 5 and 8 rows, and `attend_token_per_cell` is one token's attention over
 //! 64, 128 and 512 cached cells, in nanoseconds per cell.
 //!
+//! A **team** section times what a thread holding a `rayon::pool::Team`
+//! issues — the step loop's products — inside a team of 1 and a team of 2:
+//! 1×256×256, 1×256×704 and 5×256×704 cycling through enough matrices of
+//! their own to stream each from the shared cache as a forward pass does,
+//! and `matmul_stack_bp256` at 1 and 5 rows.  Its rows are named `team_*`,
+//! with the team's width as `threads`.
+//!
 //! Besides the human-readable table, the run writes machine-readable results
 //! to `BENCH_kernels.json` at the workspace root (`op`, `shape`,
 //! `ns_per_iter`, `threads`, `isa`) so the kernel-performance trajectory is
@@ -107,33 +114,116 @@ const STACK_ROWS: [usize; 4] = [1, 4, 5, 8];
 /// where a forward pass finds it and not where the previous iteration left
 /// it.  Only the products: no norms, attention or residuals between them.
 fn bench_layer_stack(c: &mut Criterion) {
-    const LAYERS: usize = 8;
-    let (d, ff) = (256usize, 704usize);
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut weights = |rows: usize, cols: usize, count: usize| -> Vec<Tensor> {
-        (0..LAYERS * count)
-            .map(|_| Tensor::rand_uniform(&mut rng, &[rows, cols], 1.0))
-            .collect()
-    };
-    let (square, wide, down) = (weights(d, d, 4), weights(ff, d, 2), weights(d, ff, 1));
+    let stack = LayerStack::new(&mut StdRng::seed_from_u64(5));
     for m in STACK_ROWS {
-        let x = Tensor::rand_uniform(&mut StdRng::seed_from_u64(6), &[m, ff], 1.0);
-        let mut out = vec![0.0f32; m * ff];
-        c.bench_function(&format!("matmul_stack_bp256 {m}x{LAYERS}l"), |b| {
-            b.iter(|| {
-                for w in &square {
-                    ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, d, &mut out[..m * d]);
+        let x = Tensor::rand_uniform(&mut StdRng::seed_from_u64(6), &[m, 704], 1.0);
+        let mut out = vec![0.0f32; m * 704];
+        c.bench_function(
+            &format!("matmul_stack_bp256 {m}x{}l", LayerStack::LAYERS),
+            |b| b.iter(|| stack.run(&x, &mut out)),
+        );
+    }
+}
+
+/// The eight `bp256` layers' products of [`bench_layer_stack`] (wq, wk, wv,
+/// wo, gate, up, down), issued back to back at `m` rows.
+struct LayerStack {
+    square: Vec<Tensor>,
+    wide: Vec<Tensor>,
+    down: Vec<Tensor>,
+}
+
+impl LayerStack {
+    const LAYERS: usize = 8;
+
+    fn new(rng: &mut StdRng) -> Self {
+        let (d, ff) = (256usize, 704usize);
+        let mut weights = |rows: usize, cols: usize, count: usize| -> Vec<Tensor> {
+            (0..Self::LAYERS * count)
+                .map(|_| Tensor::rand_uniform(rng, &[rows, cols], 1.0))
+                .collect()
+        };
+        let (square, wide, down) = (weights(d, d, 4), weights(ff, d, 2), weights(d, ff, 1));
+        LayerStack { square, wide, down }
+    }
+
+    /// One pass over the stack at `x.rows()` rows (`x` is `[m, d_ff]`; the
+    /// `d_model`-wide products read its first `m · d_model` floats).
+    fn run(&self, x: &Tensor, out: &mut [f32]) -> f32 {
+        let (d, ff, m) = (256usize, 704usize, x.rows());
+        for w in &self.square {
+            ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, d, &mut out[..m * d]);
+        }
+        for w in &self.wide {
+            ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, ff, &mut out[..m * ff]);
+        }
+        for w in &self.down {
+            ops::matmul_t_into(x.data(), w.data(), m, ff, d, &mut out[..m * d]);
+        }
+        out[0]
+    }
+}
+
+/// Team widths the team section times.
+const TEAM_WIDTHS: [usize; 2] = [1, 2];
+
+/// Products timed inside a team: decode rows of `bp256`'s square and FFN
+/// products and a five-row verify batch.
+const TEAM_SHAPES: [(usize, usize, usize); 3] = [(1, 256, 256), (1, 256, 704), (5, 256, 704)];
+
+/// Weights each team-section product cycles through: an 8-layer stack's
+/// worth, so that every product streams its matrix as in a forward pass.
+const TEAM_CYCLE_BYTES: usize = 24 << 20;
+
+/// The team section: every [`TEAM_SHAPES`] product and the layer stack at
+/// 1 and 5 rows, each inside a `Team` of every [`TEAM_WIDTHS`] width (set
+/// through `PIPEINFER_THREADS`, which a team reads when it opens), the widths
+/// alternated twice and the quieter pass kept, as in the threads sweep.
+fn bench_team() -> Vec<(BenchReport, usize)> {
+    let mut rows: Vec<(BenchReport, usize)> = Vec::new();
+    let mut timed = |name: &str, product: &mut dyn FnMut() -> f32| {
+        let first_row = rows.len();
+        for pass in 0..2 {
+            for (i, &width) in TEAM_WIDTHS.iter().enumerate() {
+                std::env::set_var(pool::THREADS_ENV, width.to_string());
+                let team = pool::Team::open();
+                let mut c = Criterion::default();
+                c.bench_function(name, |b| b.iter(&mut *product));
+                drop(team);
+                let report = c.reports()[0].clone();
+                if pass == 0 {
+                    rows.push((report, width));
+                } else if report.median_ns < rows[first_row + i].0.median_ns {
+                    rows[first_row + i].0 = report;
                 }
-                for w in &wide {
-                    ops::matmul_t_into(&x.data()[..m * d], w.data(), m, d, ff, &mut out);
-                }
-                for w in &down {
-                    ops::matmul_t_into(x.data(), w.data(), m, ff, d, &mut out[..m * d]);
-                }
-                out[0]
-            })
+            }
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    for (m, k, n) in TEAM_SHAPES {
+        let count = TEAM_CYCLE_BYTES.div_ceil(n * k * 4);
+        let weights: Vec<Tensor> = (0..count)
+            .map(|_| Tensor::rand_uniform(&mut rng, &[n, k], 1.0))
+            .collect();
+        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
+        let mut out = vec![0.0f32; m * n];
+        let mut next = 0;
+        timed(&format!("team_matmul_t_f32 {m}x{k}x{n}"), &mut || {
+            next = (next + 1) % count;
+            ops::matmul_t_into(x.data(), weights[next].data(), m, k, n, &mut out);
+            out[0]
         });
     }
+    let stack = LayerStack::new(&mut rng);
+    for m in [1usize, 5] {
+        let x = Tensor::rand_uniform(&mut rng, &[m, 704], 1.0);
+        let mut out = vec![0.0f32; m * 704];
+        timed(
+            &format!("team_matmul_stack_bp256 {m}x{}l", LayerStack::LAYERS),
+            &mut || stack.run(&x, &mut out),
+        );
+    }
+    rows
 }
 
 /// One token's attention (`simd::attend_token`: scores, softmax, gather) of
@@ -632,6 +722,7 @@ fn main() {
     }
     let prev = std::env::var_os(pool::THREADS_ENV);
     let sweep = bench_threads_sweep(&sweep_threads);
+    rows.extend(bench_team());
     match prev {
         Some(v) => std::env::set_var(pool::THREADS_ENV, v),
         None => std::env::remove_var(pool::THREADS_ENV),

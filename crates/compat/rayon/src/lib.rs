@@ -11,6 +11,10 @@
 //! Thread count is `PIPEINFER_THREADS` when set (re-read on every call, so
 //! `PIPEINFER_THREADS=1` forces fully serial in-caller execution), otherwise
 //! the machine's available parallelism.
+//!
+//! A thread that issues many small parallel calls in a row can hold a
+//! [`pool::Team`]: while it does, the pool's helpers stay with it between
+//! calls instead of being woken for each one.
 
 pub mod prelude {
     //! Drop-in replacement for `rayon::prelude::*`.
@@ -36,17 +40,32 @@ pub mod pool {
     //!   pool threads never die, so a panicking kernel cannot leak or grow
     //!   threads.
     //!
+    //! * A thread may open a [`Team`], an RAII guard.  While it holds one,
+    //!   `width - 1` pool threads leave the queue and stay with it: between
+    //!   its parallel calls they spin on the team's claim word for up to
+    //!   `TEAM_SPIN`, then park on the team until the next call or the
+    //!   guard's drop.  A call inside a team allocates nothing and takes no
+    //!   lock: it stores the task and publishes the call's two unclaimed
+    //!   ends in one atomic word, which the caller claims from the front and
+    //!   the helpers from the back.  Outside a team nothing changes.
+    //!
     //! Safety: a job stores a raw pointer to the caller's closure.  This is
     //! sound because the caller blocks until the per-job completion count
     //! reaches `n_items`, and workers only dereference the closure after
     //! successfully claiming an in-range item — which can no longer happen
-    //! once every item is done.
+    //! once every item is done.  The same holds in a team: a claim reads both
+    //! ends from the word it changed, so a helper that arrives late can only
+    //! ever claim an item of the call in flight, and the caller stores the
+    //! next call's task only after every item of the previous one completed.
 
+    use std::cell::{RefCell, UnsafeCell};
     use std::collections::VecDeque;
+    use std::marker::PhantomData;
     use std::num::NonZeroUsize;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex, OnceLock};
+    use std::time::{Duration, Instant};
 
     /// What a work item panicked with, carried back to the calling thread so
     /// the original message/location is preserved on re-raise.
@@ -55,9 +74,11 @@ pub mod pool {
     /// Environment variable overriding the pool's parallelism.
     pub const THREADS_ENV: &str = "PIPEINFER_THREADS";
 
-    /// Upper bound on pool threads regardless of the override (a backstop
-    /// against `PIPEINFER_THREADS=100000`, not a tuning knob).
-    const MAX_THREADS: usize = 256;
+    /// Upper bound on the pool's parallelism, from the override and the
+    /// machine alike: a backstop against `PIPEINFER_THREADS=100000`, not a
+    /// tuning knob, and what bounds a team's width for its claim word
+    /// ([`BACK_BIAS`]).
+    pub(crate) const MAX_THREADS: usize = 256;
 
     /// Total worker threads ever spawned by this process (test observability).
     static SPAWNED: AtomicUsize = AtomicUsize::new(0);
@@ -119,8 +140,16 @@ pub mod pool {
         }
     }
 
+    /// What a pool thread takes off the queue.
+    enum Ticket {
+        /// Help with one parallel call until its items run out.
+        Job(Arc<Job>),
+        /// Stay with a team until it closes.
+        Team(Arc<TeamState>),
+    }
+
     struct PoolState {
-        queue: VecDeque<Arc<Job>>,
+        queue: VecDeque<Ticket>,
         /// Worker threads spawned so far.
         workers: usize,
     }
@@ -174,6 +203,7 @@ pub mod pool {
             std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
                 .unwrap_or(1)
+                .min(MAX_THREADS)
         })
     }
 
@@ -227,17 +257,22 @@ pub mod pool {
 
     fn worker_loop(shared: Arc<Shared>) {
         loop {
-            let job = {
+            let ticket = {
                 let mut st = shared.state.lock().unwrap();
                 loop {
-                    if let Some(job) = st.queue.pop_front() {
-                        break job;
+                    if let Some(ticket) = st.queue.pop_front() {
+                        break ticket;
                     }
                     st = shared.work_cv.wait(st).unwrap();
                 }
             };
-            if job.work() {
-                job.signal_finished();
+            match ticket {
+                Ticket::Job(job) => {
+                    if job.work() {
+                        job.signal_finished();
+                    }
+                }
+                Ticket::Team(team) => team.help(),
             }
         }
     }
@@ -261,13 +296,26 @@ pub mod pool {
         /// inline on the calling thread and the pool is never touched.
         ///
         /// Every item executes even if an earlier one panics (callers such as
-        /// `parallel_for_each` rely on each index being visited exactly once
-        /// for drop correctness); the first panic's original payload is
+        /// `par_chunks_mut` rely on each index being visited exactly once); the first panic's original payload is
         /// re-raised on the calling thread after the last item ran, in serial
         /// and parallel mode alike.
+        ///
+        /// On a thread that holds a [`Team`], the call goes to the team's
+        /// helpers instead (see [`Team`]); an item that itself makes a
+        /// parallel call makes it outside the team.
         pub fn run(&self, n_items: usize, task: &(dyn Fn(usize) + Sync)) {
             if n_items == 0 {
                 return;
+            }
+            if (2..=MAX_TEAM_ITEMS).contains(&n_items) {
+                if let Some(team) = CURRENT.with(|current| current.borrow_mut().take()) {
+                    let panicked = team.dispatch(n_items, task);
+                    CURRENT.with(|current| *current.borrow_mut() = Some(team));
+                    if let Some(payload) = panicked {
+                        resume_unwind(payload);
+                    }
+                    return;
+                }
             }
             let threads = effective_threads(n_items);
             if threads <= 1 {
@@ -301,19 +349,7 @@ pub mod pool {
                 finished: Mutex::new(false),
                 finished_cv: Condvar::new(),
             });
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                for _ in 0..threads - 1 {
-                    st.queue.push_back(job.clone());
-                }
-            }
-            // One wake per ticket: `notify_all` would rouse every idle worker
-            // of a pool grown for a wider call to fight over `threads - 1`
-            // tickets.  A worker that is busy rather than waiting misses its
-            // wake and pops the ticket when it next looks at the queue.
-            for _ in 0..threads - 1 {
-                self.shared.work_cv.notify_one();
-            }
+            self.enqueue(threads - 1, || Ticket::Job(job.clone()));
             // When the caller itself ran the last item nobody is waiting, so
             // the completion lock and futex wake are skipped entirely.
             if !job.work() {
@@ -324,49 +360,369 @@ pub mod pool {
                 resume_unwind(payload);
             }
         }
-    }
-}
 
-/// Runs `f` over every item of `items` on the persistent pool, claim-based.
-///
-/// Items are moved out of the vector exactly once each (workers claim indices
-/// atomically), so `f` receives owned items just like an iterator `for_each`.
-fn parallel_for_each<I, F>(items: Vec<I>, f: F)
-where
-    I: Send,
-    F: Fn(I) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let mut items = items;
-    let base = items.as_mut_ptr();
-    // Logically move the items out of the Vec: the buffer stays allocated and
-    // initialised, but the Vec will no longer drop its contents.  Every index
-    // in 0..n is claimed exactly once below, so each item is consumed exactly
-    // once (dropped inside `f`, or during `f`'s unwind).
-    unsafe { items.set_len(0) };
-    struct Base<I>(*mut I);
-    unsafe impl<I: Send> Sync for Base<I> {}
-    impl<I> Base<I> {
-        /// Moves item `i` out of the buffer; each index may be read once.
-        unsafe fn take(&self, i: usize) -> I {
-            std::ptr::read(self.0.add(i))
+        /// Queues `count` tickets and wakes one idle worker per ticket:
+        /// `notify_all` would rouse every idle worker of a pool grown for a
+        /// wider call to fight over them.  A worker that is busy rather than
+        /// waiting misses its wake and pops its ticket when it next looks at
+        /// the queue.
+        fn enqueue(&self, count: usize, ticket: impl Fn() -> Ticket) {
+            {
+                let mut st = self.shared.state.lock().unwrap();
+                for _ in 0..count {
+                    st.queue.push_back(ticket());
+                }
+            }
+            for _ in 0..count {
+                self.shared.work_cv.notify_one();
+            }
         }
     }
-    let base = Base(base);
-    let task = move |i: usize| {
-        let item = unsafe { base.take(i) };
-        f(item);
-    };
-    pool::global().run(n, &task);
+
+    /// How long a team helper spins on the claim word after its last item
+    /// before it parks (see [`Team`] for how it was placed).
+    const TEAM_SPIN: Duration = Duration::from_micros(50);
+
+    /// Bits of the claim word below the back end: the front end.
+    const FRONT_BITS: u32 = 32;
+
+    /// Offset of the back end in the claim word: more than the helpers that
+    /// can overshoot it at once (a team has at most `MAX_THREADS - 1`, each
+    /// overshooting an exhausted call once before it sees the call empty).
+    const BACK_BIAS: u64 = MAX_THREADS as u64;
+    const _: () = assert!(MAX_THREADS as u64 - 1 < BACK_BIAS);
+
+    /// Most items one call can hand to a team (larger calls take the queue).
+    const MAX_TEAM_ITEMS: usize = (u32::MAX as u64 - BACK_BIAS) as usize;
+
+    thread_local! {
+        /// The team this thread holds, if any.  Taken out for the length of
+        /// a team call, so that a parallel call from inside one of its items
+        /// goes to the queue.
+        static CURRENT: RefCell<Option<Arc<TeamState>>> = const { RefCell::new(None) };
+    }
+
+    /// What a team's members share: one per open team, reused by every call.
+    struct TeamState {
+        width: usize,
+        /// The two unclaimed ends of the call in flight, `back << 32 |
+        /// front` ([`claim_word`]).  A call stores it whole; the caller
+        /// claims from the front with one `fetch_add`, helpers from the back
+        /// with one `fetch_sub`, and each reads both ends from the value it
+        /// got back, so a claim is always of the call in flight and no item
+        /// is claimed twice.  Each end has room for every member
+        /// overshooting it once.
+        claim: AtomicU64,
+        /// The task of the call in flight.  Written only by the caller and
+        /// only when no item of the previous call is outstanding; read by a
+        /// member only after claiming an in-range item of this one.
+        task: UnsafeCell<Option<*const (dyn Fn(usize) + Sync)>>,
+        /// Items of the call in flight that helpers have completed, on a
+        /// cache line of its own: helpers write it while the caller claims.
+        done: CacheLine<AtomicUsize>,
+        /// First panic payload a helper's item raised in the call in flight.
+        panic: Mutex<Option<PanicPayload>>,
+        panicked: AtomicBool,
+        closed: AtomicBool,
+        /// Helpers parked (or about to park) on `wake`.
+        parked: AtomicUsize,
+        park: Mutex<()>,
+        wake: Condvar,
+    }
+
+    /// A value alone on its cache line.
+    #[repr(align(64))]
+    struct CacheLine<T>(T);
+
+    impl<T> std::ops::Deref for CacheLine<T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.0
+        }
+    }
+
+    // The task pointer is only dereferenced under the protocol above; the
+    // rest is atomics and locks.
+    unsafe impl Send for TeamState {}
+    unsafe impl Sync for TeamState {}
+
+    /// The claim word of a call of `n_items`: the front end at 0, the back
+    /// end at `n_items`, kept [`BACK_BIAS`] up so that helpers overshooting
+    /// an exhausted call cannot take it below zero.
+    fn claim_word(n_items: usize) -> u64 {
+        (n_items as u64 + BACK_BIAS) << FRONT_BITS
+    }
+
+    /// `(front, back + BACK_BIAS)` of a claim word: items `front..back` are
+    /// unclaimed when `front < back`.
+    fn ends(word: u64) -> (u64, u64) {
+        (word & ((1 << FRONT_BITS) - 1), word >> FRONT_BITS)
+    }
+
+    impl TeamState {
+        fn new(width: usize) -> TeamState {
+            TeamState {
+                width,
+                claim: AtomicU64::new(claim_word(0)),
+                task: UnsafeCell::new(None),
+                done: CacheLine(AtomicUsize::new(0)),
+                panic: Mutex::new(None),
+                panicked: AtomicBool::new(false),
+                closed: AtomicBool::new(false),
+                parked: AtomicUsize::new(0),
+                park: Mutex::new(()),
+                wake: Condvar::new(),
+            }
+        }
+
+        /// The caller's claim: the next item from the front, if one is left.
+        fn claim_front(&self) -> Option<usize> {
+            let (front, back) = ends(self.claim.fetch_add(1, Ordering::AcqRel));
+            (front + BACK_BIAS < back).then_some(front as usize)
+        }
+
+        /// A helper's claim: the next item from the back, if one is left.
+        fn claim_back(&self) -> Option<usize> {
+            let (front, back) = ends(self.claim.fetch_sub(1 << FRONT_BITS, Ordering::AcqRel));
+            (front + BACK_BIAS < back).then(|| (back - BACK_BIAS - 1) as usize)
+        }
+
+        /// Whether the call in flight has an unclaimed item (a load, so that
+        /// a spinning helper does not write the shared word).
+        fn has_work(&self) -> bool {
+            let (front, back) = ends(self.claim.load(Ordering::Acquire));
+            front + BACK_BIAS < back
+        }
+
+        /// Runs item `i` of the call in flight; `None` or its panic payload.
+        fn run_item(&self, i: usize) -> Option<PanicPayload> {
+            // SAFETY: `i` was claimed in range, so the caller is blocked in
+            // `dispatch` until this item completes and the task outlives it.
+            let task = unsafe { &*(*self.task.get()).expect("a call is in flight") };
+            catch_unwind(AssertUnwindSafe(|| task(i))).err()
+        }
+
+        /// The caller's side of one call: publish, work alongside the
+        /// helpers, wait for their items.  Returns the first panic payload
+        /// any item raised, after every item has run.
+        fn dispatch(&self, n_items: usize, task: &(dyn Fn(usize) + Sync)) -> Option<PanicPayload> {
+            // Erase the borrow's lifetime; this call returns only after
+            // every item ran (see the module safety note).
+            let task: *const (dyn Fn(usize) + Sync) = unsafe {
+                std::mem::transmute::<
+                    *const (dyn Fn(usize) + Sync + '_),
+                    *const (dyn Fn(usize) + Sync + 'static),
+                >(task as *const _)
+            };
+            // SAFETY: every item of the previous call completed before it
+            // returned, and a claim on its word finds no item, so no member
+            // reads the task now.
+            unsafe { *self.task.get() = Some(task) };
+            self.done.store(0, Ordering::Relaxed);
+            self.claim.store(claim_word(n_items), Ordering::Release);
+            // Pairs with the fence in `park`: either this call sees the
+            // helper counted as parked, or the helper sees the new word.
+            fence(Ordering::SeqCst);
+            if self.parked.load(Ordering::Relaxed) > 0 {
+                let _park = self.park.lock().unwrap();
+                self.wake.notify_all();
+            }
+            let mut first_panic = None;
+            let mut mine = 0;
+            while let Some(i) = self.claim_front() {
+                if let Some(payload) = self.run_item(i) {
+                    first_panic.get_or_insert(payload);
+                }
+                mine += 1;
+            }
+            // The helpers' items are in progress; they are as short as this
+            // thread's were, so wait for them on the core.
+            let mut spins = 0u32;
+            while self.done.load(Ordering::Acquire) < n_items - mine {
+                spins += 1;
+                if spins < 1 << 16 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            if self.panicked.swap(false, Ordering::Relaxed) {
+                let helper_panic = self.panic.lock().unwrap().take();
+                first_panic = first_panic.or(helper_panic);
+            }
+            first_panic
+        }
+
+        /// A helper's side: run items while there are any, spin for
+        /// `TEAM_SPIN` when there are none, then park; leave when the team
+        /// closes.
+        fn help(&self) {
+            let mut idle_since: Option<Instant> = None;
+            let mut polls = 0u32;
+            loop {
+                if self.has_work() {
+                    if let Some(i) = self.claim_back() {
+                        if let Some(payload) = self.run_item(i) {
+                            self.panic.lock().unwrap().get_or_insert(payload);
+                            self.panicked.store(true, Ordering::Relaxed);
+                        }
+                        self.done.fetch_add(1, Ordering::Release);
+                    }
+                    idle_since = None;
+                    continue;
+                }
+                if self.closed.load(Ordering::Acquire) {
+                    return;
+                }
+                std::hint::spin_loop();
+                polls = polls.wrapping_add(1);
+                if !polls.is_multiple_of(64) {
+                    continue;
+                }
+                let since = *idle_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= TEAM_SPIN {
+                    self.park();
+                    idle_since = None;
+                }
+            }
+        }
+
+        /// Sleeps until a call is published or the team closes.
+        fn park(&self) {
+            let mut guard = self.park.lock().unwrap();
+            self.parked.fetch_add(1, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+            while !self.has_work() && !self.closed.load(Ordering::Acquire) {
+                guard = self.wake.wait(guard).unwrap();
+            }
+            self.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+
+        fn close(&self) {
+            self.closed.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
+            if self.parked.load(Ordering::Relaxed) > 0 {
+                let _park = self.park.lock().unwrap();
+                self.wake.notify_all();
+            }
+        }
+    }
+
+    /// A scoped compute team: while the calling thread holds it, the pool
+    /// keeps `width - 1` helpers with this thread, and every parallel call
+    /// the thread makes ([`WorkerPool::run`], `par_chunks_mut`) is split
+    /// between them and the thread itself without a queue, a lock, an
+    /// allocation or a wake per call.  Dropping it — also while unwinding —
+    /// sends the helpers back to the pool, where they sleep.
+    ///
+    /// The width is the pool's parallelism ([`configured_threads`], at most
+    /// 256) when the team opens.  A team of width 1, or one opened on a thread that already
+    /// holds a team, is inert: nothing changes while it is held.  Results do
+    /// not depend on the width: a call runs the same items, only on more
+    /// threads.
+    ///
+    /// Between calls a helper spins for `TEAM_SPIN` (50 µs) and then parks,
+    /// so a team costs a spinning core only while its thread issues calls
+    /// closer together than that — the products and attention of a forward
+    /// pass — and a parked helper costs the next call one wake.  Placed on
+    /// the step loop of `d_model` 256 models on a 2-vCPU box, where a
+    /// parked helper takes 45–100 µs to wake: the gaps inside a forward pass
+    /// are a few µs, except a decode row's attention (not split), which
+    /// behind a 256-token prompt takes about 20 µs a layer.  A 20 µs budget
+    /// parked the helper there and cost it the next layer's products: on
+    /// the prompt-sharing stream, alternating five runs of each, 20 µs read
+    /// 21 % more CPU seconds per token than no team at all, 50 and 100 µs
+    /// 0–7 %, and both were faster; on the short-prompt stream the three
+    /// were level within the box's noise.  (In a slower hour, six runs each,
+    /// 10 and 50 µs both read about 20 % more on the prompt-sharing stream:
+    /// then the split products themselves cost the extra core time.)
+    ///
+    /// In a call the caller claims items from the front and the helpers
+    /// from the back, so when a caller splits a product into one block per
+    /// member, each core streams one contiguous block.
+    pub struct Team {
+        state: Option<Arc<TeamState>>,
+        /// The team is this thread's: it lives in a thread-local.
+        _not_send: PhantomData<*const ()>,
+    }
+
+    impl Team {
+        /// Opens a team on the calling thread (see [`Team`]).
+        pub fn open() -> Team {
+            let width = configured_threads();
+            debug_assert!(
+                width <= MAX_THREADS,
+                "the claim word has room for the helpers"
+            );
+            let held = CURRENT.with(|current| current.borrow().is_some());
+            if width <= 1 || held {
+                return Team {
+                    state: None,
+                    _not_send: PhantomData,
+                };
+            }
+            let state = Arc::new(TeamState::new(width));
+            let pool = global();
+            pool.ensure_workers(width - 1);
+            pool.enqueue(width - 1, || Ticket::Team(Arc::clone(&state)));
+            CURRENT.with(|current| *current.borrow_mut() = Some(Arc::clone(&state)));
+            Team {
+                state: Some(state),
+                _not_send: PhantomData,
+            }
+        }
+    }
+
+    impl Drop for Team {
+        fn drop(&mut self) {
+            if let Some(state) = self.state.take() {
+                CURRENT.with(|current| current.borrow_mut().take());
+                state.close();
+            }
+        }
+    }
+
+    /// Width of the team the calling thread holds (1 when it holds none, and
+    /// inside a team call's items).  Kernels read it to decide whether a
+    /// product is worth splitting.
+    pub fn team_width() -> usize {
+        CURRENT.with(|current| current.borrow().as_ref().map_or(1, |state| state.width))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn every_helper_of_the_widest_team_can_overshoot_a_call_at_once() {
+            // The worst a call can see: each of the widest team's helpers
+            // found an item unclaimed and claims after the last one went,
+            // and the caller claims past the front once more.
+            let state = TeamState::new(MAX_THREADS);
+            for n in 1..=4 {
+                for helper_items in 0..=n {
+                    state.claim.store(claim_word(n), Ordering::Relaxed);
+                    let mut seen: Vec<usize> = (0..helper_items)
+                        .map(|_| state.claim_back().expect("an item is left"))
+                        .collect();
+                    seen.extend(std::iter::from_fn(|| state.claim_front()));
+                    for _ in 1..MAX_THREADS {
+                        assert_eq!(state.claim_back(), None, "{n} items");
+                        assert!(!state.has_work());
+                    }
+                    assert_eq!(state.claim_front(), None);
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..n).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
 }
 
 pub mod slice {
     //! Parallel operations on slices.
 
-    use super::parallel_for_each;
+    use super::pool;
 
     /// Extension trait adding `par_chunks_mut` to mutable slices.
     pub trait ParallelSliceMut<T: Send> {
@@ -380,22 +736,22 @@ pub mod slice {
         fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
             assert!(chunk_size > 0, "chunk size must be positive");
             ParChunksMut {
-                chunks: self.chunks_mut(chunk_size).collect(),
+                slice: self,
+                chunk_size,
             }
         }
     }
 
     /// Parallel iterator over mutable chunks of a slice.
     pub struct ParChunksMut<'a, T: Send> {
-        chunks: Vec<&'a mut [T]>,
+        slice: &'a mut [T],
+        chunk_size: usize,
     }
 
     impl<'a, T: Send> ParChunksMut<'a, T> {
         /// Pairs every chunk with its index.
         pub fn enumerate(self) -> ParEnumerate<'a, T> {
-            ParEnumerate {
-                chunks: self.chunks.into_iter().enumerate().collect(),
-            }
+            ParEnumerate(self)
         }
 
         /// Applies `f` to every chunk, in parallel.
@@ -403,14 +759,43 @@ pub mod slice {
         where
             F: Fn(&'a mut [T]) + Sync,
         {
-            parallel_for_each(self.chunks, f);
+            self.run(|_, chunk| f(chunk));
+        }
+
+        /// Runs `f(i, chunk i)` for every chunk on the pool, one chunk an
+        /// item, without collecting the chunks first.
+        fn run(self, f: impl Fn(usize, &'a mut [T]) + Sync) {
+            let (len, size) = (self.slice.len(), self.chunk_size);
+            let base = Base(self.slice.as_mut_ptr());
+            pool::global().run(len.div_ceil(size), &|i| {
+                let start = i * size;
+                // SAFETY: the chunks partition the slice, which `self`
+                // borrowed mutably for `'a`, and the pool runs every index
+                // exactly once, so no two chunks handed out overlap.
+                let chunk = unsafe {
+                    std::slice::from_raw_parts_mut(base.at(start), size.min(len - start))
+                };
+                f(i, chunk)
+            });
+        }
+    }
+
+    /// The slice's base pointer, shared by the pool's chunk tasks.
+    struct Base<T>(*mut T);
+    // SAFETY: only used to build the disjoint chunks above, each of which is
+    // sent to one task (hence `T: Send`).
+    unsafe impl<T: Send> Sync for Base<T> {}
+
+    impl<T> Base<T> {
+        /// Pointer to element `i`.  (A method, so closures capture the `Sync`
+        /// wrapper and not its raw-pointer field.)
+        fn at(&self, i: usize) -> *mut T {
+            self.0.wrapping_add(i)
         }
     }
 
     /// Enumerated parallel iterator over mutable chunks.
-    pub struct ParEnumerate<'a, T: Send> {
-        chunks: Vec<(usize, &'a mut [T])>,
-    }
+    pub struct ParEnumerate<'a, T: Send>(ParChunksMut<'a, T>);
 
     impl<'a, T: Send> ParEnumerate<'a, T> {
         /// Applies `f` to every `(index, chunk)` pair, in parallel.
@@ -418,7 +803,7 @@ pub mod slice {
         where
             F: Fn((usize, &'a mut [T])) + Sync,
         {
-            parallel_for_each(self.chunks, f);
+            self.0.run(|i, chunk| f((i, chunk)));
         }
     }
 }
@@ -561,7 +946,99 @@ mod tests {
                 spawned_before,
                 "a panicking item must not cost (or leak) threads"
             );
+
+            // Inside a team: the panic of an item (whichever member ran it)
+            // re-raises on the caller after every item ran, and the guard's
+            // drop during the unwind closes the team.
+            for bad in [0usize, 63] {
+                let ran = std::sync::atomic::AtomicUsize::new(0);
+                let caught = std::panic::catch_unwind(|| {
+                    let _team = super::pool::Team::open();
+                    assert_eq!(super::pool::team_width(), 4);
+                    let mut data = [0u8; 64];
+                    data.par_chunks_mut(1).enumerate().for_each(|(i, _chunk)| {
+                        ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i == bad {
+                            panic!("injected team-item panic");
+                        }
+                    });
+                });
+                let payload = caught.expect_err("the panic must surface on the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>().copied(),
+                    Some("injected team-item panic")
+                );
+                assert_eq!(
+                    ran.into_inner(),
+                    64,
+                    "every item runs, item {bad} panicking"
+                );
+                assert_eq!(super::pool::team_width(), 1, "the unwind closed the team");
+            }
+            // The helpers came back: a new team splits again, on the same
+            // threads.
+            let team = super::pool::Team::open();
+            let mut data = vec![0u32; 128];
+            data.par_chunks_mut(2).enumerate().for_each(|(i, chunk)| {
+                for v in chunk.iter_mut() {
+                    *v = i as u32 + 1;
+                }
+            });
+            drop(team);
+            for (pos, v) in data.iter().enumerate() {
+                assert_eq!(*v, (pos / 2) as u32 + 1);
+            }
+            assert_eq!(super::pool::spawned_workers(), spawned_before);
         });
+    }
+
+    #[test]
+    fn a_team_runs_every_item_once_at_every_width() {
+        // The last width is the cap: the widest team there is, with more
+        // helpers than most calls have items.
+        for width in [1usize, 2, 3, 4, super::pool::MAX_THREADS] {
+            with_threads(Some(width), || {
+                let team = super::pool::Team::open();
+                assert_eq!(super::pool::team_width(), width);
+                // Calls of every size, back to back and after the helpers
+                // had time to park.
+                for round in 0..3 {
+                    for n in 1..40usize {
+                        let hits: Vec<_> = (0..n)
+                            .map(|_| std::sync::atomic::AtomicUsize::new(0))
+                            .collect();
+                        super::pool::global().run(n, &|i| {
+                            hits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        });
+                        assert!(
+                            hits.iter()
+                                .all(|h| h.load(std::sync::atomic::Ordering::Relaxed) == 1),
+                            "width {width}, {n} items"
+                        );
+                    }
+                    if round == 1 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                }
+                // A team opened under a team is inert; an item's own
+                // parallel call runs outside the team.
+                drop(super::pool::Team::open());
+                assert_eq!(super::pool::team_width(), width, "an inner team is inert");
+                let nested = std::sync::atomic::AtomicUsize::new(0);
+                super::pool::global().run(4, &|_| {
+                    assert_eq!(super::pool::team_width(), 1);
+                    let mut data = [0u8; 8];
+                    data.par_chunks_mut(1).for_each(|c| c[0] = 1);
+                    nested.fetch_add(
+                        data.iter().map(|&v| v as usize).sum(),
+                        std::sync::atomic::Ordering::Relaxed,
+                    );
+                });
+                assert_eq!(nested.into_inner(), 32);
+                drop(team);
+                assert_eq!(super::pool::team_width(), 1);
+            });
+        }
     }
 
     #[test]
@@ -618,16 +1095,22 @@ mod tests {
     fn concurrent_callers_share_the_pool() {
         with_threads(Some(3), || {
             std::thread::scope(|s| {
+                // Threads 0 and 1 hold teams at once, each wanting two of the
+                // pool's helpers while the others dispatch through the queue:
+                // every caller completes whichever helpers it gets.
                 for t in 0..4 {
                     s.spawn(move || {
-                        let mut data = vec![0usize; 200];
-                        data.par_chunks_mut(5).enumerate().for_each(|(i, chunk)| {
-                            for v in chunk.iter_mut() {
-                                *v = i * 10 + t;
+                        let _team = (t < 2).then(super::pool::Team::open);
+                        for round in 0..50 {
+                            let mut data = vec![0usize; 200];
+                            data.par_chunks_mut(5).enumerate().for_each(|(i, chunk)| {
+                                for v in chunk.iter_mut() {
+                                    *v = i * 10 + t + round;
+                                }
+                            });
+                            for (pos, v) in data.iter().enumerate() {
+                                assert_eq!(*v, (pos / 5) * 10 + t + round);
                             }
-                        });
-                        for (pos, v) in data.iter().enumerate() {
-                            assert_eq!(*v, (pos / 5) * 10 + t);
                         }
                     });
                 }

@@ -17,7 +17,18 @@ use crate::config::{Activation, ModelConfig};
 use crate::kv_cache::KvCache;
 use crate::weights::ModelWeights;
 use pi_tensor::{ops, simd, Tensor};
+use rayon::pool;
+use rayon::prelude::*;
+use std::cell::RefCell;
 use std::ops::Range;
+
+thread_local! {
+    /// One token's attention scores over its visible cells, head-major
+    /// (grows to `n_heads` × context length): the one scratch buffer of a
+    /// forward pass that belongs to a thread rather than to a
+    /// [`ScratchArena`], because a team helper may attend a row too.
+    static SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Errors produced while evaluating a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,10 +56,11 @@ impl std::error::Error for ModelError {}
 /// Reusable per-forward scratch buffers.
 ///
 /// One decoder layer needs normed activations, q/k/v projections, attention
-/// accumulators, MLP intermediates and an attention-score/visible-cell pair
-/// per token.  Allocating those fresh for every token of every layer
-/// dominated small-model forward cost; an arena is created once (or held
-/// long-term by an engine) and every token of every layer reuses it.
+/// accumulators, MLP intermediates and a visible-cell set per token (the
+/// attention scores are the thread's own, `SCORES`).  Allocating those
+/// fresh for every token of every layer dominated small-model forward cost;
+/// an arena is created once (or held long-term by an engine) and every token
+/// of every layer reuses it.
 ///
 /// It also holds what a forward call computes once for all its layers
 /// because it depends on the batch row alone: each row's visible-cell set
@@ -75,9 +87,6 @@ pub struct ScratchArena {
     gate: Vec<f32>,
     /// `d_ff` — up projection.
     up: Vec<f32>,
-    /// One token's attention scores over its visible cells, head-major
-    /// (grows to `n_heads` × context length).
-    scores: Vec<f32>,
     /// Visible-cell indices of every batch row of the current forward call,
     /// laid end to end (computed once per call, shared by its layers).
     visible: Vec<usize>,
@@ -119,7 +128,6 @@ impl ScratchArena {
             proj: vec![0.0; cfg.d_model],
             gate: vec![0.0; cfg.d_ff],
             up: vec![0.0; cfg.d_ff],
-            scores: Vec::new(),
             visible: Vec::new(),
             visible_ends: Vec::new(),
             rope: Vec::new(),
@@ -407,7 +415,6 @@ impl Model {
             proj,
             gate,
             up,
-            scores,
             visible,
             visible_ends,
             rope,
@@ -424,10 +431,10 @@ impl Model {
         // Multi-head attention of batch row `i` (query `q`) over the cells
         // visible to it; shared by the single-token and level-batched paths
         // so both attend identically.
-        let attend =
-            |cache: &KvCache, i: usize, q: &[f32], scores: &mut Vec<f32>, out: &mut [f32]| {
-                let start = if i == 0 { 0 } else { visible_ends[i - 1] };
-                let visible = &visible[start..visible_ends[i]];
+        let attend = |cache: &KvCache, i: usize, q: &[f32], out: &mut [f32]| {
+            let start = if i == 0 { 0 } else { visible_ends[i - 1] };
+            let visible = &visible[start..visible_ends[i]];
+            SCORES.with_borrow_mut(|scores| {
                 simd::attend_token(
                     q,
                     hd,
@@ -438,8 +445,9 @@ impl Model {
                     |c| cache.value(local_layer, visible[c]),
                     scores,
                     out,
-                );
-            };
+                )
+            });
+        };
 
         // Groups are processed in batch order so that tokens of a later
         // group can attend to the KV entries stored by earlier groups.
@@ -463,7 +471,7 @@ impl Model {
                 ops::rope_rotate(k, &rope[i * hd..(i + 1) * hd]);
                 cache.store(local_layer, cells[i], k, v);
 
-                attend(cache, i, q, scores, attn);
+                attend(cache, i, q, attn);
                 ops::matvec_t_into(attn, &lw.wo, proj).unwrap();
                 ops::add_inplace(x.row_mut(i).unwrap(), proj);
 
@@ -520,15 +528,22 @@ impl Model {
                     &bv[r * kvd..(r + 1) * kvd],
                 );
             }
-            for (r, i) in group.clone().enumerate() {
-                let arow = &mut battn[r * d..(r + 1) * d];
-                attend(
-                    &*caches[entries[i].lane],
-                    i,
-                    &bq[r * d..(r + 1) * d],
-                    scores,
-                    arow,
-                );
+            let caches = &*caches;
+            let attend_row = |(r, arow): (usize, &mut [f32])| {
+                let i = group.start + r;
+                attend(&*caches[entries[i].lane], i, &bq[r * d..(r + 1) * d], arow);
+            };
+            let visible_before = group.start.checked_sub(1).map_or(0, |j| visible_ends[j]);
+            let group_cells = visible_ends[group.end - 1] - visible_before;
+            // Inside a team, a group attending over `TEAM_ATTENTION_SCORES`
+            // or more splits by rows, one an item: the members claim rows
+            // from both ends, so a prompt's cheap first rows (one cell) and
+            // dear last ones (all of it) even out.  (A single row splits
+            // inside `attend_token`.)
+            if pool::team_width() > 1 && group_cells * n_heads >= simd::TEAM_ATTENTION_SCORES {
+                battn.par_chunks_mut(d).enumerate().for_each(attend_row);
+            } else {
+                battn.chunks_mut(d).enumerate().for_each(attend_row);
             }
             ops::matmul_t_into(battn, lw.wo.data(), g, d, d, bproj);
             for (r, i) in group.clone().enumerate() {

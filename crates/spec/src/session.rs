@@ -19,8 +19,13 @@
 //! uses ([`crate::engine`]) — opens one slot on each per admitted request,
 //! and every step runs `head.eval_first_stage → stages[..].eval →
 //! finalize` over the forest, in `Sim` and `Real` mode alike.  What is left
-//! of a second execution world is this driver: the stages run serially on
-//! one thread instead of overlapping on ranks.
+//! of a second execution world is this driver: the stages run one after
+//! another instead of overlapping on ranks.  In `Real` mode each step holds
+//! a `rayon::pool::Team` from drafting to the last cache op: the step loop is
+//! the process's one compute thread, so the team's helpers take column
+//! blocks of every product and rows of every wide attention, on every core
+//! (`pi_tensor::ops`, `pi_model::Model::forward_layer_range_multi`), bitwise
+//! as on one.
 //!
 //! Requests join and leave at step boundaries (true continuous batching): a
 //! newly admitted request's first step is its prefill, a finishing request
@@ -60,10 +65,12 @@ use crate::tree::DEFAULT_PRIOR;
 use crate::GenConfig;
 use pi_cluster::{Clock, ClusterStats, MonotonicClock};
 use pi_model::Batch;
+use rayon::pool::Team;
 use std::sync::Arc;
 
-/// The deployment's pipeline stages, driven in stage order on the session's
-/// thread.  Slot `i` of every engine belongs to the i-th in-flight request.
+/// The deployment's pipeline stages, driven in stage order by the session's
+/// thread (and its team).  Slot `i` of every engine belongs to the i-th
+/// in-flight request.
 struct Pipeline {
     head: Box<dyn HeadEngine>,
     /// Stages `1..n_stages`.
@@ -277,6 +284,10 @@ impl<'d> StepSession<'d> {
     /// their token budget finish at this boundary.
     pub fn step_cohort(&mut self) -> StepReport {
         let real = matches!(self.prepared.mode(), ExecutionMode::Real { .. });
+        // The step loop is the process's one compute thread: for the whole
+        // step, drafting and evaluation alike, its products and attention
+        // are split over a team of every core.
+        let _team = real.then(Team::open);
         let wall_start = self.wall.now();
         let pipeline = &mut self.pipeline;
         let mut step_cost = 0.0;
@@ -457,14 +468,107 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that set `PIPEINFER_THREADS` (no other test's
+    /// results depend on it).
+    static THREADS_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `configs` through one session per team width (the step loop's
+    /// team has `PIPEINFER_THREADS` members), each on a deployment `prepare`
+    /// builds afresh, returning each width's streams and stats.
+    fn run_at_widths(
+        prepare: impl Fn() -> PreparedDeployment,
+        configs: &[GenConfig],
+    ) -> Vec<(Vec<Vec<Token>>, SessionStats)> {
+        let _guard = THREADS_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = std::env::var_os(rayon::pool::THREADS_ENV);
+        let runs = [1, 2]
+            .map(|width| {
+                std::env::set_var(rayon::pool::THREADS_ENV, width.to_string());
+                let (outs, _, stats) = run_session(&prepare(), configs);
+                (outs, stats)
+            })
+            .to_vec();
+        match prev {
+            Some(v) => std::env::set_var(rayon::pool::THREADS_ENV, v),
+            None => std::env::remove_var(rayon::pool::THREADS_ENV),
+        }
+        runs
+    }
+
+    /// A two-layer target whose every product crosses the in-team dispatch
+    /// threshold (`d_model` 256, `d_ff` 512) and whose verify and prompt
+    /// rows attend over enough cells for the team to split them, with a
+    /// slightly perturbed draft.
+    fn real_mode_wide(seed: u64) -> ExecutionMode {
+        let cfg = pi_model::ModelConfig {
+            d_model: 256,
+            n_heads: 8,
+            n_kv_heads: 8,
+            d_ff: 512,
+            ..pi_model::ModelConfig::tiny_llama(64, 2)
+        };
+        let target = Arc::new(pi_model::Model::random(cfg.clone(), seed));
+        let draft = Arc::new(pi_model::Model::new(
+            cfg,
+            target.weights().perturbed(0.02, seed + 1),
+        ));
+        ExecutionMode::Real { target, draft }
+    }
+
     #[test]
     fn real_chain_session_matches_solo_runs() {
-        let prepared = Deployment::new(SpeculativeStrategy).prepare(&real_mode(11), 2);
-        let configs = [gen(5, 6, 8), gen(9, 4, 6)];
-        let (outs, _, _) = run_session(&prepared, &configs);
-        for (config, tokens) in configs.iter().zip(&outs) {
-            let solo = prepared.run(config);
-            assert_eq!(tokens, &solo.record.tokens, "real fused rows must be solo");
+        for (mode, configs) in [
+            (real_mode(11), vec![gen(5, 6, 8), gen(9, 4, 6)]),
+            (real_mode_wide(11), vec![gen(5, 40, 6), gen(9, 33, 5)]),
+        ] {
+            let prepare = || Deployment::new(SpeculativeStrategy).prepare(&mode, 2);
+            let runs = run_at_widths(prepare, &configs);
+            let prepared = prepare();
+            for (config, tokens) in configs.iter().zip(&runs[0].0) {
+                let solo = prepared.run(config);
+                assert_eq!(tokens, &solo.record.tokens, "real fused rows must be solo");
+            }
+            assert_eq!(runs[0], runs[1], "a team of two must not change a stream");
+        }
+    }
+
+    #[test]
+    fn a_pooled_real_session_is_identical_across_team_widths() {
+        // Every request opens with the same 48-token system prompt, which a
+        // first request commits to the pool, so the others attend over its
+        // pages.
+        let mode = real_mode_wide(12);
+        let prefix: Vec<Token> = (0..48).map(|i| (i * 7 + 3) % 64).collect();
+        let request = |tail: Token, n_generate| GenConfig {
+            prompt: [
+                prefix.clone(),
+                (0..12).map(|i| (i * tail + 1) % 64).collect(),
+            ]
+            .concat(),
+            ..gen(0, 1, n_generate)
+        };
+        let pools = std::cell::RefCell::new(Vec::new());
+        let prepare = || {
+            let pool = KvPagePool::new(KvPoolConfig {
+                tokens_per_page: 16,
+                n_pages: 64,
+            });
+            pools.borrow_mut().push(Arc::clone(&pool));
+            let prepared = Deployment::new(SpeculativeStrategy)
+                .prepare(&mode, 2)
+                .with_kv_pool(pool);
+            run_session(&prepared, &[request(0, 2)]);
+            prepared
+        };
+        let configs = [request(1, 6), request(2, 5), request(3, 4)];
+        let runs = run_at_widths(prepare, &configs);
+        for pool in pools.borrow().iter() {
+            assert!(pool.stats().share_hits > 0, "{:?}", pool.stats());
+        }
+        assert_eq!(runs[0], runs[1], "a team of two must not change a stream");
+        let solo = Deployment::new(SpeculativeStrategy).prepare(&mode, 2);
+        for (config, tokens) in configs.iter().zip(&runs[0].0) {
+            assert_eq!(tokens, &solo.run(config).record.tokens);
         }
     }
 

@@ -10,7 +10,10 @@
 //! more are split into column blocks over the persistent worker pool (sized
 //! by `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a
 //! minimum work floor, rounded to the register tile's width), smaller ones
-//! stay on the calling thread as one kernel call.
+//! stay on the calling thread as one kernel call.  A thread that holds a
+//! `rayon::pool::Team` (the step loop) splits from the far lower
+//! `TEAM_DISPATCH_WEIGHT_LOADS` on, into contiguous blocks — one per member
+//! for every product of a decode, verify or forest step.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -30,7 +33,6 @@
 
 use crate::{simd, Result, Tensor, TensorError};
 use rayon::pool;
-use rayon::prelude::*;
 
 /// Weight loads below which a product runs on the calling thread as one
 /// kernel call; at or above it, column blocks go to the worker pool.
@@ -88,13 +90,54 @@ use rayon::prelude::*;
 /// products of prompts from 89 tokens up (12 row blocks: 2.1 Mi; from 47
 /// tokens on AVX2, whose blocks are half as tall), a 1024×2048 GEMV and
 /// everything larger still fan out.
+///
+/// That is the threshold of a thread that holds no team, where a split pays
+/// a helper's wake.  A thread that holds a `pool::Team` — the step loop —
+/// splits from [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead.
 pub(crate) const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
+
+/// [`PAR_DISPATCH_WEIGHT_LOADS`] for a thread that holds a `pool::Team`:
+/// its helpers are awake between calls, so a split costs a store, one claim
+/// per member, the activations a helper reads from the caller's cache and a
+/// wait for the last block — about 0.6 µs for a call of empty items on the
+/// bench box (2 vCPUs, AVX-512) — not a wake.
+///
+/// Placed from `d_model` 256 single-row products timed inside a team of 1
+/// and of 2, each cycling through 24 MB of matrices of its own so that it
+/// streams its weights from the shared cache as a forward pass does (a
+/// 0.5 µs spin between products; medians of 4000, five alternations):
+/// 1×256×96 (24 Ki loads) 1.03×, 1×256×128 (32 Ki) 0.53×, 1×256×192 0.47×,
+/// 1×256×256 0.44×, 1×256×704 0.33×.  On matrices that stay in the core's
+/// cache between calls the same split loses up to 48 Ki loads (1×256×128
+/// 1.34×, 1×256×192 1.17×, 1×256×256 0.86×), but no forward pass of a model
+/// this size finds its weights there.  So every product of a `bp256` decode,
+/// verify or draft step (64 Ki loads and up: the square projections and the
+/// 258-row output head) splits, and the 64-wide toy models of the tests
+/// split nothing.  Every split is bitwise the serial product (see the module
+/// docs), so the threshold moves time, never a token.
+pub(crate) const TEAM_DISPATCH_WEIGHT_LOADS: usize = 32 * 1024;
 
 /// [`PAR_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
 /// build shapes on both sides of it.
 #[doc(hidden)]
 pub fn par_dispatch_weight_loads() -> usize {
     PAR_DISPATCH_WEIGHT_LOADS
+}
+
+/// [`TEAM_DISPATCH_WEIGHT_LOADS`], likewise.
+#[doc(hidden)]
+pub fn team_dispatch_weight_loads() -> usize {
+    TEAM_DISPATCH_WEIGHT_LOADS
+}
+
+/// Weight loads from which a product issued by the calling thread splits:
+/// the in-team threshold while it holds a team of more than one thread.
+fn dispatch_weight_loads() -> usize {
+    if pool::team_width() > 1 {
+        TEAM_DISPATCH_WEIGHT_LOADS
+    } else {
+        PAR_DISPATCH_WEIGHT_LOADS
+    }
 }
 
 /// Computes `out = x · wᵀ` where `x` is `[m, k]` and `w` is `[n, k]`.
@@ -156,23 +199,62 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
 
 /// Dispatch skeleton shared by the dense and quantized single-row products:
 /// `fill(j0, chunk)` computes output features `j0..j0 + chunk.len()` (`k`
-/// weight loads each) — as one call on the calling thread below
-/// [`PAR_DISPATCH_WEIGHT_LOADS`], otherwise once per column block sized by
-/// the pool's chunk policy.
+/// weight loads each) — as one call on the calling thread below the
+/// dispatch threshold, otherwise once per column block sized by the pool's
+/// chunk policy.
 pub(crate) fn gemv_dispatch<F>(k: usize, out: &mut [f32], fill: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let n = out.len();
-    if n * k < PAR_DISPATCH_WEIGHT_LOADS {
+    if n * k < dispatch_weight_loads() {
         fill(0, out);
         return;
     }
-    let block = pool::chunk_size(n, k);
-    out.par_chunks_mut(block)
-        .enumerate()
-        .for_each(|(b, chunk)| fill(b * block, chunk));
+    let base = OutPtr(out.as_mut_ptr());
+    split_columns(n, k, 1, &|j0, j1| {
+        // SAFETY: columns `j0..j1` lie inside `out`, and no other block is
+        // given them.
+        fill(j0, unsafe {
+            std::slice::from_raw_parts_mut(base.column(j0), j1 - j0)
+        })
+    });
 }
+
+/// Runs `columns(j0, j1)` over column blocks that partition `0..n` (of
+/// `work` multiply-adds a column, in whole `align`s but for the far edge) on
+/// the pool.  Outside a team, blocks are sized by the pool's chunk policy.
+///
+/// Inside a team, every product of up to [`TEAM_BLOCK_WORK`] multiply-adds a
+/// member — each of a `bp256` decode, verify or forest step — is one
+/// contiguous block per member: the caller claims blocks from the front and
+/// the helpers from the back (`rayon::pool::Team`), so each streams its own
+/// block front to back, the register tile's prefetches run ahead into
+/// weights the same core reads, and a core tends to get the same columns of
+/// a matrix every call.  (Four blocks a member cost an 8-layer stack of
+/// `bp256` products up to 1.5× the time of one.)  A larger product — a
+/// prompt's — is cut into blocks of about that much work, so that a helper
+/// that joins late, or is descheduled, holds the caller up for one block
+/// and not for half the product.
+fn split_columns(n: usize, work: usize, align: usize, columns: &(dyn Fn(usize, usize) + Sync)) {
+    let block = match pool::team_width() {
+        1 => pool::chunk_size(n, work),
+        width => {
+            let blocks = (n * work).div_ceil(TEAM_BLOCK_WORK).next_multiple_of(width);
+            n.div_ceil(blocks)
+        }
+    }
+    .next_multiple_of(align);
+    pool::global().run(n.div_ceil(block), &|b| {
+        columns(b * block, ((b + 1) * block).min(n))
+    });
+}
+
+/// Multiply-adds of one column block of a product split inside a team: a
+/// verify run's FFN product (5×256×704: 0.9 Mi) and an 8-lane forest step's
+/// (1.4 Mi over two members) are one block a member; an 89-token prompt's
+/// (15.3 Mi) is sixteen.
+const TEAM_BLOCK_WORK: usize = 1 << 20;
 
 /// Raw output pointer shared across the pool's column-block tasks.  Column
 /// blocks partition the columns, so concurrent writes never overlap.
@@ -205,15 +287,12 @@ fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32])
     // path) while producing bitwise-identical results.  A weight vector the
     // tile loads serves every activation row of its row block.
     let (passes, tile_columns) = simd::gemm_geometry(m);
-    if passes * n * k < PAR_DISPATCH_WEIGHT_LOADS {
+    if passes * n * k < dispatch_weight_loads() {
         columns(0, n);
         return;
     }
     // Whole register tiles per column block, ragged only at the far edge.
-    let block = pool::chunk_size(n, m * k).next_multiple_of(tile_columns);
-    pool::global().run(n.div_ceil(block), &|b| {
-        columns(b * block, ((b + 1) * block).min(n))
-    });
+    split_columns(n, m * k, tile_columns, &columns);
 }
 
 /// Reference `x · wᵀ` — the textbook scalar triple loop, kept as the ground

@@ -61,6 +61,8 @@
 //! pass over the weights.
 
 use crate::quant::{Block, BLOCK_SIZE};
+use rayon::pool;
+use rayon::prelude::*;
 
 /// Instruction set selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -897,12 +899,26 @@ pub unsafe fn gemm_tile(x: &[f32], w: &[f32], k: usize, out: *mut f32, ldo: usiz
     }
 }
 
+/// Attention scores (visible cells × heads) from which a thread holding a
+/// `rayon::pool::Team` splits one token's attention ([`attend_token`]) over
+/// the team, and a level group's rows (`pi_model`).  One row of a `bp256`
+/// verify run behind 64 cells — 8 heads of 32, 74 ns a cell — takes 4.7 µs,
+/// several times what handing work to an awake helper costs.
+pub const TEAM_ATTENTION_SCORES: usize = 1024;
+
 /// Multi-head attention of one token over `n_cells` cached positions: scores
 /// every head's `hd`-wide slice of `q` against `key(c)`, softmaxes per head
 /// (the probabilities stay in `scores`, head-major), and overwrites `out`
 /// with the probability-weighted sums of `value(c)`.  `key` and `value`
 /// return the whole cached row of cell `c` (`q.len() / group_heads` floats:
 /// query head `h` reads key/value head `h / group_heads`).
+///
+/// On a thread that holds a team, from [`TEAM_ATTENTION_SCORES`] on, the
+/// three phases split over it, each the way that keeps every value the
+/// serial one: the scores by blocks of cells (a cell's scores do not depend
+/// on the others', and a block keeps all heads together, as the scoring
+/// kernel wants), the softmax and the gather by key/value heads (each output
+/// element is still one sum over the cells in order).
 #[allow(clippy::too_many_arguments)]
 pub fn attend_token<'a>(
     q: &[f32],
@@ -910,50 +926,143 @@ pub fn attend_token<'a>(
     group_heads: usize,
     scale: f32,
     n_cells: usize,
-    key: impl Fn(usize) -> &'a [f32],
-    value: impl Fn(usize) -> &'a [f32],
+    key: impl Fn(usize) -> &'a [f32] + Sync,
+    value: impl Fn(usize) -> &'a [f32] + Sync,
     scores: &mut Vec<f32>,
     out: &mut [f32],
 ) {
     assert!(hd > 0 && q.len().is_multiple_of(hd) && out.len() == q.len() && group_heads > 0);
     let n_heads = q.len() / hd;
-    // Every element is overwritten by the scoring pass.
-    scores.resize(n_heads * n_cells, 0.0);
     let isa = Isa::detect();
-    // SAFETY (both blocks): `detect` only reports an instruction set the CPU
-    // has; the kernels bounds-check every row `key` / `value` hand them.
+    let width = pool::team_width();
+    if width == 1
+        || n_heads * n_cells < TEAM_ATTENTION_SCORES
+        || !n_heads.is_multiple_of(group_heads)
+    {
+        // Every element is overwritten by the scoring pass.
+        scores.resize(n_heads * n_cells, 0.0);
+        token_scores_on(isa, q, hd, group_heads, scale, n_cells, &key, scores);
+        if n_cells > 0 {
+            scores
+                .chunks_exact_mut(n_cells)
+                .for_each(crate::ops::softmax_inplace);
+        }
+        token_gather_on(isa, scores, hd, group_heads, n_cells, &value, out);
+        return;
+    }
+    // Each member scores one block of cells, head-major within the block,
+    // into the second half of `scores`; the first half then takes every
+    // head's row whole, a run of heads per item, and softmaxes it there.
+    scores.resize(2 * n_heads * n_cells, 0.0);
+    let (probs, blocks) = scores.split_at_mut(n_heads * n_cells);
+    let block_cells = n_cells.div_ceil(width);
+    blocks
+        .par_chunks_mut(n_heads * block_cells)
+        .enumerate()
+        .for_each(|(b, block)| {
+            let first = b * block_cells;
+            let cells = block.len() / n_heads;
+            token_scores_on(
+                isa,
+                q,
+                hd,
+                group_heads,
+                scale,
+                cells,
+                &|c| key(first + c),
+                block,
+            );
+        });
+    let blocks = &*blocks;
+    let item_heads = (n_heads / group_heads).div_ceil(width) * group_heads;
+    probs
+        .par_chunks_mut(item_heads * n_cells)
+        .enumerate()
+        .for_each(|(t, rows)| {
+            for (h, row) in (t * item_heads..).zip(rows.chunks_exact_mut(n_cells)) {
+                for (b, cells) in row.chunks_mut(block_cells).enumerate() {
+                    let block = &blocks[b * block_cells * n_heads..];
+                    cells.copy_from_slice(&block[h * cells.len()..][..cells.len()]);
+                }
+                crate::ops::softmax_inplace(row);
+            }
+        });
+    let probs = &*probs;
+    out.par_chunks_mut(item_heads * hd)
+        .enumerate()
+        .for_each(|(t, out)| {
+            let heads = t * item_heads..t * item_heads + out.len() / hd;
+            let kv = heads.start / group_heads * hd;
+            let weights = &probs[heads.start * n_cells..heads.end * n_cells];
+            token_gather_on(
+                isa,
+                weights,
+                hd,
+                group_heads,
+                n_cells,
+                &|c| &value(c)[kv..],
+                out,
+            );
+        });
+    scores.truncate(n_heads * n_cells);
+}
+
+/// The scoring half of [`attend_token`] on `isa`: `scores[h * n_cells + c]`
+/// for every head `h` and cell `c`.
+#[allow(clippy::too_many_arguments)]
+fn token_scores_on<'a>(
+    isa: Isa,
+    q: &[f32],
+    hd: usize,
+    group_heads: usize,
+    scale: f32,
+    n_cells: usize,
+    key: &impl Fn(usize) -> &'a [f32],
+    scores: &mut [f32],
+) {
+    // SAFETY: `detect` only reports an instruction set the CPU has; the
+    // kernel bounds-checks every row `key` hands it.
     unsafe {
         match isa {
             // A score is a chain of 8-lane sums, which a wider register
             // would reorder.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 | Isa::Avx2Fma => {
-                avx2::token_scores(q, hd, group_heads, scale, n_cells, &key, scores)
+                avx2::token_scores(q, hd, group_heads, scale, n_cells, key, scores)
             }
             Isa::Portable => {
-                token_scores::<[f32; 8]>(q, hd, group_heads, scale, n_cells, &key, scores)
+                token_scores::<[f32; 8]>(q, hd, group_heads, scale, n_cells, key, scores)
             }
         }
     }
-    if n_cells > 0 {
-        scores
-            .chunks_exact_mut(n_cells)
-            .for_each(crate::ops::softmax_inplace);
-    }
+}
+
+/// The gathering half of [`attend_token`] on `isa`: `out`'s heads from the
+/// head-major probabilities `weights`.
+fn token_gather_on<'a>(
+    isa: Isa,
+    weights: &[f32],
+    hd: usize,
+    group_heads: usize,
+    n_cells: usize,
+    value: &impl Fn(usize) -> &'a [f32],
+    out: &mut [f32],
+) {
+    // SAFETY: as in `token_scores_on`, for the rows `value` hands over.
     unsafe {
         match isa {
             // The gather is element-wise, so sixteen lanes compute what
             // eight do — for the heads they divide evenly.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 if hd.is_multiple_of(16) => {
-                avx512::token_gather(scores, hd, group_heads, n_cells, &value, out)
+                avx512::token_gather(weights, hd, group_heads, n_cells, value, out)
             }
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 | Isa::Avx2Fma => {
-                avx2::token_gather(scores, hd, group_heads, n_cells, &value, out)
+                avx2::token_gather(weights, hd, group_heads, n_cells, value, out)
             }
             Isa::Portable => {
-                token_gather::<[f32; 8]>(scores, hd, group_heads, n_cells, &value, out)
+                token_gather::<[f32; 8]>(weights, hd, group_heads, n_cells, value, out)
             }
         }
     }
@@ -1820,16 +1929,23 @@ mod tests {
     #[test]
     fn attend_token_is_bitwise_one_chain_per_head_whatever_is_in_flight_together() {
         // Eight heads' chains in flight and one transposed reduction, output
-        // registers resident across cells, sixteen-lane gathers: none of it
-        // may move a bit of what one head at a time computes.
-        for isa in runnable_isas() {
+        // registers resident across cells, sixteen-lane gathers, and — on a
+        // thread that holds a team of more than one, for the shapes with
+        // `TEAM_ATTENTION_SCORES` or more — blocks of cells and runs of heads
+        // on different threads: none of it may move a bit of what one head
+        // at a time computes.
+        for (isa, in_team) in runnable_isas()
+            .into_iter()
+            .flat_map(|isa| [(isa, false), (isa, true)])
+        {
             with_isa(isa, || {
+                let _team = in_team.then(rayon::pool::Team::open);
                 for shape in ATTEND_SHAPES {
-                    for n_cells in ATTEND_CELLS {
+                    for n_cells in ATTEND_CELLS.into_iter().chain([517]) {
                         let (q, keys, values) = attend_inputs(shape, n_cells);
                         let got = attend(shape, &q, &keys, &values);
                         let want = attend_one_chain_per_head(shape, &q, &keys, &values);
-                        let what = format!("{isa:?} {shape:?} cells={n_cells}");
+                        let what = format!("{isa:?} {shape:?} cells={n_cells} team={in_team}");
                         assert_eq!(bits(&got.0), bits(&want.0), "{what}: probabilities");
                         assert_eq!(bits(&got.1), bits(&want.1), "{what}: output");
                     }

@@ -9,14 +9,16 @@
 //! element-wise kernels are pinned to their textbook scalar formulas the same
 //! way.
 //!
-//! A second family is bitwise: a product must not depend on the thread count,
-//! and row `r` of a multi-row product must be the single-row product of row
-//! `r` — the identity forest batching and verify-vs-decode equality rest on.
+//! A second family is bitwise: a product must not depend on the thread count
+//! or on whether its thread holds a `rayon::pool::Team`, and row `r` of a
+//! multi-row product must be the single-row product of row `r` — the identity
+//! forest batching and verify-vs-decode equality rest on.
 
 use pi_tensor::{ops, QuantKind, QuantizedMatrix, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::pool::Team;
 use std::sync::Mutex;
 
 fn assert_close(fast: &Tensor, reference: &Tensor, what: &str) {
@@ -143,15 +145,28 @@ proptest! {
         n in 1usize..80,
         k in 1usize..140,
         // 0: every product stays on the calling thread (at most 3 × 80 × 140
-        // weight loads); 1: `n` and `k` each grow by the square root of the
-        // pool-dispatch threshold, so the single-row products alone cross
-        // it, wherever the constant is set.
+        // weight loads, and half that in a team, below the threshold that
+        // applies); 1: `n` and `k` each grow by the square root of that
+        // threshold, so the single-row products alone cross it, wherever the
+        // constant is set.
         above_threshold in 0usize..2,
+        // Whether the products are issued by a thread that holds a team (of
+        // `PIPEINFER_THREADS` members), which splits from the in-team
+        // threshold on.
+        team in 0usize..2,
         seed in 0u64..500,
     ) {
-        let side = ops::par_dispatch_weight_loads().isqrt() + 1;
+        let in_team = team == 1;
+        let threshold = if in_team {
+            ops::team_dispatch_weight_loads()
+        } else {
+            ops::par_dispatch_weight_loads()
+        };
+        let n = if in_team { n.div_ceil(2) } else { n };
+        prop_assert!(3 * 40 * 140 < ops::team_dispatch_weight_loads());
+        let side = threshold.isqrt() + 1;
         let (n, k) = (n + side * above_threshold, k + side * above_threshold);
-        prop_assert_eq!(n * k >= ops::par_dispatch_weight_loads(), above_threshold == 1);
+        prop_assert_eq!(n * k >= threshold, above_threshold == 1);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(6000));
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
 
@@ -165,8 +180,10 @@ proptest! {
             let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
             let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
             let mut first: Option<Vec<u32>> = None;
+            // Threads 1 is the serial product, in a team or not.
             for threads in ["1", "2", "4"] {
                 std::env::set_var("PIPEINFER_THREADS", threads);
+                let _team = in_team.then(Team::open);
                 let mut tiled = vec![0.0f32; m * n];
                 ops::matmul_t_into(x.data(), w.data(), m, k, n, &mut tiled);
                 let mut row = vec![0.0f32; n];
@@ -175,8 +192,8 @@ proptest! {
                     prop_assert_eq!(
                         bits(&row),
                         bits(&tiled[r * n..(r + 1) * n]),
-                        "{}x{}x{} at {} threads: row {} differs from its single-row product",
-                        m, k, n, threads, r
+                        "{}x{}x{} at {} threads (team {}): row {} differs from its single-row product",
+                        m, k, n, threads, in_team, r
                     );
                 }
                 let tiled = bits(&tiled);
