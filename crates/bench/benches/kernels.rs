@@ -1,14 +1,13 @@
-//! Microbenchmarks of the compute substrate: dense and quantized matrix
-//! products (the shipped kernels side-by-side with the naive references),
+//! Microbenchmarks of the compute substrate: dense matrix products (the
+//! shipped kernels side-by-side with the naive reference),
 //! KV-cache metadata operations, full model decode steps and the real
 //! drafter's cold/warm draft cost.  These are not paper figures; they
 //! document the cost of the building blocks the real-execution path uses.
 //!
-//! Two rows appear per matmul shape: `*_naive` / `*_reference` — the ground
-//! truth the property tests compare against — and the plain `matmul_t_f32` /
-//! `matmul_t_q4`, the runtime-dispatched f32x8 kernels every build ships
-//! (`ops::matmul_t`, `QuantizedMatrix::matmul_t`).  The header line names the
-//! instruction set they dispatched to.
+//! Two rows appear per matmul shape: `matmul_t_f32_naive` — the ground truth
+//! the property tests compare against — and the plain `matmul_t_f32`, the
+//! runtime-dispatched f32x8 kernels every build ships (`ops::matmul_t`).  The
+//! header line names the instruction set they dispatched to.
 //!
 //! After the fixed-thread section, a **threads sweep** re-times the
 //! parallel-dispatch shapes and the decode-, verify- and forest-sized shapes
@@ -43,7 +42,8 @@
 //! single-row ones, if a five-row product costs a second pass over the
 //! weights (in cache against four rows, streaming against one), if a decode-,
 //! verify- or forest-sized product gets slower when the pool is available, if
-//! the one shape that should use the pool (1×2048×2048) loses from it, or if
+//! the one shape that should use the pool (1×2048×2048, split on a team
+//! opened for the call) loses from it, or if
 //! the drafter re-fills its KV cache per call — so kernel regressions break
 //! the build instead of landing silently.
 //!
@@ -52,7 +52,7 @@
 use criterion::{BatchSize, BenchReport, Criterion};
 use pi_model::{Batch, KvCache, Model, ModelConfig, Token};
 use pi_spec::{Drafter, RealDrafter};
-use pi_tensor::{ops, QuantKind, QuantizedMatrix, Tensor};
+use pi_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::pool;
@@ -272,37 +272,6 @@ fn bench_attend_token() -> Vec<BenchReport> {
     reports
 }
 
-fn bench_quant_matmul(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    // Same m ladder as the dense section: decode row, verify micro-batches,
-    // and the m=8/16/32 cross-request forest batches of the step loop.
-    for (m, k, n) in [
-        (1usize, 512usize, 512usize),
-        (4, 512, 512),
-        (8, 512, 512),
-        (16, 512, 512),
-        (32, 512, 512),
-    ] {
-        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
-        let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
-        let q = QuantizedMatrix::quantize(&w, QuantKind::Q4K).unwrap();
-        c.bench_function(&format!("matmul_t_q4_reference {m}x{k}x{n}"), |b| {
-            b.iter(|| q.matmul_t_reference(&x).unwrap())
-        });
-        c.bench_function(&format!("matmul_t_q4 {m}x{k}x{n}"), |b| {
-            b.iter(|| q.matmul_t(&x).unwrap())
-        });
-    }
-}
-
-fn bench_quantization(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let w = Tensor::rand_uniform(&mut rng, &[256, 512], 1.0);
-    c.bench_function("quantize_q4 256x512", |b| {
-        b.iter(|| QuantizedMatrix::quantize(&w, QuantKind::Q4K).unwrap())
-    });
-}
-
 fn bench_kv_cache_ops(c: &mut Criterion) {
     // What a request pays to provision its KV: an 8-layer cache with room
     // for the benchmark's 2048 cells, a 64-token prompt stored into it, and
@@ -481,9 +450,9 @@ const SWEEP_GAP: Duration = Duration::from_micros(100);
 
 /// The threads sweep: [`POOLED_SHAPE`]; 128×256×704, a 128-token prompt's
 /// FFN product, which fans out on every instruction set (`bp256` prompts do
-/// from 89 tokens on AVX-512, from 47 on AVX2); 8×512×512 and the q4 product,
-/// which crossed an earlier threshold and stay on the calling thread now;
-/// and [`CALLER_THREAD_SHAPES`].  Each shape is timed at every
+/// from 89 tokens on AVX-512, from 47 on AVX2); 8×512×512, which crossed an
+/// earlier threshold and stays on the calling thread now; and
+/// [`CALLER_THREAD_SHAPES`].  Each shape is timed at every
 /// count of `threads` back to back (the pool re-reads `PIPEINFER_THREADS` on
 /// every dispatch), so the gates below compare measurements taken within
 /// seconds of each other — minutes apart, this shared box drifts by more
@@ -530,10 +499,6 @@ fn bench_threads_sweep(threads: &[usize]) -> Vec<(BenchReport, usize)> {
             ops::matmul_t(&x, &w).unwrap()
         });
     }
-    let x = Tensor::rand_uniform(&mut rng, &[4, 512], 1.0);
-    let w = Tensor::rand_uniform(&mut rng, &[512, 512], 1.0);
-    let q = QuantizedMatrix::quantize(&w, QuantKind::Q4K).unwrap();
-    sweep("matmul_t_q4 4x512x512", &|| q.matmul_t(&x).unwrap());
     rows
 }
 
@@ -599,13 +564,6 @@ fn assert_no_regression(
         "kernel regression: the shipped single-row matmul (min {shipped:.0} ns) is \
          less than 4x faster than the naive reference (min {naive:.0} ns)"
     );
-    let q_ref = min_ns("matmul_t_q4_reference 1x512x512");
-    let q_shipped = min_ns("matmul_t_q4 1x512x512");
-    assert!(
-        q_shipped * 2.0 <= q_ref,
-        "kernel regression: the shipped quantized matmul (min {q_shipped:.0} ns) is \
-         less than 2x faster than the reference (min {q_ref:.0} ns)"
-    );
     // Register blocking: a row of a 32-row product reuses each weight vector
     // four times, so it must cost well under a single-row product.
     let per_row_32 = min_ns("matmul_t_f32 32x512x512") / 32.0;
@@ -651,7 +609,8 @@ fn assert_no_regression(
     // was set from the helper's wake latency; below it both sides time the
     // same serial code, and 10% covers two measurements of that.
     // The last shape is the one that does cross the threshold — a GEMV
-    // streaming 16 MB of weights — and must not lose from fanning out.
+    // streaming 16 MB of weights, split on a team opened for the one call —
+    // and must not lose from fanning out.
     let mut ratios = Vec::new();
     for (m, k, n) in CALLER_THREAD_SHAPES.into_iter().chain([POOLED_SHAPE]) {
         let name = format!("matmul_t_f32 {m}x{k}x{n}");
@@ -665,11 +624,10 @@ fn assert_no_regression(
         ratios.push(default / single);
     }
     println!(
-        "kernel gates ok: shipped {:.1}x vs naive, q4 {:.1}x vs reference, m=32 row at {:.2}x \
-         a single row (min times), default/single-thread {ratios:.2?} for the m<=8 bp256 \
-         shapes and 1x2048x2048 (medians, {})",
+        "kernel gates ok: shipped {:.1}x vs naive, m=32 row at {:.2}x a single row (min \
+         times), default/single-thread {ratios:.2?} for the m<=8 bp256 shapes and \
+         1x2048x2048 (medians, {})",
         naive / shipped,
-        q_ref / q_shipped,
         per_row_32 / shipped,
         pi_tensor::simd::active_isa()
     );
@@ -702,8 +660,6 @@ fn main() {
     let mut c = Criterion::default();
     bench_dense_matmul(&mut c);
     bench_layer_stack(&mut c);
-    bench_quant_matmul(&mut c);
-    bench_quantization(&mut c);
     bench_kv_cache_ops(&mut c);
     bench_tiny_model_decode(&mut c);
     bench_decode_ctx(&mut c);

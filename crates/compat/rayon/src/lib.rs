@@ -4,9 +4,10 @@
 //! `slice.par_chunks_mut(n).enumerate().for_each(f)` — executed on a
 //! **persistent worker pool** ([`pool`]) instead of rayon's work-stealing
 //! runtime.  The pool is created once per process, its threads are long-lived
-//! and shared by every parallel call, and work items are claimed from a
-//! chunked queue by an atomic counter, which matches the matmul
-//! row/column-block partitioning use case (uniform cost per item).
+//! and shared by every parallel call, and every call runs on a team of the
+//! calling thread and pool helpers that claim its items through one atomic
+//! word, which matches the matmul row/column-block partitioning use case
+//! (uniform cost per item).
 //!
 //! Thread count is `PIPEINFER_THREADS` when set (re-read on every call, so
 //! `PIPEINFER_THREADS=1` forces fully serial in-caller execution), otherwise
@@ -29,34 +30,31 @@ pub mod pool {
     //! * One [`WorkerPool`] per process, lazily created through a `OnceLock`.
     //!   Worker threads are spawned on demand up to the requested parallelism
     //!   and never exit; repeated parallel calls reuse them.
-    //! * A parallel call publishes one `Job` — a borrowed `Fn(usize)` task
-    //!   plus an atomic claim counter — and enqueues one "come help" ticket
-    //!   per helper thread.  Workers (and the calling thread, which always
-    //!   participates) claim item indices with `fetch_add` until the job is
-    //!   exhausted, so several jobs from concurrent callers can be in flight
-    //!   at once without serialising each other.
-    //! * A panic inside a work item is caught on the worker, recorded on the
-    //!   job, and re-raised on the *calling* thread once every item has run;
-    //!   pool threads never die, so a panicking kernel cannot leak or grow
-    //!   threads.
+    //! * Every parallel call runs on a *team*: the calling thread and up to
+    //!   `width - 1` pool threads that took the team's ticket off the queue
+    //!   (a call of one item, or at a parallelism of 1, runs inline).
+    //!   A thread that holds a [`Team`] keeps one open across its calls, so
+    //!   its helpers stay with it between them; a thread that holds none
+    //!   opens a team for the one call and closes it when the call returns.
+    //!   A call stores its task and publishes its two unclaimed ends in one
+    //!   atomic claim word, which the caller claims from the front and the
+    //!   helpers from the back, so several teams from concurrent callers run
+    //!   at once without serialising each other, and a caller finishes its
+    //!   call alone if no helper is free.
+    //! * A panic inside a work item is caught on the thread that ran it,
+    //!   recorded on the team, and re-raised on the *calling* thread once
+    //!   every item has run; pool threads never die, so a panicking kernel
+    //!   cannot leak or grow threads.
     //!
-    //! * A thread may open a [`Team`], an RAII guard.  While it holds one,
-    //!   `width - 1` pool threads leave the queue and stay with it: between
-    //!   its parallel calls they spin on the team's claim word for up to
-    //!   `TEAM_SPIN`, then park on the team until the next call or the
-    //!   guard's drop.  A call inside a team allocates nothing and takes no
-    //!   lock: it stores the task and publishes the call's two unclaimed
-    //!   ends in one atomic word, which the caller claims from the front and
-    //!   the helpers from the back.  Outside a team nothing changes.
-    //!
-    //! Safety: a job stores a raw pointer to the caller's closure.  This is
-    //! sound because the caller blocks until the per-job completion count
-    //! reaches `n_items`, and workers only dereference the closure after
-    //! successfully claiming an in-range item — which can no longer happen
-    //! once every item is done.  The same holds in a team: a claim reads both
-    //! ends from the word it changed, so a helper that arrives late can only
-    //! ever claim an item of the call in flight, and the caller stores the
-    //! next call's task only after every item of the previous one completed.
+    //! Safety: a team stores a raw pointer to the caller's closure.  This is
+    //! sound because the caller blocks in the call until every item it
+    //! published has completed, and a member only dereferences the closure
+    //! after claiming an in-range item.  A claim reads both ends from the
+    //! word it changed, so a helper that arrives late — to a held team
+    //! between calls, or to a one-call team that its caller already finished
+    //! and closed — can only ever claim an item of the call in flight, if
+    //! any; and the caller stores the next call's task only after every item
+    //! of the previous one completed.
 
     use std::cell::{RefCell, UnsafeCell};
     use std::collections::VecDeque;
@@ -80,76 +78,10 @@ pub mod pool {
     /// ([`BACK_BIAS`]).
     pub(crate) const MAX_THREADS: usize = 256;
 
-    /// Total worker threads ever spawned by this process (test observability).
-    static SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
-    struct Job {
-        /// Borrowed task; valid until the caller's `run` returns (see module
-        /// safety note).
-        task: *const (dyn Fn(usize) + Sync),
-        n_items: usize,
-        /// Next item index to claim.
-        next: AtomicUsize,
-        /// Items fully executed.
-        done: AtomicUsize,
-        /// First panic payload observed in a work item, if any.
-        panic: Mutex<Option<PanicPayload>>,
-        finished: Mutex<bool>,
-        finished_cv: Condvar,
-    }
-
-    // The raw task pointer is only dereferenced while the caller keeps the
-    // closure alive (see module docs); the rest of the struct is atomics and
-    // locks.
-    unsafe impl Send for Job {}
-    unsafe impl Sync for Job {}
-
-    impl Job {
-        /// Claims and runs items until the job is exhausted.  Returns whether
-        /// this thread completed the job's last outstanding item — the
-        /// `AcqRel` count it observed then orders every other item's writes
-        /// before its return.
-        fn work(&self) -> bool {
-            let mut ran_last = false;
-            loop {
-                let i = self.next.fetch_add(1, Ordering::Relaxed);
-                if i >= self.n_items {
-                    return ran_last;
-                }
-                let task = unsafe { &*self.task };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                    let mut slot = self.panic.lock().unwrap();
-                    slot.get_or_insert(payload);
-                }
-                ran_last = self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n_items;
-            }
-        }
-
-        /// Worker side of completion: wakes the caller blocked in `wait`
-        /// (the only thread that ever waits on a job).
-        fn signal_finished(&self) {
-            *self.finished.lock().unwrap() = true;
-            self.finished_cv.notify_one();
-        }
-
-        fn wait(&self) {
-            let mut fin = self.finished.lock().unwrap();
-            while !*fin {
-                fin = self.finished_cv.wait(fin).unwrap();
-            }
-        }
-    }
-
-    /// What a pool thread takes off the queue.
-    enum Ticket {
-        /// Help with one parallel call until its items run out.
-        Job(Arc<Job>),
-        /// Stay with a team until it closes.
-        Team(Arc<TeamState>),
-    }
-
     struct PoolState {
-        queue: VecDeque<Ticket>,
+        /// One ticket per helper a team asked for: stay with it until it
+        /// closes.
+        queue: VecDeque<Arc<TeamState>>,
         /// Worker threads spawned so far.
         workers: usize,
     }
@@ -210,70 +142,52 @@ pub mod pool {
     /// Parallelism a call with `n_items` work items will use right now:
     /// `PIPEINFER_THREADS` if set, else available parallelism, capped at
     /// `n_items`.
-    pub fn effective_threads(n_items: usize) -> usize {
-        env_threads()
-            .unwrap_or_else(default_threads)
-            .min(n_items)
-            .max(1)
+    pub(crate) fn effective_threads(n_items: usize) -> usize {
+        configured_threads().min(n_items).max(1)
     }
 
-    /// Configured parallelism (as [`effective_threads`] with unbounded work).
+    /// Configured parallelism: `PIPEINFER_THREADS` if set, else available
+    /// parallelism.
     pub fn configured_threads() -> usize {
         env_threads().unwrap_or_else(default_threads)
-    }
-
-    /// Minimum multiply-adds (or comparable work units) a parallel chunk
-    /// should carry: below this, the claim/dispatch overhead per chunk is no
-    /// longer negligible against the chunk's own compute.
-    const MIN_CHUNK_WORK: usize = 8 * 1024;
-
-    /// Chunk size for splitting `n_items` uniform work items (each costing
-    /// `work_per_item` multiply-adds) across the pool.
-    ///
-    /// Targets ~4 chunks per configured thread so the claim counter can
-    /// load-balance (the last chunk finishing late only idles a thread for
-    /// 1/4 of its share), but never makes chunks smaller than
-    /// `MIN_CHUNK_WORK` multiply-adds.  This replaces the old fixed
-    /// `threshold / k` sizing, which produced the same chunk count at every
-    /// thread count — 8 chunks for a 512×512 GEMV regardless of whether 1 or
-    /// 8 threads were available.
-    pub fn chunk_size(n_items: usize, work_per_item: usize) -> usize {
-        if n_items == 0 {
-            return 1;
-        }
-        let target_chunks = (configured_threads() * 4).max(1);
-        let by_balance = n_items.div_ceil(target_chunks);
-        let by_work = MIN_CHUNK_WORK.div_ceil(work_per_item.max(1));
-        by_balance.max(by_work).clamp(1, n_items)
     }
 
     /// Total worker threads this process has ever spawned.  The pool only
     /// grows when the requested parallelism exceeds every previous request,
     /// so under a fixed configuration this is constant after the first
     /// parallel call.
-    pub fn spawned_workers() -> usize {
-        SPAWNED.load(Ordering::Relaxed)
+    #[cfg(test)]
+    pub(crate) fn spawned_workers() -> usize {
+        global().shared.state.lock().unwrap().workers
     }
 
     fn worker_loop(shared: Arc<Shared>) {
         loop {
-            let ticket = {
+            let team = {
                 let mut st = shared.state.lock().unwrap();
                 loop {
-                    if let Some(ticket) = st.queue.pop_front() {
-                        break ticket;
+                    if let Some(team) = st.queue.pop_front() {
+                        break team;
                     }
                     st = shared.work_cv.wait(st).unwrap();
                 }
             };
-            match ticket {
-                Ticket::Job(job) => {
-                    if job.work() {
-                        job.signal_finished();
-                    }
-                }
-                Ticket::Team(team) => team.help(),
+            team.help();
+        }
+    }
+
+    /// Runs the `n_items` items of `task` one after another on the calling
+    /// thread, each even if an earlier one panicked, and re-raises the first
+    /// panic after the last.
+    fn run_serial(n_items: usize, task: &(dyn Fn(usize) + Sync)) {
+        let mut first_panic = None;
+        for i in 0..n_items {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                first_panic.get_or_insert(payload);
             }
+        }
+        if let Some(payload) = first_panic {
+            resume_unwind(payload);
         }
     }
 
@@ -287,95 +201,75 @@ pub mod pool {
                     .spawn(move || worker_loop(shared))
                     .expect("failed to spawn pool worker");
                 st.workers += 1;
-                SPAWNED.fetch_add(1, Ordering::Relaxed);
             }
         }
 
         /// Runs `task(i)` for every `i` in `0..n_items`, blocking until all
-        /// items completed.  With an effective parallelism of 1 the items run
-        /// inline on the calling thread and the pool is never touched.
+        /// items completed.
         ///
         /// Every item executes even if an earlier one panics (callers such as
-        /// `par_chunks_mut` rely on each index being visited exactly once); the first panic's original payload is
-        /// re-raised on the calling thread after the last item ran, in serial
-        /// and parallel mode alike.
+        /// `par_chunks_mut` rely on each index being visited exactly once);
+        /// the first panic's original payload is re-raised on the calling
+        /// thread after the last item ran.  Panics if `n_items` is more than
+        /// `u32::MAX - 256`.
         ///
-        /// On a thread that holds a [`Team`], the call goes to the team's
-        /// helpers instead (see [`Team`]); an item that itself makes a
-        /// parallel call makes it outside the team.
+        /// On a thread that holds a [`Team`], a call of two items or more
+        /// goes to the team's helpers; an item that itself makes a parallel
+        /// call makes it outside the team.  On any other thread the call
+        /// opens a team for itself of [`configured_threads`] members, or
+        /// `n_items` if fewer; with one member the items run inline on the
+        /// calling thread and the pool is never touched.
         pub fn run(&self, n_items: usize, task: &(dyn Fn(usize) + Sync)) {
-            if n_items == 0 {
-                return;
-            }
-            if (2..=MAX_TEAM_ITEMS).contains(&n_items) {
-                if let Some(team) = CURRENT.with(|current| current.borrow_mut().take()) {
+            // A claim word holds no more; `par_chunks_mut` builds its slices
+            // from claimed indices, so this bound is a safety check.
+            assert!(
+                n_items <= MAX_CALL_ITEMS,
+                "{n_items} items in one parallel call"
+            );
+            let held = match n_items {
+                0 | 1 => None,
+                _ => CURRENT.with(|current| current.borrow_mut().take()),
+            };
+            let panicked = match held {
+                Some(team) => {
                     let panicked = team.dispatch(n_items, task);
                     CURRENT.with(|current| *current.borrow_mut() = Some(team));
-                    if let Some(payload) = panicked {
-                        resume_unwind(payload);
+                    panicked
+                }
+                None => match effective_threads(n_items) {
+                    1 => return run_serial(n_items, task),
+                    width => {
+                        let team = self.open_team(width);
+                        let panicked = team.dispatch(n_items, task);
+                        team.close();
+                        panicked
                     }
-                    return;
-                }
-            }
-            let threads = effective_threads(n_items);
-            if threads <= 1 {
-                let mut first_panic = None;
-                for i in 0..n_items {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                if let Some(payload) = first_panic {
-                    resume_unwind(payload);
-                }
-                return;
-            }
-            self.ensure_workers(threads - 1);
-            // Erase the borrow's lifetime; `run` blocks until every item has
-            // executed, so the pointer never outlives the closure (see the
-            // module safety note).
-            let task: *const (dyn Fn(usize) + Sync) = unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync + '_),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(task as *const _)
+                },
             };
-            let job = Arc::new(Job {
-                task,
-                n_items,
-                next: AtomicUsize::new(0),
-                done: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-                finished: Mutex::new(false),
-                finished_cv: Condvar::new(),
-            });
-            self.enqueue(threads - 1, || Ticket::Job(job.clone()));
-            // When the caller itself ran the last item nobody is waiting, so
-            // the completion lock and futex wake are skipped entirely.
-            if !job.work() {
-                job.wait();
-            }
-            let payload = job.panic.lock().unwrap().take();
-            if let Some(payload) = payload {
+            if let Some(payload) = panicked {
                 resume_unwind(payload);
             }
         }
 
-        /// Queues `count` tickets and wakes one idle worker per ticket:
-        /// `notify_all` would rouse every idle worker of a pool grown for a
-        /// wider call to fight over them.  A worker that is busy rather than
-        /// waiting misses its wake and pops its ticket when it next looks at
-        /// the queue.
-        fn enqueue(&self, count: usize, ticket: impl Fn() -> Ticket) {
+        /// A team of `width` members on the calling thread: queues a ticket
+        /// per helper and wakes one idle worker per ticket.  (`notify_all`
+        /// would rouse every idle worker of a pool grown for a wider call to
+        /// fight over them.)  A worker that is busy rather than waiting
+        /// misses its wake and pops its ticket when it next looks at the
+        /// queue.
+        fn open_team(&self, width: usize) -> Arc<TeamState> {
+            let team = Arc::new(TeamState::new(width));
+            self.ensure_workers(width - 1);
             {
                 let mut st = self.shared.state.lock().unwrap();
-                for _ in 0..count {
-                    st.queue.push_back(ticket());
+                for _ in 1..width {
+                    st.queue.push_back(Arc::clone(&team));
                 }
             }
-            for _ in 0..count {
+            for _ in 1..width {
                 self.shared.work_cv.notify_one();
             }
+            team
         }
     }
 
@@ -392,13 +286,13 @@ pub mod pool {
     const BACK_BIAS: u64 = MAX_THREADS as u64;
     const _: () = assert!(MAX_THREADS as u64 - 1 < BACK_BIAS);
 
-    /// Most items one call can hand to a team (larger calls take the queue).
-    const MAX_TEAM_ITEMS: usize = (u32::MAX as u64 - BACK_BIAS) as usize;
+    /// Most items one claim word can hold.
+    const MAX_CALL_ITEMS: usize = (u32::MAX as u64 - BACK_BIAS) as usize;
 
     thread_local! {
         /// The team this thread holds, if any.  Taken out for the length of
         /// a team call, so that a parallel call from inside one of its items
-        /// goes to the queue.
+        /// opens a team of its own.
         static CURRENT: RefCell<Option<Arc<TeamState>>> = const { RefCell::new(None) };
     }
 
@@ -661,10 +555,7 @@ pub mod pool {
                     _not_send: PhantomData,
                 };
             }
-            let state = Arc::new(TeamState::new(width));
-            let pool = global();
-            pool.ensure_workers(width - 1);
-            pool.enqueue(width - 1, || Ticket::Team(Arc::clone(&state)));
+            let state = global().open_team(width);
             CURRENT.with(|current| *current.borrow_mut() = Some(Arc::clone(&state)));
             Team {
                 state: Some(state),
@@ -726,26 +617,23 @@ pub mod slice {
 
     /// Extension trait adding `par_chunks_mut` to mutable slices.
     pub trait ParallelSliceMut<T: Send> {
-        /// Splits the slice into non-overlapping mutable chunks of
-        /// `chunk_size` elements (the last chunk may be shorter) that can be
-        /// processed in parallel.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
+        /// Splits the slice into non-overlapping mutable chunks of `size`
+        /// elements (the last chunk may be shorter) that can be processed in
+        /// parallel.
+        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
     }
 
     impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-            assert!(chunk_size > 0, "chunk size must be positive");
-            ParChunksMut {
-                slice: self,
-                chunk_size,
-            }
+        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
+            assert!(size > 0, "chunk size must be positive");
+            ParChunksMut { slice: self, size }
         }
     }
 
     /// Parallel iterator over mutable chunks of a slice.
     pub struct ParChunksMut<'a, T: Send> {
         slice: &'a mut [T],
-        chunk_size: usize,
+        size: usize,
     }
 
     impl<'a, T: Send> ParChunksMut<'a, T> {
@@ -765,7 +653,7 @@ pub mod slice {
         /// Runs `f(i, chunk i)` for every chunk on the pool, one chunk an
         /// item, without collecting the chunks first.
         fn run(self, f: impl Fn(usize, &'a mut [T]) + Sync) {
-            let (len, size) = (self.slice.len(), self.chunk_size);
+            let (len, size) = (self.slice.len(), self.size);
             let base = Base(self.slice.as_mut_ptr());
             pool::global().run(len.div_ceil(size), &|i| {
                 let start = i * size;
@@ -812,6 +700,7 @@ pub mod slice {
 mod tests {
     use super::prelude::*;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// Serialises tests that mutate `PIPEINFER_THREADS`.
@@ -1063,25 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_scales_with_threads_and_respects_work_floor() {
-        with_threads(Some(8), || {
-            // 512 items of k=512 muladds each: balance wins — 4 chunks per
-            // thread → 32 chunks of 16 items.
-            assert_eq!(super::pool::chunk_size(512, 512), 16);
-            // Tiny per-item work: the 8K-muladd floor wins over balance
-            // (8192/4 = 2048 items per chunk, clamped to the item count).
-            assert_eq!(super::pool::chunk_size(512, 4), 512);
-            // Never exceeds the item count.
-            assert_eq!(super::pool::chunk_size(3, 1), 3);
-            assert_eq!(super::pool::chunk_size(0, 64), 1);
-        });
-        with_threads(Some(1), || {
-            // One thread: 4 chunks of 128 for the same 512×512 shape.
-            assert_eq!(super::pool::chunk_size(512, 512), 128);
-        });
-    }
-
-    #[test]
     fn effective_threads_is_capped_by_items() {
         with_threads(Some(4), || {
             assert_eq!(super::pool::effective_threads(1), 1);
@@ -1116,5 +986,103 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// SplitMix64: the stress test's seeded draws.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n) as usize
+        }
+    }
+
+    #[test]
+    fn every_call_runs_each_item_once_at_every_width_in_a_team_or_not() {
+        // Seeded calls at widths 2-8 from one to three threads at once, each
+        // call inside a held team or on a team opened for it, of 0 to 299
+        // items, some of which make a parallel call of their own and some of
+        // which panic.
+        for width in 2..=8usize {
+            with_threads(Some(width), || {
+                let spawned_before = super::pool::spawned_workers();
+                std::thread::scope(|s| {
+                    for caller in 0..1 + width % 3 {
+                        s.spawn(move || {
+                            let mut draw = Draws((width * 7 + caller) as u64);
+                            for call in 0..40 {
+                                let team = (draw.below(2) == 1).then(super::pool::Team::open);
+                                let in_team = team.is_some();
+                                assert_eq!(
+                                    super::pool::team_width(),
+                                    if in_team { width } else { 1 }
+                                );
+                                let n = draw.below(300);
+                                let salt = 1 + draw.below(97);
+                                let panics_at = |i: usize| call % 4 == 0 && (i * salt) % 11 == 3;
+                                let message =
+                                    |i: usize| format!("caller {caller} call {call} item {i}");
+                                let hits: Vec<_> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                                let caught = std::panic::catch_unwind(|| {
+                                    super::pool::global().run(n, &|i| {
+                                        hits[i].fetch_add(1, Ordering::Relaxed);
+                                        if (i * salt).is_multiple_of(7) {
+                                            let nested: Vec<_> =
+                                                (0..i % 13).map(|_| AtomicUsize::new(0)).collect();
+                                            super::pool::global().run(nested.len(), &|j| {
+                                                nested[j].fetch_add(1, Ordering::Relaxed);
+                                            });
+                                            assert!(nested
+                                                .iter()
+                                                .all(|h| h.load(Ordering::Relaxed) == 1));
+                                        }
+                                        if panics_at(i) {
+                                            std::panic::panic_any(message(i));
+                                        }
+                                    })
+                                });
+                                for (i, h) in hits.iter().enumerate() {
+                                    assert_eq!(
+                                        h.load(Ordering::Relaxed),
+                                        1,
+                                        "width {width}, {n} items: item {i}"
+                                    );
+                                }
+                                let expected: Vec<String> =
+                                    (0..n).filter(|&i| panics_at(i)).map(message).collect();
+                                match caught {
+                                    Ok(()) => {
+                                        assert!(expected.is_empty(), "{expected:?} were swallowed")
+                                    }
+                                    Err(payload) => {
+                                        let got = payload
+                                            .downcast::<String>()
+                                            .expect("an item's own payload");
+                                        assert!(
+                                            expected.contains(&got),
+                                            "{got} was not raised here"
+                                        );
+                                    }
+                                }
+                                assert_eq!(
+                                    super::pool::team_width(),
+                                    if in_team { width } else { 1 }
+                                );
+                                drop(team);
+                            }
+                        });
+                    }
+                });
+                assert!(
+                    super::pool::spawned_workers() <= spawned_before.max(width - 1),
+                    "width {width} grew the pool past {} helpers",
+                    width - 1
+                );
+            });
+        }
     }
 }

@@ -10,16 +10,14 @@
 //!   position embeddings (RoPE) and element-wise helpers.  Matrix products
 //!   above a size threshold are split into column blocks over a persistent
 //!   worker pool.
-//! * [`simd`] — the arithmetic under [`ops`] and [`quant`]: explicit f32x8
+//! * [`simd`] — the arithmetic under [`ops`]: explicit f32x8
 //!   kernels, `core::arch` AVX2/FMA when the CPU has it (detected once at
 //!   run time; with AVX-512, two such rows per register wherever that gives
 //!   the same bits), a portable array-of-8 implementation otherwise.  Every
 //!   build ships all of them; there is no scalar build.
-//! * [`quant`] — block quantization formats modelled after the GGML `Q8_0`,
-//!   `Q4_K`, `Q3_K` and `Q2_K` families.  They are used both functionally
-//!   (quantize → dequantize → matmul round trips in tests) and analytically
-//!   (bytes-per-weight accounting for the memory-footprint model in
-//!   `pi-perf`).
+//! * [`quant`] — the GGML `Q8_0`, `Q4_K`, `Q3_K` and `Q2_K` weight formats,
+//!   priced in bytes per weight for the memory-footprint and cost models in
+//!   `pi-perf`.
 //!
 //! The library is deliberately small and dependency-free (rand is only used
 //! for initialisation helpers); it is not meant to compete with full tensor
@@ -32,9 +30,8 @@
 //! results are bitwise reproducible across runs, `PIPEINFER_THREADS`
 //! settings, the two x86 instruction sets and tile membership — row `r` of
 //! an `m`-row product is the single-row product of row `r`, bit for bit.
-//! `ops::matmul_t_naive` and `QuantizedMatrix::matmul_t_reference` are the
-//! ground truth the shipped kernels are property-tested against (1e-4
-//! relative).
+//! `ops::matmul_t_naive` is the ground truth the shipped kernels are
+//! property-tested against (1e-4 relative).
 //!
 //! ## Environment
 //!
@@ -49,7 +46,7 @@ pub mod quant;
 pub mod simd;
 pub mod tensor;
 
-pub use quant::{QuantKind, QuantizedMatrix};
+pub use quant::QuantKind;
 pub use tensor::Tensor;
 
 /// Convenience result alias used across the crate.

@@ -7,13 +7,12 @@
 //! single-row (decode) case, the register-blocked [`simd::gemm_tile`] for the
 //! multi-row (verify, forest, prefill) case — and this module only decides
 //! where they run: products of `PAR_DISPATCH_WEIGHT_LOADS` weight loads and
-//! more are split into column blocks over the persistent worker pool (sized
-//! by `rayon::pool::chunk_size`, ≈4 chunks per configured thread with a
-//! minimum work floor, rounded to the register tile's width), smaller ones
-//! stay on the calling thread as one kernel call.  A thread that holds a
-//! `rayon::pool::Team` (the step loop) splits from the far lower
-//! `TEAM_DISPATCH_WEIGHT_LOADS` on, into contiguous blocks — one per member
-//! for every product of a decode, verify or forest step.
+//! more are split into column blocks over the persistent worker pool,
+//! smaller ones stay on the calling thread as one kernel call.  A thread that
+//! holds a `rayon::pool::Team` (the step loop) splits from the far lower
+//! `TEAM_DISPATCH_WEIGHT_LOADS` on.  One rule sizes every split's blocks:
+//! contiguous, whole register tiles, a whole number per pool thread — one
+//! per member for every product of a decode, verify or forest step.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -41,10 +40,9 @@ use rayon::pool;
 /// loaded.  A single-row product loads every weight once (`n·k`); the
 /// register tile of `simd::gemm_tile` loads each once per row block, so
 /// `simd::gemm_geometry`'s passes times `n·k` (a block is 8 rows on AVX-512,
-/// up to 6 on AVX2 and the portable lanes); the quantized kernels convert
-/// every weight once per row (`m·n·k`).  Multiply-adds, an earlier unit, put
-/// a 40-row in-cache GEMM above a 2048×2048 GEMV that carries three times the
-/// serial time.
+/// up to 6 on AVX2 and the portable lanes).  Multiply-adds, an earlier unit,
+/// put a 40-row in-cache GEMM above a 2048×2048 GEMV that carries three times
+/// the serial time.
 ///
 /// Placed from what a split has to pay back: the *helper's wake latency*,
 /// not the caller's dispatch cost.  On the 2-vCPU bench box, from `run`
@@ -77,13 +75,6 @@ use rayon::pool;
 /// The constant stays where wake latency put it — which, the multi-row unit
 /// having halved, now means twice the rows.
 ///
-/// The value before that, 256 Ki multiply-adds, came from the caller's side
-/// alone (2.3–2.8 µs: the `Arc<Job>`, a mutex and the wake syscall), timed in
-/// a loop so tight that the helper never slept and the caller finished small
-/// products before it arrived.  Inside a forward pass every `m ≥ 2` product
-/// of a verify run or a forest step woke a sleeping helper, gained nothing
-/// and often waited on it.
-///
 /// So nothing a `d_model` 256 / `d_ff` 704 model issues for decode, verify,
 /// an 8-lane × 5-row forest (40×256×704: 0.9 Mi loads on AVX-512) or a
 /// 64-token prompt (1.4 Mi) leaves the thread that issued it, while the FFN
@@ -91,10 +82,11 @@ use rayon::pool;
 /// tokens on AVX2, whose blocks are half as tall), a 1024×2048 GEMV and
 /// everything larger still fan out.
 ///
-/// That is the threshold of a thread that holds no team, where a split pays
-/// a helper's wake.  A thread that holds a `pool::Team` — the step loop —
-/// splits from [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead.
-pub(crate) const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
+/// That is the threshold of a thread that holds no team, whose split opens
+/// a team for the one call and so pays a helper's wake.  A thread that holds
+/// a `pool::Team` — the step loop — splits from
+/// [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead.
+const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
 
 /// [`PAR_DISPATCH_WEIGHT_LOADS`] for a thread that holds a `pool::Team`:
 /// its helpers are awake between calls, so a split costs a store, one claim
@@ -115,7 +107,7 @@ pub(crate) const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
 /// 258-row output head) splits, and the 64-wide toy models of the tests
 /// split nothing.  Every split is bitwise the serial product (see the module
 /// docs), so the threshold moves time, never a token.
-pub(crate) const TEAM_DISPATCH_WEIGHT_LOADS: usize = 32 * 1024;
+const TEAM_DISPATCH_WEIGHT_LOADS: usize = 32 * 1024;
 
 /// [`PAR_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
 /// build shapes on both sides of it.
@@ -169,8 +161,16 @@ pub fn matmul_t_into(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: 
     assert_eq!(wd.len(), n * k, "w data does not match [n, k]");
     assert_eq!(out.len(), m * n, "out does not match [m, n]");
     if m == 1 {
-        gemv_dispatch(k, out, |j0, chunk| {
-            simd::gemv_panel(xd, &wd[j0 * k..(j0 + chunk.len()) * k], chunk)
+        if n * k < dispatch_weight_loads() {
+            simd::gemv_panel(xd, wd, out);
+            return;
+        }
+        let base = OutPtr(out.as_mut_ptr());
+        split_columns(n, k, 1, &|j0, j1| {
+            // SAFETY: columns `j0..j1` lie inside `out`, and no other block
+            // is given them.
+            let chunk = unsafe { std::slice::from_raw_parts_mut(base.column(j0), j1 - j0) };
+            simd::gemv_panel(xd, &wd[j0 * k..j1 * k], chunk)
         });
     } else if m > 1 && k > 0 {
         gemm_t(xd, wd, m, k, n, out);
@@ -197,64 +197,44 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
-/// Dispatch skeleton shared by the dense and quantized single-row products:
-/// `fill(j0, chunk)` computes output features `j0..j0 + chunk.len()` (`k`
-/// weight loads each) — as one call on the calling thread below the
-/// dispatch threshold, otherwise once per column block sized by the pool's
-/// chunk policy.
-pub(crate) fn gemv_dispatch<F>(k: usize, out: &mut [f32], fill: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let n = out.len();
-    if n * k < dispatch_weight_loads() {
-        fill(0, out);
-        return;
-    }
-    let base = OutPtr(out.as_mut_ptr());
-    split_columns(n, k, 1, &|j0, j1| {
-        // SAFETY: columns `j0..j1` lie inside `out`, and no other block is
-        // given them.
-        fill(j0, unsafe {
-            std::slice::from_raw_parts_mut(base.column(j0), j1 - j0)
-        })
-    });
-}
-
 /// Runs `columns(j0, j1)` over column blocks that partition `0..n` (of
 /// `work` multiply-adds a column, in whole `align`s but for the far edge) on
-/// the pool.  Outside a team, blocks are sized by the pool's chunk policy.
+/// the pool's team: the one the calling thread holds, or one opened for the
+/// call, of every pool thread.
 ///
-/// Inside a team, every product of up to [`TEAM_BLOCK_WORK`] multiply-adds a
-/// member — each of a `bp256` decode, verify or forest step — is one
-/// contiguous block per member: the caller claims blocks from the front and
-/// the helpers from the back (`rayon::pool::Team`), so each streams its own
-/// block front to back, the register tile's prefetches run ahead into
-/// weights the same core reads, and a core tends to get the same columns of
-/// a matrix every call.  (Four blocks a member cost an 8-layer stack of
-/// `bp256` products up to 1.5× the time of one.)  A larger product — a
-/// prompt's — is cut into blocks of about that much work, so that a helper
-/// that joins late, or is descheduled, holds the caller up for one block
-/// and not for half the product.
+/// Every product of up to [`TEAM_BLOCK_WORK`] multiply-adds a member — each
+/// of a `bp256` decode, verify or forest step — is one contiguous block per
+/// member: the caller claims blocks from the front and the helpers from the
+/// back (`rayon::pool::Team`), so each streams its own block front to back,
+/// the register tile's prefetches run ahead into weights the same core
+/// reads, and a core tends to get the same columns of a matrix every call.
+/// (Four blocks a member cost an 8-layer stack of `bp256` products up to
+/// 1.5× the time of one.)  A larger product — a prompt's — is cut into
+/// blocks of about that much work, so that a helper that joins late, or is
+/// descheduled, holds the caller up for one block and not for half the
+/// product.
 fn split_columns(n: usize, work: usize, align: usize, columns: &(dyn Fn(usize, usize) + Sync)) {
-    let block = match pool::team_width() {
-        1 => pool::chunk_size(n, work),
-        width => {
-            let blocks = (n * work).div_ceil(TEAM_BLOCK_WORK).next_multiple_of(width);
-            n.div_ceil(blocks)
-        }
-    }
-    .next_multiple_of(align);
+    let width = match pool::team_width() {
+        1 => pool::configured_threads(),
+        width => width,
+    };
+    let blocks = (n * work).div_ceil(TEAM_BLOCK_WORK).next_multiple_of(width);
+    let block = n.div_ceil(blocks).next_multiple_of(align);
     pool::global().run(n.div_ceil(block), &|b| {
         columns(b * block, ((b + 1) * block).min(n))
     });
 }
 
-/// Multiply-adds of one column block of a product split inside a team: a
-/// verify run's FFN product (5×256×704: 0.9 Mi) and an 8-lane forest step's
-/// (1.4 Mi over two members) are one block a member; an 89-token prompt's
-/// (15.3 Mi) is sixteen.
-const TEAM_BLOCK_WORK: usize = 1 << 20;
+/// Multiply-adds of one column block of a split product: a verify run's FFN
+/// product (5×256×704: 0.9 Mi) and an 8-lane forest step's (1.4 Mi) are one
+/// block a member; an 89-token prompt's (15.3 Mi) is four.  Every block of a
+/// multi-row product re-reads all of its activation rows, so blocks of 1 Mi
+/// cost a 256-token `bp256` prefill outside a team (46 Mi FFN products: 46
+/// blocks) about 16 % over the four chunks a thread it used to be cut into;
+/// at 4 Mi (12 blocks) it was within 4 % of them (2 vCPUs, AVX-512;
+/// alternating eight runs of each, medians 88.3, 102.7 and 91.9 ms), and the
+/// stream workloads, which split inside the step loop's team, read the same.
+const TEAM_BLOCK_WORK: usize = 1 << 22;
 
 /// Raw output pointer shared across the pool's column-block tasks.  Column
 /// blocks partition the columns, so concurrent writes never overlap.

@@ -3,11 +3,9 @@
 //! Every kernel is selected once per process by `Isa::detect`, among:
 //!
 //! * **AVX2/FMA** (`core::arch::x86_64`) — 8-lane fused multiply-add inner
-//!   loops, in-register `i8 → f32` widening for the fused quantized kernel
-//!   (weight rows are never materialised as dense `f32`), and 8-lane
-//!   element-wise passes for RMSNorm / softmax / the SiLU-gate product (whose
-//!   `exp` uses the Cephes polynomial, the same approximation llama.cpp
-//!   ships).
+//!   loops and 8-lane element-wise passes for RMSNorm / softmax / the
+//!   SiLU-gate product (whose `exp` uses the Cephes polynomial, the same
+//!   approximation llama.cpp ships).
 //! * **AVX-512** — the AVX2/FMA kernels, except where a 512-bit register can
 //!   do twice the work and still produce the AVX2/FMA result bit for bit: the
 //!   multi-row product holds *two activation rows* per register, each half
@@ -39,11 +37,11 @@
 //! single-row product of row `r` for every `m`, tile position and thread
 //! count.  Forest batching and verify-vs-decode identity rest on this.  The
 //! portable lanes differ from the two x86 paths (and all of them from the
-//! naive references in [`crate::ops`] and [`crate::quant`]) in the last few
-//! ulps, because they neither fuse the multiply-add nor sum the lanes in the
-//! same tree; this module's unit tests force each runnable instruction set
-//! in turn, hold AVX-512 to AVX2/FMA *bitwise* and both to the portable lanes
-//! and the references within 1e-4 relative, and
+//! naive reference in [`crate::ops`]) in the last few ulps, because they
+//! neither fuse the multiply-add nor sum the lanes in the same tree; this
+//! module's unit tests force each runnable instruction set in turn, hold
+//! AVX-512 to AVX2/FMA *bitwise* and both to the portable lanes and the
+//! references within 1e-4 relative, and
 //! `crates/tensor/tests/kernel_equivalence.rs` checks the one the machine
 //! selects through the public entry points.
 //!
@@ -60,7 +58,6 @@
 //! AVX-512, up to six on the others), because every further block is another
 //! pass over the weights.
 
-use crate::quant::{Block, BLOCK_SIZE};
 use rayon::pool;
 use rayon::prelude::*;
 
@@ -1068,34 +1065,6 @@ fn token_gather_on<'a>(
     }
 }
 
-/// Fused single-row product against a panel of quantized weight rows:
-/// `out[j] = xrow · row_j`, where `blocks` holds `out.len()` rows of
-/// `xrow.len().div_ceil(BLOCK_SIZE)` blocks.
-///
-/// Integer weights are widened in-register (never materialised as dense
-/// `f32`), each block's scale is applied exactly once — in the main loop as
-/// one fused multiply-add of the block accumulator, and hoisted out of the
-/// ragged-tail element loop the same way.
-pub(crate) fn gemv_q_panel(xrow: &[f32], blocks: &[Block], out: &mut [f32]) {
-    let per_row = xrow.len().div_ceil(BLOCK_SIZE);
-    assert_eq!(blocks.len(), out.len() * per_row);
-    if per_row == 0 {
-        out.fill(0.0);
-        return;
-    }
-    match Isa::detect() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `detect` saw AVX2/FMA; each row handed on holds the
-        // `per_row` blocks that cover `xrow`.
-        Isa::Avx512 | Isa::Avx2Fma => unsafe { avx2::gemv_q_panel(xrow, blocks, per_row, out) },
-        Isa::Portable => {
-            for (o, row) in out.iter_mut().zip(blocks.chunks_exact(per_row)) {
-                *o = dot_q_row_portable(xrow, row);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Element-wise passes
 // ---------------------------------------------------------------------------
@@ -1181,38 +1150,6 @@ fn hsum8(acc: [f32; 8]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-fn dot_q_row_portable(xrow: &[f32], blocks: &[Block]) -> f32 {
-    let full = xrow.len() / BLOCK_SIZE;
-    let mut acc = [0.0f32; 8];
-    for (b, block) in blocks.iter().enumerate().take(full) {
-        let x = &xrow[b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE];
-        let mut bacc = [0.0f32; 8];
-        for (xv, qv) in x.chunks_exact(8).zip(block.q.chunks_exact(8)) {
-            for l in 0..8 {
-                bacc[l] += xv[l] * qv[l] as f32;
-            }
-        }
-        // One scale multiply per block, fused into the running accumulator.
-        for l in 0..8 {
-            acc[l] += bacc[l] * block.scale;
-        }
-    }
-    let mut sum = hsum8(acc);
-    let rem = xrow.len() % BLOCK_SIZE;
-    if rem != 0 {
-        // Ragged tail block: same structure — unscaled element loop, then one
-        // scale multiply hoisted out of it.
-        let block = &blocks[full];
-        let x = &xrow[full * BLOCK_SIZE..];
-        let mut bacc = 0.0f32;
-        for (xv, qv) in x.iter().zip(block.q.iter()) {
-            bacc += xv * *qv as f32;
-        }
-        sum += bacc * block.scale;
-    }
-    sum
-}
-
 fn sum_squares_portable(x: &[f32]) -> f32 {
     let main = x.len() - x.len() % 8;
     let mut acc = [0.0f32; 8];
@@ -1234,7 +1171,7 @@ fn sum_squares_portable(x: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{gemm_block, gemv_rows, Block, Lanes, BLOCK_SIZE};
+    use super::{gemm_block, gemv_rows, Lanes};
     use core::arch::x86_64::*;
 
     /// Horizontal sum of one 8-lane register (fixed reduction order):
@@ -1367,53 +1304,6 @@ mod avx2 {
     ) {
         // SAFETY: the caller guarantees the instruction set.
         unsafe { super::token_gather::<__m256>(weights, hd, group_heads, n_cells, value, out) }
-    }
-
-    /// [`super::gemv_q_panel`] on AVX2/FMA: one feature crossing for the
-    /// whole panel, [`dot_q_row_avx2`] inlined per row.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA, and every `per_row`-block row of
-    /// `blocks` must cover `xrow`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_q_panel(xrow: &[f32], blocks: &[Block], per_row: usize, out: &mut [f32]) {
-        for (o, row) in out.iter_mut().zip(blocks.chunks_exact(per_row)) {
-            // SAFETY: same features as this function; `row` covers `xrow`.
-            *o = unsafe { dot_q_row_avx2(xrow, row) };
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    pub unsafe fn dot_q_row_avx2(xrow: &[f32], blocks: &[Block]) -> f32 {
-        let full = xrow.len() / BLOCK_SIZE;
-        let mut acc = _mm256_setzero_ps();
-        for (b, block) in blocks.iter().enumerate().take(full) {
-            let px = xrow.as_ptr().add(b * BLOCK_SIZE);
-            let pq = block.q.as_ptr();
-            let mut bacc = _mm256_setzero_ps();
-            for j in 0..BLOCK_SIZE / 8 {
-                // Widen 8 i8 weights to f32 entirely in registers.
-                let qi = _mm_loadl_epi64(pq.add(8 * j) as *const __m128i);
-                let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                bacc = _mm256_fmadd_ps(_mm256_loadu_ps(px.add(8 * j)), qf, bacc);
-            }
-            // One scale multiply per block, fused into the running total.
-            acc = _mm256_fmadd_ps(bacc, _mm256_set1_ps(block.scale), acc);
-        }
-        let mut sum = hsum256(acc);
-        let rem = xrow.len() % BLOCK_SIZE;
-        if rem != 0 {
-            // Ragged tail block: unscaled element loop, scale applied once.
-            let block = &blocks[full];
-            let x = &xrow[full * BLOCK_SIZE..];
-            let mut bacc = 0.0f32;
-            for (xv, qv) in x.iter().zip(block.q.iter()) {
-                bacc += xv * *qv as f32;
-            }
-            sum += bacc * block.scale;
-        }
-        sum
     }
 
     #[target_feature(enable = "avx2,fma")]

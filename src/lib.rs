@@ -4,7 +4,7 @@
 //! public API of every workspace crate under one roof so examples,
 //! integration tests and downstream users can depend on a single crate:
 //!
-//! * [`tensor`] — dense tensors, transformer kernels, block quantization.
+//! * [`tensor`] — dense tensors, transformer kernels, weight-format pricing.
 //! * [`model`] — decoder-only transformers, KV cache with sequence metadata,
 //!   token trees, samplers and the synthetic alignment oracles.
 //! * [`trace`] — cross-rank span tracing, pipeline-bubble accounting and
@@ -30,7 +30,7 @@
 //! and `Deployment::run` does the rest.  See `README.md` for a quickstart
 //! and the workspace map.
 
-/// Dense tensors, transformer kernels and block quantization (`pi-tensor`).
+/// Dense tensors, transformer kernels and weight-format pricing (`pi-tensor`).
 pub use pi_tensor as tensor;
 
 /// Transformer models, KV cache, token trees and samplers (`pi-model`).
