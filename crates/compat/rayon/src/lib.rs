@@ -15,7 +15,8 @@
 //!
 //! A thread that issues many small parallel calls in a row can hold a
 //! [`pool::Team`]: while it does, the pool's helpers stay with it between
-//! calls instead of being woken for each one.
+//! calls instead of being woken for each one, and its calls split only
+//! while no other thread holds one.
 
 pub mod prelude {
     //! Drop-in replacement for `rayon::prelude::*`.
@@ -41,6 +42,10 @@ pub mod pool {
     //!   helpers from the back, so several teams from concurrent callers run
     //!   at once without serialising each other, and a caller finishes its
     //!   call alone if no helper is free.
+    //! * A thread that holds a [`Team`] is inside a *compute section*; a
+    //!   call splits only while no other thread is inside one, so threads
+    //!   that compute at once (the ranks of a cluster run) each keep a core
+    //!   and the cores of idle ones go to whichever computes alone.
     //! * A panic inside a work item is caught on the thread that ran it,
     //!   recorded on the team, and re-raised on the *calling* thread once
     //!   every item has run; pool threads never die, so a panicking kernel
@@ -177,18 +182,16 @@ pub mod pool {
     }
 
     /// Runs the `n_items` items of `task` one after another on the calling
-    /// thread, each even if an earlier one panicked, and re-raises the first
-    /// panic after the last.
-    fn run_serial(n_items: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// thread, each even if an earlier one panicked; the first panic's
+    /// payload, if any.
+    fn run_serial(n_items: usize, task: &(dyn Fn(usize) + Sync)) -> Option<PanicPayload> {
         let mut first_panic = None;
         for i in 0..n_items {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
                 first_panic.get_or_insert(payload);
             }
         }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
+        first_panic
     }
 
     impl WorkerPool {
@@ -218,7 +221,9 @@ pub mod pool {
         /// call makes it outside the team.  On any other thread the call
         /// opens a team for itself of [`configured_threads`] members, or
         /// `n_items` if fewer; with one member the items run inline on the
-        /// calling thread and the pool is never touched.
+        /// calling thread and the pool is never touched.  Either way the
+        /// items run inline while a thread other than the caller is inside
+        /// a compute section (see [`Team`]): each call reads that anew.
         pub fn run(&self, n_items: usize, task: &(dyn Fn(usize) + Sync)) {
             // A claim word holds no more; `par_chunks_mut` builds its slices
             // from claimed indices, so this bound is a safety check.
@@ -232,18 +237,22 @@ pub mod pool {
             };
             let panicked = match held {
                 Some(team) => {
-                    let panicked = team.dispatch(n_items, task);
+                    let panicked = if alone(IN_SECTION) {
+                        team.dispatch(n_items, task)
+                    } else {
+                        run_serial(n_items, task)
+                    };
                     CURRENT.with(|current| *current.borrow_mut() = Some(team));
                     panicked
                 }
                 None => match effective_threads(n_items) {
-                    1 => return run_serial(n_items, task),
-                    width => {
+                    width if width > 1 && alone(OUTSIDE_SECTIONS) => {
                         let team = self.open_team(width);
                         let panicked = team.dispatch(n_items, task);
                         team.close();
                         panicked
                     }
+                    _ => run_serial(n_items, task),
                 },
             };
             if let Some(payload) = panicked {
@@ -276,6 +285,24 @@ pub mod pool {
     /// How long a team helper spins on the claim word after its last item
     /// before it parks (see [`Team`] for how it was placed).
     const TEAM_SPIN: Duration = Duration::from_micros(50);
+
+    /// Threads inside a compute section: holding a [`Team`] that is not
+    /// inert.  A thread counts once however many teams it opens inside its
+    /// own, and a team's helpers do not count.
+    static SECTIONS: CacheLine<AtomicUsize> = CacheLine(AtomicUsize::new(0));
+
+    /// What a thread inside a section contributes to [`SECTIONS`]; a thread
+    /// outside contributes [`OUTSIDE_SECTIONS`].
+    const IN_SECTION: usize = 1;
+    const OUTSIDE_SECTIONS: usize = 0;
+
+    /// Whether no thread but the caller, which contributes `own` to the
+    /// count, is inside a section: whether a parallel call of the caller's
+    /// may use the cores.  A heuristic read, so `Relaxed`: a section that
+    /// opens while a call is in flight waits for that one call at most.
+    fn alone(own: usize) -> bool {
+        SECTIONS.load(Ordering::Relaxed) <= own
+    }
 
     /// Bits of the claim word below the back end: the front end.
     const FRONT_BITS: u32 = 32;
@@ -468,6 +495,14 @@ pub mod pool {
                 if self.closed.load(Ordering::Acquire) {
                     return;
                 }
+                // While another thread is in a section, this team's calls run
+                // inline, and a spinning helper would take the core that
+                // thread computes on.
+                if !alone(IN_SECTION) {
+                    self.park();
+                    idle_since = None;
+                    continue;
+                }
                 std::hint::spin_loop();
                 polls = polls.wrapping_add(1);
                 if !polls.is_multiple_of(64) {
@@ -510,10 +545,22 @@ pub mod pool {
     /// sends the helpers back to the pool, where they sleep.
     ///
     /// The width is the pool's parallelism ([`configured_threads`], at most
-    /// 256) when the team opens.  A team of width 1, or one opened on a thread that already
-    /// holds a team, is inert: nothing changes while it is held.  Results do
-    /// not depend on the width: a call runs the same items, only on more
-    /// threads.
+    /// 256) when the team opens.  A team of width 1, or one opened on a
+    /// thread that already holds a team, is inert: nothing changes while it
+    /// is held.  Results do not depend on the width: a call runs the same
+    /// items, only on more threads.
+    ///
+    /// Holding a team that is not inert puts the thread inside a *compute
+    /// section*, and several threads can be in one at once: the step loop,
+    /// or each rank of a cluster run while it evaluates a stage or drafts.
+    /// The pool counts the threads inside sections, and a section splits
+    /// only over cores no other section holds — while another thread is in
+    /// one, [`team_width`] reads 1 and the section's calls run inline, and
+    /// its helpers park at once instead of spinning between calls.  The
+    /// count is read on every call, not only at open, so a section that
+    /// opened beside another splits as soon as it is alone, and one that
+    /// opened alone stops splitting when another opens — on a 2-vCPU box
+    /// its helper would otherwise take the core the other computes on.
     ///
     /// Between calls a helper spins for `TEAM_SPIN` (50 µs) and then parks,
     /// so a team costs a spinning core only while its thread issues calls
@@ -556,6 +603,7 @@ pub mod pool {
                 };
             }
             let state = global().open_team(width);
+            SECTIONS.fetch_add(1, Ordering::Relaxed);
             CURRENT.with(|current| *current.borrow_mut() = Some(Arc::clone(&state)));
             Team {
                 state: Some(state),
@@ -569,15 +617,27 @@ pub mod pool {
             if let Some(state) = self.state.take() {
                 CURRENT.with(|current| current.borrow_mut().take());
                 state.close();
+                SECTIONS.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Width of the team the calling thread holds (1 when it holds none, and
-    /// inside a team call's items).  Kernels read it to decide whether a
+    /// Width a parallel call of the calling thread splits over right now:
+    /// that of the team it holds while no other thread is inside a compute
+    /// section (see [`Team`]), else 1 — also when it holds none, and inside
+    /// a team call's items.  Kernels read it, per call, to decide whether a
     /// product is worth splitting.
     pub fn team_width() -> usize {
-        CURRENT.with(|current| current.borrow().as_ref().map_or(1, |state| state.width))
+        CURRENT.with(|current| match current.borrow().as_ref() {
+            Some(state) if alone(IN_SECTION) => state.width,
+            _ => 1,
+        })
+    }
+
+    /// Threads inside a compute section right now.
+    #[cfg(test)]
+    pub(crate) fn sections() -> usize {
+        SECTIONS.load(Ordering::Relaxed)
     }
 
     #[cfg(test)]
@@ -1017,10 +1077,10 @@ mod tests {
                             for call in 0..40 {
                                 let team = (draw.below(2) == 1).then(super::pool::Team::open);
                                 let in_team = team.is_some();
-                                assert_eq!(
-                                    super::pool::team_width(),
-                                    if in_team { width } else { 1 }
-                                );
+                                // Another caller's team makes this one's
+                                // width 1 while it is held.
+                                let width_ok = |w: usize| w == 1 || (in_team && w == width);
+                                assert!(width_ok(super::pool::team_width()));
                                 let n = draw.below(300);
                                 let salt = 1 + draw.below(97);
                                 let panics_at = |i: usize| call % 4 == 0 && (i * salt) % 11 == 3;
@@ -1068,10 +1128,7 @@ mod tests {
                                         );
                                     }
                                 }
-                                assert_eq!(
-                                    super::pool::team_width(),
-                                    if in_team { width } else { 1 }
-                                );
+                                assert!(width_ok(super::pool::team_width()));
                                 drop(team);
                             }
                         });
@@ -1082,7 +1139,136 @@ mod tests {
                     "width {width} grew the pool past {} helpers",
                     width - 1
                 );
+                assert_eq!(super::pool::sections(), 0);
             });
         }
+    }
+
+    /// Runs a two-item call whose items each wait (up to 10 s) for the
+    /// other to start, and returns whether both ran at once — that is, on
+    /// two threads: the caller claims one item at a time, so a call that
+    /// runs inline finds its first item waiting alone.
+    fn call_splits() -> bool {
+        let started = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
+        super::pool::global().run(2, &|_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < 2 {
+                if std::time::Instant::now() > deadline {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            met.fetch_add(1, Ordering::SeqCst);
+        });
+        met.into_inner() == 2
+    }
+
+    /// Whether a 32-item call ran every item on the calling thread.  The
+    /// items sleep, so that a helper the call was handed to has time to
+    /// take one.
+    fn call_runs_inline() -> bool {
+        let caller = std::thread::current().id();
+        let elsewhere = AtomicUsize::new(0);
+        super::pool::global().run(32, &|_| {
+            std::thread::sleep(std::time::Duration::from_micros(300));
+            if std::thread::current().id() != caller {
+                elsewhere.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        elsewhere.into_inner() == 0
+    }
+
+    #[test]
+    fn a_section_splits_only_while_no_other_thread_is_in_one() {
+        with_threads(Some(2), || {
+            assert_eq!(super::pool::sections(), 0);
+            assert!(call_splits(), "a call outside every section splits");
+            // A lone section splits; an open nested in it counts nothing
+            // and changes nothing.
+            {
+                let _team = super::pool::Team::open();
+                assert_eq!(super::pool::sections(), 1);
+                let inner = super::pool::Team::open();
+                assert_eq!(super::pool::sections(), 1, "a nested open counts once");
+                assert_eq!(super::pool::team_width(), 2);
+                assert!(call_splits(), "a lone section splits");
+                drop(inner);
+                assert_eq!(super::pool::sections(), 1);
+                assert_eq!(super::pool::team_width(), 2);
+            }
+            assert_eq!(super::pool::sections(), 0);
+
+            // Two threads in sections at once: both read width 1, and
+            // their calls (checked per call, so also one made after both
+            // opened) run on the calling thread alone, as do the calls of
+            // a thread outside every section beside them.  Once one
+            // leaves, the remaining section splits again.
+            // (Every check inside the threads is a value, asserted after
+            // they joined, so that a failing one cannot strand the others
+            // at a barrier.)
+            let both_in = std::sync::Barrier::new(3);
+            let one_left = std::sync::Barrier::new(2);
+            let (seen, beside) = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (both_in, one_left) = (&both_in, &one_left);
+                        s.spawn(move || {
+                            let team = super::pool::Team::open();
+                            both_in.wait();
+                            let width = super::pool::team_width();
+                            let inline = call_runs_inline();
+                            both_in.wait();
+                            if t == 0 {
+                                drop(team);
+                                one_left.wait();
+                                return (width, inline, None);
+                            }
+                            one_left.wait();
+                            let left_alone = (
+                                super::pool::sections(),
+                                super::pool::team_width(),
+                                call_splits(),
+                            );
+                            drop(team);
+                            (width, inline, Some(left_alone))
+                        })
+                    })
+                    .collect();
+                both_in.wait();
+                let beside = (super::pool::sections(), call_runs_inline());
+                both_in.wait();
+                let seen: Vec<_> = threads.into_iter().map(|h| h.join().unwrap()).collect();
+                (seen, beside)
+            });
+            assert_eq!(beside, (2, true), "a call beside two sections runs inline");
+            assert_eq!(
+                seen[0],
+                (1, true, None),
+                "width 1 and inline beside a section"
+            );
+            assert_eq!(
+                seen[1],
+                (1, true, Some((1, 2, true))),
+                "the section left alone splits"
+            );
+            assert_eq!(super::pool::sections(), 0);
+
+            // A panicking item unwinds the section and the count with it.
+            let caught = std::panic::catch_unwind(|| {
+                let _team = super::pool::Team::open();
+                super::pool::global().run(8, &|i| {
+                    if i == 5 {
+                        panic!("injected section panic");
+                    }
+                });
+            });
+            assert!(caught.is_err());
+            assert_eq!(super::pool::sections(), 0, "the unwind left the section");
+            assert_eq!(super::pool::team_width(), 1);
+            let _team = super::pool::Team::open();
+            assert!(call_splits(), "a section after the unwind splits again");
+        });
     }
 }

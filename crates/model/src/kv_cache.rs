@@ -17,6 +17,12 @@
 //! metadata commands are forwarded down the pipeline as transactions so every
 //! stage applies them in the same order (paper §IV-C3).
 //!
+//! A query attends over its visible cells in **position order**
+//! ([`KvCache::visible_cells_into`]), whichever cells first-fit allocation
+//! put those positions in: a rolled-back speculation leaves holes that later
+//! positions fill, and attention's sums in cell order would make a logit
+//! depend on the cache's history, not only on the context.
+//!
 //! ## Storage
 //!
 //! `capacity` is a bound, not an allocation.  A request provisions room for
@@ -564,7 +570,18 @@ impl KvCache {
     /// in one allocation the scratch arena keeps (the set depends only on
     /// cell metadata fixed at [`Self::alloc`], so one scan per row serves
     /// every layer).
+    ///
+    /// The cells are listed in **position order** (cell order among equal
+    /// positions).  Attention sums over them in the order listed, so the
+    /// order is part of every logit's value: first-fit [`Self::alloc`]
+    /// reuses the holes a rollback leaves, which puts later positions in
+    /// lower cells, and listed in cell order the same context would sum in
+    /// a different floating-point order depending on the cache's history —
+    /// enough to flip a greedy pick between two tied logits.  The scan
+    /// yields position order unless a hole was reused; only then is the
+    /// row sorted.
     pub fn visible_cells_into(&self, seq_ids: &[SeqId], pos: Pos, out: &mut Vec<usize>) {
+        let start = out.len();
         out.extend(
             self.live()
                 .iter()
@@ -574,6 +591,11 @@ impl KvCache {
                 })
                 .map(|(i, _)| i),
         );
+        let row = &mut out[start..];
+        let cells = &self.cells;
+        if !row.is_sorted_by_key(|&i| cells[i].pos) {
+            row.sort_by_key(|&i| cells[i].pos);
+        }
     }
 
     /// Copies sequence `src`'s entries in position range `[p0, p1)` into
@@ -914,9 +936,10 @@ mod tests {
             let occupied = c.cells().iter().filter(|cell| !cell.is_free()).count();
             assert_eq!(c.used(), occupied, "step {step}");
             for seq in 0..3 {
-                let naive: Vec<usize> = (0..12)
+                let mut naive: Vec<usize> = (0..12)
                     .filter(|&i| c.cells()[i].has_seq(seq) && c.cells()[i].pos <= 20)
                     .collect();
+                naive.sort_by_key(|&i| c.cells()[i].pos);
                 assert_eq!(c.visible_cells(&[seq], 20), naive, "step {step} seq {seq}");
                 assert_eq!(
                     c.seq_len(seq),

@@ -683,6 +683,49 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_with_rolled_back_holes_attends_bitwise_as_one_written_in_order() {
+        // `holed` lives through what a rejected speculative run leaves: a
+        // six-token branch fills cells 16..22, the canonical token of
+        // position 16 lands behind it in cell 22, the rollback frees the
+        // branch, and first-fit hands its cells to positions 17 on — later
+        // positions in lower cells.  `ordered` holds the same tokens at the
+        // same positions in cell order.  Attention must sum over both in the
+        // one position order, so every hidden row and logit is bitwise equal.
+        let m = tiny_model(9);
+        let layers = 0..4;
+        let eval = |cache: &mut KvCache, batch: &Batch| {
+            let cells = Model::alloc_cells(batch, cache).unwrap();
+            let hidden = m
+                .forward_layer_range(batch, &m.embed(batch), layers.clone(), cache, &cells)
+                .unwrap();
+            let logits = m.logits(&hidden);
+            (cells, hidden, logits)
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let prompt: Vec<u32> = (0..16).map(|i| (i * 5 + 3) % 64).collect();
+        let tail: Vec<u32> = (0..10).map(|i| (i * 11 + 7) % 64).collect();
+        let mut holed = m.new_cache_for_layers(&layers, 64);
+        let mut ordered = m.new_cache_for_layers(&layers, 64);
+        eval(&mut holed, &Batch::prompt(&prompt, 0, 0));
+        eval(&mut ordered, &Batch::prompt(&prompt, 0, 0));
+        holed.seq_cp(0, 1, 0, crate::Pos::MAX);
+        eval(&mut holed, &Batch::prompt(&[1, 2, 3, 4, 5, 6], 16, 1));
+        for (i, &token) in tail.iter().enumerate() {
+            let batch = Batch::single(token, 16 + i as crate::Pos, 0);
+            let (cells, hidden, logits) = eval(&mut holed, &batch);
+            if i == 0 {
+                assert_eq!(cells, [22], "the canonical token lands behind the branch");
+                holed.branch_rollback(1, 1);
+            } else if i == 1 {
+                assert_eq!(cells, [16], "position 17 reuses the branch's first cell");
+            }
+            let (_, want_hidden, want_logits) = eval(&mut ordered, &batch);
+            assert_eq!(bits(&hidden), bits(&want_hidden), "hidden row at tail {i}");
+            assert_eq!(bits(&logits), bits(&want_logits), "logits at tail {i}");
+        }
+    }
+
+    #[test]
     fn incremental_decode_matches_batched_prompt() {
         // Feeding tokens one at a time (using the KV cache) must produce the
         // same final-token logits as feeding them in a single prompt batch.

@@ -21,6 +21,7 @@ use pi_model::{
 };
 use pi_perf::{CostModel, ModelCost};
 use pi_tensor::{ops, Tensor};
+use rayon::pool::Team;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -115,9 +116,9 @@ fn top_k(probs: &[f32], k: usize) -> Vec<(Token, f32)> {
 /// it (the rollback after an invalidated hypothesis is exactly this cut) and
 /// evaluates only the missing suffix, so a hypothesis that grows by a few
 /// tokens between calls costs a few single-token passes instead of a prefill
-/// of the whole context.  Rollback always removes a suffix and the cache
-/// allocates first-fit, so cells stay in position order and every proposal is
-/// bit-identical to one drafted from an empty cache.
+/// of the whole context.  Attention reads the cached cells in position order
+/// whatever cells they sit in (`KvCache::visible_cells_into`), so every
+/// proposal is bit-identical to one drafted from an empty cache.
 ///
 /// The cache and the forward pass's scratch arena are allocated on first use:
 /// a drafter held in reserve (the dedicated-rank layout's local fallback)
@@ -210,6 +211,8 @@ impl RealDrafter {
 impl Drafter for RealDrafter {
     fn prime(&mut self, context: &[Token]) -> f64 {
         let start = Instant::now();
+        // A compute section, as in `draft_tree`.
+        let _section = Team::open();
         self.ingest(context, &[]);
         start.elapsed().as_secs_f64()
     }
@@ -223,6 +226,10 @@ impl Drafter for RealDrafter {
         cutoff: f32,
     ) -> (TokenTree, f64) {
         let start = Instant::now();
+        // A compute section for the whole draft: every pass splits over the
+        // cores no pipeline stage is computing on, and the helpers stay
+        // with the drafter between its single-token passes.
+        let _section = (depth > 0).then(Team::open);
         let mut tree = TokenTree::new();
         let mut row = if depth == 0 {
             None

@@ -39,6 +39,7 @@ use pi_model::{
     Batch, KvCache, KvCacheEvents, Model, OracleTarget, Pos, Sampler, ScratchArena, Token,
 };
 use pi_perf::{CostModel, ModelCost};
+use rayon::pool::Team;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -282,6 +283,10 @@ impl StageEngine for RealStage {
             ActivationPayload::Real(t) => t,
             _ => return (ActivationPayload::Empty, 0.0),
         };
+        // A compute section: the products and attention split over the
+        // cores no other rank is computing on (inert inside the step loop's
+        // team, which already holds them).
+        let _section = Team::open();
         let scratch = self
             .scratch
             .get_or_insert_with(|| ScratchArena::for_config(self.model.config()));

@@ -9,10 +9,12 @@
 //! where they run: products of `PAR_DISPATCH_WEIGHT_LOADS` weight loads and
 //! more are split into column blocks over the persistent worker pool,
 //! smaller ones stay on the calling thread as one kernel call.  A thread that
-//! holds a `rayon::pool::Team` (the step loop) splits from the far lower
-//! `TEAM_DISPATCH_WEIGHT_LOADS` on.  One rule sizes every split's blocks:
-//! contiguous, whole register tiles, a whole number per pool thread — one
-//! per member for every product of a decode, verify or forest step.
+//! holds a `rayon::pool::Team` — the step loop, or a cluster rank's stage
+//! evaluation or draft — splits from the far lower
+//! `TEAM_DISPATCH_WEIGHT_LOADS` on, while no other thread holds one.  One
+//! rule sizes every split's blocks: contiguous, whole register tiles, a
+//! whole number per pool thread — one per member for every product of a
+//! decode, verify or forest step.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -84,8 +86,9 @@ use rayon::pool;
 ///
 /// That is the threshold of a thread that holds no team, whose split opens
 /// a team for the one call and so pays a helper's wake.  A thread that holds
-/// a `pool::Team` — the step loop — splits from
-/// [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead.
+/// a `pool::Team` — the step loop, a cluster rank's stage evaluation or
+/// draft — splits from [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead, while no
+/// other thread holds one.
 const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
 
 /// [`PAR_DISPATCH_WEIGHT_LOADS`] for a thread that holds a `pool::Team`:
@@ -123,7 +126,8 @@ pub fn team_dispatch_weight_loads() -> usize {
 }
 
 /// Weight loads from which a product issued by the calling thread splits:
-/// the in-team threshold while it holds a team of more than one thread.
+/// the in-team threshold while it holds a team of more than one thread and
+/// no other thread holds one (`pool::team_width`, read per product).
 fn dispatch_weight_loads() -> usize {
     if pool::team_width() > 1 {
         TEAM_DISPATCH_WEIGHT_LOADS

@@ -910,7 +910,14 @@ pub const TEAM_ATTENTION_SCORES: usize = 1024;
 /// return the whole cached row of cell `c` (`q.len() / group_heads` floats:
 /// query head `h` reads key/value head `h / group_heads`).
 ///
-/// On a thread that holds a team, from [`TEAM_ATTENTION_SCORES`] on, the
+/// The softmax's sum and every gathered element are sums over `c` in
+/// order, so the order the caller lists the cells in is part of the
+/// result's bits.  `pi_model` lists them in position order
+/// (`KvCache::visible_cells_into`), so a row's attention depends on its
+/// context alone, not on which cells a cache's history put it in.
+///
+/// On a thread that holds a team while no other thread holds one
+/// (`rayon::pool::team_width`), from [`TEAM_ATTENTION_SCORES`] on, the
 /// three phases split over it, each the way that keeps every value the
 /// serial one: the scores by blocks of cells (a cell's scores do not depend
 /// on the others', and a block keeps all heads together, as the scoring
