@@ -50,7 +50,7 @@
 //! Benchmark names are `<op> <shape>` with shapes written `m x k x n`.
 
 use criterion::{BatchSize, BenchReport, Criterion};
-use pi_model::{Batch, KvCache, Model, ModelConfig, Token};
+use pi_model::{Batch, KvCache, Model, ModelConfig, Token, PAGE_TOKENS};
 use pi_spec::{Drafter, RealDrafter};
 use pi_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
@@ -346,7 +346,7 @@ fn bench_tiny_model_decode(c: &mut Criterion) {
     let model = Model::random(ModelConfig::tiny_llama(64, 4), 3);
     c.bench_function("tiny_model_decode 64d4l", |b| {
         b.iter_batched(
-            || model.new_cache_for_layers(&(0..4), 64),
+            || model.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS),
             |mut cache| {
                 model
                     .forward_full(&Batch::single(5, 0, 0), &mut cache)
@@ -382,7 +382,7 @@ fn bench_decode_ctx(c: &mut Criterion) {
     let model = bp256_model(8);
     for ctx in [64usize, 512] {
         let context: Vec<Token> = (0..ctx as Token).map(|i| (i * 7 + 3) % 258).collect();
-        let mut cache = model.new_cache_for_layers(&(0..8), KV_CAPACITY);
+        let mut cache = model.new_cache_for_layers(&(0..8), KV_CAPACITY, PAGE_TOKENS);
         model
             .forward_full(&Batch::prompt(&context, 0, 0), &mut cache)
             .unwrap();

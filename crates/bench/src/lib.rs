@@ -19,7 +19,7 @@ use pi_spec::deploy::{
     Deployment, ExecutionMode, IterativeStrategy, RunOptions, RunOutput, SpeculativeStrategy,
 };
 use pi_spec::{GenConfig, GenerationRecord, TreeSpeculationStrategy};
-use pipeinfer_core::{run_pipeinfer, PipeInferConfig, PipeInferStrategy};
+use pipeinfer_core::{PipeInferConfig, PipeInferStrategy};
 
 /// How much work each experiment run performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,7 +372,8 @@ pub fn fig8_ablations(scale: BenchScale) -> Figure {
     for (pair_name, pair) in &pairs {
         for (variant_name, variant) in &variants {
             let mode = sim_mode(pair, ClusterSpec::cluster_c(8));
-            let out = run_pipeinfer(&mode, 8, &config, variant);
+            let out =
+                Deployment::new(PipeInferStrategy::new(variant.clone())).run(&mode, 8, &config);
             let series = format!("{pair_name}: {variant_name}");
             fig.push(&series, "Speed (tokens/s)", out.record.generation_speed());
             fig.push(&series, "TTFT (s)", out.record.ttft());

@@ -21,7 +21,7 @@
 //! the engine and the wire.  The pipeline workers, message protocol, compute
 //! engines and drafters are shared with the baselines and live in `pi-spec`;
 //! [`strategy::PipeInferStrategy`] plugs the head and the draft rank into
-//! its `Deployment` layer, and [`run_pipeinfer`] is the one-call entry point.
+//! its `Deployment` layer.
 
 pub mod continuous;
 pub mod draft_link;
@@ -30,7 +30,6 @@ pub mod head;
 pub mod multibuffer;
 pub mod rounds;
 pub mod run_tracker;
-pub mod runner;
 pub mod strategy;
 
 pub use continuous::SpeculationController;
@@ -40,7 +39,6 @@ pub use head::PipeInferHead;
 pub use multibuffer::SeqPartitionPool;
 pub use rounds::{AsyncRounds, DraftAsk, Step};
 pub use run_tracker::{RunInfo, RunTracker};
-pub use runner::run_pipeinfer;
 pub use strategy::{PipeInferStrategy, DRAFT_RANK};
 
 /// Where PipeInfer's speculative (draft) model runs.

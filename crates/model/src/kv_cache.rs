@@ -25,19 +25,20 @@
 //!
 //! ## Storage
 //!
-//! `capacity` is a bound, not an allocation.  A request provisions room for
-//! its longest possible stream and touches a fraction of it, and a cache is
-//! built per request per stage (plus one per drafter), so neither backing
-//! pays for cells the request never reaches: the flat backing's per-layer
-//! planes start empty and grow with the cells [`KvCache::alloc`] hands out —
-//! 64 cells, then doubling, capped at `capacity`, kept by
-//! [`KvCache::clear`] — and the paged backing materialises a page on its
-//! first write.  (Allocating the planes zeroed up front is free only while
-//! each is a fresh `mmap`; once a process has freed one, glibc recycles heap
-//! for the next and zeroes all of it — 40 MB per request on the wall-clock
-//! benchmark, for requests that touch 24–130 cells.)  Cell metadata, first-fit
-//! order and what `store` / `key` / `value` return are the same whatever the
-//! planes' current length.
+//! K/V vectors live in pages of `tokens_per_page` consecutive cells
+//! ([`KvPage`]), materialised on their first write and released when a
+//! branch commit or rollback (or [`KvCache::clear`]) leaves every cell they
+//! cover free.  `capacity` is a bound, not an allocation: a request
+//! provisions room for its longest possible stream and touches a fraction
+//! of it, and a cache is built per request per stage (plus one per
+//! drafter), so storage follows the cells actually written.  A cache that
+//! runs without a pool owns private pages of [`PAGE_TOKENS`] cells; a
+//! pooled one uses its pool's page size, so committed prompt prefixes can
+//! be attached read-only from a [`crate::kv_pool::KvPagePool`] and are
+//! cloned on first write (copy-on-write).  A never-written cell reads
+//! zeros.  Cell metadata, first-fit order and what `store` / `key` /
+//! `value` return do not depend on the page size or on which pages are
+//! materialised.
 
 use crate::{Pos, SeqId};
 use std::collections::BTreeSet;
@@ -119,38 +120,10 @@ impl KvCacheEvents {
     }
 }
 
-/// K/V vector storage behind the cell metadata: one contiguous plane per
-/// layer (flat, the default) or demand-allocated refcounted pages (paged).
-///
-/// Neither backing pays for `capacity` up front.  A request provisions room
-/// for its longest possible stream (2048 cells on the wall-clock benchmark)
-/// and touches a few dozen to a few hundred of them, so storage follows the
-/// cells [`KvCache::alloc`] has handed out: flat planes grow with the
-/// high-water mark, pages appear on first write.
-#[derive(Debug, Clone)]
-enum Backing {
-    Flat {
-        /// Per-layer keys: contiguous f32s, `kv_dim` per cell, for every
-        /// cell below the high-water mark and geometric headroom above it
-        /// (see [`KvCache::alloc`]); empty until the first `alloc`.
-        k: Vec<Vec<f32>>,
-        /// Per-layer values, same layout and length.
-        v: Vec<Vec<f32>>,
-    },
-    Paged {
-        tokens_per_page: usize,
-        pages: Vec<Option<PageSlot>>,
-        /// Returned for reads of never-written cells, mirroring the flat
-        /// backing's zero initialisation.
-        zero: Vec<f32>,
-        events: KvCacheEvents,
-    },
-}
-
-/// Cells the flat planes cover after their first growth: 64 cells of the
-/// benchmark's 256-wide K/V are 64 KB per plane, enough for a short prompt
-/// and its first decode steps without a second growth.
-const MIN_BACKED_CELLS: usize = 64;
+/// Cells per page of a cache that runs without a pool: the page size the
+/// wall-clock benchmark's pool uses, so pooled and unpooled requests
+/// materialise storage in the same steps.
+pub const PAGE_TOKENS: usize = 16;
 
 /// Metadata of one cache cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,73 +166,58 @@ pub struct KvCache {
     cells: Vec<KvCell>,
     /// Every cell at or above this index is free.  It only grows (in
     /// [`KvCache::alloc`] and [`KvCache::attach_prefix`]) until
-    /// [`KvCache::clear`], and bounds the per-token metadata scans and the
-    /// flat backing's plane length: a request provisions `capacity` for its
-    /// longest possible stream and mostly uses a fraction of it.
+    /// [`KvCache::clear`], and bounds the per-token metadata scans: a
+    /// request provisions `capacity` for its longest possible stream and
+    /// mostly uses a fraction of it.
     high_water: usize,
-    backing: Backing,
+    tokens_per_page: usize,
+    /// One slot per `tokens_per_page` cells of `capacity`, absent until its
+    /// first write or attach.
+    pages: Vec<Option<PageSlot>>,
+    /// Returned for reads of cells whose page is absent.
+    zero: Vec<f32>,
+    events: KvCacheEvents,
 }
 
 impl KvCache {
     /// Creates an empty cache with room for `capacity` cells covering
-    /// `n_layers` layers of key/value dimension `kv_dim`.
+    /// `n_layers` layers of key/value dimension `kv_dim`, on private pages
+    /// of [`PAGE_TOKENS`] cells.
     ///
-    /// `capacity` bounds [`KvCache::alloc`]; it is not allocated.  The K/V
-    /// planes start empty and grow with the cells actually handed out, so
-    /// constructing a cache costs its cell metadata only, however long a
-    /// stream it provisions for.
+    /// `capacity` bounds [`KvCache::alloc`]; it is not allocated.  Pages
+    /// appear on first write, so constructing a cache costs its cell
+    /// metadata only, however long a stream it provisions for.
     pub fn new(n_layers: usize, kv_dim: usize, capacity: usize) -> Self {
-        Self {
-            n_layers,
-            kv_dim,
-            capacity,
-            cells: vec![KvCell::free(); capacity],
-            high_water: 0,
-            backing: Backing::Flat {
-                k: vec![Vec::new(); n_layers],
-                v: vec![Vec::new(); n_layers],
-            },
-        }
+        Self::with_page_size(n_layers, kv_dim, capacity, PAGE_TOKENS)
     }
 
-    /// Creates an empty cache with demand-allocated paged backing:
-    /// `tokens_per_page` consecutive cells share one [`KvPage`].  The cell
-    /// metadata, allocation order and `store`/`key`/`value` semantics are
-    /// identical to the flat backing — forward passes are unchanged
-    /// numerically — but pages can be attached read-only from a
-    /// [`crate::kv_pool::KvPagePool`] (prefix sharing) and are cloned on
-    /// first write (copy-on-write).
-    pub fn new_paged(
+    /// [`KvCache::new`] with `tokens_per_page` cells per page — a pooled
+    /// cache takes its [`crate::kv_pool::KvPagePool`]'s page size, so it can
+    /// attach the pool's committed pages ([`KvCache::attach_prefix`]) and
+    /// freeze its own into it ([`KvCache::freeze_prefix`]).
+    pub fn with_page_size(
         n_layers: usize,
         kv_dim: usize,
         capacity: usize,
         tokens_per_page: usize,
     ) -> Self {
         assert!(tokens_per_page > 0, "tokens_per_page must be positive");
-        let n_pages = capacity.div_ceil(tokens_per_page);
         Self {
             n_layers,
             kv_dim,
             capacity,
             cells: vec![KvCell::free(); capacity],
             high_water: 0,
-            backing: Backing::Paged {
-                tokens_per_page,
-                pages: vec![None; n_pages],
-                zero: vec![0.0; kv_dim],
-                events: KvCacheEvents::default(),
-            },
+            tokens_per_page,
+            pages: vec![None; capacity.div_ceil(tokens_per_page)],
+            zero: vec![0.0; kv_dim],
+            events: KvCacheEvents::default(),
         }
     }
 
-    /// Cells per page in paged mode, `None` for the flat backing.
-    pub fn tokens_per_page(&self) -> Option<usize> {
-        match &self.backing {
-            Backing::Paged {
-                tokens_per_page, ..
-            } => Some(*tokens_per_page),
-            Backing::Flat { .. } => None,
-        }
+    /// Cells per page.
+    pub fn tokens_per_page(&self) -> usize {
+        self.tokens_per_page
     }
 
     /// Cache capacity in cells.
@@ -304,12 +262,6 @@ impl KvCache {
     /// allocation keeps the behaviour deterministic across pipeline stages:
     /// every stage performs the same allocation calls in the same
     /// (transaction-ordered) sequence and therefore picks the same cells.
-    ///
-    /// On the flat backing this is also where storage appears: when the
-    /// high-water mark passes the end of the planes, every plane grows to
-    /// the next power of two of cells (at least 64, at most `capacity`),
-    /// zero-filled, so a cell that `alloc` returned always has backing —
-    /// zeros until stored — and [`KvCache::clear`] keeps it.
     pub fn alloc(&mut self, pos: Pos, seq_ids: &[SeqId]) -> Option<usize> {
         // Every cell from the high-water mark up is free, so the first free
         // cell is the first hole below the mark, else the mark itself.
@@ -323,130 +275,76 @@ impl KvCache {
         }
         if idx == self.high_water {
             self.high_water += 1;
-            self.back_live_cells();
         }
         self.cells[idx].pos = pos;
         self.cells[idx].seq_ids = seq_ids.iter().copied().collect();
         Some(idx)
     }
 
-    /// Grows the flat planes geometrically until they cover every cell below
-    /// the high-water mark (no-op for the paged backing, whose pages appear
-    /// on first write).
-    fn back_live_cells(&mut self) {
-        let Backing::Flat { k, v } = &mut self.backing else {
-            return;
-        };
-        if k.first()
-            .is_some_and(|p| p.len() < self.high_water * self.kv_dim)
-        {
-            let cells = self.high_water.next_power_of_two().max(MIN_BACKED_CELLS);
-            let len = cells.min(self.capacity) * self.kv_dim;
-            for plane in k.iter_mut().chain(v.iter_mut()) {
-                plane.resize(len, 0.0);
-            }
-        }
-    }
-
     /// Stores the key/value vectors of `cell` for local layer `layer`.
     ///
-    /// In paged mode this materialises the cell's page on first write and
-    /// clones a shared (pool-attached) page into a private one before
-    /// mutating it — the copy-on-write divergence point.
+    /// Materialises the cell's page on first write and clones a shared
+    /// (pool-attached) page into a private one before mutating it — the
+    /// copy-on-write divergence point.
     pub fn store(&mut self, layer: usize, cell: usize, key: &[f32], value: &[f32]) {
         debug_assert_eq!(key.len(), self.kv_dim);
         debug_assert_eq!(value.len(), self.kv_dim);
-        let kv_dim = self.kv_dim;
-        let n_layers = self.n_layers;
-        match &mut self.backing {
-            Backing::Flat { k, v } => {
-                let off = cell * kv_dim;
-                k[layer][off..off + kv_dim].copy_from_slice(key);
-                v[layer][off..off + kv_dim].copy_from_slice(value);
+        let (kv_dim, tpp) = (self.kv_dim, self.tokens_per_page);
+        let slot = &mut self.pages[cell / tpp];
+        match slot {
+            None => {
+                self.events.page_alloc += 1;
+                *slot = Some(PageSlot::Private(Box::new(KvPage::zeroed(
+                    self.n_layers,
+                    kv_dim,
+                    tpp,
+                ))));
             }
-            Backing::Paged {
-                tokens_per_page,
-                pages,
-                events,
-                ..
-            } => {
-                let tpp = *tokens_per_page;
-                let slot = &mut pages[cell / tpp];
-                match slot {
-                    None => {
-                        events.page_alloc += 1;
-                        *slot = Some(PageSlot::Private(Box::new(KvPage::zeroed(
-                            n_layers, kv_dim, tpp,
-                        ))));
-                    }
-                    Some(PageSlot::Shared(arc)) => {
-                        events.page_cow += 1;
-                        *slot = Some(PageSlot::Private(Box::new((**arc).clone())));
-                    }
-                    Some(PageSlot::Private(_)) => {}
-                }
-                let Some(PageSlot::Private(page)) = slot else {
-                    unreachable!("slot was just made private");
-                };
-                let off = (cell % tpp) * kv_dim;
-                page.k[layer][off..off + kv_dim].copy_from_slice(key);
-                page.v[layer][off..off + kv_dim].copy_from_slice(value);
+            Some(PageSlot::Shared(arc)) => {
+                self.events.page_cow += 1;
+                *slot = Some(PageSlot::Private(Box::new((**arc).clone())));
             }
+            Some(PageSlot::Private(_)) => {}
         }
+        let Some(PageSlot::Private(page)) = slot else {
+            unreachable!("slot was just made private");
+        };
+        let off = (cell % tpp) * kv_dim;
+        page.k[layer][off..off + kv_dim].copy_from_slice(key);
+        page.v[layer][off..off + kv_dim].copy_from_slice(value);
     }
 
-    /// Key vector of `cell` at local layer `layer`.  `cell` must be one
-    /// [`KvCache::alloc`] has returned (or a prefix-attached one): the flat
-    /// backing holds nothing for cells the cache never handed out.
+    /// The page holding `cell` and the cell's offset into its planes, or
+    /// `None` while the page is absent (the cell reads zeros).
+    fn page_of(&self, cell: usize) -> Option<(&KvPage, usize)> {
+        let tpp = self.tokens_per_page;
+        let slot = self.pages[cell / tpp].as_ref()?;
+        Some((slot.plane(), (cell % tpp) * self.kv_dim))
+    }
+
+    /// Key vector of `cell` at local layer `layer`: zeros until stored.
     pub fn key(&self, layer: usize, cell: usize) -> &[f32] {
-        match &self.backing {
-            Backing::Flat { k, .. } => {
-                let off = cell * self.kv_dim;
-                &k[layer][off..off + self.kv_dim]
-            }
-            Backing::Paged {
-                tokens_per_page,
-                pages,
-                zero,
-                ..
-            } => match &pages[cell / tokens_per_page] {
-                Some(slot) => {
-                    let off = (cell % tokens_per_page) * self.kv_dim;
-                    &slot.plane().k[layer][off..off + self.kv_dim]
-                }
-                None => zero,
-            },
+        match self.page_of(cell) {
+            Some((page, off)) => &page.k[layer][off..off + self.kv_dim],
+            None => &self.zero,
         }
     }
 
     /// Value vector of `cell` at local layer `layer`; same contract as
     /// [`KvCache::key`].
     pub fn value(&self, layer: usize, cell: usize) -> &[f32] {
-        match &self.backing {
-            Backing::Flat { v, .. } => {
-                let off = cell * self.kv_dim;
-                &v[layer][off..off + self.kv_dim]
-            }
-            Backing::Paged {
-                tokens_per_page,
-                pages,
-                zero,
-                ..
-            } => match &pages[cell / tokens_per_page] {
-                Some(slot) => {
-                    let off = (cell % tokens_per_page) * self.kv_dim;
-                    &slot.plane().v[layer][off..off + self.kv_dim]
-                }
-                None => zero,
-            },
+        match self.page_of(cell) {
+            Some((page, off)) => &page.v[layer][off..off + self.kv_dim],
+            None => &self.zero,
         }
     }
 
     /// Attaches a committed prefix chain from a page pool: cells `0..span`
     /// are marked occupied at consecutive positions in sequence `seq` and
     /// their pages installed shared (read-only until copy-on-write).  The
-    /// cache must be empty and paged.  Prefill for the attached span is
-    /// skipped entirely — attention reads the pooled K/V directly.
+    /// cache must be empty and its page size the pool's.  Prefill for the
+    /// attached span is skipped entirely — attention reads the pooled K/V
+    /// directly.
     pub fn attach_prefix(&mut self, seq: SeqId, shared: &[Arc<KvPage>], span: usize) {
         assert!(span <= self.capacity, "prefix span exceeds cache capacity");
         assert!(
@@ -458,24 +356,14 @@ impl KvCache {
             cell.seq_ids = std::iter::once(seq).collect();
         }
         self.high_water = span;
-        let Backing::Paged {
-            tokens_per_page,
-            pages,
-            events,
-            ..
-        } = &mut self.backing
-        else {
-            panic!("attach_prefix requires paged backing");
-        };
-        let tpp = *tokens_per_page;
-        let n_pages = span.div_ceil(tpp);
+        let n_pages = span.div_ceil(self.tokens_per_page);
         assert!(
             n_pages <= shared.len(),
             "prefix chain too short for span {span}"
         );
-        for (slot, page) in pages.iter_mut().zip(shared.iter()).take(n_pages) {
+        for (slot, page) in self.pages.iter_mut().zip(shared.iter()).take(n_pages) {
             *slot = Some(PageSlot::Shared(page.clone()));
-            events.page_share_hit += 1;
+            self.events.page_share_hit += 1;
         }
     }
 
@@ -486,48 +374,29 @@ impl KvCache {
     /// never written (possible only for zero-layer caches) are frozen as
     /// zero pages.
     pub fn freeze_prefix(&mut self, n_tokens: usize) -> Vec<Arc<KvPage>> {
-        let n_layers = self.n_layers;
-        let kv_dim = self.kv_dim;
-        let Backing::Paged {
-            tokens_per_page,
-            pages,
-            ..
-        } = &mut self.backing
-        else {
-            panic!("freeze_prefix requires paged backing");
-        };
-        let tpp = *tokens_per_page;
-        let n = (n_tokens / tpp).min(pages.len());
-        (0..n)
-            .map(|p| {
-                let arc = match pages[p].take() {
+        let (n_layers, kv_dim, tpp) = (self.n_layers, self.kv_dim, self.tokens_per_page);
+        let n = (n_tokens / tpp).min(self.pages.len());
+        self.pages[..n]
+            .iter_mut()
+            .map(|slot| {
+                let arc = match slot.take() {
                     Some(PageSlot::Shared(a)) => a,
                     Some(PageSlot::Private(b)) => Arc::from(b),
                     None => Arc::new(KvPage::zeroed(n_layers, kv_dim, tpp)),
                 };
-                pages[p] = Some(PageSlot::Shared(arc.clone()));
+                *slot = Some(PageSlot::Shared(arc.clone()));
                 arc
             })
             .collect()
     }
 
-    /// Releases pages whose cells are all free (paged mode; no-op for the
-    /// flat backing).  Returns the number of pages released.  Called after
-    /// `branch_commit`/`branch_rollback` so rejected speculation
-    /// branches give their tail pages back at page granularity.
+    /// Releases pages whose cells are all free and returns how many.
+    /// Called after `branch_commit`/`branch_rollback` so rejected
+    /// speculation branches give their tail pages back at page granularity.
     pub fn release_free_pages(&mut self) -> usize {
-        let Backing::Paged {
-            tokens_per_page,
-            pages,
-            events,
-            ..
-        } = &mut self.backing
-        else {
-            return 0;
-        };
-        let (tpp, capacity, cells) = (*tokens_per_page, self.capacity, &self.cells);
+        let (tpp, capacity, cells) = (self.tokens_per_page, self.capacity, &self.cells);
         let mut released = 0;
-        for (p, slot) in pages.iter_mut().enumerate() {
+        for (p, slot) in self.pages.iter_mut().enumerate() {
             if slot.is_none() {
                 continue;
             }
@@ -537,17 +406,13 @@ impl KvCache {
                 released += 1;
             }
         }
-        events.page_release += released as u64;
+        self.events.page_release += released as u64;
         released
     }
 
-    /// Drains the page-event counters accumulated since the last call
-    /// (always zero for the flat backing).
+    /// Drains the page-event counters accumulated since the last call.
     pub fn take_events(&mut self) -> KvCacheEvents {
-        match &mut self.backing {
-            Backing::Paged { events, .. } => std::mem::take(events),
-            Backing::Flat { .. } => KvCacheEvents::default(),
-        }
+        std::mem::take(&mut self.events)
     }
 
     /// Indices of cells visible to a query token belonging to `seq_ids` at
@@ -692,8 +557,7 @@ impl KvCache {
             .count()
     }
 
-    /// Frees every cell (and, in paged mode, every page).  Flat planes keep
-    /// the length they grew to, so a reused cache does not grow again.
+    /// Frees every cell and releases every page.
     pub fn clear(&mut self) {
         for cell in &mut self.cells[..self.high_water] {
             *cell = KvCell::free();
@@ -724,20 +588,13 @@ impl KvCache {
                 }
             }
         }
-        if let Backing::Paged {
-            tokens_per_page,
-            pages,
-            ..
-        } = &self.backing
-        {
-            if pages.len() != self.capacity.div_ceil(*tokens_per_page) {
-                return Err(format!(
-                    "paged backing holds {} page slots for capacity {} at {} tokens/page",
-                    pages.len(),
-                    self.capacity,
-                    tokens_per_page
-                ));
-            }
+        if self.pages.len() != self.capacity.div_ceil(self.tokens_per_page) {
+            return Err(format!(
+                "{} page slots for capacity {} at {} tokens/page",
+                self.pages.len(),
+                self.capacity,
+                self.tokens_per_page
+            ));
         }
         Ok(())
     }
@@ -949,81 +806,97 @@ mod tests {
         }
     }
 
-    /// Length in cells of the flat planes (all planes are the same length).
-    fn backed_cells(c: &KvCache) -> usize {
-        let Backing::Flat { k, v } = &c.backing else {
-            panic!("flat backing expected");
-        };
-        let len = k[0].len();
-        assert!(k.iter().chain(v.iter()).all(|p| p.len() == len));
-        len / c.kv_dim
+    /// Pages currently materialised.
+    fn pages_held(c: &KvCache) -> usize {
+        c.pages.iter().filter(|p| p.is_some()).count()
     }
 
     #[test]
-    fn flat_planes_follow_the_high_water_mark_not_the_capacity() {
-        // Eager planes would be 2 x 8 x 2^20 x 256 f32s = 16 GB, more than
-        // the machines this runs on have.
-        let mut c = KvCache::new(8, 256, 1 << 20);
-        assert_eq!(
-            backed_cells(&c),
-            0,
-            "nothing is backed before the first alloc"
-        );
-        for p in 0..100usize {
-            let cell = c.alloc(p as Pos, &[0]).unwrap();
-            assert_eq!(cell, p);
-            assert_eq!(c.key(7, cell), &[0.0; 256][..], "zeros until stored");
-            c.store(7, cell, &[p as f32; 256], &[-(p as f32); 256]);
+    fn pages_follow_the_stored_cells_not_the_capacity() {
+        for n in [0usize, 1, 15, 16, 17, 100] {
+            let mut c = KvCache::new(8, 256, 2048);
+            assert_eq!(c.tokens_per_page(), PAGE_TOKENS);
+            for p in 0..n {
+                let cell = c.alloc(p as Pos, &[0]).unwrap();
+                assert_eq!(cell, p);
+                assert_eq!(c.key(7, cell), &[0.0; 256][..], "zeros until stored");
+                c.store(7, cell, &[p as f32; 256], &[-(p as f32); 256]);
+            }
+            let pages = n.div_ceil(PAGE_TOKENS);
+            assert_eq!(pages_held(&c), pages, "{n} cells");
+            assert_eq!(c.take_events().page_alloc, pages as u64, "{n} cells");
+            for p in 0..n {
+                assert_eq!(c.key(7, p), &[p as f32; 256][..]);
+                assert_eq!(c.value(7, p), &[-(p as f32); 256][..]);
+                assert_eq!(c.value(0, p), &[0.0; 256][..]);
+            }
+            // Allocating without storing materialises nothing; `clear`
+            // releases every page.
+            c.alloc(n as Pos, &[0]).unwrap();
+            assert_eq!(pages_held(&c), pages, "{n} cells");
+            c.clear();
+            assert_eq!(pages_held(&c), 0, "{n} cells");
+            assert_eq!(c.take_events().page_release, pages as u64, "{n} cells");
+            assert_eq!(c.capacity(), 2048);
         }
-        assert_eq!(backed_cells(&c), 128, "64, then doubled once");
-        for p in 0..100usize {
-            assert_eq!(c.key(7, p), &[p as f32; 256][..]);
-            assert_eq!(c.value(7, p), &[-(p as f32); 256][..]);
-            assert_eq!(c.value(0, p), &[0.0; 256][..]);
-        }
-        // Holes below the mark are reused without growing; `clear` keeps
-        // what was grown.
-        c.seq_rm(0, 10, 20);
-        assert_eq!(c.alloc(500, &[0]), Some(10));
-        assert_eq!(backed_cells(&c), 128);
-        c.clear();
-        assert_eq!(backed_cells(&c), 128);
-        assert_eq!(c.capacity(), 1 << 20);
 
-        // Growth is capped at the capacity, which still bounds `alloc`.
+        // Holes below the mark are reused inside the pages already held.
+        let mut c = KvCache::new(1, 2, 2048);
+        for p in 0..40 {
+            let cell = c.alloc(p, &[0]).unwrap();
+            c.store(0, cell, &[1.0; 2], &[1.0; 2]);
+        }
+        c.seq_rm(0, 10, 20);
+        let cell = c.alloc(500, &[0]).unwrap();
+        assert_eq!(cell, 10);
+        c.store(0, cell, &[2.0; 2], &[2.0; 2]);
+        assert_eq!(pages_held(&c), 3);
+
+        // A partial last page; the capacity still bounds `alloc`.
         let mut small = KvCache::new(1, 2, 70);
         for p in 0..70 {
-            small.alloc(p, &[0]).unwrap();
+            let cell = small.alloc(p, &[0]).unwrap();
+            small.store(0, cell, &[1.0; 2], &[1.0; 2]);
         }
-        assert_eq!(backed_cells(&small), 70);
+        assert_eq!(pages_held(&small), 5);
         assert_eq!(small.alloc(70, &[0]), None);
     }
 
-    // --- paged backing ---
+    // --- pool page sizes, sharing and release ---
 
     fn paged() -> KvCache {
-        KvCache::new_paged(2, 4, 16, 4)
+        KvCache::with_page_size(2, 4, 16, 4)
     }
 
     #[test]
-    fn paged_store_and_read_back_matches_flat() {
-        let mut flat = cache();
-        let mut pgd = paged();
-        for (p, kv) in [(0i32, 1.0f32), (1, 2.0), (2, 3.0)] {
-            let cf = flat.alloc(p, &[0]).unwrap();
-            let cp = pgd.alloc(p, &[0]).unwrap();
-            assert_eq!(cf, cp, "allocation order must be identical");
-            let row = [kv; 4];
-            flat.store(0, cf, &row, &row);
-            pgd.store(0, cp, &row, &row);
+    fn store_and_read_back_matches_a_reference_map() {
+        use std::collections::HashMap;
+        for tpp in [1, 3, 4, PAGE_TOKENS] {
+            let mut c = KvCache::with_page_size(2, 4, 16, tpp);
+            // (layer, cell) -> (key, value) of the last store.
+            let mut stored: HashMap<(usize, usize), ([f32; 4], [f32; 4])> = HashMap::new();
+            for (p, layer, kv) in [(0, 0, 1.0f32), (1, 0, 2.0), (2, 1, 3.0), (3, 0, 4.0)] {
+                let cell = c.alloc(p, &[0]).unwrap();
+                assert_eq!(cell, p as usize, "first-fit at every page size");
+                let (k, v) = ([kv; 4], [-kv; 4]);
+                c.store(layer, cell, &k, &v);
+                stored.insert((layer, cell), (k, v));
+            }
+            // A second store into a cell replaces the first.
+            c.store(0, 1, &[9.0; 4], &[-9.0; 4]);
+            stored.insert((0, 1), ([9.0; 4], [-9.0; 4]));
+            for layer in 0..2 {
+                for cell in 0..16 {
+                    let (k, v) = stored.get(&(layer, cell)).copied().unwrap_or_default();
+                    assert_eq!(c.key(layer, cell), k, "tpp {tpp} layer {layer} cell {cell}");
+                    assert_eq!(
+                        c.value(layer, cell),
+                        v,
+                        "tpp {tpp} layer {layer} cell {cell}"
+                    );
+                }
+            }
         }
-        for cell in 0..3 {
-            assert_eq!(flat.key(0, cell), pgd.key(0, cell));
-            assert_eq!(flat.value(0, cell), pgd.value(0, cell));
-        }
-        // Unwritten cells read zeros in both backings.
-        assert_eq!(pgd.key(1, 0), &[0.0; 4]);
-        assert_eq!(pgd.key(0, 9), &[0.0; 4]);
     }
 
     #[test]
@@ -1150,7 +1023,7 @@ mod paged_props {
             span_pick in 0usize..64,
             rewrites in proptest::collection::vec(0u32..12, 1..8),
         ) {
-            let paged = || KvCache::new_paged(2, 4, 16, 4);
+            let paged = || KvCache::with_page_size(2, 4, 16, 4);
             let mut writer = paged();
             for p in 0..writer_len {
                 let cell = writer.alloc(p as Pos, &[0]).unwrap();
@@ -1205,7 +1078,7 @@ mod paged_props {
 }
 
 #[cfg(test)]
-mod demand_growth_props {
+mod demand_paging_props {
     use super::*;
     use proptest::prelude::*;
 
@@ -1231,15 +1104,16 @@ mod demand_growth_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Growing the planes on demand is invisible: a fresh cache and one
-        /// whose planes already span the whole capacity (filled once, then
-        /// cleared — `clear` keeps the planes) walk the same random schedule
-        /// of every mutating operation and agree on every cell, every live
-        /// K/V row and every `alloc` answer, `None` exactly when full.
+        /// Materialising pages on demand is invisible: a fresh cache and one
+        /// whose pages already span the whole capacity (every cell stored
+        /// with zeros once, then removed — `seq_rm` keeps the pages) walk the
+        /// same random schedule of every mutating operation and agree on
+        /// every cell, every live K/V row and every `alloc` answer, `None`
+        /// exactly when full.
         #[test]
-        fn prop_demand_grown_cache_matches_a_fully_grown_one(
-            // Below, at and just above the first growth step; a capacity
-            // that is not a power of two; one several doublings deep.
+        fn prop_demand_paged_cache_matches_a_fully_paged_one(
+            // One cell; whole pages; one cell past a page boundary; partial
+            // last pages several pages deep.
             capacity_pick in 0usize..6,
             seed in 0u64..1_000_000,
         ) {
@@ -1247,9 +1121,13 @@ mod demand_growth_props {
             let mut fresh = KvCache::new(N_LAYERS, KV_DIM, capacity);
             let mut grown = KvCache::new(N_LAYERS, KV_DIM, capacity);
             for p in 0..capacity {
-                grown.alloc(p as Pos, &[0]).unwrap();
+                let cell = grown.alloc(p as Pos, &[0]).unwrap();
+                for layer in 0..N_LAYERS {
+                    grown.store(layer, cell, &[0.0; KV_DIM], &[0.0; KV_DIM]);
+                }
             }
-            grown.clear();
+            grown.seq_rm(0, 0, Pos::MAX);
+            prop_assert!(grown.pages.iter().all(Option::is_some));
 
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
             let mut next = |bound: u64| {

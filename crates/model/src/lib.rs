@@ -42,7 +42,7 @@ pub mod weights;
 
 pub use batch::Batch;
 pub use config::{Activation, ModelConfig};
-pub use kv_cache::{KvCache, KvCacheEvents, KvPage};
+pub use kv_cache::{KvCache, KvCacheEvents, KvPage, PAGE_TOKENS};
 pub use kv_pool::{
     AdmissionRefusal, KvPagePool, KvPoolConfig, KvPoolStats, PrefixTicket, StageKey,
 };

@@ -196,24 +196,18 @@ impl Model {
         &self.weights
     }
 
-    /// Creates a KV cache sized for `capacity` cells covering the layer range
-    /// `layers` of this model.
-    pub fn new_cache_for_layers(&self, layers: &Range<usize>, capacity: usize) -> KvCache {
-        KvCache::new(layers.len(), self.cfg.kv_dim(), capacity)
-    }
-
-    /// Paged-backing variant of [`Model::new_cache_for_layers`]: same cell
-    /// metadata and numerics, but K/V storage lives in demand-allocated
-    /// copy-on-write pages of `tokens_per_page` cells so committed prompt
-    /// prefixes can be shared across requests via a
+    /// Creates a KV cache with room for `capacity` cells covering the layer
+    /// range `layers` of this model, on pages of `tokens_per_page` cells:
+    /// [`crate::kv_cache::PAGE_TOKENS`] for a cache of its own, the pool's
+    /// page size for one that shares prompt prefixes through a
     /// [`crate::kv_pool::KvPagePool`].
-    pub fn new_paged_cache_for_layers(
+    pub fn new_cache_for_layers(
         &self,
         layers: &Range<usize>,
         capacity: usize,
         tokens_per_page: usize,
     ) -> KvCache {
-        KvCache::new_paged(layers.len(), self.cfg.kv_dim(), capacity, tokens_per_page)
+        KvCache::with_page_size(layers.len(), self.cfg.kv_dim(), capacity, tokens_per_page)
     }
 
     /// Allocates one KV-cache cell per batch entry.  Every pipeline stage
@@ -631,6 +625,7 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv_cache::PAGE_TOKENS;
     use crate::sampler::Sampler;
 
     fn tiny_model(seed: u64) -> Model {
@@ -646,7 +641,7 @@ mod tests {
     #[test]
     fn forward_full_shapes() {
         let m = tiny_model(1);
-        let mut cache = m.new_cache_for_layers(&(0..4), 64);
+        let mut cache = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let batch = Batch::prompt(&[1, 2, 3], 0, 0);
         let logits = m.forward_full(&batch, &mut cache).unwrap();
         assert_eq!(logits.shape(), &[3, 64]);
@@ -659,13 +654,13 @@ mod tests {
         let batch = Batch::prompt(&[5, 9, 13, 2], 0, 0);
 
         // Full pass.
-        let mut full_cache = m.new_cache_for_layers(&(0..4), 64);
+        let mut full_cache = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let full_logits = m.forward_full(&batch, &mut full_cache).unwrap();
 
         // Two-stage pipeline: layers 0..2 and 2..4 with separate caches.
         let ranges = Model::split_layers(4, 2);
-        let mut cache0 = m.new_cache_for_layers(&ranges[0], 64);
-        let mut cache1 = m.new_cache_for_layers(&ranges[1], 64);
+        let mut cache0 = m.new_cache_for_layers(&ranges[0], 64, PAGE_TOKENS);
+        let mut cache1 = m.new_cache_for_layers(&ranges[1], 64, PAGE_TOKENS);
         let cells0 = Model::alloc_cells(&batch, &mut cache0).unwrap();
         let cells1 = Model::alloc_cells(&batch, &mut cache1).unwrap();
         let hidden = m.embed(&batch);
@@ -704,8 +699,8 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let prompt: Vec<u32> = (0..16).map(|i| (i * 5 + 3) % 64).collect();
         let tail: Vec<u32> = (0..10).map(|i| (i * 11 + 7) % 64).collect();
-        let mut holed = m.new_cache_for_layers(&layers, 64);
-        let mut ordered = m.new_cache_for_layers(&layers, 64);
+        let mut holed = m.new_cache_for_layers(&layers, 64, PAGE_TOKENS);
+        let mut ordered = m.new_cache_for_layers(&layers, 64, PAGE_TOKENS);
         eval(&mut holed, &Batch::prompt(&prompt, 0, 0));
         eval(&mut ordered, &Batch::prompt(&prompt, 0, 0));
         holed.seq_cp(0, 1, 0, crate::Pos::MAX);
@@ -732,13 +727,13 @@ mod tests {
         let m = tiny_model(3);
         let tokens = [7u32, 11, 23, 31];
 
-        let mut c1 = m.new_cache_for_layers(&(0..4), 64);
+        let mut c1 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let batched = m
             .forward_full(&Batch::prompt(&tokens, 0, 0), &mut c1)
             .unwrap();
         let batched_last = batched.row(tokens.len() - 1).unwrap().to_vec();
 
-        let mut c2 = m.new_cache_for_layers(&(0..4), 64);
+        let mut c2 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let mut last = Vec::new();
         for (i, &t) in tokens.iter().enumerate() {
             let logits = m
@@ -757,10 +752,10 @@ mod tests {
         // generating in seq 1 after polluting seq 2 gives the same result as
         // a fresh cache.
         let m = tiny_model(4);
-        let mut clean = m.new_cache_for_layers(&(0..4), 64);
+        let mut clean = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let expected = greedy_next(&m, &mut clean, &Batch::prompt(&[3, 1, 4], 0, 1));
 
-        let mut shared = m.new_cache_for_layers(&(0..4), 64);
+        let mut shared = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         // Pollute sequence 2 with different content first.
         let _ = m
             .forward_full(&Batch::prompt(&[9, 9, 9, 9, 9], 0, 2), &mut shared)
@@ -796,8 +791,8 @@ mod tests {
         // logits as the per-call arena path, token after token.
         let m = tiny_model(11);
         let mut scratch = ScratchArena::for_config(m.config());
-        let mut c1 = m.new_cache_for_layers(&(0..4), 64);
-        let mut c2 = m.new_cache_for_layers(&(0..4), 64);
+        let mut c1 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
+        let mut c2 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         for (pos, tok) in [7u32, 3, 19, 4, 2].into_iter().enumerate() {
             let batch = Batch::single(tok, pos as i32, 0);
 
@@ -826,7 +821,7 @@ mod tests {
             ..other
         });
         let batch = Batch::single(1, 0, 0);
-        let mut cache = m.new_cache_for_layers(&(0..4), 8);
+        let mut cache = m.new_cache_for_layers(&(0..4), 8, PAGE_TOKENS);
         let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
         let hidden = m.embed(&batch);
         assert!(m
@@ -838,7 +833,7 @@ mod tests {
     fn bad_layer_range_rejected() {
         let m = tiny_model(6);
         let batch = Batch::single(1, 0, 0);
-        let mut cache = m.new_cache_for_layers(&(0..4), 8);
+        let mut cache = m.new_cache_for_layers(&(0..4), 8, PAGE_TOKENS);
         let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
         let hidden = m.embed(&batch);
         assert!(m
@@ -849,7 +844,7 @@ mod tests {
     #[test]
     fn gelu_model_runs() {
         let m = Model::random(ModelConfig::tiny_falcon(64, 2), 7);
-        let mut cache = m.new_cache_for_layers(&(0..2), 16);
+        let mut cache = m.new_cache_for_layers(&(0..2), 16, PAGE_TOKENS);
         let logits = m
             .forward_full(&Batch::prompt(&[1, 2, 3], 0, 0), &mut cache)
             .unwrap();
@@ -888,11 +883,11 @@ mod tests {
         };
         assert_eq!(tree_batch.level_groups(), vec![0..5], "tree must batch");
 
-        let mut c1 = m.new_cache_for_layers(&(0..4), 64);
+        let mut c1 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         m.forward_full(&prompt, &mut c1).unwrap();
         let batched = m.forward_full(&tree_batch, &mut c1).unwrap();
 
-        let mut c2 = m.new_cache_for_layers(&(0..4), 64);
+        let mut c2 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         m.forward_full(&prompt, &mut c2).unwrap();
         for (row, (t, p, s)) in tree_entries.iter().enumerate() {
             let mut b = Batch::new();
@@ -918,7 +913,7 @@ mod tests {
         let pb = [9u32, 8, 7, 6];
 
         let solo = |prompt: &[u32]| {
-            let mut cache = m.new_cache_for_layers(&(0..4), 64);
+            let mut cache = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
             let batch = Batch::prompt(prompt, 0, 0);
             let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
             let hidden = m.embed(&batch);
@@ -930,8 +925,8 @@ mod tests {
         let la = solo(&pa);
         let lb = solo(&pb);
 
-        let mut fa = m.new_cache_for_layers(&(0..4), 64);
-        let mut fb = m.new_cache_for_layers(&(0..4), 64);
+        let mut fa = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
+        let mut fb = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let mut forest = Batch::new();
         forest.append_lane(&Batch::prompt(&pa, 0, 0), 0);
         forest.append_lane(&Batch::prompt(&pb, 0, 0), 1);
@@ -962,7 +957,7 @@ mod tests {
         let mut forest = Batch::new();
         forest.append_lane(&Batch::single(1, 0, 0), 0);
         forest.append_lane(&Batch::single(2, 0, 0), 1);
-        let mut only = m.new_cache_for_layers(&(0..4), 8);
+        let mut only = m.new_cache_for_layers(&(0..4), 8, PAGE_TOKENS);
         assert!(Model::alloc_cells_multi(&forest, &mut [&mut only]).is_err());
     }
 
@@ -970,7 +965,7 @@ mod tests {
     fn greedy_generation_is_deterministic() {
         let m = tiny_model(8);
         let gen = |m: &Model| {
-            let mut cache = m.new_cache_for_layers(&(0..4), 128);
+            let mut cache = m.new_cache_for_layers(&(0..4), 128, PAGE_TOKENS);
             let mut out = Vec::new();
             let prompt = [1u32, 2, 3, 4];
             let mut tok = greedy_next(m, &mut cache, &Batch::prompt(&prompt, 0, 0));

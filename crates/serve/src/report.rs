@@ -97,7 +97,7 @@ impl ServeReport {
 
     /// Requests the pool refused to admit for lack of free pages (zero
     /// without a pool).  Refused requests still complete — they fall back to
-    /// isolated flat caches — but each refusal is lost sharing.
+    /// isolated private caches — but each refusal is lost sharing.
     pub fn kv_refusals(&self) -> u64 {
         self.kv_pool.as_ref().map_or(0, |s| s.refusals)
     }

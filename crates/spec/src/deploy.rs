@@ -4,11 +4,10 @@
 //! speculative, PipeInfer, and whatever future PRs add — executes the same
 //! way: pick a pipeline route over the ranks, split the target model's
 //! layers across the route's stages, build a head behavior plus one
-//! [`PipelineWorker`] per non-head stage,
-//! then run all behaviors under the driver matching the
-//! [`ExecutionMode`].  Historically that plumbing was copy-pasted into
-//! `run_iterative`, `run_speculative` and `pipeinfer_core::run_pipeinfer`;
-//! it now lives here exactly once.
+//! [`PipelineWorker`] per non-head stage, then run all behaviors under the
+//! driver matching the [`ExecutionMode`].  That plumbing lives here exactly
+//! once, and every caller names its strategy:
+//! `Deployment::new(IterativeStrategy).run(&mode, n_nodes, &config)`.
 //!
 //! A strategy only describes what makes it *different*:
 //!
@@ -33,7 +32,7 @@
 //!   per call) and executes them under the driver matching the mode,
 //!   collecting a [`RunOutput`].  [`PreparedDeployment::run_with`] reaches it
 //!   with [`RunOptions`] (a trace recorder, a fault plan) and surfaces a pool
-//!   refusal; [`PreparedDeployment::run_pinned`] falls back to flat caches
+//!   refusal; [`PreparedDeployment::run_pinned`] falls back to private caches
 //!   when the pool refuses the request and hands back the admission guard,
 //!   and [`PreparedDeployment::run`] / [`PreparedDeployment::run_traced`]
 //!   are its wrappers.  [`Deployment::run`] is the one-shot convenience
@@ -438,7 +437,7 @@ impl PreparedDeployment {
     /// Attaches a KV page pool shared across every subsequent run and
     /// session: requests with a common prompt prefix attach the same
     /// physical pages and skip prefill for the cached span.  Without one
-    /// every request gets fresh flat caches.
+    /// every request gets fresh private caches.
     pub fn with_kv_pool(mut self, pool: Arc<KvPagePool>) -> Self {
         self.pool = Some(pool);
         self
@@ -460,7 +459,7 @@ impl PreparedDeployment {
     /// Executes one generation run over the prepared layout.
     ///
     /// With a KV pool attached, admission is attempted first; a pool too full
-    /// to admit the request falls back to the pool-less path (fresh flat
+    /// to admit the request falls back to the pool-less path (fresh private
     /// caches) instead of failing — use [`PreparedDeployment::run_with`] to
     /// surface the refusal instead.
     pub fn run(&self, gen_config: &GenConfig) -> RunOutput {
@@ -481,14 +480,14 @@ impl PreparedDeployment {
     /// reservation held until the returned guard is dropped.  A serving loop
     /// keeps it for as long as the request is in flight on its own clock.
     /// `None` without a pool, or when the pool refused the request and it
-    /// ran on isolated flat caches.
+    /// ran on isolated private caches.
     pub fn run_pinned(
         &self,
         gen_config: &GenConfig,
         trace: Option<TraceConfig>,
     ) -> (RunOutput, Option<Arc<PrefixPlan>>) {
         // The pool cannot host this request right now: degrade to an
-        // isolated flat-cache session rather than failing the run.
+        // isolated private-cache session rather than failing the run.
         let plan = self.admit(gen_config).ok().flatten();
         let out = self.run_admitted(gen_config, trace, None, plan.as_ref());
         (out, plan)
@@ -1071,7 +1070,7 @@ mod tests {
         let second = pooled.run(&config);
         assert!(first.completed && second.completed);
         // Attached pages hold bitwise-identical K/V to recomputation, so the
-        // paged second run reproduces the flat baseline exactly.
+        // paged second run reproduces the unpooled baseline exactly.
         assert_eq!(first.record.tokens, baseline.record.tokens);
         assert_eq!(second.record.tokens, baseline.record.tokens);
         let stats = pool.stats();
@@ -1102,10 +1101,81 @@ mod tests {
             .run_with(&config, RunOptions::default())
             .expect_err("12 prompt + 16 generated tokens cannot fit 2 pages");
         assert!(err.needed_pages > err.free_pages);
-        // The infallible path degrades to an isolated flat-cache run.
+        // The infallible path degrades to an isolated private-cache run.
         let out = prepared.run(&config);
         assert!(out.completed);
         assert_eq!(out.record.tokens.len(), 16);
         assert_eq!(pool.stats().refusals, 2);
+    }
+
+    #[test]
+    fn real_iterative_and_speculative_agree_on_output() {
+        let mode = real_mode(3);
+        let config = GenConfig::small_test(vec![10, 20, 30, 40, 50], 12);
+        let iter = Deployment::new(IterativeStrategy).run(&mode, 3, &config);
+        let spec = Deployment::new(SpeculativeStrategy).run(&mode, 3, &config);
+        assert!(iter.completed && spec.completed);
+        assert_eq!(iter.record.tokens.len(), 12);
+        assert!(spec.record.tokens.len() >= 12);
+        assert_eq!(
+            iter.record.tokens[..12],
+            spec.record.tokens[..12],
+            "speculative decoding must not change greedy output"
+        );
+    }
+
+    #[test]
+    fn sim_iterative_speed_is_roughly_constant_in_node_count() {
+        let config = GenConfig {
+            prompt: vec![1; 16],
+            n_generate: 24,
+            max_draft: 4,
+            confidence_cutoff: 0.4,
+            kv_capacity: 4096,
+        };
+        let s4 = Deployment::new(IterativeStrategy)
+            .run(&sim_mode(4), 4, &config)
+            .record
+            .generation_speed();
+        let s16 = Deployment::new(IterativeStrategy)
+            .run(&sim_mode(16), 16, &config)
+            .record
+            .generation_speed();
+        let ratio = s16 / s4;
+        assert!(ratio > 0.7 && ratio < 1.3, "ratio {ratio}");
+    }
+
+    #[test]
+    fn sim_speculative_beats_iterative_with_good_alignment() {
+        let config = GenConfig {
+            prompt: vec![1; 16],
+            n_generate: 32,
+            max_draft: 4,
+            confidence_cutoff: 0.4,
+            kv_capacity: 4096,
+        };
+        let iter = Deployment::new(IterativeStrategy).run(&sim_mode(8), 8, &config);
+        let spec = Deployment::new(SpeculativeStrategy).run(&sim_mode(8), 8, &config);
+        assert!(iter.completed && spec.completed);
+        let su = spec.record.generation_speed() / iter.record.generation_speed();
+        assert!(su > 1.1, "speculative speedup only {su}");
+        // TTFT: speculative pays the drafting latency before its first token.
+        assert!(spec.record.ttft() > iter.record.ttft());
+    }
+
+    #[test]
+    fn sim_runs_are_deterministic() {
+        let config = GenConfig {
+            prompt: vec![7; 8],
+            n_generate: 16,
+            max_draft: 4,
+            confidence_cutoff: 0.4,
+            kv_capacity: 2048,
+        };
+        let a = Deployment::new(SpeculativeStrategy).run(&sim_mode(4), 4, &config);
+        let b = Deployment::new(SpeculativeStrategy).run(&sim_mode(4), 4, &config);
+        assert_eq!(a.record.tokens, b.record.tokens);
+        assert_eq!(a.record.finished_at, b.record.finished_at);
+        assert_eq!(a.stats.total_messages(), b.stats.total_messages());
     }
 }

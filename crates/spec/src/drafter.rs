@@ -354,7 +354,7 @@ impl Drafter for OracleDrafter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_model::ModelConfig;
+    use pi_model::{ModelConfig, PAGE_TOKENS};
     use pi_perf::NodeSpec;
     use pi_tensor::QuantKind;
     use proptest::prelude::*;
@@ -374,7 +374,7 @@ mod tests {
         // With cutoff 0 and the same model as "target", the draft chain is
         // the model's own greedy continuation.
         let model = Model::random(ModelConfig::tiny_llama(64, 2), 9);
-        let mut cache = model.new_cache_for_layers(&(0..2), 256);
+        let mut cache = model.new_cache_for_layers(&(0..2), 256, PAGE_TOKENS);
         let prompt = [3u32, 1, 4, 1, 5];
         let logits = model
             .forward_full(&Batch::prompt(&prompt, 0, 0), &mut cache)

@@ -37,6 +37,7 @@ use crate::message::{ActivationPayload, CacheOp};
 use pi_model::kv_pool::{KvPagePool, StageKey};
 use pi_model::{
     Batch, KvCache, KvCacheEvents, Model, OracleTarget, Pos, Sampler, ScratchArena, Token,
+    PAGE_TOKENS,
 };
 use pi_perf::{CostModel, ModelCost};
 use rayon::pool::Team;
@@ -55,9 +56,9 @@ use std::time::Instant;
 /// session mid-flight, or unwound past — and no slot can outlive the ticket
 /// it commits under.
 ///
-/// Real slots opened with a plan use **paged** KV caches, attach the pinned
-/// prefix chain for their own layer range before the first evaluation, and
-/// commit their stage's frozen prompt pages back into the pool once the
+/// Real slots opened with a plan use KV caches of the pool's page size,
+/// attach the pinned prefix chain for their own layer range before the
+/// first evaluation, and commit their stage's frozen prompt pages back into the pool once the
 /// prompt has been evaluated (idempotent — concurrent requests with the same
 /// prefix merge on the pool's radix tree).
 pub struct PrefixPlan {
@@ -81,8 +82,9 @@ impl Drop for PrefixPlan {
 /// Evaluation engine of a pipeline stage.
 pub trait StageEngine: Send {
     /// Opens a request slot at the next dense index (the number of slots
-    /// open before the call) with a KV cache of `kv_capacity` cells — paged
-    /// and prefix-attached under a pool `plan`, flat otherwise.  Default
+    /// open before the call) with a KV cache of `kv_capacity` cells — on the
+    /// pool's pages and prefix-attached under a pool `plan`, on private
+    /// pages otherwise.  Default
     /// (sim engines): requests carry no state.
     fn open(&mut self, _kv_capacity: usize, _plan: Option<&Arc<PrefixPlan>>) {}
 
@@ -116,9 +118,10 @@ pub trait StageEngine: Send {
         usize::MAX
     }
 
-    /// Drains the paged KV-cache event counters accumulated since the last
+    /// Drains the KV-cache page event counters accumulated since the last
     /// call, so the owning behavior can surface them as trace events and
-    /// `NodeStats` counters.  Default (sim engines, flat caches): no events.
+    /// `NodeStats` counters.  Default (sim engines, which hold no caches):
+    /// no events.
     fn take_kv_events(&mut self) -> KvCacheEvents {
         KvCacheEvents::default()
     }
@@ -218,11 +221,12 @@ pub struct RealStage {
     layers: Range<usize>,
     /// Long-lived forward-pass temporaries, reused across every token this
     /// stage ever evaluates (see `pi_model::ScratchArena`).  Built at the
-    /// first evaluation rather than in `new`, so that it is allocated after
-    /// the first slot's cache: allocated before it, the cache planes end up
-    /// on top of the heap, glibc returns their pages to the OS when a run
-    /// frees them, and the next run faults them in again (measured:
-    /// `setup_s` +10–13 % on the benchmark's solo workloads).
+    /// first evaluation rather than in `new`, after the first slot's cell
+    /// metadata and just before its first KV pages.  Only where the
+    /// allocator puts the arena's few kilobytes changes, yet building it in
+    /// `new` read `setup_s` worse on the wall-clock benchmark's
+    /// `stream_decode` in 11 of 14 alternating pairs on a 2-vCPU box (batch
+    /// medians +6 % and +17 %), while the solo workloads read within 3 %.
     scratch: Option<ScratchArena>,
     /// Open request slots; batch lane `i` is `slots[i]`.
     slots: Vec<Slot>,
@@ -248,29 +252,23 @@ impl RealStage {
 
 impl StageEngine for RealStage {
     fn open(&mut self, kv_capacity: usize, plan: Option<&Arc<PrefixPlan>>) {
-        let (model, layers) = (&self.model, &self.layers);
-        let slot = match plan {
-            None => Slot {
-                cache: model.new_cache_for_layers(layers, kv_capacity),
-                pooled: None,
-            },
-            Some(plan) => {
-                let tpp = plan.pool.config().tokens_per_page;
-                let mut cache = model.new_paged_cache_for_layers(layers, kv_capacity, tpp);
-                let key = (layers.start, layers.end);
-                if plan.cached_tokens > 0 {
-                    let pages = plan.pool.pinned_pages(plan.ticket, key);
-                    cache.attach_prefix(0, &pages, plan.cached_tokens);
-                }
-                let pooled = Some(PooledState {
-                    plan: Arc::clone(plan),
-                    key,
-                    committed: false,
-                });
-                Slot { cache, pooled }
+        let tpp = plan.map_or(PAGE_TOKENS, |plan| plan.pool.config().tokens_per_page);
+        let mut cache = self
+            .model
+            .new_cache_for_layers(&self.layers, kv_capacity, tpp);
+        let pooled = plan.map(|plan| {
+            let key = (self.layers.start, self.layers.end);
+            if plan.cached_tokens > 0 {
+                let pages = plan.pool.pinned_pages(plan.ticket, key);
+                cache.attach_prefix(0, &pages, plan.cached_tokens);
             }
-        };
-        self.slots.push(slot);
+            PooledState {
+                plan: Arc::clone(plan),
+                key,
+                committed: false,
+            }
+        });
+        self.slots.push(Slot { cache, pooled });
     }
 
     fn close(&mut self, slot: usize) {
@@ -544,7 +542,7 @@ mod tests {
         let batch = Batch::prompt(&[1, 2, 3], 0, 0);
 
         // Direct full forward.
-        let mut full_cache = model.new_cache_for_layers(&(0..4), 64);
+        let mut full_cache = model.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let expected = model.forward_full(&batch, &mut full_cache).unwrap();
 
         // Head engine (layers 0..2) + stage engine (layers 2..4) + logits.
@@ -573,7 +571,7 @@ mod tests {
         assert_eq!(tokens.len(), 2);
 
         // Cross-check against a direct forward pass.
-        let mut cache = model.new_cache_for_layers(&(0..4), 64);
+        let mut cache = model.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let logits = model.forward_full(&batch, &mut cache).unwrap();
         assert_eq!(tokens[1], Sampler::Greedy.sample(logits.row(1).unwrap()));
     }
@@ -852,7 +850,7 @@ mod tests {
         }
     }
 
-    /// The lane-keyed contract, on flat and on pooled slots: a forest
+    /// The lane-keyed contract, on private and on pooled slots: a forest
     /// evaluated once gives bitwise the rows and caches of each lane
     /// evaluated alone on a fresh engine, a cache op touches only the slot
     /// it is addressed to, closing a slot shifts the later ones down, and

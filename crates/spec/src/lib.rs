@@ -53,7 +53,6 @@ pub mod launch;
 pub mod message;
 mod rounds;
 pub mod route;
-pub mod runner;
 pub mod session;
 mod sync_head;
 #[cfg(test)]

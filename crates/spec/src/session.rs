@@ -240,7 +240,7 @@ impl<'d> StepSession<'d> {
 
         // Compose with the deployment's KV page pool exactly like the solo
         // pooled path: admit, attach the longest cached prefix, and fall
-        // back to isolated flat caches on refusal.
+        // back to isolated private caches on refusal.
         let plan = self.prepared.admit(config).ok().flatten();
         let prompt_cached = plan.as_ref().map_or(0, |plan| plan.cached_tokens);
         // The new request is the last one in flight: its slot index is its

@@ -15,9 +15,10 @@ use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_model::KvCacheEvents;
 use std::collections::HashSet;
 
-/// Records the paged-KV activity drained from an engine's cache as `page_*`
-/// trace events.  No-op for engines on flat caches, whose counters stay
-/// zero.  (The pool's own totals are in `KvPoolStats`.)
+/// Records the KV page activity drained from an engine's caches as `page_*`
+/// trace events: pages materialised and released on every Real cache,
+/// shared and copied-on-write ones under a pool.  No-op for Sim engines,
+/// which hold no caches.  (The pool's own totals are in `KvPoolStats`.)
 pub fn trace_kv_events(ev: KvCacheEvents, ctx: &mut dyn NodeCtx<PipeMsg>) {
     if ev.page_alloc > 0 {
         trace_if(ctx, || EventKind::PageAlloc {

@@ -72,11 +72,10 @@ pub mod prelude {
         Deployment, ExecutionMode, HeadParts, IterativeStrategy, PreparedDeployment, RunOptions,
         RunOutput, SpeculativeStrategy, Strategy,
     };
-    pub use pi_spec::runner::{run_iterative, run_speculative};
     pub use pi_spec::{
         GenConfig, GenerationRecord, SessionStats, StepReport, StepSession, TreeConfig,
         TreeSpeculationStrategy,
     };
     pub use pi_trace::{BubbleReport, PerfettoTrace, Trace, TraceConfig};
-    pub use pipeinfer_core::{run_pipeinfer, DraftPlacement, PipeInferConfig, PipeInferStrategy};
+    pub use pipeinfer_core::{DraftPlacement, PipeInferConfig, PipeInferStrategy};
 }

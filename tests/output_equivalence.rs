@@ -132,23 +132,6 @@ fn pipeline_depth_does_not_change_output() {
     }
 }
 
-#[test]
-fn legacy_runner_wrappers_match_deployment_output() {
-    // `run_iterative` / `run_speculative` / `run_pipeinfer` are kept as thin
-    // wrappers; they must behave exactly like explicit deployments.
-    let (_, mode) = tiny_pair(0.02, 77);
-    let gen = GenConfig::small_test(vec![6, 5, 4, 3], 8);
-    let a = run_iterative(&mode, 3, &gen);
-    let b = Deployment::new(IterativeStrategy).run(&mode, 3, &gen);
-    assert_eq!(a.record.tokens, b.record.tokens);
-    let a = run_speculative(&mode, 3, &gen);
-    let b = Deployment::new(SpeculativeStrategy).run(&mode, 3, &gen);
-    assert_eq!(a.record.tokens, b.record.tokens);
-    let a = run_pipeinfer(&mode, 3, &gen, &PipeInferConfig::default());
-    let b = Deployment::new(PipeInferStrategy::default()).run(&mode, 3, &gen);
-    assert_eq!(a.record.tokens, b.record.tokens);
-}
-
 /// `(drafted, accepted_drafts, runs_launched)` of one run.
 type Counters = (usize, usize, usize);
 
