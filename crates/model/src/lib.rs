@@ -17,7 +17,8 @@
 //! * the unified KV cache with cell metadata (`llama_kv_cache`) →
 //!   [`kv_cache::KvCache`] including `seq_cp`/`seq_rm`,
 //! * layer-split evaluation for pipeline parallelism →
-//!   [`transformer::Model::forward_layer_range`],
+//!   [`transformer::Model::forward_layer_range_multi`], the one entry point
+//!   into the layers (one body per level group, a lone decode row included),
 //! * greedy / temperature sampling → [`sampler`],
 //! * speculation trees and their attention masks → [`token_tree`].  The
 //!   [`token_tree::TokenTree`] is the workspace's *canonical speculation

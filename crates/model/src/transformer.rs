@@ -1,11 +1,13 @@
 //! Decoder-only transformer forward pass with layer-range evaluation.
 //!
 //! Pipeline parallelism splits the model's decoder layers across stages; each
-//! stage calls [`Model::forward_layer_range`] with its assigned global layer
-//! range and its own [`KvCache`] covering just those layers.  The first stage
-//! additionally embeds the batch tokens ([`Model::embed`]) and the last stage
-//! (or the head node, after receiving the final hidden states) applies the
-//! output head ([`Model::logits`]).
+//! stage calls [`Model::forward_layer_range_multi`] — the one entry point
+//! into the layers — with its assigned global layer range and one
+//! [`KvCache`] per request lane covering just those layers, after
+//! [`Model::alloc_cells_multi`] has given every batch entry its cell.  The
+//! first stage additionally embeds the batch tokens ([`Model::embed`]) and
+//! the last stage (or the head node, after receiving the final hidden
+//! states) applies the output head ([`Model::logits`]).
 //!
 //! Attention uses the KV-cache cell metadata for masking, so causal masking
 //! and speculation-tree masking (mutually exclusive branches) come "for
@@ -55,38 +57,27 @@ impl std::error::Error for ModelError {}
 
 /// Reusable per-forward scratch buffers.
 ///
-/// One decoder layer needs normed activations, q/k/v projections, attention
-/// accumulators, MLP intermediates and a visible-cell set per token (the
-/// attention scores are the thread's own, `SCORES`).  Allocating those
-/// fresh for every token of every layer dominated small-model forward cost;
-/// an arena is created once (or held long-term by an engine) and every token
-/// of every layer reuses it.
+/// One decoder layer needs, for each level group of the batch, normed
+/// activations, q/k/v projections, attention outputs, MLP intermediates and
+/// the visible-cell set of every row (the attention scores are the thread's
+/// own, `SCORES`).  Allocating those fresh for every layer dominated
+/// small-model forward cost; an arena is created once (or held long-term by
+/// an engine) and every layer of every call reuses it.  Its group buffers
+/// grow to the tallest group seen and stay that size.
 ///
 /// It also holds what a forward call computes once for all its layers
 /// because it depends on the batch row alone: each row's visible-cell set
 /// (cell metadata) and its RoPE table row (token position).
 ///
-/// An arena is sized for one model configuration; [`Model::forward_layer_range_with`]
-/// checks compatibility and errors rather than silently resizing, so engines
-/// cannot accidentally share an arena across differently-shaped models.
+/// An arena is sized for one model configuration;
+/// [`Model::forward_layer_range_multi`] checks compatibility and errors
+/// rather than silently resizing, so engines cannot accidentally share an
+/// arena across differently-shaped models.
 #[derive(Debug, Clone)]
 pub struct ScratchArena {
-    /// `d_model` — normed activations entering attention / MLP.
-    h: Vec<f32>,
-    /// `d_model` — query projection.
-    q: Vec<f32>,
-    /// `kv_dim` — key projection.
-    k: Vec<f32>,
-    /// `kv_dim` — value projection.
-    v: Vec<f32>,
-    /// `d_model` — per-head attention output accumulator.
-    attn: Vec<f32>,
-    /// `d_model` — attention output / MLP down projection.
-    proj: Vec<f32>,
-    /// `d_ff` — gate projection (SwiGLU) .
-    gate: Vec<f32>,
-    /// `d_ff` — up projection.
-    up: Vec<f32>,
+    /// `(d_model, kv_dim, d_ff)` of the configuration the arena was built
+    /// for.
+    dims: (usize, usize, usize),
     /// Visible-cell indices of every batch row of the current forward call,
     /// laid end to end (computed once per call, shared by its layers).
     visible: Vec<usize>,
@@ -97,72 +88,65 @@ pub struct ScratchArena {
     /// only, so it is computed once per call and every layer's q and k
     /// rotate from it.
     rope: Vec<f32>,
-    /// `[g, d_model]` — normed activations of a whole level group.
-    bh: Vec<f32>,
-    /// `[g, d_model]` — batched query projections.
-    bq: Vec<f32>,
-    /// `[g, kv_dim]` — batched key projections.
-    bk: Vec<f32>,
-    /// `[g, kv_dim]` — batched value projections.
-    bv: Vec<f32>,
-    /// `[g, d_model]` — per-row attention outputs awaiting the batched
-    /// output projection.
-    battn: Vec<f32>,
-    /// `[g, d_model]` — batched attention-output / MLP down projection.
-    bproj: Vec<f32>,
-    /// `[g, d_ff]` — batched gate projection (SwiGLU).
-    bgate: Vec<f32>,
-    /// `[g, d_ff]` — batched up projection.
-    bup: Vec<f32>,
+    /// `[g, d_model]` — normed activations of a level group's rows.
+    h: Vec<f32>,
+    /// `[g, d_model]` — query projections.
+    q: Vec<f32>,
+    /// `[g, kv_dim]` — key projections.
+    k: Vec<f32>,
+    /// `[g, kv_dim]` — value projections.
+    v: Vec<f32>,
+    /// `[g, d_model]` — per-row attention outputs awaiting the output
+    /// projection.
+    attn: Vec<f32>,
+    /// `[g, d_model]` — attention-output / MLP down projection.
+    proj: Vec<f32>,
+    /// `[g, d_ff]` — gate projection (SwiGLU).
+    gate: Vec<f32>,
+    /// `[g, d_ff]` — up projection.
+    up: Vec<f32>,
 }
 
 impl ScratchArena {
     /// Builds an arena sized for `cfg`.
     pub fn for_config(cfg: &ModelConfig) -> Self {
         Self {
-            h: vec![0.0; cfg.d_model],
-            q: vec![0.0; cfg.d_model],
-            k: vec![0.0; cfg.kv_dim()],
-            v: vec![0.0; cfg.kv_dim()],
-            attn: vec![0.0; cfg.d_model],
-            proj: vec![0.0; cfg.d_model],
-            gate: vec![0.0; cfg.d_ff],
-            up: vec![0.0; cfg.d_ff],
+            dims: (cfg.d_model, cfg.kv_dim(), cfg.d_ff),
             visible: Vec::new(),
             visible_ends: Vec::new(),
             rope: Vec::new(),
-            bh: Vec::new(),
-            bq: Vec::new(),
-            bk: Vec::new(),
-            bv: Vec::new(),
-            battn: Vec::new(),
-            bproj: Vec::new(),
-            bgate: Vec::new(),
-            bup: Vec::new(),
+            h: Vec::new(),
+            q: Vec::new(),
+            k: Vec::new(),
+            v: Vec::new(),
+            attn: Vec::new(),
+            proj: Vec::new(),
+            gate: Vec::new(),
+            up: Vec::new(),
         }
     }
 
     fn fits(&self, cfg: &ModelConfig) -> bool {
-        self.h.len() == cfg.d_model && self.k.len() == cfg.kv_dim() && self.gate.len() == cfg.d_ff
+        self.dims == (cfg.d_model, cfg.kv_dim(), cfg.d_ff)
     }
 
     /// Grows the level-group buffers to hold `g` rows (they persist at the
     /// largest size seen, like every other arena slot).
-    fn ensure_group(&mut self, g: usize, cfg: &ModelConfig) {
-        let (d, kv, ff) = (cfg.d_model, cfg.kv_dim(), cfg.d_ff);
-        if self.bh.len() < g * d {
-            self.bh.resize(g * d, 0.0);
-            self.bq.resize(g * d, 0.0);
-            self.battn.resize(g * d, 0.0);
-            self.bproj.resize(g * d, 0.0);
+    fn ensure_group(&mut self, g: usize) {
+        let (d, kv, ff) = self.dims;
+        if self.h.len() < g * d {
+            self.h.resize(g * d, 0.0);
+            self.q.resize(g * d, 0.0);
+            self.attn.resize(g * d, 0.0);
+            self.proj.resize(g * d, 0.0);
         }
-        if self.bk.len() < g * kv {
-            self.bk.resize(g * kv, 0.0);
-            self.bv.resize(g * kv, 0.0);
+        if self.k.len() < g * kv {
+            self.k.resize(g * kv, 0.0);
+            self.v.resize(g * kv, 0.0);
         }
-        if self.bgate.len() < g * ff {
-            self.bgate.resize(g * ff, 0.0);
-            self.bup.resize(g * ff, 0.0);
+        if self.gate.len() < g * ff {
+            self.gate.resize(g * ff, 0.0);
+            self.up.resize(g * ff, 0.0);
         }
     }
 }
@@ -210,17 +194,12 @@ impl Model {
         KvCache::with_page_size(layers.len(), self.cfg.kv_dim(), capacity, tokens_per_page)
     }
 
-    /// Allocates one KV-cache cell per batch entry.  Every pipeline stage
-    /// performs the same allocations in the same order, so cell indices agree
-    /// across stages.
-    pub fn alloc_cells(batch: &Batch, cache: &mut KvCache) -> Result<Vec<usize>, ModelError> {
-        Self::alloc_cells_multi(batch, &mut [cache])
-    }
-
-    /// [`Model::alloc_cells`] for a forest batch: entry `i` allocates its
+    /// Allocates one KV-cache cell per batch entry: entry `i` allocates its
     /// cell from `caches[entry.lane]`, so each fused request's tokens land
     /// in that request's own cache.  Allocation order is batch order, which
-    /// keeps cell indices deterministic per lane.
+    /// keeps cell indices deterministic per lane — and every pipeline stage
+    /// performs the same allocations in the same order, so cell indices
+    /// agree across stages.
     pub fn alloc_cells_multi(
         batch: &Batch,
         caches: &mut [&mut KvCache],
@@ -262,48 +241,22 @@ impl Model {
     /// * `hidden` — the activations entering the first layer of the range
     ///   (`[n_tokens, d_model]`), typically the output of the previous stage
     ///   or of [`Model::embed`].
-    /// * `cache` — this stage's KV cache; it must cover exactly `layers.len()`
-    ///   layers.
+    /// * `caches` — one KV cache per lane of the batch, each covering
+    ///   exactly `layers.len()` layers: entry `i` stores into and attends
+    ///   over `caches[entry.lane]`.
     /// * `cells` — the cache cell allocated for each batch entry (from
-    ///   [`Model::alloc_cells`]).
+    ///   [`Model::alloc_cells_multi`]).
+    /// * `scratch` — the per-layer temporaries, held by the caller so a
+    ///   long-lived engine reuses them across calls.
     ///
     /// Returns the activations leaving the last layer of the range.
-    pub fn forward_layer_range(
-        &self,
-        batch: &Batch,
-        hidden: &Tensor,
-        layers: Range<usize>,
-        cache: &mut KvCache,
-        cells: &[usize],
-    ) -> Result<Tensor, ModelError> {
-        let mut scratch = ScratchArena::for_config(&self.cfg);
-        self.forward_layer_range_with(batch, hidden, layers, cache, cells, &mut scratch)
-    }
-
-    /// [`Self::forward_layer_range`] with a caller-held [`ScratchArena`], so
-    /// long-lived engines reuse the per-layer temporaries across *calls*
-    /// (every decoded token), not just across the tokens of one batch.
-    pub fn forward_layer_range_with(
-        &self,
-        batch: &Batch,
-        hidden: &Tensor,
-        layers: Range<usize>,
-        cache: &mut KvCache,
-        cells: &[usize],
-        scratch: &mut ScratchArena,
-    ) -> Result<Tensor, ModelError> {
-        self.forward_layer_range_multi(batch, hidden, layers, &mut [cache], cells, scratch)
-    }
-
-    /// [`Self::forward_layer_range_with`] over a *forest* batch: entry `i`
-    /// stores into and attends over `caches[entry.lane]`, so a cohort of
-    /// fused requests shares every projection/FFN GEMM (`m = Σ cohort
-    /// widths`, weights streamed once per step) while attention stays
-    /// per-sequence against each request's own — possibly pooled/paged —
-    /// cache.  With one cache and a lane-0 batch this is exactly
-    /// [`Self::forward_layer_range_with`]; each output row depends only on
-    /// its own input row and its own lane's cache, so fused rows are
-    /// bitwise identical to solo evaluation.
+    ///
+    /// A *forest* batch — a cohort of fused requests, one lane each — shares
+    /// every projection/FFN GEMM (`m = Σ cohort widths`, weights streamed
+    /// once per step) while attention stays per-sequence against each
+    /// request's own — possibly pooled/paged — cache.  Each output row
+    /// depends only on its own input row and its own lane's cache, so fused
+    /// rows are bitwise identical to solo evaluation.
     pub fn forward_layer_range_multi(
         &self,
         batch: &Batch,
@@ -354,9 +307,7 @@ impl Model {
         // per-layer projection into one m = n_tokens GEMM.
         let groups = batch.level_groups();
         let max_group = groups.iter().map(|g| g.len()).max().unwrap_or(0);
-        if max_group > 1 {
-            scratch.ensure_group(max_group, &self.cfg);
-        }
+        scratch.ensure_group(max_group);
         // Visibility depends only on the cell metadata `alloc` fixed before
         // this call, not on the layer, so scan the cells once per row.
         scratch.visible.clear();
@@ -401,6 +352,9 @@ impl Model {
         let scale = 1.0 / (hd as f32).sqrt();
         let (d, kvd, ff) = (cfg.d_model, cfg.kv_dim(), cfg.d_ff);
         let ScratchArena {
+            visible,
+            visible_ends,
+            rope,
             h,
             q,
             k,
@@ -409,94 +363,25 @@ impl Model {
             proj,
             gate,
             up,
-            visible,
-            visible_ends,
-            rope,
-            bh,
-            bq,
-            bk,
-            bv,
-            battn,
-            bproj,
-            bgate,
-            bup,
+            ..
         } = scratch;
         let entries = batch.entries();
-        // Multi-head attention of batch row `i` (query `q`) over the cells
-        // visible to it; shared by the single-token and level-batched paths
-        // so both attend identically.
-        let attend = |cache: &KvCache, i: usize, q: &[f32], out: &mut [f32]| {
-            let start = if i == 0 { 0 } else { visible_ends[i - 1] };
-            let visible = &visible[start..visible_ends[i]];
-            SCORES.with_borrow_mut(|scores| {
-                simd::attend_token(
-                    q,
-                    hd,
-                    group_heads,
-                    scale,
-                    visible.len(),
-                    |c| cache.key(local_layer, visible[c]),
-                    |c| cache.value(local_layer, visible[c]),
-                    scores,
-                    out,
-                )
-            });
-        };
 
         // Groups are processed in batch order so that tokens of a later
         // group can attend to the KV entries stored by earlier groups.
         // Within a group, every K/V is stored before any attention runs —
         // safe by the level-group invariant (no member's cell is visible to
         // an earlier member), and it lets each projection walk the weight
-        // matrix once for the whole group instead of once per token.
+        // matrix once for the whole group instead of once per token.  A
+        // lone decode row is a group of one: its products are `m = 1`.
         for group in groups {
             let g = group.len();
-            if g == 1 {
-                // Single-token group: the GEMV path, no batching overhead.
-                let i = group.start;
-                let entry = &entries[i];
-                let cache = &mut *caches[entry.lane];
-                // --- Attention block ---
-                ops::rmsnorm_into(x.row(i).unwrap(), lw.attn_norm.data(), cfg.norm_eps, h);
-                ops::matvec_t_into(h, &lw.wq, q).unwrap();
-                ops::matvec_t_into(h, &lw.wk, k).unwrap();
-                ops::matvec_t_into(h, &lw.wv, v).unwrap();
-                ops::rope_rotate(q, &rope[i * hd..(i + 1) * hd]);
-                ops::rope_rotate(k, &rope[i * hd..(i + 1) * hd]);
-                cache.store(local_layer, cells[i], k, v);
-
-                attend(cache, i, q, attn);
-                ops::matvec_t_into(attn, &lw.wo, proj).unwrap();
-                ops::add_inplace(x.row_mut(i).unwrap(), proj);
-
-                // --- MLP block ---
-                ops::rmsnorm_into(x.row(i).unwrap(), lw.mlp_norm.data(), cfg.norm_eps, h);
-                match cfg.activation {
-                    Activation::SwiGlu => {
-                        ops::matvec_t_into(h, lw.w_gate.as_ref().unwrap(), gate).unwrap();
-                        ops::matvec_t_into(h, &lw.w_up, up).unwrap();
-                        ops::silu_mul_inplace(gate, up);
-                        ops::matvec_t_into(gate, &lw.w_down, proj).unwrap();
-                    }
-                    Activation::Gelu => {
-                        ops::matvec_t_into(h, &lw.w_up, up).unwrap();
-                        ops::gelu_inplace(up);
-                        ops::matvec_t_into(up, &lw.w_down, proj).unwrap();
-                    }
-                }
-                ops::add_inplace(x.row_mut(i).unwrap(), proj);
-                continue;
-            }
-
-            // Level-batched path: one GEMM per projection for the whole
-            // group.  Only attention itself stays per-row, because each row
-            // has its own visibility mask.
-            let bh = &mut bh[..g * d];
-            let bq = &mut bq[..g * d];
-            let bk = &mut bk[..g * kvd];
-            let bv = &mut bv[..g * kvd];
-            let battn = &mut battn[..g * d];
-            let bproj = &mut bproj[..g * d];
+            let h = &mut h[..g * d];
+            let q = &mut q[..g * d];
+            let k = &mut k[..g * kvd];
+            let v = &mut v[..g * kvd];
+            let attn = &mut attn[..g * d];
+            let proj = &mut proj[..g * d];
 
             // --- Attention block ---
             for (r, i) in group.clone().enumerate() {
@@ -504,28 +389,45 @@ impl Model {
                     x.row(i).unwrap(),
                     lw.attn_norm.data(),
                     cfg.norm_eps,
-                    &mut bh[r * d..(r + 1) * d],
+                    &mut h[r * d..(r + 1) * d],
                 );
             }
-            ops::matmul_t_into(bh, lw.wq.data(), g, d, d, bq);
-            ops::matmul_t_into(bh, lw.wk.data(), g, d, kvd, bk);
-            ops::matmul_t_into(bh, lw.wv.data(), g, d, kvd, bv);
+            ops::matmul_t_into(h, lw.wq.data(), g, d, d, q);
+            ops::matmul_t_into(h, lw.wk.data(), g, d, kvd, k);
+            ops::matmul_t_into(h, lw.wv.data(), g, d, kvd, v);
             for (r, i) in group.clone().enumerate() {
                 let angles = &rope[i * hd..(i + 1) * hd];
-                ops::rope_rotate(&mut bq[r * d..(r + 1) * d], angles);
-                let krow = &mut bk[r * kvd..(r + 1) * kvd];
+                ops::rope_rotate(&mut q[r * d..(r + 1) * d], angles);
+                let krow = &mut k[r * kvd..(r + 1) * kvd];
                 ops::rope_rotate(krow, angles);
                 caches[entries[i].lane].store(
                     local_layer,
                     cells[i],
                     krow,
-                    &bv[r * kvd..(r + 1) * kvd],
+                    &v[r * kvd..(r + 1) * kvd],
                 );
             }
+            // Multi-head attention of each row over the cells visible to
+            // it: per row, because each row has its own visibility mask.
             let caches = &*caches;
-            let attend_row = |(r, arow): (usize, &mut [f32])| {
+            let attend_row = |(r, out): (usize, &mut [f32])| {
                 let i = group.start + r;
-                attend(&*caches[entries[i].lane], i, &bq[r * d..(r + 1) * d], arow);
+                let cache = &*caches[entries[i].lane];
+                let start = if i == 0 { 0 } else { visible_ends[i - 1] };
+                let visible = &visible[start..visible_ends[i]];
+                SCORES.with_borrow_mut(|scores| {
+                    simd::attend_token(
+                        &q[r * d..(r + 1) * d],
+                        hd,
+                        group_heads,
+                        scale,
+                        visible.len(),
+                        |c| cache.key(local_layer, visible[c]),
+                        |c| cache.value(local_layer, visible[c]),
+                        scores,
+                        out,
+                    )
+                });
             };
             let visible_before = group.start.checked_sub(1).map_or(0, |j| visible_ends[j]);
             let group_cells = visible_ends[group.end - 1] - visible_before;
@@ -534,14 +436,17 @@ impl Model {
             // from both ends, so a prompt's cheap first rows (one cell) and
             // dear last ones (all of it) even out.  (A single row splits
             // inside `attend_token`.)
-            if pool::team_width() > 1 && group_cells * n_heads >= simd::TEAM_ATTENTION_SCORES {
-                battn.par_chunks_mut(d).enumerate().for_each(attend_row);
+            let split = g > 1
+                && pool::team_width() > 1
+                && group_cells * n_heads >= simd::TEAM_ATTENTION_SCORES;
+            if split {
+                attn.par_chunks_mut(d).enumerate().for_each(attend_row);
             } else {
-                battn.chunks_mut(d).enumerate().for_each(attend_row);
+                attn.chunks_mut(d).enumerate().for_each(attend_row);
             }
-            ops::matmul_t_into(battn, lw.wo.data(), g, d, d, bproj);
+            ops::matmul_t_into(attn, lw.wo.data(), g, d, d, proj);
             for (r, i) in group.clone().enumerate() {
-                ops::add_inplace(x.row_mut(i).unwrap(), &bproj[r * d..(r + 1) * d]);
+                ops::add_inplace(x.row_mut(i).unwrap(), &proj[r * d..(r + 1) * d]);
             }
 
             // --- MLP block ---
@@ -550,27 +455,26 @@ impl Model {
                     x.row(i).unwrap(),
                     lw.mlp_norm.data(),
                     cfg.norm_eps,
-                    &mut bh[r * d..(r + 1) * d],
+                    &mut h[r * d..(r + 1) * d],
                 );
             }
+            let up = &mut up[..g * ff];
             match cfg.activation {
                 Activation::SwiGlu => {
-                    let bgate = &mut bgate[..g * ff];
-                    let bup = &mut bup[..g * ff];
-                    ops::matmul_t_into(bh, lw.w_gate.as_ref().unwrap().data(), g, d, ff, bgate);
-                    ops::matmul_t_into(bh, lw.w_up.data(), g, d, ff, bup);
-                    ops::silu_mul_inplace(bgate, bup);
-                    ops::matmul_t_into(bgate, lw.w_down.data(), g, ff, d, bproj);
+                    let gate = &mut gate[..g * ff];
+                    ops::matmul_t_into(h, lw.w_gate.as_ref().unwrap().data(), g, d, ff, gate);
+                    ops::matmul_t_into(h, lw.w_up.data(), g, d, ff, up);
+                    ops::silu_mul_inplace(gate, up);
+                    ops::matmul_t_into(gate, lw.w_down.data(), g, ff, d, proj);
                 }
                 Activation::Gelu => {
-                    let bup = &mut bup[..g * ff];
-                    ops::matmul_t_into(bh, lw.w_up.data(), g, d, ff, bup);
-                    ops::gelu_inplace(bup);
-                    ops::matmul_t_into(bup, lw.w_down.data(), g, ff, d, bproj);
+                    ops::matmul_t_into(h, lw.w_up.data(), g, d, ff, up);
+                    ops::gelu_inplace(up);
+                    ops::matmul_t_into(up, lw.w_down.data(), g, ff, d, proj);
                 }
             }
             for (r, i) in group.clone().enumerate() {
-                ops::add_inplace(x.row_mut(i).unwrap(), &bproj[r * d..(r + 1) * d]);
+                ops::add_inplace(x.row_mut(i).unwrap(), &proj[r * d..(r + 1) * d]);
             }
         }
     }
@@ -597,9 +501,18 @@ impl Model {
     /// logits.  Used by the single-node baseline and by tests that compare
     /// distributed execution against local execution.
     pub fn forward_full(&self, batch: &Batch, cache: &mut KvCache) -> Result<Tensor, ModelError> {
-        let cells = Self::alloc_cells(batch, cache)?;
+        let mut caches = [cache];
+        let cells = Self::alloc_cells_multi(batch, &mut caches)?;
         let hidden = self.embed(batch);
-        let out = self.forward_layer_range(batch, &hidden, 0..self.cfg.n_layers, cache, &cells)?;
+        let mut scratch = ScratchArena::for_config(&self.cfg);
+        let out = self.forward_layer_range_multi(
+            batch,
+            &hidden,
+            0..self.cfg.n_layers,
+            &mut caches,
+            &cells,
+            &mut scratch,
+        )?;
         Ok(self.logits(&out))
     }
 
@@ -632,6 +545,22 @@ mod tests {
         Model::random(ModelConfig::tiny_llama(64, 4), seed)
     }
 
+    /// One stage's evaluation of `layers` over a one-lane `batch`: its cell
+    /// allocation and its forward call.
+    fn eval_stage(
+        m: &Model,
+        batch: &Batch,
+        hidden: &Tensor,
+        layers: Range<usize>,
+        cache: &mut KvCache,
+        scratch: &mut ScratchArena,
+    ) -> (Vec<usize>, Result<Tensor, ModelError>) {
+        let mut caches = [cache];
+        let cells = Model::alloc_cells_multi(batch, &mut caches).unwrap();
+        let out = m.forward_layer_range_multi(batch, hidden, layers, &mut caches, &cells, scratch);
+        (cells, out)
+    }
+
     fn greedy_next(model: &Model, cache: &mut KvCache, batch: &Batch) -> u32 {
         let logits = model.forward_full(batch, cache).unwrap();
         let idx = *batch.logit_indices().last().unwrap();
@@ -661,15 +590,25 @@ mod tests {
         let ranges = Model::split_layers(4, 2);
         let mut cache0 = m.new_cache_for_layers(&ranges[0], 64, PAGE_TOKENS);
         let mut cache1 = m.new_cache_for_layers(&ranges[1], 64, PAGE_TOKENS);
-        let cells0 = Model::alloc_cells(&batch, &mut cache0).unwrap();
-        let cells1 = Model::alloc_cells(&batch, &mut cache1).unwrap();
+        let mut scratch = ScratchArena::for_config(m.config());
         let hidden = m.embed(&batch);
-        let mid = m
-            .forward_layer_range(&batch, &hidden, ranges[0].clone(), &mut cache0, &cells0)
-            .unwrap();
-        let out = m
-            .forward_layer_range(&batch, &mid, ranges[1].clone(), &mut cache1, &cells1)
-            .unwrap();
+        let (_, mid) = eval_stage(
+            &m,
+            &batch,
+            &hidden,
+            ranges[0].clone(),
+            &mut cache0,
+            &mut scratch,
+        );
+        let (_, out) = eval_stage(
+            &m,
+            &batch,
+            &mid.unwrap(),
+            ranges[1].clone(),
+            &mut cache1,
+            &mut scratch,
+        );
+        let out = out.unwrap();
         let split_logits = m.logits(&out);
 
         for (a, b) in full_logits.data().iter().zip(split_logits.data().iter()) {
@@ -688,11 +627,12 @@ mod tests {
         // one position order, so every hidden row and logit is bitwise equal.
         let m = tiny_model(9);
         let layers = 0..4;
-        let eval = |cache: &mut KvCache, batch: &Batch| {
-            let cells = Model::alloc_cells(batch, cache).unwrap();
-            let hidden = m
-                .forward_layer_range(batch, &m.embed(batch), layers.clone(), cache, &cells)
-                .unwrap();
+        let mut scratch = ScratchArena::for_config(m.config());
+        let mut eval = |cache: &mut KvCache, batch: &Batch| {
+            let hidden = m.embed(batch);
+            let (cells, hidden) =
+                eval_stage(&m, batch, &hidden, layers.clone(), cache, &mut scratch);
+            let hidden = hidden.unwrap();
             let logits = m.logits(&hidden);
             (cells, hidden, logits)
         };
@@ -722,27 +662,29 @@ mod tests {
 
     #[test]
     fn incremental_decode_matches_batched_prompt() {
-        // Feeding tokens one at a time (using the KV cache) must produce the
-        // same final-token logits as feeding them in a single prompt batch.
+        // Feeding tokens one at a time (using the KV cache) must produce,
+        // bit for bit, the logits of each token's row of a single prompt
+        // batch: a one-row group runs the prompt's body with `m = 1`, and
+        // every product and attention row depends on its own row alone.
         let m = tiny_model(3);
         let tokens = [7u32, 11, 23, 31];
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let mut c1 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
         let batched = m
             .forward_full(&Batch::prompt(&tokens, 0, 0), &mut c1)
             .unwrap();
-        let batched_last = batched.row(tokens.len() - 1).unwrap().to_vec();
 
         let mut c2 = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
-        let mut last = Vec::new();
         for (i, &t) in tokens.iter().enumerate() {
             let logits = m
                 .forward_full(&Batch::single(t, i as i32, 0), &mut c2)
                 .unwrap();
-            last = logits.row(0).unwrap().to_vec();
-        }
-        for (a, b) in batched_last.iter().zip(last.iter()) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+            assert_eq!(
+                bits(logits.row(0).unwrap()),
+                bits(batched.row(i).unwrap()),
+                "token {i}"
+            );
         }
     }
 
@@ -796,17 +738,11 @@ mod tests {
         for (pos, tok) in [7u32, 3, 19, 4, 2].into_iter().enumerate() {
             let batch = Batch::single(tok, pos as i32, 0);
 
-            let cells1 = Model::alloc_cells(&batch, &mut c1).unwrap();
-            let hidden1 = m.embed(&batch);
-            let out1 = m
-                .forward_layer_range_with(&batch, &hidden1, 0..4, &mut c1, &cells1, &mut scratch)
-                .unwrap();
-
-            let cells2 = Model::alloc_cells(&batch, &mut c2).unwrap();
-            let hidden2 = m.embed(&batch);
-            let out2 = m
-                .forward_layer_range(&batch, &hidden2, 0..4, &mut c2, &cells2)
-                .unwrap();
+            let hidden = m.embed(&batch);
+            let (_, out1) = eval_stage(&m, &batch, &hidden, 0..4, &mut c1, &mut scratch);
+            let mut fresh = ScratchArena::for_config(m.config());
+            let (_, out2) = eval_stage(&m, &batch, &hidden, 0..4, &mut c2, &mut fresh);
+            let (out1, out2) = (out1.unwrap(), out2.unwrap());
 
             assert_eq!(out1.data(), out2.data(), "token at pos {pos} diverged");
         }
@@ -822,11 +758,12 @@ mod tests {
         });
         let batch = Batch::single(1, 0, 0);
         let mut cache = m.new_cache_for_layers(&(0..4), 8, PAGE_TOKENS);
-        let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
         let hidden = m.embed(&batch);
-        assert!(m
-            .forward_layer_range_with(&batch, &hidden, 0..4, &mut cache, &cells, &mut wrong)
-            .is_err());
+        assert!(
+            eval_stage(&m, &batch, &hidden, 0..4, &mut cache, &mut wrong)
+                .1
+                .is_err()
+        );
     }
 
     #[test]
@@ -834,11 +771,13 @@ mod tests {
         let m = tiny_model(6);
         let batch = Batch::single(1, 0, 0);
         let mut cache = m.new_cache_for_layers(&(0..4), 8, PAGE_TOKENS);
-        let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
         let hidden = m.embed(&batch);
-        assert!(m
-            .forward_layer_range(&batch, &hidden, 0..9, &mut cache, &cells)
-            .is_err());
+        let mut scratch = ScratchArena::for_config(m.config());
+        assert!(
+            eval_stage(&m, &batch, &hidden, 0..9, &mut cache, &mut scratch)
+                .1
+                .is_err()
+        );
     }
 
     #[test]
@@ -915,12 +854,10 @@ mod tests {
         let solo = |prompt: &[u32]| {
             let mut cache = m.new_cache_for_layers(&(0..4), 64, PAGE_TOKENS);
             let batch = Batch::prompt(prompt, 0, 0);
-            let cells = Model::alloc_cells(&batch, &mut cache).unwrap();
             let hidden = m.embed(&batch);
-            let out = m
-                .forward_layer_range(&batch, &hidden, 0..4, &mut cache, &cells)
-                .unwrap();
-            m.logits(&out)
+            let mut scratch = ScratchArena::for_config(m.config());
+            let (_, out) = eval_stage(&m, &batch, &hidden, 0..4, &mut cache, &mut scratch);
+            m.logits(&out.unwrap())
         };
         let la = solo(&pa);
         let lb = solo(&pb);

@@ -15,9 +15,10 @@ use rand::{Rng, SeedableRng};
 
 /// Weights of one decoder layer.  All projection matrices are stored
 /// row-major as `[out_features, in_features]` so that `pi_tensor::ops::matmul_t`
-/// (and its scratch-buffer variant `pi_tensor::ops::matvec_t_into`, which the
-/// forward pass uses per token) consume them directly: each output feature is
-/// one contiguous weight row, which is what the blocked kernels' 4-wide dot
+/// (and its scratch-buffer variant `pi_tensor::ops::matmul_t_into`, which the
+/// forward pass runs once per projection for a whole level group, `m = 1`
+/// for a lone decode row) consume them directly: each output feature is one
+/// contiguous weight row, which is what the blocked kernels' 4-wide dot
 /// products stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {

@@ -9,16 +9,16 @@
 //! Width 1 is the chain: [`Drafter::draft`] is only its `(token,
 //! confidence)` view.  Two implementations:
 //!
-//! * [`RealDrafter`] — runs a real tiny `pi-model` transformer greedily,
-//!   keeping its KV cache across calls so each call pays for the tokens the
-//!   previous one has not seen.
+//! * [`RealDrafter`] — runs a real tiny `pi-model` transformer greedily on
+//!   the stage evaluator ([`RealStage`]), keeping its KV cache across calls
+//!   so each call pays for the tokens the previous one has not seen.
 //! * [`OracleDrafter`] — uses the alignment oracle (configurable agreement
 //!   with the target) and charges the roofline cost of running the paper's
 //!   actual draft model (TinyLlama, Orca-2, XWin, Falcon-7B/40B, …).
 
-use pi_model::{
-    Batch, KvCache, Model, OracleDraft, OracleTarget, Pos, Sampler, ScratchArena, Token, TokenTree,
-};
+use crate::engine::{RealStage, StageEngine};
+use crate::message::{ActivationPayload, CacheOp};
+use pi_model::{Batch, Model, OracleDraft, OracleTarget, Pos, Sampler, Token, TokenTree};
 use pi_perf::{CostModel, ModelCost};
 use pi_tensor::{ops, Tensor};
 use rayon::pool::Team;
@@ -110,7 +110,9 @@ fn top_k(probs: &[f32], k: usize) -> Vec<(Token, f32)> {
 
 /// Drafter running a real tiny model with greedy sampling.
 ///
-/// The drafter keeps its draft-model KV cache, and the tokens that cache
+/// The draft model runs on the stage evaluator every pipeline stage runs
+/// on: a [`RealStage`] over all its layers, whose one request slot holds
+/// the draft KV cache.  The drafter keeps that cache, and the tokens it
 /// holds, across calls.  Each call takes the longest common prefix of
 /// `context ++ extra` with the cached tokens, removes the cached entries past
 /// it (the rollback after an invalidated hypothesis is exactly this cut) and
@@ -120,16 +122,16 @@ fn top_k(probs: &[f32], k: usize) -> Vec<(Token, f32)> {
 /// whatever cells they sit in (`KvCache::visible_cells_into`), so every
 /// proposal is bit-identical to one drafted from an empty cache.
 ///
-/// The cache and the forward pass's scratch arena are allocated on first use:
-/// a drafter held in reserve (the dedicated-rank layout's local fallback)
-/// costs nothing until promoted.
+/// The slot, its cache and the stage's scratch arena are built on first
+/// use: a drafter held in reserve (the dedicated-rank layout's local
+/// fallback) costs nothing until promoted.
 pub struct RealDrafter {
     model: Arc<Model>,
     kv_capacity: usize,
-    cache: Option<KvCache>,
-    /// Per-layer temporaries, reused by every fed batch.
-    scratch: Option<ScratchArena>,
-    /// Tokens whose K/V entries `cache` holds: token `i` at position `i` of
+    /// Every layer of the draft model; slot 0, while open, is the draft
+    /// KV cache.
+    stage: RealStage,
+    /// Tokens whose K/V entries slot 0 holds: token `i` at position `i` of
     /// sequence 0.
     cached: Vec<Token>,
 }
@@ -138,48 +140,38 @@ impl RealDrafter {
     /// Creates a drafter around a draft model whose KV cache holds up to
     /// `kv_capacity` tokens.
     pub fn new(model: impl Into<Arc<Model>>, kv_capacity: usize) -> Self {
+        let model = model.into();
+        let layers = 0..model.config().n_layers;
         Self {
-            model: model.into(),
+            stage: RealStage::new(Arc::clone(&model), layers),
+            model,
             kv_capacity,
-            cache: None,
-            scratch: None,
             cached: Vec::new(),
         }
     }
 
     /// Appends `tokens` to the cached sequence and returns the logits after
-    /// the last of them.  On a model error (the cache is full) the cached
-    /// state is reset and `None` returned.
+    /// the last of them.  If the cache has no room for them, the slot is
+    /// closed, the cached state reset and `None` returned.
     fn feed(&mut self, tokens: &[Token]) -> Option<Vec<f32>> {
-        let model = &*self.model;
-        let cfg = model.config();
-        let cache = self
-            .cache
-            .get_or_insert_with(|| KvCache::new(cfg.n_layers, cfg.kv_dim(), self.kv_capacity));
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| ScratchArena::for_config(cfg));
-        let batch = Batch::prompt(tokens, self.cached.len() as Pos, 0);
-        let hidden = Model::alloc_cells(&batch, cache).and_then(|cells| {
-            let embedded = model.embed(&batch);
-            model.forward_layer_range_with(
-                &batch,
-                &embedded,
-                0..cfg.n_layers,
-                cache,
-                &cells,
-                scratch,
-            )
-        });
-        let Ok(hidden) = hidden else {
-            cache.clear();
+        if self.stage.open_slots() == 0 {
+            self.stage.open(self.kv_capacity, None);
+        }
+        if self.stage.cache(0).free() < tokens.len() {
+            self.stage.close(0);
             self.cached.clear();
             return None;
+        }
+        let batch = Batch::prompt(tokens, self.cached.len() as Pos, 0);
+        let embedded = ActivationPayload::Real(self.model.embed(&batch));
+        let (ActivationPayload::Real(hidden), _) = self.stage.eval(&batch, &embedded) else {
+            unreachable!("a real stage returns the real activations it is given");
         };
         self.cached.extend_from_slice(tokens);
         let last = hidden.row(tokens.len() - 1).expect("one row per token");
-        let last = Tensor::from_vec(last.to_vec(), &[1, cfg.d_model]).expect("one hidden row");
-        Some(model.logits(&last).into_vec())
+        let last = Tensor::from_vec(last.to_vec(), &[1, self.model.config().d_model])
+            .expect("one hidden row");
+        Some(self.model.logits(&last).into_vec())
     }
 
     /// Brings the cache to hold exactly `context ++ extra` (an empty context
@@ -200,8 +192,12 @@ impl RealDrafter {
             .count()
             .min(full.len() - 1);
         if keep < self.cached.len() {
-            let cache = self.cache.as_mut().expect("cached tokens imply a cache");
-            cache.seq_rm(0, keep as Pos, Pos::MAX);
+            let cut = CacheOp::SeqRm {
+                seq: 0,
+                p0: keep as Pos,
+                p1: Pos::MAX,
+            };
+            self.stage.apply_cache_op(0, &cut);
             self.cached.truncate(keep);
         }
         self.feed(&full[keep..])
@@ -354,7 +350,7 @@ impl Drafter for OracleDrafter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_model::{ModelConfig, PAGE_TOKENS};
+    use pi_model::{KvCache, ModelConfig, PAGE_TOKENS};
     use pi_perf::NodeSpec;
     use pi_tensor::QuantKind;
     use proptest::prelude::*;
@@ -515,10 +511,11 @@ mod tests {
 
     /// The cache holds exactly the cached tokens, consistently.
     fn assert_cache_matches_tokens(d: &RealDrafter) {
-        let Some(cache) = &d.cache else {
+        if d.stage.open_slots() == 0 {
             assert!(d.cached.is_empty());
             return;
-        };
+        }
+        let cache = d.stage.cache(0);
         cache.check_consistency().expect("draft cache consistent");
         assert_eq!(cache.used(), d.cached.len(), "used cells == cached tokens");
     }
@@ -657,7 +654,11 @@ mod tests {
         let mut alone = RealDrafter::new(model.clone(), 256);
         let (want, _) = alone.draft(&prompt, &[9], 4, 0.0);
         let mut primed = RealDrafter::new(model, 256);
-        assert!(primed.cache.is_none(), "no cache before first use");
+        assert_eq!(
+            primed.stage.open_slots(),
+            0,
+            "no slot open before first use"
+        );
         primed.prime(&prompt);
         assert_eq!(primed.cached, prompt);
         let (got, _) = primed.draft(&prompt, &[9], 4, 0.0);

@@ -6,6 +6,9 @@
 //! and [`PipelineWorker`](crate::worker::PipelineWorker)s of a solo run, and
 //! the cross-request step loop ([`StepSession`](crate::session::StepSession)),
 //! are all built from the same engines by the same `deploy` constructors.
+//! The draft model runs here too: a
+//! [`RealDrafter`](crate::drafter::RealDrafter) is a [`RealStage`] over all
+//! the draft model's layers with one slot open.
 //!
 //! Engines are **lane-keyed**.  A stage keeps a dense table of request
 //! *slots*; [`StageEngine::open`] appends one, [`StageEngine::close`] removes
@@ -244,9 +247,14 @@ impl RealStage {
         }
     }
 
-    /// Read-only access to a slot's KV cache (used by consistency tests).
+    /// Read-only access to a slot's KV cache.
     pub fn cache(&self, slot: usize) -> &KvCache {
         &self.slots[slot].cache
+    }
+
+    /// The number of open request slots.
+    pub(crate) fn open_slots(&self) -> usize {
+        self.slots.len()
     }
 }
 

@@ -183,10 +183,11 @@ pub fn matmul_t_into(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: 
     }
 }
 
-/// Single-row `x · wᵀ` writing into `out` (`[n]`), where `w` is `[n, k]`.
-///
-/// The decode-path convenience wrapper over [`matmul_t_into`] used by the
-/// transformer's scratch-buffer arena.
+/// Single-row `x · wᵀ` writing into `out` (`[n]`), where `w` is `[n, k]`:
+/// [`matmul_t_into`] with `m = 1`, shape-checked against `w`.  The forward
+/// pass calls `matmul_t_into` directly, a lone decode row included; this
+/// form serves the kernel tests and benches that time a single-row
+/// product.
 pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
     let k = w.cols();
     let n = w.rows();
