@@ -9,13 +9,6 @@
 //! runtime-dispatched f32x8 kernels every build ships (`ops::matmul_t`).  The
 //! header line names the instruction set they dispatched to.
 //!
-//! After the fixed-thread section, a **threads sweep** re-times the
-//! parallel-dispatch shapes and the decode-, verify- and forest-sized shapes
-//! the wall-clock benchmark issues (which must stay on the calling thread)
-//! with `PIPEINFER_THREADS` forced to 1, 2, 4 and 8, so both the pool's
-//! multi-core scaling and what a dispatch costs a product too small for it
-//! are measurable from one run.
-//!
 //! Two families say what a forward pass costs where a single in-cache
 //! product cannot: `matmul_stack_bp256` runs the seven products of each of
 //! eight `bp256` layers back to back — 25.7 MB of weights, so every matrix
@@ -23,27 +16,27 @@
 //! 4, 5 and 8 rows, and `attend_token_per_cell` is one token's attention over
 //! 64, 128 and 512 cached cells, in nanoseconds per cell.
 //!
-//! A **team** section times what a thread holding a `rayon::pool::Team`
-//! issues — the step loop's products — inside a team of 1 and a team of 2:
-//! 1×256×256, 1×256×704 and 5×256×704 cycling through enough matrices of
-//! their own to stream each from the shared cache as a forward pass does,
-//! and `matmul_stack_bp256` at 1 and 5 rows.  Its rows are named `team_*`,
-//! with the team's width as `threads`.
+//! A product splits over the worker pool only inside a compute section (a
+//! thread holding a `rayon::pool::Team`), so every row above but the
+//! drafter's (which opens a section of its own, as on a cluster rank) times
+//! serial code, whatever `PIPEINFER_THREADS` says.  The **team** section is
+//! the one dispatch study: what the step loop issues, inside a team of 1 and
+//! a team of 2 — 1×256×256, 1×256×704 and 5×256×704 cycling through enough
+//! matrices of their own to stream each from the shared cache as a forward
+//! pass does, and `matmul_stack_bp256` at 1 and 5 rows.  Its rows are named
+//! `team_*`, with the team's width as `threads`.
 //!
 //! Besides the human-readable table, the run writes machine-readable results
 //! to `BENCH_kernels.json` at the workspace root (`op`, `shape`,
 //! `ns_per_iter`, `threads`, `isa`) so the kernel-performance trajectory is
-//! trackable across PRs; sweep rows repeat an op/shape with different
-//! `threads` values.
+//! trackable across PRs.
 //!
 //! With `PIPEINFER_BENCH_ASSERT=1` (set by the CI smoke step) the run fails
 //! if the shipped single-row kernel loses its margin over the naive
 //! reference, if multi-row products stop being cheaper per row than
 //! single-row ones, if a five-row product costs a second pass over the
-//! weights (in cache against four rows, streaming against one), if a decode-,
-//! verify- or forest-sized product gets slower when the pool is available, if
-//! the one shape that should use the pool (1×2048×2048, split on a team
-//! opened for the call) loses from it, or if
+//! weights (in cache against four rows, streaming against one), if a team
+//! product gets slower split over a team of 2 than inside a team of 1, or if
 //! the drafter re-fills its KV cache per call — so kernel regressions break
 //! the build instead of landing silently.
 //!
@@ -57,14 +50,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::pool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Where the machine-readable results go: the workspace root, next to the
 /// figures the other benches produce.
 const JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-
-/// Thread counts the sweep section forces via `PIPEINFER_THREADS`.
-const SWEEP_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_dense_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -178,7 +167,10 @@ const TEAM_CYCLE_BYTES: usize = 24 << 20;
 /// The team section: every [`TEAM_SHAPES`] product and the layer stack at
 /// 1 and 5 rows, each inside a `Team` of every [`TEAM_WIDTHS`] width (set
 /// through `PIPEINFER_THREADS`, which a team reads when it opens), the widths
-/// alternated twice and the quieter pass kept, as in the threads sweep.
+/// alternated twice and each width's quieter pass kept: a burst from a
+/// neighbour on the shared host has to hit the same cell twice to reach the
+/// dispatch gate, and the two widths are timed within seconds of each other
+/// — minutes apart, this shared box drifts by more than the 10 % it allows.
 fn bench_team() -> Vec<(BenchReport, usize)> {
     let mut rows: Vec<(BenchReport, usize)> = Vec::new();
     let mut timed = |name: &str, product: &mut dyn FnMut() -> f32| {
@@ -430,82 +422,10 @@ fn bench_draft4(c: &mut Criterion) {
     }
 }
 
-/// Products that must cost the same whatever the pool size — every `m ≤ 8`
-/// shape a `bp256` decode, verify or forest step issues (the `dispatch
-/// threshold` gate below).
-const CALLER_THREAD_SHAPES: [(usize, usize, usize); 4] =
-    [(1, 256, 256), (2, 256, 704), (5, 256, 704), (8, 256, 704)];
-
-/// The one sweep shape big enough to cross the dispatch threshold and fan out
-/// on the pool; gated not to lose from it.
-const POOLED_SHAPE: (usize, usize, usize) = (1, 2048, 2048);
-
-/// What separates two products of a forward pass: the calling thread is busy
-/// with norms, RoPE and attention, the pool helper has nothing to do and goes
-/// to sleep.  The sweep spins this long before every timed product, because
-/// a product that is re-issued the instant it returns finds the helper still
-/// awake and hides what a dispatch costs — how the previous threshold was
-/// placed too low.
-const SWEEP_GAP: Duration = Duration::from_micros(100);
-
-/// The threads sweep: [`POOLED_SHAPE`]; 128×256×704, a 128-token prompt's
-/// FFN product, which fans out on every instruction set (`bp256` prompts do
-/// from 89 tokens on AVX-512, from 47 on AVX2); 8×512×512, which crossed an
-/// earlier threshold and stays on the calling thread now; and
-/// [`CALLER_THREAD_SHAPES`].  Each shape is timed at every
-/// count of `threads` back to back (the pool re-reads `PIPEINFER_THREADS` on
-/// every dispatch), so the gates below compare measurements taken within
-/// seconds of each other — minutes apart, this shared box drifts by more
-/// than the 10% they allow.
-fn bench_threads_sweep(threads: &[usize]) -> Vec<(BenchReport, usize)> {
-    let mut rows = Vec::new();
-    let mut sweep = |name: &str, product: &dyn Fn() -> Tensor| {
-        println!(
-            "\n-- threads sweep: {name} at {} = {threads:?} --",
-            pool::THREADS_ENV
-        );
-        // Two passes over the thread counts, keeping each count's quieter
-        // one: a burst from a neighbour on the shared host has to hit the
-        // same cell twice to reach a gate.
-        let first_row = rows.len();
-        for pass in 0..2 {
-            for (i, &t) in threads.iter().enumerate() {
-                std::env::set_var(pool::THREADS_ENV, t.to_string());
-                let mut c = Criterion::default();
-                c.bench_function(name, |b| {
-                    let idle = || {
-                        let since = Instant::now();
-                        while since.elapsed() < SWEEP_GAP {
-                            std::hint::spin_loop();
-                        }
-                    };
-                    b.iter_batched(idle, |()| product(), BatchSize::SmallInput)
-                });
-                let report = c.reports()[0].clone();
-                if pass == 0 {
-                    rows.push((report, t));
-                } else if report.median_ns < rows[first_row + i].0.median_ns {
-                    rows[first_row + i].0 = report;
-                }
-            }
-        }
-    };
-    let mut rng = StdRng::seed_from_u64(4);
-    let shapes = [POOLED_SHAPE, (8, 512, 512), (128, 256, 704)];
-    for (m, k, n) in shapes.into_iter().chain(CALLER_THREAD_SHAPES) {
-        let x = Tensor::rand_uniform(&mut rng, &[m, k], 1.0);
-        let w = Tensor::rand_uniform(&mut rng, &[n, k], 1.0);
-        sweep(&format!("matmul_t_f32 {m}x{k}x{n}"), &|| {
-            ops::matmul_t(&x, &w).unwrap()
-        });
-    }
-    rows
-}
-
 /// Serialises the collected `(report, threads)` rows as
 /// `BENCH_kernels.json`, each labelled with the instruction set the kernels
-/// dispatched to.  Sweep rows repeat an op/shape with different `threads`
-/// values; the fixed section is tagged with the thread count it ran under.
+/// dispatched to.  Team rows repeat an op/shape with the team's width as
+/// `threads`; the fixed section is tagged with the thread count it ran under.
 fn write_json(rows: &[(BenchReport, usize)]) {
     let mut out = String::from("[\n");
     for (i, (r, threads)) in rows.iter().enumerate() {
@@ -531,16 +451,10 @@ fn write_json(rows: &[(BenchReport, usize)]) {
 
 /// Regression gates for CI.  Comparisons within the fixed-thread section
 /// (`fixed`) use the per-benchmark *minimum* iteration time — the most
-/// noise-robust observation on shared runners.  The dispatch gates compare
-/// *medians* of the threads sweep (`sweep`, which holds `default_threads` —
-/// the pool size an unset `PIPEINFER_THREADS` gives — next to
-/// `PIPEINFER_THREADS=1`): a dispatch that costs most iterations 20% still
-/// has a lucky iteration whose helper was awake, so minima cannot see it.
-fn assert_no_regression(
-    fixed: &[BenchReport],
-    sweep: &[(BenchReport, usize)],
-    default_threads: usize,
-) {
+/// noise-robust observation on shared runners.  The dispatch gate compares
+/// *medians* of the team section (`team`): a split that costs most
+/// iterations 20% still has a lucky iteration, so minima cannot see it.
+fn assert_no_regression(fixed: &[BenchReport], team: &[(BenchReport, usize)]) {
     let min_ns = |name: &str| {
         fixed
             .iter()
@@ -548,12 +462,11 @@ fn assert_no_regression(
             .map(|r| r.min_ns)
             .expect("benchmark entry missing")
     };
-    let sweep_median = |name: &str, threads: usize| {
-        sweep
-            .iter()
-            .find(|(r, t)| r.name == name && *t == threads)
+    let team_median = |name: &str, width: usize| {
+        team.iter()
+            .find(|(r, w)| r.name == name && *w == width)
             .map(|(r, _)| r.median_ns)
-            .expect("sweep entry missing")
+            .expect("team entry missing")
     };
     // The vectorised tier is the only one shipped: it must keep a wide
     // margin over the scalar reference (measured ~10x).
@@ -603,34 +516,35 @@ fn assert_no_regression(
         rows5 / rows4,
         stack5 / stack1
     );
-    // Dispatch threshold: no gated product may get slower because a pool is
-    // available.  Going through the pool cost the verify- and forest-sized
-    // shapes +15% to +42% (medians, a sleeping helper) before the threshold
-    // was set from the helper's wake latency; below it both sides time the
-    // same serial code, and 10% covers two measurements of that.
-    // The last shape is the one that does cross the threshold — a GEMV
-    // streaming 16 MB of weights, split on a team opened for the one call —
-    // and must not lose from fanning out.
-    let mut ratios = Vec::new();
-    for (m, k, n) in CALLER_THREAD_SHAPES.into_iter().chain([POOLED_SHAPE]) {
-        let name = format!("matmul_t_f32 {m}x{k}x{n}");
-        let (default, single) = (sweep_median(&name, default_threads), sweep_median(&name, 1));
-        assert!(
-            default <= 1.10 * single,
-            "dispatch regression: {m}x{k}x{n} takes {default:.0} ns at the default thread \
-             count but {single:.0} ns with PIPEINFER_THREADS=1 — the pool costs this \
-             product more than it returns"
-        );
-        ratios.push(default / single);
-    }
     println!(
         "kernel gates ok: shipped {:.1}x vs naive, m=32 row at {:.2}x a single row (min \
-         times), default/single-thread {ratios:.2?} for the m<=8 bp256 shapes and \
-         1x2048x2048 (medians, {})",
+         times, {})",
         naive / shipped,
         per_row_32 / shipped,
         pi_tensor::simd::active_isa()
     );
+    // Dispatch: a team product may not get slower split over two threads
+    // than inside a team of 1, the serial code; 10% covers two measurements
+    // of the same time.  On one core a team of 2 has no second core to
+    // split over, so the gate has nothing to measure there.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        println!("dispatch gate skipped: {cores} core available");
+    } else {
+        let mut ratios = Vec::new();
+        for (m, k, n) in TEAM_SHAPES {
+            let name = format!("team_matmul_t_f32 {m}x{k}x{n}");
+            let (split, serial) = (team_median(&name, 2), team_median(&name, 1));
+            assert!(
+                split <= 1.10 * serial,
+                "dispatch regression: {m}x{k}x{n} takes {split:.0} ns split over a team of 2 \
+                 but {serial:.0} ns in a team of 1 — the split costs this product more than it \
+                 returns"
+            );
+            ratios.push(split / serial);
+        }
+        println!("dispatch gate ok: team of 2 / team of 1 {ratios:.2?} (medians)");
+    }
     // A drafter that keeps its KV cache pays for the new tokens only, so
     // four times the context may cost its attention share more, never the
     // 4-5x of re-evaluating the context on every call.
@@ -670,23 +584,11 @@ fn main() {
     let mut rows: Vec<(BenchReport, usize)> =
         fixed.iter().cloned().map(|r| (r, fixed_threads)).collect();
 
-    // Threads sweep, at the forced pool sizes and at the default one if it
-    // is not among them (the gates compare it with a pool of 1).
-    let mut sweep_threads = SWEEP_THREADS.to_vec();
-    if !sweep_threads.contains(&fixed_threads) {
-        sweep_threads.push(fixed_threads);
-    }
-    let prev = std::env::var_os(pool::THREADS_ENV);
-    let sweep = bench_threads_sweep(&sweep_threads);
-    rows.extend(bench_team());
-    match prev {
-        Some(v) => std::env::set_var(pool::THREADS_ENV, v),
-        None => std::env::remove_var(pool::THREADS_ENV),
-    }
-    rows.extend(sweep.iter().cloned());
+    let team = bench_team();
+    rows.extend(team.iter().cloned());
 
     write_json(&rows);
     if std::env::var_os("PIPEINFER_BENCH_ASSERT").is_some() {
-        assert_no_regression(&fixed, &sweep, fixed_threads);
+        assert_no_regression(&fixed, &team);
     }
 }

@@ -59,9 +59,9 @@ pub struct SimOutcome<M: WireMessage> {
     /// Why the run stopped; [`SimOutcome::completed`] folds it to a bool.
     pub halt: HaltReason,
     /// Structured event trace, present iff recording was requested via
-    /// [`SimDriver::with_trace`] (and the `trace` feature is on).  Timestamps
-    /// are virtual [`ClockDomain::Virtual`] seconds, so the trace — like the
-    /// simulation itself — is bit-for-bit reproducible.
+    /// [`SimDriver::with_trace`].  Timestamps are virtual
+    /// [`ClockDomain::Virtual`] seconds, so the trace — like the simulation
+    /// itself — is bit-for-bit reproducible.
     pub trace: Option<Trace>,
 }
 
@@ -866,7 +866,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn traced_run_records_wire_and_compute_events() {
         let topo = Topology::uniform(4, LinkSpec::new(1e-3, 1e6));
         let out = SimDriver::new(topo)
@@ -916,7 +915,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn tracing_does_not_perturb_the_schedule() {
         let topo = Topology::uniform(5, LinkSpec::gigabit_ethernet());
         let plain = SimDriver::new(topo.clone()).run(relay_ring(5, 0.002, 10));
@@ -928,7 +926,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn trace_log_is_reproducible() {
         let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
         let run = || {
@@ -982,14 +979,11 @@ mod tests {
             .run(relay_ring(2, 0.001, 3));
         assert_eq!(out.halt, HaltReason::RankKilled);
         assert_eq!(out.stats.node(1).faults_injected, 1);
-        #[cfg(feature = "trace")]
-        {
-            let trace = out.trace.expect("trace requested");
-            assert!(trace
-                .events()
-                .iter()
-                .any(|e| e.rank == 1 && matches!(e.kind, EventKind::RankKilled)));
-        }
+        let trace = out.trace.expect("trace requested");
+        assert!(trace
+            .events()
+            .iter()
+            .any(|e| e.rank == 1 && matches!(e.kind, EventKind::RankKilled)));
     }
 
     #[test]
@@ -1120,7 +1114,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn chaos_runs_replay_bit_identically() {
         let topo = Topology::uniform(4, LinkSpec::gigabit_ethernet());
         let plan = FaultPlan::seeded(11)

@@ -62,12 +62,9 @@ pub(crate) struct RankLog {
 }
 
 impl RankLog {
-    /// An empty ledger for `rank`, with an event ring iff `trace` is given
-    /// and the `trace` feature is compiled in.
+    /// An empty ledger for `rank`, with an event ring iff `trace` is given.
     pub(crate) fn new(rank: Rank, trace: Option<TraceConfig>) -> Self {
-        let buf = trace
-            .filter(|_| cfg!(feature = "trace"))
-            .map(|c| TraceBuffer::new(rank as u32, c.capacity_per_rank));
+        let buf = trace.map(|c| TraceBuffer::new(rank as u32, c.capacity_per_rank));
         Self {
             stats: NodeStats::default(),
             buf,
@@ -82,7 +79,7 @@ impl RankLog {
 
     /// Whether events are being recorded.
     pub(crate) fn tracing(&self) -> bool {
-        cfg!(feature = "trace") && self.buf.is_some()
+        self.buf.is_some()
     }
 
     /// Records `kind` at `at`, if events are being recorded.

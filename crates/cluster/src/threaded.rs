@@ -26,9 +26,8 @@ pub struct ThreadedOutcome<M: WireMessage> {
     pub stats: ClusterStats,
     /// `true` if every rank finished before the timeout.
     pub completed: bool,
-    /// The recorded event trace, when the driver was built `with_trace`
-    /// (and the `trace` feature is compiled in).  Timestamps are monotonic
-    /// wall-clock seconds since the run started.
+    /// The recorded event trace, when the driver was built `with_trace`.
+    /// Timestamps are monotonic wall-clock seconds since the run started.
     pub trace: Option<Trace>,
 }
 
@@ -681,7 +680,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn traced_run_records_wire_events_in_wall_time() {
         let out = ThreadedDriver::new()
             .with_timeout(Duration::from_secs(20))
@@ -793,7 +791,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore)]
     fn manual_clock_injection_stamps_virtual_times() {
         use pi_trace::ManualClock;
         use std::sync::Arc;

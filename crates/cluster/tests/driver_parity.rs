@@ -161,13 +161,14 @@ fn sim_and_threaded_drivers_keep_the_same_ledger() {
     assert_eq!(head.draft_messages_sent, u64::from(ROUNDS / 2));
     assert!(sim.stats.nodes.iter().all(|n| n.busy_time > 0.0));
 
-    assert_eq!(sim.trace.is_some(), cfg!(feature = "trace"));
-    if let (Some(sim), Some(threaded)) = (sim.trace, threaded.trace) {
-        for rank in 0..RANKS {
-            let expected = kinds(&sim, rank);
-            assert!(expected.contains(&"run_skipped"), "rank {rank}");
-            assert_eq!(expected.last(), Some(&"rank_finished"), "rank {rank}");
-            assert_eq!(expected, kinds(&threaded, rank), "rank {rank}");
-        }
+    let sim = sim.trace.expect("a traced Sim run carries its trace");
+    let threaded = threaded
+        .trace
+        .expect("a traced threaded run carries its trace");
+    for rank in 0..RANKS {
+        let expected = kinds(&sim, rank);
+        assert!(expected.contains(&"run_skipped"), "rank {rank}");
+        assert_eq!(expected.last(), Some(&"rank_finished"), "rank {rank}");
+        assert_eq!(expected, kinds(&threaded, rank), "rank {rank}");
     }
 }

@@ -3,20 +3,20 @@
 //! Provides the one parallel-iterator shape the workspace uses —
 //! `slice.par_chunks_mut(n).enumerate().for_each(f)` — executed on a
 //! **persistent worker pool** ([`pool`]) instead of rayon's work-stealing
-//! runtime.  The pool is created once per process, its threads are long-lived
-//! and shared by every parallel call, and every call runs on a team of the
-//! calling thread and pool helpers that claim its items through one atomic
-//! word, which matches the matmul row/column-block partitioning use case
-//! (uniform cost per item).
+//! runtime.  The pool is created once per process and its threads are
+//! long-lived.
 //!
-//! Thread count is `PIPEINFER_THREADS` when set (re-read on every call, so
-//! `PIPEINFER_THREADS=1` forces fully serial in-caller execution), otherwise
-//! the machine's available parallelism.
+//! The pool has one parallel mode, the *compute section*: a thread that
+//! holds a [`pool::Team`] keeps the pool's helpers with it between calls,
+//! and its calls split over them, claiming items through one atomic word
+//! (uniform cost per item, as in the matmul column blocks), while no other
+//! thread is inside a section.  Every other call — on a thread without a
+//! team, beside another section, or from inside an item — runs inline on
+//! the calling thread and never touches the pool.
 //!
-//! A thread that issues many small parallel calls in a row can hold a
-//! [`pool::Team`]: while it does, the pool's helpers stay with it between
-//! calls instead of being woken for each one, and its calls split only
-//! while no other thread holds one.
+//! A team's width is `PIPEINFER_THREADS` when set (read when it opens, so
+//! `PIPEINFER_THREADS=1` makes every team inert and every call serial),
+//! otherwise the machine's available parallelism.
 
 pub mod prelude {
     //! Drop-in replacement for `rayon::prelude::*`.
@@ -31,21 +31,18 @@ pub mod pool {
     //! * One [`WorkerPool`] per process, lazily created through a `OnceLock`.
     //!   Worker threads are spawned on demand up to the requested parallelism
     //!   and never exit; repeated parallel calls reuse them.
-    //! * Every parallel call runs on a *team*: the calling thread and up to
-    //!   `width - 1` pool threads that took the team's ticket off the queue
-    //!   (a call of one item, or at a parallelism of 1, runs inline).
-    //!   A thread that holds a [`Team`] keeps one open across its calls, so
-    //!   its helpers stay with it between them; a thread that holds none
-    //!   opens a team for the one call and closes it when the call returns.
-    //!   A call stores its task and publishes its two unclaimed ends in one
-    //!   atomic claim word, which the caller claims from the front and the
-    //!   helpers from the back, so several teams from concurrent callers run
-    //!   at once without serialising each other, and a caller finishes its
-    //!   call alone if no helper is free.
-    //! * A thread that holds a [`Team`] is inside a *compute section*; a
-    //!   call splits only while no other thread is inside one, so threads
-    //!   that compute at once (the ranks of a cluster run) each keep a core
-    //!   and the cores of idle ones go to whichever computes alone.
+    //! * A thread that holds a [`Team`] is inside a *compute section*: the
+    //!   team is the thread and `width - 1` pool threads that took its
+    //!   tickets off the queue and stay with it until it closes.  A call
+    //!   splits over them only while no other thread is inside a section,
+    //!   so threads that compute at once (the ranks of a cluster run) each
+    //!   keep a core and the cores of idle ones go to whichever computes
+    //!   alone.  Every other call runs inline on the calling thread.
+    //! * A split call stores its task and publishes its two unclaimed ends in
+    //!   one atomic claim word, which the caller claims from the front and
+    //!   the helpers from the back, so several teams run at once without
+    //!   serialising each other, and a caller finishes its call alone if no
+    //!   helper has joined yet.
     //! * A panic inside a work item is caught on the thread that ran it,
     //!   recorded on the team, and re-raised on the *calling* thread once
     //!   every item has run; pool threads never die, so a panicking kernel
@@ -55,9 +52,8 @@ pub mod pool {
     //! sound because the caller blocks in the call until every item it
     //! published has completed, and a member only dereferences the closure
     //! after claiming an in-range item.  A claim reads both ends from the
-    //! word it changed, so a helper that arrives late — to a held team
-    //! between calls, or to a one-call team that its caller already finished
-    //! and closed — can only ever claim an item of the call in flight, if
+    //! word it changed, so a helper that arrives late — between two calls
+    //! of its team — can only ever claim an item of the call in flight, if
     //! any; and the caller stores the next call's task only after every item
     //! of the previous one completed.
 
@@ -144,13 +140,6 @@ pub mod pool {
         })
     }
 
-    /// Parallelism a call with `n_items` work items will use right now:
-    /// `PIPEINFER_THREADS` if set, else available parallelism, capped at
-    /// `n_items`.
-    pub(crate) fn effective_threads(n_items: usize) -> usize {
-        configured_threads().min(n_items).max(1)
-    }
-
     /// Configured parallelism: `PIPEINFER_THREADS` if set, else available
     /// parallelism.
     pub fn configured_threads() -> usize {
@@ -158,9 +147,8 @@ pub mod pool {
     }
 
     /// Total worker threads this process has ever spawned.  The pool only
-    /// grows when the requested parallelism exceeds every previous request,
-    /// so under a fixed configuration this is constant after the first
-    /// parallel call.
+    /// grows when a team opens wider than every previous one, so under a
+    /// fixed configuration this is constant after the first team.
     #[cfg(test)]
     pub(crate) fn spawned_workers() -> usize {
         global().shared.state.lock().unwrap().workers
@@ -217,13 +205,11 @@ pub mod pool {
         /// `u32::MAX - 256`.
         ///
         /// On a thread that holds a [`Team`], a call of two items or more
-        /// goes to the team's helpers; an item that itself makes a parallel
-        /// call makes it outside the team.  On any other thread the call
-        /// opens a team for itself of [`configured_threads`] members, or
-        /// `n_items` if fewer; with one member the items run inline on the
-        /// calling thread and the pool is never touched.  Either way the
-        /// items run inline while a thread other than the caller is inside
-        /// a compute section (see [`Team`]): each call reads that anew.
+        /// goes to the team's helpers while no other thread is inside a
+        /// compute section (read anew on every call); an item that itself
+        /// makes a parallel call makes it outside the team.  Every other
+        /// call runs its items inline on the calling thread and never
+        /// touches the pool.
         pub fn run(&self, n_items: usize, task: &(dyn Fn(usize) + Sync)) {
             // A claim word holds no more; `par_chunks_mut` builds its slices
             // from claimed indices, so this bound is a safety check.
@@ -237,7 +223,7 @@ pub mod pool {
             };
             let panicked = match held {
                 Some(team) => {
-                    let panicked = if alone(IN_SECTION) {
+                    let panicked = if alone() {
                         team.dispatch(n_items, task)
                     } else {
                         run_serial(n_items, task)
@@ -245,40 +231,11 @@ pub mod pool {
                     CURRENT.with(|current| *current.borrow_mut() = Some(team));
                     panicked
                 }
-                None => match effective_threads(n_items) {
-                    width if width > 1 && alone(OUTSIDE_SECTIONS) => {
-                        let team = self.open_team(width);
-                        let panicked = team.dispatch(n_items, task);
-                        team.close();
-                        panicked
-                    }
-                    _ => run_serial(n_items, task),
-                },
+                None => run_serial(n_items, task),
             };
             if let Some(payload) = panicked {
                 resume_unwind(payload);
             }
-        }
-
-        /// A team of `width` members on the calling thread: queues a ticket
-        /// per helper and wakes one idle worker per ticket.  (`notify_all`
-        /// would rouse every idle worker of a pool grown for a wider call to
-        /// fight over them.)  A worker that is busy rather than waiting
-        /// misses its wake and pops its ticket when it next looks at the
-        /// queue.
-        fn open_team(&self, width: usize) -> Arc<TeamState> {
-            let team = Arc::new(TeamState::new(width));
-            self.ensure_workers(width - 1);
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                for _ in 1..width {
-                    st.queue.push_back(Arc::clone(&team));
-                }
-            }
-            for _ in 1..width {
-                self.shared.work_cv.notify_one();
-            }
-            team
         }
     }
 
@@ -291,17 +248,12 @@ pub mod pool {
     /// own, and a team's helpers do not count.
     static SECTIONS: CacheLine<AtomicUsize> = CacheLine(AtomicUsize::new(0));
 
-    /// What a thread inside a section contributes to [`SECTIONS`]; a thread
-    /// outside contributes [`OUTSIDE_SECTIONS`].
-    const IN_SECTION: usize = 1;
-    const OUTSIDE_SECTIONS: usize = 0;
-
-    /// Whether no thread but the caller, which contributes `own` to the
-    /// count, is inside a section: whether a parallel call of the caller's
-    /// may use the cores.  A heuristic read, so `Relaxed`: a section that
-    /// opens while a call is in flight waits for that one call at most.
-    fn alone(own: usize) -> bool {
-        SECTIONS.load(Ordering::Relaxed) <= own
+    /// Whether no thread but the caller, itself inside a section, is inside
+    /// one: whether a parallel call of the caller's may use the cores.  A
+    /// heuristic read, so `Relaxed`: a section that opens while a call is in
+    /// flight waits for that one call at most.
+    fn alone() -> bool {
+        SECTIONS.load(Ordering::Relaxed) <= 1
     }
 
     /// Bits of the claim word below the back end: the front end.
@@ -319,7 +271,7 @@ pub mod pool {
     thread_local! {
         /// The team this thread holds, if any.  Taken out for the length of
         /// a team call, so that a parallel call from inside one of its items
-        /// opens a team of its own.
+        /// runs inline.
         static CURRENT: RefCell<Option<Arc<TeamState>>> = const { RefCell::new(None) };
     }
 
@@ -498,7 +450,7 @@ pub mod pool {
                 // While another thread is in a section, this team's calls run
                 // inline, and a spinning helper would take the core that
                 // thread computes on.
-                if !alone(IN_SECTION) {
+                if !alone() {
                     self.park();
                     idle_since = None;
                     continue;
@@ -537,12 +489,13 @@ pub mod pool {
         }
     }
 
-    /// A scoped compute team: while the calling thread holds it, the pool
-    /// keeps `width - 1` helpers with this thread, and every parallel call
-    /// the thread makes ([`WorkerPool::run`], `par_chunks_mut`) is split
-    /// between them and the thread itself without a queue, a lock, an
-    /// allocation or a wake per call.  Dropping it — also while unwinding —
-    /// sends the helpers back to the pool, where they sleep.
+    /// A scoped compute team, the pool's one parallel mode: while the
+    /// calling thread holds it, the pool keeps `width - 1` helpers with this
+    /// thread, and every parallel call the thread makes ([`WorkerPool::run`],
+    /// `par_chunks_mut`) is split between them and the thread itself without
+    /// a queue, a lock, an allocation or a wake per call.  A thread that
+    /// holds no team runs its calls inline.  Dropping it — also while
+    /// unwinding — sends the helpers back to the pool, where they sleep.
     ///
     /// The width is the pool's parallelism ([`configured_threads`], at most
     /// 256) when the team opens.  A team of width 1, or one opened on a
@@ -588,7 +541,12 @@ pub mod pool {
     }
 
     impl Team {
-        /// Opens a team on the calling thread (see [`Team`]).
+        /// Opens a team on the calling thread (see [`Team`]): queues a
+        /// ticket per helper and wakes one idle worker per ticket.
+        /// (`notify_all` would rouse every idle worker of a pool grown for a
+        /// wider team to fight over them.)  A worker that is busy rather
+        /// than waiting misses its wake and pops its ticket when it next
+        /// looks at the queue.
         pub fn open() -> Team {
             let width = configured_threads();
             debug_assert!(
@@ -602,7 +560,18 @@ pub mod pool {
                     _not_send: PhantomData,
                 };
             }
-            let state = global().open_team(width);
+            let state = Arc::new(TeamState::new(width));
+            let pool = global();
+            pool.ensure_workers(width - 1);
+            {
+                let mut st = pool.shared.state.lock().unwrap();
+                for _ in 1..width {
+                    st.queue.push_back(Arc::clone(&state));
+                }
+            }
+            for _ in 1..width {
+                pool.shared.work_cv.notify_one();
+            }
             SECTIONS.fetch_add(1, Ordering::Relaxed);
             CURRENT.with(|current| *current.borrow_mut() = Some(Arc::clone(&state)));
             Team {
@@ -629,7 +598,7 @@ pub mod pool {
     /// product is worth splitting.
     pub fn team_width() -> usize {
         CURRENT.with(|current| match current.borrow().as_ref() {
-            Some(state) if alone(IN_SECTION) => state.width,
+            Some(state) if alone() => state.width,
             _ => 1,
         })
     }
@@ -768,17 +737,17 @@ mod tests {
 
     /// Grows the shared global pool to the largest size any test in this
     /// binary can request (other tests run concurrently with the env var
-    /// unset, so they request `available_parallelism`).  Called before a
-    /// test records `spawned_workers()`, it guarantees no concurrent test
-    /// can grow the pool afterwards and invalidate the observation.
+    /// unset, so they request `available_parallelism`), by holding a team
+    /// that wide.  Called before a test records `spawned_workers()`, it
+    /// guarantees no concurrent test can grow the pool afterwards and
+    /// invalidate the observation.
     fn saturate_pool() {
         let max = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .max(4);
         std::env::set_var(super::pool::THREADS_ENV, max.to_string());
-        let mut data = vec![0u8; max * 4];
-        data.par_chunks_mut(1).for_each(|c| c[0] = 1);
+        drop(super::pool::Team::open());
     }
 
     fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
@@ -858,11 +827,34 @@ mod tests {
     }
 
     #[test]
+    fn a_call_without_a_team_runs_inline_and_spawns_nothing() {
+        with_threads(Some(4), || {
+            let spawned_before = super::pool::spawned_workers();
+            let caller = std::thread::current().id();
+            let elsewhere = AtomicUsize::new(0);
+            let mut data = vec![0u32; 256];
+            // The items sleep, so that a helper the call was handed to would
+            // have time to take one.
+            data.par_chunks_mut(4).enumerate().for_each(|(i, chunk)| {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                if std::thread::current().id() != caller {
+                    elsewhere.fetch_add(1, Ordering::Relaxed);
+                }
+                for v in chunk.iter_mut() {
+                    *v = i as u32;
+                }
+            });
+            assert_eq!(elsewhere.into_inner(), 0, "every item runs on the caller");
+            for (pos, v) in data.iter().enumerate() {
+                assert_eq!(*v, (pos / 4) as u32);
+            }
+            assert_eq!(super::pool::spawned_workers(), spawned_before);
+        });
+    }
+
+    #[test]
     fn pool_survives_panicking_work_item() {
         with_threads(Some(4), || {
-            // Warm the pool so thread-growth observations are stable.
-            let mut warm = [0u8; 64];
-            warm.par_chunks_mut(1).for_each(|c| c[0] = 1);
             let spawned_before = super::pool::spawned_workers();
 
             let caught = std::panic::catch_unwind(|| {
@@ -993,6 +985,7 @@ mod tests {
     #[test]
     fn repeated_calls_do_not_grow_thread_count() {
         with_threads(Some(4), || {
+            let _team = super::pool::Team::open();
             let mut data = vec![0u64; 512];
             data.par_chunks_mut(8)
                 .for_each(|c| c.iter_mut().for_each(|v| *v += 1));
@@ -1012,21 +1005,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_is_capped_by_items() {
-        with_threads(Some(4), || {
-            assert_eq!(super::pool::effective_threads(1), 1);
-            assert_eq!(super::pool::effective_threads(2), 2);
-            assert_eq!(super::pool::effective_threads(1000), 4);
-            assert_eq!(super::pool::configured_threads(), 4);
-        });
-    }
-
-    #[test]
     fn concurrent_callers_share_the_pool() {
         with_threads(Some(3), || {
             std::thread::scope(|s| {
                 // Threads 0 and 1 hold teams at once, each wanting two of the
-                // pool's helpers while the others dispatch through the queue:
+                // pool's helpers, while the others run their calls inline:
                 // every caller completes whichever helpers it gets.
                 for t in 0..4 {
                     s.spawn(move || {
@@ -1064,9 +1047,9 @@ mod tests {
     #[test]
     fn every_call_runs_each_item_once_at_every_width_in_a_team_or_not() {
         // Seeded calls at widths 2-8 from one to three threads at once, each
-        // call inside a held team or on a team opened for it, of 0 to 299
-        // items, some of which make a parallel call of their own and some of
-        // which panic.
+        // call inside a held team or on no team (inline), of 0 to 299 items,
+        // some of which make a parallel call of their own and some of which
+        // panic.
         for width in 2..=8usize {
             with_threads(Some(width), || {
                 let spawned_before = super::pool::spawned_workers();
@@ -1184,7 +1167,10 @@ mod tests {
     fn a_section_splits_only_while_no_other_thread_is_in_one() {
         with_threads(Some(2), || {
             assert_eq!(super::pool::sections(), 0);
-            assert!(call_splits(), "a call outside every section splits");
+            assert!(
+                call_runs_inline(),
+                "a call outside every section runs inline"
+            );
             // A lone section splits; an open nested in it counts nothing
             // and changes nothing.
             {

@@ -45,12 +45,12 @@ use crate::rounds::{AsyncRounds, Step};
 use crate::PipeInferConfig;
 use pi_cluster::{trace_if, EventKind, NodeBehavior, NodeCtx, Rank, Tag};
 use pi_spec::deploy::{HeadParts, RecordHandle};
-use pi_spec::launch::{launch, Run};
+use pi_spec::launch::{launch, send_cache_op, Run};
 use pi_spec::message::tags;
 use pi_spec::worker::trace_kv_events;
 use pi_spec::{
-    ActivationPayload, CacheOp, Drafter, GenerationRecord, HeadEngine, PipeMsg, PipelineRoute,
-    RunId, RunKind,
+    ActivationPayload, Drafter, GenerationRecord, HeadEngine, PipeMsg, PipelineRoute, RunId,
+    RunKind,
 };
 use std::collections::VecDeque;
 
@@ -118,20 +118,7 @@ impl PipeInferHead {
     fn execute(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
         for step in self.rounds.take_steps() {
             match step {
-                Step::Cache(op) => {
-                    let cost = self.engine.apply_cache_op(0, &op);
-                    ctx.elapse(cost);
-                    match op {
-                        CacheOp::BranchCommit { first, n_seqs, .. } => {
-                            trace_if(ctx, || EventKind::BranchCommit { first, n_seqs });
-                        }
-                        CacheOp::BranchRollback { first, n_seqs } => {
-                            trace_if(ctx, || EventKind::BranchRollback { first, n_seqs });
-                        }
-                        _ => {}
-                    }
-                    self.send_downstream(ctx, tags::CACHE, PipeMsg::Cache(op));
-                }
+                Step::Cache(op) => send_cache_op(self.engine.as_mut(), &self.route, ctx, op),
                 Step::Launch {
                     run_id,
                     kind,

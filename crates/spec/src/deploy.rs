@@ -113,8 +113,7 @@ pub struct RunOutput {
     /// Whether every rank finished cleanly.
     pub completed: bool,
     /// Structured event trace, present iff the run was started through a
-    /// traced entry point ([`PreparedDeployment::run_traced`]) with the
-    /// `trace` feature on.
+    /// traced entry point ([`PreparedDeployment::run_traced`]).
     pub trace: Option<Trace>,
 }
 

@@ -1,6 +1,7 @@
 //! The head side of a run, shared by both cluster heads: [`launch`]
 //! evaluates the head's own stage over a run's batch and sends it down the
-//! pipeline.
+//! pipeline, and [`send_cache_op`] applies a cache op on the head's stage
+//! and pipelines it after the runs already sent.
 //!
 //! A **non-speculative** run — a prompt, or the one pending token — needs
 //! the logits of its last row only, so it travels in *slices* of at most one
@@ -18,7 +19,7 @@
 //! A **speculative** run needs every row verified and travels whole.
 
 use crate::engine::HeadEngine;
-use crate::message::{tags, ActivationPayload, PipeMsg, RunId, RunKind, TreeTopology};
+use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId, RunKind, TreeTopology};
 use crate::route::PipelineRoute;
 use pi_cluster::{trace_if, EventKind, NodeCtx};
 use pi_model::batch::BatchEntry;
@@ -110,6 +111,31 @@ pub fn launch(
         }
     }
     None
+}
+
+/// Applies `op` on the head's own cache, charging its cost to `ctx`, records
+/// a `branch_commit` / `branch_rollback` event for a tree's commit or
+/// rollback, and sends `op` down `route`, in order ahead of the next decode.
+pub fn send_cache_op(
+    engine: &mut dyn HeadEngine,
+    route: &PipelineRoute,
+    ctx: &mut dyn NodeCtx<PipeMsg>,
+    op: CacheOp,
+) {
+    let cost = engine.apply_cache_op(0, &op);
+    ctx.elapse(cost);
+    match op {
+        CacheOp::BranchCommit { first, n_seqs, .. } => {
+            trace_if(ctx, || EventKind::BranchCommit { first, n_seqs });
+        }
+        CacheOp::BranchRollback { first, n_seqs } => {
+            trace_if(ctx, || EventKind::BranchRollback { first, n_seqs });
+        }
+        _ => {}
+    }
+    if let Some(next) = route.next_after(route.head()) {
+        ctx.send(next, tags::CACHE, PipeMsg::Cache(op));
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 
 use crate::deploy::{HeadParts, RecordHandle, StepProfile};
 use crate::engine::HeadEngine;
-use crate::launch::{launch, Run};
-use crate::message::{tags, ActivationPayload, CacheOp, PipeMsg, RunId};
+use crate::launch::{launch, send_cache_op, Run};
+use crate::message::{tags, ActivationPayload, PipeMsg, RunId};
 use crate::rounds::{Round, SyncRounds};
 use crate::route::PipelineRoute;
 use crate::worker::trace_kv_events;
@@ -70,14 +70,6 @@ impl SyncHead {
         }
     }
 
-    /// Applies `op` on the head's own cache and pipelines it to every other
-    /// stage, in order ahead of the next decode.
-    fn send_cache_op(&mut self, op: CacheOp, ctx: &mut dyn NodeCtx<PipeMsg>) {
-        let cost = self.engine.apply_cache_op(0, &op);
-        ctx.elapse(cost);
-        self.send_downstream(ctx, tags::CACHE, PipeMsg::Cache(op));
-    }
-
     /// Drafts and launches the next round.
     fn launch(&mut self, ctx: &mut dyn NodeCtx<PipeMsg>) {
         let round = self.rounds.next_round();
@@ -85,7 +77,7 @@ impl SyncHead {
         // drafting time.
         ctx.elapse(round.draft_cost);
         for &op in &round.pre_ops {
-            self.send_cache_op(op, ctx);
+            send_cache_op(self.engine.as_mut(), &self.route, ctx, op);
         }
         let run_id = self.next_run_id;
         self.next_run_id += 1;
@@ -119,7 +111,7 @@ impl SyncHead {
         let (greedy, cost) = round.finalize(self.engine.as_mut(), &payload, self.rounds.context());
         ctx.elapse(cost);
         if let Some(op) = self.rounds.absorb(round, &greedy, ctx.now()) {
-            self.send_cache_op(op, ctx);
+            send_cache_op(self.engine.as_mut(), &self.route, ctx, op);
         }
         if self.rounds.is_done() {
             self.finish(ctx);
@@ -176,7 +168,7 @@ mod tests {
     use super::*;
     use crate::drafter::{Drafter, OracleDrafter};
     use crate::engine::SimHeadEngine;
-    use crate::message::RunKind;
+    use crate::message::{CacheOp, RunKind};
     use crate::testkit::{answer_decodes, drive, transcript_hash, TestCtx};
     use crate::tree::{TreeConfig, DEFAULT_PRIOR};
     use crate::{GenConfig, GenerationRecord};

@@ -285,6 +285,7 @@ mod tests {
     use super::*;
     use crate::deploy::{Deployment, ExecutionMode, SpeculativeStrategy};
     use crate::GenConfig;
+    use pi_cluster::{EventKind, TraceConfig};
     use pi_model::{Model, ModelConfig, OracleTarget};
     use pi_perf::{ClusterSpec, ModelPair};
 
@@ -371,6 +372,31 @@ mod tests {
             assert!(out.record.tree_rounds > 0);
             assert_eq!(out.record.tree_shapes.len(), out.record.tree_rounds);
         }
+    }
+
+    #[test]
+    fn a_traced_tree_run_records_one_branch_event_per_round() {
+        // The synchronous head applies and pipelines its cache ops through
+        // the helper PipeInfer's head uses, so each verified tree leaves its
+        // commit or rollback in the trace.
+        let out = Deployment::new(TreeSpeculationStrategy::default())
+            .prepare(&sim_mode(4, ModelPair::goliath_xwin7b()), 4)
+            .run_traced(&config(24), TraceConfig::default());
+        assert!(out.completed);
+        let trace = out.trace.expect("run_traced attaches a trace");
+        let branch_events = trace
+            .events()
+            .iter()
+            .filter(|e| {
+                e.rank == 0
+                    && matches!(
+                        e.kind,
+                        EventKind::BranchCommit { .. } | EventKind::BranchRollback { .. }
+                    )
+            })
+            .count();
+        assert!(out.record.tree_rounds > 0);
+        assert_eq!(branch_events, out.record.tree_rounds);
     }
 
     #[test]

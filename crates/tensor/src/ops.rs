@@ -6,15 +6,14 @@
 //! the panel kernels of [`crate::simd`] — [`simd::gemv_panel`] for the
 //! single-row (decode) case, the register-blocked [`simd::gemm_tile`] for the
 //! multi-row (verify, forest, prefill) case — and this module only decides
-//! where they run: products of `PAR_DISPATCH_WEIGHT_LOADS` weight loads and
-//! more are split into column blocks over the persistent worker pool,
-//! smaller ones stay on the calling thread as one kernel call.  A thread that
-//! holds a `rayon::pool::Team` — the step loop, or a cluster rank's stage
-//! evaluation or draft — splits from the far lower
-//! `TEAM_DISPATCH_WEIGHT_LOADS` on, while no other thread holds one.  One
-//! rule sizes every split's blocks: contiguous, whole register tiles, a
-//! whole number per pool thread — one per member for every product of a
-//! decode, verify or forest step.
+//! where they run.  One rule decides every split: a product of
+//! `TEAM_DISPATCH_WEIGHT_LOADS` weight loads or more, issued by a thread
+//! that holds a `rayon::pool::Team` (the step loop, or a cluster rank's
+//! stage evaluation or draft) while no other thread holds one, is split into
+//! column blocks over the team; every other product stays on the calling
+//! thread as one kernel call.  One rule sizes every split's blocks:
+//! contiguous, whole register tiles, a whole number per team member — one
+//! per member for every product of a decode, verify or forest step.
 //! [`matmul_t_naive`] is the one dense reference the property tests and the
 //! kernels bench compare against.
 //!
@@ -35,8 +34,13 @@
 use crate::{simd, Result, Tensor, TensorError};
 use rayon::pool;
 
-/// Weight loads below which a product runs on the calling thread as one
-/// kernel call; at or above it, column blocks go to the worker pool.
+/// Weight loads from which a product issued inside a compute section splits
+/// over its `pool::Team`, while no other thread holds one; below it, or on
+/// any other thread, the product runs on the calling thread as one kernel
+/// call.  The team's helpers are awake between calls, so a split costs a
+/// store, one claim per member, the activations a helper reads from the
+/// caller's cache and a wait for the last block — about 0.6 µs for a call of
+/// empty items on the bench box (2 vCPUs, AVX-512) — not a wake.
 ///
 /// The unit is what the kernels' inner loops are bound by: weight elements
 /// loaded.  A single-row product loads every weight once (`n·k`); the
@@ -45,57 +49,6 @@ use rayon::pool;
 /// up to 6 on AVX2 and the portable lanes).  Multiply-adds, an earlier unit,
 /// put a 40-row in-cache GEMM above a 2048×2048 GEMV that carries three times
 /// the serial time.
-///
-/// Placed from what a split has to pay back: the *helper's wake latency*,
-/// not the caller's dispatch cost.  On the 2-vCPU bench box, from `run`
-/// entry to the helper's first item (medians of 400): 19 µs when dispatches
-/// follow back to back, 56 µs (quartiles 45–69) once the helper has idled
-/// 200 µs and 104 µs after 2 ms; the benchmark's own `cluster.msg_rtt_us`
-/// reads 45–88 µs per round trip of the same futex pair.  With wake latency
-/// `W` and serial time `T`, two threads finish at best at `(T + W)/2`, plus
-/// up to another `W` when the caller drains the queue first and sleeps until
-/// the helper's last block completes: a split breaks even near `T = 3W` and
-/// returns a quarter of `T` only from `T = 6W`, 0.1–0.35 ms.
-///
-/// The measured crossover, re-taken with the 8-row AVX-512 tile (which
-/// halved both the loads and the serial time of every multi-row product):
-/// alternating 1 and 2 pool threads 100 µs apart, medians of 300, two
-/// threads over one, serial time in brackets.  In an hour when the box's
-/// second vCPU had something to give: 8×256×704 (36 µs) 1.69×, 16× (92)
-/// 1.05×, 24× (111) 1.09×, 64×256×256 (99) 1.12×, 32×256×704 (152) 0.92×,
-/// 40× (172) 0.89×, 48× (206) 0.91×, 64× (241, 1.4 Mi loads) 0.88×,
-/// 64×704×256 (224) 0.95×, 96×256×704 (411, 2.1 Mi) 0.81×, 128× (611) 0.73×,
-/// 256× (947) 0.69×, 1×1024×1024 (138) 1.06×, 1×1024×2048 (325, 2 Mi)
-/// 0.85×, 1×2048×2048 (731) 0.68×.  In two sweeps of an hour when it had
-/// nothing: 8× 1.22×, 16× 1.17×, 32× 1.10–1.16×, 40× 1.14–1.17×, 48×
-/// 1.11×, 64× 1.09–1.10×, 80× 1.11–1.13×, 96× 1.11×, 128× 1.09×, 256×
-/// 1.07–1.09×, 1×1024×2048 1.07×, 1×2048×2048 1.04× (and, in the one of the
-/// two that was good to single-row products only, 1×1024×1280 0.89×,
-/// 1×1024×1536 0.85×, 1×1024×2048 0.82×, 1×2048×2048 0.74×).  So a product
-/// of 1.4 Mi loads gains an eighth at best and loses a tenth at worst; from
-/// 2 Mi the best case is a fifth to a third and the worst a tenth or less.
-/// The constant stays where wake latency put it — which, the multi-row unit
-/// having halved, now means twice the rows.
-///
-/// So nothing a `d_model` 256 / `d_ff` 704 model issues for decode, verify,
-/// an 8-lane × 5-row forest (40×256×704: 0.9 Mi loads on AVX-512) or a
-/// 64-token prompt (1.4 Mi) leaves the thread that issued it, while the FFN
-/// products of prompts from 89 tokens up (12 row blocks: 2.1 Mi; from 47
-/// tokens on AVX2, whose blocks are half as tall), a 1024×2048 GEMV and
-/// everything larger still fan out.
-///
-/// That is the threshold of a thread that holds no team, whose split opens
-/// a team for the one call and so pays a helper's wake.  A thread that holds
-/// a `pool::Team` — the step loop, a cluster rank's stage evaluation or
-/// draft — splits from [`TEAM_DISPATCH_WEIGHT_LOADS`] on instead, while no
-/// other thread holds one.
-const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
-
-/// [`PAR_DISPATCH_WEIGHT_LOADS`] for a thread that holds a `pool::Team`:
-/// its helpers are awake between calls, so a split costs a store, one claim
-/// per member, the activations a helper reads from the caller's cache and a
-/// wait for the last block — about 0.6 µs for a call of empty items on the
-/// bench box (2 vCPUs, AVX-512) — not a wake.
 ///
 /// Placed from `d_model` 256 single-row products timed inside a team of 1
 /// and of 2, each cycling through 24 MB of matrices of its own so that it
@@ -112,28 +65,18 @@ const PAR_DISPATCH_WEIGHT_LOADS: usize = 2 * 1024 * 1024;
 /// docs), so the threshold moves time, never a token.
 const TEAM_DISPATCH_WEIGHT_LOADS: usize = 32 * 1024;
 
-/// [`PAR_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
+/// [`TEAM_DISPATCH_WEIGHT_LOADS`] for the kernel-equivalence tests, which
 /// build shapes on both sides of it.
-#[doc(hidden)]
-pub fn par_dispatch_weight_loads() -> usize {
-    PAR_DISPATCH_WEIGHT_LOADS
-}
-
-/// [`TEAM_DISPATCH_WEIGHT_LOADS`], likewise.
 #[doc(hidden)]
 pub fn team_dispatch_weight_loads() -> usize {
     TEAM_DISPATCH_WEIGHT_LOADS
 }
 
-/// Weight loads from which a product issued by the calling thread splits:
-/// the in-team threshold while it holds a team of more than one thread and
-/// no other thread holds one (`pool::team_width`, read per product).
-fn dispatch_weight_loads() -> usize {
-    if pool::team_width() > 1 {
-        TEAM_DISPATCH_WEIGHT_LOADS
-    } else {
-        PAR_DISPATCH_WEIGHT_LOADS
-    }
+/// Whether a product of `loads` weight loads, issued by the calling thread
+/// now, splits: the one dispatch rule (see [`TEAM_DISPATCH_WEIGHT_LOADS`];
+/// `pool::team_width` is read per product).
+fn splits(loads: usize) -> bool {
+    loads >= TEAM_DISPATCH_WEIGHT_LOADS && pool::team_width() > 1
 }
 
 /// Computes `out = x · wᵀ` where `x` is `[m, k]` and `w` is `[n, k]`.
@@ -165,7 +108,7 @@ pub fn matmul_t_into(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: 
     assert_eq!(wd.len(), n * k, "w data does not match [n, k]");
     assert_eq!(out.len(), m * n, "out does not match [m, n]");
     if m == 1 {
-        if n * k < dispatch_weight_loads() {
+        if !splits(n * k) {
             simd::gemv_panel(xd, wd, out);
             return;
         }
@@ -204,8 +147,7 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
 
 /// Runs `columns(j0, j1)` over column blocks that partition `0..n` (of
 /// `work` multiply-adds a column, in whole `align`s but for the far edge) on
-/// the pool's team: the one the calling thread holds, or one opened for the
-/// call, of every pool thread.
+/// the team the calling thread holds.
 ///
 /// Every product of up to [`TEAM_BLOCK_WORK`] multiply-adds a member — each
 /// of a `bp256` decode, verify or forest step — is one contiguous block per
@@ -219,10 +161,7 @@ pub fn matvec_t_into(x: &[f32], w: &Tensor, out: &mut [f32]) -> Result<()> {
 /// descheduled, holds the caller up for one block and not for half the
 /// product.
 fn split_columns(n: usize, work: usize, align: usize, columns: &(dyn Fn(usize, usize) + Sync)) {
-    let width = match pool::team_width() {
-        1 => pool::configured_threads(),
-        width => width,
-    };
+    let width = pool::team_width();
     let blocks = (n * work).div_ceil(TEAM_BLOCK_WORK).next_multiple_of(width);
     let block = n.div_ceil(blocks).next_multiple_of(align);
     pool::global().run(n.div_ceil(block), &|b| {
@@ -234,11 +173,12 @@ fn split_columns(n: usize, work: usize, align: usize, columns: &(dyn Fn(usize, u
 /// product (5×256×704: 0.9 Mi) and an 8-lane forest step's (1.4 Mi) are one
 /// block a member; an 89-token prompt's (15.3 Mi) is four.  Every block of a
 /// multi-row product re-reads all of its activation rows, so blocks of 1 Mi
-/// cost a 256-token `bp256` prefill outside a team (46 Mi FFN products: 46
-/// blocks) about 16 % over the four chunks a thread it used to be cut into;
-/// at 4 Mi (12 blocks) it was within 4 % of them (2 vCPUs, AVX-512;
-/// alternating eight runs of each, medians 88.3, 102.7 and 91.9 ms), and the
-/// stream workloads, which split inside the step loop's team, read the same.
+/// cost a 256-token `bp256` prefill split over two threads (46 Mi FFN
+/// products: 46 blocks) about 16 % over the four chunks a thread it used to
+/// be cut into; at 4 Mi (12 blocks) it was within 4 % of them (2 vCPUs,
+/// AVX-512; alternating eight runs of each, medians 88.3, 102.7 and
+/// 91.9 ms), and the stream workloads, which split their prompts inside the
+/// step loop's team, read the same.
 const TEAM_BLOCK_WORK: usize = 1 << 22;
 
 /// Raw output pointer shared across the pool's column-block tasks.  Column
@@ -268,11 +208,11 @@ fn gemm_t(xd: &[f32], wd: &[f32], m: usize, k: usize, n: usize, out: &mut [f32])
         unsafe { simd::gemm_tile(xd, &wd[j0 * k..j1 * k], k, base.column(j0), n) }
     };
     // The per-element computation is identical either way; only the dispatch
-    // differs, so small products skip the pool (same threshold as the GEMV
-    // path) while producing bitwise-identical results.  A weight vector the
+    // differs, so small products skip the pool (the GEMV path's rule) while
+    // producing bitwise-identical results.  A weight vector the
     // tile loads serves every activation row of its row block.
     let (passes, tile_columns) = simd::gemm_geometry(m);
-    if passes * n * k < dispatch_weight_loads() {
+    if !splits(passes * n * k) {
         columns(0, n);
         return;
     }

@@ -122,24 +122,19 @@ proptest! {
         m in 1usize..18,
         n in 1usize..80,
         k in 1usize..140,
-        // 0: every product stays on the calling thread (at most 3 × 80 × 140
-        // weight loads, and half that in a team, below the threshold that
-        // applies); 1: `n` and `k` each grow by the square root of that
-        // threshold, so the single-row products alone cross it, wherever the
-        // constant is set.
+        // 0: every product stays on the calling thread (outside a team every
+        // product does; in one, at most 3 × 40 × 140 weight loads, below the
+        // dispatch threshold); 1: `n` and `k` each grow by the square root of
+        // that threshold, so the single-row products alone cross it,
+        // wherever the constant is set.
         above_threshold in 0usize..2,
         // Whether the products are issued by a thread that holds a team (of
-        // `PIPEINFER_THREADS` members), which splits from the in-team
-        // threshold on.
+        // `PIPEINFER_THREADS` members), the only thread whose products split.
         team in 0usize..2,
         seed in 0u64..500,
     ) {
         let in_team = team == 1;
-        let threshold = if in_team {
-            ops::team_dispatch_weight_loads()
-        } else {
-            ops::par_dispatch_weight_loads()
-        };
+        let threshold = ops::team_dispatch_weight_loads();
         let n = if in_team { n.div_ceil(2) } else { n };
         prop_assert!(3 * 40 * 140 < ops::team_dispatch_weight_loads());
         let side = threshold.isqrt() + 1;

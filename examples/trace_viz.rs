@@ -75,10 +75,7 @@ fn main() {
             Deployment::new(PipeInferStrategy::new(config.clone())).prepare(&mode, n_nodes);
         let out = prepared.run_traced(&gen, TraceConfig::default());
         assert!(out.completed, "{name} run did not complete");
-        let trace = out
-            .trace
-            .as_ref()
-            .expect("run_traced must attach a trace (is the `trace` feature on?)");
+        let trace = out.trace.as_ref().expect("run_traced must attach a trace");
 
         let report = BubbleReport::analyze(trace);
         let pipeline_bubble = report.mean_bubble_fraction_of(pipeline_ranks);
